@@ -145,10 +145,9 @@ def cmd_scan(args) -> int:
         print(f"p={p:.4f} max ratio_conj={worst!r}", file=sys.stderr)
     status = guard_status(records)
     if status == EXIT_CONJECTURE:
-        by_id = {pi * cfg.n_trials + j: grid[pi] for pi in range(len(grid)) for j in range(cfg.n_trials)}
         _flag_conjecture_offenders(
             records,
-            lambda r: hz.scan_binary_ensemble(cfg, r.trial_id, by_id[r.trial_id]),
+            lambda r: hz.scan_binary_ensemble(cfg, r.trial_id, r.probabilities[0]),
             "conjecture_offender_scan",
         )
     return status

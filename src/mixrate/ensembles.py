@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,14 +39,15 @@ class DensityMatrix:
 
     Validation symmetrizes the input, floors eigenvalues in [-1e-10, 0) at
     zero and renormalizes the trace when within tolerance; anything further
-    off is rejected.
+    off is rejected. The eigendecomposition (w, V) that validation computed
+    is kept as `spectrum`, and `matrix` is V diag(w) V†.
     """
 
     matrix: np.ndarray
+    spectrum: hm.EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = hm.require_hermitian(self.matrix)
-        w, V = np.linalg.eigh(A)
+        w, V = hm.eig_hermitian(self.matrix)
         if w[0] < -PSD_TOL:
             raise InvariantViolation(f"not PSD (min eigenvalue {w[0]:.3e})")
         tr = float(np.sum(w))
@@ -53,8 +55,21 @@ class DensityMatrix:
             raise InvariantViolation(f"trace {tr!r} differs from 1")
         w = np.clip(w, 0.0, None)
         w /= np.sum(w)
-        object.__setattr__(self, "matrix", hm.hermitian_part(hm.reconstruct(w, V)))
-        self.matrix.setflags(write=False)
+        self._set_spectrum(w, V)
+
+    def _set_spectrum(self, w: np.ndarray, V: np.ndarray) -> None:
+        matrix = hm.hermitian_part(hm.reconstruct(w, V))
+        for a in (w, V, matrix):
+            a.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "spectrum", hm.EigenDecomposition(w, V))
+
+    def conjugated(self, U: np.ndarray) -> "DensityMatrix":
+        """U ρ U† for a unitary U, with spectrum (w, U V); not validated again,
+        since unitary conjugation keeps the eigenvalues of a state."""
+        out = object.__new__(DensityMatrix)
+        out._set_spectrum(self.spectrum.eigenvalues, U @ self.spectrum.eigenvectors)
+        return out
 
     @property
     def dim(self) -> int:
@@ -63,19 +78,34 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """A Hermitian observable; `normalized` asserts operator norm <= 1."""
+    """A Hermitian observable; `normalized` asserts operator norm <= 1.
+
+    Its spectrum is computed once, on first use, and kept.
+    """
 
     matrix: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
         A = hm.require_hermitian(self.matrix)
-        if self.normalized:
-            norm = float(np.max(np.abs(np.linalg.eigvalsh(A)))) if A.size else 0.0
+        A.setflags(write=False)
+        object.__setattr__(self, "matrix", A)
+        if self.normalized and A.size:
+            norm = float(np.max(np.abs(self.spectrum.eigenvalues)))
             if norm > 1.0 + 1e-10:
                 raise InvariantViolation(f"operator norm {norm!r} exceeds 1")
-        object.__setattr__(self, "matrix", A)
-        self.matrix.setflags(write=False)
+
+    @classmethod
+    def from_spectrum(cls, w, V, normalized: bool = False) -> "Hamiltonian":
+        """V diag(w) V† for real w and a unitary V, keeping (w, V) as its spectrum."""
+        H = object.__new__(cls)
+        object.__setattr__(H, "spectrum", hm.EigenDecomposition(w, V))
+        H.__init__(hm.reconstruct(w, V), normalized)
+        return H
+
+    @cached_property
+    def spectrum(self) -> hm.EigenDecomposition:
+        return hm.eig_hermitian(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -137,6 +167,13 @@ class HamiltonianSet:
         return len(self.hams)
 
 
+def _require_matching(E: Ensemble, H: HamiltonianSet) -> None:
+    if len(H) != len(E):
+        raise DimMismatch("need one Hamiltonian per ensemble member")
+    if any(h.dim != E.dim for h in H.hams):
+        raise DimMismatch("Hamiltonian dimension differs from ensemble dimension")
+
+
 def expected_state(E: Ensemble) -> DensityMatrix:
     """The expected density operator rho = sum_x p(x) rho_x."""
     acc = np.zeros((E.dim, E.dim), dtype=complex)
@@ -145,17 +182,22 @@ def expected_state(E: Ensemble) -> DensityMatrix:
     return DensityMatrix(acc)
 
 
+def _xlnx(v) -> np.ndarray:
+    """Elementwise v ln v for v >= 0, 0 ln 0 := 0: the one kernel of every
+    entropy here, so equal inputs give bit-equal entropies."""
+    v = np.asarray(v, dtype=float)
+    return v * np.log(np.where(v > 0, v, 1.0))
+
+
 def _entropy_from_eigenvalues(w: np.ndarray, dim: int) -> float:
-    w = np.clip(np.real(w), 0.0, 1.0)
-    nz = w[w > 0]
-    s = float(-np.sum(nz * np.log(nz)))
+    """-sum w ln w of a state's eigenvalues, clamped to [0, ln dim]."""
+    s = float(-np.sum(_xlnx(np.clip(np.real(w), 0.0, 1.0))))
     return min(max(s, 0.0), math.log(dim))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho ln rho) in nats, with 0 ln 0 := 0."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    return _entropy_from_eigenvalues(w, rho.dim)
+    return _entropy_from_eigenvalues(rho.spectrum.eigenvalues, rho.dim)
 
 
 def shannon_entropy(probs: Sequence[float]) -> float:
@@ -163,7 +205,7 @@ def shannon_entropy(probs: Sequence[float]) -> float:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or np.any(p <= 0) or abs(float(np.sum(p)) - 1.0) > PROB_TOL:
         raise BadDistribution("probabilities must be positive and sum to 1")
-    return float(-np.sum(p * np.log(p)))
+    return float(-np.sum(_xlnx(p)))
 
 
 def binary_entropy(p: float) -> float:
@@ -172,7 +214,7 @@ def binary_entropy(p: float) -> float:
         raise DomainError(f"binary entropy undefined at p={p!r}")
     out = 0.0
     if 0.0 < p < 1.0:
-        out = -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+        out = float(-np.sum(_xlnx([p, 1.0 - p])))
     return out
 
 
@@ -184,20 +226,15 @@ def average_entropy(E: Ensemble) -> float:
 
 
 def unitary_at(H: Hamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t), computed exactly through the spectrum of H."""
-    return hm.matrix_fn(H.matrix, lambda w: np.exp(-1j * t * w))
+    """exp(-i H t), computed exactly through the kept spectrum of H."""
+    w, V = H.spectrum
+    return hm.reconstruct(np.exp(-1j * t * w), V)
 
 
 def evolve(E: Ensemble, H: HamiltonianSet, t: float) -> Ensemble:
     """Conjugate each member by its own unitary exp(-i H_x t)."""
-    if len(H) != len(E):
-        raise DimMismatch("need one Hamiltonian per ensemble member")
-    if H.hams and H.hams[0].dim != E.dim:
-        raise DimMismatch("Hamiltonian dimension differs from ensemble dimension")
-    states = []
-    for s, h in zip(E.states, H.hams):
-        U = unitary_at(h, t)
-        states.append(DensityMatrix(U @ s.matrix @ U.conj().T))
+    _require_matching(E, H)
+    states = [s.conjugated(unitary_at(h, t)) for s, h in zip(E.states, H.hams)]
     return Ensemble(E.probabilities, states)
 
 
@@ -234,6 +271,17 @@ def _load_json(text) -> dict:
     return obj
 
 
+def _parse_members(raw, dim: int, what: str, build) -> list:
+    """build(M) for each raw matrix M; a failed validation names the member."""
+    out = []
+    for i, entry in enumerate(raw):
+        try:
+            out.append(build(matrix_from_json(entry, dim, f"{what} {i}")))
+        except (InvariantViolation, NonHermitian) as exc:
+            raise InvariantViolation(getattr(exc, "which", str(exc)), index=i) from exc
+    return out
+
+
 def parse_ensemble(text) -> Ensemble:
     """Parse the ensemble JSON schema; reports the offending member on failure."""
     obj = _load_json(text)
@@ -245,14 +293,7 @@ def parse_ensemble(text) -> Ensemble:
         raise ParseError(f"ensemble JSON missing or malformed field: {exc}") from exc
     if len(probs) != len(raw_states):
         raise ParseError("probabilities and states have different lengths")
-    states = []
-    for i, raw in enumerate(raw_states):
-        try:
-            states.append(DensityMatrix(matrix_from_json(raw, dim, f"state {i}")))
-        except InvariantViolation as exc:
-            raise InvariantViolation(exc.which, index=i) from exc
-        except NonHermitian as exc:
-            raise InvariantViolation(str(exc), index=i) from exc
+    states = _parse_members(raw_states, dim, "state", DensityMatrix)
     try:
         return Ensemble(probs, states)
     except (BadDistribution, DimMismatch) as exc:
@@ -276,16 +317,7 @@ def parse_hamiltonian_set(text, normalized: bool = False) -> HamiltonianSet:
         raw = list(obj["hamiltonians"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"hamiltonian JSON missing or malformed field: {exc}") from exc
-    hams = []
-    for i, entry in enumerate(raw):
-        try:
-            hams.append(
-                Hamiltonian(matrix_from_json(entry, dim, f"hamiltonian {i}"), normalized)
-            )
-        except InvariantViolation as exc:
-            raise InvariantViolation(exc.which, index=i) from exc
-        except NonHermitian as exc:
-            raise InvariantViolation(str(exc), index=i) from exc
+    hams = _parse_members(raw, dim, "hamiltonian", lambda M: Hamiltonian(M, normalized))
     return HamiltonianSet(hams)
 
 

@@ -27,9 +27,11 @@ from .ensembles import (
     Ensemble,
     Hamiltonian,
     HamiltonianSet,
+    _entropy_from_eigenvalues,
+    _load_json,
     matrix_from_json,
     matrix_to_json,
-    _load_json,
+    unitary_at,
 )
 from .errors import (
     BadSubset,
@@ -37,12 +39,13 @@ from .errors import (
     DimMismatch,
     DimOrder,
     DomainError,
+    IdentityViolation,
     IllConditioned,
     InvariantViolation,
     ParseError,
     PositivityViolation,
 )
-from .rates import DEFAULT_FD_STEP, DEFAULT_RANK_TOL, IMAG_TOL, mixing_rate
+from .rates import DEFAULT_FD_STEP, DEFAULT_RANK_TOL, IMAG_TOL, _richardson, mixing_rate
 
 NORM_TOL = 1e-10
 
@@ -72,27 +75,18 @@ class PureState:
         object.__setattr__(self, "dims", dims)
 
 
-@dataclass(frozen=True)
-class BipartiteOperator:
+@dataclass(frozen=True, init=False)
+class BipartiteOperator(Hamiltonian):
     """Hermitian operator on A ⊗ B; `normalized` asserts operator norm <= 1."""
 
-    matrix: np.ndarray
-    dims: tuple[int, int]
-    normalized: bool = False
+    dims: tuple[int, int] = (1, 1)
 
     def __init__(self, matrix, dims, normalized=False):
+        super().__init__(matrix, normalized)
         dims = tuple(int(d) for d in dims)
-        A = hm.require_hermitian(matrix)
-        if len(dims) != 2 or A.shape[0] != dims[0] * dims[1]:
-            raise DimMismatch(f"matrix of dim {A.shape[0]} does not factor as {dims}")
-        if normalized:
-            norm = float(np.max(np.abs(np.linalg.eigvalsh(A))))
-            if norm > 1.0 + NORM_TOL:
-                raise InvariantViolation(f"operator norm {norm!r} exceeds 1")
-        A.setflags(write=False)
-        object.__setattr__(self, "matrix", A)
+        if len(dims) != 2 or self.dim != dims[0] * dims[1]:
+            raise DimMismatch(f"matrix of dim {self.dim} does not factor as {dims}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "normalized", normalized)
 
 
 def partial_trace(M, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -112,40 +106,26 @@ def partial_trace(M, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     if not keep:
         raise BadSubset("must keep at least one factor")
     n = len(dims)
-    T = A.reshape(dims + dims)
-    # Assign one einsum axis letter per row index; traced factors share the
-    # letter with their column index, kept factors get a fresh column letter.
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = []
-    nxt = n
-    out = []
-    for i in range(n):
-        if i in keep:
-            col.append(letters[nxt])
-            nxt += 1
-        else:
-            col.append(row[i])
-    out = [row[i] for i in keep] + [col[i] for i in keep]
-    spec = "".join(row) + "".join(col) + "->" + "".join(out)
+    # Einsum axes: row index i is axis i; a traced factor's column shares its
+    # row's axis, a kept factor's column gets its own axis n + i.
+    col = [n + i if i in keep else i for i in range(n)]
+    out = keep + [n + i for i in keep]
     d_keep = math.prod(dims[i] for i in keep)
-    return np.einsum(spec, T).reshape(d_keep, d_keep)
+    T = A.reshape(dims + dims)
+    return np.einsum(T, list(range(n)) + col, out).reshape(d_keep, d_keep)
 
 
-def _density(psi: PureState) -> np.ndarray:
-    return np.outer(psi.amplitudes, psi.amplitudes.conj())
-
-
-def _entropy_psd(M: np.ndarray) -> float:
-    w = np.clip(np.linalg.eigvalsh(hm.hermitian_part(M)), 0.0, None)
-    nz = w[w > 0]
-    return float(-np.sum(nz * np.log(nz)))
+def _reduced(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced states (rho_aAB, rho_aA) of psi."""
+    rho_aAB = partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims, (0, 1, 2))
+    return rho_aAB, partial_trace(rho_aAB, psi.dims[:3], (0, 1))
 
 
 def entanglement_entropy(psi: PureState) -> float:
     """S(rho_aA) — the entanglement across the aA | Bb cut."""
-    rho_aA = partial_trace(_density(psi), psi.dims, (0, 1))
-    return _entropy_psd(rho_aA)
+    rho_aA = _reduced(psi)[1]
+    w = np.linalg.eigvalsh(hm.hermitian_part(rho_aA))
+    return _entropy_from_eigenvalues(w, rho_aA.shape[0])
 
 
 def _check_interaction(psi: PureState, H: BipartiteOperator) -> None:
@@ -165,8 +145,7 @@ def evolve_pure(psi: PureState, H: BipartiteOperator, t: float) -> PureState:
     """(I_a ⊗ e^{-iHt} ⊗ I_b) Psi."""
     _check_interaction(psi, H)
     d_a, _, _, d_b = psi.dims
-    U = hm.matrix_fn(H.matrix, lambda w: np.exp(-1j * t * w))
-    U_full = np.kron(np.kron(np.eye(d_a), U), np.eye(d_b))
+    U_full = np.kron(np.kron(np.eye(d_a), unitary_at(H, t)), np.eye(d_b))
     return PureState(U_full @ psi.amplitudes, psi.dims)
 
 
@@ -176,13 +155,12 @@ def entangling_rate(
     """Analytic derivative i Tr(H_lift [rho_aAB, ln(rho_aA) ⊗ I_B])."""
     _check_interaction(psi, H)
     d_a, d_A, d_B, _ = psi.dims
-    rho_full = _density(psi)
-    rho_aAB = partial_trace(rho_full, psi.dims, (0, 1, 2))
-    rho_aA = partial_trace(rho_full, psi.dims, (0, 1))
+    rho_aAB, rho_aA = _reduced(psi)
     L = np.kron(hm.support_log(rho_aA, rank_tol), np.eye(d_B))
     H_lift = lift_to_aAB(H, d_a)
     val = 1j * np.trace(H_lift @ hm.commutator(rho_aAB, L))
-    assert abs(val.imag) <= IMAG_TOL, f"imaginary residue {val.imag:.3e}"
+    if abs(val.imag) > IMAG_TOL:
+        raise IdentityViolation(f"entangling rate has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
 
@@ -196,8 +174,7 @@ def fd_entangling_rate(
     if h <= 0:
         raise DomainError("finite-difference step must be positive")
     _check_interaction(psi, H)
-    rho_aA = partial_trace(_density(psi), psi.dims, (0, 1))
-    w = np.linalg.eigvalsh(rho_aA)
+    w = np.linalg.eigvalsh(_reduced(psi)[1])
     nonzero = w[w > rank_tol * max(float(w[-1]), 0.0)]
     if nonzero.size and float(nonzero[0]) < 1e3 * rank_tol:
         raise IllConditioned(
@@ -215,38 +192,34 @@ def fd_entangling_rate_richardson(
     h: float = DEFAULT_FD_STEP,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
-    d1 = fd_entangling_rate(psi, H, h, rank_tol)
-    d2 = fd_entangling_rate(psi, H, h / 2.0, rank_tol)
-    return (4.0 * d2 - d1) / 3.0
+    """Richardson-extrapolated central difference, error O(h^4)."""
+    return _richardson(lambda step: fd_entangling_rate(psi, H, step, rank_tol), h)
 
 
 def bravyi_mu(psi: PureState) -> DensityMatrix:
     """The complementary state mu with
     rho_aA ⊗ I_B/d_B = (1 - d_B^{-2}) mu + d_B^{-2} rho_aAB.
 
-    Requires 2 <= d_B <= d_A. mu is guaranteed to exist as a state; a
-    negative eigenvalue beyond -1e-9 signals numerical corruption.
+    Requires 2 <= d_B <= d_A. mu is guaranteed to exist as a state, so a
+    failed state validation signals numerical corruption.
     """
     d_a, d_A, d_B, _ = psi.dims
     if d_B == 1:
         raise Degenerate("reduction degenerates at dim(B) = 1")
     if d_B > d_A:
         raise DimOrder(f"requires dim(B) <= dim(A), got B={d_B}, A={d_A}")
-    rho_full = _density(psi)
-    rho_aAB = partial_trace(rho_full, psi.dims, (0, 1, 2))
-    rho_aA = partial_trace(rho_full, psi.dims, (0, 1))
+    rho_aAB, rho_aA = _reduced(psi)
     weight = 1.0 - d_B ** -2
     mu = (np.kron(rho_aA, np.eye(d_B) / d_B) - d_B ** -2 * rho_aAB) / weight
-    w = np.linalg.eigvalsh(hm.hermitian_part(mu))
-    if float(w[0]) < -1e-9:
-        raise PositivityViolation(f"mu has eigenvalue {float(w[0]):.3e}")
-    tr = float(np.real(np.trace(mu)))
-    if abs(tr - 1.0) > 1e-9:
-        raise PositivityViolation(f"mu has trace {tr!r}")
     recon = weight * mu + d_B ** -2 * rho_aAB
     target = np.kron(rho_aA, np.eye(d_B) / d_B)
-    assert hm.frobenius(recon - target) <= 1e-10, "reconstruction identity failed"
-    return DensityMatrix(mu)
+    residual = hm.frobenius(recon - target)
+    if residual > 1e-10:
+        raise IdentityViolation(f"reconstruction identity failed by {residual:.3e}")
+    try:
+        return DensityMatrix(mu)
+    except InvariantViolation as exc:
+        raise PositivityViolation(f"mu is not a state: {exc.which}") from exc
 
 
 def sie_to_sim(
@@ -260,7 +233,7 @@ def sie_to_sim(
     _check_interaction(psi, H)
     d_a, _, d_B, _ = psi.dims
     mu = bravyi_mu(psi)
-    rho_aAB = DensityMatrix(partial_trace(_density(psi), psi.dims, (0, 1, 2)))
+    rho_aAB = DensityMatrix(_reduced(psi)[0])
     E2 = Ensemble([1.0 - d_B ** -2, d_B ** -2], [mu, rho_aAB])
     H_lift = Hamiltonian(lift_to_aAB(H, d_a), normalized=H.normalized)
     zero = Hamiltonian(np.zeros_like(H_lift.matrix))

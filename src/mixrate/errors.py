@@ -73,3 +73,11 @@ class Degenerate(MixRateError):
 
 class PositivityViolation(MixRateError):
     """A matrix guaranteed positive semi-definite came out negative."""
+
+
+class IdentityViolation(MixRateError):
+    """A result broke an exact identity (imaginary rate, failed reconstruction)."""
+
+
+class BoundViolation(MixRateError):
+    """A computed rate exceeded a proven theorem bound."""

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import hermitian as hm
 from .ensembles import (
     DensityMatrix,
     Ensemble,
@@ -23,17 +24,14 @@ from .ensembles import (
     HamiltonianSet,
     binary_entropy,
     shannon_entropy,
+    unitary_at,
 )
-from .errors import DomainError, MixRateError
+from .errors import BoundViolation, DomainError, MixRateError
 from .rates import (
-    binary_max_rate,
-    bound_theorem_binary,
+    DEFAULT_RANK_TOL,
+    _evaluate,
+    _Spectra,
     bound_theorem_general,
-    fd_mixing_rate_richardson,
-    max_mixing_rate,
-    mixing_rate,
-    optimal_hamiltonians,
-    stm_check,
 )
 
 PROB_FLOOR = 1e-6
@@ -66,7 +64,7 @@ class ExperimentConfig:
     n_trials: int = 1
     seed: int = 0
     fd_step: float = 1e-4
-    rank_tol: float = 1e-12
+    rank_tol: float = DEFAULT_RANK_TOL
     mode: str = "verify"
     search_step: float = 0.1
     search_shrink: float = 0.5
@@ -117,14 +115,12 @@ def sample_density(dim: int, rng: Union[RNGSpec, np.random.Generator]) -> Densit
 def sample_hamiltonian(dim: int, rng: Union[RNGSpec, np.random.Generator]) -> Hamiltonian:
     """Symmetrized Ginibre matrix rescaled to operator norm exactly 1."""
     g = _gen(rng)
-    G = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-    Hm = (G + G.conj().T) / 2
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(Hm))))
-    while norm == 0.0:  # measure-zero, but keep the contract ||H|| = 1
+    while True:  # norm 0 has measure zero, but keep the contract ||H|| = 1
         G = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-        Hm = (G + G.conj().T) / 2
-        norm = float(np.max(np.abs(np.linalg.eigvalsh(Hm))))
-    return Hamiltonian(Hm / norm, normalized=True)
+        w, V = hm.eig_hermitian((G + G.conj().T) / 2)
+        norm = float(np.max(np.abs(w)))
+        if norm > 0.0:
+            return Hamiltonian.from_spectrum(w / norm, V, normalized=True)
 
 
 def sample_hamiltonian_set(
@@ -168,49 +164,32 @@ def evaluate_ensemble(
         n_states=len(E),
         probabilities=tuple(float(p) for p in E.probabilities),
     )
+    policy = "binary" if binary_bounds else "verify"
     try:
-        H = optimal_hamiltonians(E, cfg.rank_tol)
-        rec.max_rate = float(max_mixing_rate(E, cfg.rank_tol))
-        rate_at = mixing_rate(E, H, cfg.rank_tol)
-        fd = fd_mixing_rate_richardson(E, H, cfg.fd_step, cfg.rank_tol)
-        rec.fd_residual = float(abs(rate_at - fd))
-        rec.shannon = float(shannon_entropy(E.probabilities))
-        rec.stm_ok = all(pt.ok for pt in stm_check(E, H, STM_TIMES))
-        if len(E) == 2:
-            rec.binary_max_rate = float(binary_max_rate(E, cfg.rank_tol))
-        if binary_bounds and len(E) == 2:
-            p0 = float(E.probabilities[0])
-            rec.bound_thm = float(bound_theorem_binary(p0))
-            rec.ratio_thm = _ratio(rec.binary_max_rate, rec.bound_thm)
-            rec.ratio_conj = _ratio(rec.binary_max_rate, binary_entropy(p0))
-        else:
-            rec.bound_thm = float(bound_theorem_general(E.probabilities))
-            rec.ratio_thm = _ratio(rec.max_rate, rec.bound_thm)
-            if len(E) == 2:
-                rec.ratio_conj = _ratio(rec.binary_max_rate, rec.shannon)
-            else:
-                rec.ratio_conj = _ratio(rec.max_rate, rec.shannon)
+        r, rec.stm_ok = _evaluate(E, None, cfg.fd_step, cfg.rank_tol, policy, STM_TIMES)
+        rec.max_rate, rec.binary_max_rate = r.max_rate, r.binary_max_rate
+        rec.bound_thm, rec.shannon, rec.fd_residual = r.bound_thm, r.bound_conjecture, r.fd_residual
+        rec.ratio_thm, rec.ratio_conj = r.ratio_thm, r.ratio_conjecture
     except MixRateError as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
     rec.elapsed = time.perf_counter() - t0
     return rec
 
 
-def _ratio(num: Optional[float], den: float) -> Optional[float]:
-    if num is None or den <= 0:
-        return None
-    return num / den
+def trial_ensemble(cfg: ExperimentConfig, trial_id: int) -> Ensemble:
+    """Regenerate the exact ensemble a trial saw (for offender serialization)."""
+    return sample_ensemble(cfg, RNGSpec(cfg.seed, trial_id))
 
 
 def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     """Sample an ensemble from (cfg.seed, trial_id) and evaluate it."""
-    E = sample_ensemble(cfg, RNGSpec(cfg.seed, trial_id))
-    return evaluate_ensemble(E, cfg, trial_id)
+    return evaluate_ensemble(trial_ensemble(cfg, trial_id), cfg, trial_id)
 
 
-def trial_ensemble(cfg: ExperimentConfig, trial_id: int) -> Ensemble:
-    """Regenerate the exact ensemble a trial saw (for offender serialization)."""
-    return sample_ensemble(cfg, RNGSpec(cfg.seed, trial_id))
+def scan_binary_ensemble(cfg: ExperimentConfig, trial_id: int, p: float) -> Ensemble:
+    """The binary ensemble {(p, rho_1), (1 - p, rho_2)} of one scan trial."""
+    g = RNGSpec(cfg.seed, trial_id).generator()
+    return Ensemble([p, 1.0 - p], [sample_density(cfg.dim, g) for _ in range(2)])
 
 
 def scan_binary(
@@ -224,26 +203,14 @@ def scan_binary(
             raise DomainError(f"p-grid values must lie in (0, 1), got {p!r}")
         for j in range(cfg.n_trials):
             trial_id = pi * cfg.n_trials + j
-            g = RNGSpec(cfg.seed, trial_id).generator()
-            states = [sample_density(cfg.dim, g) for _ in range(2)]
-            E = Ensemble([p, 1.0 - p], states)
+            E = scan_binary_ensemble(cfg, trial_id, p)
             records.append(evaluate_ensemble(E, cfg, trial_id, binary_bounds=True))
     return records
 
 
-def scan_binary_ensemble(cfg: ExperimentConfig, trial_id: int, p: float) -> Ensemble:
-    g = RNGSpec(cfg.seed, trial_id).generator()
-    return Ensemble([p, 1.0 - p], [sample_density(cfg.dim, g) for _ in range(2)])
-
-
 def _perturb_states(E: Ensemble, eps: float, g: np.random.Generator) -> list[DensityMatrix]:
-    out = []
-    for s in E.states:
-        G = sample_hamiltonian(E.dim, g).matrix
-        w, V = np.linalg.eigh(G)
-        U = (V * np.exp(1j * eps * w)) @ V.conj().T
-        out.append(DensityMatrix(U @ s.matrix @ U.conj().T))
-    return out
+    """Conjugate each member by exp(i eps G) for a fresh unit-norm G."""
+    return [s.conjugated(unitary_at(sample_hamiltonian(E.dim, g), -eps)) for s in E.states]
 
 
 def _perturb_probs(p: np.ndarray, eps: float, g: np.random.Generator) -> np.ndarray:
@@ -254,18 +221,20 @@ def _perturb_probs(p: np.ndarray, eps: float, g: np.random.Generator) -> np.ndar
     return q / np.sum(q)
 
 
-def _search_objective(E: Ensemble, cfg: ExperimentConfig) -> float:
+def _search_objective(sp: _Spectra, cfg: ExperimentConfig) -> float:
+    p = sp.E.probabilities
     if cfg.binary:
-        return binary_max_rate(E, cfg.rank_tol) / binary_entropy(float(E.probabilities[0]))
-    return max_mixing_rate(E, cfg.rank_tol) / shannon_entropy(E.probabilities)
+        return sp.binary_rate / binary_entropy(float(p[0]))
+    return sp.max_rate / shannon_entropy(p)
 
 
 def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     """Hill-climb the rate/entropy ratio by conjugating states and nudging
     probabilities; restarts from a fresh sample when the step collapses.
 
-    The general rate bound is asserted on every accepted candidate; the
-    conjectured bound itself is only recorded, never asserted.
+    The general rate bound is checked on every candidate, and a violation
+    ends the search with that candidate's record, its error set. The
+    conjectured bound itself is only recorded, never checked.
     """
     if cfg.binary and cfg.n_states != 2:
         raise DomainError("binary search requires n_states = 2")
@@ -273,31 +242,37 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     best_E: Optional[Ensemble] = None
     best_obj = -math.inf
     iters = 0
-    restart = 0
-    while iters < cfg.search_max_iters:
-        cur = sample_ensemble(cfg, g)
-        cur_obj = _search_objective(cur, cfg)
-        eps = cfg.search_step
-        rejects = 0
-        while iters < cfg.search_max_iters and eps >= 1e-6:
-            iters += 1
-            states = _perturb_states(cur, eps, g)
-            probs = _perturb_probs(cur.probabilities, eps, g)
-            cand = Ensemble(probs, states)
-            obj = _search_objective(cand, cfg)
-            mx = max_mixing_rate(cand, cfg.rank_tol)
-            assert mx <= bound_theorem_general(cand.probabilities) + THEOREM_SLACK
-            if obj > cur_obj:
-                cur, cur_obj, rejects = cand, obj, 0
-            else:
-                rejects += 1
-                if rejects >= 20:
-                    eps *= cfg.search_shrink
-                    rejects = 0
-        if cur_obj > best_obj:
-            best_E, best_obj = cur, cur_obj
-        restart += 1
-    rec = evaluate_ensemble(best_E, cfg, trial_id=0, binary_bounds=cfg.binary)
+    try:
+        while iters < cfg.search_max_iters:
+            cur = sample_ensemble(cfg, g)
+            cur_obj = _search_objective(_Spectra(cur, cfg.rank_tol), cfg)
+            eps = cfg.search_step
+            rejects = 0
+            while iters < cfg.search_max_iters and eps >= 1e-6:
+                iters += 1
+                states = _perturb_states(cur, eps, g)
+                cand = Ensemble(_perturb_probs(cur.probabilities, eps, g), states)
+                sp = _Spectra(cand, cfg.rank_tol)
+                bound = bound_theorem_general(cand.probabilities)
+                if sp.max_rate > bound + THEOREM_SLACK:
+                    raise BoundViolation(
+                        f"max rate {sp.max_rate!r} exceeds the general bound {bound!r}"
+                    )
+                obj = _search_objective(sp, cfg)
+                if obj > cur_obj:
+                    cur, cur_obj, rejects = cand, obj, 0
+                else:
+                    rejects += 1
+                    if rejects >= 20:
+                        eps *= cfg.search_shrink
+                        rejects = 0
+            if cur_obj > best_obj:
+                best_E, best_obj = cur, cur_obj
+    except BoundViolation as exc:
+        rec = evaluate_ensemble(cand, cfg, trial_id=0, binary_bounds=cfg.binary)
+        rec.error = f"{type(exc).__name__}: {exc}"
+    else:
+        rec = evaluate_ensemble(best_E, cfg, trial_id=0, binary_bounds=cfg.binary)
     rec.iterations = iters
     return rec
 

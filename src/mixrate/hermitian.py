@@ -101,15 +101,23 @@ def support_log(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """
     if rank_tol <= 0:
         raise DomainError("rank_tol must be positive")
-    w, V = eig_hermitian(M)
-    wmax = float(w[-1]) if w.size else 0.0
-    cut = rank_tol * wmax
-    if np.any(w < -cut):
+    eig = eig_hermitian(M)
+    w = eig.eigenvalues
+    if w.size and np.any(w < -rank_tol * float(w[-1])):
         raise DomainError(f"matrix has a negative eigenvalue {w[0]:.3e}")
+    return log_on_support(eig, rank_tol)[0]
+
+
+def log_on_support(eig: EigenDecomposition, rank_tol: float = DEFAULT_RANK_TOL):
+    """ln of a PSD matrix given by its spectrum, zero on the kernel.
+
+    Eigenvalues λ ≤ rank_tol·λ_max are kernel. Returns (ln M, support mask).
+    """
+    w, V = eig
+    supp = w > rank_tol * (float(w[-1]) if w.size else 0.0)
     lw = np.zeros_like(w)
-    supp = w > cut
     lw[supp] = np.log(w[supp])
-    return hermitian_part(reconstruct(lw, V))
+    return hermitian_part(reconstruct(lw, V)), supp
 
 
 def trace_norm(M) -> float:

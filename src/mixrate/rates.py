@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import hermitian as hm
 from .ensembles import (
-    DensityMatrix,
     Ensemble,
     Hamiltonian,
     HamiltonianSet,
+    _require_matching,
+    _xlnx,
     average_entropy,
     binary_entropy,
     evolve,
@@ -42,46 +43,52 @@ from .errors import (
     DegenerateState,
     DimMismatch,
     DomainError,
+    IdentityViolation,
     NotBinary,
     RankDeficient,
 )
+from .hermitian import DEFAULT_RANK_TOL
 
-DEFAULT_RANK_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-4
 IMAG_TOL = 1e-9
 SUPPORT_LEAK_TOL = 1e-8
 
 
 def _log_expected(E: Ensemble, rank_tol: float):
-    """ln rho on its support, plus the kernel projector for leak checks."""
+    """(ln rho on its support, rho); raises if a member leaks off the support."""
     rho = expected_state(E)
-    w, V = hm.eig_hermitian(rho.matrix)
-    cut = rank_tol * float(w[-1])
-    supp = w > cut
-    lw = np.zeros_like(w)
-    lw[supp] = np.log(w[supp])
-    ln_rho = hm.hermitian_part(hm.reconstruct(lw, V))
-    Vk = V[:, ~supp]
-    P_ker = Vk @ Vk.conj().T if Vk.shape[1] else None
-    return ln_rho, P_ker, rho
-
-
-def _check_support(E: Ensemble, P_ker) -> None:
-    if P_ker is None:
-        return
+    ln_rho, supp = hm.log_on_support(rho.spectrum, rank_tol)
+    Vk = rho.spectrum.eigenvectors[:, ~supp]
     for i, s in enumerate(E.states):
-        leak = float(np.real(np.trace(P_ker @ s.matrix)))
+        leak = float(np.real(np.trace(Vk.conj().T @ s.matrix @ Vk)))
         if leak > SUPPORT_LEAK_TOL:
-            raise DegenerateState(
-                f"member {i} leaks {leak:.3e} outside the support of rho"
-            )
+            raise DegenerateState(f"member {i} leaks {leak:.3e} outside the support of rho")
+    return ln_rho, rho
 
 
-def _require_matching(E: Ensemble, H: HamiltonianSet) -> None:
-    if len(H) != len(E):
-        raise DimMismatch("need one Hamiltonian per ensemble member")
-    if any(h.dim != E.dim for h in H.hams):
-        raise DimMismatch("Hamiltonian dimension differs from ensemble dimension")
+class _Spectra:
+    """The one spectral pass that every maximal-rate quantity reads: ln rho,
+    one eigendecomposition of each C_x = i[rho_x, ln rho], and the rates
+    sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
+
+    def __init__(self, E: Ensemble, rank_tol: float):
+        self.E, self.rank_tol = E, rank_tol
+        self.ln_rho = _log_expected(E, rank_tol)[0]
+        self.eigs = [
+            hm.eig_hermitian(hm.hermitian_part(1j * hm.commutator(s.matrix, self.ln_rho)))
+            for s in E.states
+        ]
+        norms = [float(np.sum(np.abs(w))) for w, _ in self.eigs]
+        self.max_rate = sum(float(p) * n for p, n in zip(E.probabilities, norms))
+        self.binary_rate = float(E.probabilities[0]) * norms[0]
+
+    def hamiltonians(self) -> HamiltonianSet:
+        hams = []
+        for w, V in self.eigs:
+            tol = self.rank_tol * max(1.0, float(np.linalg.norm(w)))  # ||C_x||_F
+            s = np.where(w < -tol, -1.0, 1.0)  # I - 2 P_neg, ascending like w
+            hams.append(Hamiltonian.from_spectrum(s, V, normalized=True))
+        return HamiltonianSet(hams)
 
 
 def mixing_rate(
@@ -96,16 +103,13 @@ def mixing_rate(
     ensemble reuse the support logarithm of the expected state.
     """
     _require_matching(E, H)
-    if _ln_rho is None:
-        ln_rho, P_ker, _ = _log_expected(E, rank_tol)
-        _check_support(E, P_ker)
-    else:
-        ln_rho = _ln_rho
+    ln_rho = _log_expected(E, rank_tol)[0] if _ln_rho is None else _ln_rho
     total = 0j
     for p, s, h in zip(E.probabilities, E.states, H.hams):
         total += p * np.trace(h.matrix @ hm.commutator(s.matrix, ln_rho))
     val = 1j * total
-    assert abs(val.imag) <= IMAG_TOL, f"imaginary residue {val.imag:.3e}"
+    if abs(val.imag) > IMAG_TOL:
+        raise IdentityViolation(f"mixing rate has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
 
@@ -118,8 +122,7 @@ def fd_mixing_rate(
     """Central finite difference [S(rho(h)) - S(rho(-h))] / 2h."""
     if h <= 0:
         raise DomainError("finite-difference step must be positive")
-    _require_matching(E, H)
-    w_min = float(np.linalg.eigvalsh(expected_state(E).matrix)[0])
+    w_min = float(expected_state(E).spectrum.eigenvalues[0])
     if w_min < 1e3 * rank_tol:
         raise RankDeficient(
             f"expected state eigenvalue {w_min:.3e} too small for finite differences"
@@ -129,6 +132,14 @@ def fd_mixing_rate(
     return (s_plus - s_minus) / (2.0 * h)
 
 
+def _richardson(fd: Callable[[float], float], h: float) -> float:
+    """Richardson extrapolation (4 fd(h/2) - fd(h)) / 3 of a central
+    difference fd(step): error O(h^4) where fd's is O(h^2)."""
+    d1 = fd(h)
+    d2 = fd(h / 2.0)
+    return (4.0 * d2 - d1) / 3.0
+
+
 def fd_mixing_rate_richardson(
     E: Ensemble,
     H: HamiltonianSet,
@@ -136,9 +147,7 @@ def fd_mixing_rate_richardson(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Richardson-extrapolated central difference (oracle mode), error O(h^4)."""
-    d1 = fd_mixing_rate(E, H, h, rank_tol)
-    d2 = fd_mixing_rate(E, H, h / 2.0, rank_tol)
-    return (4.0 * d2 - d1) / 3.0
+    return _richardson(lambda step: fd_mixing_rate(E, H, step, rank_tol), h)
 
 
 def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> HamiltonianSet:
@@ -148,37 +157,19 @@ def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> Ham
     the kernel of the commutator), so H_x^2 = I and ||H_x|| = 1, and
     mixing_rate(E, result) = +max_mixing_rate(E).
     """
-    ln_rho, P_ker, _ = _log_expected(E, rank_tol)
-    _check_support(E, P_ker)
-    hams = []
-    for s in E.states:
-        A = hm.hermitian_part(1j * hm.commutator(s.matrix, ln_rho))
-        tol = rank_tol * max(1.0, hm.frobenius(A))
-        P_pos, P_neg = hm.spectral_sign_projectors(A, tol)
-        hams.append(Hamiltonian(np.eye(E.dim) - 2.0 * P_neg, normalized=True))
-    return HamiltonianSet(hams)
+    return _Spectra(E, rank_tol).hamiltonians()
 
 
 def max_mixing_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Closed-form maximum sum_x p(x) ||[rho_x, ln rho]||_1 over -I <= H_x <= I."""
-    ln_rho, P_ker, _ = _log_expected(E, rank_tol)
-    _check_support(E, P_ker)
-    total = 0.0
-    for p, s in zip(E.probabilities, E.states):
-        A = hm.hermitian_part(1j * hm.commutator(s.matrix, ln_rho))
-        total += p * hm.trace_norm(A)
-    return total
+    return _Spectra(E, rank_tol).max_rate
 
 
 def binary_max_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Two-member closed form p * ||[rho_1, ln rho]||_1 (only rho_2 evolves)."""
     if len(E) != 2:
         raise NotBinary(f"binary rate needs exactly 2 members, got {len(E)}")
-    ln_rho, P_ker, _ = _log_expected(E, rank_tol)
-    _check_support(E, P_ker)
-    A = hm.hermitian_part(1j * hm.commutator(E.states[0].matrix, ln_rho))
-    p = float(E.probabilities[0])
-    return p * hm.trace_norm(A)
+    return _Spectra(E, rank_tol).binary_rate
 
 
 def bound_theorem_binary(p: float) -> float:
@@ -244,20 +235,16 @@ def ak_gap(A, B, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, float]:
     B = hm.require_hermitian(B)
     if A.shape != B.shape:
         raise DimMismatch("A and B must have equal dimensions")
-    C = A + B
-    w = np.linalg.eigvalsh(C)
+    eig = hm.eig_hermitian(A + B)
+    w = eig.eigenvalues
     if w[0] <= rank_tol * max(float(w[-1]), 0.0):
         raise DomainError("A + B is rank-deficient beyond tolerance")
-    ln_C = hm.matrix_fn(C, np.log)
+    ln_C = hm.log_on_support(eig, rank_tol)[0]
     lhs = hm.trace_norm(hm.hermitian_part(1j * hm.commutator(B, ln_C)))
     alpha = float(np.real(np.trace(A)))
     beta = float(np.real(np.trace(B)))
-
-    def xlnx(v: float) -> float:
-        return v * math.log(v) if v > 0 else 0.0
-
-    rhs_unit = xlnx(alpha + beta) - xlnx(alpha) - xlnx(beta)
-    return lhs, rhs_unit
+    t = _xlnx([alpha + beta, alpha, beta])
+    return lhs, float(t[0] - t[1] - t[2])
 
 
 @dataclass(frozen=True)
@@ -274,21 +261,65 @@ class RateReport:
     ratio_conjecture: Optional[float]
 
     def to_json(self) -> bytes:
-        obj = {
-            "mixing_rate_at_H": self.mixing_rate_at_H,
-            "max_rate": self.max_rate,
-            "binary_max_rate": self.binary_max_rate,
-            "bound_thm": self.bound_thm,
-            "bound_conjecture": self.bound_conjecture,
-            "fd_residual": self.fd_residual,
-            "ratio_thm": self.ratio_thm,
-            "ratio_conjecture": self.ratio_conjecture,
-        }
-        return json.dumps(obj).encode("utf-8")
+        return json.dumps(asdict(self)).encode("utf-8")
 
 
 def _ratio(num: float, den: float) -> Optional[float]:
     return num / den if den > 0 else None
+
+
+def _evaluate(
+    E: Ensemble,
+    H: Optional[HamiltonianSet],
+    fd_step: float,
+    rank_tol: float,
+    policy: str,
+    stm_times: Sequence[float] = (),
+) -> tuple[RateReport, bool]:
+    """E's report from one spectral pass, and whether STM holds at stm_times.
+
+    H defaults to the maximizers. If the FD oracle refuses E, "compute"
+    reports fd_residual None and the other policies raise. Ratios are
+    max_rate over the general bound and over S(p), except at n = 2:
+      "compute": binary / 4 sqrt(p(1-p)) and binary / S(p);
+      "verify":  max_rate / general bound (twice "compute") and binary / S(p);
+      "binary":  bound_thm 4 sqrt(p(1-p)), binary / bound_thm and binary / h(p).
+    """
+    sp = _Spectra(E, rank_tol)
+    if H is None:
+        H = sp.hamiltonians()
+    mx = sp.max_rate
+    shannon = shannon_entropy(E.probabilities)
+    bound = bound_theorem_general(E.probabilities)
+    binary = sp.binary_rate if len(E) == 2 else None
+    ratio_thm = _ratio(mx, bound)
+    ratio_conj = _ratio(mx if binary is None else binary, shannon)
+    if binary is not None:
+        p0 = float(E.probabilities[0])
+        if policy == "compute":
+            ratio_thm = _ratio(binary, bound_theorem_binary(p0))
+        elif policy == "binary":
+            bound = bound_theorem_binary(p0)
+            ratio_thm = _ratio(binary, bound)
+            ratio_conj = _ratio(binary, binary_entropy(p0))
+    rate = mixing_rate(E, H, _ln_rho=sp.ln_rho)
+    fd_residual = None
+    try:
+        fd_residual = abs(rate - fd_mixing_rate_richardson(E, H, fd_step, rank_tol))
+    except RankDeficient:
+        if policy != "compute":
+            raise
+    report = RateReport(
+        mixing_rate_at_H=rate,
+        max_rate=mx,
+        binary_max_rate=binary,
+        bound_thm=bound,
+        bound_conjecture=shannon,
+        fd_residual=fd_residual,
+        ratio_thm=ratio_thm,
+        ratio_conjecture=ratio_conj,
+    )
+    return report, all(pt.ok for pt in stm_check(E, H, stm_times))
 
 
 def rate_report(
@@ -298,31 +329,4 @@ def rate_report(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> RateReport:
     """Evaluate all rates and bounds for E; H defaults to the maximizers."""
-    if H is None:
-        H = optimal_hamiltonians(E, rank_tol)
-    rate = mixing_rate(E, H, rank_tol)
-    mx = max_mixing_rate(E, rank_tol)
-    binary = binary_max_rate(E, rank_tol) if len(E) == 2 else None
-    bound_thm = bound_theorem_general(E.probabilities)
-    bound_conj = shannon_entropy(E.probabilities)
-    try:
-        fd = fd_mixing_rate_richardson(E, H, fd_step, rank_tol)
-        fd_residual = abs(rate - fd)
-    except RankDeficient:
-        fd_residual = None  # oracle refuses near-singular expected states
-    if binary is not None:
-        ratio_thm = _ratio(binary, bound_theorem_binary(float(E.probabilities[0])))
-        ratio_conj = _ratio(binary, bound_conj)
-    else:
-        ratio_thm = _ratio(mx, bound_thm)
-        ratio_conj = _ratio(mx, bound_conj)
-    return RateReport(
-        mixing_rate_at_H=rate,
-        max_rate=mx,
-        binary_max_rate=binary,
-        bound_thm=bound_thm,
-        bound_conjecture=bound_conj,
-        fd_residual=fd_residual,
-        ratio_thm=ratio_thm,
-        ratio_conjecture=ratio_conj,
-    )
+    return _evaluate(E, H, fd_step, rank_tol, "compute")[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixrate import cli
+from mixrate import harness as hz
 from mixrate.cli import (
     EXIT_CONJECTURE,
     EXIT_INVARIANT,
@@ -193,6 +194,16 @@ class TestSearch:
         assert rec["iterations"] == 150
         assert rec["ratio_thm"] <= 1.0 + 1e-8
         assert 0.0 < rec["ratio_conj"] <= 1.0 + 1e-6
+
+    def test_theorem_violation_exits_invariant(self, tmp_path, monkeypatch):
+        # A general bound of 0 makes the first candidate violate it.
+        monkeypatch.setattr(hz, "bound_theorem_general", lambda probs: 0.0)
+        out = tmp_path / "search.json"
+        argv = ["search", "--dim", "2", "--iters", "5", "--seed", "5", "--out", str(out)]
+        assert main(argv) == EXIT_INVARIANT
+        rec = json.loads(out.read_text())[0]
+        assert rec["error"].startswith("BoundViolation: max rate")
+        assert rec["iterations"] == 1
 
 
 class TestSie:

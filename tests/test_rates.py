@@ -18,6 +18,7 @@ from mixrate.errors import (
     BadDistribution,
     DimMismatch,
     DomainError,
+    MixRateError,
     NotBinary,
     RankDeficient,
 )
@@ -87,6 +88,16 @@ class TestMixingRate:
         E = commuting_ensemble()
         with pytest.raises(DimMismatch):
             rates.mixing_rate(E, random_hamiltonian_set(2, 2, rng(302)))
+
+    def test_imaginary_residue_is_a_typed_error(self):
+        # i*L for Hermitian L not commuting with the states makes the rate
+        # complex; the check raises an error that survives python -O.
+        g = rng(1)
+        E = random_ensemble(3, 2, g)
+        H = random_hamiltonian_set(3, 2, g)
+        L = random_hermitian(3, g)
+        with pytest.raises(MixRateError, match="imaginary residue"):
+            rates.mixing_rate(E, H, _ln_rho=1j * L)
 
     def test_gauge_invariance_under_identity_shifts(self):
         g = rng(303)
