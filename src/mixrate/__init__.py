@@ -40,7 +40,6 @@ from .harness import (
     sample_hamiltonian,
     scan_binary,
     search_ratio,
-    write_report,
 )
 from .hermitian import (
     EigenDecomposition,

@@ -15,7 +15,6 @@ serialized next to the report).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
@@ -24,6 +23,7 @@ from . import entangling as ent
 from . import harness as hz
 from .ensembles import parse_ensemble, parse_hamiltonian_set, serialize_ensemble
 from .errors import MixRateError
+from .hermitian import DEFAULT_RANK_TOL
 from .rates import rate_report
 from .harness import (
     CONJECTURE_SLACK,
@@ -82,13 +82,6 @@ def _flag_conjecture_offenders(records, ensemble_of, prefix: str) -> None:
             )
 
 
-def _workers(args) -> int:
-    env = os.environ.get("MIXRATE_WORKERS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, args.workers)
-
-
 def cmd_compute(args) -> int:
     E = parse_ensemble(_read(args.ensemble))
     H = None
@@ -103,7 +96,7 @@ def cmd_verify(args) -> int:
     cfg = ExperimentConfig(
         dim=args.dim, n_states=args.states, n_trials=args.trials, seed=args.seed
     )
-    n_workers = _workers(args)
+    n_workers = max(1, args.workers)
     ids = list(range(cfg.n_trials))
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -170,8 +163,7 @@ def cmd_search(args) -> int:
 def cmd_sie(args) -> int:
     psi = ent.parse_pure_state(_read(args.state))
     H = ent.parse_bipartite_operator(_read(args.ham))
-    E2, H_lift, residual = ent.sie_to_sim(psi, H)
-    gamma = ent.entangling_rate(psi, H)
+    _, _, residual, gamma = ent._sie_reduction(psi, H)
     d_B = psi.dims[2]
     points = ent.ste_check(psi, H, [0.5 * k for k in range(11)])
     print(f"entangling_rate={gamma!r}")
@@ -191,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ensemble", required=True)
     c.add_argument("--hamiltonians")
     c.add_argument("--out")
-    c.add_argument("--tol", type=float, default=1e-12)
+    c.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     c.set_defaults(fn=cmd_compute)
 
     v = sub.add_parser("verify", help="seeded random trials with theorem guards")

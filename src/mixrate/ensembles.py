@@ -33,6 +33,18 @@ TRACE_TOL = 1e-10
 PROB_TOL = 1e-10
 
 
+def _set_spectrum(obj, w: np.ndarray, V: np.ndarray):
+    """Give a frozen value the spectrum (w, V) it is known to have: its matrix
+    becomes V diag(w) V†, all three arrays read-only, and nothing is checked.
+    The one way to build a state or Hamiltonian without validating it."""
+    matrix = hm.hermitian_part(hm.reconstruct(w, V))
+    for a in (w, V, matrix):
+        a.setflags(write=False)
+    object.__setattr__(obj, "matrix", matrix)
+    object.__setattr__(obj, "spectrum", hm.EigenDecomposition(w, V))
+    return obj
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A quantum state: Hermitian, positive semi-definite, unit trace.
@@ -55,21 +67,13 @@ class DensityMatrix:
             raise InvariantViolation(f"trace {tr!r} differs from 1")
         w = np.clip(w, 0.0, None)
         w /= np.sum(w)
-        self._set_spectrum(w, V)
-
-    def _set_spectrum(self, w: np.ndarray, V: np.ndarray) -> None:
-        matrix = hm.hermitian_part(hm.reconstruct(w, V))
-        for a in (w, V, matrix):
-            a.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "spectrum", hm.EigenDecomposition(w, V))
+        _set_spectrum(self, w, V)
 
     def conjugated(self, U: np.ndarray) -> "DensityMatrix":
         """U ρ U† for a unitary U, with spectrum (w, U V); not validated again,
         since unitary conjugation keeps the eigenvalues of a state."""
-        out = object.__new__(DensityMatrix)
-        out._set_spectrum(self.spectrum.eigenvalues, U @ self.spectrum.eigenvectors)
-        return out
+        w, V = self.spectrum
+        return _set_spectrum(object.__new__(DensityMatrix), w, U @ V)
 
     @property
     def dim(self) -> int:
@@ -97,10 +101,10 @@ class Hamiltonian:
 
     @classmethod
     def from_spectrum(cls, w, V, normalized: bool = False) -> "Hamiltonian":
-        """V diag(w) V† for real w and a unitary V, keeping (w, V) as its spectrum."""
-        H = object.__new__(cls)
-        object.__setattr__(H, "spectrum", hm.EigenDecomposition(w, V))
-        H.__init__(hm.reconstruct(w, V), normalized)
+        """V diag(w) V† for real w and a unitary V, keeping (w, V) as its spectrum;
+        not validated, and `normalized` is trusted to hold for w."""
+        H = _set_spectrum(object.__new__(cls), w, V)
+        object.__setattr__(H, "normalized", normalized)
         return H
 
     @cached_property
@@ -309,15 +313,15 @@ def serialize_ensemble(E: Ensemble) -> bytes:
     return json.dumps(obj).encode("utf-8")
 
 
-def parse_hamiltonian_set(text, normalized: bool = False) -> HamiltonianSet:
-    """Parse the Hamiltonian-set JSON schema."""
+def parse_hamiltonian_set(text) -> HamiltonianSet:
+    """Parse the Hamiltonian-set JSON schema (no operator-norm requirement)."""
     obj = _load_json(text)
     try:
         dim = int(obj["dim"])
         raw = list(obj["hamiltonians"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"hamiltonian JSON missing or malformed field: {exc}") from exc
-    hams = _parse_members(raw, dim, "hamiltonian", lambda M: Hamiltonian(M, normalized))
+    hams = _parse_members(raw, dim, "hamiltonian", Hamiltonian)
     return HamiltonianSet(hams)
 
 

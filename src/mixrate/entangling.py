@@ -45,7 +45,14 @@ from .errors import (
     ParseError,
     PositivityViolation,
 )
-from .rates import DEFAULT_FD_STEP, DEFAULT_RANK_TOL, IMAG_TOL, _richardson, mixing_rate
+from .rates import (
+    CHECK_SLACK,
+    DEFAULT_FD_STEP,
+    DEFAULT_RANK_TOL,
+    IMAG_TOL,
+    _richardson,
+    mixing_rate,
+)
 
 NORM_TOL = 1e-10
 
@@ -230,6 +237,13 @@ def sie_to_sim(
     the lifted Hamiltonian I_a ⊗ H_AB, and the residual
     |binary mixing rate - d_B^{-2} * entangling rate|.
     """
+    return _sie_reduction(psi, H, rank_tol)[:3]
+
+
+def _sie_reduction(
+    psi: PureState, H: BipartiteOperator, rank_tol: float = DEFAULT_RANK_TOL
+) -> tuple[Ensemble, Hamiltonian, float, float]:
+    """sie_to_sim's three values, then the entangling rate it compared."""
     _check_interaction(psi, H)
     d_a, _, d_B, _ = psi.dims
     mu = bravyi_mu(psi)
@@ -240,7 +254,7 @@ def sie_to_sim(
     lam = mixing_rate(E2, HamiltonianSet([zero, H_lift]), rank_tol)
     gam = entangling_rate(psi, H, rank_tol)
     residual = abs(lam - d_B ** -2 * gam)
-    return E2, H_lift, residual
+    return E2, H_lift, residual, gam
 
 
 @dataclass(frozen=True)
@@ -253,12 +267,7 @@ class StePoint:
     ok: bool
 
 
-def ste_check(
-    psi: PureState,
-    H: BipartiteOperator,
-    ts: Sequence[float],
-    slack: float = 1e-9,
-) -> list[StePoint]:
+def ste_check(psi: PureState, H: BipartiteOperator, ts: Sequence[float]) -> list[StePoint]:
     """Check E(Psi(t)) <= E(Psi(0)) + 2 ln min(d_A, d_B) at each t."""
     _check_interaction(psi, H)
     e0 = entanglement_entropy(psi)
@@ -266,7 +275,7 @@ def ste_check(
     out = []
     for t in ts:
         e_t = entanglement_entropy(evolve_pure(psi, H, float(t)))
-        out.append(StePoint(float(t), e_t, bound, e_t <= bound + slack))
+        out.append(StePoint(float(t), e_t, bound, e_t <= bound + CHECK_SLACK))
     return out
 
 
@@ -297,7 +306,7 @@ def serialize_pure_state(psi: PureState) -> bytes:
     return json.dumps(obj).encode("utf-8")
 
 
-def parse_bipartite_operator(text, normalized: bool = False) -> BipartiteOperator:
+def parse_bipartite_operator(text) -> BipartiteOperator:
     obj = _load_json(text)
     try:
         dA, dB = (int(d) for d in obj["dims"])
@@ -305,7 +314,7 @@ def parse_bipartite_operator(text, normalized: bool = False) -> BipartiteOperato
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"operator JSON missing or malformed field: {exc}") from exc
     M = matrix_from_json(raw, dA * dB, "hamiltonian")
-    return BipartiteOperator(M, (dA, dB), normalized)
+    return BipartiteOperator(M, (dA, dB))
 
 
 def serialize_bipartite_operator(H: BipartiteOperator) -> bytes:

@@ -35,9 +35,10 @@ from .rates import (
 )
 
 PROB_FLOOR = 1e-6
-STM_TIMES = (0.5, 1.0, 2.0)
 CONJECTURE_SLACK = 1e-6
 THEOREM_SLACK = 1e-8
+SEARCH_STEP = 0.1  # the search's first perturbation size after each restart
+SEARCH_SHRINK = 0.5  # step factor after 20 rejected candidates in a row
 
 
 @dataclass(frozen=True)
@@ -57,17 +58,13 @@ def _gen(rng: Union[RNGSpec, np.random.Generator]) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for sampling and search; all tolerances strictly positive."""
+    """Knobs for sampling and search."""
 
     dim: int = 2
     n_states: int = 2
     n_trials: int = 1
     seed: int = 0
-    fd_step: float = 1e-4
-    rank_tol: float = DEFAULT_RANK_TOL
     mode: str = "verify"
-    search_step: float = 0.1
-    search_shrink: float = 0.5
     search_max_iters: int = 1000
     binary: bool = False
 
@@ -76,8 +73,6 @@ class ExperimentConfig:
             raise DomainError(f"dim {self.dim} outside supported range [2, 64]")
         if self.n_states < 1 or self.n_trials < 1:
             raise DomainError("n_states and n_trials must be >= 1")
-        if min(self.fd_step, self.rank_tol, self.search_step) <= 0:
-            raise DomainError("tolerances and steps must be positive")
         if self.mode not in {"verify", "scan", "search", "sie"}:
             raise DomainError(f"unknown mode {self.mode!r}")
 
@@ -166,7 +161,7 @@ def evaluate_ensemble(
     )
     policy = "binary" if binary_bounds else "verify"
     try:
-        r, rec.stm_ok = _evaluate(E, None, cfg.fd_step, cfg.rank_tol, policy, STM_TIMES)
+        r, rec.stm_ok = _evaluate(E, None, DEFAULT_RANK_TOL, policy)
         rec.max_rate, rec.binary_max_rate = r.max_rate, r.binary_max_rate
         rec.bound_thm, rec.shannon, rec.fd_residual = r.bound_thm, r.bound_conjecture, r.fd_residual
         rec.ratio_thm, rec.ratio_conj = r.ratio_thm, r.ratio_conjecture
@@ -245,14 +240,14 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     try:
         while iters < cfg.search_max_iters:
             cur = sample_ensemble(cfg, g)
-            cur_obj = _search_objective(_Spectra(cur, cfg.rank_tol), cfg)
-            eps = cfg.search_step
+            cur_obj = _search_objective(_Spectra(cur, DEFAULT_RANK_TOL), cfg)
+            eps = SEARCH_STEP
             rejects = 0
             while iters < cfg.search_max_iters and eps >= 1e-6:
                 iters += 1
                 states = _perturb_states(cur, eps, g)
                 cand = Ensemble(_perturb_probs(cur.probabilities, eps, g), states)
-                sp = _Spectra(cand, cfg.rank_tol)
+                sp = _Spectra(cand, DEFAULT_RANK_TOL)
                 bound = bound_theorem_general(cand.probabilities)
                 if sp.max_rate > bound + THEOREM_SLACK:
                     raise BoundViolation(
@@ -264,7 +259,7 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
                 else:
                     rejects += 1
                     if rejects >= 20:
-                        eps *= cfg.search_shrink
+                        eps *= SEARCH_SHRINK
                         rejects = 0
             if cur_obj > best_obj:
                 best_E, best_obj = cur, cur_obj
@@ -290,28 +285,15 @@ def _csv_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, tuple):
+        return ";".join(repr(float(p)) for p in v)
     return str(v)
 
 
 def record_to_csv_row(rec: TrialRecord) -> str:
-    probs = ";".join(repr(float(p)) for p in rec.probabilities)
-    cells = [
-        rec.trial_id,
-        rec.seed,
-        rec.dim,
-        rec.n_states,
-        probs,
-        rec.max_rate,
-        rec.binary_max_rate,
-        rec.bound_thm,
-        rec.shannon,
-        rec.ratio_thm,
-        rec.ratio_conj,
-        rec.fd_residual,
-        rec.stm_ok,
-        rec.elapsed,
-    ]
-    return ",".join(_csv_cell(c) for c in cells)
+    """One CSV line, a cell per CSV_HEADER column ("probs" is `probabilities`)."""
+    names = ("probabilities" if c == "probs" else c for c in CSV_HEADER.split(","))
+    return ",".join(_csv_cell(getattr(rec, n)) for n in names)
 
 
 def records_to_csv(records: Sequence[TrialRecord]) -> str:
@@ -323,11 +305,3 @@ def records_to_csv(records: Sequence[TrialRecord]) -> str:
 def records_to_json(records: Sequence[TrialRecord]) -> str:
     return json.dumps([asdict(r) for r in records], indent=2)
 
-
-def write_report(records: Sequence[TrialRecord], path: str, format: str = "csv") -> None:
-    """Write records as CSV (fixed header) or a JSON array."""
-    if format not in {"csv", "json"}:
-        raise DomainError(f"unknown report format {format!r}")
-    text = records_to_csv(records) if format == "csv" else records_to_json(records)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -52,6 +52,8 @@ from .hermitian import DEFAULT_RANK_TOL
 DEFAULT_FD_STEP = 1e-4
 IMAG_TOL = 1e-9
 SUPPORT_LEAK_TOL = 1e-8
+STM_TIMES = (0.5, 1.0, 2.0)  # the times at which a trial checks the STM sandwich
+CHECK_SLACK = 1e-9  # slack of the STM and STE bound checks
 
 
 def _log_expected(E: Ensemble, rank_tol: float):
@@ -73,7 +75,7 @@ class _Spectra:
 
     def __init__(self, E: Ensemble, rank_tol: float):
         self.E, self.rank_tol = E, rank_tol
-        self.ln_rho = _log_expected(E, rank_tol)[0]
+        self.ln_rho, self.rho = _log_expected(E, rank_tol)
         self.eigs = [
             hm.eig_hermitian(hm.hermitian_part(1j * hm.commutator(s.matrix, self.ln_rho)))
             for s in E.states
@@ -113,6 +115,23 @@ def mixing_rate(
     return float(val.real)
 
 
+def _fd_probe(h: float, rho, rank_tol: float) -> None:
+    """Refuse a finite difference at step h around the expected state rho."""
+    if h <= 0:
+        raise DomainError("finite-difference step must be positive")
+    w_min = float(rho.spectrum.eigenvalues[0])
+    if w_min < 1e3 * rank_tol:
+        raise RankDeficient(
+            f"expected state eigenvalue {w_min:.3e} too small for finite differences"
+        )
+
+
+def _central_difference(E: Ensemble, H: HamiltonianSet, h: float) -> float:
+    s_plus = von_neumann_entropy(expected_state(evolve(E, H, h)))
+    s_minus = von_neumann_entropy(expected_state(evolve(E, H, -h)))
+    return (s_plus - s_minus) / (2.0 * h)
+
+
 def fd_mixing_rate(
     E: Ensemble,
     H: HamiltonianSet,
@@ -120,16 +139,8 @@ def fd_mixing_rate(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Central finite difference [S(rho(h)) - S(rho(-h))] / 2h."""
-    if h <= 0:
-        raise DomainError("finite-difference step must be positive")
-    w_min = float(expected_state(E).spectrum.eigenvalues[0])
-    if w_min < 1e3 * rank_tol:
-        raise RankDeficient(
-            f"expected state eigenvalue {w_min:.3e} too small for finite differences"
-        )
-    s_plus = von_neumann_entropy(expected_state(evolve(E, H, h)))
-    s_minus = von_neumann_entropy(expected_state(evolve(E, H, -h)))
-    return (s_plus - s_minus) / (2.0 * h)
+    _fd_probe(h, expected_state(E), rank_tol)
+    return _central_difference(E, H, h)
 
 
 def _richardson(fd: Callable[[float], float], h: float) -> float:
@@ -147,7 +158,13 @@ def fd_mixing_rate_richardson(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Richardson-extrapolated central difference (oracle mode), error O(h^4)."""
-    return _richardson(lambda step: fd_mixing_rate(E, H, step, rank_tol), h)
+    return _fd_oracle(E, H, h, rank_tol, expected_state(E))
+
+
+def _fd_oracle(E: Ensemble, H: HamiltonianSet, h: float, rank_tol: float, rho) -> float:
+    """fd_mixing_rate_richardson, probing rho, the expected state of E."""
+    _fd_probe(h, rho, rank_tol)
+    return _richardson(lambda step: _central_difference(E, H, step), h)
 
 
 def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> HamiltonianSet:
@@ -209,9 +226,7 @@ class StmPoint:
     ok: bool
 
 
-def stm_check(
-    E: Ensemble, H: HamiltonianSet, ts: Sequence[float], slack: float = 1e-9
-) -> list[StmPoint]:
+def stm_check(E: Ensemble, H: HamiltonianSet, ts: Sequence[float]) -> list[StmPoint]:
     """Check avg_entropy(E) <= S(rho(t)) <= avg_entropy(E) + S(X) at each t."""
     _require_matching(E, H)
     lower = average_entropy(E)
@@ -219,7 +234,7 @@ def stm_check(
     out = []
     for t in ts:
         s = von_neumann_entropy(expected_state(evolve(E, H, float(t))))
-        ok = (lower - slack <= s) and (s <= upper + slack)
+        ok = (lower - CHECK_SLACK <= s) and (s <= upper + CHECK_SLACK)
         out.append(StmPoint(float(t), s, lower, upper, ok))
     return out
 
@@ -269,14 +284,10 @@ def _ratio(num: float, den: float) -> Optional[float]:
 
 
 def _evaluate(
-    E: Ensemble,
-    H: Optional[HamiltonianSet],
-    fd_step: float,
-    rank_tol: float,
-    policy: str,
-    stm_times: Sequence[float] = (),
+    E: Ensemble, H: Optional[HamiltonianSet], rank_tol: float, policy: str
 ) -> tuple[RateReport, bool]:
-    """E's report from one spectral pass, and whether STM holds at stm_times.
+    """E's report from one spectral pass, and whether STM holds at STM_TIMES
+    ("compute" checks no times).
 
     H defaults to the maximizers. If the FD oracle refuses E, "compute"
     reports fd_residual None and the other policies raise. Ratios are
@@ -305,7 +316,7 @@ def _evaluate(
     rate = mixing_rate(E, H, _ln_rho=sp.ln_rho)
     fd_residual = None
     try:
-        fd_residual = abs(rate - fd_mixing_rate_richardson(E, H, fd_step, rank_tol))
+        fd_residual = abs(rate - _fd_oracle(E, H, DEFAULT_FD_STEP, rank_tol, sp.rho))
     except RankDeficient:
         if policy != "compute":
             raise
@@ -319,14 +330,12 @@ def _evaluate(
         ratio_thm=ratio_thm,
         ratio_conjecture=ratio_conj,
     )
+    stm_times = () if policy == "compute" else STM_TIMES
     return report, all(pt.ok for pt in stm_check(E, H, stm_times))
 
 
 def rate_report(
-    E: Ensemble,
-    H: Optional[HamiltonianSet] = None,
-    fd_step: float = DEFAULT_FD_STEP,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    E: Ensemble, H: Optional[HamiltonianSet] = None, rank_tol: float = DEFAULT_RANK_TOL
 ) -> RateReport:
     """Evaluate all rates and bounds for E; H defaults to the maximizers."""
-    return _evaluate(E, H, fd_step, rank_tol, "compute")[0]
+    return _evaluate(E, H, rank_tol, "compute")[0]

@@ -22,6 +22,7 @@ from mixrate.entangling import (
     serialize_pure_state,
 )
 from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord, run_trial
+from mixrate.rates import rate_report
 
 from conftest import random_ensemble, random_hamiltonian_set, rng
 
@@ -121,12 +122,6 @@ class TestVerify:
         assert self._strip_elapsed(serial.read_text()) == self._strip_elapsed(
             parallel.read_text()
         )
-
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MIXRATE_WORKERS", "2")
-        out = tmp_path / "env.csv"
-        assert main(self.ARGS + ["--out", str(out)]) == EXIT_OK
-        assert len(out.read_text().splitlines()) == 7
 
     def test_bad_dim_is_usage_error(self, capsys):
         code = main(
@@ -235,6 +230,37 @@ class TestSie:
         _, hp = self._bell_files(tmp_path)
         code = main(["sie", "--state", str(tmp_path / "nope.json"), "--ham", str(hp)])
         assert code == EXIT_USAGE
+
+
+class TestEigenBudget:
+    """Each quantity is diagonalized once: a second eigendecomposition of the
+    same matrix shows up here as a higher count."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        calls = [0]
+        for name in ("eigh", "eigvalsh"):
+            f = getattr(np.linalg, name)
+
+            def counted(*args, _f=f, **kwargs):
+                calls[0] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_rate_report_and_sie(self, tmp_path, monkeypatch):
+        E = random_ensemble(3, 3, rng(700))
+        sp, hp = TestSie._bell_files(tmp_path)
+        calls = self._count(monkeypatch)
+        rate_report(E)
+        # rho, 3 commutators, 4 FD expected states; the rank probe reads rho.
+        assert calls[0] == 8
+        calls[0] = 0
+        assert main(["sie", "--state", str(sp), "--ham", str(hp)]) == EXIT_OK
+        # mu, rho_aAB, rho, rho_aA once for the rate, then the STE check:
+        # E(0), H once, and E(t) at 11 times.
+        assert calls[0] == 17
 
 
 class TestGuardStatus:
