@@ -45,6 +45,22 @@ def _set_spectrum(obj, w: np.ndarray, V: np.ndarray):
     return obj
 
 
+def _state_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues w (..., d) of states, each row checked
+    (min >= -PSD_TOL, |sum - 1| <= TRACE_TOL), floored at 0 and renormalized."""
+    # ndarray methods: this runs once per validated state, where the module
+    # functions' dispatch cost more than the arithmetic at small d.
+    if (w[..., 0] < -PSD_TOL).any():
+        raise InvariantViolation(f"not PSD (min eigenvalue {w[..., 0].min():.3e})")
+    tr = w.sum(axis=-1)
+    off = abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise InvariantViolation(f"trace {float(tr[off].flat[0])!r} differs from 1")
+    w = w.clip(0.0, None)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A quantum state: Hermitian, positive semi-definite, unit trace.
@@ -60,14 +76,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         w, V = hm.eig_hermitian(self.matrix)
-        if w[0] < -PSD_TOL:
-            raise InvariantViolation(f"not PSD (min eigenvalue {w[0]:.3e})")
-        tr = float(np.sum(w))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"trace {tr!r} differs from 1")
-        w = np.clip(w, 0.0, None)
-        w /= np.sum(w)
-        _set_spectrum(self, w, V)
+        _set_spectrum(self, _state_eigenvalues(w), V)
 
     def conjugated(self, U: np.ndarray) -> "DensityMatrix":
         """U ρ U† for a unitary U, with spectrum (w, U V); not validated again,
@@ -193,10 +202,11 @@ def _xlnx(v) -> np.ndarray:
     return v * np.log(np.where(v > 0, v, 1.0))
 
 
-def _entropy_from_eigenvalues(w: np.ndarray, dim: int) -> float:
-    """-sum w ln w of a state's eigenvalues, clamped to [0, ln dim]."""
-    s = float(-np.sum(_xlnx(np.clip(np.real(w), 0.0, 1.0))))
-    return min(max(s, 0.0), math.log(dim))
+def _entropy_from_eigenvalues(w: np.ndarray, dim: int):
+    """-sum w ln w of a state's eigenvalues, clamped to [0, ln dim]; for a
+    stack (..., d) of spectra, the array of their entropies."""
+    s = np.clip(-np.sum(_xlnx(np.clip(np.real(w), 0.0, 1.0)), axis=-1), 0.0, math.log(dim))
+    return float(s) if s.ndim == 0 else s
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -224,9 +234,8 @@ def binary_entropy(p: float) -> float:
 
 def average_entropy(E: Ensemble) -> float:
     """sum_x p(x) S(rho_x) — the ensemble's average member entropy."""
-    return float(
-        sum(p * von_neumann_entropy(s) for p, s in zip(E.probabilities, E.states))
-    )
+    w = np.stack([s.spectrum.eigenvalues for s in E.states])
+    return float(np.sum(E.probabilities * _entropy_from_eigenvalues(w, E.dim)))
 
 
 def unitary_at(H: Hamiltonian, t: float) -> np.ndarray:

@@ -50,6 +50,8 @@ from .rates import (
     DEFAULT_FD_STEP,
     DEFAULT_RANK_TOL,
     IMAG_TOL,
+    _central,
+    _fd_times,
     _richardson,
     mixing_rate,
 )
@@ -135,6 +137,31 @@ def entanglement_entropy(psi: PureState) -> float:
     return _entropy_from_eigenvalues(w, rho_aA.shape[0])
 
 
+def _entanglement_trajectory(
+    psi: PureState, H: BipartiteOperator, ts: Sequence[float]
+) -> np.ndarray:
+    """E(Psi(t)) = S(rho_aA(t)) at each t of ts, Psi(t) = (I_a ⊗ e^{-iHt} ⊗ I_b) Psi.
+
+    Psi is rotated once into the eigenbasis of H, where the evolution to every
+    t is a phase per eigenvalue. Each Psi(t) gets PureState's norm check and
+    renormalization; rho_aA(t) = M M† for M the (d_a d_A) x (d_B d_b) reshape of
+    Psi(t), and all of them share one stacked eigvalsh.
+    """
+    _check_interaction(psi, H)
+    d_a, d_A, d_B, d_b = psi.dims
+    w, V = H.spectrum
+    ts = np.asarray(ts, dtype=float)
+    X = V.conj().T @ psi.amplitudes.reshape(d_a, d_A * d_B, d_b)
+    Psi = (V @ (np.exp(-1j * np.outer(ts, w))[:, None, :, None] * X)).reshape(ts.size, -1)
+    norms = np.linalg.norm(Psi, axis=1)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if np.any(off):
+        raise InvariantViolation(f"state norm {float(norms[off][0])!r} differs from 1")
+    M = (Psi / norms[:, None]).reshape(ts.size, d_a * d_A, d_B * d_b)
+    rho_aA = M @ M.conj().transpose(0, 2, 1)
+    return _entropy_from_eigenvalues(hm.eigvals_hermitian_stack(rho_aA), d_a * d_A)
+
+
 def _check_interaction(psi: PureState, H: BipartiteOperator) -> None:
     if H.dims != (psi.dims[1], psi.dims[2]):
         raise DimMismatch(
@@ -171,13 +198,8 @@ def entangling_rate(
     return float(val.real)
 
 
-def fd_entangling_rate(
-    psi: PureState,
-    H: BipartiteOperator,
-    h: float = DEFAULT_FD_STEP,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> float:
-    """Central finite difference of the entanglement entropy at t = 0."""
+def _fd_entangling_probe(psi: PureState, H: BipartiteOperator, h: float, rank_tol: float):
+    """Refuse a finite difference at step h of the entanglement entropy of psi."""
     if h <= 0:
         raise DomainError("finite-difference step must be positive")
     _check_interaction(psi, H)
@@ -188,9 +210,17 @@ def fd_entangling_rate(
             f"smallest nonzero eigenvalue {float(nonzero[0]):.3e} of rho_aA "
             "too small for a stable entropy derivative"
         )
-    e_plus = entanglement_entropy(evolve_pure(psi, H, h))
-    e_minus = entanglement_entropy(evolve_pure(psi, H, -h))
-    return (e_plus - e_minus) / (2.0 * h)
+
+
+def fd_entangling_rate(
+    psi: PureState,
+    H: BipartiteOperator,
+    h: float = DEFAULT_FD_STEP,
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> float:
+    """Central finite difference of the entanglement entropy at t = 0."""
+    _fd_entangling_probe(psi, H, h, rank_tol)
+    return _central(_entanglement_trajectory(psi, H, (h, -h)), h)
 
 
 def fd_entangling_rate_richardson(
@@ -200,7 +230,8 @@ def fd_entangling_rate_richardson(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Richardson-extrapolated central difference, error O(h^4)."""
-    return _richardson(lambda step: fd_entangling_rate(psi, H, step, rank_tol), h)
+    _fd_entangling_probe(psi, H, h, rank_tol)
+    return _richardson(_entanglement_trajectory(psi, H, _fd_times(h)), h)
 
 
 def bravyi_mu(psi: PureState) -> DensityMatrix:
@@ -269,14 +300,13 @@ class StePoint:
 
 def ste_check(psi: PureState, H: BipartiteOperator, ts: Sequence[float]) -> list[StePoint]:
     """Check E(Psi(t)) <= E(Psi(0)) + 2 ln min(d_A, d_B) at each t."""
-    _check_interaction(psi, H)
-    e0 = entanglement_entropy(psi)
-    bound = e0 + 2.0 * math.log(min(psi.dims[1], psi.dims[2]))
-    out = []
-    for t in ts:
-        e_t = entanglement_entropy(evolve_pure(psi, H, float(t)))
-        out.append(StePoint(float(t), e_t, bound, e_t <= bound + CHECK_SLACK))
-    return out
+    ts = [float(t) for t in ts]
+    e = _entanglement_trajectory(psi, H, [0.0] + ts)  # E(0) from the t = 0 slice
+    bound = float(e[0]) + 2.0 * math.log(min(psi.dims[1], psi.dims[2]))
+    return [
+        StePoint(t, float(e_t), bound, bool(e_t <= bound + CHECK_SLACK))
+        for t, e_t in zip(ts, e[1:])
+    ]
 
 
 # --- JSON wire format -------------------------------------------------------

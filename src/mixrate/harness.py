@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise DomainError(f"dim {self.dim} outside supported range [2, 64]")
         if self.n_states < 1 or self.n_trials < 1:
             raise DomainError("n_states and n_trials must be >= 1")
+        if self.search_max_iters < 1:
+            raise DomainError(f"search_max_iters {self.search_max_iters} must be >= 1")
         if self.mode not in {"verify", "scan", "search", "sie"}:
             raise DomainError(f"unknown mode {self.mode!r}")
 

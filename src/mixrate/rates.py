@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,14 +29,14 @@ from .ensembles import (
     Ensemble,
     Hamiltonian,
     HamiltonianSet,
+    _entropy_from_eigenvalues,
     _require_matching,
+    _state_eigenvalues,
     _xlnx,
     average_entropy,
     binary_entropy,
-    evolve,
     expected_state,
     shannon_entropy,
-    von_neumann_entropy,
 )
 from .errors import (
     BadDistribution,
@@ -70,23 +70,21 @@ def _log_expected(E: Ensemble, rank_tol: float):
 
 class _Spectra:
     """The one spectral pass that every maximal-rate quantity reads: ln rho,
-    one eigendecomposition of each C_x = i[rho_x, ln rho], and the rates
-    sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
+    the eigendecompositions of the stacked C_x = i[rho_x, ln rho] (one LAPACK
+    dispatch), and the rates sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
 
     def __init__(self, E: Ensemble, rank_tol: float):
         self.E, self.rank_tol = E, rank_tol
         self.ln_rho, self.rho = _log_expected(E, rank_tol)
-        self.eigs = [
-            hm.eig_hermitian(hm.hermitian_part(1j * hm.commutator(s.matrix, self.ln_rho)))
-            for s in E.states
-        ]
-        norms = [float(np.sum(np.abs(w))) for w, _ in self.eigs]
+        rhos, L = np.stack([s.matrix for s in E.states]), self.ln_rho
+        self.eigs = hm.eig_hermitian_stack(1j * (rhos @ L - L @ rhos))
+        norms = [float(n) for n in np.sum(np.abs(self.eigs.eigenvalues), axis=-1)]
         self.max_rate = sum(float(p) * n for p, n in zip(E.probabilities, norms))
         self.binary_rate = float(E.probabilities[0]) * norms[0]
 
     def hamiltonians(self) -> HamiltonianSet:
         hams = []
-        for w, V in self.eigs:
+        for w, V in zip(*self.eigs):
             tol = self.rank_tol * max(1.0, float(np.linalg.norm(w)))  # ||C_x||_F
             s = np.where(w < -tol, -1.0, 1.0)  # I - 2 P_neg, ascending like w
             hams.append(Hamiltonian.from_spectrum(s, V, normalized=True))
@@ -126,10 +124,41 @@ def _fd_probe(h: float, rho, rank_tol: float) -> None:
         )
 
 
-def _central_difference(E: Ensemble, H: HamiltonianSet, h: float) -> float:
-    s_plus = von_neumann_entropy(expected_state(evolve(E, H, h)))
-    s_minus = von_neumann_entropy(expected_state(evolve(E, H, -h)))
-    return (s_plus - s_minus) / (2.0 * h)
+def _fd_times(h: float) -> tuple[float, ...]:
+    """The times at which the Richardson oracle of step h reads S(rho(t))."""
+    return (h, -h, h / 2.0, -h / 2.0)
+
+
+def _central(S, h: float) -> float:
+    """[S(h) - S(-h)] / 2h from the entropies S at (h, -h)."""
+    return float((S[0] - S[1]) / (2.0 * h))
+
+
+def _richardson(S, h: float) -> float:
+    """Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the central
+    differences D from the entropies S at _fd_times(h): error O(h^4) where
+    D's is O(h^2)."""
+    return (4.0 * _central(S[2:], h / 2.0) - _central(S, h)) / 3.0
+
+
+def _trajectory(E: Ensemble, H: HamiltonianSet, ts: Sequence[float]) -> np.ndarray:
+    """S(rho(t)) at each t of ts, rho(t) = sum_x p_x e^{-iH_x t} rho_x e^{iH_x t}.
+
+    Each member is rotated once into the eigenbasis of its H_x, where the
+    evolution to every t is an outer product of phases e^{-i t w}. Every
+    rho(t) then gets the checks a DensityMatrix gets (finite, Hermitian, PSD,
+    unit trace), and all of them one stacked eigvalsh.
+    """
+    _require_matching(E, H)
+    ts = np.asarray(ts, dtype=float)
+    rho_t = np.zeros((ts.size, E.dim, E.dim), dtype=complex)
+    for p, s, h in zip(E.probabilities, E.states, H.hams):
+        w, V = h.spectrum
+        R = V.conj().T @ s.matrix @ V
+        phase = np.exp(-1j * np.outer(ts, w))
+        rho_t += p * (V @ (phase[:, :, None] * R * phase.conj()[:, None, :]) @ V.conj().T)
+    w = _state_eigenvalues(hm.eigvals_hermitian_stack(rho_t))
+    return _entropy_from_eigenvalues(w, E.dim)
 
 
 def fd_mixing_rate(
@@ -140,15 +169,7 @@ def fd_mixing_rate(
 ) -> float:
     """Central finite difference [S(rho(h)) - S(rho(-h))] / 2h."""
     _fd_probe(h, expected_state(E), rank_tol)
-    return _central_difference(E, H, h)
-
-
-def _richardson(fd: Callable[[float], float], h: float) -> float:
-    """Richardson extrapolation (4 fd(h/2) - fd(h)) / 3 of a central
-    difference fd(step): error O(h^4) where fd's is O(h^2)."""
-    d1 = fd(h)
-    d2 = fd(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    return _central(_trajectory(E, H, (h, -h)), h)
 
 
 def fd_mixing_rate_richardson(
@@ -158,13 +179,8 @@ def fd_mixing_rate_richardson(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Richardson-extrapolated central difference (oracle mode), error O(h^4)."""
-    return _fd_oracle(E, H, h, rank_tol, expected_state(E))
-
-
-def _fd_oracle(E: Ensemble, H: HamiltonianSet, h: float, rank_tol: float, rho) -> float:
-    """fd_mixing_rate_richardson, probing rho, the expected state of E."""
-    _fd_probe(h, rho, rank_tol)
-    return _richardson(lambda step: _central_difference(E, H, step), h)
+    _fd_probe(h, expected_state(E), rank_tol)
+    return _richardson(_trajectory(E, H, _fd_times(h)), h)
 
 
 def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> HamiltonianSet:
@@ -228,15 +244,15 @@ class StmPoint:
 
 def stm_check(E: Ensemble, H: HamiltonianSet, ts: Sequence[float]) -> list[StmPoint]:
     """Check avg_entropy(E) <= S(rho(t)) <= avg_entropy(E) + S(X) at each t."""
-    _require_matching(E, H)
+    return _stm_points(E, ts, _trajectory(E, H, ts))
+
+
+def _stm_points(E: Ensemble, ts: Sequence[float], S) -> list[StmPoint]:
+    """stm_check's points from the entropies S of rho(t) at ts."""
     lower = average_entropy(E)
     upper = lower + shannon_entropy(E.probabilities)
-    out = []
-    for t in ts:
-        s = von_neumann_entropy(expected_state(evolve(E, H, float(t))))
-        ok = (lower - CHECK_SLACK <= s) and (s <= upper + CHECK_SLACK)
-        out.append(StmPoint(float(t), s, lower, upper, ok))
-    return out
+    ok = (lower - CHECK_SLACK <= S) & (S <= upper + CHECK_SLACK)
+    return [StmPoint(float(t), float(s), lower, upper, bool(k)) for t, s, k in zip(ts, S, ok)]
 
 
 def ak_gap(A, B, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, float]:
@@ -314,12 +330,18 @@ def _evaluate(
             ratio_thm = _ratio(binary, bound)
             ratio_conj = _ratio(binary, binary_entropy(p0))
     rate = mixing_rate(E, H, _ln_rho=sp.ln_rho)
-    fd_residual = None
+    fd_residual, stm_ok = None, True
     try:
-        fd_residual = abs(rate - _fd_oracle(E, H, DEFAULT_FD_STEP, rank_tol, sp.rho))
+        _fd_probe(DEFAULT_FD_STEP, sp.rho, rank_tol)
     except RankDeficient:
         if policy != "compute":
             raise
+    else:
+        fd_times = _fd_times(DEFAULT_FD_STEP)
+        stm_times = () if policy == "compute" else STM_TIMES
+        S = _trajectory(E, H, fd_times + stm_times)
+        fd_residual = abs(rate - _richardson(S, DEFAULT_FD_STEP))
+        stm_ok = all(pt.ok for pt in _stm_points(E, stm_times, S[len(fd_times):]))
     report = RateReport(
         mixing_rate_at_H=rate,
         max_rate=mx,
@@ -330,8 +352,7 @@ def _evaluate(
         ratio_thm=ratio_thm,
         ratio_conjecture=ratio_conj,
     )
-    stm_times = () if policy == "compute" else STM_TIMES
-    return report, all(pt.ok for pt in stm_check(E, H, stm_times))
+    return report, stm_ok
 
 
 def rate_report(

@@ -201,6 +201,13 @@ class TestSearch:
         assert rec["iterations"] == 1
 
 
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_iters_below_one_is_a_usage_error(self, iters, capsys):
+        argv = ["search", "--dim", "3", "--iters", str(iters), "--seed", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("mixrate: error:")
+
+
 class TestSie:
     @staticmethod
     def _bell_files(tmp_path):
@@ -254,13 +261,14 @@ class TestEigenBudget:
         sp, hp = TestSie._bell_files(tmp_path)
         calls = self._count(monkeypatch)
         rate_report(E)
-        # rho, 3 commutators, 4 FD expected states; the rank probe reads rho.
-        assert calls[0] == 8
+        # rho, the stacked commutators, and one stacked trajectory for the
+        # 4 FD times; the rank probe reads rho.
+        assert calls[0] == 3
         calls[0] = 0
         assert main(["sie", "--state", str(sp), "--ham", str(hp)]) == EXIT_OK
         # mu, rho_aAB, rho, rho_aA once for the rate, then the STE check:
-        # E(0), H once, and E(t) at 11 times.
-        assert calls[0] == 17
+        # H once and one stacked E(t) for t = 0 and the 11 times.
+        assert calls[0] == 6
 
 
 class TestGuardStatus:

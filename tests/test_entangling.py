@@ -12,6 +12,7 @@ from mixrate.errors import (
     Degenerate,
     DimMismatch,
     DimOrder,
+    DomainError,
     IllConditioned,
     InvariantViolation,
     ParseError,
@@ -277,6 +278,19 @@ class TestSteCheck:
             assert all(pt.ok for pt in pts)
 
 
+    def test_matches_the_entanglement_of_each_evolved_state(self):
+        g = rng(419)
+        for dims in ((2, 3, 2, 2), (1, 4, 2, 2), (2, 2, 2, 1)):
+            psi = random_pure(dims, g)
+            H = random_interaction(dims[1], dims[2], g)
+            pts = en.ste_check(psi, H, [0.5 * k for k in range(11)])
+            bound = en.entanglement_entropy(psi) + 2.0 * math.log(min(dims[1], dims[2]))
+            for pt in pts:
+                e_t = en.entanglement_entropy(en.evolve_pure(psi, H, pt.t))
+                assert abs(pt.entanglement - e_t) <= 1e-12
+                assert abs(pt.bound - bound) <= 1e-12
+
+
 class TestFdGuards:
     def test_ill_conditioned_reduced_state_rejected(self):
         # near-product state with one Schmidt weight at ~1e-10
@@ -286,6 +300,30 @@ class TestFdGuards:
         H = random_interaction(2, 2, rng(418))
         with pytest.raises(IllConditioned):
             en.fd_entangling_rate(psi, H, 1e-4)
+
+
+    def test_richardson_probes_once(self, monkeypatch):
+        psi = random_pure((2, 2, 2, 2), rng(420))
+        H = random_interaction(2, 2, rng(421))
+        H.spectrum  # diagonalized on first use, outside the count
+        calls = [0]
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        en.fd_entangling_rate_richardson(psi, H, 1e-4)
+        assert calls[0] == 2  # the probe of rho_aA and one stacked trajectory
+
+    def test_richardson_error_order(self):
+        psi = random_pure((2, 2, 2, 2), rng(422))
+        wrong = random_interaction(3, 2, rng(423))
+        with pytest.raises(DomainError):
+            en.fd_entangling_rate_richardson(psi, wrong, 0.0)
+        with pytest.raises(DimMismatch):
+            en.fd_entangling_rate_richardson(psi, wrong, 1e-4)
 
 
 class TestJsonRoundTrip:

@@ -53,6 +53,27 @@ class TestEigHermitian:
             hm.eig_hermitian(np.zeros((2, 3)))
 
 
+class TestEigHermitianStack:
+    def test_matches_each_matrix(self):
+        g = rng(102)
+        Ms = np.stack([random_hermitian(5, g) for _ in range(4)])
+        W, Vs = hm.eig_hermitian_stack(Ms)
+        assert np.allclose(W, hm.eigvals_hermitian_stack(Ms), atol=1e-12)
+        for M, w, V in zip(Ms, W, Vs):
+            assert np.allclose(w, hm.eig_hermitian(M).eigenvalues, atol=1e-12)
+            assert hm.frobenius(M - hm.reconstruct(w, V)) <= 1e-10 * max(1.0, hm.frobenius(M))
+
+    def test_rejects_one_bad_matrix(self):
+        Ms = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        for f in (hm.eig_hermitian_stack, hm.eigvals_hermitian_stack):
+            with pytest.raises(NonHermitian):
+                f(Ms)
+            with pytest.raises(DomainError):
+                f(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+            with pytest.raises(DimMismatch):
+                f(np.zeros((2, 2, 3)))
+
+
 class TestMatrixFn:
     def test_diagonal_log(self):
         out = hm.matrix_fn(np.diag([1.0, math.e ** 2]), np.log)

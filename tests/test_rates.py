@@ -10,14 +10,18 @@ from mixrate.ensembles import (
     Ensemble,
     Hamiltonian,
     HamiltonianSet,
+    _set_spectrum,
     binary_entropy,
+    evolve,
     expected_state,
     shannon_entropy,
+    von_neumann_entropy,
 )
 from mixrate.errors import (
     BadDistribution,
     DimMismatch,
     DomainError,
+    InvariantViolation,
     MixRateError,
     NotBinary,
     RankDeficient,
@@ -311,6 +315,29 @@ class TestBounds:
             E = random_ensemble(int(g.integers(2, 7)), int(g.integers(2, 6)), g)
             bound = rates.bound_theorem_general(E.probabilities)
             assert rates.max_mixing_rate(E) <= bound + 1e-8
+
+
+class TestTrajectory:
+    TIMES = (0.0, 1e-4, -1e-4, 5e-5, -5e-5, 0.5, 1.0, 2.0)  # t = 0, the FD and STM times
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_entropy_of_each_evolved_state(self, dim, n):
+        g = rng(330 + dim + n)
+        E = random_ensemble(dim, n, g)
+        H = random_hamiltonian_set(dim, n, g)
+        S = rates._trajectory(E, H, self.TIMES)
+        assert S.shape == (len(self.TIMES),)
+        for t, s in zip(self.TIMES, S):
+            assert abs(s - von_neumann_entropy(expected_state(evolve(E, H, t)))) <= 1e-12
+
+    @pytest.mark.parametrize("w", [(-0.5, 1.5), (0.5, 1.0)])  # not PSD; trace 1.5
+    def test_rejects_a_member_that_is_no_state(self, w):
+        bad = _set_spectrum(object.__new__(DensityMatrix), np.array(w), np.eye(2, dtype=complex))
+        E = Ensemble([1.0], [bad])
+        H = HamiltonianSet([random_unit_hamiltonian(2, rng(333))])
+        with pytest.raises(InvariantViolation):
+            rates._trajectory(E, H, self.TIMES)
 
 
 class TestStmCheck:
