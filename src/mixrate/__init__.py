@@ -35,6 +35,7 @@ from .harness import (
     RNGSpec,
     TrialRecord,
     run_trial,
+    run_trials,
     sample_density,
     sample_ensemble,
     sample_hamiltonian,

@@ -31,7 +31,7 @@ from .harness import (
     ExperimentConfig,
     TrialRecord,
     records_to_csv,
-    run_trial,
+    run_trials,
 )
 
 EXIT_OK = 0
@@ -97,13 +97,15 @@ def cmd_verify(args) -> int:
         dim=args.dim, n_states=args.states, n_trials=args.trials, seed=args.seed
     )
     n_workers = max(1, args.workers)
-    ids = list(range(cfg.n_trials))
+    # Chunks depend on (n_trials, dim) only, so the records do not depend on
+    # the worker count.
+    chunks = hz.trial_chunks(range(cfg.n_trials), cfg.dim)
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(run_trial, [cfg] * len(ids), ids))
+            parts = list(pool.map(run_trials, [cfg] * len(chunks), chunks))
     else:
-        records = [run_trial(cfg, i) for i in ids]
-    records.sort(key=lambda r: r.trial_id)
+        parts = [run_trials(cfg, c) for c in chunks]
+    records = [r for part in parts for r in part]
     _emit(records_to_csv(records), args.out)
     status = guard_status(records)
     if status == EXIT_CONJECTURE:

@@ -33,22 +33,32 @@ TRACE_TOL = 1e-10
 PROB_TOL = 1e-10
 
 
-def _set_spectrum(obj, w: np.ndarray, V: np.ndarray):
-    """Give a frozen value the spectrum (w, V) it is known to have: its matrix
-    becomes V diag(w) V†, all three arrays read-only, and nothing is checked.
-    The one way to build a state or Hamiltonian without validating it."""
+def _frozen(w: np.ndarray, V: np.ndarray):
+    """(V diag(w) V†, w, V) for a spectrum or a stack of them (..., d),
+    (..., d, d), all three read-only."""
     matrix = hm.hermitian_part(hm.reconstruct(w, V))
-    for a in (w, V, matrix):
+    for a in (matrix, w, V):
         a.setflags(write=False)
+    return matrix, w, V
+
+
+def _assign(obj, matrix: np.ndarray, w: np.ndarray, V: np.ndarray):
     object.__setattr__(obj, "matrix", matrix)
     object.__setattr__(obj, "spectrum", hm.EigenDecomposition(w, V))
     return obj
 
 
+def _set_spectrum(obj, w: np.ndarray, V: np.ndarray):
+    """Give a frozen value the spectrum (w, V) it is known to have: its matrix
+    becomes V diag(w) V†, all three arrays read-only, and nothing is checked.
+    The one way to build a state or Hamiltonian without validating it."""
+    return _assign(obj, *_frozen(w, V))
+
+
 def _state_eigenvalues(w: np.ndarray) -> np.ndarray:
     """The ascending eigenvalues w (..., d) of states, each row checked
     (min >= -PSD_TOL, |sum - 1| <= TRACE_TOL), floored at 0 and renormalized."""
-    # ndarray methods: this runs once per validated state, where the module
+    # ndarray methods: this runs once per validated stack, where the module
     # functions' dispatch cost more than the arithmetic at small d.
     if (w[..., 0] < -PSD_TOL).any():
         raise InvariantViolation(f"not PSD (min eigenvalue {w[..., 0].min():.3e})")
@@ -59,6 +69,14 @@ def _state_eigenvalues(w: np.ndarray) -> np.ndarray:
     w = w.clip(0.0, None)
     w /= w.sum(axis=-1, keepdims=True)
     return w
+
+
+def _state_spectra(raw) -> hm.EigenDecomposition:
+    """Validate every matrix of a stack (..., d, d) as a state in one LAPACK
+    dispatch: finite entries, Hermiticity residual, eigendecomposition, then
+    PSD and unit trace (_state_eigenvalues). Returns the states' spectra."""
+    w, V = hm.eig_hermitian_stack(raw)
+    return hm.EigenDecomposition(_state_eigenvalues(w), V)
 
 
 @dataclass(frozen=True)
@@ -75,8 +93,17 @@ class DensityMatrix:
     spectrum: hm.EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w, V = hm.eig_hermitian(self.matrix)
-        _set_spectrum(self, _state_eigenvalues(w), V)
+        A = np.asarray(self.matrix, dtype=complex)
+        if A.ndim != 2:
+            raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
+        _assign(self, *(a[0] for a in _frozen(*_state_spectra(A[None]))))
+
+    @classmethod
+    def stack(cls, raw) -> list["DensityMatrix"]:
+        """The states of a stack (k, d, d) of matrices, validated as
+        DensityMatrix validates one but in one stacked call; each state holds
+        slices of the one stacked reconstruction."""
+        return [_assign(object.__new__(cls), *a) for a in zip(*_frozen(*_state_spectra(raw)))]
 
     def conjugated(self, U: np.ndarray) -> "DensityMatrix":
         """U ρ U† for a unitary U, with spectrum (w, U V); not validated again,
@@ -187,12 +214,18 @@ def _require_matching(E: Ensemble, H: HamiltonianSet) -> None:
         raise DimMismatch("Hamiltonian dimension differs from ensemble dimension")
 
 
+def _mixture(p: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """sum_x p_x rho_x, unvalidated, for probabilities p (..., n) and matrices
+    rhos (..., n, d, d): one mixture per leading index."""
+    acc = np.zeros(rhos.shape[:-3] + rhos.shape[-2:], dtype=complex)
+    for x in range(p.shape[-1]):
+        acc += p[..., x, None, None] * rhos[..., x, :, :]
+    return acc
+
+
 def expected_state(E: Ensemble) -> DensityMatrix:
     """The expected density operator rho = sum_x p(x) rho_x."""
-    acc = np.zeros((E.dim, E.dim), dtype=complex)
-    for p, s in zip(E.probabilities, E.states):
-        acc += p * s.matrix
-    return DensityMatrix(acc)
+    return DensityMatrix(_mixture(E.probabilities, np.stack([s.matrix for s in E.states])))
 
 
 def _xlnx(v) -> np.ndarray:
@@ -214,12 +247,17 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return _entropy_from_eigenvalues(rho.spectrum.eigenvalues, rho.dim)
 
 
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p over the last axis, unchecked."""
+    return -np.sum(_xlnx(p), axis=-1)
+
+
 def shannon_entropy(probs: Sequence[float]) -> float:
     """-sum p ln p of a probability vector (nats)."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or np.any(p <= 0) or abs(float(np.sum(p)) - 1.0) > PROB_TOL:
         raise BadDistribution("probabilities must be positive and sum to 1")
-    return float(-np.sum(_xlnx(p)))
+    return float(_shannon(p))
 
 
 def binary_entropy(p: float) -> float:
@@ -228,14 +266,21 @@ def binary_entropy(p: float) -> float:
         raise DomainError(f"binary entropy undefined at p={p!r}")
     out = 0.0
     if 0.0 < p < 1.0:
-        out = float(-np.sum(_xlnx([p, 1.0 - p])))
+        out = float(_shannon(np.array([p, 1.0 - p])))
     return out
+
+
+def _average_entropies(Es: Sequence[Ensemble]) -> np.ndarray:
+    """average_entropy of each ensemble of a batch sharing (n, d), from the
+    members' kept spectra."""
+    w = np.stack([s.spectrum.eigenvalues for E in Es for s in E.states])
+    p = np.stack([E.probabilities for E in Es])
+    return np.sum(p * _entropy_from_eigenvalues(w.reshape(p.shape + (-1,)), Es[0].dim), axis=-1)
 
 
 def average_entropy(E: Ensemble) -> float:
     """sum_x p(x) S(rho_x) — the ensemble's average member entropy."""
-    w = np.stack([s.spectrum.eigenvalues for s in E.states])
-    return float(np.sum(E.probabilities * _entropy_from_eigenvalues(w, E.dim)))
+    return float(_average_entropies([E])[0])
 
 
 def unitary_at(H: Hamiltonian, t: float) -> np.ndarray:

@@ -220,7 +220,7 @@ def fd_entangling_rate(
 ) -> float:
     """Central finite difference of the entanglement entropy at t = 0."""
     _fd_entangling_probe(psi, H, h, rank_tol)
-    return _central(_entanglement_trajectory(psi, H, (h, -h)), h)
+    return float(_central(_entanglement_trajectory(psi, H, (h, -h)), h))
 
 
 def fd_entangling_rate_richardson(
@@ -231,7 +231,7 @@ def fd_entangling_rate_richardson(
 ) -> float:
     """Richardson-extrapolated central difference, error O(h^4)."""
     _fd_entangling_probe(psi, H, h, rank_tol)
-    return _richardson(_entanglement_trajectory(psi, H, _fd_times(h)), h)
+    return float(_richardson(_entanglement_trajectory(psi, H, _fd_times(h)), h))
 
 
 def bravyi_mu(psi: PureState) -> DensityMatrix:

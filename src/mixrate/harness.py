@@ -39,6 +39,9 @@ CONJECTURE_SLACK = 1e-6
 THEOREM_SLACK = 1e-8
 SEARCH_STEP = 0.1  # the search's first perturbation size after each restart
 SEARCH_SHRINK = 0.5  # step factor after 20 rejected candidates in a row
+# A chunk of trials holds max(1, CHUNK_ENTRIES // d^2) of them: 32 at d = 4,
+# 1 at d = 64. Larger chunks gained little speed and raised the peak memory.
+CHUNK_ENTRIES = 512
 
 
 @dataclass(frozen=True)
@@ -101,30 +104,58 @@ class TrialRecord:
     iterations: Optional[int] = None
 
 
+def _ginibre(dim: int, g: np.random.Generator) -> np.ndarray:
+    """A Ginibre matrix: the real part, then the imaginary part."""
+    return g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+
+
+def _raw_states(n: int, dim: int, g: np.random.Generator) -> np.ndarray:
+    """n unvalidated Hilbert-Schmidt states G G† / Tr(G G†), drawn in order."""
+    G = np.stack([_ginibre(dim, g) for _ in range(n)])
+    rho = G @ G.conj().swapaxes(-1, -2)
+    return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
+
+
+def _ensembles(draws) -> list[Ensemble]:
+    """One Ensemble per (probabilities, raw states (n, d, d)) draw; the states
+    of all draws are validated in one stacked call."""
+    states = DensityMatrix.stack(np.concatenate([raw for _, raw in draws]))
+    out, k = [], 0
+    for p, raw in draws:
+        out.append(Ensemble(p, states[k : k + len(raw)]))
+        k += len(raw)
+    return out
+
+
 def sample_density(dim: int, rng: Union[RNGSpec, np.random.Generator]) -> DensityMatrix:
     """Hilbert-Schmidt-random state G G† / Tr(G G†) with Ginibre G."""
-    g = _gen(rng)
-    G = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-    rho = G @ G.conj().T
-    return DensityMatrix(rho / np.real(np.trace(rho)))
+    return DensityMatrix(_raw_states(1, dim, _gen(rng))[0])
 
 
 def sample_hamiltonian(dim: int, rng: Union[RNGSpec, np.random.Generator]) -> Hamiltonian:
     """Symmetrized Ginibre matrix rescaled to operator norm exactly 1."""
-    g = _gen(rng)
-    while True:  # norm 0 has measure zero, but keep the contract ||H|| = 1
-        G = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-        w, V = hm.eig_hermitian((G + G.conj().T) / 2)
-        norm = float(np.max(np.abs(w)))
-        if norm > 0.0:
-            return Hamiltonian.from_spectrum(w / norm, V, normalized=True)
+    return sample_hamiltonian_set(1, dim, rng).hams[0]
 
 
 def sample_hamiltonian_set(
     n: int, dim: int, rng: Union[RNGSpec, np.random.Generator]
 ) -> HamiltonianSet:
+    """n sample_hamiltonian draws, in order, diagonalized in one stacked call."""
     g = _gen(rng)
-    return HamiltonianSet([sample_hamiltonian(dim, g) for _ in range(n)])
+    G = np.empty((n, dim, dim), dtype=complex)
+    for k in range(n):
+        G[k] = _ginibre(dim, g)
+    w, V = hm.eig_hermitian_stack((G + G.conj().swapaxes(-1, -2)) / 2)
+    norms = np.max(np.abs(w), axis=-1)
+    # Norm 0 has measure zero, but keep the contract ||H|| = 1: draw again.
+    return HamiltonianSet(
+        [
+            Hamiltonian.from_spectrum(wk / nk, Vk, normalized=True)
+            if nk > 0.0
+            else sample_hamiltonian(dim, g)
+            for wk, Vk, nk in zip(w, V, norms)
+        ]
+    )
 
 
 def _sample_probs(n: int, g: np.random.Generator) -> np.ndarray:
@@ -136,41 +167,66 @@ def _sample_probs(n: int, g: np.random.Generator) -> np.ndarray:
             return p
 
 
+def _trial_draw(cfg: ExperimentConfig, g: np.random.Generator):
+    """A trial's draw: the probabilities, then cfg.n_states raw states."""
+    return _sample_probs(cfg.n_states, g), _raw_states(cfg.n_states, cfg.dim, g)
+
+
 def sample_ensemble(
     cfg: ExperimentConfig, rng: Union[RNGSpec, np.random.Generator]
 ) -> Ensemble:
     """cfg.n_states Hilbert-Schmidt states with flat-Dirichlet probabilities."""
-    g = _gen(rng)
-    p = _sample_probs(cfg.n_states, g)
-    states = [sample_density(cfg.dim, g) for _ in range(cfg.n_states)]
-    return Ensemble(p, states)
+    return _ensembles([_trial_draw(cfg, _gen(rng))])[0]
 
 
-def evaluate_ensemble(
-    E: Ensemble,
+def trial_chunks(ids: Sequence[int], dim: int) -> list[list[int]]:
+    """ids split into consecutive chunks of max(1, CHUNK_ENTRIES // dim^2)
+    trials, the unit of stacked evaluation and of pool dispatch."""
+    size = max(1, CHUNK_ENTRIES // dim**2)
+    return [list(ids[k : k + size]) for k in range(0, len(ids), size)]
+
+
+def evaluate_ensembles(
+    Es: Sequence[Ensemble],
     cfg: ExperimentConfig,
-    trial_id: int,
+    trial_ids: Sequence[int],
     binary_bounds: bool = False,
-) -> TrialRecord:
-    """Compute rates, bounds, ratios, fd residual and the STM check for E."""
+) -> list[TrialRecord]:
+    """Rates, bounds, ratios, fd residual and the STM check of a chunk of
+    ensembles sharing (n, d), evaluated together; each record's elapsed is
+    the chunk's time over its size. If the chunk raises, each ensemble is
+    evaluated again alone, so an error lands on its own record."""
     t0 = time.perf_counter()
-    rec = TrialRecord(
-        trial_id=trial_id,
-        seed=cfg.seed,
-        dim=E.dim,
-        n_states=len(E),
-        probabilities=tuple(float(p) for p in E.probabilities),
-    )
+    records = [
+        TrialRecord(
+            trial_id=i,
+            seed=cfg.seed,
+            dim=E.dim,
+            n_states=len(E),
+            probabilities=tuple(E.probabilities.tolist()),
+        )
+        for E, i in zip(Es, trial_ids)
+    ]
     policy = "binary" if binary_bounds else "verify"
     try:
-        r, rec.stm_ok = _evaluate(E, None, DEFAULT_RANK_TOL, policy)
-        rec.max_rate, rec.binary_max_rate = r.max_rate, r.binary_max_rate
-        rec.bound_thm, rec.shannon, rec.fd_residual = r.bound_thm, r.bound_conjecture, r.fd_residual
-        rec.ratio_thm, rec.ratio_conj = r.ratio_thm, r.ratio_conjecture
+        reports, stm_ok = _evaluate(Es, None, DEFAULT_RANK_TOL, policy)
     except MixRateError as exc:
-        rec.error = f"{type(exc).__name__}: {exc}"
-    rec.elapsed = time.perf_counter() - t0
-    return rec
+        if len(Es) > 1:
+            return [
+                evaluate_ensembles([E], cfg, [i], binary_bounds)[0]
+                for E, i in zip(Es, trial_ids)
+            ]
+        records[0].error = f"{type(exc).__name__}: {exc}"
+    else:
+        for rec, r, ok in zip(records, reports, stm_ok):
+            rec.max_rate, rec.binary_max_rate = r.max_rate, r.binary_max_rate
+            rec.bound_thm, rec.shannon = r.bound_thm, r.bound_conjecture
+            rec.fd_residual, rec.stm_ok = r.fd_residual, ok
+            rec.ratio_thm, rec.ratio_conj = r.ratio_thm, r.ratio_conjecture
+    elapsed = (time.perf_counter() - t0) / len(records)
+    for rec in records:
+        rec.elapsed = elapsed
+    return records
 
 
 def trial_ensemble(cfg: ExperimentConfig, trial_id: int) -> Ensemble:
@@ -178,36 +234,52 @@ def trial_ensemble(cfg: ExperimentConfig, trial_id: int) -> Ensemble:
     return sample_ensemble(cfg, RNGSpec(cfg.seed, trial_id))
 
 
+def run_trials(cfg: ExperimentConfig, trial_ids: Sequence[int]) -> list[TrialRecord]:
+    """Sample the ensemble of each trial from (cfg.seed, trial id) and
+    evaluate them as one chunk."""
+    Es = _ensembles([_trial_draw(cfg, RNGSpec(cfg.seed, i).generator()) for i in trial_ids])
+    return evaluate_ensembles(Es, cfg, trial_ids)
+
+
 def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     """Sample an ensemble from (cfg.seed, trial_id) and evaluate it."""
-    return evaluate_ensemble(trial_ensemble(cfg, trial_id), cfg, trial_id)
+    return run_trials(cfg, [trial_id])[0]
+
+
+def _scan_draw(cfg: ExperimentConfig, trial_id: int, p: float):
+    """A scan trial's draw: the probabilities (p, 1 - p), then two raw states."""
+    g = RNGSpec(cfg.seed, trial_id).generator()
+    return [p, 1.0 - p], _raw_states(2, cfg.dim, g)
 
 
 def scan_binary_ensemble(cfg: ExperimentConfig, trial_id: int, p: float) -> Ensemble:
     """The binary ensemble {(p, rho_1), (1 - p, rho_2)} of one scan trial."""
-    g = RNGSpec(cfg.seed, trial_id).generator()
-    return Ensemble([p, 1.0 - p], [sample_density(cfg.dim, g) for _ in range(2)])
+    return _ensembles([_scan_draw(cfg, trial_id, p)])[0]
 
 
 def scan_binary(
     p_grid: Sequence[float], cfg: ExperimentConfig
 ) -> list[TrialRecord]:
-    """Binary ensembles at each fixed p; records the binary bound and ratios."""
-    records = []
+    """Binary ensembles at each fixed p; records the binary bound and ratios.
+    Trials are evaluated in trial_chunks across the grid."""
+    p_of = {}
     for pi, p in enumerate(p_grid):
         p = float(p)
         if not 0.0 < p < 1.0:
             raise DomainError(f"p-grid values must lie in (0, 1), got {p!r}")
         for j in range(cfg.n_trials):
-            trial_id = pi * cfg.n_trials + j
-            E = scan_binary_ensemble(cfg, trial_id, p)
-            records.append(evaluate_ensemble(E, cfg, trial_id, binary_bounds=True))
+            p_of[pi * cfg.n_trials + j] = p
+    records = []
+    for chunk in trial_chunks(list(p_of), cfg.dim):
+        Es = _ensembles([_scan_draw(cfg, i, p_of[i]) for i in chunk])
+        records.extend(evaluate_ensembles(Es, cfg, chunk, binary_bounds=True))
     return records
 
 
 def _perturb_states(E: Ensemble, eps: float, g: np.random.Generator) -> list[DensityMatrix]:
     """Conjugate each member by exp(i eps G) for a fresh unit-norm G."""
-    return [s.conjugated(unitary_at(sample_hamiltonian(E.dim, g), -eps)) for s in E.states]
+    H = sample_hamiltonian_set(len(E), E.dim, g)
+    return [s.conjugated(unitary_at(h, -eps)) for s, h in zip(E.states, H.hams)]
 
 
 def _perturb_probs(p: np.ndarray, eps: float, g: np.random.Generator) -> np.ndarray:
@@ -219,10 +291,10 @@ def _perturb_probs(p: np.ndarray, eps: float, g: np.random.Generator) -> np.ndar
 
 
 def _search_objective(sp: _Spectra, cfg: ExperimentConfig) -> float:
-    p = sp.E.probabilities
+    p = sp.p[0]
     if cfg.binary:
-        return sp.binary_rate / binary_entropy(float(p[0]))
-    return sp.max_rate / shannon_entropy(p)
+        return float(sp.binary_rate[0]) / binary_entropy(float(p[0]))
+    return float(sp.max_rate[0]) / shannon_entropy(p)
 
 
 def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
@@ -233,6 +305,8 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     ends the search with that candidate's record, its error set. The
     conjectured bound itself is only recorded, never checked.
     """
+    if cfg.n_states < 2:
+        raise DomainError(f"search needs n_states >= 2, got {cfg.n_states}")
     if cfg.binary and cfg.n_states != 2:
         raise DomainError("binary search requires n_states = 2")
     g = RNGSpec(cfg.seed, 0).generator()
@@ -242,19 +316,18 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     try:
         while iters < cfg.search_max_iters:
             cur = sample_ensemble(cfg, g)
-            cur_obj = _search_objective(_Spectra(cur, DEFAULT_RANK_TOL), cfg)
+            cur_obj = _search_objective(_Spectra([cur], DEFAULT_RANK_TOL), cfg)
             eps = SEARCH_STEP
             rejects = 0
             while iters < cfg.search_max_iters and eps >= 1e-6:
                 iters += 1
                 states = _perturb_states(cur, eps, g)
                 cand = Ensemble(_perturb_probs(cur.probabilities, eps, g), states)
-                sp = _Spectra(cand, DEFAULT_RANK_TOL)
+                sp = _Spectra([cand], DEFAULT_RANK_TOL)
                 bound = bound_theorem_general(cand.probabilities)
-                if sp.max_rate > bound + THEOREM_SLACK:
-                    raise BoundViolation(
-                        f"max rate {sp.max_rate!r} exceeds the general bound {bound!r}"
-                    )
+                mx = float(sp.max_rate[0])
+                if mx > bound + THEOREM_SLACK:
+                    raise BoundViolation(f"max rate {mx!r} exceeds the general bound {bound!r}")
                 obj = _search_objective(sp, cfg)
                 if obj > cur_obj:
                     cur, cur_obj, rejects = cand, obj, 0
@@ -266,10 +339,10 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
             if cur_obj > best_obj:
                 best_E, best_obj = cur, cur_obj
     except BoundViolation as exc:
-        rec = evaluate_ensemble(cand, cfg, trial_id=0, binary_bounds=cfg.binary)
+        (rec,) = evaluate_ensembles([cand], cfg, [0], binary_bounds=cfg.binary)
         rec.error = f"{type(exc).__name__}: {exc}"
     else:
-        rec = evaluate_ensemble(best_E, cfg, trial_id=0, binary_bounds=cfg.binary)
+        (rec,) = evaluate_ensembles([best_E], cfg, [0], binary_bounds=cfg.binary)
     rec.iterations = iters
     return rec
 

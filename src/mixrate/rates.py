@@ -29,14 +29,14 @@ from .ensembles import (
     Ensemble,
     Hamiltonian,
     HamiltonianSet,
+    _average_entropies,
     _entropy_from_eigenvalues,
+    _mixture,
     _require_matching,
+    _shannon,
     _state_eigenvalues,
+    _state_spectra,
     _xlnx,
-    average_entropy,
-    binary_entropy,
-    expected_state,
-    shannon_entropy,
 )
 from .errors import (
     BadDistribution,
@@ -56,39 +56,101 @@ STM_TIMES = (0.5, 1.0, 2.0)  # the times at which a trial checks the STM sandwic
 CHECK_SLACK = 1e-9  # slack of the STM and STE bound checks
 
 
+def _stack(Es: Sequence[Ensemble]) -> tuple[np.ndarray, np.ndarray]:
+    """(p (B, n), rho_x (B, n, d, d)) of a batch of B ensembles that share
+    (n, d)."""
+    n, d = len(Es[0]), Es[0].dim
+    if any(len(E) != n or E.dim != d for E in Es):
+        raise DimMismatch("ensembles of one batch must share (n, d)")
+    p = np.stack([E.probabilities for E in Es])
+    rhos = np.stack([s.matrix for E in Es for s in E.states]).reshape(len(Es), n, d, d)
+    return p, rhos
+
+
+def _support_logs(p: np.ndarray, rhos: np.ndarray, rank_tol: float):
+    """(ln rho (B, d, d) on the support, spectrum of rho) of the expected state
+    rho = sum_x p_x rho_x of each ensemble of a batch, all validated in one
+    stacked call; raises if a member leaks off the support of its rho."""
+    if not (math.isfinite(rank_tol) and rank_tol > 0):
+        raise DomainError(f"rank_tol {rank_tol!r} must be positive and finite")
+    w, V = _state_spectra(_mixture(p, rhos))
+    ln_rho, supp = hm.log_on_support(hm.EigenDecomposition(w, V), rank_tol)
+    if not supp.all():
+        Vk = V * ~supp[:, None, :]  # the kernel's eigenvectors; support columns zeroed
+        leak = np.einsum("bik,bxij,bjk->bx", Vk.conj(), rhos, Vk).real
+        if (leak > SUPPORT_LEAK_TOL).any():
+            b, x = np.argwhere(leak > SUPPORT_LEAK_TOL)[0]
+            raise DegenerateState(
+                f"member {x} leaks {leak[b, x]:.3e} outside the support of rho"
+            )
+    return ln_rho, hm.EigenDecomposition(w, V)
+
+
 def _log_expected(E: Ensemble, rank_tol: float):
-    """(ln rho on its support, rho); raises if a member leaks off the support."""
-    rho = expected_state(E)
-    ln_rho, supp = hm.log_on_support(rho.spectrum, rank_tol)
-    Vk = rho.spectrum.eigenvectors[:, ~supp]
-    for i, s in enumerate(E.states):
-        leak = float(np.real(np.trace(Vk.conj().T @ s.matrix @ Vk)))
-        if leak > SUPPORT_LEAK_TOL:
-            raise DegenerateState(f"member {i} leaks {leak:.3e} outside the support of rho")
-    return ln_rho, rho
+    """(ln rho on its support, spectrum of rho) of one ensemble."""
+    ln_rho, (w, V) = _support_logs(*_stack([E]), rank_tol)
+    return ln_rho[0], hm.EigenDecomposition(w[0], V[0])
+
+
+def _commutators(rhos: np.ndarray, ln_rho: np.ndarray) -> np.ndarray:
+    """C_x = i[rho_x, ln rho] for every member of a batch: (B, n, d, d)."""
+    L = ln_rho[:, None]
+    return 1j * (rhos @ L - L @ rhos)
+
+
+def _rate(p: np.ndarray, H: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_x p_x Tr(H_x C_x) for each ensemble of a batch; a rate whose
+    imaginary part exceeds IMAG_TOL breaks the identity and raises."""
+    val = np.einsum("bx,bxij,bxji->b", p, H, C)
+    bad = np.abs(val.imag) > IMAG_TOL
+    if bad.any():
+        raise IdentityViolation(f"mixing rate has imaginary residue {val.imag[bad][0]:.3e}")
+    return val.real
 
 
 class _Spectra:
-    """The one spectral pass that every maximal-rate quantity reads: ln rho,
-    the eigendecompositions of the stacked C_x = i[rho_x, ln rho] (one LAPACK
-    dispatch), and the rates sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
+    """The one spectral pass over a batch of B ensembles sharing (n, d) that
+    every maximal-rate quantity reads: ln rho, C_x = i[rho_x, ln rho] and
+    their eigendecompositions (one stacked LAPACK dispatch for all B n), and
+    the rates (B,) sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
 
-    def __init__(self, E: Ensemble, rank_tol: float):
-        self.E, self.rank_tol = E, rank_tol
-        self.ln_rho, self.rho = _log_expected(E, rank_tol)
-        rhos, L = np.stack([s.matrix for s in E.states]), self.ln_rho
-        self.eigs = hm.eig_hermitian_stack(1j * (rhos @ L - L @ rhos))
-        norms = [float(n) for n in np.sum(np.abs(self.eigs.eigenvalues), axis=-1)]
-        self.max_rate = sum(float(p) * n for p, n in zip(E.probabilities, norms))
-        self.binary_rate = float(E.probabilities[0]) * norms[0]
+    def __init__(self, Es: Sequence[Ensemble], rank_tol: float):
+        self.rank_tol = rank_tol
+        self.p, self.rhos = _stack(Es)
+        self.ln_rho, self.rho = _support_logs(self.p, self.rhos, rank_tol)
+        self.C = _commutators(self.rhos, self.ln_rho)
+        self.eigs = hm.eig_hermitian_stack(self.C)
+        norms = np.sum(np.abs(self.eigs.eigenvalues), axis=-1)
+        self.max_rate = np.sum(self.p * norms, axis=-1)
+        self.binary_rate = self.p[:, 0] * norms[:, 0]
 
-    def hamiltonians(self) -> HamiltonianSet:
-        hams = []
-        for w, V in zip(*self.eigs):
-            tol = self.rank_tol * max(1.0, float(np.linalg.norm(w)))  # ||C_x||_F
-            s = np.where(w < -tol, -1.0, 1.0)  # I - 2 P_neg, ascending like w
-            hams.append(Hamiltonian.from_spectrum(s, V, normalized=True))
-        return HamiltonianSet(hams)
+    def maximizers(self) -> hm.EigenDecomposition:
+        """The spectra of the maximizers I - 2 P_neg of C_x: signs (B, n, d),
+        ascending like C_x's eigenvalues, on C_x's eigenvectors."""
+        w, V = self.eigs
+        tol = self.rank_tol * np.maximum(1.0, np.linalg.norm(w, axis=-1, keepdims=True))
+        return hm.EigenDecomposition(np.where(w < -tol, -1.0, 1.0), V)  # tol: ||C_x||_F scale
+
+    def hamiltonians(self) -> list[HamiltonianSet]:
+        """The maximizers as one HamiltonianSet per ensemble."""
+        return [
+            HamiltonianSet([Hamiltonian.from_spectrum(s, V, normalized=True) for s, V in zip(*m)])
+            for m in zip(*self.maximizers())
+        ]
+
+
+def _stack_hamiltonians(Es: Sequence[Ensemble], Hs: Sequence[HamiltonianSet]):
+    """(spectra, matrices) of one Hamiltonian set per ensemble: the kept
+    spectra stacked (B, n, d) and (B, n, d, d), and the matrices (B, n, d, d);
+    each set must match its ensemble."""
+    for E, H in zip(Es, Hs):
+        _require_matching(E, H)
+    hams = [h for H in Hs for h in H.hams]
+    shape = (len(Hs), len(Hs[0]), Es[0].dim)
+    w = np.stack([h.spectrum.eigenvalues for h in hams]).reshape(shape)
+    V = np.stack([h.spectrum.eigenvectors for h in hams]).reshape(shape + shape[-1:])
+    M = np.stack([h.matrix for h in hams]).reshape(shape + shape[-1:])
+    return hm.EigenDecomposition(w, V), M
 
 
 def mixing_rate(
@@ -103,25 +165,25 @@ def mixing_rate(
     ensemble reuse the support logarithm of the expected state.
     """
     _require_matching(E, H)
-    ln_rho = _log_expected(E, rank_tol)[0] if _ln_rho is None else _ln_rho
-    total = 0j
-    for p, s, h in zip(E.probabilities, E.states, H.hams):
-        total += p * np.trace(h.matrix @ hm.commutator(s.matrix, ln_rho))
-    val = 1j * total
-    if abs(val.imag) > IMAG_TOL:
-        raise IdentityViolation(f"mixing rate has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    ln_rho = _log_expected(E, rank_tol)[0] if _ln_rho is None else np.asarray(_ln_rho)
+    p, rhos = _stack([E])
+    M = np.stack([h.matrix for h in H.hams])[None]
+    return float(_rate(p, M, _commutators(rhos, ln_rho[None]))[0])
 
 
-def _fd_probe(h: float, rho, rank_tol: float) -> None:
-    """Refuse a finite difference at step h around the expected state rho."""
+def _fd_probe(h: float, rho_w: np.ndarray, rank_tol: float, strict: bool = True) -> np.ndarray:
+    """Which expected states, given by their ascending eigenvalues (B, d),
+    refuse a finite difference at step h: those whose smallest eigenvalue is
+    below 1e3 rank_tol. If strict, a refusal raises RankDeficient."""
     if h <= 0:
         raise DomainError("finite-difference step must be positive")
-    w_min = float(rho.spectrum.eigenvalues[0])
-    if w_min < 1e3 * rank_tol:
+    refused = rho_w[:, 0] < 1e3 * rank_tol
+    if strict and refused.any():
         raise RankDeficient(
-            f"expected state eigenvalue {w_min:.3e} too small for finite differences"
+            f"expected state eigenvalue {float(rho_w[refused][0, 0]):.3e} "
+            "too small for finite differences"
         )
+    return refused
 
 
 def _fd_times(h: float) -> tuple[float, ...]:
@@ -129,36 +191,54 @@ def _fd_times(h: float) -> tuple[float, ...]:
     return (h, -h, h / 2.0, -h / 2.0)
 
 
-def _central(S, h: float) -> float:
-    """[S(h) - S(-h)] / 2h from the entropies S at (h, -h)."""
-    return float((S[0] - S[1]) / (2.0 * h))
+def _central(S, h: float):
+    """[S(h) - S(-h)] / 2h from the entropies S at (h, -h), or from the rows
+    S[0], S[1] of a batch."""
+    return (S[0] - S[1]) / (2.0 * h)
 
 
-def _richardson(S, h: float) -> float:
+def _richardson(S, h: float):
     """Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the central
     differences D from the entropies S at _fd_times(h): error O(h^4) where
     D's is O(h^2)."""
     return (4.0 * _central(S[2:], h / 2.0) - _central(S, h)) / 3.0
 
 
-def _trajectory(E: Ensemble, H: HamiltonianSet, ts: Sequence[float]) -> np.ndarray:
-    """S(rho(t)) at each t of ts, rho(t) = sum_x p_x e^{-iH_x t} rho_x e^{iH_x t}.
+def _trajectory(
+    p: np.ndarray, rhos: np.ndarray, H: hm.EigenDecomposition, ts: Sequence[float]
+) -> np.ndarray:
+    """S(rho(t)) (B, T) for each ensemble of a batch and each t of ts,
+    rho(t) = sum_x p_x e^{-iH_x t} rho_x e^{iH_x t}, from p (B, n), the members
+    rho_x (B, n, d, d) and the spectra H = (w (B, n, d), V (B, n, d, d)) of the
+    Hamiltonians.
 
     Each member is rotated once into the eigenbasis of its H_x, where the
     evolution to every t is an outer product of phases e^{-i t w}. Every
     rho(t) then gets the checks a DensityMatrix gets (finite, Hermitian, PSD,
-    unit trace), and all of them one stacked eigvalsh.
+    unit trace), and all B T of them one stacked eigvalsh.
     """
-    _require_matching(E, H)
     ts = np.asarray(ts, dtype=float)
-    rho_t = np.zeros((ts.size, E.dim, E.dim), dtype=complex)
-    for p, s, h in zip(E.probabilities, E.states, H.hams):
-        w, V = h.spectrum
-        R = V.conj().T @ s.matrix @ V
-        phase = np.exp(-1j * np.outer(ts, w))
-        rho_t += p * (V @ (phase[:, :, None] * R * phase.conj()[:, None, :]) @ V.conj().T)
-    w = _state_eigenvalues(hm.eigvals_hermitian_stack(rho_t))
-    return _entropy_from_eigenvalues(w, E.dim)
+    w, V = H
+    B, n, d = w.shape
+    rho_t = np.zeros((B, ts.size, d, d), dtype=complex)
+    for x in range(n):
+        Vx = V[:, x, None]  # (B, 1, d, d), broadcast over the times
+        Vxh = Vx.conj().swapaxes(-1, -2)
+        R = Vxh @ rhos[:, x, None] @ Vx
+        phase = np.exp(-1j * (ts[:, None] * w[:, x, None, :]))  # (B, T, d)
+        # One expression, so that no (B, T, d, d) temporary outlives its use.
+        rho_t += p[:, x, None, None, None] * (
+            Vx @ (phase[..., :, None] * R * phase.conj()[..., None, :]) @ Vxh
+        )
+    w_t = _state_eigenvalues(hm.eigvals_hermitian_stack(rho_t))
+    return _entropy_from_eigenvalues(w_t, d)
+
+
+def _fd_trajectory(E: Ensemble, H: HamiltonianSet, h: float, rank_tol: float, ts) -> np.ndarray:
+    """S(rho(t)) of E under H at ts, once the rank probe at step h admits E."""
+    p, rhos = _stack([E])
+    _fd_probe(h, _state_spectra(_mixture(p, rhos)).eigenvalues, rank_tol)
+    return _trajectory(p, rhos, _stack_hamiltonians([E], [H])[0], ts)[0]
 
 
 def fd_mixing_rate(
@@ -168,8 +248,7 @@ def fd_mixing_rate(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Central finite difference [S(rho(h)) - S(rho(-h))] / 2h."""
-    _fd_probe(h, expected_state(E), rank_tol)
-    return _central(_trajectory(E, H, (h, -h)), h)
+    return float(_central(_fd_trajectory(E, H, h, rank_tol, (h, -h)), h))
 
 
 def fd_mixing_rate_richardson(
@@ -179,8 +258,7 @@ def fd_mixing_rate_richardson(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Richardson-extrapolated central difference (oracle mode), error O(h^4)."""
-    _fd_probe(h, expected_state(E), rank_tol)
-    return _richardson(_trajectory(E, H, _fd_times(h)), h)
+    return float(_richardson(_fd_trajectory(E, H, h, rank_tol, _fd_times(h)), h))
 
 
 def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> HamiltonianSet:
@@ -190,45 +268,51 @@ def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> Ham
     the kernel of the commutator), so H_x^2 = I and ||H_x|| = 1, and
     mixing_rate(E, result) = +max_mixing_rate(E).
     """
-    return _Spectra(E, rank_tol).hamiltonians()
+    return _Spectra([E], rank_tol).hamiltonians()[0]
 
 
 def max_mixing_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Closed-form maximum sum_x p(x) ||[rho_x, ln rho]||_1 over -I <= H_x <= I."""
-    return _Spectra(E, rank_tol).max_rate
+    return float(_Spectra([E], rank_tol).max_rate[0])
 
 
 def binary_max_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Two-member closed form p * ||[rho_1, ln rho]||_1 (only rho_2 evolves)."""
     if len(E) != 2:
         raise NotBinary(f"binary rate needs exactly 2 members, got {len(E)}")
-    return _Spectra(E, rank_tol).binary_rate
+    return float(_Spectra([E], rank_tol).binary_rate[0])
 
 
-def bound_theorem_binary(p: float) -> float:
-    """Dimension-independent binary bound 4 sqrt(p (1-p))."""
-    if not 0.0 <= p <= 1.0:
+def bound_theorem_binary(p):
+    """Dimension-independent binary bound 4 sqrt(p (1-p)); for an array of p,
+    the array of bounds."""
+    q = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= q) & (q <= 1.0)):
         raise DomainError(f"probability {p!r} outside [0, 1]")
-    return 4.0 * math.sqrt(p * (1.0 - p))
+    b = 4.0 * np.sqrt(q * (1.0 - q))
+    return float(b) if b.ndim == 0 else b
 
 
-def bound_theorem_general(probs: Sequence[float]) -> float:
-    """General bound 4 * sum_{x != x0} sum_{y != x} sqrt(p_x p_y).
+def bound_theorem_general(probs):
+    """General bound 4 * sum_{x != x0} sum_{y != x} sqrt(p_x p_y); for a stack
+    (..., n) of distributions, the array of their bounds.
 
     x0 is the index of the largest probability; ties break to the lowest
     index (the bound value is tie-invariant).
     """
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0 or np.any(p <= 0) or abs(float(np.sum(p)) - 1.0) > 1e-10:
+    if (
+        p.ndim == 0
+        or p.shape[-1] == 0
+        or (p <= 0).any()
+        or (abs(p.sum(axis=-1) - 1.0) > 1e-10).any()
+    ):
         raise BadDistribution("probabilities must be positive and sum to 1")
-    x0 = int(np.argmax(p))
     sqrt_p = np.sqrt(p)
-    total = 0.0
-    for x in range(p.size):
-        if x == x0:
-            continue
-        total += sqrt_p[x] * (np.sum(sqrt_p) - sqrt_p[x])
-    return 4.0 * float(total)
+    terms = sqrt_p * (sqrt_p.sum(axis=-1, keepdims=True) - sqrt_p)
+    x0 = np.arange(p.shape[-1]) == p.argmax(axis=-1)[..., None]
+    total = 4.0 * np.where(x0, 0.0, terms).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -244,15 +328,21 @@ class StmPoint:
 
 def stm_check(E: Ensemble, H: HamiltonianSet, ts: Sequence[float]) -> list[StmPoint]:
     """Check avg_entropy(E) <= S(rho(t)) <= avg_entropy(E) + S(X) at each t."""
-    return _stm_points(E, ts, _trajectory(E, H, ts))
+    p, rhos = _stack([E])
+    S = _trajectory(p, rhos, _stack_hamiltonians([E], [H])[0], ts)
+    lower, upper, ok = _stm_sandwich([E], S)
+    lo, up = float(lower[0]), float(upper[0])
+    return [StmPoint(float(t), float(s), lo, up, bool(k)) for t, s, k in zip(ts, S[0], ok[0])]
 
 
-def _stm_points(E: Ensemble, ts: Sequence[float], S) -> list[StmPoint]:
-    """stm_check's points from the entropies S of rho(t) at ts."""
-    lower = average_entropy(E)
-    upper = lower + shannon_entropy(E.probabilities)
-    ok = (lower - CHECK_SLACK <= S) & (S <= upper + CHECK_SLACK)
-    return [StmPoint(float(t), float(s), lower, upper, bool(k)) for t, s, k in zip(ts, S, ok)]
+def _stm_sandwich(Es: Sequence[Ensemble], S: np.ndarray):
+    """(lower, upper, ok) of the STM check for a batch: the average member
+    entropies (B,), lower + S(p), and whether each entropy S (B, T) of rho(t)
+    lies between them."""
+    lower = _average_entropies(Es)
+    upper = lower + _shannon(np.stack([E.probabilities for E in Es]))
+    ok = (lower[:, None] - CHECK_SLACK <= S) & (S <= upper[:, None] + CHECK_SLACK)
+    return lower, upper, ok
 
 
 def ak_gap(A, B, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, float]:
@@ -295,68 +385,76 @@ class RateReport:
         return json.dumps(asdict(self)).encode("utf-8")
 
 
-def _ratio(num: float, den: float) -> Optional[float]:
-    return num / den if den > 0 else None
+def _ratios(num: np.ndarray, den: np.ndarray) -> list[Optional[float]]:
+    return [a / b if b > 0 else None for a, b in zip(num.tolist(), den.tolist())]
 
 
 def _evaluate(
-    E: Ensemble, H: Optional[HamiltonianSet], rank_tol: float, policy: str
-) -> tuple[RateReport, bool]:
-    """E's report from one spectral pass, and whether STM holds at STM_TIMES
-    ("compute" checks no times).
+    Es: Sequence[Ensemble],
+    Hs: Optional[Sequence[HamiltonianSet]],
+    rank_tol: float,
+    policy: str,
+) -> tuple[list[RateReport], list[bool]]:
+    """The reports of a batch of ensembles sharing (n, d) from one spectral
+    pass, and whether STM holds for each at STM_TIMES ("compute" checks no
+    times).
 
-    H defaults to the maximizers. If the FD oracle refuses E, "compute"
-    reports fd_residual None and the other policies raise. Ratios are
-    max_rate over the general bound and over S(p), except at n = 2:
+    Hs, one set per ensemble, defaults to the maximizers. If the FD oracle
+    refuses an ensemble, "compute" reports its fd_residual None and the other
+    policies raise. Ratios are max_rate over the general bound and over S(p),
+    except at n = 2:
       "compute": binary / 4 sqrt(p(1-p)) and binary / S(p);
       "verify":  max_rate / general bound (twice "compute") and binary / S(p);
       "binary":  bound_thm 4 sqrt(p(1-p)), binary / bound_thm and binary / h(p).
     """
-    sp = _Spectra(E, rank_tol)
-    if H is None:
-        H = sp.hamiltonians()
+    sp = _Spectra(Es, rank_tol)
+    p, B = sp.p, len(Es)
+    if Hs is None:
+        H = sp.maximizers()
+        rate = _rate(p, hm.hermitian_part(hm.reconstruct(*H)), sp.C)
+    else:
+        H, H_matrices = _stack_hamiltonians(Es, Hs)
+        rate = _rate(p, H_matrices, sp.C)
     mx = sp.max_rate
-    shannon = shannon_entropy(E.probabilities)
-    bound = bound_theorem_general(E.probabilities)
-    binary = sp.binary_rate if len(E) == 2 else None
-    ratio_thm = _ratio(mx, bound)
-    ratio_conj = _ratio(mx if binary is None else binary, shannon)
+    shannon = _shannon(p)
+    bound = bound_theorem_general(p)
+    binary = sp.binary_rate if p.shape[1] == 2 else None
+    ratio_thm = _ratios(mx, bound)
+    ratio_conj = _ratios(mx if binary is None else binary, shannon)
     if binary is not None:
-        p0 = float(E.probabilities[0])
+        p0 = p[:, 0]
         if policy == "compute":
-            ratio_thm = _ratio(binary, bound_theorem_binary(p0))
+            ratio_thm = _ratios(binary, bound_theorem_binary(p0))
         elif policy == "binary":
             bound = bound_theorem_binary(p0)
-            ratio_thm = _ratio(binary, bound)
-            ratio_conj = _ratio(binary, binary_entropy(p0))
-    rate = mixing_rate(E, H, _ln_rho=sp.ln_rho)
-    fd_residual, stm_ok = None, True
-    try:
-        _fd_probe(DEFAULT_FD_STEP, sp.rho, rank_tol)
-    except RankDeficient:
-        if policy != "compute":
-            raise
-    else:
+            ratio_thm = _ratios(binary, bound)
+            ratio_conj = _ratios(binary, _shannon(np.stack([p0, 1.0 - p0], axis=-1)))
+    refused = _fd_probe(DEFAULT_FD_STEP, sp.rho.eigenvalues, rank_tol, strict=policy != "compute")
+    fd_residual, stm_ok = [None] * B, [True] * B
+    run = np.flatnonzero(~refused)
+    if run.size:
+        sel = slice(None) if run.size == B else run  # views unless some are refused
         fd_times = _fd_times(DEFAULT_FD_STEP)
         stm_times = () if policy == "compute" else STM_TIMES
-        S = _trajectory(E, H, fd_times + stm_times)
-        fd_residual = abs(rate - _richardson(S, DEFAULT_FD_STEP))
-        stm_ok = all(pt.ok for pt in _stm_points(E, stm_times, S[len(fd_times):]))
-    report = RateReport(
-        mixing_rate_at_H=rate,
-        max_rate=mx,
-        binary_max_rate=binary,
-        bound_thm=bound,
-        bound_conjecture=shannon,
-        fd_residual=fd_residual,
-        ratio_thm=ratio_thm,
-        ratio_conjecture=ratio_conj,
-    )
-    return report, stm_ok
+        H_run = hm.EigenDecomposition(H.eigenvalues[sel], H.eigenvectors[sel])
+        S = _trajectory(p[sel], sp.rhos[sel], H_run, fd_times + stm_times)
+        fd = np.abs(rate[sel] - _richardson(S.T, DEFAULT_FD_STEP))
+        ok = _stm_sandwich([Es[b] for b in run], S[:, len(fd_times):])[2].all(axis=-1)
+        for b, f, k in zip(run.tolist(), fd.tolist(), ok.tolist()):
+            fd_residual[b], stm_ok[b] = f, k
+    binaries = [None] * B if binary is None else binary.tolist()
+    reports = [
+        RateReport(*row)
+        for row in zip(
+            rate.tolist(), mx.tolist(), binaries, bound.tolist(), shannon.tolist(),
+            fd_residual, ratio_thm, ratio_conj,
+        )
+    ]
+    return reports, stm_ok
 
 
 def rate_report(
     E: Ensemble, H: Optional[HamiltonianSet] = None, rank_tol: float = DEFAULT_RANK_TOL
 ) -> RateReport:
     """Evaluate all rates and bounds for E; H defaults to the maximizers."""
-    return _evaluate(E, H, rank_tol, "compute")[0]
+    return _evaluate([E], None if H is None else [H], rank_tol, "compute")[0][0]

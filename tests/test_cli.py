@@ -78,6 +78,15 @@ class TestCompute:
         assert report["mixing_rate_at_H"] is not None
         assert abs(report["mixing_rate_at_H"]) <= report["max_rate"] + 1e-9
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_rank_tol_must_be_positive_and_finite(self, ensemble_file, tol, capsys):
+        # A negative tolerance flipped every maximizer to -I and reported a
+        # wrong rate that the FD oracle agreed with; nan failed as a leak.
+        argv = ["compute", "--ensemble", str(ensemble_file), "--tol", tol]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("mixrate: error:") and "rank_tol" in err
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["compute", "--ensemble", str(tmp_path / "nope.json")])
         assert code == EXIT_USAGE
@@ -122,6 +131,11 @@ class TestVerify:
         assert self._strip_elapsed(serial.read_text()) == self._strip_elapsed(
             parallel.read_text()
         )
+
+    def test_one_state_runs(self, tmp_path):
+        # Unlike search, verify accepts a single state (S(X) = 0, no ratios).
+        argv = ["verify", "--dim", "3", "--states", "1", "--trials", "3", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "v.csv")]) == EXIT_OK
 
     def test_bad_dim_is_usage_error(self, capsys):
         code = main(
@@ -207,6 +221,12 @@ class TestSearch:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("mixrate: error:")
 
+    def test_one_state_is_a_usage_error(self, capsys):
+        # S(X) = 0 for one state: the objective would divide by zero.
+        argv = ["search", "--dim", "3", "--states", "1", "--iters", "5", "--seed", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("mixrate: error:")
+
 
 class TestSie:
     @staticmethod
@@ -269,6 +289,16 @@ class TestEigenBudget:
         # mu, rho_aAB, rho, rho_aA once for the rate, then the STE check:
         # H once and one stacked E(t) for t = 0 and the 11 times.
         assert calls[0] == 6
+
+    def test_verify_chunk(self, tmp_path, monkeypatch):
+        # 32 trials at d = 4 are one chunk: the 96 sampled states, the 32
+        # expected states, the 96 commutators and the 32 x 7 evolved states
+        # each share one stacked call. Seed 1 has no conjecture event, which
+        # would sample offenders again.
+        calls = self._count(monkeypatch)
+        argv = ["verify", "--dim", "4", "--states", "3", "--trials", "32", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "v.csv")]) == EXIT_OK
+        assert calls[0] == 4
 
 
 class TestGuardStatus:

@@ -5,19 +5,41 @@ import numpy as np
 import pytest
 
 from mixrate import harness as hz
+from mixrate.ensembles import DensityMatrix, Ensemble
 from mixrate.errors import DomainError
 from mixrate.harness import (
     ExperimentConfig,
     RNGSpec,
+    evaluate_ensembles,
     records_to_csv,
     records_to_json,
     run_trial,
+    run_trials,
     sample_density,
     sample_ensemble,
     sample_hamiltonian,
+    sample_hamiltonian_set,
     scan_binary,
     search_ratio,
 )
+
+# The golden corpus tolerances: rates, bounds, ratios and entropies relative,
+# residuals absolute, everything else exact.
+REL_TOL = 1e-12
+RESIDUAL_TOL = 1e-9
+
+
+def assert_records_match(got, want):
+    a, b = vars(got).copy(), vars(want).copy()
+    a.pop("elapsed"), b.pop("elapsed")
+    assert a.keys() == b.keys()
+    for key, w in b.items():
+        g = a[key]
+        if isinstance(w, float):
+            tol = RESIDUAL_TOL if key == "fd_residual" else REL_TOL * max(1.0, abs(w))
+            assert isinstance(g, float) and abs(g - w) <= tol, (key, g, w)
+        else:
+            assert g == w, (key, g, w)
 
 
 class TestSampling:
@@ -48,6 +70,45 @@ class TestSampling:
             assert norm == pytest.approx(1.0, abs=1e-10)
             dev = np.abs(H.matrix - H.matrix.conj().T).max()
             assert dev <= 1e-15
+
+    def test_hamiltonian_set_is_one_stacked_draw(self, monkeypatch):
+        # Reference: each member drawn in order (real part, then imaginary
+        # part) and diagonalized on its own.
+        g = RNGSpec(3, 9).generator()
+        want = []
+        for _ in range(3):
+            G = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+            w, V = np.linalg.eigh((G + G.conj().T) / 2)
+            norm = np.max(np.abs(w))
+            want.append((V * (w / norm)) @ V.conj().T)
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counted(*args):
+            calls[0] += 1
+            return eigh(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        H = sample_hamiltonian_set(3, 4, RNGSpec(3, 9))
+        assert calls[0] == 1
+        for h, M in zip(H.hams, want):
+            assert np.allclose(h.matrix, M, atol=1e-15, rtol=0)
+        assert len(sample_hamiltonian_set(0, 4, RNGSpec(3, 9))) == 0
+
+    def test_hamiltonian_set_redraws_a_zero_draw(self):
+        class ZeroFirst:
+            """A generator whose first two draws (member 0) are zero."""
+
+            def __init__(self):
+                self.g, self.calls = np.random.default_rng(4), 0
+
+            def standard_normal(self, shape):
+                self.calls += 1
+                return np.zeros(shape) if self.calls <= 2 else self.g.standard_normal(shape)
+
+        H = sample_hamiltonian_set(2, 3, ZeroFirst())
+        for h in H.hams:
+            assert np.max(np.abs(np.linalg.eigvalsh(h.matrix))) == pytest.approx(1.0, abs=1e-12)
 
     def test_hamiltonian_dim_one(self):
         H = sample_hamiltonian(1, RNGSpec(3, 7))
@@ -108,6 +169,56 @@ class TestRunTrial:
         rec = run_trial(cfg, 5)
         E = hz.trial_ensemble(cfg, 5)
         assert tuple(float(p) for p in E.probabilities) == rec.probabilities
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chunk_matches_single_trials(self, dim, n):
+        cfg = ExperimentConfig(dim=dim, n_states=n, seed=15)
+        ids = [3, 4, 5, 6, 7]
+        for got, want in zip(run_trials(cfg, ids), [run_trial(cfg, i) for i in ids]):
+            assert got.error is None
+            assert_records_match(got, want)
+
+    def test_trial_ensemble_is_what_the_chunk_evaluated(self, monkeypatch):
+        cfg = ExperimentConfig(dim=4, n_states=3, seed=16)
+        seen = []
+        evaluate = hz.evaluate_ensembles
+
+        def spy(Es, *args, **kwargs):
+            seen.extend(Es)
+            return evaluate(Es, *args, **kwargs)
+
+        monkeypatch.setattr(hz, "evaluate_ensembles", spy)
+        run_trials(cfg, [0, 1, 2, 3])
+        assert len(seen) == 4
+        for i, E in enumerate(seen):
+            F = hz.trial_ensemble(cfg, i)
+            assert np.array_equal(E.probabilities, F.probabilities)
+            for s, t in zip(E.states, F.states):
+                assert np.array_equal(s.matrix, t.matrix)
+                assert np.array_equal(s.spectrum.eigenvalues, t.spectrum.eigenvalues)
+
+    def test_error_stays_on_its_record(self):
+        # Two pure states at d = 4 give a rank-2 expected state, which the FD
+        # rank probe refuses; the chunk is retried one ensemble at a time.
+        cfg = ExperimentConfig(dim=4, n_states=2, seed=17)
+        good = [hz.trial_ensemble(cfg, i) for i in (0, 2)]
+        g = RNGSpec(17, 99).generator()
+        pure = []
+        for _ in range(2):
+            v = g.standard_normal(4) + 1j * g.standard_normal(4)
+            v /= np.linalg.norm(v)
+            pure.append(DensityMatrix(np.outer(v, v.conj())))
+        bad = Ensemble([0.4, 0.6], pure)
+        records = evaluate_ensembles([good[0], bad, good[1]], cfg, [0, 1, 2])
+        assert [r.trial_id for r in records] == [0, 1, 2]
+        assert records[1].error.startswith("RankDeficient:")
+        assert records[1].error == evaluate_ensembles([bad], cfg, [1])[0].error
+        for rec, E, i in ((records[0], good[0], 0), (records[2], good[1], 2)):
+            assert rec.error is None
+            assert_records_match(rec, evaluate_ensembles([E], cfg, [i])[0])
 
 
 class TestScanBinary:

@@ -320,16 +320,23 @@ class TestBounds:
 class TestTrajectory:
     TIMES = (0.0, 1e-4, -1e-4, 5e-5, -5e-5, 0.5, 1.0, 2.0)  # t = 0, the FD and STM times
 
+    @staticmethod
+    def trajectory(Es, Hs, ts):
+        """rates._trajectory of a batch of ensembles, one Hamiltonian set each."""
+        p, rhos = rates._stack(Es)
+        return rates._trajectory(p, rhos, rates._stack_hamiltonians(Es, Hs)[0], ts)
+
     @pytest.mark.parametrize("dim", [2, 4, 16])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_the_entropy_of_each_evolved_state(self, dim, n):
         g = rng(330 + dim + n)
-        E = random_ensemble(dim, n, g)
-        H = random_hamiltonian_set(dim, n, g)
-        S = rates._trajectory(E, H, self.TIMES)
-        assert S.shape == (len(self.TIMES),)
-        for t, s in zip(self.TIMES, S):
-            assert abs(s - von_neumann_entropy(expected_state(evolve(E, H, t)))) <= 1e-12
+        Es = [random_ensemble(dim, n, g) for _ in range(3)]
+        Hs = [random_hamiltonian_set(dim, n, g) for _ in range(3)]
+        S = self.trajectory(Es, Hs, self.TIMES)
+        assert S.shape == (3, len(self.TIMES))
+        for E, H, row in zip(Es, Hs, S):
+            for t, s in zip(self.TIMES, row):
+                assert abs(s - von_neumann_entropy(expected_state(evolve(E, H, t)))) <= 1e-12
 
     @pytest.mark.parametrize("w", [(-0.5, 1.5), (0.5, 1.0)])  # not PSD; trace 1.5
     def test_rejects_a_member_that_is_no_state(self, w):
@@ -337,7 +344,7 @@ class TestTrajectory:
         E = Ensemble([1.0], [bad])
         H = HamiltonianSet([random_unit_hamiltonian(2, rng(333))])
         with pytest.raises(InvariantViolation):
-            rates._trajectory(E, H, self.TIMES)
+            self.trajectory([E], [H], self.TIMES)
 
 
 class TestStmCheck:
