@@ -1,16 +1,18 @@
 """The golden corpus: seeded outputs of every mixrate command, timing stripped.
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [--only CASE ...]
 
 runs each case of CASES through `mixrate.cli.main` in a scratch directory
-and writes tests/golden/corpus.json. tests/test_golden.py runs the same
-cases and compares them with the corpus. The seeds and inputs are fixed:
-regenerate the corpus only for an intended change of results, and record
-that change.
+and writes tests/golden/corpus.json. With --only, it runs just the named
+cases and rewrites just their entries; every other entry stays byte for
+byte as it was. tests/test_golden.py runs the same cases and compares them
+with the corpus. The seeds and inputs are fixed: regenerate an entry only
+for an intended change of results, and record that change.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -33,6 +35,12 @@ CASES = {
         "search", "--dim", "3", "--states", "2", "--iters", "200", "--seed", "104", "--binary",
     ],
     "search_n3": ["search", "--dim", "3", "--states", "3", "--iters", "200", "--seed", "105"],
+    # Long climbs: the first restarts 7 times (8 samples), the second runs
+    # 1000 iterations at n = 3.
+    "search_binary_restarts": [
+        "search", "--dim", "2", "--states", "2", "--iters", "4000", "--seed", "1", "--binary",
+    ],
+    "search_n3_long": ["search", "--dim", "3", "--states", "3", "--iters", "1000", "--seed", "7"],
     "compute_n2": ["compute", "--ensemble", "{ens_n2}"],
     "compute_n2_hams": ["compute", "--ensemble", "{ens_n2}", "--hamiltonians", "{hams_n2}"],
     "compute_n3": ["compute", "--ensemble", "{ens_n3}"],
@@ -136,8 +144,9 @@ def _parse(command: str, stdout: str):
     return _parse_sie(stdout)
 
 
-def run_cases() -> dict:
-    """Run every case in a fresh scratch directory; name -> {exit, output}."""
+def run_cases(names=None) -> dict:
+    """Run the named cases (default: every case) in a fresh scratch
+    directory; name -> {exit, output}."""
     from mixrate import cli
 
     cwd = os.getcwd()
@@ -146,8 +155,8 @@ def run_cases() -> dict:
         files = write_inputs(tmp)
         os.chdir(tmp)  # verify and scan drop offender files into the cwd
         try:
-            for name, argv in CASES.items():
-                argv = [a.format(**files) for a in argv]
+            for name in CASES if names is None else names:
+                argv = [a.format(**files) for a in CASES[name]]
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = cli.main(argv)
@@ -157,8 +166,14 @@ def run_cases() -> dict:
     return out
 
 
-def main() -> int:
-    CORPUS.write_text(json.dumps(run_cases(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Write the golden corpus.")
+    ap.add_argument("--only", nargs="+", choices=sorted(CASES), metavar="CASE",
+                    help="rewrite only these entries and keep the others as they are")
+    args = ap.parse_args(argv)
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8")) if args.only else {}
+    corpus.update(run_cases(args.only))
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {CORPUS}", file=sys.stderr)
     return 0
 
