@@ -15,9 +15,14 @@ serialized next to the report).
 from __future__ import annotations
 
 import argparse
+import ctypes
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import entangling as ent
 from . import harness as hz
@@ -92,6 +97,27 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _openblas() -> Optional[ctypes.CDLL]:
+    """The OpenBLAS that numpy's wheel bundles (in numpy.libs), or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            pass
+    return None
+
+
+def _pin_blas() -> None:
+    """Pool worker initializer: one BLAS thread per worker, so that workers do
+    not oversubscribe the cores; the parent keeps its threads. A no-op where
+    numpy's OpenBLAS or its thread setter is missing."""
+    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig(
         dim=args.dim, n_states=args.states, n_trials=args.trials, seed=args.seed
@@ -101,7 +127,7 @@ def cmd_verify(args) -> int:
     # the worker count.
     chunks = hz.trial_chunks(range(cfg.n_trials), cfg.dim)
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
             parts = list(pool.map(run_trials, [cfg] * len(chunks), chunks))
     else:
         parts = [run_trials(cfg, c) for c in chunks]
@@ -120,9 +146,9 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise MixRateError(f"bad p-grid {spec!r}, expected lo:hi:step") from exc
-    if step <= 0 or lo > hi:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or lo > hi:
         raise MixRateError(f"bad p-grid {spec!r}")
-    n = int(round((hi - lo) / step))
+    n = math.floor((hi - lo) / step + 1e-9)  # the last point may fall short of hi, never past it
     return [round(lo + k * step, 12) for k in range(n + 1) if 0.0 < lo + k * step < 1.0]
 
 

@@ -152,6 +152,17 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
+def _require_distribution(p: np.ndarray) -> None:
+    """An Ensemble's checks on probabilities p (..., n): none negative, and
+    every row summing to 1 within PROB_TOL."""
+    if (p < 0).any():
+        raise BadDistribution("negative probability")
+    total = p.sum(axis=-1, keepdims=True)
+    off = abs(total - 1.0) > PROB_TOL
+    if off.any():
+        raise BadDistribution(f"probabilities sum to {float(total[off][0])!r}")
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Probabilities p(x) paired with states rho_x on one Hilbert space.
@@ -168,10 +179,7 @@ class Ensemble:
         states = tuple(states)
         if p.ndim != 1 or p.size != len(states):
             raise DimMismatch("probabilities and states must have equal length")
-        if np.any(p < 0):
-            raise BadDistribution("negative probability")
-        if abs(float(np.sum(p)) - 1.0) > PROB_TOL:
-            raise BadDistribution(f"probabilities sum to {float(np.sum(p))!r}")
+        _require_distribution(p)
         keep = p > 0
         p, states = p[keep], tuple(s for s, k in zip(states, keep) if k)
         if not states:
@@ -252,22 +260,24 @@ def _shannon(p: np.ndarray) -> np.ndarray:
     return -np.sum(_xlnx(p), axis=-1)
 
 
-def shannon_entropy(probs: Sequence[float]) -> float:
-    """-sum p ln p of a probability vector (nats)."""
+def shannon_entropy(probs):
+    """-sum p ln p of a probability vector (nats); for a stack (..., n) of
+    them, the array of their entropies."""
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or np.any(p <= 0) or abs(float(np.sum(p)) - 1.0) > PROB_TOL:
+    if p.ndim < 1 or (p <= 0).any() or (abs(p.sum(axis=-1) - 1.0) > PROB_TOL).any():
         raise BadDistribution("probabilities must be positive and sum to 1")
-    return float(_shannon(p))
+    h = _shannon(p)
+    return float(h) if h.ndim == 0 else h
 
 
-def binary_entropy(p: float) -> float:
-    """-p ln p - (1-p) ln(1-p), with the endpoint convention S(0) = S(1) = 0."""
-    if not 0.0 <= p <= 1.0:
+def binary_entropy(p):
+    """-p ln p - (1-p) ln(1-p), with the endpoint convention S(0) = S(1) = 0;
+    for an array of p, the array of entropies."""
+    q = np.asarray(p, dtype=float)
+    if not ((0.0 <= q) & (q <= 1.0)).all():
         raise DomainError(f"binary entropy undefined at p={p!r}")
-    out = 0.0
-    if 0.0 < p < 1.0:
-        out = float(_shannon(np.array([p, 1.0 - p])))
-    return out
+    h = np.where((0.0 < q) & (q < 1.0), _shannon(np.stack([q, 1.0 - q], axis=-1)), 0.0)
+    return float(h) if h.ndim == 0 else h
 
 
 def _average_entropies(Es: Sequence[Ensemble]) -> np.ndarray:

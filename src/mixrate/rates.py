@@ -109,14 +109,16 @@ def _rate(p: np.ndarray, H: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 class _Spectra:
-    """The one spectral pass over a batch of B ensembles sharing (n, d) that
-    every maximal-rate quantity reads: ln rho, C_x = i[rho_x, ln rho] and
-    their eigendecompositions (one stacked LAPACK dispatch for all B n), and
-    the rates (B,) sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
+    """The one spectral pass over a batch of B ensembles sharing (n, d), given
+    as probabilities p (B, n) and members rho_x (B, n, d, d) (`_stack` of
+    Ensembles, or the search's candidates), that every maximal-rate quantity
+    reads: ln rho, C_x = i[rho_x, ln rho] and their eigendecompositions (one
+    stacked LAPACK dispatch for all B n), and the rates (B,)
+    sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
 
-    def __init__(self, Es: Sequence[Ensemble], rank_tol: float):
+    def __init__(self, p: np.ndarray, rhos: np.ndarray, rank_tol: float):
         self.rank_tol = rank_tol
-        self.p, self.rhos = _stack(Es)
+        self.p, self.rhos = p, rhos
         self.ln_rho, self.rho = _support_logs(self.p, self.rhos, rank_tol)
         self.C = _commutators(self.rhos, self.ln_rho)
         self.eigs = hm.eig_hermitian_stack(self.C)
@@ -268,19 +270,19 @@ def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> Ham
     the kernel of the commutator), so H_x^2 = I and ||H_x|| = 1, and
     mixing_rate(E, result) = +max_mixing_rate(E).
     """
-    return _Spectra([E], rank_tol).hamiltonians()[0]
+    return _Spectra(*_stack([E]), rank_tol).hamiltonians()[0]
 
 
 def max_mixing_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Closed-form maximum sum_x p(x) ||[rho_x, ln rho]||_1 over -I <= H_x <= I."""
-    return float(_Spectra([E], rank_tol).max_rate[0])
+    return float(_Spectra(*_stack([E]), rank_tol).max_rate[0])
 
 
 def binary_max_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Two-member closed form p * ||[rho_1, ln rho]||_1 (only rho_2 evolves)."""
     if len(E) != 2:
         raise NotBinary(f"binary rate needs exactly 2 members, got {len(E)}")
-    return float(_Spectra([E], rank_tol).binary_rate[0])
+    return float(_Spectra(*_stack([E]), rank_tol).binary_rate[0])
 
 
 def bound_theorem_binary(p):
@@ -407,7 +409,7 @@ def _evaluate(
       "verify":  max_rate / general bound (twice "compute") and binary / S(p);
       "binary":  bound_thm 4 sqrt(p(1-p)), binary / bound_thm and binary / h(p).
     """
-    sp = _Spectra(Es, rank_tol)
+    sp = _Spectra(*_stack(Es), rank_tol)
     p, B = sp.p, len(Es)
     if Hs is None:
         H = sp.maximizers()

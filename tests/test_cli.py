@@ -1,5 +1,7 @@
+import ctypes
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,6 +106,12 @@ class TestCompute:
         assert main(["--help"]) == EXIT_OK
 
 
+def _blas_threads() -> int:
+    get = cli._openblas().scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
 class TestVerify:
     ARGS = ["verify", "--dim", "3", "--states", "3", "--trials", "6", "--seed", "42"]
 
@@ -143,6 +151,24 @@ class TestVerify:
         )
         assert code == EXIT_USAGE
 
+    def test_pool_workers_run_one_blas_thread(self):
+        lib = cli._openblas()
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is None or set_ is None:
+            pytest.skip("numpy's OpenBLAS thread getter and setter are not available")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        before = get()
+        set_(2)  # workers start from the parent's setting
+        try:
+            parent = get()
+            with ProcessPoolExecutor(max_workers=1, initializer=cli._pin_blas) as pool:
+                assert pool.submit(_blas_threads).result() == 1
+            assert get() == parent  # the parent keeps its threads
+        finally:
+            set_(before)
+
 
 class TestScan:
     def test_grid_scan(self, tmp_path, capsys):
@@ -177,6 +203,21 @@ class TestScan:
             ["scan", "--p-grid", "0.5", "--dim", "2", "--trials", "1", "--seed", "0"]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "spec,grid", [("0.1:0.8:0.2", [0.1, 0.3, 0.5, 0.7]), ("0.1:0.66:0.2", [0.1, 0.3, 0.5])]
+    )
+    def test_grid_stops_at_hi(self, spec, grid, capsys):
+        argv = ["scan", "--p-grid", spec, "--dim", "2", "--trials", "1", "--seed", "0"]
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err
+        assert [float(line.split()[0][2:]) for line in err.splitlines()] == grid
+
+    @pytest.mark.parametrize("spec", ["0.1:0.9:nan", "nan:0.9:0.2", "0.1:inf:0.2"])
+    def test_non_finite_grid_is_a_usage_error(self, spec, capsys):
+        argv = ["scan", "--p-grid", spec, "--dim", "2", "--trials", "1", "--seed", "0"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"mixrate: error: bad p-grid {spec!r}\n"
 
 
 class TestSearch:
@@ -299,6 +340,16 @@ class TestEigenBudget:
         argv = ["verify", "--dim", "4", "--states", "3", "--trials", "32", "--seed", "1"]
         assert main(argv + ["--out", str(tmp_path / "v.csv")]) == EXIT_OK
         assert calls[0] == 4
+
+    def test_search_blocks(self, tmp_path, monkeypatch):
+        # A block of up to 8 candidates costs 3 stacked calls (their
+        # Hamiltonians, their expected states, their commutators), and the
+        # climb takes about 4 candidates per block: well under one call per
+        # iteration, where one candidate at a time made 3.
+        calls = self._count(monkeypatch)
+        argv = ["search", "--dim", "4", "--binary", "--iters", "400", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "s.json")]) == EXIT_OK
+        assert calls[0] <= 400
 
 
 class TestGuardStatus:

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from mixrate import harness as hz
 from mixrate.ensembles import DensityMatrix, Ensemble
 from mixrate.errors import DomainError
@@ -277,6 +280,60 @@ class TestSearchRatio:
                     dim=2, n_states=3, seed=33, mode="search", binary=True
                 )
             )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        n=st.sampled_from([2, 3]),
+        binary=st.booleans(),
+        iters=st.sampled_from([1, 7, 19, 20, 21, 333]),
+    )
+    def test_blocks_match_the_serial_climb(self, seed, dim, n, binary, iters):
+        cfg = ExperimentConfig(
+            dim=dim, n_states=n, seed=seed, search_max_iters=iters, binary=binary and n == 2
+        )
+        got, want = search_ratio(cfg), reference.search_ratio(cfg)
+        got.elapsed = want.elapsed = 0.0
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "dim,n,seed,binary",
+        [(3, 3, 2, False), (3, 3, 3, False), (2, 3, 1, False), (2, 3, 3, False), (4, 2, 4, True)],
+    )
+    def test_bound_violation_matches_the_serial_climb(self, dim, n, seed, binary, monkeypatch):
+        # A quarter of the true bound: some candidate violates it mid-climb.
+        true_bound = hz.bound_theorem_general
+        monkeypatch.setattr(hz, "bound_theorem_general", lambda p: 0.25 * true_bound(p))
+        cfg = ExperimentConfig(
+            dim=dim, n_states=n, seed=seed, search_max_iters=300, binary=binary
+        )
+        got, want = search_ratio(cfg), reference.search_ratio(cfg)
+        assert want.error is not None and want.error.startswith("BoundViolation: max rate")
+        assert (got.error, got.iterations, got.probabilities) == (
+            want.error, want.iterations, want.probabilities
+        )
+        got.elapsed = want.elapsed = 0.0
+        assert got == want
+
+    def test_failed_blocks_rerun_one_candidate_at_a_time(self, monkeypatch):
+        # Every block of more than one candidate meets a zero-norm H, so the
+        # climb rewinds and runs each block again at one candidate.
+        unit_spectra, blocks = hz._unit_spectra, []
+
+        def zero_norm_in_blocks(G):
+            w, V, norms = unit_spectra(G)
+            if G.ndim == 4:
+                blocks.append(G.shape[0])
+                norms = np.zeros_like(norms)
+            return w, V, norms
+
+        monkeypatch.setattr(hz, "_unit_spectra", zero_norm_in_blocks)
+        cfg = ExperimentConfig(dim=3, n_states=2, seed=9, search_max_iters=120, binary=True)
+        got, want = search_ratio(cfg), reference.search_ratio(cfg)
+        assert blocks and max(blocks) == hz.SEARCH_BLOCK
+        got.elapsed = want.elapsed = 0.0
+        assert got == want
 
 
 class TestReports:
