@@ -1,5 +1,5 @@
 """Numerical laboratory for entropy mixing and entangling rates of quantum
-state ensembles: exact spectral maximizers, finite-difference oracles,
+state ensembles: exact spectral maximizers, finite-difference cross-checks,
 dimension-independent bound checks, and conjecture-ratio exploration.
 """
 
@@ -10,8 +10,6 @@ from .ensembles import (
     HamiltonianSet,
     average_entropy,
     binary_entropy,
-    evolve,
-    expected_state,
     parse_ensemble,
     parse_hamiltonian_set,
     serialize_ensemble,
@@ -23,9 +21,7 @@ from .entangling import (
     BipartiteOperator,
     PureState,
     bravyi_mu,
-    entanglement_entropy,
     entangling_rate,
-    fd_entangling_rate,
     partial_trace,
     sie_to_sim,
     ste_check,
@@ -34,9 +30,7 @@ from .harness import (
     ExperimentConfig,
     RNGSpec,
     TrialRecord,
-    run_trial,
     run_trials,
-    sample_density,
     sample_ensemble,
     sample_hamiltonian,
     scan_binary,
@@ -47,8 +41,6 @@ from .hermitian import (
     commutator,
     eig_hermitian,
     log_integral_check,
-    matrix_fn,
-    spectral_sign_projectors,
     support_log,
     trace_norm,
 )
@@ -58,13 +50,10 @@ from .rates import (
     binary_max_rate,
     bound_theorem_binary,
     bound_theorem_general,
-    fd_mixing_rate,
-    fd_mixing_rate_richardson,
     max_mixing_rate,
     mixing_rate,
     optimal_hamiltonians,
     rate_report,
-    stm_check,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or I/O error, 2 invariant/theorem-test
 failure, 3 conjecture-ratio-exceeded event (the offending ensemble is
-serialized next to the report).
+serialized into the working directory, conjecture_offender_*.json).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import entangling as ent
 from . import harness as hz
-from .ensembles import parse_ensemble, parse_hamiltonian_set, serialize_ensemble
+from .ensembles import _ensemble, parse_ensemble, parse_hamiltonian_set, serialize_ensemble
 from .errors import MixRateError
 from .hermitian import DEFAULT_RANK_TOL
 from .rates import rate_report
@@ -74,10 +74,12 @@ def guard_status(records: Sequence[TrialRecord]) -> int:
     return status
 
 
-def _flag_conjecture_offenders(records, ensemble_of, prefix: str) -> None:
+def _flag_conjecture_offenders(records, ensemble_of, path_of) -> None:
+    """Serialize ensemble_of(r) to the file path_of(r) for every record r
+    whose conjecture ratio exceeds 1 + CONJECTURE_SLACK."""
     for r in records:
         if r.ratio_conj is not None and r.ratio_conj > 1.0 + CONJECTURE_SLACK:
-            path = f"{prefix}_trial{r.trial_id}.json"
+            path = path_of(r)
             with open(path, "wb") as fh:
                 fh.write(serialize_ensemble(ensemble_of(r)))
             print(
@@ -136,7 +138,9 @@ def cmd_verify(args) -> int:
     status = guard_status(records)
     if status == EXIT_CONJECTURE:
         _flag_conjecture_offenders(
-            records, lambda r: hz.trial_ensemble(cfg, r.trial_id), "conjecture_offender"
+            records,
+            lambda r: hz.trial_ensemble(cfg, r.trial_id),
+            lambda r: f"conjecture_offender_trial{r.trial_id}.json",
         )
     return status
 
@@ -169,7 +173,7 @@ def cmd_scan(args) -> int:
         _flag_conjecture_offenders(
             records,
             lambda r: hz.scan_binary_ensemble(cfg, r.trial_id, r.probabilities[0]),
-            "conjecture_offender_scan",
+            lambda r: f"conjecture_offender_scan_trial{r.trial_id}.json",
         )
     return status
 
@@ -183,9 +187,14 @@ def cmd_search(args) -> int:
         search_max_iters=args.iters,
         binary=args.binary,
     )
-    rec = hz.search_ratio(cfg)
+    rec, reported = hz._search(cfg)
     _emit(hz.records_to_json([rec]) + "\n", args.out)
-    return guard_status([rec])
+    status = guard_status([rec])
+    if status == EXIT_CONJECTURE:
+        _flag_conjecture_offenders(
+            [rec], lambda r: _ensemble(reported, 0), lambda r: "conjecture_offender_search.json"
+        )
+    return status
 
 
 def cmd_sie(args) -> int:

@@ -1,9 +1,14 @@
-"""Validated quantum states, Hamiltonians, ensembles, entropies and evolution.
+"""Validated quantum states, Hamiltonians, ensembles and entropies.
 
 An ensemble pairs probabilities p(x) with density matrices rho_x of one
 shared dimension. The expected state is the convex combination
-rho = sum_x p(x) rho_x, and each member may evolve under its own Hamiltonian,
-rho(t) = sum_x p(x) exp(-i H_x t) rho_x exp(i H_x t).
+rho = sum_x p(x) rho_x.
+
+The objects are the boundary: parsing, serialization and the public
+functions take and return them. Inside, sampling, evaluation and search
+pass B ensembles that share (n, d) as one `_Batch` of arrays, built from
+validated draws (`_sampled`) or from objects (`_stack`), and turned back
+into an object only where one leaves the program (`_ensemble`).
 
 All values are immutable after construction; every function here is pure.
 """
@@ -14,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,19 +103,6 @@ class DensityMatrix:
             raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
         _assign(self, *(a[0] for a in _frozen(*_state_spectra(A[None]))))
 
-    @classmethod
-    def stack(cls, raw) -> list["DensityMatrix"]:
-        """The states of a stack (k, d, d) of matrices, validated as
-        DensityMatrix validates one but in one stacked call; each state holds
-        slices of the one stacked reconstruction."""
-        return [_assign(object.__new__(cls), *a) for a in zip(*_frozen(*_state_spectra(raw)))]
-
-    def conjugated(self, U: np.ndarray) -> "DensityMatrix":
-        """U ρ U† for a unitary U, with spectrum (w, U V); not validated again,
-        since unitary conjugation keeps the eigenvalues of a state."""
-        w, V = self.spectrum
-        return _set_spectrum(object.__new__(DensityMatrix), w, U @ V)
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -118,30 +110,23 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """A Hermitian observable; `normalized` asserts operator norm <= 1.
+    """A Hermitian observable, of any operator norm.
 
     Its spectrum is computed once, on first use, and kept.
     """
 
     matrix: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         A = hm.require_hermitian(self.matrix)
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
-        if self.normalized and A.size:
-            norm = float(np.max(np.abs(self.spectrum.eigenvalues)))
-            if norm > 1.0 + 1e-10:
-                raise InvariantViolation(f"operator norm {norm!r} exceeds 1")
 
     @classmethod
-    def from_spectrum(cls, w, V, normalized: bool = False) -> "Hamiltonian":
-        """V diag(w) V† for real w and a unitary V, keeping (w, V) as its spectrum;
-        not validated, and `normalized` is trusted to hold for w."""
-        H = _set_spectrum(object.__new__(cls), w, V)
-        object.__setattr__(H, "normalized", normalized)
-        return H
+    def from_spectrum(cls, w, V) -> "Hamiltonian":
+        """V diag(w) V† for real w and a unitary V, keeping (w, V) as its
+        spectrum; not validated."""
+        return _set_spectrum(object.__new__(cls), w, V)
 
     @cached_property
     def spectrum(self) -> hm.EigenDecomposition:
@@ -231,11 +216,6 @@ def _mixture(p: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return acc
 
 
-def expected_state(E: Ensemble) -> DensityMatrix:
-    """The expected density operator rho = sum_x p(x) rho_x."""
-    return DensityMatrix(_mixture(E.probabilities, np.stack([s.matrix for s in E.states])))
-
-
 def _xlnx(v) -> np.ndarray:
     """Elementwise v ln v for v >= 0, 0 ln 0 := 0: the one kernel of every
     entropy here, so equal inputs give bit-equal entropies."""
@@ -280,30 +260,69 @@ def binary_entropy(p):
     return float(h) if h.ndim == 0 else h
 
 
-def _average_entropies(Es: Sequence[Ensemble]) -> np.ndarray:
-    """average_entropy of each ensemble of a batch sharing (n, d), from the
-    members' kept spectra."""
-    w = np.stack([s.spectrum.eigenvalues for E in Es for s in E.states])
-    p = np.stack([E.probabilities for E in Es])
-    return np.sum(p * _entropy_from_eigenvalues(w.reshape(p.shape + (-1,)), Es[0].dim), axis=-1)
+def _average_entropies(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_x p_x S(rho_x) of each ensemble of a batch, from the probabilities
+    p (B, n) and the members' eigenvalues w (B, n, d)."""
+    return np.sum(p * _entropy_from_eigenvalues(w, w.shape[-1]), axis=-1)
 
 
 def average_entropy(E: Ensemble) -> float:
     """sum_x p(x) S(rho_x) — the ensemble's average member entropy."""
-    return float(_average_entropies([E])[0])
+    b = _stack([E])
+    return float(_average_entropies(b.p, b.w)[0])
 
 
-def unitary_at(H: Hamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t), computed exactly through the kept spectrum of H."""
-    w, V = H.spectrum
-    return hm.reconstruct(np.exp(-1j * t * w), V)
+# --- Batches of ensembles ---------------------------------------------------
 
 
-def evolve(E: Ensemble, H: HamiltonianSet, t: float) -> Ensemble:
-    """Conjugate each member by its own unitary exp(-i H_x t)."""
-    _require_matching(E, H)
-    states = [s.conjugated(unitary_at(h, t)) for s, h in zip(E.states, H.hams)]
-    return Ensemble(E.probabilities, states)
+class _Batch(NamedTuple):
+    """B ensembles that share (n, d), as arrays: probabilities p (B, n), the
+    members rho_x (B, n, d, d) and their kept spectra w (B, n, d) and
+    V (B, n, d, d), the last three read-only. What an Ensemble holds,
+    without the objects."""
+
+    p: np.ndarray
+    rhos: np.ndarray
+    w: np.ndarray
+    V: np.ndarray
+
+    def one(self, i: int) -> "_Batch":
+        """Ensemble i as a batch of one, of views into this batch."""
+        return _Batch(*(a[i : i + 1] for a in self))
+
+
+def _sampled(draws) -> _Batch:
+    """The batch of sampled draws, each a pair of probabilities (n,) and raw
+    states (n, d, d), with an Ensemble's checks made once for all of them:
+    the distributions, and every state validated in one stacked call."""
+    p, raw = (np.array(a) for a in zip(*draws))
+    _require_distribution(p)
+    return _Batch(p, *_frozen(*_state_spectra(raw)))
+
+
+def _stack(Es: Sequence[Ensemble]) -> _Batch:
+    """The batch of Ensembles that share (n, d), from their kept arrays."""
+    n, d = len(Es[0]), Es[0].dim
+    if any(len(E) != n or E.dim != d for E in Es):
+        raise DimMismatch("ensembles of one batch must share (n, d)")
+    states = [s for E in Es for s in E.states]
+    shape = (len(Es), n, d)
+    # np.array, not np.stack: several times faster on a few small arrays.
+    return _Batch(
+        np.array([E.probabilities for E in Es]),
+        np.array([s.matrix for s in states]).reshape(shape + (d,)),
+        np.array([s.spectrum.eigenvalues for s in states]).reshape(shape),
+        np.array([s.spectrum.eigenvectors for s in states]).reshape(shape + (d,)),
+    )
+
+
+def _ensemble(b: _Batch, i: int) -> Ensemble:
+    """Ensemble i of a batch, its states holding the batch's own arrays: the
+    states are not validated again."""
+    states = [
+        _assign(object.__new__(DensityMatrix), *a) for a in zip(b.rhos[i], b.w[i], b.V[i])
+    ]
+    return Ensemble(b.p[i], states)
 
 
 # --- JSON wire format -------------------------------------------------------

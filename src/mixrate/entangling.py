@@ -31,30 +31,18 @@ from .ensembles import (
     _load_json,
     matrix_from_json,
     matrix_to_json,
-    unitary_at,
 )
 from .errors import (
     BadSubset,
     Degenerate,
     DimMismatch,
     DimOrder,
-    DomainError,
     IdentityViolation,
-    IllConditioned,
     InvariantViolation,
     ParseError,
     PositivityViolation,
 )
-from .rates import (
-    CHECK_SLACK,
-    DEFAULT_FD_STEP,
-    DEFAULT_RANK_TOL,
-    IMAG_TOL,
-    _central,
-    _fd_times,
-    _richardson,
-    mixing_rate,
-)
+from .rates import CHECK_SLACK, DEFAULT_RANK_TOL, IMAG_TOL, mixing_rate
 
 NORM_TOL = 1e-10
 
@@ -86,12 +74,12 @@ class PureState:
 
 @dataclass(frozen=True, init=False)
 class BipartiteOperator(Hamiltonian):
-    """Hermitian operator on A ⊗ B; `normalized` asserts operator norm <= 1."""
+    """Hermitian operator on A ⊗ B."""
 
     dims: tuple[int, int] = (1, 1)
 
-    def __init__(self, matrix, dims, normalized=False):
-        super().__init__(matrix, normalized)
+    def __init__(self, matrix, dims):
+        super().__init__(matrix)
         dims = tuple(int(d) for d in dims)
         if len(dims) != 2 or self.dim != dims[0] * dims[1]:
             raise DimMismatch(f"matrix of dim {self.dim} does not factor as {dims}")
@@ -128,13 +116,6 @@ def _reduced(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
     """The reduced states (rho_aAB, rho_aA) of psi."""
     rho_aAB = partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims, (0, 1, 2))
     return rho_aAB, partial_trace(rho_aAB, psi.dims[:3], (0, 1))
-
-
-def entanglement_entropy(psi: PureState) -> float:
-    """S(rho_aA) — the entanglement across the aA | Bb cut."""
-    rho_aA = _reduced(psi)[1]
-    w = np.linalg.eigvalsh(hm.hermitian_part(rho_aA))
-    return _entropy_from_eigenvalues(w, rho_aA.shape[0])
 
 
 def _entanglement_trajectory(
@@ -175,14 +156,6 @@ def lift_to_aAB(H: BipartiteOperator, d_a: int) -> np.ndarray:
     return np.kron(np.eye(d_a), H.matrix)
 
 
-def evolve_pure(psi: PureState, H: BipartiteOperator, t: float) -> PureState:
-    """(I_a ⊗ e^{-iHt} ⊗ I_b) Psi."""
-    _check_interaction(psi, H)
-    d_a, _, _, d_b = psi.dims
-    U_full = np.kron(np.kron(np.eye(d_a), unitary_at(H, t)), np.eye(d_b))
-    return PureState(U_full @ psi.amplitudes, psi.dims)
-
-
 def entangling_rate(
     psi: PureState, H: BipartiteOperator, rank_tol: float = DEFAULT_RANK_TOL
 ) -> float:
@@ -196,42 +169,6 @@ def entangling_rate(
     if abs(val.imag) > IMAG_TOL:
         raise IdentityViolation(f"entangling rate has imaginary residue {val.imag:.3e}")
     return float(val.real)
-
-
-def _fd_entangling_probe(psi: PureState, H: BipartiteOperator, h: float, rank_tol: float):
-    """Refuse a finite difference at step h of the entanglement entropy of psi."""
-    if h <= 0:
-        raise DomainError("finite-difference step must be positive")
-    _check_interaction(psi, H)
-    w = np.linalg.eigvalsh(_reduced(psi)[1])
-    nonzero = w[w > rank_tol * max(float(w[-1]), 0.0)]
-    if nonzero.size and float(nonzero[0]) < 1e3 * rank_tol:
-        raise IllConditioned(
-            f"smallest nonzero eigenvalue {float(nonzero[0]):.3e} of rho_aA "
-            "too small for a stable entropy derivative"
-        )
-
-
-def fd_entangling_rate(
-    psi: PureState,
-    H: BipartiteOperator,
-    h: float = DEFAULT_FD_STEP,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> float:
-    """Central finite difference of the entanglement entropy at t = 0."""
-    _fd_entangling_probe(psi, H, h, rank_tol)
-    return float(_central(_entanglement_trajectory(psi, H, (h, -h)), h))
-
-
-def fd_entangling_rate_richardson(
-    psi: PureState,
-    H: BipartiteOperator,
-    h: float = DEFAULT_FD_STEP,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> float:
-    """Richardson-extrapolated central difference, error O(h^4)."""
-    _fd_entangling_probe(psi, H, h, rank_tol)
-    return float(_richardson(_entanglement_trajectory(psi, H, _fd_times(h)), h))
 
 
 def bravyi_mu(psi: PureState) -> DensityMatrix:
@@ -280,7 +217,7 @@ def _sie_reduction(
     mu = bravyi_mu(psi)
     rho_aAB = DensityMatrix(_reduced(psi)[0])
     E2 = Ensemble([1.0 - d_B ** -2, d_B ** -2], [mu, rho_aAB])
-    H_lift = Hamiltonian(lift_to_aAB(H, d_a), normalized=H.normalized)
+    H_lift = Hamiltonian(lift_to_aAB(H, d_a))
     zero = Hamiltonian(np.zeros_like(H_lift.matrix))
     lam = mixing_rate(E2, HamiltonianSet([zero, H_lift]), rank_tol)
     gam = entangling_rate(psi, H, rank_tol)

@@ -59,10 +59,6 @@ class RankDeficient(MixRateError):
     """Expected state too close to singular for a finite-difference probe."""
 
 
-class IllConditioned(MixRateError):
-    """Reduced state has a nonzero eigenvalue too small for a stable derivative."""
-
-
 class DimOrder(MixRateError):
     """Reduction requires dim(B) <= dim(A)."""
 

@@ -18,12 +18,14 @@ import numpy as np
 
 from . import hermitian as hm
 from .ensembles import (
-    DensityMatrix,
     Ensemble,
     Hamiltonian,
     HamiltonianSet,
+    _Batch,
+    _ensemble,
+    _frozen,
     _require_distribution,
-    _set_spectrum,
+    _sampled,
     binary_entropy,
     shannon_entropy,
 )
@@ -32,11 +34,14 @@ from .rates import (
     DEFAULT_RANK_TOL,
     _evaluate,
     _Spectra,
-    _stack,
     bound_theorem_general,
 )
 
 PROB_FLOOR = 1e-6
+# _sample_probs redraws until every p_x > PROB_FLOOR. A flat Dirichlet draw
+# passes with probability (1 - n PROB_FLOOR)^(n - 1), about exp(-n^2 1e-6):
+# 0.37 at n = 1000, but exp(-25) at n = 5000, where sampling never ends.
+MAX_STATES = 1000
 CONJECTURE_SLACK = 1e-6
 THEOREM_SLACK = 1e-8
 SEARCH_STEP = 0.1  # the search's first perturbation size after each restart
@@ -82,6 +87,8 @@ class ExperimentConfig:
             raise DomainError(f"dim {self.dim} outside supported range [2, 64]")
         if self.n_states < 1 or self.n_trials < 1:
             raise DomainError("n_states and n_trials must be >= 1")
+        if self.n_states > MAX_STATES:
+            raise DomainError(f"n_states {self.n_states} above the limit of {MAX_STATES}")
         if self.search_max_iters < 1:
             raise DomainError(f"search_max_iters {self.search_max_iters} must be >= 1")
         if self.mode not in {"verify", "scan", "search", "sie"}:
@@ -122,22 +129,6 @@ def _raw_states(n: int, dim: int, g: np.random.Generator) -> np.ndarray:
     return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
 
 
-def _ensembles(draws) -> list[Ensemble]:
-    """One Ensemble per (probabilities, raw states (n, d, d)) draw; the states
-    of all draws are validated in one stacked call."""
-    states = DensityMatrix.stack(np.concatenate([raw for _, raw in draws]))
-    out, k = [], 0
-    for p, raw in draws:
-        out.append(Ensemble(p, states[k : k + len(raw)]))
-        k += len(raw)
-    return out
-
-
-def sample_density(dim: int, rng: Union[RNGSpec, np.random.Generator]) -> DensityMatrix:
-    """Hilbert-Schmidt-random state G G† / Tr(G G†) with Ginibre G."""
-    return DensityMatrix(_raw_states(1, dim, _gen(rng))[0])
-
-
 def sample_hamiltonian(dim: int, rng: Union[RNGSpec, np.random.Generator]) -> Hamiltonian:
     """Symmetrized Ginibre matrix rescaled to operator norm exactly 1."""
     return sample_hamiltonian_set(1, dim, rng).hams[0]
@@ -147,20 +138,22 @@ def sample_hamiltonian_set(
     n: int, dim: int, rng: Union[RNGSpec, np.random.Generator]
 ) -> HamiltonianSet:
     """n sample_hamiltonian draws, in order, diagonalized in one stacked call."""
-    g = _gen(rng)
+    w, V = _hamiltonian_draws(n, dim, _gen(rng))
+    return HamiltonianSet([Hamiltonian.from_spectrum(wk, Vk) for wk, Vk in zip(w, V)])
+
+
+def _hamiltonian_draws(n: int, dim: int, g: np.random.Generator):
+    """The spectra w (n, d), V (n, d, d) of n unit-norm Hamiltonians, drawn in
+    order and diagonalized in one stacked call."""
     G = np.empty((n, dim, dim), dtype=complex)
     for k in range(n):
         G[k] = _ginibre(dim, g)
     w, V, norms = _unit_spectra(G)
     # Norm 0 has measure zero, but keep the contract ||H|| = 1: draw again.
-    return HamiltonianSet(
-        [
-            Hamiltonian.from_spectrum(wk, Vk, normalized=True)
-            if nk > 0.0
-            else sample_hamiltonian(dim, g)
-            for wk, Vk, nk in zip(w, V, norms)
-        ]
-    )
+    for k in np.flatnonzero(norms == 0.0):
+        wk, Vk = _hamiltonian_draws(1, dim, g)
+        w[k], V[k] = wk[0], Vk[0]
+    return w, V
 
 
 def _unit_spectra(G: np.ndarray):
@@ -190,7 +183,7 @@ def sample_ensemble(
     cfg: ExperimentConfig, rng: Union[RNGSpec, np.random.Generator]
 ) -> Ensemble:
     """cfg.n_states Hilbert-Schmidt states with flat-Dirichlet probabilities."""
-    return _ensembles([_trial_draw(cfg, _gen(rng))])[0]
+    return _ensemble(_sampled([_trial_draw(cfg, _gen(rng))]), 0)
 
 
 def trial_chunks(ids: Sequence[int], dim: int) -> list[list[int]]:
@@ -200,35 +193,30 @@ def trial_chunks(ids: Sequence[int], dim: int) -> list[list[int]]:
     return [list(ids[k : k + size]) for k in range(0, len(ids), size)]
 
 
-def evaluate_ensembles(
-    Es: Sequence[Ensemble],
+def evaluate_batch(
+    b: _Batch,
     cfg: ExperimentConfig,
     trial_ids: Sequence[int],
     binary_bounds: bool = False,
 ) -> list[TrialRecord]:
     """Rates, bounds, ratios, fd residual and the STM check of a chunk of
-    ensembles sharing (n, d), evaluated together; each record's elapsed is
-    the chunk's time over its size. If the chunk raises, each ensemble is
-    evaluated again alone, so an error lands on its own record."""
+    ensembles, evaluated together; each record's elapsed is the chunk's time
+    over its size. If the chunk raises, each ensemble is evaluated again
+    alone, so an error lands on its own record."""
     t0 = time.perf_counter()
+    n, dim = b.w.shape[-2:]
     records = [
-        TrialRecord(
-            trial_id=i,
-            seed=cfg.seed,
-            dim=E.dim,
-            n_states=len(E),
-            probabilities=tuple(E.probabilities.tolist()),
-        )
-        for E, i in zip(Es, trial_ids)
+        TrialRecord(trial_id=i, seed=cfg.seed, dim=dim, n_states=n, probabilities=tuple(p))
+        for p, i in zip(b.p.tolist(), trial_ids)
     ]
     policy = "binary" if binary_bounds else "verify"
     try:
-        reports, stm_ok = _evaluate(Es, None, DEFAULT_RANK_TOL, policy)
+        reports, stm_ok = _evaluate(b, None, DEFAULT_RANK_TOL, policy)
     except MixRateError as exc:
-        if len(Es) > 1:
+        if len(trial_ids) > 1:
             return [
-                evaluate_ensembles([E], cfg, [i], binary_bounds)[0]
-                for E, i in zip(Es, trial_ids)
+                evaluate_batch(b.one(k), cfg, [i], binary_bounds)[0]
+                for k, i in enumerate(trial_ids)
             ]
         records[0].error = f"{type(exc).__name__}: {exc}"
     else:
@@ -251,13 +239,8 @@ def trial_ensemble(cfg: ExperimentConfig, trial_id: int) -> Ensemble:
 def run_trials(cfg: ExperimentConfig, trial_ids: Sequence[int]) -> list[TrialRecord]:
     """Sample the ensemble of each trial from (cfg.seed, trial id) and
     evaluate them as one chunk."""
-    Es = _ensembles([_trial_draw(cfg, RNGSpec(cfg.seed, i).generator()) for i in trial_ids])
-    return evaluate_ensembles(Es, cfg, trial_ids)
-
-
-def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
-    """Sample an ensemble from (cfg.seed, trial_id) and evaluate it."""
-    return run_trials(cfg, [trial_id])[0]
+    b = _sampled([_trial_draw(cfg, RNGSpec(cfg.seed, i).generator()) for i in trial_ids])
+    return evaluate_batch(b, cfg, trial_ids)
 
 
 def _scan_draw(cfg: ExperimentConfig, trial_id: int, p: float):
@@ -268,7 +251,7 @@ def _scan_draw(cfg: ExperimentConfig, trial_id: int, p: float):
 
 def scan_binary_ensemble(cfg: ExperimentConfig, trial_id: int, p: float) -> Ensemble:
     """The binary ensemble {(p, rho_1), (1 - p, rho_2)} of one scan trial."""
-    return _ensembles([_scan_draw(cfg, trial_id, p)])[0]
+    return _ensemble(_sampled([_scan_draw(cfg, trial_id, p)]), 0)
 
 
 def scan_binary(
@@ -285,28 +268,20 @@ def scan_binary(
             p_of[pi * cfg.n_trials + j] = p
     records = []
     for chunk in trial_chunks(list(p_of), cfg.dim):
-        Es = _ensembles([_scan_draw(cfg, i, p_of[i]) for i in chunk])
-        records.extend(evaluate_ensembles(Es, cfg, chunk, binary_bounds=True))
+        b = _sampled([_scan_draw(cfg, i, p_of[i]) for i in chunk])
+        records.extend(evaluate_batch(b, cfg, chunk, binary_bounds=True))
     return records
-
-
-def _climb_ensemble(p: np.ndarray, w: np.ndarray, V: np.ndarray) -> Ensemble:
-    """The Ensemble of a climb point: probabilities p (n,) and the members'
-    spectra w (n, d), V (n, d, d), built without validating again."""
-    return Ensemble(p, [_set_spectrum(object.__new__(DensityMatrix), *s) for s in zip(w, V)])
 
 
 def _climb_draws(k: int, n: int, dim: int, g: np.random.Generator):
     """The draws of k candidates in the serial order (per candidate: n
     Ginibre matrices, real part then imaginary part, then n probability
     noises): the spectra (k, n, d), (k, n, d, d) of their unit-norm
-    Hamiltonians and the noises (k, n). One candidate draws through
-    sample_hamiltonian_set, which redraws a zero-norm H; in a block of k > 1,
-    whose draws are one flat call, a zero norm raises instead."""
+    Hamiltonians and the noises (k, n). One candidate draws as
+    sample_hamiltonian_set does, which redraws a zero-norm H; in a block of
+    k > 1, whose draws are one flat call, a zero norm raises instead."""
     if k == 1:
-        hams = sample_hamiltonian_set(n, dim, g).hams
-        w = np.stack([h.spectrum.eigenvalues for h in hams])
-        V = np.stack([h.spectrum.eigenvectors for h in hams])
+        w, V = _hamiltonian_draws(n, dim, g)
         return w[None], V[None], g.standard_normal((1, n))
     m = 2 * n * dim * dim
     z = g.standard_normal(k * (m + n)).reshape(k, m + n)
@@ -317,27 +292,30 @@ def _climb_draws(k: int, n: int, dim: int, g: np.random.Generator):
     return w, V, z[:, m:]
 
 
-def _climb_block(p, w, V, eps: float, k: int, g: np.random.Generator, binary: bool):
-    """k candidates perturbed from the climb point (p, w, V) at step eps, and
-    their one stacked spectral pass: each member conjugated by exp(i eps H)
-    for a fresh unit-norm H, the log-probabilities nudged by eps times a
-    normal. Returns the candidates' probabilities (k, n), eigenvectors
-    (k, n, d, d), max rates, general bounds and objectives (k,)."""
+def _climb_block(cur: _Batch, eps: float, k: int, g: np.random.Generator, binary: bool):
+    """k candidates perturbed from the climb point `cur`, a batch of one, at
+    step eps, and their one stacked spectral pass: each member conjugated by
+    exp(i eps H) for a fresh unit-norm H (its eigenvalues kept), the
+    log-probabilities nudged by eps times a normal. Returns the candidates
+    as a batch of k, and their max rates, general bounds and objectives (k,)."""
+    p, w, V = cur.p[0], cur.w[0], cur.V[0]
     n, dim = w.shape
     hw, hV, noise = _climb_draws(k, n, dim, g)
-    t = -eps  # exp(-i H t) at t = -eps, with unitary_at's operations in its order
+    # exp(-i H t) at t = -eps, in the operation order of the serial
+    # reference climb (tests/reference.py), which the climb matches bit for bit.
+    t = -eps
     Vc = hm.reconstruct(np.exp(-1j * t * hw), hV) @ V
-    rhos = hm.hermitian_part(hm.reconstruct(w, Vc))
     q = np.log(p) + eps * noise
     q = np.exp(q - q.max(axis=-1, keepdims=True))
     q /= q.sum(axis=-1, keepdims=True)
     q = np.clip(q, PROB_FLOOR, None)
     q /= q.sum(axis=-1, keepdims=True)
     _require_distribution(q)
-    sp = _Spectra(q, rhos, DEFAULT_RANK_TOL)
+    cand = _Batch(q, *_frozen(np.broadcast_to(w, Vc.shape[:-1]), Vc))
+    sp = _Spectra(cand, DEFAULT_RANK_TOL)
     # broadcast_to: a bound given as one number holds for every candidate.
     bound = np.broadcast_to(bound_theorem_general(q), (k,))
-    return q, Vc, sp.max_rate, bound, _objectives(sp, binary)
+    return cand, sp.max_rate, bound, _objectives(sp, binary)
 
 
 def _objectives(sp: _Spectra, binary: bool) -> np.ndarray:
@@ -363,6 +341,12 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     and a violation ends the search with that candidate's record, its error
     set. The conjectured bound itself is only recorded, never checked.
     """
+    return _search(cfg)[0]
+
+
+def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
+    """search_ratio's record, and the ensemble it reports on as a batch of
+    one: the best climb point, or the candidate that violated the bound."""
     if cfg.n_states < 2:
         raise DomainError(f"search needs n_states >= 2, got {cfg.n_states}")
     if cfg.binary and cfg.n_states != 2:
@@ -370,19 +354,17 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     g = RNGSpec(cfg.seed, 0).generator()
     draws = cfg.n_states * (2 * cfg.dim**2 + 1)  # normals per candidate
     best, best_obj = None, -math.inf
-    iters = 0
+    iters, error = 0, None
     try:
         while iters < cfg.search_max_iters:
-            E = sample_ensemble(cfg, g)
-            w = np.stack([s.spectrum.eigenvalues for s in E.states])  # kept by conjugation
-            p, V = E.probabilities, np.stack([s.spectrum.eigenvectors for s in E.states])
-            cur_obj = _objectives(_Spectra(*_stack([E]), DEFAULT_RANK_TOL), cfg.binary)[0]
+            cur = _sampled([_trial_draw(cfg, g)])
+            cur_obj = _objectives(_Spectra(cur, DEFAULT_RANK_TOL), cfg.binary)[0]
             eps, rejects, retry = SEARCH_STEP, 0, False
             while iters < cfg.search_max_iters and eps >= 1e-6:
                 k = 1 if retry else min(SEARCH_BLOCK, 20 - rejects, cfg.search_max_iters - iters)
                 saved = g.bit_generator.state
                 try:
-                    q, Vc, mx, bound, obj = _climb_block(p, w, V, eps, k, g, cfg.binary)
+                    cand, mx, bound, obj = _climb_block(cur, eps, k, g, cfg.binary)
                 except MixRateError:
                     if k == 1:
                         raise
@@ -395,13 +377,13 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
                 if over.any():
                     i = int(over.argmax())
                     iters += i + 1
-                    cand = q[i], w, Vc[i]
+                    best = cand.one(i)  # the record reports the violating candidate
                     raise BoundViolation(
                         f"max rate {float(mx[i])!r} exceeds the general bound {float(bound[i])!r}"
                     )
                 iters += j + 1
                 if better[j]:
-                    p, V, cur_obj, rejects = q[j], Vc[j], obj[j], 0
+                    cur, cur_obj, rejects = cand.one(j), obj[j], 0
                     if j < k - 1:  # redraw what candidates 0..j drew
                         g.bit_generator.state = saved
                         g.standard_normal((j + 1) * draws)
@@ -411,14 +393,14 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
                         eps *= SEARCH_SHRINK
                         rejects = 0
             if cur_obj > best_obj:
-                best, best_obj = (p, w, V), cur_obj
+                best, best_obj = cur, cur_obj
     except BoundViolation as exc:
-        (rec,) = evaluate_ensembles([_climb_ensemble(*cand)], cfg, [0], binary_bounds=cfg.binary)
-        rec.error = f"{type(exc).__name__}: {exc}"
-    else:
-        (rec,) = evaluate_ensembles([_climb_ensemble(*best)], cfg, [0], binary_bounds=cfg.binary)
+        error = f"{type(exc).__name__}: {exc}"
+    (rec,) = evaluate_batch(best, cfg, [0], binary_bounds=cfg.binary)
+    if error is not None:
+        rec.error = error
     rec.iterations = iters
-    return rec
+    return rec, best
 
 
 CSV_HEADER = (

@@ -1,15 +1,16 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition, matrix functions through the spectrum, the trace norm,
-commutators, spectral sign projectors, and a quadrature identity for the
-logarithm. Everything else in the package is built on these primitives.
+Eigendecomposition (of one matrix or a stack), the logarithm on the support
+through the spectrum, the trace norm, commutators, and a quadrature identity
+for the logarithm. Everything else in the package is built on these
+primitives.
 
 Matrices are plain ``numpy.ndarray`` of complex128. All operations are pure.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,26 +120,6 @@ def reconstruct(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def matrix_fn(M, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Evaluate f on a Hermitian matrix through its spectrum: V diag(f(λ)) V†.
-
-    `f` is applied to the eigenvalue array elementwise and may be
-    complex-valued (e.g. λ ↦ exp(iλ) yields a unitary). The result is
-    re-symmetrized when f is real on the spectrum.
-    """
-    w, V = eig_hermitian(M)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fw = np.asarray(f(w))
-    if fw.shape != w.shape:
-        raise DomainError("f must map the eigenvalue array elementwise")
-    if not np.all(np.isfinite(fw)):
-        raise DomainError("f undefined (non-finite) at some eigenvalue")
-    out = reconstruct(fw, V)
-    if fw.dtype.kind != "c":
-        out = hermitian_part(out)
-    return out
-
-
 def support_log(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Logarithm of a PSD matrix restricted to its support, zero on the kernel.
 
@@ -180,20 +161,6 @@ def commutator(A, B) -> np.ndarray:
     if A.shape != B.shape:
         raise DimMismatch(f"commutator of shapes {A.shape} and {B.shape}")
     return A @ B - B @ A
-
-
-def spectral_sign_projectors(M, zero_tol: float = DEFAULT_RANK_TOL):
-    """Projectors onto the strictly positive / strictly negative eigenspaces.
-
-    Eigenvalues within [−zero_tol, zero_tol] belong to neither projector.
-    Returns (P_pos, P_neg), both Hermitian idempotents with P_pos·P_neg = 0.
-    """
-    w, V = eig_hermitian(M)
-    Vp = V[:, w > zero_tol]
-    Vn = V[:, w < -zero_tol]
-    P_pos = Vp @ Vp.conj().T
-    P_neg = Vn @ Vn.conj().T
-    return hermitian_part(P_pos), hermitian_part(P_neg)
 
 
 def log_integral_check(x: float, upper_cutoff: float, n_points: int) -> float:

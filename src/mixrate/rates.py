@@ -11,8 +11,8 @@ term independently over -I <= H_x <= I gives the exact closed form
     max_rate(E) = sum_x p(x) * ||[rho_x, ln rho]||_1,
 
 achieved by H_x = I - 2 P_neg where P_neg projects onto the negative
-eigenspace of i[rho_x, ln rho]. A central finite difference of the entropy
-serves as the independent oracle for the analytic derivative.
+eigenspace of i[rho_x, ln rho]. A Richardson-extrapolated central difference
+of the entropy cross-checks the analytic derivative on every evaluation.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ from .ensembles import (
     Hamiltonian,
     HamiltonianSet,
     _average_entropies,
+    _Batch,
     _entropy_from_eigenvalues,
     _mixture,
     _require_matching,
     _shannon,
+    _stack,
     _state_eigenvalues,
     _state_spectra,
     _xlnx,
@@ -56,17 +58,6 @@ STM_TIMES = (0.5, 1.0, 2.0)  # the times at which a trial checks the STM sandwic
 CHECK_SLACK = 1e-9  # slack of the STM and STE bound checks
 
 
-def _stack(Es: Sequence[Ensemble]) -> tuple[np.ndarray, np.ndarray]:
-    """(p (B, n), rho_x (B, n, d, d)) of a batch of B ensembles that share
-    (n, d)."""
-    n, d = len(Es[0]), Es[0].dim
-    if any(len(E) != n or E.dim != d for E in Es):
-        raise DimMismatch("ensembles of one batch must share (n, d)")
-    p = np.stack([E.probabilities for E in Es])
-    rhos = np.stack([s.matrix for E in Es for s in E.states]).reshape(len(Es), n, d, d)
-    return p, rhos
-
-
 def _support_logs(p: np.ndarray, rhos: np.ndarray, rank_tol: float):
     """(ln rho (B, d, d) on the support, spectrum of rho) of the expected state
     rho = sum_x p_x rho_x of each ensemble of a batch, all validated in one
@@ -86,12 +77,6 @@ def _support_logs(p: np.ndarray, rhos: np.ndarray, rank_tol: float):
     return ln_rho, hm.EigenDecomposition(w, V)
 
 
-def _log_expected(E: Ensemble, rank_tol: float):
-    """(ln rho on its support, spectrum of rho) of one ensemble."""
-    ln_rho, (w, V) = _support_logs(*_stack([E]), rank_tol)
-    return ln_rho[0], hm.EigenDecomposition(w[0], V[0])
-
-
 def _commutators(rhos: np.ndarray, ln_rho: np.ndarray) -> np.ndarray:
     """C_x = i[rho_x, ln rho] for every member of a batch: (B, n, d, d)."""
     L = ln_rho[:, None]
@@ -109,18 +94,17 @@ def _rate(p: np.ndarray, H: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 class _Spectra:
-    """The one spectral pass over a batch of B ensembles sharing (n, d), given
-    as probabilities p (B, n) and members rho_x (B, n, d, d) (`_stack` of
-    Ensembles, or the search's candidates), that every maximal-rate quantity
-    reads: ln rho, C_x = i[rho_x, ln rho] and their eigendecompositions (one
-    stacked LAPACK dispatch for all B n), and the rates (B,)
-    sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
+    """The one spectral pass over a batch of ensembles (a `_Batch`: sampled
+    trials, Ensembles, or the search's candidates) that every maximal-rate
+    quantity reads: ln rho, C_x = i[rho_x, ln rho] and their
+    eigendecompositions (one stacked LAPACK dispatch for all B n), and the
+    rates (B,) sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
 
-    def __init__(self, p: np.ndarray, rhos: np.ndarray, rank_tol: float):
+    def __init__(self, b: _Batch, rank_tol: float):
         self.rank_tol = rank_tol
-        self.p, self.rhos = p, rhos
-        self.ln_rho, self.rho = _support_logs(self.p, self.rhos, rank_tol)
-        self.C = _commutators(self.rhos, self.ln_rho)
+        self.p = b.p
+        self.ln_rho, self.rho = _support_logs(b.p, b.rhos, rank_tol)
+        self.C = _commutators(b.rhos, self.ln_rho)
         self.eigs = hm.eig_hermitian_stack(self.C)
         norms = np.sum(np.abs(self.eigs.eigenvalues), axis=-1)
         self.max_rate = np.sum(self.p * norms, axis=-1)
@@ -136,23 +120,17 @@ class _Spectra:
     def hamiltonians(self) -> list[HamiltonianSet]:
         """The maximizers as one HamiltonianSet per ensemble."""
         return [
-            HamiltonianSet([Hamiltonian.from_spectrum(s, V, normalized=True) for s, V in zip(*m)])
+            HamiltonianSet([Hamiltonian.from_spectrum(s, V) for s, V in zip(*m)])
             for m in zip(*self.maximizers())
         ]
 
 
-def _stack_hamiltonians(Es: Sequence[Ensemble], Hs: Sequence[HamiltonianSet]):
-    """(spectra, matrices) of one Hamiltonian set per ensemble: the kept
-    spectra stacked (B, n, d) and (B, n, d, d), and the matrices (B, n, d, d);
-    each set must match its ensemble."""
-    for E, H in zip(Es, Hs):
-        _require_matching(E, H)
-    hams = [h for H in Hs for h in H.hams]
-    shape = (len(Hs), len(Hs[0]), Es[0].dim)
-    w = np.stack([h.spectrum.eigenvalues for h in hams]).reshape(shape)
-    V = np.stack([h.spectrum.eigenvectors for h in hams]).reshape(shape + shape[-1:])
-    M = np.stack([h.matrix for h in hams]).reshape(shape + shape[-1:])
-    return hm.EigenDecomposition(w, V), M
+def _stack_hamiltonians(H: HamiltonianSet):
+    """(spectra, matrices) of a Hamiltonian set as a batch of one: the kept
+    spectra (1, n, d) and (1, n, d, d), and the matrices (1, n, d, d)."""
+    w = np.stack([h.spectrum.eigenvalues for h in H.hams])
+    V = np.stack([h.spectrum.eigenvectors for h in H.hams])
+    return hm.EigenDecomposition(w[None], V[None]), np.stack([h.matrix for h in H.hams])[None]
 
 
 def mixing_rate(
@@ -167,18 +145,19 @@ def mixing_rate(
     ensemble reuse the support logarithm of the expected state.
     """
     _require_matching(E, H)
-    ln_rho = _log_expected(E, rank_tol)[0] if _ln_rho is None else np.asarray(_ln_rho)
-    p, rhos = _stack([E])
-    M = np.stack([h.matrix for h in H.hams])[None]
-    return float(_rate(p, M, _commutators(rhos, ln_rho[None]))[0])
+    # Only p and rho_x, not a whole _stack: the _ln_rho path runs in loops over
+    # many Hamiltonian sets, where the stacking is most of the cost.
+    p = E.probabilities[None]
+    rhos = np.array([s.matrix for s in E.states])[None]
+    ln_rho = _support_logs(p, rhos, rank_tol)[0] if _ln_rho is None else np.asarray(_ln_rho)[None]
+    M = np.array([h.matrix for h in H.hams])[None]
+    return float(_rate(p, M, _commutators(rhos, ln_rho))[0])
 
 
-def _fd_probe(h: float, rho_w: np.ndarray, rank_tol: float, strict: bool = True) -> np.ndarray:
+def _fd_probe(rho_w: np.ndarray, rank_tol: float, strict: bool) -> np.ndarray:
     """Which expected states, given by their ascending eigenvalues (B, d),
-    refuse a finite difference at step h: those whose smallest eigenvalue is
-    below 1e3 rank_tol. If strict, a refusal raises RankDeficient."""
-    if h <= 0:
-        raise DomainError("finite-difference step must be positive")
+    refuse a finite difference: those whose smallest eigenvalue is below
+    1e3 rank_tol. If strict, a refusal raises RankDeficient."""
     refused = rho_w[:, 0] < 1e3 * rank_tol
     if strict and refused.any():
         raise RankDeficient(
@@ -236,33 +215,6 @@ def _trajectory(
     return _entropy_from_eigenvalues(w_t, d)
 
 
-def _fd_trajectory(E: Ensemble, H: HamiltonianSet, h: float, rank_tol: float, ts) -> np.ndarray:
-    """S(rho(t)) of E under H at ts, once the rank probe at step h admits E."""
-    p, rhos = _stack([E])
-    _fd_probe(h, _state_spectra(_mixture(p, rhos)).eigenvalues, rank_tol)
-    return _trajectory(p, rhos, _stack_hamiltonians([E], [H])[0], ts)[0]
-
-
-def fd_mixing_rate(
-    E: Ensemble,
-    H: HamiltonianSet,
-    h: float = DEFAULT_FD_STEP,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> float:
-    """Central finite difference [S(rho(h)) - S(rho(-h))] / 2h."""
-    return float(_central(_fd_trajectory(E, H, h, rank_tol, (h, -h)), h))
-
-
-def fd_mixing_rate_richardson(
-    E: Ensemble,
-    H: HamiltonianSet,
-    h: float = DEFAULT_FD_STEP,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> float:
-    """Richardson-extrapolated central difference (oracle mode), error O(h^4)."""
-    return float(_richardson(_fd_trajectory(E, H, h, rank_tol, _fd_times(h)), h))
-
-
 def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> HamiltonianSet:
     """The maximizing Hamiltonians H_x = I - 2 P_neg(i[rho_x, ln rho]).
 
@@ -270,19 +222,19 @@ def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> Ham
     the kernel of the commutator), so H_x^2 = I and ||H_x|| = 1, and
     mixing_rate(E, result) = +max_mixing_rate(E).
     """
-    return _Spectra(*_stack([E]), rank_tol).hamiltonians()[0]
+    return _Spectra(_stack([E]), rank_tol).hamiltonians()[0]
 
 
 def max_mixing_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Closed-form maximum sum_x p(x) ||[rho_x, ln rho]||_1 over -I <= H_x <= I."""
-    return float(_Spectra(*_stack([E]), rank_tol).max_rate[0])
+    return float(_Spectra(_stack([E]), rank_tol).max_rate[0])
 
 
 def binary_max_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Two-member closed form p * ||[rho_1, ln rho]||_1 (only rho_2 evolves)."""
     if len(E) != 2:
         raise NotBinary(f"binary rate needs exactly 2 members, got {len(E)}")
-    return float(_Spectra(*_stack([E]), rank_tol).binary_rate[0])
+    return float(_Spectra(_stack([E]), rank_tol).binary_rate[0])
 
 
 def bound_theorem_binary(p):
@@ -317,34 +269,13 @@ def bound_theorem_general(probs):
     return float(total) if total.ndim == 0 else total
 
 
-@dataclass(frozen=True)
-class StmPoint:
-    """One time slice of the total-mixing sandwich check."""
-
-    t: float
-    entropy: float
-    lower: float
-    upper: float
-    ok: bool
-
-
-def stm_check(E: Ensemble, H: HamiltonianSet, ts: Sequence[float]) -> list[StmPoint]:
-    """Check avg_entropy(E) <= S(rho(t)) <= avg_entropy(E) + S(X) at each t."""
-    p, rhos = _stack([E])
-    S = _trajectory(p, rhos, _stack_hamiltonians([E], [H])[0], ts)
-    lower, upper, ok = _stm_sandwich([E], S)
-    lo, up = float(lower[0]), float(upper[0])
-    return [StmPoint(float(t), float(s), lo, up, bool(k)) for t, s, k in zip(ts, S[0], ok[0])]
-
-
-def _stm_sandwich(Es: Sequence[Ensemble], S: np.ndarray):
-    """(lower, upper, ok) of the STM check for a batch: the average member
-    entropies (B,), lower + S(p), and whether each entropy S (B, T) of rho(t)
-    lies between them."""
-    lower = _average_entropies(Es)
-    upper = lower + _shannon(np.stack([E.probabilities for E in Es]))
-    ok = (lower[:, None] - CHECK_SLACK <= S) & (S <= upper[:, None] + CHECK_SLACK)
-    return lower, upper, ok
+def _stm_sandwich(p: np.ndarray, w: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Whether each entropy S (B, T) of rho(t) lies in the STM sandwich
+    [avg, avg + S(p)] of its ensemble, given by probabilities p (B, n) and
+    the members' eigenvalues w (B, n, d)."""
+    lower = _average_entropies(p, w)
+    upper = lower + _shannon(p)
+    return (lower[:, None] - CHECK_SLACK <= S) & (S <= upper[:, None] + CHECK_SLACK)
 
 
 def ak_gap(A, B, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, float]:
@@ -392,30 +323,30 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> list[Optional[float]]:
 
 
 def _evaluate(
-    Es: Sequence[Ensemble],
-    Hs: Optional[Sequence[HamiltonianSet]],
+    b: _Batch,
+    H: Optional[tuple[hm.EigenDecomposition, np.ndarray]],
     rank_tol: float,
     policy: str,
 ) -> tuple[list[RateReport], list[bool]]:
-    """The reports of a batch of ensembles sharing (n, d) from one spectral
-    pass, and whether STM holds for each at STM_TIMES ("compute" checks no
-    times).
+    """The reports of a batch of ensembles from one spectral pass, and
+    whether STM holds for each at STM_TIMES ("compute" checks no times).
 
-    Hs, one set per ensemble, defaults to the maximizers. If the FD oracle
-    refuses an ensemble, "compute" reports its fd_residual None and the other
-    policies raise. Ratios are max_rate over the general bound and over S(p),
+    H, the spectra and matrices of one Hamiltonian set per ensemble (as
+    `_stack_hamiltonians` gives them), defaults to the maximizers. If the FD
+    oracle refuses an ensemble, "compute" reports its fd_residual None and the
+    other policies raise. Ratios are max_rate over the general bound and over S(p),
     except at n = 2:
       "compute": binary / 4 sqrt(p(1-p)) and binary / S(p);
       "verify":  max_rate / general bound (twice "compute") and binary / S(p);
       "binary":  bound_thm 4 sqrt(p(1-p)), binary / bound_thm and binary / h(p).
     """
-    sp = _Spectra(*_stack(Es), rank_tol)
-    p, B = sp.p, len(Es)
-    if Hs is None:
+    sp = _Spectra(b, rank_tol)
+    p, B = b.p, len(b.p)
+    if H is None:
         H = sp.maximizers()
         rate = _rate(p, hm.hermitian_part(hm.reconstruct(*H)), sp.C)
     else:
-        H, H_matrices = _stack_hamiltonians(Es, Hs)
+        H, H_matrices = H
         rate = _rate(p, H_matrices, sp.C)
     mx = sp.max_rate
     shannon = _shannon(p)
@@ -431,7 +362,7 @@ def _evaluate(
             bound = bound_theorem_binary(p0)
             ratio_thm = _ratios(binary, bound)
             ratio_conj = _ratios(binary, _shannon(np.stack([p0, 1.0 - p0], axis=-1)))
-    refused = _fd_probe(DEFAULT_FD_STEP, sp.rho.eigenvalues, rank_tol, strict=policy != "compute")
+    refused = _fd_probe(sp.rho.eigenvalues, rank_tol, strict=policy != "compute")
     fd_residual, stm_ok = [None] * B, [True] * B
     run = np.flatnonzero(~refused)
     if run.size:
@@ -439,11 +370,11 @@ def _evaluate(
         fd_times = _fd_times(DEFAULT_FD_STEP)
         stm_times = () if policy == "compute" else STM_TIMES
         H_run = hm.EigenDecomposition(H.eigenvalues[sel], H.eigenvectors[sel])
-        S = _trajectory(p[sel], sp.rhos[sel], H_run, fd_times + stm_times)
+        S = _trajectory(p[sel], b.rhos[sel], H_run, fd_times + stm_times)
         fd = np.abs(rate[sel] - _richardson(S.T, DEFAULT_FD_STEP))
-        ok = _stm_sandwich([Es[b] for b in run], S[:, len(fd_times):])[2].all(axis=-1)
-        for b, f, k in zip(run.tolist(), fd.tolist(), ok.tolist()):
-            fd_residual[b], stm_ok[b] = f, k
+        ok = _stm_sandwich(p[sel], b.w[sel], S[:, len(fd_times):]).all(axis=-1)
+        for i, f, k in zip(run.tolist(), fd.tolist(), ok.tolist()):
+            fd_residual[i], stm_ok[i] = f, k
     binaries = [None] * B if binary is None else binary.tolist()
     reports = [
         RateReport(*row)
@@ -459,4 +390,8 @@ def rate_report(
     E: Ensemble, H: Optional[HamiltonianSet] = None, rank_tol: float = DEFAULT_RANK_TOL
 ) -> RateReport:
     """Evaluate all rates and bounds for E; H defaults to the maximizers."""
-    return _evaluate([E], None if H is None else [H], rank_tol, "compute")[0][0]
+    stacked = None
+    if H is not None:
+        _require_matching(E, H)
+        stacked = _stack_hamiltonians(H)
+    return _evaluate(_stack([E]), stacked, rank_tol, "compute")[0][0]

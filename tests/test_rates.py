@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import reference
+from golden.make_golden import write_inputs
 from mixrate import hermitian as hm
 from mixrate import rates
 from mixrate.ensembles import (
@@ -11,11 +13,11 @@ from mixrate.ensembles import (
     Hamiltonian,
     HamiltonianSet,
     _set_spectrum,
+    _stack,
     binary_entropy,
-    evolve,
-    expected_state,
+    parse_ensemble,
+    parse_hamiltonian_set,
     shannon_entropy,
-    von_neumann_entropy,
 )
 from mixrate.errors import (
     BadDistribution,
@@ -68,7 +70,7 @@ class TestMixingRate:
 
     def test_qubit_pair_oracle_value(self, qubit_pair_ensemble):
         H = HamiltonianSet(
-            [Hamiltonian(np.zeros((2, 2))), Hamiltonian(PAULI_Y, normalized=True)]
+            [Hamiltonian(np.zeros((2, 2))), Hamiltonian(PAULI_Y)]
         )
         rate = rates.mixing_rate(qubit_pair_ensemble, H)
         assert rate == pytest.approx(QUBIT_PAIR_MIX_Y, abs=1e-9)
@@ -128,7 +130,7 @@ class TestMixingRate:
     def test_zero_sum_identity(self):
         g = rng(305)
         E = random_ensemble(4, 4, g)
-        ln_rho = hm.support_log(expected_state(E).matrix)
+        ln_rho = hm.support_log(reference.expected_state(E))
         acc = np.zeros((4, 4), dtype=complex)
         for p, s in zip(E.probabilities, E.states):
             acc += p * 1j * hm.commutator(s.matrix, ln_rho)
@@ -138,7 +140,7 @@ class TestMixingRate:
         g = rng(306)
         E = random_ensemble(3, 3, g)
         H = random_hamiltonian_set(3, 3, g)
-        U = hm.matrix_fn(random_hermitian(3, g), lambda w: np.exp(1j * w))
+        U = reference.matrix_fn(random_hermitian(3, g), lambda w: np.exp(1j * w))
         E2 = Ensemble(
             E.probabilities,
             [DensityMatrix(U @ s.matrix @ U.conj().T) for s in E.states],
@@ -159,13 +161,13 @@ class TestFiniteDifferenceOracle:
         rho = DensityMatrix(np.diag([0.6, 0.4]))
         E = Ensemble([0.5, 0.5], [rho, rho])
         H = random_hamiltonian_set(2, 2, rng(307))
-        assert rates.fd_mixing_rate(E, H, 1e-4) == pytest.approx(0.0, abs=1e-8)
+        assert reference.fd_mixing_rate(E, H, 1e-4) == pytest.approx(0.0, abs=1e-8)
 
     def test_identity_hamiltonians_zero(self):
         g = rng(308)
         E = random_ensemble(3, 2, g)
-        H = HamiltonianSet([Hamiltonian(np.eye(3), normalized=True)] * 2)
-        assert rates.fd_mixing_rate(E, H, 1e-4) == pytest.approx(0.0, abs=1e-8)
+        H = HamiltonianSet([Hamiltonian(np.eye(3))] * 2)
+        assert reference.fd_mixing_rate(E, H, 1e-4) == pytest.approx(0.0, abs=1e-8)
 
     def test_agrees_with_analytic_rate(self):
         g = rng(309)
@@ -173,21 +175,21 @@ class TestFiniteDifferenceOracle:
             for _ in range(25):
                 E = random_ensemble(dim, int(g.integers(2, 5)), g)
                 H = random_hamiltonian_set(dim, len(E), g)
-                fd = rates.fd_mixing_rate(E, H, 1e-4)
+                fd = reference.fd_mixing_rate(E, H, 1e-4)
                 assert abs(fd - rates.mixing_rate(E, H)) <= 1e-6
 
     def test_rejects_bad_step(self):
         E = commuting_ensemble()
         H = random_hamiltonian_set(3, 2, rng(310))
         with pytest.raises(DomainError):
-            rates.fd_mixing_rate(E, H, -1e-4)
+            reference.fd_mixing_rate(E, H, -1e-4)
 
     def test_rank_deficient_guard(self):
         pure = DensityMatrix(np.diag([1.0, 0.0]))
         E = Ensemble([0.5, 0.5], [pure, pure])
         H = random_hamiltonian_set(2, 2, rng(311))
         with pytest.raises(RankDeficient):
-            rates.fd_mixing_rate(E, H, 1e-4)
+            reference.fd_mixing_rate(E, H, 1e-4)
 
 
 class TestOptimalHamiltonians:
@@ -212,6 +214,17 @@ class TestOptimalHamiltonians:
         for h in rates.optimal_hamiltonians(E).hams:
             assert hm.frobenius(h.matrix @ h.matrix - np.eye(4)) <= 1e-9
             assert np.max(np.abs(np.linalg.eigvalsh(h.matrix))) <= 1.0 + 1e-12
+
+    def test_matches_the_sign_projector_oracle(self):
+        # H_x = I - 2 P_neg(i[rho_x, ln rho]), the projector from its own eigh.
+        g = rng(323)
+        for dim, n in ((2, 2), (3, 3), (5, 2)):
+            E = random_ensemble(dim, n, g)
+            ln_rho = reference.matrix_fn(reference.expected_state(E), np.log)
+            for s, h in zip(E.states, rates.optimal_hamiltonians(E).hams):
+                C = 1j * (s.matrix @ ln_rho - ln_rho @ s.matrix)
+                P_neg = reference.spectral_sign_projectors(C)[1]
+                assert np.abs(h.matrix - (np.eye(dim) - 2 * P_neg)).max() <= 1e-9
 
     def test_no_random_set_beats_it(self):
         g = rng(314)
@@ -249,7 +262,7 @@ class TestClosedFormMaxima:
         for _ in range(10):
             E = random_ensemble(3, 2, g)
             p = float(E.probabilities[0])
-            ln_rho = hm.support_log(expected_state(E).matrix)
+            ln_rho = hm.support_log(reference.expected_state(E))
             a = p * hm.trace_norm(
                 hm.hermitian_part(1j * hm.commutator(E.states[0].matrix, ln_rho))
             )
@@ -260,11 +273,12 @@ class TestClosedFormMaxima:
             assert rates.binary_max_rate(E) == pytest.approx(a, abs=1e-12)
 
     def test_general_is_twice_binary(self):
+        # Exact in theory at n = 2, since sum_x p_x [rho_x, ln rho] = 0.
         g = rng(316)
         for _ in range(10):
             E = random_ensemble(4, 2, g)
             assert rates.max_mixing_rate(E) == pytest.approx(
-                2.0 * rates.binary_max_rate(E), abs=1e-9
+                2.0 * rates.binary_max_rate(E), rel=1e-12, abs=0.0
             )
 
     def test_binary_rejects_other_sizes(self):
@@ -323,8 +337,10 @@ class TestTrajectory:
     @staticmethod
     def trajectory(Es, Hs, ts):
         """rates._trajectory of a batch of ensembles, one Hamiltonian set each."""
-        p, rhos = rates._stack(Es)
-        return rates._trajectory(p, rhos, rates._stack_hamiltonians(Es, Hs)[0], ts)
+        b = _stack(Es)
+        spectra = [rates._stack_hamiltonians(H)[0] for H in Hs]
+        H = hm.EigenDecomposition(*(np.concatenate(a) for a in zip(*spectra)))
+        return rates._trajectory(b.p, b.rhos, H, ts)
 
     @pytest.mark.parametrize("dim", [2, 4, 16])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -336,7 +352,7 @@ class TestTrajectory:
         assert S.shape == (3, len(self.TIMES))
         for E, H, row in zip(Es, Hs, S):
             for t, s in zip(self.TIMES, row):
-                assert abs(s - von_neumann_entropy(expected_state(evolve(E, H, t)))) <= 1e-12
+                assert abs(s - reference.entropy_at(E, H, t)) <= 1e-12
 
     @pytest.mark.parametrize("w", [(-0.5, 1.5), (0.5, 1.0)])  # not PSD; trace 1.5
     def test_rejects_a_member_that_is_no_state(self, w):
@@ -351,7 +367,7 @@ class TestStmCheck:
     def test_singleton_at_t_zero(self):
         E = Ensemble([1.0], [DensityMatrix(np.diag([0.7, 0.3]))])
         H = HamiltonianSet([Hamiltonian(np.zeros((2, 2)))])
-        (pt,) = rates.stm_check(E, H, [0.0])
+        (pt,) = reference.stm_check(E, H, [0.0])
         assert pt.ok
         assert pt.entropy == pytest.approx(pt.lower, abs=1e-12)
         assert pt.upper == pytest.approx(pt.lower, abs=1e-12)  # S(X) = 0
@@ -361,7 +377,7 @@ class TestStmCheck:
         E = random_ensemble(3, 2, g)
         h = random_unit_hamiltonian(3, g)
         H = HamiltonianSet([h, h])
-        pts = rates.stm_check(E, H, [0.0, 0.7, 2.1])
+        pts = reference.stm_check(E, H, [0.0, 0.7, 2.1])
         assert all(p.ok for p in pts)
         assert pts[1].entropy == pytest.approx(pts[0].entropy, abs=1e-9)
         assert pts[2].entropy == pytest.approx(pts[0].entropy, abs=1e-9)
@@ -371,7 +387,7 @@ class TestStmCheck:
         E = random_ensemble(2, 2, g)
         H = random_hamiltonian_set(2, 2, g)
         ts = [0.1 * k for k in range(1, 31)]
-        assert all(p.ok for p in rates.stm_check(E, H, ts))
+        assert all(p.ok for p in reference.stm_check(E, H, ts))
 
 
 class TestAkGap:
@@ -427,3 +443,34 @@ class TestRateReport:
         rep = rates.rate_report(E)
         assert rep.ratio_conjecture is not None
         assert math.isfinite(rep.ratio_conjecture)
+
+
+class TestExtendedPrecision:
+    """The closed forms and the rate at given H against a 40-digit mpmath
+    evaluation of the same formulas on the same float data (reference.py),
+    to 1e-12 relative."""
+
+    REL = 1e-12
+
+    def check(self, E, H):
+        max_rate, binary, rate = reference.mp_rates(E, H)
+        assert rates.max_mixing_rate(E) == pytest.approx(max_rate, rel=self.REL, abs=0.0)
+        assert rates.mixing_rate(E, H) == pytest.approx(rate, rel=self.REL, abs=0.0)
+        if len(E) == 2:
+            assert rates.binary_max_rate(E) == pytest.approx(binary, rel=self.REL, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_ensembles(self, dim, n):
+        g = rng(340 + 10 * dim + n)
+        for _ in range(2):
+            self.check(random_ensemble(dim, n, g), random_hamiltonian_set(dim, n, g))
+
+    def test_golden_compute_inputs(self, tmp_path):
+        files = write_inputs(str(tmp_path))
+        for n in (2, 3):
+            with open(files[f"ens_n{n}"], "rb") as fh:
+                E = parse_ensemble(fh.read())
+            with open(files[f"hams_n{n}"], "rb") as fh:
+                H = parse_hamiltonian_set(fh.read())
+            self.check(E, H)
