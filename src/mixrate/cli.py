@@ -2,14 +2,17 @@
 
 Subcommands:
   compute  rates/bounds for an ensemble file (optionally with Hamiltonians)
-  verify   seeded random trials with theorem guards
-  scan     binary-ensemble sweep over a p grid
+  verify   seeded random trials with theorem guards, in at most
+           min(--workers, chunks of trials, usable CPUs) processes
+  scan     binary-ensemble sweep over a p grid with a point in (0, 1)
   search   hill-climb the rate/entropy ratio
   sie      entangling-to-mixing reduction for a pure state + Hamiltonian
 
 Exit codes: 0 success, 1 usage or I/O error, 2 invariant/theorem-test
 failure, 3 conjecture-ratio-exceeded event (the offending ensemble is
-serialized into the working directory, conjecture_offender_*.json).
+serialized into the working directory, conjecture_offender_*.json). On exit
+2, verify, scan and search print one stderr line per failed record:
+"trial <id>: " and the error, or the ratio_thm, fd_residual or STM failure.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -58,19 +62,29 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _guard_trip(r: TrialRecord) -> Optional[str]:
+    """Why record r fails a theorem guard, or None if it passes them all."""
+    if r.error is not None:
+        return r.error
+    if r.ratio_thm is not None and r.ratio_thm > 1.0 + THEOREM_SLACK:
+        return f"ratio_thm {r.ratio_thm!r} exceeds 1"
+    if r.fd_residual > 1e-6:
+        return f"fd_residual {r.fd_residual!r} exceeds 1e-6"
+    return None if r.stm_ok else "entropy outside the STM bounds"
+
+
 def guard_status(records: Sequence[TrialRecord]) -> int:
-    """Map a record batch to an exit code: theorem guards beat everything;
-    a conjecture ratio above 1 is a reportable event, not a failure."""
+    """Map a record batch to an exit code, saying on stderr why each failed
+    record fails: theorem guards beat everything; a conjecture ratio above 1
+    is a reportable event, not a failure."""
     status = EXIT_OK
     for r in records:
-        if r.error is not None:
-            return EXIT_INVARIANT
-        if r.ratio_thm is not None and r.ratio_thm > 1.0 + THEOREM_SLACK:
-            return EXIT_INVARIANT
-        if not r.stm_ok or r.fd_residual > 1e-6:
-            return EXIT_INVARIANT
-        if r.ratio_conj is not None and r.ratio_conj > 1.0 + CONJECTURE_SLACK:
-            status = EXIT_CONJECTURE
+        trip = _guard_trip(r)
+        if trip is not None:
+            print(f"trial {r.trial_id}: {trip}", file=sys.stderr)
+            status = EXIT_INVARIANT
+        elif r.ratio_conj is not None and r.ratio_conj > 1.0 + CONJECTURE_SLACK:
+            status = status or EXIT_CONJECTURE
     return status
 
 
@@ -120,14 +134,20 @@ def _pin_blas() -> None:
         setter(1)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig(
         dim=args.dim, n_states=args.states, n_trials=args.trials, seed=args.seed
     )
-    n_workers = max(1, args.workers)
-    # Chunks depend on (n_trials, dim) only, so the records do not depend on
-    # the worker count.
+    # Chunks depend on (n_trials, dim) only, not on the worker count. The pool
+    # forks all its workers up front, so it gets no more than chunks or CPUs.
     chunks = hz.trial_chunks(range(cfg.n_trials), cfg.dim)
+    n_workers = min(args.workers, len(chunks), _cpus())
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
             parts = list(pool.map(run_trials, [cfg] * len(chunks), chunks))
@@ -153,13 +173,14 @@ def _parse_grid(spec: str) -> list[float]:
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or lo > hi:
         raise MixRateError(f"bad p-grid {spec!r}")
     n = math.floor((hi - lo) / step + 1e-9)  # the last point may fall short of hi, never past it
-    return [round(lo + k * step, 12) for k in range(n + 1) if 0.0 < lo + k * step < 1.0]
+    grid = [round(lo + k * step, 12) for k in range(n + 1) if 0.0 < lo + k * step < 1.0]
+    if not grid:
+        raise MixRateError(f"bad p-grid {spec!r}: no point in (0, 1)")
+    return grid
 
 
 def cmd_scan(args) -> int:
-    cfg = ExperimentConfig(
-        dim=args.dim, n_states=2, n_trials=args.trials, seed=args.seed, mode="scan"
-    )
+    cfg = ExperimentConfig(dim=args.dim, n_states=2, n_trials=args.trials, seed=args.seed)
     grid = _parse_grid(args.p_grid)
     records = hz.scan_binary(grid, cfg)
     _emit(records_to_csv(records), args.out)
@@ -183,7 +204,6 @@ def cmd_search(args) -> int:
         dim=args.dim,
         n_states=args.states,
         seed=args.seed,
-        mode="search",
         search_max_iters=args.iters,
         binary=args.binary,
     )

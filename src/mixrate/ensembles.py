@@ -80,7 +80,7 @@ def _state_spectra(raw) -> hm.EigenDecomposition:
     """Validate every matrix of a stack (..., d, d) as a state in one LAPACK
     dispatch: finite entries, Hermiticity residual, eigendecomposition, then
     PSD and unit trace (_state_eigenvalues). Returns the states' spectra."""
-    w, V = hm.eig_hermitian_stack(raw)
+    w, V = hm.eig_hermitian(raw)
     return hm.EigenDecomposition(_state_eigenvalues(w), V)
 
 
@@ -118,7 +118,7 @@ class Hamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        A = hm.require_hermitian(self.matrix)
+        A = hm.require_hermitian(hm.as_matrix(self.matrix))
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
 
@@ -240,13 +240,18 @@ def _shannon(p: np.ndarray) -> np.ndarray:
     return -np.sum(_xlnx(p), axis=-1)
 
 
-def shannon_entropy(probs):
-    """-sum p ln p of a probability vector (nats); for a stack (..., n) of
-    them, the array of their entropies."""
+def _positive_distribution(probs) -> np.ndarray:
+    """probs as floats (..., n), every row positive and summing to 1 within PROB_TOL."""
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or (p <= 0).any() or (abs(p.sum(axis=-1) - 1.0) > PROB_TOL).any():
         raise BadDistribution("probabilities must be positive and sum to 1")
-    h = _shannon(p)
+    return p
+
+
+def shannon_entropy(probs):
+    """-sum p ln p of a probability vector (nats); for a stack (..., n) of
+    them, the array of their entropies."""
+    h = _shannon(_positive_distribution(probs))
     return float(h) if h.ndim == 0 else h
 
 

@@ -140,7 +140,7 @@ def _entanglement_trajectory(
         raise InvariantViolation(f"state norm {float(norms[off][0])!r} differs from 1")
     M = (Psi / norms[:, None]).reshape(ts.size, d_a * d_A, d_B * d_b)
     rho_aA = M @ M.conj().transpose(0, 2, 1)
-    return _entropy_from_eigenvalues(hm.eigvals_hermitian_stack(rho_aA), d_a * d_A)
+    return _entropy_from_eigenvalues(hm.eigvals_hermitian(rho_aA), d_a * d_A)
 
 
 def _check_interaction(psi: PureState, H: BipartiteOperator) -> None:

@@ -117,14 +117,15 @@ class TrialRecord:
     iterations: Optional[int] = None
 
 
-def _ginibre(dim: int, g: np.random.Generator) -> np.ndarray:
-    """A Ginibre matrix: the real part, then the imaginary part."""
-    return g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+def _ginibre(z: np.ndarray) -> np.ndarray:
+    """Ginibre matrices (..., d, d) from standard normals z (..., 2, d, d) in
+    the order they are drawn: each matrix's real part, then its imaginary part."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def _raw_states(n: int, dim: int, g: np.random.Generator) -> np.ndarray:
     """n unvalidated Hilbert-Schmidt states G G† / Tr(G G†), drawn in order."""
-    G = np.stack([_ginibre(dim, g) for _ in range(n)])
+    G = _ginibre(g.standard_normal((n, 2, dim, dim)))
     rho = G @ G.conj().swapaxes(-1, -2)
     return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
 
@@ -145,10 +146,7 @@ def sample_hamiltonian_set(
 def _hamiltonian_draws(n: int, dim: int, g: np.random.Generator):
     """The spectra w (n, d), V (n, d, d) of n unit-norm Hamiltonians, drawn in
     order and diagonalized in one stacked call."""
-    G = np.empty((n, dim, dim), dtype=complex)
-    for k in range(n):
-        G[k] = _ginibre(dim, g)
-    w, V, norms = _unit_spectra(G)
+    w, V, norms = _unit_spectra(_ginibre(g.standard_normal((n, 2, dim, dim))))
     # Norm 0 has measure zero, but keep the contract ||H|| = 1: draw again.
     for k in np.flatnonzero(norms == 0.0):
         wk, Vk = _hamiltonian_draws(1, dim, g)
@@ -160,7 +158,7 @@ def _unit_spectra(G: np.ndarray):
     """The spectra (w / ||H||, V) of H = (G + G†)/2 for a stack of Ginibre
     matrices G (..., d, d), in one stacked eigh, and the norms ||H|| (...);
     a zero norm leaves its w unscaled."""
-    w, V = hm.eig_hermitian_stack((G + G.conj().swapaxes(-1, -2)) / 2)
+    w, V = hm.eig_hermitian((G + G.conj().swapaxes(-1, -2)) / 2)
     norms = np.max(np.abs(w), axis=-1)
     return w / np.where(norms > 0.0, norms, 1.0)[..., None], V, norms
 
@@ -285,8 +283,7 @@ def _climb_draws(k: int, n: int, dim: int, g: np.random.Generator):
         return w[None], V[None], g.standard_normal((1, n))
     m = 2 * n * dim * dim
     z = g.standard_normal(k * (m + n)).reshape(k, m + n)
-    G = z[:, :m].reshape(k, n, 2, dim, dim)
-    w, V, norms = _unit_spectra(G[:, :, 0] + 1j * G[:, :, 1])
+    w, V, norms = _unit_spectra(_ginibre(z[:, :m].reshape(k, n, 2, dim, dim)))
     if not norms.all():
         raise DomainError("a zero-norm Hamiltonian in a block of candidates")
     return w, V, z[:, m:]

@@ -1,15 +1,16 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition (of one matrix or a stack), the logarithm on the support
-through the spectrum, the trace norm, commutators, and a quadrature identity
-for the logarithm. Everything else in the package is built on these
-primitives.
+Eigendecomposition, the logarithm on the support through the spectrum, the
+trace norm, commutators, and a quadrature identity for the logarithm. The
+checks and decompositions take a matrix or a stack (..., d, d) on one path.
+Everything else in the package is built on these primitives.
 
 Matrices are plain ``numpy.ndarray`` of complex128. All operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,20 +48,12 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
-def require_hermitian(M, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate ‖M − M†‖_F ≤ tol·max(1, ‖M‖_F) and return the symmetrized matrix."""
-    A = as_matrix(M)
-    dev = frobenius(A - A.conj().T)
-    if dev > tol * max(1.0, frobenius(A)):
-        raise NonHermitian(f"Hermiticity residual {dev:.3e} exceeds tolerance")
-    return hermitian_part(A)
-
-
-def _require_hermitian_stack(Ms) -> np.ndarray:
-    """require_hermitian on every matrix of a stack (..., d, d)."""
-    A = np.asarray(Ms, dtype=complex)
+def require_hermitian(M) -> np.ndarray:
+    """Validate ‖M − M†‖_F ≤ HERM_TOL·max(1, ‖M‖_F) for a matrix or for every
+    matrix of a stack (..., d, d); return the symmetrized (M + M†)/2."""
+    A = np.asarray(M, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimMismatch(f"expected a stack of square matrices, got shape {A.shape}")
+        raise DimMismatch(f"expected square matrices, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
     # One buffer B, first A† − A and then (A + A†)/2, and norms through einsum:
@@ -94,7 +87,8 @@ def _lapack(f, A: np.ndarray):
 
 
 def eig_hermitian(M) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending;
+    of a stack (..., d, d), of every matrix in one LAPACK dispatch.
 
     Satisfies ‖M − V diag(λ) V†‖_F ≤ 1e-10·max(1, ‖M‖_F) and
     ‖V†V − I‖_F ≤ 1e-10.
@@ -102,16 +96,9 @@ def eig_hermitian(M) -> EigenDecomposition:
     return EigenDecomposition(*_lapack(np.linalg.eigh, require_hermitian(M)))
 
 
-def eig_hermitian_stack(Ms) -> EigenDecomposition:
-    """eig_hermitian of every matrix of a stack (..., d, d), with its checks
-    and errors, in one LAPACK dispatch: eigenvalues (..., d), eigenvectors
-    (..., d, d)."""
-    return EigenDecomposition(*_lapack(np.linalg.eigh, _require_hermitian_stack(Ms)))
-
-
-def eigvals_hermitian_stack(Ms) -> np.ndarray:
-    """The eigenvalues (..., d), ascending, of eig_hermitian_stack(Ms)."""
-    return _lapack(np.linalg.eigvalsh, _require_hermitian_stack(Ms))
+def eigvals_hermitian(M) -> np.ndarray:
+    """The eigenvalues (..., d), ascending, of eig_hermitian(M)."""
+    return _lapack(np.linalg.eigvalsh, require_hermitian(M))
 
 
 def reconstruct(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -121,18 +108,17 @@ def reconstruct(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def support_log(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Logarithm of a PSD matrix restricted to its support, zero on the kernel.
+    """ln of a PSD matrix, or of each of a stack, on its support; zero on the kernel.
 
     Eigenvalues λ ≤ rank_tol·λ_max are treated as kernel. An eigenvalue below
     −rank_tol·λ_max means the input was not PSD.
     """
-    if rank_tol <= 0:
-        raise DomainError("rank_tol must be positive")
     eig = eig_hermitian(M)
+    ln_M = log_on_support(eig, rank_tol)[0]
     w = eig.eigenvalues
-    if w.size and np.any(w < -rank_tol * float(w[-1])):
-        raise DomainError(f"matrix has a negative eigenvalue {w[0]:.3e}")
-    return log_on_support(eig, rank_tol)[0]
+    if (w < -rank_tol * w[..., -1:]).any():
+        raise DomainError(f"matrix has a negative eigenvalue {w.min():.3e}")
+    return ln_M
 
 
 def log_on_support(eig: EigenDecomposition, rank_tol: float = DEFAULT_RANK_TOL):
@@ -140,7 +126,10 @@ def log_on_support(eig: EigenDecomposition, rank_tol: float = DEFAULT_RANK_TOL):
     stack of spectra (..., d), (..., d, d), the stack of them.
 
     Eigenvalues λ ≤ rank_tol·λ_max are kernel. Returns (ln M, support mask).
+    The one check of rank_tol: it must be positive and finite.
     """
+    if not (math.isfinite(rank_tol) and rank_tol > 0):
+        raise DomainError(f"rank_tol {rank_tol!r} must be positive and finite")
     w, V = eig
     supp = w > rank_tol * w[..., -1:]
     lw = np.zeros_like(w)
@@ -148,10 +137,10 @@ def log_on_support(eig: EigenDecomposition, rank_tol: float = DEFAULT_RANK_TOL):
     return hermitian_part(reconstruct(lw, V)), supp
 
 
-def trace_norm(M) -> float:
-    """‖M‖₁ = Σ|λ_i| for Hermitian M."""
-    A = require_hermitian(M)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(A))))
+def trace_norm(M):
+    """‖M‖₁ = Σ|λ_i| for Hermitian M; for a stack, the array of them."""
+    n = np.abs(eigvals_hermitian(M)).sum(axis=-1)
+    return float(n) if n.ndim == 0 else n
 
 
 def commutator(A, B) -> np.ndarray:

@@ -18,7 +18,6 @@ of the entropy cross-checks the analytic derivative on every evaluation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -33,6 +32,7 @@ from .ensembles import (
     _Batch,
     _entropy_from_eigenvalues,
     _mixture,
+    _positive_distribution,
     _require_matching,
     _shannon,
     _stack,
@@ -41,7 +41,6 @@ from .ensembles import (
     _xlnx,
 )
 from .errors import (
-    BadDistribution,
     DegenerateState,
     DimMismatch,
     DomainError,
@@ -62,8 +61,6 @@ def _support_logs(p: np.ndarray, rhos: np.ndarray, rank_tol: float):
     """(ln rho (B, d, d) on the support, spectrum of rho) of the expected state
     rho = sum_x p_x rho_x of each ensemble of a batch, all validated in one
     stacked call; raises if a member leaks off the support of its rho."""
-    if not (math.isfinite(rank_tol) and rank_tol > 0):
-        raise DomainError(f"rank_tol {rank_tol!r} must be positive and finite")
     w, V = _state_spectra(_mixture(p, rhos))
     ln_rho, supp = hm.log_on_support(hm.EigenDecomposition(w, V), rank_tol)
     if not supp.all():
@@ -105,7 +102,7 @@ class _Spectra:
         self.p = b.p
         self.ln_rho, self.rho = _support_logs(b.p, b.rhos, rank_tol)
         self.C = _commutators(b.rhos, self.ln_rho)
-        self.eigs = hm.eig_hermitian_stack(self.C)
+        self.eigs = hm.eig_hermitian(self.C)
         norms = np.sum(np.abs(self.eigs.eigenvalues), axis=-1)
         self.max_rate = np.sum(self.p * norms, axis=-1)
         self.binary_rate = self.p[:, 0] * norms[:, 0]
@@ -211,7 +208,7 @@ def _trajectory(
         rho_t += p[:, x, None, None, None] * (
             Vx @ (phase[..., :, None] * R * phase.conj()[..., None, :]) @ Vxh
         )
-    w_t = _state_eigenvalues(hm.eigvals_hermitian_stack(rho_t))
+    w_t = _state_eigenvalues(hm.eigvals_hermitian(rho_t))
     return _entropy_from_eigenvalues(w_t, d)
 
 
@@ -254,14 +251,7 @@ def bound_theorem_general(probs):
     x0 is the index of the largest probability; ties break to the lowest
     index (the bound value is tie-invariant).
     """
-    p = np.asarray(probs, dtype=float)
-    if (
-        p.ndim == 0
-        or p.shape[-1] == 0
-        or (p <= 0).any()
-        or (abs(p.sum(axis=-1) - 1.0) > 1e-10).any()
-    ):
-        raise BadDistribution("probabilities must be positive and sum to 1")
+    p = _positive_distribution(probs)
     sqrt_p = np.sqrt(p)
     terms = sqrt_p * (sqrt_p.sum(axis=-1, keepdims=True) - sqrt_p)
     x0 = np.arange(p.shape[-1]) == p.argmax(axis=-1)[..., None]
@@ -289,11 +279,9 @@ def ak_gap(A, B, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, float]:
     B = hm.require_hermitian(B)
     if A.shape != B.shape:
         raise DimMismatch("A and B must have equal dimensions")
-    eig = hm.eig_hermitian(A + B)
-    w = eig.eigenvalues
-    if w[0] <= rank_tol * max(float(w[-1]), 0.0):
+    ln_C, supp = hm.log_on_support(hm.eig_hermitian(A + B), rank_tol)
+    if not supp.all():
         raise DomainError("A + B is rank-deficient beyond tolerance")
-    ln_C = hm.log_on_support(eig, rank_tol)[0]
     lhs = hm.trace_norm(hm.hermitian_part(1j * hm.commutator(B, ln_C)))
     alpha = float(np.real(np.trace(A)))
     beta = float(np.real(np.trace(B)))

@@ -23,6 +23,7 @@ from mixrate.entangling import (
     serialize_bipartite_operator,
     serialize_pure_state,
 )
+from mixrate.errors import NoConvergence
 from mixrate.ensembles import parse_ensemble
 from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
 from mixrate.rates import rate_report
@@ -82,7 +83,7 @@ class TestCompute:
         assert report["mixing_rate_at_H"] is not None
         assert abs(report["mixing_rate_at_H"]) <= report["max_rate"] + 1e-9
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_rank_tol_must_be_positive_and_finite(self, ensemble_file, tol, capsys):
         # A negative tolerance flipped every maximizer to -I and reported a
         # wrong rate that the FD oracle agreed with; nan failed as a leak.
@@ -134,13 +135,69 @@ class TestVerify:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 7
 
-    def test_workers_agree(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert main(self.ARGS + ["--workers", "1", "--out", str(serial)]) == EXIT_OK
-        assert main(self.ARGS + ["--workers", "4", "--out", str(parallel)]) == EXIT_OK
-        assert self._strip_elapsed(serial.read_text()) == self._strip_elapsed(
-            parallel.read_text()
-        )
+    def test_workers_agree(self, tmp_path, monkeypatch):
+        # ARGS make one chunk, which runs without a pool whatever --workers
+        # says; 4 trials at d = 32 are 4 chunks, and with 2 CPUs (forced
+        # here) a pool of 2 runs them.
+        multi = ["verify", "--dim", "32", "--states", "2", "--trials", "4", "--seed", "42"]
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        for args, workers in ((self.ARGS, "4"), (multi, "2")):
+            serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+            assert main(args + ["--workers", "1", "--out", str(serial)]) == EXIT_OK
+            assert main(args + ["--workers", workers, "--out", str(parallel)]) == EXIT_OK
+            assert self._strip_elapsed(serial.read_text()) == self._strip_elapsed(
+                parallel.read_text()
+            )
+
+    @pytest.mark.parametrize(
+        "dim,trials,workers,cpus,started",
+        [
+            (4, 12, 6, 8, None),  # one chunk: no pool at all
+            (32, 4, 100000, 8, 4),  # no more workers than chunks
+            (32, 4, 100000, 3, 3),  # nor than usable CPUs
+            (32, 4, 2, 8, 2),
+            (32, 4, 0, 8, None),
+        ],
+    )
+    def test_workers_are_capped(self, dim, trials, workers, cpus, started, tmp_path, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Records max_workers and runs the work in this process."""
+
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        argv = ["verify", "--dim", str(dim), "--states", "2", "--trials", str(trials)]
+        argv += ["--seed", "1", "--workers", str(workers), "--out", str(tmp_path / "v.csv")]
+        assert main(argv) == EXIT_OK
+        assert sizes == ([] if started is None else [started])
+        assert len((tmp_path / "v.csv").read_text().splitlines()) == trials + 1
+
+    def test_failed_trials_are_named_on_stderr(self, tmp_path, monkeypatch, capsys):
+        # A trial whose evaluation raised writes a row of zeros: the exit
+        # code says 2, and stderr says which trial and why.
+        def no_convergence(*args):
+            raise NoConvergence("eigh did not converge")
+
+        monkeypatch.setattr(hz, "_evaluate", no_convergence)
+        out = tmp_path / "v.csv"
+        assert main(self.ARGS + ["--out", str(out)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err.splitlines() == [
+            f"trial {i}: NoConvergence: eigh did not converge" for i in range(6)
+        ]
+        assert len(out.read_text().splitlines()) == 7  # the CSV is unchanged
 
     def test_one_state_runs(self, tmp_path):
         # Unlike search, verify accepts a single state (S(X) = 0, no ratios).
@@ -211,6 +268,11 @@ class TestScan:
             ["scan", "--p-grid", "0.5", "--dim", "2", "--trials", "1", "--seed", "0"]
         )
         assert code == EXIT_USAGE
+        # A grid with no point in (0, 1) would write a header-only CSV.
+        argv = ["scan", "--p-grid", "1.2:1.5:0.1", "--dim", "2", "--trials", "1", "--seed", "0"]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("mixrate: error: bad p-grid '1.2:1.5:0.1'")
 
     @pytest.mark.parametrize(
         "spec,grid", [("0.1:0.8:0.2", [0.1, 0.3, 0.5, 0.7]), ("0.1:0.66:0.2", [0.1, 0.3, 0.5])]
@@ -399,8 +461,30 @@ class TestGuardStatus:
         base.update(kw)
         return TrialRecord(**base)
 
-    def test_clean_batch(self):
+    def test_clean_batch(self, capsys):
         assert guard_status([self._record()]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_each_failed_record_gets_a_stderr_line(self, capsys):
+        records = [
+            self._record(trial_id=0, error="DomainError: x"),
+            self._record(trial_id=1),
+            self._record(trial_id=2, ratio_thm=1.5),
+            self._record(trial_id=3, fd_residual=1e-3),
+            self._record(trial_id=4, stm_ok=False),
+            self._record(trial_id=5, ratio_conj=2.0),
+        ]
+        assert guard_status(records) == EXIT_INVARIANT
+        assert capsys.readouterr().err.splitlines() == [
+            "trial 0: DomainError: x",
+            "trial 2: ratio_thm 1.5 exceeds 1",
+            "trial 3: fd_residual 0.001 exceeds 1e-6",
+            "trial 4: entropy outside the STM bounds",
+        ]
+
+    def test_conjecture_event_before_a_failure(self):
+        records = [self._record(ratio_conj=2.0), self._record(stm_ok=False)]
+        assert guard_status(records) == EXIT_INVARIANT
 
     def test_error_wins(self):
         records = [self._record(error="DomainError: x"), self._record(ratio_conj=2.0)]

@@ -100,18 +100,29 @@ class TestSampling:
 
     def test_hamiltonian_set_redraws_a_zero_draw(self):
         class ZeroFirst:
-            """A generator whose first two draws (member 0) are zero."""
+            """A generator whose first draw, of all members at once, has
+            member 0 (its real and imaginary part) zero."""
 
             def __init__(self):
                 self.g, self.calls = np.random.default_rng(4), 0
 
             def standard_normal(self, shape):
                 self.calls += 1
-                return np.zeros(shape) if self.calls <= 2 else self.g.standard_normal(shape)
+                z = self.g.standard_normal(shape)
+                if self.calls == 1:
+                    z[0] = 0.0
+                return z
 
-        H = sample_hamiltonian_set(2, 3, ZeroFirst())
+        gen = ZeroFirst()
+        H = sample_hamiltonian_set(2, 3, gen)
+        assert gen.calls == 2  # the draw of both members, then member 0 again
         for h in H.hams:
             assert np.max(np.abs(np.linalg.eigvalsh(h.matrix))) == pytest.approx(1.0, abs=1e-12)
+        # Member 1 keeps its draw: the second normals of the generator's stream.
+        z = np.random.default_rng(4).standard_normal((2, 2, 3, 3))
+        G = z[1, 0] + 1j * z[1, 1]
+        w, V = np.linalg.eigh((G + G.conj().T) / 2)
+        assert np.allclose(H.hams[1].matrix, (V * (w / np.abs(w).max())) @ V.conj().T, atol=1e-15)
 
     def test_hamiltonian_dim_one(self):
         H = sample_hamiltonian(1, RNGSpec(3, 7))

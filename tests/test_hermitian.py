@@ -9,7 +9,7 @@ import reference
 from mixrate import hermitian as hm
 from mixrate.errors import DimMismatch, DomainError, NonHermitian
 
-from conftest import random_hermitian, rng
+from conftest import BAD_RANK_TOLS, random_hermitian, rng
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -55,24 +55,37 @@ class TestEigHermitian:
 
 
 class TestEigHermitianStack:
+    """eig_hermitian and eigvals_hermitian on a stack: each matrix gets the
+    single-matrix result and checks, in one call."""
+
     def test_matches_each_matrix(self):
         g = rng(102)
         Ms = np.stack([random_hermitian(5, g) for _ in range(4)])
-        W, Vs = hm.eig_hermitian_stack(Ms)
-        assert np.allclose(W, hm.eigvals_hermitian_stack(Ms), atol=1e-12)
+        W, Vs = hm.eig_hermitian(Ms)
+        assert np.allclose(W, hm.eigvals_hermitian(Ms), atol=1e-12)
         for M, w, V in zip(Ms, W, Vs):
             assert np.allclose(w, hm.eig_hermitian(M).eigenvalues, atol=1e-12)
             assert hm.frobenius(M - hm.reconstruct(w, V)) <= 1e-10 * max(1.0, hm.frobenius(M))
 
     def test_rejects_one_bad_matrix(self):
         Ms = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
-        for f in (hm.eig_hermitian_stack, hm.eigvals_hermitian_stack):
+        for f in (hm.eig_hermitian, hm.eigvals_hermitian):
             with pytest.raises(NonHermitian):
                 f(Ms)
             with pytest.raises(DomainError):
                 f(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
             with pytest.raises(DimMismatch):
                 f(np.zeros((2, 2, 3)))
+            with pytest.raises(DimMismatch):
+                f(np.zeros(3))
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        # A single matrix takes the stacked path: bit-equal to a stack of one.
+        M = random_hermitian(6, rng(103))
+        for a, b in zip(hm.eig_hermitian(M), hm.eig_hermitian(M[None])):
+            assert np.array_equal(a, b[0])
+        assert np.array_equal(hm.eigvals_hermitian(M), hm.eigvals_hermitian(M[None])[0])
+        assert np.array_equal(hm.require_hermitian(M), hm.require_hermitian(M[None])[0])
 
 
 class TestMatrixFn:
@@ -124,6 +137,21 @@ class TestSupportLog:
         with pytest.raises(DomainError):
             hm.support_log(np.eye(2), rank_tol=0.0)
 
+    @pytest.mark.parametrize("tol", BAD_RANK_TOLS)
+    def test_rank_tol_must_be_positive_and_finite(self, tol):
+        # A NaN tolerance made every eigenvalue kernel: ln(I/2) came out 0.
+        with pytest.raises(DomainError, match="rank_tol"):
+            hm.support_log(np.eye(2) / 2, rank_tol=tol)
+        with pytest.raises(DomainError, match="rank_tol"):
+            hm.log_on_support(hm.eig_hermitian(np.eye(2) / 2), tol)
+
+    def test_stack(self):
+        Ms = np.stack([np.diag([0.5, 0.5]), np.diag([math.e, 0.0])])
+        want = np.stack([np.diag([-math.log(2)] * 2), np.diag([1.0, 0.0])])
+        assert np.allclose(hm.support_log(Ms), want, atol=1e-12)
+        with pytest.raises(DomainError):
+            hm.support_log(np.stack([np.eye(2), np.diag([1.0, -0.5])]))
+
 
 class TestTraceNorm:
     def test_sum_of_absolute_eigenvalues(self):
@@ -154,6 +182,10 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             hm.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack(self):
+        out = hm.trace_norm(np.stack([np.diag([1.0, -1.0]), np.diag([0.5, 0.25])]))
+        assert np.allclose(out, [2.0, 0.75], atol=1e-15)
 
 
 class TestCommutator:

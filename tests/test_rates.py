@@ -30,6 +30,7 @@ from mixrate.errors import (
 )
 
 from conftest import (
+    BAD_RANK_TOLS,
     random_ensemble,
     random_hamiltonian_set,
     random_hermitian,
@@ -412,6 +413,22 @@ class TestAkGap:
         B = np.diag([1.0, 0.0])
         with pytest.raises(DomainError):
             rates.ak_gap(A, B)
+
+    @pytest.mark.parametrize("tol", BAD_RANK_TOLS)
+    def test_rank_tol_must_be_positive_and_finite(self, tol, qubit_pair_ensemble):
+        # A NaN tolerance made all of A + B kernel: the lhs came out 0.
+        A, B = (0.5 * s.matrix for s in qubit_pair_ensemble.states)
+        with pytest.raises(DomainError, match="rank_tol"):
+            rates.ak_gap(A, B, rank_tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_RANK_TOLS)
+@pytest.mark.parametrize(
+    "entry", [rates.max_mixing_rate, rates.binary_max_rate, rates.rate_report]
+)
+def test_rank_tol_must_be_positive_and_finite(entry, tol, qubit_pair_ensemble):
+    with pytest.raises(DomainError, match="rank_tol"):
+        entry(qubit_pair_ensemble, rank_tol=tol)
 
 
 class TestRateReport:

@@ -1,0 +1,70 @@
+"""Static checks of the package source.
+
+Runtime invariants raise typed MixRateErrors, so `src/mixrate` holds no
+`assert` statement (asserts vanish under `python -O`). Every
+eigendecomposition goes through `hermitian._lapack`, the one place that
+types LAPACK errors and the one point that counts them: numpy's `eigh` and
+`eigvalsh` appear only as the routine handed to `_lapack`.
+"""
+
+import ast
+from pathlib import Path
+
+import mixrate
+
+SRC = Path(mixrate.__file__).parent
+EIG = {"eigh", "eigvalsh"}
+
+
+def _violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    # The routines handed to _lapack(f, A): the only allowed references.
+    handed = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_lapack"
+        and node.args
+    }
+    out = []
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Assert):
+            out.append(f"{where}: assert statement")
+        elif isinstance(node, ast.Attribute) and node.attr in EIG and id(node) not in handed:
+            out.append(f"{where}: {node.attr} outside hermitian._lapack")
+        elif isinstance(node, ast.Name) and node.id in EIG and id(node) not in handed:
+            out.append(f"{where}: {node.id} outside hermitian._lapack")
+        elif isinstance(node, ast.ImportFrom) and EIG & {a.name for a in node.names}:
+            out.append(f"{where}: imports {sorted(EIG & {a.name for a in node.names})}")
+    if path.name != "hermitian.py" and handed:
+        out.append(f"{path.name}: calls _lapack outside hermitian")
+    return out
+
+
+def test_no_asserts_and_one_lapack_entry():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [v for f in files for v in _violations(f)]
+    assert found == []
+
+
+def test_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "def f(A):\n"
+        "    assert A.ndim == 2\n"
+        "    g = np.linalg.eigvalsh\n"
+        "    return np.linalg.eigh(A), g(A), _lapack(np.linalg.eigh, A)\n"
+    )
+    kinds = [v.split(": ", 1)[1] for v in _violations(bad)]
+    assert kinds == [
+        "imports ['eigh']",
+        "assert statement",
+        "eigvalsh outside hermitian._lapack",
+        "eigh outside hermitian._lapack",
+        "calls _lapack outside hermitian",
+    ]
