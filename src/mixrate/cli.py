@@ -32,7 +32,6 @@ from . import entangling as ent
 from . import harness as hz
 from .ensembles import _ensemble, parse_ensemble, parse_hamiltonian_set, serialize_ensemble
 from .errors import MixRateError
-from .hermitian import DEFAULT_RANK_TOL
 from .rates import rate_report
 from .harness import (
     CONJECTURE_SLACK,
@@ -108,7 +107,7 @@ def cmd_compute(args) -> int:
     H = None
     if args.hamiltonians:
         H = parse_hamiltonian_set(_read(args.hamiltonians))
-    report = rate_report(E, H, rank_tol=args.tol)
+    report = rate_report(E, H)
     _emit(report.to_json().decode("utf-8") + "\n", args.out)
     return EXIT_OK
 
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ensemble", required=True)
     c.add_argument("--hamiltonians")
     c.add_argument("--out")
-    c.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     c.set_defaults(fn=cmd_compute)
 
     v = sub.add_parser("verify", help="seeded random trials with theorem guards")

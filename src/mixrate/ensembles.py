@@ -138,10 +138,10 @@ class Hamiltonian:
 
 
 def _require_distribution(p: np.ndarray) -> None:
-    """An Ensemble's checks on probabilities p (..., n): none negative, and
-    every row summing to 1 within PROB_TOL."""
-    if (p < 0).any():
-        raise BadDistribution("negative probability")
+    """An Ensemble's checks on probabilities p (..., n): none negative or NaN
+    (p >= 0 holds, which NaN fails), and every row summing to 1 within PROB_TOL."""
+    if not (p >= 0).all():
+        raise BadDistribution("negative or NaN probability")
     total = p.sum(axis=-1, keepdims=True)
     off = abs(total - 1.0) > PROB_TOL
     if off.any():
@@ -241,11 +241,19 @@ def _shannon(p: np.ndarray) -> np.ndarray:
 
 
 def _positive_distribution(probs) -> np.ndarray:
-    """probs as floats (..., n), every row positive and summing to 1 within PROB_TOL."""
+    """probs as floats (..., n), every row positive (not NaN) and summing to 1 within PROB_TOL."""
     p = np.asarray(probs, dtype=float)
-    if p.ndim < 1 or (p <= 0).any() or (abs(p.sum(axis=-1) - 1.0) > PROB_TOL).any():
+    if p.ndim < 1 or not ((p > 0).all() and (abs(p.sum(axis=-1) - 1.0) <= PROB_TOL).all()):
         raise BadDistribution("probabilities must be positive and sum to 1")
     return p
+
+
+def _unit_interval(p) -> np.ndarray:
+    """p, a probability or an array of them, as floats in [0, 1]; NaN is not."""
+    q = np.asarray(p, dtype=float)
+    if not ((0.0 <= q) & (q <= 1.0)).all():
+        raise DomainError(f"probability {p!r} outside [0, 1]")
+    return q
 
 
 def shannon_entropy(probs):
@@ -258,9 +266,7 @@ def shannon_entropy(probs):
 def binary_entropy(p):
     """-p ln p - (1-p) ln(1-p), with the endpoint convention S(0) = S(1) = 0;
     for an array of p, the array of entropies."""
-    q = np.asarray(p, dtype=float)
-    if not ((0.0 <= q) & (q <= 1.0)).all():
-        raise DomainError(f"binary entropy undefined at p={p!r}")
+    q = _unit_interval(p)
     h = np.where((0.0 < q) & (q < 1.0), _shannon(np.stack([q, 1.0 - q], axis=-1)), 0.0)
     return float(h) if h.ndim == 0 else h
 

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     PositivityViolation,
 )
-from .rates import CHECK_SLACK, DEFAULT_RANK_TOL, IMAG_TOL, mixing_rate
+from .rates import CHECK_SLACK, IMAG_TOL, mixing_rate
 
 NORM_TOL = 1e-10
 
@@ -156,14 +156,12 @@ def lift_to_aAB(H: BipartiteOperator, d_a: int) -> np.ndarray:
     return np.kron(np.eye(d_a), H.matrix)
 
 
-def entangling_rate(
-    psi: PureState, H: BipartiteOperator, rank_tol: float = DEFAULT_RANK_TOL
-) -> float:
+def entangling_rate(psi: PureState, H: BipartiteOperator) -> float:
     """Analytic derivative i Tr(H_lift [rho_aAB, ln(rho_aA) ⊗ I_B])."""
     _check_interaction(psi, H)
     d_a, d_A, d_B, _ = psi.dims
     rho_aAB, rho_aA = _reduced(psi)
-    L = np.kron(hm.support_log(rho_aA, rank_tol), np.eye(d_B))
+    L = np.kron(hm.support_log(rho_aA), np.eye(d_B))
     H_lift = lift_to_aAB(H, d_a)
     val = 1j * np.trace(H_lift @ hm.commutator(rho_aAB, L))
     if abs(val.imag) > IMAG_TOL:
@@ -197,19 +195,17 @@ def bravyi_mu(psi: PureState) -> DensityMatrix:
         raise PositivityViolation(f"mu is not a state: {exc.which}") from exc
 
 
-def sie_to_sim(
-    psi: PureState, H: BipartiteOperator, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[Ensemble, Hamiltonian, float]:
+def sie_to_sim(psi: PureState, H: BipartiteOperator) -> tuple[Ensemble, Hamiltonian, float]:
     """Entangling-to-mixing reduction: the ensemble
     {(1 - d_B^{-2}, mu), (d_B^{-2}, rho_aAB)},
     the lifted Hamiltonian I_a ⊗ H_AB, and the residual
     |binary mixing rate - d_B^{-2} * entangling rate|.
     """
-    return _sie_reduction(psi, H, rank_tol)[:3]
+    return _sie_reduction(psi, H)[:3]
 
 
 def _sie_reduction(
-    psi: PureState, H: BipartiteOperator, rank_tol: float = DEFAULT_RANK_TOL
+    psi: PureState, H: BipartiteOperator
 ) -> tuple[Ensemble, Hamiltonian, float, float]:
     """sie_to_sim's three values, then the entangling rate it compared."""
     _check_interaction(psi, H)
@@ -219,8 +215,8 @@ def _sie_reduction(
     E2 = Ensemble([1.0 - d_B ** -2, d_B ** -2], [mu, rho_aAB])
     H_lift = Hamiltonian(lift_to_aAB(H, d_a))
     zero = Hamiltonian(np.zeros_like(H_lift.matrix))
-    lam = mixing_rate(E2, HamiltonianSet([zero, H_lift]), rank_tol)
-    gam = entangling_rate(psi, H, rank_tol)
+    lam = mixing_rate(E2, HamiltonianSet([zero, H_lift]))
+    gam = entangling_rate(psi, H)
     residual = abs(lam - d_B ** -2 * gam)
     return E2, H_lift, residual, gam
 

@@ -30,12 +30,7 @@ from .ensembles import (
     shannon_entropy,
 )
 from .errors import BoundViolation, DomainError, MixRateError
-from .rates import (
-    DEFAULT_RANK_TOL,
-    _evaluate,
-    _Spectra,
-    bound_theorem_general,
-)
+from .rates import _evaluate, _Spectra, bound_theorem_general
 
 PROB_FLOOR = 1e-6
 # _sample_probs redraws until every p_x > PROB_FLOOR. A flat Dirichlet draw
@@ -209,7 +204,7 @@ def evaluate_batch(
     ]
     policy = "binary" if binary_bounds else "verify"
     try:
-        reports, stm_ok = _evaluate(b, None, DEFAULT_RANK_TOL, policy)
+        reports, stm_ok = _evaluate(b, None, policy)
     except MixRateError as exc:
         if len(trial_ids) > 1:
             return [
@@ -309,7 +304,7 @@ def _climb_block(cur: _Batch, eps: float, k: int, g: np.random.Generator, binary
     q /= q.sum(axis=-1, keepdims=True)
     _require_distribution(q)
     cand = _Batch(q, *_frozen(np.broadcast_to(w, Vc.shape[:-1]), Vc))
-    sp = _Spectra(cand, DEFAULT_RANK_TOL)
+    sp = _Spectra(cand)
     # broadcast_to: a bound given as one number holds for every candidate.
     bound = np.broadcast_to(bound_theorem_general(q), (k,))
     return cand, sp.max_rate, bound, _objectives(sp, binary)
@@ -355,7 +350,7 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
     try:
         while iters < cfg.search_max_iters:
             cur = _sampled([_trial_draw(cfg, g)])
-            cur_obj = _objectives(_Spectra(cur, DEFAULT_RANK_TOL), cfg.binary)[0]
+            cur_obj = _objectives(_Spectra(cur), cfg.binary)[0]
             eps, rejects, retry = SEARCH_STEP, 0, False
             while iters < cfg.search_max_iters and eps >= 1e-6:
                 k = 1 if retry else min(SEARCH_BLOCK, 20 - rejects, cfg.search_max_iters - iters)

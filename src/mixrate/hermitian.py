@@ -10,7 +10,6 @@ Matrices are plain ``numpy.ndarray`` of complex128. All operations are pure.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import DimMismatch, DomainError, NoConvergence, NonHermitian
 
 HERM_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-12
+RANK_TOL = 1e-12  # eigenvalues λ ≤ RANK_TOL·λ_max are the kernel
 
 
 class EigenDecomposition(NamedTuple):
@@ -107,31 +106,28 @@ def reconstruct(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def support_log(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def support_log(M) -> np.ndarray:
     """ln of a PSD matrix, or of each of a stack, on its support; zero on the kernel.
 
-    Eigenvalues λ ≤ rank_tol·λ_max are treated as kernel. An eigenvalue below
-    −rank_tol·λ_max means the input was not PSD.
+    Eigenvalues λ ≤ RANK_TOL·λ_max are treated as kernel. An eigenvalue below
+    −RANK_TOL·λ_max means the input was not PSD.
     """
     eig = eig_hermitian(M)
-    ln_M = log_on_support(eig, rank_tol)[0]
+    ln_M = log_on_support(eig)[0]
     w = eig.eigenvalues
-    if (w < -rank_tol * w[..., -1:]).any():
+    if (w < -RANK_TOL * w[..., -1:]).any():
         raise DomainError(f"matrix has a negative eigenvalue {w.min():.3e}")
     return ln_M
 
 
-def log_on_support(eig: EigenDecomposition, rank_tol: float = DEFAULT_RANK_TOL):
+def log_on_support(eig: EigenDecomposition):
     """ln of a PSD matrix given by its spectrum, zero on the kernel; for a
     stack of spectra (..., d), (..., d, d), the stack of them.
 
-    Eigenvalues λ ≤ rank_tol·λ_max are kernel. Returns (ln M, support mask).
-    The one check of rank_tol: it must be positive and finite.
+    Eigenvalues λ ≤ RANK_TOL·λ_max are kernel. Returns (ln M, support mask).
     """
-    if not (math.isfinite(rank_tol) and rank_tol > 0):
-        raise DomainError(f"rank_tol {rank_tol!r} must be positive and finite")
     w, V = eig
-    supp = w > rank_tol * w[..., -1:]
+    supp = w > RANK_TOL * w[..., -1:]
     lw = np.zeros_like(w)
     np.log(w, out=lw, where=supp)
     return hermitian_part(reconstruct(lw, V)), supp

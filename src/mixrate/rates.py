@@ -38,6 +38,7 @@ from .ensembles import (
     _stack,
     _state_eigenvalues,
     _state_spectra,
+    _unit_interval,
     _xlnx,
 )
 from .errors import (
@@ -48,7 +49,7 @@ from .errors import (
     NotBinary,
     RankDeficient,
 )
-from .hermitian import DEFAULT_RANK_TOL
+from .hermitian import RANK_TOL
 
 DEFAULT_FD_STEP = 1e-4
 IMAG_TOL = 1e-9
@@ -57,12 +58,12 @@ STM_TIMES = (0.5, 1.0, 2.0)  # the times at which a trial checks the STM sandwic
 CHECK_SLACK = 1e-9  # slack of the STM and STE bound checks
 
 
-def _support_logs(p: np.ndarray, rhos: np.ndarray, rank_tol: float):
+def _support_logs(p: np.ndarray, rhos: np.ndarray):
     """(ln rho (B, d, d) on the support, spectrum of rho) of the expected state
     rho = sum_x p_x rho_x of each ensemble of a batch, all validated in one
     stacked call; raises if a member leaks off the support of its rho."""
     w, V = _state_spectra(_mixture(p, rhos))
-    ln_rho, supp = hm.log_on_support(hm.EigenDecomposition(w, V), rank_tol)
+    ln_rho, supp = hm.log_on_support(hm.EigenDecomposition(w, V))
     if not supp.all():
         Vk = V * ~supp[:, None, :]  # the kernel's eigenvectors; support columns zeroed
         leak = np.einsum("bik,bxij,bjk->bx", Vk.conj(), rhos, Vk).real
@@ -97,10 +98,9 @@ class _Spectra:
     eigendecompositions (one stacked LAPACK dispatch for all B n), and the
     rates (B,) sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
 
-    def __init__(self, b: _Batch, rank_tol: float):
-        self.rank_tol = rank_tol
+    def __init__(self, b: _Batch):
         self.p = b.p
-        self.ln_rho, self.rho = _support_logs(b.p, b.rhos, rank_tol)
+        self.ln_rho, self.rho = _support_logs(b.p, b.rhos)
         self.C = _commutators(b.rhos, self.ln_rho)
         self.eigs = hm.eig_hermitian(self.C)
         norms = np.sum(np.abs(self.eigs.eigenvalues), axis=-1)
@@ -111,7 +111,7 @@ class _Spectra:
         """The spectra of the maximizers I - 2 P_neg of C_x: signs (B, n, d),
         ascending like C_x's eigenvalues, on C_x's eigenvectors."""
         w, V = self.eigs
-        tol = self.rank_tol * np.maximum(1.0, np.linalg.norm(w, axis=-1, keepdims=True))
+        tol = RANK_TOL * np.maximum(1.0, np.linalg.norm(w, axis=-1, keepdims=True))
         return hm.EigenDecomposition(np.where(w < -tol, -1.0, 1.0), V)  # tol: ||C_x||_F scale
 
     def hamiltonians(self) -> list[HamiltonianSet]:
@@ -130,32 +130,21 @@ def _stack_hamiltonians(H: HamiltonianSet):
     return hm.EigenDecomposition(w[None], V[None]), np.stack([h.matrix for h in H.hams])[None]
 
 
-def mixing_rate(
-    E: Ensemble,
-    H: HamiltonianSet,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    _ln_rho: Optional[np.ndarray] = None,
-) -> float:
-    """Analytic entropy derivative i * sum_x p(x) Tr(H_x [rho_x, ln rho]).
-
-    `_ln_rho` lets a caller that evaluates many Hamiltonian sets against one
-    ensemble reuse the support logarithm of the expected state.
-    """
+def mixing_rate(E: Ensemble, H: HamiltonianSet) -> float:
+    """Analytic entropy derivative i * sum_x p(x) Tr(H_x [rho_x, ln rho])."""
     _require_matching(E, H)
-    # Only p and rho_x, not a whole _stack: the _ln_rho path runs in loops over
-    # many Hamiltonian sets, where the stacking is most of the cost.
     p = E.probabilities[None]
     rhos = np.array([s.matrix for s in E.states])[None]
-    ln_rho = _support_logs(p, rhos, rank_tol)[0] if _ln_rho is None else np.asarray(_ln_rho)[None]
+    ln_rho = _support_logs(p, rhos)[0]
     M = np.array([h.matrix for h in H.hams])[None]
     return float(_rate(p, M, _commutators(rhos, ln_rho))[0])
 
 
-def _fd_probe(rho_w: np.ndarray, rank_tol: float, strict: bool) -> np.ndarray:
+def _fd_probe(rho_w: np.ndarray, strict: bool) -> np.ndarray:
     """Which expected states, given by their ascending eigenvalues (B, d),
     refuse a finite difference: those whose smallest eigenvalue is below
-    1e3 rank_tol. If strict, a refusal raises RankDeficient."""
-    refused = rho_w[:, 0] < 1e3 * rank_tol
+    1e3 RANK_TOL. If strict, a refusal raises RankDeficient."""
+    refused = rho_w[:, 0] < 1e3 * RANK_TOL
     if strict and refused.any():
         raise RankDeficient(
             f"expected state eigenvalue {float(rho_w[refused][0, 0]):.3e} "
@@ -212,34 +201,32 @@ def _trajectory(
     return _entropy_from_eigenvalues(w_t, d)
 
 
-def optimal_hamiltonians(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> HamiltonianSet:
+def optimal_hamiltonians(E: Ensemble) -> HamiltonianSet:
     """The maximizing Hamiltonians H_x = I - 2 P_neg(i[rho_x, ln rho]).
 
     Each H_x is a difference of complementary projectors (plus identity on
     the kernel of the commutator), so H_x^2 = I and ||H_x|| = 1, and
     mixing_rate(E, result) = +max_mixing_rate(E).
     """
-    return _Spectra(_stack([E]), rank_tol).hamiltonians()[0]
+    return _Spectra(_stack([E])).hamiltonians()[0]
 
 
-def max_mixing_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def max_mixing_rate(E: Ensemble) -> float:
     """Closed-form maximum sum_x p(x) ||[rho_x, ln rho]||_1 over -I <= H_x <= I."""
-    return float(_Spectra(_stack([E]), rank_tol).max_rate[0])
+    return float(_Spectra(_stack([E])).max_rate[0])
 
 
-def binary_max_rate(E: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def binary_max_rate(E: Ensemble) -> float:
     """Two-member closed form p * ||[rho_1, ln rho]||_1 (only rho_2 evolves)."""
     if len(E) != 2:
         raise NotBinary(f"binary rate needs exactly 2 members, got {len(E)}")
-    return float(_Spectra(_stack([E]), rank_tol).binary_rate[0])
+    return float(_Spectra(_stack([E])).binary_rate[0])
 
 
 def bound_theorem_binary(p):
     """Dimension-independent binary bound 4 sqrt(p (1-p)); for an array of p,
     the array of bounds."""
-    q = np.asarray(p, dtype=float)
-    if not np.all((0.0 <= q) & (q <= 1.0)):
-        raise DomainError(f"probability {p!r} outside [0, 1]")
+    q = _unit_interval(p)
     b = 4.0 * np.sqrt(q * (1.0 - q))
     return float(b) if b.ndim == 0 else b
 
@@ -268,7 +255,7 @@ def _stm_sandwich(p: np.ndarray, w: np.ndarray, S: np.ndarray) -> np.ndarray:
     return (lower[:, None] - CHECK_SLACK <= S) & (S <= upper[:, None] + CHECK_SLACK)
 
 
-def ak_gap(A, B, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, float]:
+def ak_gap(A, B) -> tuple[float, float]:
     """The two sides of the commutator/entropy functional for f = ln.
 
     Returns (||[B, ln(A+B)]||_1, F(a+b) - F(a) - F(b)) for PSD A, B with
@@ -279,7 +266,7 @@ def ak_gap(A, B, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[float, float]:
     B = hm.require_hermitian(B)
     if A.shape != B.shape:
         raise DimMismatch("A and B must have equal dimensions")
-    ln_C, supp = hm.log_on_support(hm.eig_hermitian(A + B), rank_tol)
+    ln_C, supp = hm.log_on_support(hm.eig_hermitian(A + B))
     if not supp.all():
         raise DomainError("A + B is rank-deficient beyond tolerance")
     lhs = hm.trace_norm(hm.hermitian_part(1j * hm.commutator(B, ln_C)))
@@ -313,7 +300,6 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> list[Optional[float]]:
 def _evaluate(
     b: _Batch,
     H: Optional[tuple[hm.EigenDecomposition, np.ndarray]],
-    rank_tol: float,
     policy: str,
 ) -> tuple[list[RateReport], list[bool]]:
     """The reports of a batch of ensembles from one spectral pass, and
@@ -328,7 +314,7 @@ def _evaluate(
       "verify":  max_rate / general bound (twice "compute") and binary / S(p);
       "binary":  bound_thm 4 sqrt(p(1-p)), binary / bound_thm and binary / h(p).
     """
-    sp = _Spectra(b, rank_tol)
+    sp = _Spectra(b)
     p, B = b.p, len(b.p)
     if H is None:
         H = sp.maximizers()
@@ -350,7 +336,7 @@ def _evaluate(
             bound = bound_theorem_binary(p0)
             ratio_thm = _ratios(binary, bound)
             ratio_conj = _ratios(binary, _shannon(np.stack([p0, 1.0 - p0], axis=-1)))
-    refused = _fd_probe(sp.rho.eigenvalues, rank_tol, strict=policy != "compute")
+    refused = _fd_probe(sp.rho.eigenvalues, strict=policy != "compute")
     fd_residual, stm_ok = [None] * B, [True] * B
     run = np.flatnonzero(~refused)
     if run.size:
@@ -374,12 +360,10 @@ def _evaluate(
     return reports, stm_ok
 
 
-def rate_report(
-    E: Ensemble, H: Optional[HamiltonianSet] = None, rank_tol: float = DEFAULT_RANK_TOL
-) -> RateReport:
+def rate_report(E: Ensemble, H: Optional[HamiltonianSet] = None) -> RateReport:
     """Evaluate all rates and bounds for E; H defaults to the maximizers."""
     stacked = None
     if H is not None:
         _require_matching(E, H)
         stacked = _stack_hamiltonians(H)
-    return _evaluate(_stack([E]), stacked, rank_tol, "compute")[0][0]
+    return _evaluate(_stack([E]), stacked, "compute")[0][0]

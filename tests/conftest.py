@@ -1,15 +1,9 @@
-import math
 
 import numpy as np
 import pytest
 
 from mixrate.ensembles import DensityMatrix, Ensemble, Hamiltonian, HamiltonianSet
 from mixrate.harness import RNGSpec
-
-
-# rank_tol values every entry point must refuse with DomainError: the one
-# check in hermitian.log_on_support needs a positive, finite tolerance.
-BAD_RANK_TOLS = [math.nan, math.inf, 0.0, -1e-12, -1.0]
 
 
 def rng(seed, stream=0):

@@ -83,14 +83,26 @@ class TestCompute:
         assert report["mixing_rate_at_H"] is not None
         assert abs(report["mixing_rate_at_H"]) <= report["max_rate"] + 1e-9
 
+    def test_nan_probability_is_a_usage_error(self, ensemble_file, tmp_path, capsys):
+        obj = json.loads(ensemble_file.read_text())
+        obj["probabilities"] = [0.5, math.nan, 0.5]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        assert main(["compute", "--ensemble", str(path)]) == EXIT_USAGE
+        assert "NaN probability" in capsys.readouterr().err
+
+    def test_rank_cut_is_not_an_option(self, ensemble_file, capsys):
+        argv = ["compute", "--ensemble", str(ensemble_file), "--tol", "1e-12"]
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_rank_tol_must_be_positive_and_finite(self, ensemble_file, tol, capsys):
-        # A negative tolerance flipped every maximizer to -I and reported a
-        # wrong rate that the FD oracle agreed with; nan failed as a leak.
+        # A negative tolerance once flipped every maximizer to -I; with the
+        # rank cut a constant, no bad value gets past the argument parser.
         argv = ["compute", "--ensemble", str(ensemble_file), "--tol", tol]
         assert main(argv) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("mixrate: error:") and "rank_tol" in err
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["compute", "--ensemble", str(tmp_path / "nope.json")])

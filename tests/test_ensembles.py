@@ -71,8 +71,11 @@ class TestEnsemble:
         assert len(E) == 2
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(BadDistribution):
-            Ensemble([0.5, 0.4], [DensityMatrix(np.eye(2) / 2)] * 2)
+        # Every comparison with NaN is False: a NaN member must fail, not be
+        # stripped as if its probability were 0.
+        for p in ([0.5, 0.4], [0.5, math.nan, 0.5], [0.5, math.inf, 0.5], [1.0, -math.inf]):
+            with pytest.raises(BadDistribution):
+                Ensemble(p, [DensityMatrix(np.eye(2) / 2)] * len(p))
 
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimMismatch):
@@ -125,8 +128,9 @@ class TestEntropies:
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(binary_entropy(0.5))
 
     def test_shannon_rejects_bad_distribution(self):
-        with pytest.raises(BadDistribution):
-            shannon_entropy([0.5, 0.2])
+        for p in ([0.5, 0.2], [math.nan, 0.5, 0.5], [math.inf, 0.5], [[0.5, 0.5], [math.nan, 1.0]]):
+            with pytest.raises(BadDistribution):
+                shannon_entropy(p)
 
     def test_binary_entropy_values(self):
         assert binary_entropy(0.0) == 0.0
@@ -136,8 +140,9 @@ class TestEntropies:
         assert binary_entropy(0.25) == pytest.approx(expect)
 
     def test_binary_entropy_domain(self):
-        with pytest.raises(DomainError):
-            binary_entropy(1.5)
+        for p in (1.5, -0.1, math.nan, math.inf, [0.5, math.nan]):
+            with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+                binary_entropy(p)
 
     def test_average_entropy(self):
         pure = DensityMatrix(np.diag([1.0, 0.0]))

@@ -18,7 +18,7 @@ from mixrate.errors import (
     ParseError,
 )
 
-from conftest import BAD_RANK_TOLS, rng
+from conftest import rng
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
@@ -172,16 +172,6 @@ class TestEntanglingRate:
         psi = random_pure((2, 2, 2, 2), rng(408))
         with pytest.raises(DimMismatch):
             en.entangling_rate(psi, random_interaction(2, 3, rng(409)))
-
-
-@pytest.mark.parametrize("tol", BAD_RANK_TOLS)
-@pytest.mark.parametrize("entry", [en.entangling_rate, en.sie_to_sim])
-def test_rank_tol_must_be_positive_and_finite(entry, tol):
-    # A NaN tolerance made all of rho_aA kernel: the rate came out 0.
-    psi = random_pure((2, 2, 2, 2), rng(430))
-    H = random_interaction(2, 2, rng(431))
-    with pytest.raises(DomainError, match="rank_tol"):
-        entry(psi, H, rank_tol=tol)
 
 
 class TestBravyiMu:
