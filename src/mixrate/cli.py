@@ -219,7 +219,7 @@ def cmd_search(args) -> int:
 def cmd_sie(args) -> int:
     psi = ent.parse_pure_state(_read(args.state))
     H = ent.parse_bipartite_operator(_read(args.ham))
-    _, _, residual, gamma = ent._sie_reduction(psi, H)
+    _, _, residual, gamma = ent.sie_to_sim(psi, H)
     d_B = psi.dims[2]
     points = ent.ste_check(psi, H, [0.5 * k for k in range(11)])
     print(f"entangling_rate={gamma!r}")

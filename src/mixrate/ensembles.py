@@ -223,21 +223,22 @@ def _xlnx(v) -> np.ndarray:
     return v * np.log(np.where(v > 0, v, 1.0))
 
 
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p over the last axis, unchecked; 0 - (...) so that an entropy
+    of 0 is +0.0, not -0.0."""
+    return 0.0 - np.sum(_xlnx(p), axis=-1)
+
+
 def _entropy_from_eigenvalues(w: np.ndarray, dim: int):
     """-sum w ln w of a state's eigenvalues, clamped to [0, ln dim]; for a
     stack (..., d) of spectra, the array of their entropies."""
-    s = np.clip(-np.sum(_xlnx(np.clip(np.real(w), 0.0, 1.0)), axis=-1), 0.0, math.log(dim))
+    s = np.clip(_shannon(np.clip(np.real(w), 0.0, 1.0)), 0.0, math.log(dim))
     return float(s) if s.ndim == 0 else s
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho ln rho) in nats, with 0 ln 0 := 0."""
     return _entropy_from_eigenvalues(rho.spectrum.eigenvalues, rho.dim)
-
-
-def _shannon(p: np.ndarray) -> np.ndarray:
-    """-sum p ln p over the last axis, unchecked."""
-    return -np.sum(_xlnx(p), axis=-1)
 
 
 def _positive_distribution(probs) -> np.ndarray:

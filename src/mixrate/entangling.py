@@ -63,13 +63,20 @@ class PureState:
             raise DimMismatch(
                 f"amplitude length {v.size} != product of dims {math.prod(dims)}"
             )
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InvariantViolation(f"state norm {norm!r} differs from 1")
-        v = v / norm
+        v = _unit_rows(v[None])[0]
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
         object.__setattr__(self, "dims", dims)
+
+
+def _unit_rows(psi: np.ndarray) -> np.ndarray:
+    """The rows of psi (..., N) renormalized; a row whose norm is more than
+    NORM_TOL from 1 raises."""
+    norms = np.linalg.norm(psi, axis=-1)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if np.any(off):
+        raise InvariantViolation(f"state norm {float(norms[off][0])!r} differs from 1")
+    return psi / norms[..., None]
 
 
 @dataclass(frozen=True, init=False)
@@ -134,11 +141,7 @@ def _entanglement_trajectory(
     ts = np.asarray(ts, dtype=float)
     X = V.conj().T @ psi.amplitudes.reshape(d_a, d_A * d_B, d_b)
     Psi = (V @ (np.exp(-1j * np.outer(ts, w))[:, None, :, None] * X)).reshape(ts.size, -1)
-    norms = np.linalg.norm(Psi, axis=1)
-    off = np.abs(norms - 1.0) > NORM_TOL
-    if np.any(off):
-        raise InvariantViolation(f"state norm {float(norms[off][0])!r} differs from 1")
-    M = (Psi / norms[:, None]).reshape(ts.size, d_a * d_A, d_B * d_b)
+    M = _unit_rows(Psi).reshape(ts.size, d_a * d_A, d_B * d_b)
     rho_aA = M @ M.conj().transpose(0, 2, 1)
     return _entropy_from_eigenvalues(hm.eigvals_hermitian(rho_aA), d_a * d_A)
 
@@ -195,19 +198,14 @@ def bravyi_mu(psi: PureState) -> DensityMatrix:
         raise PositivityViolation(f"mu is not a state: {exc.which}") from exc
 
 
-def sie_to_sim(psi: PureState, H: BipartiteOperator) -> tuple[Ensemble, Hamiltonian, float]:
-    """Entangling-to-mixing reduction: the ensemble
-    {(1 - d_B^{-2}, mu), (d_B^{-2}, rho_aAB)},
-    the lifted Hamiltonian I_a ⊗ H_AB, and the residual
-    |binary mixing rate - d_B^{-2} * entangling rate|.
-    """
-    return _sie_reduction(psi, H)[:3]
-
-
-def _sie_reduction(
+def sie_to_sim(
     psi: PureState, H: BipartiteOperator
 ) -> tuple[Ensemble, Hamiltonian, float, float]:
-    """sie_to_sim's three values, then the entangling rate it compared."""
+    """Entangling-to-mixing reduction: the ensemble
+    {(1 - d_B^{-2}, mu), (d_B^{-2}, rho_aAB)},
+    the lifted Hamiltonian I_a ⊗ H_AB, the residual
+    |binary mixing rate - d_B^{-2} * entangling rate|, and the entangling rate.
+    """
     _check_interaction(psi, H)
     d_a, _, d_B, _ = psi.dims
     mu = bravyi_mu(psi)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -107,7 +106,6 @@ class TrialRecord:
     ratio_conj: Optional[float] = None
     fd_residual: float = 0.0
     stm_ok: bool = True
-    elapsed: float = 0.0
     error: Optional[str] = None
     iterations: Optional[int] = None
 
@@ -187,30 +185,22 @@ def trial_chunks(ids: Sequence[int], dim: int) -> list[list[int]]:
 
 
 def evaluate_batch(
-    b: _Batch,
-    cfg: ExperimentConfig,
-    trial_ids: Sequence[int],
-    binary_bounds: bool = False,
+    b: _Batch, cfg: ExperimentConfig, trial_ids: Sequence[int]
 ) -> list[TrialRecord]:
     """Rates, bounds, ratios, fd residual and the STM check of a chunk of
-    ensembles, evaluated together; each record's elapsed is the chunk's time
-    over its size. If the chunk raises, each ensemble is evaluated again
-    alone, so an error lands on its own record."""
-    t0 = time.perf_counter()
+    ensembles, evaluated together under the "binary" ratio policy if
+    cfg.binary, else "verify". If the chunk raises, each ensemble is
+    evaluated again alone, so an error lands on its own record."""
     n, dim = b.w.shape[-2:]
     records = [
         TrialRecord(trial_id=i, seed=cfg.seed, dim=dim, n_states=n, probabilities=tuple(p))
         for p, i in zip(b.p.tolist(), trial_ids)
     ]
-    policy = "binary" if binary_bounds else "verify"
     try:
-        reports, stm_ok = _evaluate(b, None, policy)
+        reports, stm_ok = _evaluate(b, None, "binary" if cfg.binary else "verify")
     except MixRateError as exc:
         if len(trial_ids) > 1:
-            return [
-                evaluate_batch(b.one(k), cfg, [i], binary_bounds)[0]
-                for k, i in enumerate(trial_ids)
-            ]
+            return [evaluate_batch(b.one(k), cfg, [i])[0] for k, i in enumerate(trial_ids)]
         records[0].error = f"{type(exc).__name__}: {exc}"
     else:
         for rec, r, ok in zip(records, reports, stm_ok):
@@ -218,9 +208,6 @@ def evaluate_batch(
             rec.bound_thm, rec.shannon = r.bound_thm, r.bound_conjecture
             rec.fd_residual, rec.stm_ok = r.fd_residual, ok
             rec.ratio_thm, rec.ratio_conj = r.ratio_thm, r.ratio_conjecture
-    elapsed = (time.perf_counter() - t0) / len(records)
-    for rec in records:
-        rec.elapsed = elapsed
     return records
 
 
@@ -259,10 +246,11 @@ def scan_binary(
             raise DomainError(f"p-grid values must lie in (0, 1), got {p!r}")
         for j in range(cfg.n_trials):
             p_of[pi * cfg.n_trials + j] = p
+    binary = replace(cfg, binary=True)  # a scan is binary, whatever cfg says
     records = []
     for chunk in trial_chunks(list(p_of), cfg.dim):
         b = _sampled([_scan_draw(cfg, i, p_of[i]) for i in chunk])
-        records.extend(evaluate_batch(b, cfg, chunk, binary_bounds=True))
+        records.extend(evaluate_batch(b, binary, chunk))
     return records
 
 
@@ -388,7 +376,7 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
                 best, best_obj = cur, cur_obj
     except BoundViolation as exc:
         error = f"{type(exc).__name__}: {exc}"
-    (rec,) = evaluate_batch(best, cfg, [0], binary_bounds=cfg.binary)
+    (rec,) = evaluate_batch(best, cfg, [0])
     if error is not None:
         rec.error = error
     rec.iterations = iters
@@ -397,7 +385,7 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
 
 CSV_HEADER = (
     "trial_id,seed,dim,n_states,probs,max_rate,binary_max_rate,bound_thm,"
-    "shannon,ratio_thm,ratio_conj,fd_residual,stm_ok,elapsed"
+    "shannon,ratio_thm,ratio_conj,fd_residual,stm_ok"
 )
 
 

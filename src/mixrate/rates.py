@@ -336,19 +336,15 @@ def _evaluate(
             bound = bound_theorem_binary(p0)
             ratio_thm = _ratios(binary, bound)
             ratio_conj = _ratios(binary, _shannon(np.stack([p0, 1.0 - p0], axis=-1)))
-    refused = _fd_probe(sp.rho.eigenvalues, strict=policy != "compute")
+    # Only "compute" survives a refusal, and it evaluates a batch of one: so
+    # the finite difference runs on the whole batch or on none of it.
     fd_residual, stm_ok = [None] * B, [True] * B
-    run = np.flatnonzero(~refused)
-    if run.size:
-        sel = slice(None) if run.size == B else run  # views unless some are refused
+    if not _fd_probe(sp.rho.eigenvalues, strict=policy != "compute").any():
         fd_times = _fd_times(DEFAULT_FD_STEP)
         stm_times = () if policy == "compute" else STM_TIMES
-        H_run = hm.EigenDecomposition(H.eigenvalues[sel], H.eigenvectors[sel])
-        S = _trajectory(p[sel], b.rhos[sel], H_run, fd_times + stm_times)
-        fd = np.abs(rate[sel] - _richardson(S.T, DEFAULT_FD_STEP))
-        ok = _stm_sandwich(p[sel], b.w[sel], S[:, len(fd_times):]).all(axis=-1)
-        for i, f, k in zip(run.tolist(), fd.tolist(), ok.tolist()):
-            fd_residual[i], stm_ok[i] = f, k
+        S = _trajectory(p, b.rhos, H, fd_times + stm_times)
+        fd_residual = np.abs(rate - _richardson(S.T, DEFAULT_FD_STEP)).tolist()
+        stm_ok = _stm_sandwich(p, b.w, S[:, len(fd_times):]).all(axis=-1).tolist()
     binaries = [None] * B if binary is None else binary.tolist()
     reports = [
         RateReport(*row)

@@ -112,7 +112,7 @@ def _cell(key: str, text: str):
 
 def _parse_csv(text: str) -> list:
     rows = csv.DictReader(io.StringIO(text))
-    return [{k: _cell(k, v) for k, v in row.items() if k != "elapsed"} for row in rows]
+    return [{k: _cell(k, v) for k, v in row.items()} for row in rows]
 
 
 def _parse_sie(text: str) -> dict:
@@ -137,7 +137,6 @@ def _parse(command: str, stdout: str):
         return _parse_csv(stdout)
     if command == "search":
         (rec,) = json.loads(stdout)
-        rec.pop("elapsed")
         return rec
     if command == "compute":
         return json.loads(stdout)

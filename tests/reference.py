@@ -17,10 +17,10 @@ cannot resolve.
 `search_ratio` is the hill-climb as it ran before candidates were evaluated
 in blocks: one candidate per iteration, each built as `Ensemble` and
 `DensityMatrix` objects and evaluated through the public rate functions.
-`mixrate.harness.search_ratio` must return the same record, field for field
-(timing aside), for every configuration, including the errors; so its
-unitaries (`unitary_at`) and conjugations (`conjugated`) keep the program's
-kernels and operation order.
+`mixrate.harness.search_ratio` must return the same record, field for field,
+for every configuration, including the errors; so its unitaries
+(`unitary_at`) and conjugations (`conjugated`) keep the program's kernels and
+operation order.
 """
 
 from __future__ import annotations
@@ -338,9 +338,9 @@ def search_ratio(cfg):
             if cur_obj > best_obj:
                 best_E, best_obj = cur, cur_obj
     except BoundViolation as exc:
-        (rec,) = hz.evaluate_batch(_stack([cand]), cfg, [0], binary_bounds=cfg.binary)
+        (rec,) = hz.evaluate_batch(_stack([cand]), cfg, [0])
         rec.error = f"{type(exc).__name__}: {exc}"
     else:
-        (rec,) = hz.evaluate_batch(_stack([best_E]), cfg, [0], binary_bounds=cfg.binary)
+        (rec,) = hz.evaluate_batch(_stack([best_E]), cfg, [0])
     rec.iterations = iters
     return rec

@@ -83,6 +83,14 @@ class TestCompute:
         assert report["mixing_rate_at_H"] is not None
         assert abs(report["mixing_rate_at_H"]) <= report["max_rate"] + 1e-9
 
+    def test_one_state_entropy_is_plus_zero(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_bytes(serialize_ensemble(random_ensemble(2, 1, rng(702))))
+        assert main(["compute", "--ensemble", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out)["bound_conjecture"] == 0.0
+        assert '"bound_conjecture": 0.0' in out  # not -0.0
+
     def test_nan_probability_is_a_usage_error(self, ensemble_file, tmp_path, capsys):
         obj = json.loads(ensemble_file.read_text())
         obj["probabilities"] = [0.5, math.nan, 0.5]
@@ -130,15 +138,11 @@ def _blas_threads() -> int:
 class TestVerify:
     ARGS = ["verify", "--dim", "3", "--states", "3", "--trials", "6", "--seed", "42"]
 
-    @staticmethod
-    def _strip_elapsed(text):
-        return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
-
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(self.ARGS + ["--out", str(a)]) == EXIT_OK
         assert main(self.ARGS + ["--out", str(b)]) == EXIT_OK
-        assert self._strip_elapsed(a.read_text()) == self._strip_elapsed(b.read_text())
+        assert a.read_bytes() == b.read_bytes()
 
     def test_csv_shape(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -157,9 +161,7 @@ class TestVerify:
             serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
             assert main(args + ["--workers", "1", "--out", str(serial)]) == EXIT_OK
             assert main(args + ["--workers", workers, "--out", str(parallel)]) == EXIT_OK
-            assert self._strip_elapsed(serial.read_text()) == self._strip_elapsed(
-                parallel.read_text()
-            )
+            assert serial.read_bytes() == parallel.read_bytes()
 
     @pytest.mark.parametrize(
         "dim,trials,workers,cpus,started",
@@ -212,9 +214,13 @@ class TestVerify:
         assert len(out.read_text().splitlines()) == 7  # the CSV is unchanged
 
     def test_one_state_runs(self, tmp_path):
-        # Unlike search, verify accepts a single state (S(X) = 0, no ratios).
+        # Unlike search, verify accepts a single state (S(X) = 0, no ratios),
+        # and writes that entropy as 0.0, not -0.0.
+        out = tmp_path / "v.csv"
         argv = ["verify", "--dim", "3", "--states", "1", "--trials", "3", "--seed", "1"]
-        assert main(argv + ["--out", str(tmp_path / "v.csv")]) == EXIT_OK
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        col = CSV_HEADER.split(",").index("shannon")
+        assert [row.split(",")[col] for row in out.read_text().splitlines()[1:]] == ["0.0"] * 3
 
     def test_bad_dim_is_usage_error(self, capsys):
         code = main(
@@ -275,6 +281,13 @@ class TestScan:
         err = capsys.readouterr().err
         assert "p=0.5000" in err
 
+    def test_deterministic_output(self, tmp_path):
+        argv = ["scan", "--p-grid", "0.1:0.9:0.2", "--dim", "3", "--trials", "4", "--seed", "7"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(a)]) == EXIT_OK
+        assert main(argv + ["--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_bad_grid(self, capsys):
         code = main(
             ["scan", "--p-grid", "0.5", "--dim", "2", "--trials", "1", "--seed", "0"]
@@ -326,6 +339,14 @@ class TestSearch:
         assert rec["iterations"] == 150
         assert rec["ratio_thm"] <= 1.0 + 1e-8
         assert 0.0 < rec["ratio_conj"] <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("binary", [[], ["--binary"]])
+    def test_deterministic_output(self, binary, tmp_path):
+        argv = ["search", "--dim", "3", "--iters", "60", "--seed", "5"] + binary
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(argv + ["--out", str(a)]) == EXIT_OK
+        assert main(argv + ["--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
 
     def test_theorem_violation_exits_invariant(self, tmp_path, monkeypatch):
         # A general bound of 0 makes the first candidate violate it.

@@ -111,7 +111,8 @@ class TestExpectedState:
 
 class TestEntropies:
     def test_pure_state_zero(self):
-        assert von_neumann_entropy(DensityMatrix(np.diag([1.0, 0.0, 0.0]))) == 0.0
+        s = von_neumann_entropy(DensityMatrix(np.diag([1.0, 0.0, 0.0])))
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0  # +0.0, not -0.0
 
     def test_maximally_mixed(self):
         assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(
@@ -124,6 +125,7 @@ class TestEntropies:
 
     def test_shannon_values(self):
         assert shannon_entropy([1.0]) == 0.0
+        assert math.copysign(1.0, shannon_entropy([1.0])) == 1.0  # +0.0, not -0.0
         assert shannon_entropy([0.25] * 4) == pytest.approx(math.log(4))
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(binary_entropy(0.5))
 

@@ -223,7 +223,7 @@ class TestSieToSim:
     def test_identity_hamiltonian(self):
         psi = random_pure((2, 2, 2, 2), rng(413))
         H = en.BipartiteOperator(np.eye(4), (2, 2))
-        E2, H_lift, residual = en.sie_to_sim(psi, H)
+        E2, H_lift, residual, _ = en.sie_to_sim(psi, H)
         assert residual <= 1e-10
         assert rates.mixing_rate(
             E2, HamiltonianSet([Hamiltonian(np.zeros_like(H_lift.matrix)), H_lift])
@@ -234,7 +234,7 @@ class TestSieToSim:
         Hs = np.zeros((4, 4))
         Hs[1, 2] = Hs[2, 1] = 1.0
         H = en.BipartiteOperator(Hs, (2, 2))
-        _, _, residual = en.sie_to_sim(psi, H)
+        _, _, residual, _ = en.sie_to_sim(psi, H)
         assert residual <= 1e-8
 
     def test_identity_residual_over_random_samples(self):
@@ -244,7 +244,7 @@ class TestSieToSim:
             d_A = int(g.integers(d_B, 5))
             psi = random_pure((2, d_A, d_B, 2), g)
             H = random_interaction(d_A, d_B, g)
-            E2, _, residual = en.sie_to_sim(psi, H)
+            E2, _, residual, _ = en.sie_to_sim(psi, H)
             assert residual <= 1e-8
             assert list(E2.probabilities) == pytest.approx(
                 [1 - d_B ** -2, d_B ** -2]
