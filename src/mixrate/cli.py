@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import math
 import os
 import sys
@@ -143,6 +144,8 @@ def cmd_verify(args) -> int:
     cfg = ExperimentConfig(
         dim=args.dim, n_states=args.states, n_trials=args.trials, seed=args.seed
     )
+    if args.workers < 1:
+        raise MixRateError(f"workers must be >= 1, got {args.workers}")
     # Chunks depend on (n_trials, dim) only, not on the worker count. The pool
     # forks all its workers up front, so it gets no more than chunks or CPUs.
     chunks = hz.trial_chunks(range(cfg.n_trials), cfg.dim)
@@ -231,7 +234,11 @@ def cmd_sie(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: callers must not mutate it. Each subcommand's
+    `fn` default is bound to its `cmd_*` function at that first build."""
     ap = argparse.ArgumentParser(prog="mixrate", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -162,8 +162,12 @@ def lift_to_aAB(H: BipartiteOperator, d_a: int) -> np.ndarray:
 def entangling_rate(psi: PureState, H: BipartiteOperator) -> float:
     """Analytic derivative i Tr(H_lift [rho_aAB, ln(rho_aA) ⊗ I_B])."""
     _check_interaction(psi, H)
-    d_a, d_A, d_B, _ = psi.dims
-    rho_aAB, rho_aA = _reduced(psi)
+    return _entangling_rate(*_reduced(psi), H, psi.dims)
+
+
+def _entangling_rate(rho_aAB, rho_aA, H: BipartiteOperator, dims) -> float:
+    """entangling_rate from the reduced states of a state with factor dims."""
+    d_a, _, d_B, _ = dims
     L = np.kron(hm.support_log(rho_aA), np.eye(d_B))
     H_lift = lift_to_aAB(H, d_a)
     val = 1j * np.trace(H_lift @ hm.commutator(rho_aAB, L))
@@ -179,12 +183,16 @@ def bravyi_mu(psi: PureState) -> DensityMatrix:
     Requires 2 <= d_B <= d_A. mu is guaranteed to exist as a state, so a
     failed state validation signals numerical corruption.
     """
-    d_a, d_A, d_B, _ = psi.dims
+    return _mu(*_reduced(psi), psi.dims)
+
+
+def _mu(rho_aAB, rho_aA, dims) -> DensityMatrix:
+    """bravyi_mu from the reduced states of a state with factor dims."""
+    d_a, d_A, d_B, _ = dims
     if d_B == 1:
         raise Degenerate("reduction degenerates at dim(B) = 1")
     if d_B > d_A:
         raise DimOrder(f"requires dim(B) <= dim(A), got B={d_B}, A={d_A}")
-    rho_aAB, rho_aA = _reduced(psi)
     weight = 1.0 - d_B ** -2
     mu = (np.kron(rho_aA, np.eye(d_B) / d_B) - d_B ** -2 * rho_aAB) / weight
     recon = weight * mu + d_B ** -2 * rho_aAB
@@ -208,13 +216,13 @@ def sie_to_sim(
     """
     _check_interaction(psi, H)
     d_a, _, d_B, _ = psi.dims
-    mu = bravyi_mu(psi)
-    rho_aAB = DensityMatrix(_reduced(psi)[0])
-    E2 = Ensemble([1.0 - d_B ** -2, d_B ** -2], [mu, rho_aAB])
+    rho_aAB, rho_aA = _reduced(psi)
+    mu = _mu(rho_aAB, rho_aA, psi.dims)
+    E2 = Ensemble([1.0 - d_B ** -2, d_B ** -2], [mu, DensityMatrix(rho_aAB)])
     H_lift = Hamiltonian(lift_to_aAB(H, d_a))
     zero = Hamiltonian(np.zeros_like(H_lift.matrix))
     lam = mixing_rate(E2, HamiltonianSet([zero, H_lift]))
-    gam = entangling_rate(psi, H)
+    gam = _entangling_rate(rho_aAB, rho_aA, H, psi.dims)
     residual = abs(lam - d_B ** -2 * gam)
     return E2, H_lift, residual, gam
 

@@ -250,6 +250,41 @@ def mp_rates(E: Ensemble, H=None) -> tuple[float, float, float | None]:
         return float(max_rate), float(p[0] * norms[0]), rate
 
 
+# --- Qubit closed forms -------------------------------------------------------
+#
+# At d = 2, rho_x = (I + r_x·σ)/2 and H_x = a_x I + h_x·σ. For r = sum_x p_x r_x
+# with R = |r| in (0, 1) and r̂ = r/R, ln rho = ½ ln((1 - R²)/4) I + artanh(R) r̂·σ,
+# so [rho_x, ln rho] = i artanh(R) (r_x × r̂)·σ, whose trace norm is
+# 2 artanh(R) |r_x × r̂|, and Tr((h·σ)(c·σ)) = 2 h·c.
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def bloch(M: np.ndarray) -> np.ndarray:
+    """The real Pauli coordinates Tr(M σ_k), k = x, y, z, of a 2 x 2 Hermitian
+    M: r for (I + r·σ)/2 and 2h for a I + h·σ."""
+    return np.einsum("ij,kji->k", M, PAULI).real
+
+
+def qubit_rates(E: Ensemble, H=None) -> tuple[float, float, float | None]:
+    """mp_rates at d = 2 from Bloch vectors:
+        max_rate = 2 artanh(R) sum_x p_x |r_x × r̂|,
+        binary   = its x = 0 term,
+        rate     = -2 artanh(R) sum_x p_x h_x·(r_x × r̂), or None without H."""
+    p = E.probabilities
+    r_x = np.array([bloch(s.matrix) for s in E.states])
+    r = p @ r_x
+    R = float(np.linalg.norm(r))
+    a = math.atanh(R)
+    c = np.cross(r_x, r / R)
+    terms = 2.0 * a * p * np.linalg.norm(c, axis=1)
+    rate = None
+    if H is not None:
+        h_x = np.array([bloch(h.matrix) / 2.0 for h in H.hams])
+        rate = float(-2.0 * a * np.sum(p * np.sum(h_x * c, axis=1)))
+    return float(np.sum(terms)), float(terms[0]), rate
+
+
 # --- Sampling and trials ------------------------------------------------------
 
 

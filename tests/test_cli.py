@@ -1,6 +1,9 @@
 import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -29,7 +32,7 @@ from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
 from mixrate.rates import rate_report
 
 from conftest import random_ensemble, random_hamiltonian_set, rng
-from reference import run_trial
+from reference import qubit_rates, run_trial
 
 
 @pytest.fixture
@@ -129,6 +132,40 @@ class TestCompute:
         assert main(["--help"]) == EXIT_OK
 
 
+class TestSharedParser:
+    """main builds the parser on its first call and reuses it after."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usable_after_usage_errors_and_help(self, ensemble_file, tmp_path, capsys):
+        # A usage error or --help inside argparse leaves the shared parser as it was.
+        compute = ["compute", "--ensemble", str(ensemble_file), "--out"]
+        verify = ["verify", "--dim", "3", "--states", "3", "--trials", "4", "--seed", "42"]
+        c1, c2, v1, v2 = (tmp_path / name for name in ("c1.json", "c2.json", "v1.csv", "v2.csv"))
+        assert main(compute + [str(c1)]) == EXIT_OK
+        assert main(["compute", "--ensemble", str(ensemble_file), "--tol", "1e-12"]) == EXIT_USAGE
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert main(["--help"]) == EXIT_OK
+        assert main([]) == EXIT_USAGE
+        assert main(verify + ["--out", str(v1)]) == EXIT_OK
+        assert main(compute + [str(c2)]) == EXIT_OK
+        assert main(verify + ["--out", str(v2)]) == EXIT_OK
+        assert c1.read_bytes() == c2.read_bytes()
+        assert v1.read_bytes() == v2.read_bytes()
+
+    def test_not_built_at_import(self):
+        import mixrate
+
+        code = "import mixrate.cli as c; print(c.build_parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixrate.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "0"
+
+
 def _blas_threads() -> int:
     get = cli._openblas().scipy_openblas_get_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
@@ -170,7 +207,6 @@ class TestVerify:
             (32, 4, 100000, 8, 4),  # no more workers than chunks
             (32, 4, 100000, 3, 3),  # nor than usable CPUs
             (32, 4, 2, 8, 2),
-            (32, 4, 0, 8, None),
         ],
     )
     def test_workers_are_capped(self, dim, trials, workers, cpus, started, tmp_path, monkeypatch):
@@ -199,6 +235,14 @@ class TestVerify:
         assert sizes == ([] if started is None else [started])
         assert len((tmp_path / "v.csv").read_text().splitlines()) == trials + 1
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_is_a_usage_error(self, workers, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        argv = self.ARGS + ["--workers", str(workers), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_trials_are_named_on_stderr(self, tmp_path, monkeypatch, capsys):
         # A trial whose evaluation raised writes a row of zeros: the exit
         # code says 2, and stderr says which trial and why.
@@ -221,6 +265,18 @@ class TestVerify:
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         col = CSV_HEADER.split(",").index("shannon")
         assert [row.split(",")[col] for row in out.read_text().splitlines()[1:]] == ["0.0"] * 3
+
+    def test_qubit_rates_match_the_bloch_oracle(self, tmp_path):
+        out = tmp_path / "v.csv"
+        argv = ["verify", "--dim", "2", "--states", "2", "--trials", "20", "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        cfg = ExperimentConfig(dim=2, n_states=2, n_trials=20, seed=7)
+        names = CSV_HEADER.split(",")
+        for line in out.read_text().splitlines()[1:]:
+            row = dict(zip(names, line.split(",")))
+            max_rate, binary, _ = qubit_rates(hz.trial_ensemble(cfg, int(row["trial_id"])))
+            assert float(row["max_rate"]) == pytest.approx(max_rate, rel=1e-12, abs=0.0)
+            assert float(row["binary_max_rate"]) == pytest.approx(binary, rel=1e-12, abs=0.0)
 
     def test_bad_dim_is_usage_error(self, capsys):
         code = main(

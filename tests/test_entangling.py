@@ -250,6 +250,21 @@ class TestSieToSim:
                 [1 - d_B ** -2, d_B ** -2]
             )
 
+    def test_reduced_states_formed_once(self, monkeypatch):
+        # rho_aAB and rho_aA are two partial traces; mu, the ensemble and the
+        # entangling rate all read the same pair.
+        calls = [0]
+
+        def counted(*args, _f=en.partial_trace, **kwargs):
+            calls[0] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(en, "partial_trace", counted)
+        psi = random_pure((2, 4, 2, 2), rng(415))
+        _, _, residual, gamma = en.sie_to_sim(psi, random_interaction(4, 2, rng(416)))
+        assert calls[0] == 2
+        assert residual <= 1e-8 and math.isfinite(gamma)
+
 
 class TestSteCheck:
     def test_identity_hamiltonian_keeps_entanglement(self):

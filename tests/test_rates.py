@@ -289,6 +289,31 @@ class TestClosedFormMaxima:
             rates.binary_max_rate(random_ensemble(2, 3, rng(317)))
 
 
+def qubit_ensemble(n, g) -> Ensemble:
+    """n qubit states (I + r_x·σ)/2, each r_x of uniform direction and of
+    length in [0.05, 0.95], with Dirichlet probabilities."""
+    u = g.standard_normal((n, 3))
+    r = u / np.linalg.norm(u, axis=1)[:, None] * g.uniform(0.05, 0.95, size=(n, 1))
+    states = [(np.eye(2) + np.einsum("k,kij->ij", rx, reference.PAULI)) / 2 for rx in r]
+    return Ensemble(g.dirichlet(np.ones(n)), [DensityMatrix(s) for s in states])
+
+
+class TestQubitClosedForms:
+    def test_against_bloch_oracle(self):
+        g = rng(324)
+        for k in range(240):
+            n = 2 + k % 3
+            E = qubit_ensemble(n, g)
+            H = HamiltonianSet([random_unit_hamiltonian(2, g) for _ in range(n)])
+            max_rate, binary, rate = reference.qubit_rates(E, H)
+            assert rates.max_mixing_rate(E) == pytest.approx(max_rate, rel=1e-12, abs=0.0)
+            if n == 2:
+                assert rates.binary_max_rate(E) == pytest.approx(binary, rel=1e-12, abs=0.0)
+            # |rate| <= max_rate at unit ||H_x||, and cancellation can bring the
+            # rate itself near 0, so the error is taken relative to max_rate.
+            assert abs(rates.mixing_rate(E, H) - rate) <= 1e-12 * max_rate
+
+
 class TestBounds:
     def test_binary_bound_values(self):
         assert rates.bound_theorem_binary(0.5) == 2.0
