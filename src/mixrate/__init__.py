@@ -8,14 +8,11 @@ from .ensembles import (
     Ensemble,
     Hamiltonian,
     HamiltonianSet,
-    average_entropy,
     binary_entropy,
     parse_ensemble,
     parse_hamiltonian_set,
     serialize_ensemble,
-    serialize_hamiltonian_set,
     shannon_entropy,
-    von_neumann_entropy,
 )
 from .entangling import (
     BipartiteOperator,
@@ -32,7 +29,6 @@ from .harness import (
     TrialRecord,
     run_trials,
     sample_ensemble,
-    sample_hamiltonian,
     scan_binary,
     search_ratio,
 )

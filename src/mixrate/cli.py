@@ -175,7 +175,8 @@ def _parse_grid(spec: str) -> list[float]:
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or lo > hi:
         raise MixRateError(f"bad p-grid {spec!r}")
     n = math.floor((hi - lo) / step + 1e-9)  # the last point may fall short of hi, never past it
-    grid = [round(lo + k * step, 12) for k in range(n + 1) if 0.0 < lo + k * step < 1.0]
+    # Filter the rounded points: those are the values the scan runs.
+    grid = [p for p in (round(lo + k * step, 12) for k in range(n + 1)) if 0.0 < p < 1.0]
     if not grid:
         raise MixRateError(f"bad p-grid {spec!r}: no point in (0, 1)")
     return grid

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,13 +50,6 @@ def _assign(obj, matrix: np.ndarray, w: np.ndarray, V: np.ndarray):
     object.__setattr__(obj, "matrix", matrix)
     object.__setattr__(obj, "spectrum", hm.EigenDecomposition(w, V))
     return obj
-
-
-def _set_spectrum(obj, w: np.ndarray, V: np.ndarray):
-    """Give a frozen value the spectrum (w, V) it is known to have: its matrix
-    becomes V diag(w) V†, all three arrays read-only, and nothing is checked.
-    The one way to build a state or Hamiltonian without validating it."""
-    return _assign(obj, *_frozen(w, V))
 
 
 def _state_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -110,10 +102,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """A Hermitian observable, of any operator norm.
-
-    Its spectrum is computed once, on first use, and kept.
-    """
+    """A Hermitian observable, of any operator norm: its validated matrix."""
 
     matrix: np.ndarray
 
@@ -121,16 +110,6 @@ class Hamiltonian:
         A = hm.require_hermitian(hm.as_matrix(self.matrix))
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
-
-    @classmethod
-    def from_spectrum(cls, w, V) -> "Hamiltonian":
-        """V diag(w) V† for real w and a unitary V, keeping (w, V) as its
-        spectrum; not validated."""
-        return _set_spectrum(object.__new__(cls), w, V)
-
-    @cached_property
-    def spectrum(self) -> hm.EigenDecomposition:
-        return hm.eig_hermitian(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -236,11 +215,6 @@ def _entropy_from_eigenvalues(w: np.ndarray, dim: int):
     return float(s) if s.ndim == 0 else s
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr(rho ln rho) in nats, with 0 ln 0 := 0."""
-    return _entropy_from_eigenvalues(rho.spectrum.eigenvalues, rho.dim)
-
-
 def _positive_distribution(probs) -> np.ndarray:
     """probs as floats (..., n), every row positive (not NaN) and summing to 1 within PROB_TOL."""
     p = np.asarray(probs, dtype=float)
@@ -276,12 +250,6 @@ def _average_entropies(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_x p_x S(rho_x) of each ensemble of a batch, from the probabilities
     p (B, n) and the members' eigenvalues w (B, n, d)."""
     return np.sum(p * _entropy_from_eigenvalues(w, w.shape[-1]), axis=-1)
-
-
-def average_entropy(E: Ensemble) -> float:
-    """sum_x p(x) S(rho_x) — the ensemble's average member entropy."""
-    b = _stack([E])
-    return float(_average_entropies(b.p, b.w)[0])
 
 
 # --- Batches of ensembles ---------------------------------------------------
@@ -418,13 +386,3 @@ def parse_hamiltonian_set(text) -> HamiltonianSet:
         raise ParseError(f"hamiltonian JSON missing or malformed field: {exc}") from exc
     hams = _parse_members(raw, dim, "hamiltonian", Hamiltonian)
     return HamiltonianSet(hams)
-
-
-def serialize_hamiltonian_set(H: HamiltonianSet) -> bytes:
-    if not H.hams:
-        raise DimMismatch("cannot serialize an empty Hamiltonian set")
-    obj = {
-        "dim": H.hams[0].dim,
-        "hamiltonians": [matrix_to_json(h.matrix) for h in H.hams],
-    }
-    return json.dumps(obj).encode("utf-8")

@@ -14,7 +14,6 @@ entangling rate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,7 +29,6 @@ from .ensembles import (
     _entropy_from_eigenvalues,
     _load_json,
     matrix_from_json,
-    matrix_to_json,
 )
 from .errors import (
     BadSubset,
@@ -70,10 +68,10 @@ class PureState:
 
 
 def _unit_rows(psi: np.ndarray) -> np.ndarray:
-    """The rows of psi (..., N) renormalized; a row whose norm is more than
-    NORM_TOL from 1 raises."""
+    """The rows of psi (..., N) renormalized; a row whose norm is not within
+    NORM_TOL of 1 raises, and so does a NaN norm (it fails the <= test)."""
     norms = np.linalg.norm(psi, axis=-1)
-    off = np.abs(norms - 1.0) > NORM_TOL
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)
     if np.any(off):
         raise InvariantViolation(f"state norm {float(norms[off][0])!r} differs from 1")
     return psi / norms[..., None]
@@ -88,7 +86,9 @@ class BipartiteOperator(Hamiltonian):
     def __init__(self, matrix, dims):
         super().__init__(matrix)
         dims = tuple(int(d) for d in dims)
-        if len(dims) != 2 or self.dim != dims[0] * dims[1]:
+        if len(dims) != 2 or any(d < 1 for d in dims):
+            raise DimMismatch(f"need two factor dimensions >= 1, got {dims}")
+        if self.dim != dims[0] * dims[1]:
             raise DimMismatch(f"matrix of dim {self.dim} does not factor as {dims}")
         object.__setattr__(self, "dims", dims)
 
@@ -137,7 +137,7 @@ def _entanglement_trajectory(
     """
     _check_interaction(psi, H)
     d_a, d_A, d_B, d_b = psi.dims
-    w, V = H.spectrum
+    w, V = hm.eig_hermitian(H.matrix)
     ts = np.asarray(ts, dtype=float)
     X = V.conj().T @ psi.amplitudes.reshape(d_a, d_A * d_B, d_b)
     Psi = (V @ (np.exp(-1j * np.outer(ts, w))[:, None, :, None] * X)).reshape(ts.size, -1)
@@ -267,14 +267,6 @@ def parse_pure_state(text) -> PureState:
     return PureState(raw[:, 0] + 1j * raw[:, 1], dims)
 
 
-def serialize_pure_state(psi: PureState) -> bytes:
-    obj = {
-        "dims": list(psi.dims),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in psi.amplitudes],
-    }
-    return json.dumps(obj).encode("utf-8")
-
-
 def parse_bipartite_operator(text) -> BipartiteOperator:
     obj = _load_json(text)
     try:
@@ -284,8 +276,3 @@ def parse_bipartite_operator(text) -> BipartiteOperator:
         raise ParseError(f"operator JSON missing or malformed field: {exc}") from exc
     M = matrix_from_json(raw, dA * dB, "hamiltonian")
     return BipartiteOperator(M, (dA, dB))
-
-
-def serialize_bipartite_operator(H: BipartiteOperator) -> bytes:
-    obj = {"dims": list(H.dims), "hamiltonian": matrix_to_json(H.matrix)}
-    return json.dumps(obj).encode("utf-8")

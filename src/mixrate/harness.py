@@ -18,8 +18,6 @@ import numpy as np
 from . import hermitian as hm
 from .ensembles import (
     Ensemble,
-    Hamiltonian,
-    HamiltonianSet,
     _Batch,
     _ensemble,
     _frozen,
@@ -121,30 +119,6 @@ def _raw_states(n: int, dim: int, g: np.random.Generator) -> np.ndarray:
     G = _ginibre(g.standard_normal((n, 2, dim, dim)))
     rho = G @ G.conj().swapaxes(-1, -2)
     return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
-
-
-def sample_hamiltonian(dim: int, rng: Union[RNGSpec, np.random.Generator]) -> Hamiltonian:
-    """Symmetrized Ginibre matrix rescaled to operator norm exactly 1."""
-    return sample_hamiltonian_set(1, dim, rng).hams[0]
-
-
-def sample_hamiltonian_set(
-    n: int, dim: int, rng: Union[RNGSpec, np.random.Generator]
-) -> HamiltonianSet:
-    """n sample_hamiltonian draws, in order, diagonalized in one stacked call."""
-    w, V = _hamiltonian_draws(n, dim, _gen(rng))
-    return HamiltonianSet([Hamiltonian.from_spectrum(wk, Vk) for wk, Vk in zip(w, V)])
-
-
-def _hamiltonian_draws(n: int, dim: int, g: np.random.Generator):
-    """The spectra w (n, d), V (n, d, d) of n unit-norm Hamiltonians, drawn in
-    order and diagonalized in one stacked call."""
-    w, V, norms = _unit_spectra(_ginibre(g.standard_normal((n, 2, dim, dim))))
-    # Norm 0 has measure zero, but keep the contract ||H|| = 1: draw again.
-    for k in np.flatnonzero(norms == 0.0):
-        wk, Vk = _hamiltonian_draws(1, dim, g)
-        w[k], V[k] = wk[0], Vk[0]
-    return w, V
 
 
 def _unit_spectra(G: np.ndarray):
@@ -255,15 +229,10 @@ def scan_binary(
 
 
 def _climb_draws(k: int, n: int, dim: int, g: np.random.Generator):
-    """The draws of k candidates in the serial order (per candidate: n
-    Ginibre matrices, real part then imaginary part, then n probability
-    noises): the spectra (k, n, d), (k, n, d, d) of their unit-norm
-    Hamiltonians and the noises (k, n). One candidate draws as
-    sample_hamiltonian_set does, which redraws a zero-norm H; in a block of
-    k > 1, whose draws are one flat call, a zero norm raises instead."""
-    if k == 1:
-        w, V = _hamiltonian_draws(n, dim, g)
-        return w[None], V[None], g.standard_normal((1, n))
+    """The draws of k candidates, in one flat call and in the serial order
+    (per candidate: n Ginibre matrices, real part then imaginary part, then
+    n probability noises): the spectra (k, n, d), (k, n, d, d) of their
+    unit-norm Hamiltonians and the noises (k, n). A zero-norm H raises."""
     m = 2 * n * dim * dim
     z = g.standard_normal(k * (m + n)).reshape(k, m + n)
     w, V, norms = _unit_spectra(_ginibre(z[:, :m].reshape(k, n, 2, dim, dim)))

@@ -114,20 +114,13 @@ class _Spectra:
         tol = RANK_TOL * np.maximum(1.0, np.linalg.norm(w, axis=-1, keepdims=True))
         return hm.EigenDecomposition(np.where(w < -tol, -1.0, 1.0), V)  # tol: ||C_x||_F scale
 
-    def hamiltonians(self) -> list[HamiltonianSet]:
-        """The maximizers as one HamiltonianSet per ensemble."""
-        return [
-            HamiltonianSet([Hamiltonian.from_spectrum(s, V) for s, V in zip(*m)])
-            for m in zip(*self.maximizers())
-        ]
-
 
 def _stack_hamiltonians(H: HamiltonianSet):
-    """(spectra, matrices) of a Hamiltonian set as a batch of one: the kept
-    spectra (1, n, d) and (1, n, d, d), and the matrices (1, n, d, d)."""
-    w = np.stack([h.spectrum.eigenvalues for h in H.hams])
-    V = np.stack([h.spectrum.eigenvectors for h in H.hams])
-    return hm.EigenDecomposition(w[None], V[None]), np.stack([h.matrix for h in H.hams])[None]
+    """(spectra, matrices) of a Hamiltonian set as a batch of one: the
+    matrices (1, n, d, d) and their spectra (1, n, d), (1, n, d, d), all n
+    diagonalized in one stacked call."""
+    M = np.array([h.matrix for h in H.hams])[None]
+    return hm.eig_hermitian(M), M
 
 
 def mixing_rate(E: Ensemble, H: HamiltonianSet) -> float:
@@ -208,7 +201,8 @@ def optimal_hamiltonians(E: Ensemble) -> HamiltonianSet:
     the kernel of the commutator), so H_x^2 = I and ||H_x|| = 1, and
     mixing_rate(E, result) = +max_mixing_rate(E).
     """
-    return _Spectra(_stack([E])).hamiltonians()[0]
+    M = hm.hermitian_part(hm.reconstruct(*_Spectra(_stack([E])).maximizers()))[0]
+    return HamiltonianSet([Hamiltonian(H) for H in M])
 
 
 def max_mixing_rate(E: Ensemble) -> float:

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from mixrate import hermitian as hm
 from mixrate.ensembles import DensityMatrix, Ensemble, Hamiltonian, HamiltonianSet
-from mixrate.harness import RNGSpec
+from mixrate.harness import RNGSpec, _ginibre, _unit_spectra
 
 
 def rng(seed, stream=0):
@@ -24,6 +25,14 @@ def random_density(dim, g):
 def random_unit_hamiltonian(dim, g):
     H = random_hermitian(dim, g)
     return Hamiltonian(H / np.max(np.abs(np.linalg.eigvalsh(H))))
+
+
+def unit_hamiltonians(k, dim, g):
+    """k unit-norm Hamiltonians (k, d, d) drawn as the search draws them: one
+    call of Ginibre normals (real part, then imaginary part, per matrix), and
+    H = (G + G†)/2 over its largest |eigenvalue|."""
+    w, V, _ = _unit_spectra(_ginibre(g.standard_normal((k, 2, dim, dim))))
+    return hm.hermitian_part(hm.reconstruct(w, V))
 
 
 def random_ensemble(dim, n, g):

@@ -18,7 +18,8 @@ cannot resolve.
 in blocks: one candidate per iteration, each built as `Ensemble` and
 `DensityMatrix` objects and evaluated through the public rate functions.
 `mixrate.harness.search_ratio` must return the same record, field for field,
-for every configuration, including the errors; so its unitaries
+for every configuration, including the errors; so it draws each candidate
+through the program's `_climb_draws` as a block of one, and its unitaries
 (`unitary_at`) and conjugations (`conjugated`) keep the program's kernels and
 operation order.
 """
@@ -36,7 +37,8 @@ from mixrate import hermitian as hm
 from mixrate.ensembles import (
     DensityMatrix,
     Ensemble,
-    _set_spectrum,
+    _assign,
+    _frozen,
     _stack,
     binary_entropy,
     shannon_entropy,
@@ -305,26 +307,32 @@ def run_trial(cfg, trial_id: int):
 # --- The serial hill-climb ----------------------------------------------------
 
 
-def unitary_at(H, t):
-    """exp(-i H t) through the kept spectrum of H, as the block climb builds it."""
-    w, V = H.spectrum
+def unitary_at(w, V, t):
+    """exp(-i H t) of H = V diag(w) V†, as the block climb builds it."""
     return hm.reconstruct(np.exp(-1j * t * w), V)
+
+
+def state_with_spectrum(w, V) -> DensityMatrix:
+    """V diag(w) V† as a DensityMatrix that holds (w, V), not validated."""
+    return _assign(object.__new__(DensityMatrix), *_frozen(w, V))
 
 
 def conjugated(rho: DensityMatrix, U: np.ndarray) -> DensityMatrix:
     """U rho U† with spectrum (w, U V), not validated again."""
     w, V = rho.spectrum
-    return _set_spectrum(object.__new__(DensityMatrix), w, U @ V)
+    return state_with_spectrum(w, U @ V)
 
 
-def _perturb_states(E, eps, g):
-    """Conjugate each member by exp(i eps H) for a fresh unit-norm H."""
-    H = hz.sample_hamiltonian_set(len(E), E.dim, g)
-    return [conjugated(s, unitary_at(h, -eps)) for s, h in zip(E.states, H.hams)]
+def _perturb(E, eps, g):
+    """The members conjugated by exp(i eps H) for fresh unit-norm H, and the
+    n probability noises, drawn as a block of one candidate draws them."""
+    w, V, noise = hz._climb_draws(1, len(E), E.dim, g)
+    U = [unitary_at(wx, Vx, -eps) for wx, Vx in zip(w[0], V[0])]
+    return [conjugated(s, Ux) for s, Ux in zip(E.states, U)], noise[0]
 
 
-def _perturb_probs(p, eps, g):
-    q = np.log(p) + eps * g.standard_normal(p.size)
+def _perturb_probs(p, eps, noise):
+    q = np.log(p) + eps * noise
     q = np.exp(q - np.max(q))
     q /= np.sum(q)
     q = np.clip(q, hz.PROB_FLOOR, None)
@@ -356,8 +364,8 @@ def search_ratio(cfg):
             eps, rejects = hz.SEARCH_STEP, 0
             while iters < cfg.search_max_iters and eps >= 1e-6:
                 iters += 1
-                states = _perturb_states(cur, eps, g)
-                cand = Ensemble(_perturb_probs(cur.probabilities, eps, g), states)
+                states, noise = _perturb(cur, eps, g)
+                cand = Ensemble(_perturb_probs(cur.probabilities, eps, noise), states)
                 bound = hz.bound_theorem_general(cand.probabilities)
                 mx = max_mixing_rate(cand)
                 if mx > bound + hz.THEOREM_SLACK:

@@ -28,9 +28,7 @@ from mixrate.harness import (
     ExperimentConfig,
     RNGSpec,
     TrialRecord,
-    _hamiltonian_draws,
     _raw_states,
-    sample_hamiltonian,
     scan_binary,
     search_ratio,
 )
@@ -46,6 +44,8 @@ from mixrate.rates import (
     optimal_hamiltonians,
 )
 from reference import expected_state, fd_mixing_rate, sample_density, stm_check
+
+from conftest import unit_hamiltonians
 
 SEED = 20260823
 N_TRIALS = 1000
@@ -117,7 +117,7 @@ def sie_samples():
         total = 2 * d_A * d_B * 2
         amp = g.standard_normal(total) + 1j * g.standard_normal(total)
         psi = PureState(amp / np.linalg.norm(amp), dims)
-        H = BipartiteOperator(sample_hamiltonian(d_A * d_B, g).matrix, (d_A, d_B))
+        H = BipartiteOperator(unit_hamiltonians(1, d_A * d_B, g)[0], (d_A, d_B))
         samples.append((psi, H))
     return samples
 
@@ -147,9 +147,8 @@ def test_criterion_02_maximizer_exactness(trials):
         g = RNGSpec(SEED + 2, i).generator()
         E, L = t["E"], t["ln_rho"]
         n, d = len(E), E.dim
-        # 100 random Hamiltonian sets from one draw: the same normals, in the
-        # same order, as 100 sample_hamiltonian_set(n, d, g) calls.
-        H = hm.hermitian_part(hm.reconstruct(*_hamiltonian_draws(100 * n, d, g)))
+        # 100 random unit-norm Hamiltonian sets from one draw.
+        H = unit_hamiltonians(100 * n, d, g)
         rhos = np.array([s.matrix for s in E.states])
         C = 1j * (rhos @ L - L @ rhos)
         rates = np.einsum("x,kxij,xji->k", E.probabilities, H.reshape(100, n, d, d), C)

@@ -19,15 +19,13 @@ from mixrate.cli import (
     guard_status,
     main,
 )
-from mixrate.ensembles import serialize_ensemble, serialize_hamiltonian_set
-from mixrate.entangling import (
-    BipartiteOperator,
-    PureState,
-    serialize_bipartite_operator,
-    serialize_pure_state,
+from mixrate.ensembles import (
+    matrix_to_json,
+    parse_ensemble,
+    parse_hamiltonian_set,
+    serialize_ensemble,
 )
 from mixrate.errors import NoConvergence
-from mixrate.ensembles import parse_ensemble
 from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
 from mixrate.rates import rate_report
 
@@ -47,7 +45,8 @@ def ensemble_file(tmp_path):
 def hamiltonian_file(tmp_path):
     H = random_hamiltonian_set(3, 3, rng(701))
     path = tmp_path / "hams.json"
-    path.write_bytes(serialize_hamiltonian_set(H))
+    obj = {"dim": 3, "hamiltonians": [matrix_to_json(h.matrix) for h in H.hams]}
+    path.write_text(json.dumps(obj))
     return path
 
 
@@ -356,7 +355,14 @@ class TestScan:
         assert capsys.readouterr().err.startswith("mixrate: error: bad p-grid '1.2:1.5:0.1'")
 
     @pytest.mark.parametrize(
-        "spec,grid", [("0.1:0.8:0.2", [0.1, 0.3, 0.5, 0.7]), ("0.1:0.66:0.2", [0.1, 0.3, 0.5])]
+        "spec,grid",
+        [
+            ("0.1:0.8:0.2", [0.1, 0.3, 0.5, 0.7]),
+            ("0.1:0.66:0.2", [0.1, 0.3, 0.5]),
+            # Points that round to 1.0 or 0.0 lie outside (0, 1): dropped.
+            ("0.1:1.0:0.3", [0.1, 0.4, 0.7]),
+            ("1e-13:0.5:0.25", [0.25, 0.5]),
+        ],
     )
     def test_grid_stops_at_hi(self, spec, grid, capsys):
         argv = ["scan", "--p-grid", spec, "--dim", "2", "--trials", "1", "--seed", "0"]
@@ -452,14 +458,13 @@ class TestSie:
     def _bell_files(tmp_path):
         amp = np.zeros(16, dtype=complex)
         amp[0b0000] = amp[0b0110] = 1 / math.sqrt(2)  # (|00>+|11>)_{AB}
-        psi = PureState(amp, (2, 2, 2, 2))
         swap = np.zeros((4, 4))
         swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-        H = BipartiteOperator(swap, (2, 2))
         sp = tmp_path / "psi.json"
         hp = tmp_path / "ham.json"
-        sp.write_bytes(serialize_pure_state(psi))
-        hp.write_bytes(serialize_bipartite_operator(H))
+        amplitudes = [[z.real, z.imag] for z in amp.tolist()]
+        sp.write_text(json.dumps({"dims": [2, 2, 2, 2], "amplitudes": amplitudes}))
+        hp.write_text(json.dumps({"dims": [2, 2], "hamiltonian": matrix_to_json(swap)}))
         return sp, hp
 
     def test_bell_swap(self, tmp_path, capsys):
@@ -471,6 +476,15 @@ class TestSie:
         residual = float(out.split("reduction_residual=")[1].splitlines()[0])
         assert residual <= 1e-8
         assert out.count("ok=True") == 11
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_amplitude_is_a_usage_error(self, tmp_path, capsys):
+        sp, hp = self._bell_files(tmp_path)
+        obj = json.loads(sp.read_text())
+        obj["amplitudes"][0][0] = math.nan
+        sp.write_text(json.dumps(obj))
+        assert main(["sie", "--state", str(sp), "--ham", str(hp)]) == EXIT_USAGE
+        assert "state norm nan differs from 1" in capsys.readouterr().err
 
     def test_missing_state_file(self, tmp_path, capsys):
         _, hp = self._bell_files(tmp_path)
@@ -495,14 +509,19 @@ class TestEigenBudget:
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
-    def test_rate_report_and_sie(self, tmp_path, monkeypatch):
+    def test_rate_report_and_sie(self, tmp_path, monkeypatch, hamiltonian_file):
         E = random_ensemble(3, 3, rng(700))
+        H = parse_hamiltonian_set(hamiltonian_file.read_bytes())
         sp, hp = TestSie._bell_files(tmp_path)
         calls = self._count(monkeypatch)
         rate_report(E)
         # rho, the stacked commutators, and one stacked trajectory for the
         # 4 FD times; the rank probe reads rho.
         assert calls[0] == 3
+        calls[0] = 0
+        rate_report(E, H)
+        # The same three, and one stacked call for the three Hamiltonians.
+        assert calls[0] == 4
         calls[0] = 0
         assert main(["sie", "--state", str(sp), "--ham", str(hp)]) == EXIT_OK
         # mu, rho_aAB, rho, rho_aA once for the rate, then the STE check:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,12 @@ import reference
 from mixrate import entangling as en
 from mixrate import hermitian as hm
 from mixrate import rates
-from mixrate.ensembles import Hamiltonian, HamiltonianSet, _entropy_from_eigenvalues
+from mixrate.ensembles import (
+    Hamiltonian,
+    HamiltonianSet,
+    _entropy_from_eigenvalues,
+    matrix_to_json,
+)
 from mixrate.errors import (
     BadSubset,
     Degenerate,
@@ -49,6 +55,21 @@ class TestPureState:
     def test_length_must_match_dims(self):
         with pytest.raises(DimMismatch):
             en.PureState(np.array([1.0, 0, 0]), (1, 2, 2, 1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(InvariantViolation, match="state norm nan differs from 1"):
+            en.PureState(np.array([math.nan, 1.0]), (1, 2, 1, 1))
+
+
+class TestBipartiteOperator:
+    @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (-4, -1)])  # products of 4
+    def test_factor_dims_below_one_rejected(self, dims):
+        with pytest.raises(DimMismatch, match="factor dimensions >= 1"):
+            en.BipartiteOperator(np.eye(4), dims)
+        text = json.dumps({"dims": list(dims), "hamiltonian": matrix_to_json(np.eye(4))})
+        with pytest.raises(DimMismatch):
+            en.parse_bipartite_operator(text)
 
 
 class TestPartialTrace:
@@ -328,13 +349,15 @@ class TestFdGuards:
 class TestJsonRoundTrip:
     def test_pure_state_round_trip(self):
         psi = random_pure((2, 2, 3, 2), rng(419))
-        back = en.parse_pure_state(en.serialize_pure_state(psi))
+        amplitudes = [[z.real, z.imag] for z in psi.amplitudes.tolist()]
+        back = en.parse_pure_state(json.dumps({"dims": list(psi.dims), "amplitudes": amplitudes}))
         assert back.dims == psi.dims
         assert np.abs(back.amplitudes - psi.amplitudes).max() <= 1e-12
 
     def test_operator_round_trip(self):
         H = random_interaction(2, 3, rng(420))
-        back = en.parse_bipartite_operator(en.serialize_bipartite_operator(H))
+        text = json.dumps({"dims": list(H.dims), "hamiltonian": matrix_to_json(H.matrix)})
+        back = en.parse_bipartite_operator(text)
         assert back.dims == H.dims
         assert np.abs(back.matrix - H.matrix).max() <= 1e-12
 

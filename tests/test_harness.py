@@ -10,6 +10,7 @@ import reference
 from mixrate import cli
 from mixrate import ensembles as ens
 from mixrate import harness as hz
+from mixrate import hermitian as hm
 from mixrate.ensembles import DensityMatrix, Ensemble, _stack
 from mixrate.errors import DomainError
 from mixrate.harness import (
@@ -20,8 +21,6 @@ from mixrate.harness import (
     records_to_json,
     run_trials,
     sample_ensemble,
-    sample_hamiltonian,
-    sample_hamiltonian_set,
     scan_binary,
     search_ratio,
 )
@@ -67,22 +66,25 @@ class TestSampling:
 
     def test_hamiltonian_norm_exactly_one(self):
         for stream in range(5):
-            H = sample_hamiltonian(5, RNGSpec(3, stream))
-            norm = np.max(np.abs(np.linalg.eigvalsh(H.matrix)))
-            assert norm == pytest.approx(1.0, abs=1e-12)
-            dev = np.abs(H.matrix - H.matrix.conj().T).max()
-            assert dev <= 1e-15
+            w, V, _ = hz._climb_draws(1, 2, 5, RNGSpec(3, stream).generator())
+            for H in hm.hermitian_part(hm.reconstruct(w, V))[0]:
+                norm = np.max(np.abs(np.linalg.eigvalsh(H)))
+                assert norm == pytest.approx(1.0, abs=1e-12)
+                assert np.abs(H - H.conj().T).max() <= 1e-15
 
     def test_hamiltonian_set_is_one_stacked_draw(self, monkeypatch):
-        # Reference: each member drawn in order (real part, then imaginary
-        # part) and diagonalized on its own.
-        g = RNGSpec(3, 9).generator()
-        want = []
-        for _ in range(3):
-            G = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
-            w, V = np.linalg.eigh((G + G.conj().T) / 2)
-            norm = np.max(np.abs(w))
-            want.append((V * (w / norm)) @ V.conj().T)
+        # Reference: per candidate, each member drawn in order (real part,
+        # then imaginary part) and diagonalized on its own, then the
+        # candidate's probability noises.
+        serial = RNGSpec(3, 9).generator()
+        want, noises = [], []
+        for _ in range(2):
+            for _ in range(3):
+                G = serial.standard_normal((4, 4)) + 1j * serial.standard_normal((4, 4))
+                w, V = np.linalg.eigh((G + G.conj().T) / 2)
+                norm = np.max(np.abs(w))
+                want.append((V * (w / norm)) @ V.conj().T)
+            noises.append(serial.standard_normal(3))
         calls = [0]
         eigh = np.linalg.eigh
 
@@ -91,41 +93,32 @@ class TestSampling:
             return eigh(*args)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        H = sample_hamiltonian_set(3, 4, RNGSpec(3, 9))
+        g = RNGSpec(3, 9).generator()
+        w, V, noise = hz._climb_draws(2, 3, 4, g)
         assert calls[0] == 1
-        for h, M in zip(H.hams, want):
-            assert np.allclose(h.matrix, M, atol=1e-15, rtol=0)
-        assert len(sample_hamiltonian_set(0, 4, RNGSpec(3, 9))) == 0
+        got = hm.reconstruct(w, V).reshape(6, 4, 4)
+        for M, H in zip(got, want):
+            assert np.allclose(M, H, atol=1e-15, rtol=0)
+        assert np.array_equal(noise, noises)
+        # The flat call leaves the generator where the serial draws leave it.
+        assert g.bit_generator.state == serial.bit_generator.state
 
-    def test_hamiltonian_set_redraws_a_zero_draw(self):
-        class ZeroFirst:
-            """A generator whose first draw, of all members at once, has
-            member 0 (its real and imaginary part) zero."""
+    def test_zero_norm_draw_raises_at_every_block_size(self, monkeypatch):
+        unit_spectra = hz._unit_spectra
 
-            def __init__(self):
-                self.g, self.calls = np.random.default_rng(4), 0
+        def zero_norms(G):
+            w, V, norms = unit_spectra(G)
+            return w, V, np.zeros_like(norms)
 
-            def standard_normal(self, shape):
-                self.calls += 1
-                z = self.g.standard_normal(shape)
-                if self.calls == 1:
-                    z[0] = 0.0
-                return z
-
-        gen = ZeroFirst()
-        H = sample_hamiltonian_set(2, 3, gen)
-        assert gen.calls == 2  # the draw of both members, then member 0 again
-        for h in H.hams:
-            assert np.max(np.abs(np.linalg.eigvalsh(h.matrix))) == pytest.approx(1.0, abs=1e-12)
-        # Member 1 keeps its draw: the second normals of the generator's stream.
-        z = np.random.default_rng(4).standard_normal((2, 2, 3, 3))
-        G = z[1, 0] + 1j * z[1, 1]
-        w, V = np.linalg.eigh((G + G.conj().T) / 2)
-        assert np.allclose(H.hams[1].matrix, (V * (w / np.abs(w).max())) @ V.conj().T, atol=1e-15)
+        monkeypatch.setattr(hz, "_unit_spectra", zero_norms)
+        for k in (1, 3):
+            with pytest.raises(DomainError, match="zero-norm"):
+                hz._climb_draws(k, 2, 3, RNGSpec(3, 9).generator())
 
     def test_hamiltonian_dim_one(self):
-        H = sample_hamiltonian(1, RNGSpec(3, 7))
-        assert abs(abs(H.matrix[0, 0]) - 1.0) <= 1e-12
+        w, V, _ = hz._climb_draws(1, 1, 1, RNGSpec(3, 7).generator())
+        H = hm.reconstruct(w, V)[0, 0]
+        assert abs(abs(H[0, 0]) - 1.0) <= 1e-12
 
     def test_ensemble_probabilities(self):
         cfg = ExperimentConfig(dim=3, n_states=4, seed=5)
@@ -338,7 +331,7 @@ class TestSearchRatio:
 
         def zero_norm_in_blocks(G):
             w, V, norms = unit_spectra(G)
-            if G.ndim == 4:
+            if G.shape[0] > 1:
                 blocks.append(G.shape[0])
                 norms = np.zeros_like(norms)
             return w, V, norms

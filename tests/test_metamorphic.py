@@ -25,9 +25,9 @@ from mixrate.ensembles import (
     parse_ensemble,
     parse_hamiltonian_set,
 )
-from mixrate.harness import ExperimentConfig, RNGSpec, sample_ensemble, sample_hamiltonian_set
+from mixrate.harness import ExperimentConfig, RNGSpec, sample_ensemble
 
-from conftest import random_hermitian, rng
+from conftest import random_hermitian, rng, unit_hamiltonians
 
 # Every value of a RateReport but fd_residual, which is rounding-level noise.
 FIELDS = (
@@ -55,7 +55,8 @@ def _sampled(case):
     for the transformation's own draws."""
     seed, d, n = case
     E = sample_ensemble(ExperimentConfig(dim=d, n_states=n, seed=seed), RNGSpec(seed, 0))
-    return E, sample_hamiltonian_set(n, d, RNGSpec(seed, 1)), rng(seed, 2)
+    H = HamiltonianSet([Hamiltonian(M) for M in unit_hamiltonians(n, d, rng(seed, 1))])
+    return E, H, rng(seed, 2)
 
 
 def _golden():

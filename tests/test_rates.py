@@ -12,7 +12,6 @@ from mixrate.ensembles import (
     Ensemble,
     Hamiltonian,
     HamiltonianSet,
-    _set_spectrum,
     _stack,
     binary_entropy,
     parse_ensemble,
@@ -386,7 +385,7 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("w", [(-0.5, 1.5), (0.5, 1.0)])  # not PSD; trace 1.5
     def test_rejects_a_member_that_is_no_state(self, w):
-        bad = _set_spectrum(object.__new__(DensityMatrix), np.array(w), np.eye(2, dtype=complex))
+        bad = reference.state_with_spectrum(np.array(w), np.eye(2, dtype=complex))
         E = Ensemble([1.0], [bad])
         H = HamiltonianSet([random_unit_hamiltonian(2, rng(333))])
         with pytest.raises(InvariantViolation):

@@ -6,7 +6,9 @@ eigendecomposition goes through `hermitian._lapack`, the one place that
 types LAPACK errors and the one point that counts them: numpy's `eigh` and
 `eigvalsh` appear only as the routine handed to `_lapack`. No public
 function, method or constructor takes a parameter named with a leading
-underscore: a private back door on the public API.
+underscore: a private back door on the public API. Every public top-level
+name of a module is reached: referenced by the package itself, by an
+acceptance criterion or by the benchmark, not only exported.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 import mixrate
 
 SRC = Path(mixrate.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 EIG = {"eigh", "eigvalsh"}
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -112,3 +115,75 @@ def test_parameter_scan_finds_what_it_forbids(tmp_path):
     )
     found = [v.split(": ", 1)[1] for v in _private_parameters(bad)]
     assert found == ["rate(_ln_rho)", "Batch.__init__(_fast)", "Batch.evaluate(_opts)"]
+
+
+def _public_names(path: Path) -> list[tuple[str, int]]:
+    """The public top-level functions, classes and constants of one module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCS, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        out += [(name, node.lineno) for name in names if not name.startswith("_")]
+    return out
+
+
+def _references(path: Path) -> set[str]:
+    """Every name one file reads, as a name, an attribute or an import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
+def _unreached(modules: list[Path], readers: list[Path]) -> list[str]:
+    """The public names of the modules that no reader references."""
+    reached = set().union(*map(_references, readers))
+    return [
+        f"{m.name}:{line}: {name}"
+        for m in modules
+        for name, line in _public_names(m)
+        if name not in reached
+    ]
+
+
+def test_every_public_name_is_reached():
+    # Re-exports in __init__ do not count: a name must be used by the
+    # package, named by an acceptance criterion or run by the benchmark.
+    modules = [f for f in sorted(SRC.glob("*.py")) if f.name != "__init__.py"]
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    assert modules and bench
+    readers = modules + [ROOT / "tests" / "test_acceptance.py"] + bench
+    assert _unreached(modules, readers) == []
+
+
+def test_reach_scan_finds_what_it_forbids(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "LIMIT = 3\n"
+        "TABLE: dict = {}\n"
+        "_PRIVATE = 1\n"
+        "def used():\n"
+        "    return LIMIT\n"
+        "def unused():\n"
+        "    return _helper()\n"
+        "def _helper(): pass\n"
+        "class Kept: pass\n"
+        "class Orphan: pass\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("import mod\nfrom mod import Kept as K\nmod.used()\n")
+    found = [v.split(": ", 1)[1] for v in _unreached([mod], [mod, reader])]
+    assert found == ["TABLE", "unused", "Orphan"]
