@@ -19,7 +19,6 @@ from .entangling import (
     PureState,
     bravyi_mu,
     entangling_rate,
-    partial_trace,
     sie_to_sim,
     ste_check,
 )
@@ -34,7 +33,6 @@ from .harness import (
 )
 from .hermitian import (
     EigenDecomposition,
-    commutator,
     eig_hermitian,
     log_integral_check,
     support_log,

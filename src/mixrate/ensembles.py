@@ -107,7 +107,9 @@ class Hamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        A = hm.require_hermitian(hm.as_matrix(self.matrix))
+        if np.ndim(self.matrix) != 2:
+            raise DimMismatch(f"expected a square matrix, got shape {np.shape(self.matrix)}")
+        A = hm.require_hermitian(self.matrix)
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
 
@@ -338,6 +340,13 @@ def _load_json(text) -> dict:
     return obj
 
 
+def _json_dim(v) -> int:
+    """A dimension read from JSON: a JSON integer; a float, bool or string is refused."""
+    if type(v) is not int:
+        raise ParseError(f"dimension {v!r} is not an integer")
+    return v
+
+
 def _parse_members(raw, dim: int, what: str, build) -> list:
     """build(M) for each raw matrix M; a failed validation names the member."""
     out = []
@@ -353,7 +362,7 @@ def parse_ensemble(text) -> Ensemble:
     """Parse the ensemble JSON schema; reports the offending member on failure."""
     obj = _load_json(text)
     try:
-        dim = int(obj["dim"])
+        dim = _json_dim(obj["dim"])
         probs = [float(p) for p in obj["probabilities"]]
         raw_states = list(obj["states"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -380,7 +389,7 @@ def parse_hamiltonian_set(text) -> HamiltonianSet:
     """Parse the Hamiltonian-set JSON schema (no operator-norm requirement)."""
     obj = _load_json(text)
     try:
-        dim = int(obj["dim"])
+        dim = _json_dim(obj["dim"])
         raw = list(obj["hamiltonians"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"hamiltonian JSON missing or malformed field: {exc}") from exc

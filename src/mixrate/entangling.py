@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +27,11 @@ from .ensembles import (
     Hamiltonian,
     HamiltonianSet,
     _entropy_from_eigenvalues,
+    _json_dim,
     _load_json,
     matrix_from_json,
 )
 from .errors import (
-    BadSubset,
     Degenerate,
     DimMismatch,
     DimOrder,
@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     PositivityViolation,
 )
-from .rates import CHECK_SLACK, IMAG_TOL, mixing_rate
+from .rates import CHECK_SLACK, _commutators, _rate, mixing_rate
 
 NORM_TOL = 1e-10
 
@@ -58,9 +58,7 @@ class PureState:
         if len(dims) != 4 or any(d < 1 for d in dims):
             raise DimMismatch(f"need four factor dimensions >= 1, got {dims}")
         if v.size != math.prod(dims):
-            raise DimMismatch(
-                f"amplitude length {v.size} != product of dims {math.prod(dims)}"
-            )
+            raise DimMismatch(f"amplitude length {v.size} != product of dims {math.prod(dims)}")
         v = _unit_rows(v[None])[0]
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
@@ -93,36 +91,16 @@ class BipartiteOperator(Hamiltonian):
         object.__setattr__(self, "dims", dims)
 
 
-def partial_trace(M, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out every tensor factor not in `keep`.
-
-    `dims` lists the factor dimensions in row-major order; `keep` is the set
-    of factor indices to retain (order preserved as in `dims`).
-    """
-    dims = [int(d) for d in dims]
-    A = np.asarray(M, dtype=complex)
-    total = math.prod(dims)
-    if A.shape != (total, total):
-        raise DimMismatch(f"matrix shape {A.shape} != ({total}, {total})")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise BadSubset(f"keep indices {keep} out of range for {len(dims)} factors")
-    if not keep:
-        raise BadSubset("must keep at least one factor")
-    n = len(dims)
-    # Einsum axes: row index i is axis i; a traced factor's column shares its
-    # row's axis, a kept factor's column gets its own axis n + i.
-    col = [n + i if i in keep else i for i in range(n)]
-    out = keep + [n + i for i in keep]
-    d_keep = math.prod(dims[i] for i in keep)
-    T = A.reshape(dims + dims)
-    return np.einsum(T, list(range(n)) + col, out).reshape(d_keep, d_keep)
+def _gram(psi: np.ndarray, rows: int) -> np.ndarray:
+    """M M† for M the rows x (N / rows) reshape of each state psi (..., N):
+    the reduced state on the leading factors, whose dimensions multiply to rows."""
+    M = psi.reshape(psi.shape[:-1] + (rows, -1))
+    return M @ M.conj().swapaxes(-1, -2)
 
 
 def _reduced(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced states (rho_aAB, rho_aA) of psi."""
-    rho_aAB = partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims, (0, 1, 2))
-    return rho_aAB, partial_trace(rho_aAB, psi.dims[:3], (0, 1))
+    """The reduced states (rho_aAB, rho_aA) of psi, on its first three and two factors."""
+    return tuple(_gram(psi.amplitudes, math.prod(psi.dims[:k])) for k in (3, 2))
 
 
 def _entanglement_trajectory(
@@ -132,8 +110,8 @@ def _entanglement_trajectory(
 
     Psi is rotated once into the eigenbasis of H, where the evolution to every
     t is a phase per eigenvalue. Each Psi(t) gets PureState's norm check and
-    renormalization; rho_aA(t) = M M† for M the (d_a d_A) x (d_B d_b) reshape of
-    Psi(t), and all of them share one stacked eigvalsh.
+    renormalization; rho_aA(t) is `_gram` of Psi(t), and all of them share one
+    stacked eigvalsh.
     """
     _check_interaction(psi, H)
     d_a, d_A, d_B, d_b = psi.dims
@@ -141,17 +119,13 @@ def _entanglement_trajectory(
     ts = np.asarray(ts, dtype=float)
     X = V.conj().T @ psi.amplitudes.reshape(d_a, d_A * d_B, d_b)
     Psi = (V @ (np.exp(-1j * np.outer(ts, w))[:, None, :, None] * X)).reshape(ts.size, -1)
-    M = _unit_rows(Psi).reshape(ts.size, d_a * d_A, d_B * d_b)
-    rho_aA = M @ M.conj().transpose(0, 2, 1)
+    rho_aA = _gram(_unit_rows(Psi), d_a * d_A)
     return _entropy_from_eigenvalues(hm.eigvals_hermitian(rho_aA), d_a * d_A)
 
 
 def _check_interaction(psi: PureState, H: BipartiteOperator) -> None:
-    if H.dims != (psi.dims[1], psi.dims[2]):
-        raise DimMismatch(
-            f"Hamiltonian factors {H.dims} do not match state factors "
-            f"{(psi.dims[1], psi.dims[2])}"
-        )
+    if H.dims != psi.dims[1:3]:
+        raise DimMismatch(f"Hamiltonian factors {H.dims} != state factors {psi.dims[1:3]}")
 
 
 def lift_to_aAB(H: BipartiteOperator, d_a: int) -> np.ndarray:
@@ -162,18 +136,16 @@ def lift_to_aAB(H: BipartiteOperator, d_a: int) -> np.ndarray:
 def entangling_rate(psi: PureState, H: BipartiteOperator) -> float:
     """Analytic derivative i Tr(H_lift [rho_aAB, ln(rho_aA) ⊗ I_B])."""
     _check_interaction(psi, H)
-    return _entangling_rate(*_reduced(psi), H, psi.dims)
+    d_a, _, d_B, _ = psi.dims
+    return _entangling_rate(*_reduced(psi), lift_to_aAB(H, d_a), d_B)
 
 
-def _entangling_rate(rho_aAB, rho_aA, H: BipartiteOperator, dims) -> float:
-    """entangling_rate from the reduced states of a state with factor dims."""
-    d_a, _, d_B, _ = dims
+def _entangling_rate(rho_aAB, rho_aA, H_lift: np.ndarray, d_B: int) -> float:
+    """entangling_rate from the reduced states and H_lift = I_a ⊗ H_AB: the rate
+    of the one-member ensemble rho_aAB with ln(rho_aA) ⊗ I_B for ln rho."""
     L = np.kron(hm.support_log(rho_aA), np.eye(d_B))
-    H_lift = lift_to_aAB(H, d_a)
-    val = 1j * np.trace(H_lift @ hm.commutator(rho_aAB, L))
-    if abs(val.imag) > IMAG_TOL:
-        raise IdentityViolation(f"entangling rate has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    C = _commutators(rho_aAB[None, None], L[None])
+    return float(_rate(np.ones((1, 1)), H_lift[None, None], C)[0])
 
 
 def bravyi_mu(psi: PureState) -> DensityMatrix:
@@ -194,9 +166,9 @@ def _mu(rho_aAB, rho_aA, dims) -> DensityMatrix:
     if d_B > d_A:
         raise DimOrder(f"requires dim(B) <= dim(A), got B={d_B}, A={d_A}")
     weight = 1.0 - d_B ** -2
-    mu = (np.kron(rho_aA, np.eye(d_B) / d_B) - d_B ** -2 * rho_aAB) / weight
-    recon = weight * mu + d_B ** -2 * rho_aAB
     target = np.kron(rho_aA, np.eye(d_B) / d_B)
+    mu = (target - d_B ** -2 * rho_aAB) / weight
+    recon = weight * mu + d_B ** -2 * rho_aAB
     residual = hm.frobenius(recon - target)
     if residual > 1e-10:
         raise IdentityViolation(f"reconstruction identity failed by {residual:.3e}")
@@ -222,9 +194,8 @@ def sie_to_sim(
     H_lift = Hamiltonian(lift_to_aAB(H, d_a))
     zero = Hamiltonian(np.zeros_like(H_lift.matrix))
     lam = mixing_rate(E2, HamiltonianSet([zero, H_lift]))
-    gam = _entangling_rate(rho_aAB, rho_aA, H, psi.dims)
-    residual = abs(lam - d_B ** -2 * gam)
-    return E2, H_lift, residual, gam
+    gam = _entangling_rate(rho_aAB, rho_aA, H_lift.matrix, d_B)
+    return E2, H_lift, abs(lam - d_B ** -2 * gam), gam
 
 
 @dataclass(frozen=True)
@@ -258,7 +229,7 @@ def ste_check(psi: PureState, H: BipartiteOperator, ts: Sequence[float]) -> list
 def parse_pure_state(text) -> PureState:
     obj = _load_json(text)
     try:
-        dims = [int(d) for d in obj["dims"]]
+        dims = [_json_dim(d) for d in obj["dims"]]
         raw = np.asarray(obj["amplitudes"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"pure-state JSON missing or malformed field: {exc}") from exc
@@ -270,7 +241,7 @@ def parse_pure_state(text) -> PureState:
 def parse_bipartite_operator(text) -> BipartiteOperator:
     obj = _load_json(text)
     try:
-        dA, dB = (int(d) for d in obj["dims"])
+        dA, dB = (_json_dim(d) for d in obj["dims"])
         raw = obj["hamiltonian"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"operator JSON missing or malformed field: {exc}") from exc

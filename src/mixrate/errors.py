@@ -21,10 +21,6 @@ class DimMismatch(MixRateError):
     """Operands have incompatible dimensions."""
 
 
-class BadSubset(MixRateError):
-    """Partial-trace keep set is not a valid subset of the factor indices."""
-
-
 class BadDistribution(MixRateError):
     """Probability vector is not a valid distribution."""
 

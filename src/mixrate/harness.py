@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise DomainError(f"dim {self.dim} outside supported range [2, 64]")
         if self.n_states < 1 or self.n_trials < 1:
             raise DomainError("n_states and n_trials must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed {self.seed} must be >= 0")
         if self.n_states > MAX_STATES:
             raise DomainError(f"n_states {self.n_states} above the limit of {MAX_STATES}")
         if self.search_max_iters < 1:

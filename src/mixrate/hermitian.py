@@ -1,8 +1,8 @@
 """Dense complex Hermitian linear algebra.
 
 Eigendecomposition, the logarithm on the support through the spectrum, the
-trace norm, commutators, and a quadrature identity for the logarithm. The
-checks and decompositions take a matrix or a stack (..., d, d) on one path.
+trace norm, and a quadrature identity for the logarithm. The checks and
+decompositions take a matrix or a stack (..., d, d) on one path.
 Everything else in the package is built on these primitives.
 
 Matrices are plain ``numpy.ndarray`` of complex128. All operations are pure.
@@ -25,16 +25,6 @@ class EigenDecomposition(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def as_matrix(M) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("matrix has non-finite entries")
-    return A
 
 
 def frobenius(M) -> float:
@@ -137,15 +127,6 @@ def trace_norm(M):
     """‖M‖₁ = Σ|λ_i| for Hermitian M; for a stack, the array of them."""
     n = np.abs(eigvals_hermitian(M)).sum(axis=-1)
     return float(n) if n.ndim == 0 else n
-
-
-def commutator(A, B) -> np.ndarray:
-    """AB − BA. Anti-Hermitian when both arguments are Hermitian."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise DimMismatch(f"commutator of shapes {A.shape} and {B.shape}")
-    return A @ B - B @ A
 
 
 def log_integral_check(x: float, upper_cutoff: float, n_points: int) -> float:

@@ -87,7 +87,7 @@ def _rate(p: np.ndarray, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     val = np.einsum("bx,bxij,bxji->b", p, H, C)
     bad = np.abs(val.imag) > IMAG_TOL
     if bad.any():
-        raise IdentityViolation(f"mixing rate has imaginary residue {val.imag[bad][0]:.3e}")
+        raise IdentityViolation(f"rate has imaginary residue {val.imag[bad][0]:.3e}")
     return val.real
 
 
@@ -115,22 +115,17 @@ class _Spectra:
         return hm.EigenDecomposition(np.where(w < -tol, -1.0, 1.0), V)  # tol: ||C_x||_F scale
 
 
-def _stack_hamiltonians(H: HamiltonianSet):
-    """(spectra, matrices) of a Hamiltonian set as a batch of one: the
-    matrices (1, n, d, d) and their spectra (1, n, d), (1, n, d, d), all n
-    diagonalized in one stacked call."""
-    M = np.array([h.matrix for h in H.hams])[None]
-    return hm.eig_hermitian(M), M
+def _matrices(E: Ensemble, H: HamiltonianSet) -> np.ndarray:
+    """The matrices (1, n, d, d) of a Hamiltonian set for E, as a batch of one."""
+    _require_matching(E, H)
+    return np.array([h.matrix for h in H.hams])[None]
 
 
 def mixing_rate(E: Ensemble, H: HamiltonianSet) -> float:
     """Analytic entropy derivative i * sum_x p(x) Tr(H_x [rho_x, ln rho])."""
-    _require_matching(E, H)
-    p = E.probabilities[None]
-    rhos = np.array([s.matrix for s in E.states])[None]
-    ln_rho = _support_logs(p, rhos)[0]
-    M = np.array([h.matrix for h in H.hams])[None]
-    return float(_rate(p, M, _commutators(rhos, ln_rho))[0])
+    M = _matrices(E, H)
+    b = _stack([E])
+    return float(_rate(b.p, M, _commutators(b.rhos, _support_logs(b.p, b.rhos)[0]))[0])
 
 
 def _fd_probe(rho_w: np.ndarray, strict: bool) -> np.ndarray:
@@ -263,7 +258,7 @@ def ak_gap(A, B) -> tuple[float, float]:
     ln_C, supp = hm.log_on_support(hm.eig_hermitian(A + B))
     if not supp.all():
         raise DomainError("A + B is rank-deficient beyond tolerance")
-    lhs = hm.trace_norm(hm.hermitian_part(1j * hm.commutator(B, ln_C)))
+    lhs = hm.trace_norm(hm.hermitian_part(_commutators(B[None, None], ln_C[None])[0, 0]))
     alpha = float(np.real(np.trace(A)))
     beta = float(np.real(np.trace(B)))
     t = _xlnx([alpha + beta, alpha, beta])
@@ -292,15 +287,13 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> list[Optional[float]]:
 
 
 def _evaluate(
-    b: _Batch,
-    H: Optional[tuple[hm.EigenDecomposition, np.ndarray]],
-    policy: str,
+    b: _Batch, M: Optional[np.ndarray], policy: str
 ) -> tuple[list[RateReport], list[bool]]:
     """The reports of a batch of ensembles from one spectral pass, and
     whether STM holds for each at STM_TIMES ("compute" checks no times).
 
-    H, the spectra and matrices of one Hamiltonian set per ensemble (as
-    `_stack_hamiltonians` gives them), defaults to the maximizers. If the FD
+    M, the matrices (B, n, d, d) of one Hamiltonian set per ensemble (as
+    `_matrices` gives them), defaults to the maximizers. If the FD
     oracle refuses an ensemble, "compute" reports its fd_residual None and the
     other policies raise. Ratios are max_rate over the general bound and over S(p),
     except at n = 2:
@@ -310,12 +303,12 @@ def _evaluate(
     """
     sp = _Spectra(b)
     p, B = b.p, len(b.p)
-    if H is None:
+    if M is None:
         H = sp.maximizers()
-        rate = _rate(p, hm.hermitian_part(hm.reconstruct(*H)), sp.C)
+        M = hm.hermitian_part(hm.reconstruct(*H))
     else:
-        H, H_matrices = H
-        rate = _rate(p, H_matrices, sp.C)
+        H = hm.eig_hermitian(M)
+    rate = _rate(p, M, sp.C)
     mx = sp.max_rate
     shannon = _shannon(p)
     bound = bound_theorem_general(p)
@@ -352,8 +345,5 @@ def _evaluate(
 
 def rate_report(E: Ensemble, H: Optional[HamiltonianSet] = None) -> RateReport:
     """Evaluate all rates and bounds for E; H defaults to the maximizers."""
-    stacked = None
-    if H is not None:
-        _require_matching(E, H)
-        stacked = _stack_hamiltonians(H)
-    return _evaluate(_stack([E]), stacked, "compute")[0][0]
+    M = None if H is None else _matrices(E, H)
+    return _evaluate(_stack([E]), M, "compute")[0][0]

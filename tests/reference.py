@@ -9,6 +9,7 @@ an Ensemble, HamiltonianSet or PureState only for its data:
     max_rate(E)  = sum_x p_x ||[rho_x, ln rho]||_1
     rate(E, H)   = i sum_x p_x Tr(H_x [rho_x, ln rho])
     Psi(t)       = (I_a ⊗ e^{-iHt} ⊗ I_b) Psi,  E(Psi) = S(rho_aA)
+    Tr_K M       = the partial trace over the factors K of a tensor product
 
 with ln taken on the support of rho. The finite differences of S(rho(t))
 and E(Psi(t)) refuse, with a typed MixRateError, what a finite difference
@@ -84,6 +85,19 @@ def entropy(M: np.ndarray) -> float:
 
 def shannon(p) -> float:
     return float(-sum(x * math.log(x) for x in p if x > 0))
+
+
+def partial_trace(M: np.ndarray, dims, keep) -> np.ndarray:
+    """The trace of M over every factor not in keep, for the factor
+    dimensions dims in row-major order: one einsum over M as a tensor."""
+    n = len(dims)
+    keep = sorted(keep)
+    # Row index i is axis i; a traced factor's column shares its row's axis,
+    # a kept factor's column gets its own axis n + i.
+    col = [n + i if i in keep else i for i in range(n)]
+    d = math.prod(dims[i] for i in keep)
+    T = np.asarray(M).reshape(list(dims) * 2)
+    return np.einsum(T, list(range(n)) + col, keep + [n + i for i in keep]).reshape(d, d)
 
 
 # --- Ensembles and their evolution ------------------------------------------
@@ -285,6 +299,38 @@ def qubit_rates(E: Ensemble, H=None) -> tuple[float, float, float | None]:
         h_x = np.array([bloch(h.matrix) / 2.0 for h in H.hams])
         rate = float(-2.0 * a * np.sum(p * np.sum(h_x * c, axis=1)))
     return float(np.sum(terms)), float(terms[0]), rate
+
+
+def qubit_maximizers(E: Ensemble) -> list[np.ndarray]:
+    """The maximizers H_x = -u_x·σ, u_x the unit vector along r_x × r̂; I
+    where r_x ∥ r, since then [rho_x, ln rho] = 0."""
+    r_x = np.array([bloch(s.matrix) for s in E.states])
+    r = E.probabilities @ r_x
+    out = []
+    for c in np.cross(r_x, r / np.linalg.norm(r)):
+        norm = np.linalg.norm(c)
+        out.append(np.eye(2) if norm == 0.0 else -np.einsum("k,kij->ij", c / norm, PAULI))
+    return out
+
+
+def rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
+    """v rotated right-handedly about the unit vector axis (Rodrigues)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return v * c + np.cross(axis, v) * s + axis * (axis @ v) * (1.0 - c)
+
+
+def qubit_entropy_at(E: Ensemble, H, t: float) -> float:
+    """entropy_at at d = 2 from Bloch vectors: e^{-i H_x t} with
+    H_x = a_x I + h_x·σ rotates r_x about h_x by the angle 2|h_x|t, and
+    S(rho(t)) = h2((1 + |r(t)|)/2) for r(t) = sum_x p_x r_x(t)."""
+    r = np.zeros(3)
+    for p, s, h in zip(E.probabilities, E.states, H.hams):
+        h_x = bloch(h.matrix) / 2.0
+        norm = float(np.linalg.norm(h_x))
+        r_x = bloch(s.matrix)
+        r += p * (rotate(r_x, h_x / norm, 2.0 * norm * t) if norm > 0 else r_x)
+    R = float(np.linalg.norm(r))
+    return shannon([(1.0 + R) / 2.0, (1.0 - R) / 2.0])
 
 
 # --- Sampling and trials ------------------------------------------------------

@@ -101,6 +101,25 @@ class TestCompute:
         assert main(["compute", "--ensemble", str(path)]) == EXIT_USAGE
         assert "NaN probability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim, d", [(2.9, 2), (True, 1), ("2", 2)])
+    def test_dim_must_be_a_json_integer(self, dim, d, tmp_path, capsys):
+        # int() would run 2.9 as d = 2, true as d = 1 and "2" as d = 2.
+        obj = json.loads(serialize_ensemble(random_ensemble(d, 2, rng(703))))
+        obj["dim"] = dim
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(obj))
+        assert main(["compute", "--ensemble", str(path)]) == EXIT_USAGE
+        assert f"dimension {dim!r} is not an integer" in capsys.readouterr().err
+
+    def test_hamiltonian_dim_must_be_a_json_integer(self, tmp_path, capsys):
+        E = random_ensemble(2, 2, rng(704))
+        ep, hp = tmp_path / "e.json", tmp_path / "h.json"
+        ep.write_bytes(serialize_ensemble(E))
+        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(2, 2, rng(705)).hams]
+        hp.write_text(json.dumps({"dim": 2.9, "hamiltonians": hams}))
+        assert main(["compute", "--ensemble", str(ep), "--hamiltonians", str(hp)]) == EXIT_USAGE
+        assert "dimension 2.9 is not an integer" in capsys.readouterr().err
+
     def test_rank_cut_is_not_an_option(self, ensemble_file, capsys):
         argv = ["compute", "--ensemble", str(ensemble_file), "--tol", "1e-12"]
         assert main(argv) == EXIT_USAGE
@@ -453,6 +472,19 @@ class TestSearch:
         assert capsys.readouterr().err.startswith("mixrate: error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dim", "2", "--states", "2", "--trials", "1"],
+        ["scan", "--p-grid", "0.5:0.5:0.1", "--dim", "2", "--trials", "1"],
+        ["search", "--dim", "2", "--iters", "1"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    assert main(argv + ["--seed", "-3"]) == EXIT_USAGE
+    assert "seed -3 must be >= 0" in capsys.readouterr().err
+
+
 class TestSie:
     @staticmethod
     def _bell_files(tmp_path):
@@ -485,6 +517,23 @@ class TestSie:
         sp.write_text(json.dumps(obj))
         assert main(["sie", "--state", str(sp), "--ham", str(hp)]) == EXIT_USAGE
         assert "state norm nan differs from 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "which, i, dim",
+        [
+            ("state", 0, 2.9), ("state", 1, True), ("state", 3, "2"),
+            ("ham", 0, 2.2), ("ham", 1, True),
+        ],
+    )
+    def test_dims_must_be_json_integers(self, which, i, dim, tmp_path, capsys):
+        # int() would run 2.9 and 2.2 as 2, true as 1 and "2" as 2.
+        files = dict(zip(("state", "ham"), self._bell_files(tmp_path)))
+        obj = json.loads(files[which].read_text())
+        obj["dims"][i] = dim
+        files[which].write_text(json.dumps(obj))
+        argv = ["sie", "--state", str(files["state"]), "--ham", str(files["ham"])]
+        assert main(argv) == EXIT_USAGE
+        assert f"dimension {dim!r} is not an integer" in capsys.readouterr().err
 
     def test_missing_state_file(self, tmp_path, capsys):
         _, hp = self._bell_files(tmp_path)

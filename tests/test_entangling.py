@@ -15,7 +15,6 @@ from mixrate.ensembles import (
     matrix_to_json,
 )
 from mixrate.errors import (
-    BadSubset,
     Degenerate,
     DimMismatch,
     DimOrder,
@@ -73,36 +72,41 @@ class TestBipartiteOperator:
 
 
 class TestPartialTrace:
+    """`_reduced` reshapes the amplitudes; the einsum partial trace of the
+    projector |Psi><Psi| is the oracle."""
+
+    @staticmethod
+    def reduced(psi):
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        rho_aAB, rho_aA = en._reduced(psi)
+        assert np.allclose(rho_aAB, reference.partial_trace(rho, psi.dims, (0, 1, 2)), atol=1e-15)
+        assert np.allclose(rho_aA, reference.partial_trace(rho, psi.dims, (0, 1)), atol=1e-15)
+        return rho_aAB, rho_aA
+
     def test_product_state(self):
-        rho_A = np.diag([0.25, 0.75]).astype(complex)
-        rho_B = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
-        out = en.partial_trace(np.kron(rho_A, rho_B), [2, 2], keep=[0])
-        assert np.allclose(out, rho_A, atol=1e-12)
+        a, b = np.array([0.6, 0.8j]), np.array([1.0, 1.0]) / math.sqrt(2)
+        _, rho_aA = self.reduced(en.PureState(np.kron(a, b), (1, 2, 2, 1)))
+        assert np.allclose(rho_aA, np.outer(a, a.conj()), atol=1e-12)
 
     def test_bell_state_reduces_to_maximally_mixed(self):
-        out = en.partial_trace(np.outer(BELL, BELL.conj()), [2, 2], keep=[0])
-        assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
+        _, rho_aA = self.reduced(en.PureState(BELL, (1, 2, 2, 1)))
+        assert np.allclose(rho_aA, np.eye(2) / 2, atol=1e-12)
 
     def test_keep_all_is_identity(self):
-        g = rng(400)
-        M = g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))
-        assert np.allclose(en.partial_trace(M, [2, 3], keep=[0, 1]), M)
+        # One row block per amplitude: the reduction keeps the projector.
+        v = random_pure((2, 3, 1, 1), rng(400)).amplitudes
+        assert np.allclose(en._gram(v, v.size), np.outer(v, v.conj()), atol=1e-15)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3, 2), (1, 4, 2, 3), (3, 2, 2, 1)])
+    def test_random_states(self, dims):
+        g = rng(402)
+        for _ in range(5):
+            self.reduced(random_pure(dims, g))
 
     def test_trace_and_psd_preserved(self):
-        g = rng(401)
-        psi = random_pure((2, 2, 3, 2), g)
-        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        red = en.partial_trace(rho, psi.dims, keep=[1, 2])
-        assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(red)[0] >= -1e-12
-
-    def test_bad_subset(self):
-        with pytest.raises(BadSubset):
-            en.partial_trace(np.eye(4), [2, 2], keep=[2])
-        with pytest.raises(BadSubset):
-            en.partial_trace(np.eye(4), [2, 2], keep=[])
-        with pytest.raises(DimMismatch):
-            en.partial_trace(np.eye(5), [2, 2], keep=[0])
+        for red in self.reduced(random_pure((2, 2, 3, 2), rng(401))):
+            assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(red)[0] >= -1e-12
 
 
 class TestEntanglementEntropy:
@@ -126,8 +130,8 @@ class TestEntanglementEntropy:
         for _ in range(20):
             psi = random_pure((2, 3, 2, 2), g)
             rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-            s_alice = _entropy(en.partial_trace(rho, psi.dims, (0, 1)))
-            s_bob = _entropy(en.partial_trace(rho, psi.dims, (2, 3)))
+            s_alice = _entropy(reference.partial_trace(rho, psi.dims, (0, 1)))
+            s_bob = _entropy(reference.partial_trace(rho, psi.dims, (2, 3)))
             assert s_alice == pytest.approx(s_bob, abs=1e-9)
 
 
@@ -182,11 +186,11 @@ class TestEntanglingRate:
         H = random_interaction(3, 2, g)
         d_a, d_A, d_B, _ = psi.dims
         rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        rho_aAB = en.partial_trace(rho, psi.dims, (0, 1, 2))
-        rho_aA = en.partial_trace(rho, psi.dims, (0, 1))
+        rho_aAB = reference.partial_trace(rho, psi.dims, (0, 1, 2))
+        rho_aA = reference.partial_trace(rho, psi.dims, (0, 1))
         L = hm.support_log(np.kron(rho_aA, np.eye(d_B) / d_B))
         H_lift = np.kron(np.eye(d_a), H.matrix)
-        alt = 1j * np.trace(H_lift @ hm.commutator(rho_aAB, L))
+        alt = 1j * np.trace(H_lift @ (rho_aAB @ L - L @ rho_aAB))
         assert en.entangling_rate(psi, H) == pytest.approx(float(alt.real), abs=1e-9)
 
     def test_dim_mismatch(self):
@@ -218,8 +222,8 @@ class TestBravyiMu:
         psi = random_pure((2, 3, 2, 2), g)
         mu = en.bravyi_mu(psi)
         rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        rho_aAB = en.partial_trace(rho, psi.dims, (0, 1, 2))
-        rho_aA = en.partial_trace(rho, psi.dims, (0, 1))
+        rho_aAB = reference.partial_trace(rho, psi.dims, (0, 1, 2))
+        rho_aA = reference.partial_trace(rho, psi.dims, (0, 1))
         recon = (1 - 0.25) * mu.matrix + 0.25 * rho_aAB
         assert hm.frobenius(recon - np.kron(rho_aA, np.eye(2) / 2)) <= 1e-10
 
@@ -272,18 +276,18 @@ class TestSieToSim:
             )
 
     def test_reduced_states_formed_once(self, monkeypatch):
-        # rho_aAB and rho_aA are two partial traces; mu, the ensemble and the
-        # entangling rate all read the same pair.
+        # mu, the ensemble and the entangling rate all read one pair
+        # (rho_aAB, rho_aA).
         calls = [0]
 
-        def counted(*args, _f=en.partial_trace, **kwargs):
+        def counted(*args, _f=en._reduced, **kwargs):
             calls[0] += 1
             return _f(*args, **kwargs)
 
-        monkeypatch.setattr(en, "partial_trace", counted)
+        monkeypatch.setattr(en, "_reduced", counted)
         psi = random_pure((2, 4, 2, 2), rng(415))
         _, _, residual, gamma = en.sie_to_sim(psi, random_interaction(4, 2, rng(416)))
-        assert calls[0] == 2
+        assert calls[0] == 1
         assert residual <= 1e-8 and math.isfinite(gamma)
 
 

@@ -135,7 +135,7 @@ class TestMixingRate:
         ln_rho = hm.support_log(reference.expected_state(E))
         acc = np.zeros((4, 4), dtype=complex)
         for p, s in zip(E.probabilities, E.states):
-            acc += p * 1j * hm.commutator(s.matrix, ln_rho)
+            acc += p * 1j * (s.matrix @ ln_rho - ln_rho @ s.matrix)
         assert hm.frobenius(acc) <= 1e-9
 
     def test_unitary_covariance(self):
@@ -265,12 +265,9 @@ class TestClosedFormMaxima:
             E = random_ensemble(3, 2, g)
             p = float(E.probabilities[0])
             ln_rho = hm.support_log(reference.expected_state(E))
-            a = p * hm.trace_norm(
-                hm.hermitian_part(1j * hm.commutator(E.states[0].matrix, ln_rho))
-            )
-            b = (1 - p) * hm.trace_norm(
-                hm.hermitian_part(1j * hm.commutator(E.states[1].matrix, ln_rho))
-            )
+            r0, r1 = E.states[0].matrix, E.states[1].matrix
+            a = p * hm.trace_norm(hm.hermitian_part(1j * (r0 @ ln_rho - ln_rho @ r0)))
+            b = (1 - p) * hm.trace_norm(hm.hermitian_part(1j * (r1 @ ln_rho - ln_rho @ r1)))
             assert a == pytest.approx(b, abs=1e-9)
             assert rates.binary_max_rate(E) == pytest.approx(a, abs=1e-12)
 
@@ -311,6 +308,34 @@ class TestQubitClosedForms:
             # |rate| <= max_rate at unit ||H_x||, and cancellation can bring the
             # rate itself near 0, so the error is taken relative to max_rate.
             assert abs(rates.mixing_rate(E, H) - rate) <= 1e-12 * max_rate
+
+    def test_maximizers_against_bloch_oracle(self):
+        g = rng(325)
+        for k in range(240):
+            E = qubit_ensemble(2 + k % 3, g)
+            got = rates.optimal_hamiltonians(E).hams
+            for h, want in zip(got, reference.qubit_maximizers(E), strict=True):
+                assert np.abs(h.matrix - want).max() <= 1e-12
+
+    def test_maximizer_is_identity_where_the_commutator_vanishes(self):
+        # Diagonal members commute with rho: every r_x is parallel to r.
+        states = [DensityMatrix(np.diag(w)) for w in ([0.9, 0.1], [0.2, 0.8])]
+        E = Ensemble([0.3, 0.7], states)
+        got = rates.optimal_hamiltonians(E).hams
+        for h, want in zip(got, reference.qubit_maximizers(E), strict=True):
+            assert np.array_equal(want, np.eye(2))
+            assert np.abs(h.matrix - want).max() <= 1e-12
+
+    def test_entropy_trajectory_against_bloch_oracle(self):
+        g = rng(326)
+        times = rates._fd_times(rates.DEFAULT_FD_STEP) + rates.STM_TIMES
+        for k in range(200):
+            n = 2 + k % 3
+            E = qubit_ensemble(n, g)
+            H = HamiltonianSet([random_unit_hamiltonian(2, g) for _ in range(n)])
+            (S,) = TestTrajectory.trajectory([E], [H], times)
+            for t, s in zip(times, S):
+                assert abs(s - reference.qubit_entropy_at(E, H, t)) <= 1e-12
 
 
 class TestBounds:
@@ -367,7 +392,7 @@ class TestTrajectory:
     def trajectory(Es, Hs, ts):
         """rates._trajectory of a batch of ensembles, one Hamiltonian set each."""
         b = _stack(Es)
-        spectra = [rates._stack_hamiltonians(H)[0] for H in Hs]
+        spectra = [hm.eig_hermitian(rates._matrices(E, H)) for E, H in zip(Es, Hs)]
         H = hm.EigenDecomposition(*(np.concatenate(a) for a in zip(*spectra)))
         return rates._trajectory(b.p, b.rhos, H, ts)
 
