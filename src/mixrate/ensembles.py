@@ -165,29 +165,6 @@ class Ensemble:
         return self.states[0].dim
 
 
-@dataclass(frozen=True)
-class HamiltonianSet:
-    """One Hamiltonian per ensemble member, all of one dimension."""
-
-    hams: tuple[Hamiltonian, ...] = field(default_factory=tuple)
-
-    def __init__(self, hams):
-        hams = tuple(hams)
-        if hams and any(h.dim != hams[0].dim for h in hams):
-            raise DimMismatch("all Hamiltonians must share one dimension")
-        object.__setattr__(self, "hams", hams)
-
-    def __len__(self) -> int:
-        return len(self.hams)
-
-
-def _require_matching(E: Ensemble, H: HamiltonianSet) -> None:
-    if len(H) != len(E):
-        raise DimMismatch("need one Hamiltonian per ensemble member")
-    if any(h.dim != E.dim for h in H.hams):
-        raise DimMismatch("Hamiltonian dimension differs from ensemble dimension")
-
-
 def _mixture(p: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """sum_x p_x rho_x, unvalidated, for probabilities p (..., n) and matrices
     rhos (..., n, d, d): one mixture per leading index."""
@@ -311,7 +288,8 @@ def _ensemble(b: _Batch, i: int) -> Ensemble:
 #
 # Ensemble:        {"dim": d, "probabilities": [p1, ...], "states": [M1, ...]}
 # Hamiltonian set: {"dim": d, "hamiltonians": [H1, ...]}
-# where each matrix is a d x d row-major array of [re, im] pairs.
+# where each matrix is a d x d row-major array of [re, im] pairs and each
+# probability a JSON number. Hamiltonian x pairs with listed state x.
 
 
 def matrix_to_json(M: np.ndarray) -> list:
@@ -347,33 +325,45 @@ def _json_dim(v) -> int:
     return v
 
 
+def _json_probability(v) -> float:
+    """A probability read from JSON: a JSON number; a bool, string or null is refused."""
+    if type(v) not in (int, float):
+        raise ParseError(f"probability {v!r} is not a number")
+    return float(v)
+
+
 def _parse_members(raw, dim: int, what: str, build) -> list:
     """build(M) for each raw matrix M; a failed validation names the member."""
     out = []
     for i, entry in enumerate(raw):
         try:
             out.append(build(matrix_from_json(entry, dim, f"{what} {i}")))
-        except (InvariantViolation, NonHermitian) as exc:
+        except (InvariantViolation, NonHermitian, DomainError) as exc:
             raise InvariantViolation(getattr(exc, "which", str(exc)), index=i) from exc
     return out
 
 
-def parse_ensemble(text) -> Ensemble:
-    """Parse the ensemble JSON schema; reports the offending member on failure."""
+def _parse_ensemble(text) -> tuple[Ensemble, list[float]]:
+    """parse_ensemble's Ensemble, and the listed probabilities, zeros included."""
     obj = _load_json(text)
     try:
         dim = _json_dim(obj["dim"])
-        probs = [float(p) for p in obj["probabilities"]]
+        probs = [_json_probability(p) for p in obj["probabilities"]]
         raw_states = list(obj["states"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"ensemble JSON missing or malformed field: {exc}") from exc
     if len(probs) != len(raw_states):
         raise ParseError("probabilities and states have different lengths")
     states = _parse_members(raw_states, dim, "state", DensityMatrix)
     try:
-        return Ensemble(probs, states)
+        return Ensemble(probs, states), probs
     except (BadDistribution, DimMismatch) as exc:
         raise InvariantViolation(str(exc)) from exc
+
+
+def parse_ensemble(text) -> Ensemble:
+    """Parse the ensemble JSON schema; reports the offending member on failure."""
+    return _parse_ensemble(text)[0]
 
 
 def serialize_ensemble(E: Ensemble) -> bytes:
@@ -385,7 +375,7 @@ def serialize_ensemble(E: Ensemble) -> bytes:
     return json.dumps(obj).encode("utf-8")
 
 
-def parse_hamiltonian_set(text) -> HamiltonianSet:
+def parse_hamiltonian_set(text) -> tuple[Hamiltonian, ...]:
     """Parse the Hamiltonian-set JSON schema (no operator-norm requirement)."""
     obj = _load_json(text)
     try:
@@ -393,5 +383,12 @@ def parse_hamiltonian_set(text) -> HamiltonianSet:
         raw = list(obj["hamiltonians"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"hamiltonian JSON missing or malformed field: {exc}") from exc
-    hams = _parse_members(raw, dim, "hamiltonian", Hamiltonian)
-    return HamiltonianSet(hams)
+    return tuple(_parse_members(raw, dim, "hamiltonian", Hamiltonian))
+
+
+def _paired(H: Sequence[Hamiltonian], listed: Sequence[float]) -> tuple[Hamiltonian, ...]:
+    """The Hamiltonians of the members an Ensemble keeps, H paired by position
+    with the listed probabilities: each zero-probability member's goes with it."""
+    if len(H) != len(listed):
+        raise DimMismatch("need one Hamiltonian per listed ensemble member")
+    return tuple(h for h, p in zip(H, listed) if p > 0)

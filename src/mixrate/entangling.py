@@ -25,7 +25,6 @@ from .ensembles import (
     DensityMatrix,
     Ensemble,
     Hamiltonian,
-    HamiltonianSet,
     _entropy_from_eigenvalues,
     _json_dim,
     _load_json,
@@ -193,7 +192,7 @@ def sie_to_sim(
     E2 = Ensemble([1.0 - d_B ** -2, d_B ** -2], [mu, DensityMatrix(rho_aAB)])
     H_lift = Hamiltonian(lift_to_aAB(H, d_a))
     zero = Hamiltonian(np.zeros_like(H_lift.matrix))
-    lam = mixing_rate(E2, HamiltonianSet([zero, H_lift]))
+    lam = mixing_rate(E2, (zero, H_lift))
     gam = _entangling_rate(rho_aAB, rho_aA, H_lift.matrix, d_B)
     return E2, H_lift, abs(lam - d_B ** -2 * gam), gam
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class RNGSpec:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng((self.seed, self.stream))
-
-
-def _gen(rng: Union[RNGSpec, np.random.Generator]) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RNGSpec) else rng
 
 
 @dataclass(frozen=True)
@@ -146,11 +142,9 @@ def _trial_draw(cfg: ExperimentConfig, g: np.random.Generator):
     return _sample_probs(cfg.n_states, g), _raw_states(cfg.n_states, cfg.dim, g)
 
 
-def sample_ensemble(
-    cfg: ExperimentConfig, rng: Union[RNGSpec, np.random.Generator]
-) -> Ensemble:
+def sample_ensemble(cfg: ExperimentConfig, rng: RNGSpec) -> Ensemble:
     """cfg.n_states Hilbert-Schmidt states with flat-Dirichlet probabilities."""
-    return _ensemble(_sampled([_trial_draw(cfg, _gen(rng))]), 0)
+    return _ensemble(_sampled([_trial_draw(cfg, rng.generator())]), 0)
 
 
 def trial_chunks(ids: Sequence[int], dim: int) -> list[list[int]]:

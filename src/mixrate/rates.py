@@ -27,13 +27,11 @@ from . import hermitian as hm
 from .ensembles import (
     Ensemble,
     Hamiltonian,
-    HamiltonianSet,
     _average_entropies,
     _Batch,
     _entropy_from_eigenvalues,
     _mixture,
     _positive_distribution,
-    _require_matching,
     _shannon,
     _stack,
     _state_eigenvalues,
@@ -115,13 +113,17 @@ class _Spectra:
         return hm.EigenDecomposition(np.where(w < -tol, -1.0, 1.0), V)  # tol: ||C_x||_F scale
 
 
-def _matrices(E: Ensemble, H: HamiltonianSet) -> np.ndarray:
-    """The matrices (1, n, d, d) of a Hamiltonian set for E, as a batch of one."""
-    _require_matching(E, H)
-    return np.array([h.matrix for h in H.hams])[None]
+def _matrices(E: Ensemble, H: Sequence[Hamiltonian]) -> np.ndarray:
+    """The matrices (1, n, d, d) of a Hamiltonian set for E, as a batch of one:
+    one Hamiltonian per member, each of E's dimension, or DimMismatch."""
+    if len(H) != len(E):
+        raise DimMismatch("need one Hamiltonian per ensemble member")
+    if any(h.dim != E.dim for h in H):
+        raise DimMismatch("Hamiltonian dimension differs from ensemble dimension")
+    return np.array([h.matrix for h in H])[None]
 
 
-def mixing_rate(E: Ensemble, H: HamiltonianSet) -> float:
+def mixing_rate(E: Ensemble, H: Sequence[Hamiltonian]) -> float:
     """Analytic entropy derivative i * sum_x p(x) Tr(H_x [rho_x, ln rho])."""
     M = _matrices(E, H)
     b = _stack([E])
@@ -189,7 +191,7 @@ def _trajectory(
     return _entropy_from_eigenvalues(w_t, d)
 
 
-def optimal_hamiltonians(E: Ensemble) -> HamiltonianSet:
+def optimal_hamiltonians(E: Ensemble) -> tuple[Hamiltonian, ...]:
     """The maximizing Hamiltonians H_x = I - 2 P_neg(i[rho_x, ln rho]).
 
     Each H_x is a difference of complementary projectors (plus identity on
@@ -197,7 +199,7 @@ def optimal_hamiltonians(E: Ensemble) -> HamiltonianSet:
     mixing_rate(E, result) = +max_mixing_rate(E).
     """
     M = hm.hermitian_part(hm.reconstruct(*_Spectra(_stack([E])).maximizers()))[0]
-    return HamiltonianSet([Hamiltonian(H) for H in M])
+    return tuple(Hamiltonian(H) for H in M)
 
 
 def max_mixing_rate(E: Ensemble) -> float:
@@ -343,7 +345,7 @@ def _evaluate(
     return reports, stm_ok
 
 
-def rate_report(E: Ensemble, H: Optional[HamiltonianSet] = None) -> RateReport:
+def rate_report(E: Ensemble, H: Optional[Sequence[Hamiltonian]] = None) -> RateReport:
     """Evaluate all rates and bounds for E; H defaults to the maximizers."""
     M = None if H is None else _matrices(E, H)
     return _evaluate(_stack([E]), M, "compute")[0][0]

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from mixrate import hermitian as hm
-from mixrate.ensembles import DensityMatrix, Ensemble, Hamiltonian, HamiltonianSet
+from mixrate.ensembles import DensityMatrix, Ensemble, Hamiltonian
 from mixrate.harness import RNGSpec, _ginibre, _unit_spectra
 
 
@@ -45,7 +45,7 @@ def random_ensemble(dim, n, g):
 
 
 def random_hamiltonian_set(dim, n, g):
-    return HamiltonianSet([random_unit_hamiltonian(dim, g) for _ in range(n)])
+    return tuple(random_unit_hamiltonian(dim, g) for _ in range(n))
 
 
 @pytest.fixture

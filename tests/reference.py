@@ -3,7 +3,8 @@
 The oracles restate the paper's formulas and the evolution they
 differentiate in plain numpy (or, for the `mp_` functions, in 40-digit
 mpmath), one matrix at a time, and share no kernel with mixrate; they read
-an Ensemble, HamiltonianSet or PureState only for its data:
+an Ensemble, a Hamiltonian set (a tuple of Hamiltonians) or a PureState
+only for its data:
 
     rho(t)       = sum_x p_x e^{-i H_x t} rho_x e^{i H_x t}
     max_rate(E)  = sum_x p_x ||[rho_x, ln rho]||_1
@@ -116,10 +117,10 @@ def unitary(H: np.ndarray, t: float) -> np.ndarray:
 def evolve(E: Ensemble, H, t: float) -> list[np.ndarray]:
     """The members U_x rho_x U_x†, U_x = e^{-i H_x t}, of E evolved under the
     set H."""
-    if len(H.hams) != len(E.states):
+    if len(H) != len(E.states):
         raise DimMismatch("need one Hamiltonian per ensemble member")
     out = []
-    for s, h in zip(E.states, H.hams):
+    for s, h in zip(E.states, H):
         U = unitary(h.matrix, t)
         out.append(U @ s.matrix @ U.conj().T)
     return out
@@ -259,7 +260,7 @@ def mp_rates(E: Ensemble, H=None) -> tuple[float, float, float | None]:
         rate = None
         if H is not None:
             rate = 0
-            for px, h, Cx in zip(p, H.hams, C):
+            for px, h, Cx in zip(p, H, C):
                 T = _mp_matrix(h.matrix) * Cx
                 rate += px * mpmath.re(sum(T[k, k] for k in range(d)))
             rate = float(rate)
@@ -296,9 +297,49 @@ def qubit_rates(E: Ensemble, H=None) -> tuple[float, float, float | None]:
     terms = 2.0 * a * p * np.linalg.norm(c, axis=1)
     rate = None
     if H is not None:
-        h_x = np.array([bloch(h.matrix) / 2.0 for h in H.hams])
+        h_x = np.array([bloch(h.matrix) / 2.0 for h in H])
         rate = float(-2.0 * a * np.sum(p * np.sum(h_x * c, axis=1)))
     return float(np.sum(terms)), float(terms[0]), rate
+
+
+def qubit_record(E: Ensemble, policy: str) -> dict:
+    """The floats a record of E reports under a ratio policy ("compute",
+    "verify" or "binary"), keyed as a CSV row names them: qubit_rates, the
+    bounds 4 sqrt(p(1-p)) and 4 sum_{x != x0} sum_{y != x} sqrt(p_x p_y), and
+    S(p). binary_max_rate is None unless n = 2."""
+    p = [float(x) for x in E.probabilities]
+    n = len(p)
+    max_rate, binary, _ = qubit_rates(E)
+    x0 = p.index(max(p))
+    general = 4.0 * sum(
+        math.sqrt(p[x] * p[y]) for x in range(n) if x != x0 for y in range(n) if y != x
+    )
+    S = shannon(p)
+    rec = {
+        "max_rate": max_rate, "binary_max_rate": None, "bound_thm": general, "shannon": S,
+        "ratio_thm": max_rate / general, "ratio_conj": max_rate / S,
+    }
+    if n == 2:
+        pair = 4.0 * math.sqrt(p[0] * (1.0 - p[0]))
+        rec.update(binary_max_rate=binary, ratio_conj=binary / S)
+        if policy == "compute":
+            rec["ratio_thm"] = binary / pair
+        elif policy == "binary":
+            h = shannon([p[0], 1.0 - p[0]])
+            rec.update(bound_thm=pair, ratio_thm=binary / pair, ratio_conj=binary / h)
+    return rec
+
+
+def mismatches(got: dict, want: dict, rel: float) -> list[str]:
+    """The keys of want whose value in got is off by more than rel relative
+    (a None wanted must be None), each with both values."""
+    out = []
+    for key, v in want.items():
+        g = got[key]
+        same = g is None if v is None else g is not None and abs(g - v) <= rel * abs(v)
+        if not same:
+            out.append(f"{key}: {g!r} vs {v!r}")
+    return out
 
 
 def qubit_maximizers(E: Ensemble) -> list[np.ndarray]:
@@ -324,7 +365,7 @@ def qubit_entropy_at(E: Ensemble, H, t: float) -> float:
     H_x = a_x I + h_x·σ rotates r_x about h_x by the angle 2|h_x|t, and
     S(rho(t)) = h2((1 + |r(t)|)/2) for r(t) = sum_x p_x r_x(t)."""
     r = np.zeros(3)
-    for p, s, h in zip(E.probabilities, E.states, H.hams):
+    for p, s, h in zip(E.probabilities, E.states, H):
         h_x = bloch(h.matrix) / 2.0
         norm = float(np.linalg.norm(h_x))
         r_x = bloch(s.matrix)
@@ -405,7 +446,7 @@ def search_ratio(cfg):
     iters = 0
     try:
         while iters < cfg.search_max_iters:
-            cur = hz.sample_ensemble(cfg, g)
+            cur = hz._ensemble(hz._sampled([hz._trial_draw(cfg, g)]), 0)
             cur_obj = _objective(cur, cfg.binary)
             eps, rejects = hz.SEARCH_STEP, 0
             while iters < cfg.search_max_iters and eps >= 1e-6:

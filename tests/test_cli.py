@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from mixrate import cli
+from mixrate import ensembles as ens
 from mixrate import harness as hz
 from mixrate.cli import (
     EXIT_CONJECTURE,
@@ -30,7 +32,10 @@ from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
 from mixrate.rates import rate_report
 
 from conftest import random_ensemble, random_hamiltonian_set, rng
-from reference import qubit_rates, run_trial
+from golden.make_golden import _parse_csv
+from reference import mismatches, qubit_rates, qubit_record, run_trial
+
+REL = 1e-12  # of the d = 2 closed forms
 
 
 @pytest.fixture
@@ -45,7 +50,7 @@ def ensemble_file(tmp_path):
 def hamiltonian_file(tmp_path):
     H = random_hamiltonian_set(3, 3, rng(701))
     path = tmp_path / "hams.json"
-    obj = {"dim": 3, "hamiltonians": [matrix_to_json(h.matrix) for h in H.hams]}
+    obj = {"dim": 3, "hamiltonians": [matrix_to_json(h.matrix) for h in H]}
     path.write_text(json.dumps(obj))
     return path
 
@@ -101,6 +106,77 @@ class TestCompute:
         assert main(["compute", "--ensemble", str(path)]) == EXIT_USAGE
         assert "NaN probability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("with_h", [False, True])
+    def test_qubit_reports_match_the_bloch_oracle(self, n, with_h, tmp_path, capsys):
+        ep, hp = tmp_path / "e.json", tmp_path / "h.json"
+        ep.write_bytes(serialize_ensemble(random_ensemble(2, n, rng(710 + n))))
+        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(2, n, rng(720 + n))]
+        hp.write_text(json.dumps({"dim": 2, "hamiltonians": hams}))
+        argv = ["compute", "--ensemble", str(ep)] + (["--hamiltonians", str(hp)] if with_h else [])
+        assert main(argv) == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        E = parse_ensemble(ep.read_bytes())
+        rep["shannon"], rep["ratio_conj"] = rep["bound_conjecture"], rep["ratio_conjecture"]
+        assert mismatches(rep, qubit_record(E, "compute"), REL) == []
+        max_rate, _, rate = qubit_rates(E, parse_hamiltonian_set(hp.read_bytes()))
+        # At the maximizers the rate is max_rate. At given H it can cancel
+        # toward 0, so its error is taken relative to max_rate.
+        want = rate if with_h else max_rate
+        assert abs(rep["mixing_rate_at_H"] - want) <= REL * max_rate
+
+    def test_hamiltonians_pair_with_the_listed_states(self, tmp_path, capsys):
+        # Member 1 has probability 0: the ensemble drops it, and its
+        # Hamiltonian goes with it. The report is that of the file without both.
+        E, H = random_ensemble(3, 3, rng(706)), random_hamiltonian_set(3, 3, rng(707))
+        states = [matrix_to_json(s.matrix) for s in E.states]
+        hams = [matrix_to_json(h.matrix) for h in H]
+
+        def report(probs, keep, name):
+            ep, hp = tmp_path / f"{name}_e.json", tmp_path / f"{name}_h.json"
+            ep.write_text(json.dumps(
+                {"dim": 3, "probabilities": probs, "states": [states[i] for i in keep]}
+            ))
+            hp.write_text(json.dumps({"dim": 3, "hamiltonians": [hams[i] for i in keep]}))
+            code = main(["compute", "--ensemble", str(ep), "--hamiltonians", str(hp)])
+            return code, capsys.readouterr()
+
+        listed = report([0.5, 0.0, 0.5], [0, 1, 2], "listed")
+        kept = report([0.5, 0.5], [0, 2], "kept")
+        assert listed[0] == kept[0] == EXIT_OK
+        assert listed[1].out == kept[1].out
+
+    @pytest.mark.parametrize("n_hams", [2, 4])
+    def test_hamiltonian_count_must_match_the_listed_states(self, n_hams, tmp_path, capsys):
+        # Two Hamiltonians for the two kept members of three listed ones exit 1.
+        E = random_ensemble(3, 3, rng(706))
+        obj = json.loads(serialize_ensemble(E))
+        obj["probabilities"] = [0.5, 0.0, 0.5]
+        ep, hp = tmp_path / "e.json", tmp_path / "h.json"
+        ep.write_text(json.dumps(obj))
+        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(3, n_hams, rng(707))]
+        hp.write_text(json.dumps({"dim": 3, "hamiltonians": hams}))
+        assert main(["compute", "--ensemble", str(ep), "--hamiltonians", str(hp)]) == EXIT_USAGE
+        assert "need one Hamiltonian per listed ensemble member" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "probs, why",
+        [
+            ([True, False], "probability True is not a number"),
+            (["0.5", 0.5], "probability '0.5' is not a number"),
+            ([None, 1.0], "probability None is not a number"),
+            ([10**400, 0], "int too large to convert to float"),
+        ],
+    )
+    def test_probabilities_must_be_json_numbers(self, probs, why, tmp_path, capsys):
+        # float() would run true as 1, false as 0 and "0.5" as 0.5.
+        obj = json.loads(serialize_ensemble(random_ensemble(2, 2, rng(708))))
+        obj["probabilities"] = probs
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        assert main(["compute", "--ensemble", str(path)]) == EXIT_USAGE
+        assert why in capsys.readouterr().err
+
     @pytest.mark.parametrize("dim, d", [(2.9, 2), (True, 1), ("2", 2)])
     def test_dim_must_be_a_json_integer(self, dim, d, tmp_path, capsys):
         # int() would run 2.9 as d = 2, true as d = 1 and "2" as d = 2.
@@ -115,7 +191,7 @@ class TestCompute:
         E = random_ensemble(2, 2, rng(704))
         ep, hp = tmp_path / "e.json", tmp_path / "h.json"
         ep.write_bytes(serialize_ensemble(E))
-        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(2, 2, rng(705)).hams]
+        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(2, 2, rng(705))]
         hp.write_text(json.dumps({"dim": 2.9, "hamiltonians": hams}))
         assert main(["compute", "--ensemble", str(ep), "--hamiltonians", str(hp)]) == EXIT_USAGE
         assert "dimension 2.9 is not an integer" in capsys.readouterr().err
@@ -285,16 +361,14 @@ class TestVerify:
         assert [row.split(",")[col] for row in out.read_text().splitlines()[1:]] == ["0.0"] * 3
 
     def test_qubit_rates_match_the_bloch_oracle(self, tmp_path):
+        # Every float of each row: rates, bounds, S(p) and ratios.
         out = tmp_path / "v.csv"
         argv = ["verify", "--dim", "2", "--states", "2", "--trials", "20", "--seed", "7"]
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         cfg = ExperimentConfig(dim=2, n_states=2, n_trials=20, seed=7)
-        names = CSV_HEADER.split(",")
-        for line in out.read_text().splitlines()[1:]:
-            row = dict(zip(names, line.split(",")))
-            max_rate, binary, _ = qubit_rates(hz.trial_ensemble(cfg, int(row["trial_id"])))
-            assert float(row["max_rate"]) == pytest.approx(max_rate, rel=1e-12, abs=0.0)
-            assert float(row["binary_max_rate"]) == pytest.approx(binary, rel=1e-12, abs=0.0)
+        for row in _parse_csv(out.read_text()):
+            want = qubit_record(hz.trial_ensemble(cfg, row["trial_id"]), "verify")
+            assert mismatches(row, want, REL) == []
 
     def test_bad_dim_is_usage_error(self, capsys):
         code = main(
@@ -389,6 +463,15 @@ class TestScan:
         err = capsys.readouterr().err
         assert [float(line.split()[0][2:]) for line in err.splitlines()] == grid
 
+    def test_qubit_rows_match_the_bloch_oracle(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--p-grid", "0.1:0.9:0.2", "--dim", "2", "--trials", "4", "--seed", "11"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        cfg = ExperimentConfig(dim=2, n_states=2, n_trials=4, seed=11)
+        for row in _parse_csv(out.read_text()):
+            E = hz.scan_binary_ensemble(cfg, row["trial_id"], row["probs"][0])
+            assert mismatches(row, qubit_record(E, "binary"), REL) == []
+
     @pytest.mark.parametrize("spec", ["0.1:0.9:nan", "nan:0.9:0.2", "0.1:inf:0.2"])
     def test_non_finite_grid_is_a_usage_error(self, spec, capsys):
         argv = ["scan", "--p-grid", spec, "--dim", "2", "--trials", "1", "--seed", "0"]
@@ -453,6 +536,16 @@ class TestSearch:
         assert main(["compute", "--ensemble", str(offender), "--out", "c.json"]) == EXIT_OK
         report = json.loads((tmp_path / "c.json").read_text())
         assert abs(report["max_rate"] - rec["max_rate"]) <= 1e-12 * max(1.0, rec["max_rate"])
+
+    @pytest.mark.parametrize("n, binary", [(2, True), (3, False)])
+    def test_qubit_records_match_the_bloch_oracle(self, n, binary):
+        # The record against the ensemble it reports on, the batch _search returns.
+        cfg = ExperimentConfig(dim=2, n_states=n, seed=5, search_max_iters=200, binary=binary)
+        rec, best = hz._search(cfg)
+        E = ens._ensemble(best, 0)
+        assert tuple(E.probabilities) == rec.probabilities
+        want = qubit_record(E, "binary" if binary else "verify")
+        assert mismatches(dataclasses.asdict(rec), want, REL) == []
 
     @pytest.mark.parametrize("iters", [0, -5])
     def test_iters_below_one_is_a_usage_error(self, iters, capsys):

@@ -10,7 +10,6 @@ from mixrate import hermitian as hm
 from mixrate import rates
 from mixrate.ensembles import (
     Hamiltonian,
-    HamiltonianSet,
     _entropy_from_eigenvalues,
     matrix_to_json,
 )
@@ -251,7 +250,7 @@ class TestSieToSim:
         E2, H_lift, residual, _ = en.sie_to_sim(psi, H)
         assert residual <= 1e-10
         assert rates.mixing_rate(
-            E2, HamiltonianSet([Hamiltonian(np.zeros_like(H_lift.matrix)), H_lift])
+            E2, (Hamiltonian(np.zeros_like(H_lift.matrix)), H_lift)
         ) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_swap_case(self):

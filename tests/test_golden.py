@@ -14,6 +14,8 @@ import math
 import pytest
 
 from golden.make_golden import CASES, CORPUS, run_cases
+from mixrate.harness import ExperimentConfig, trial_ensemble
+from reference import mismatches, qubit_record
 
 REL_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -57,3 +59,15 @@ def test_matches_corpus(case, outputs):
     errors = []
     _compare(outputs[case], want, case, case, errors)
     assert not errors, "\n".join(errors[:20])
+
+
+def test_verify_d2_n2_rows_match_the_qubit_closed_forms():
+    # The corpus itself, against the Bloch-vector closed forms (no LAPACK):
+    # each row's ensemble is regenerated from its (seed, trial id).
+    argv = CASES["verify_d2_n2"]
+    cfg = ExperimentConfig(dim=2, n_states=2, seed=int(argv[argv.index("--seed") + 1]))
+    rows = json.loads(CORPUS.read_text(encoding="utf-8"))["verify_d2_n2"]["output"]
+    assert len(rows) == 12
+    for row in rows:
+        want = qubit_record(trial_ensemble(cfg, row["trial_id"]), "verify")
+        assert mismatches(row, want, REL_TOL) == []

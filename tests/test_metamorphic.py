@@ -21,7 +21,6 @@ from mixrate.ensembles import (
     DensityMatrix,
     Ensemble,
     Hamiltonian,
-    HamiltonianSet,
     parse_ensemble,
     parse_hamiltonian_set,
 )
@@ -55,7 +54,7 @@ def _sampled(case):
     for the transformation's own draws."""
     seed, d, n = case
     E = sample_ensemble(ExperimentConfig(dim=d, n_states=n, seed=seed), RNGSpec(seed, 0))
-    H = HamiltonianSet([Hamiltonian(M) for M in unit_hamiltonians(n, d, rng(seed, 1))])
+    H = tuple(Hamiltonian(M) for M in unit_hamiltonians(n, d, rng(seed, 1)))
     return E, H, rng(seed, 2)
 
 
@@ -102,7 +101,7 @@ def common_shift(E, H, g):
     """H_x -> H_x + K for one Hermitian K: the rate is unchanged, since
     sum_x p_x [rho_x, ln rho] = [rho, ln rho] = 0."""
     K = random_hermitian(E.dim, g)
-    HK = HamiltonianSet([Hamiltonian(h.matrix + K) for h in H.hams])
+    HK = tuple(Hamiltonian(h.matrix + K) for h in H)
     want = rates.mixing_rate(E, H)
     got = rates.mixing_rate(E, HK)
     assert abs(got - want) <= RATE_TOL * max(1.0, abs(want)) * (1.0 + np.abs(K).max())
@@ -113,7 +112,7 @@ def permutation(E, H, g):
     value; at n = 2 the binary rate is the same from either member."""
     perm = g.permutation(len(E))
     EP = Ensemble(E.probabilities[perm], [E.states[i] for i in perm])
-    HP = HamiltonianSet([H.hams[i] for i in perm])
+    HP = tuple(H[i] for i in perm)
     _assert_same_report(rates.rate_report(EP), rates.rate_report(E))
     _assert_same_report(rates.rate_report(EP, HP), rates.rate_report(E, H))
 
@@ -137,7 +136,7 @@ def twice_binary(E, H, g):
 
 def maximizers_square_to_one(E, H, g):
     """The maximizers H_x = I - 2 P_neg satisfy H_x^2 = I."""
-    for h in rates.optimal_hamiltonians(E).hams:
+    for h in rates.optimal_hamiltonians(E):
         assert np.abs(h.matrix @ h.matrix - np.eye(E.dim)).max() <= SQUARE_TOL
 
 

@@ -11,7 +11,6 @@ from mixrate.ensembles import (
     DensityMatrix,
     Ensemble,
     Hamiltonian,
-    HamiltonianSet,
     _stack,
     binary_entropy,
     parse_ensemble,
@@ -68,9 +67,7 @@ class TestMixingRate:
         assert rates.mixing_rate(E, H) == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_pair_oracle_value(self, qubit_pair_ensemble):
-        H = HamiltonianSet(
-            [Hamiltonian(np.zeros((2, 2))), Hamiltonian(PAULI_Y)]
-        )
+        H = (Hamiltonian(np.zeros((2, 2))), Hamiltonian(PAULI_Y))
         rate = rates.mixing_rate(qubit_pair_ensemble, H)
         assert rate == pytest.approx(QUBIT_PAIR_MIX_Y, abs=1e-9)
         # independent oracle: Richardson fd of the entropy curve, no package code
@@ -103,7 +100,7 @@ class TestMixingRate:
         L = random_hermitian(3, g)
         p = E.probabilities[None]
         rhos = np.array([s.matrix for s in E.states])[None]
-        M = np.array([h.matrix for h in H.hams])[None]
+        M = np.array([h.matrix for h in H])[None]
         with pytest.raises(MixRateError, match="imaginary residue"):
             rates._rate(p, M, rates._commutators(rhos, 1j * L[None]))
 
@@ -112,11 +109,8 @@ class TestMixingRate:
         E = random_ensemble(4, 3, g)
         H = random_hamiltonian_set(4, 3, g)
         base = rates.mixing_rate(E, H)
-        shifted = HamiltonianSet(
-            [
-                Hamiltonian(h.matrix + float(g.uniform(-2, 2)) * np.eye(4))
-                for h in H.hams
-            ]
+        shifted = tuple(
+            Hamiltonian(h.matrix + float(g.uniform(-2, 2)) * np.eye(4)) for h in H
         )
         assert rates.mixing_rate(E, shifted) == pytest.approx(base, abs=1e-9)
 
@@ -124,7 +118,7 @@ class TestMixingRate:
         g = rng(304)
         E = random_ensemble(3, 2, g)
         H = random_hamiltonian_set(3, 2, g)
-        scaled = HamiltonianSet([Hamiltonian(2.5 * h.matrix) for h in H.hams])
+        scaled = tuple(Hamiltonian(2.5 * h.matrix) for h in H)
         assert rates.mixing_rate(E, scaled) == pytest.approx(
             2.5 * rates.mixing_rate(E, H), abs=1e-9
         )
@@ -147,9 +141,7 @@ class TestMixingRate:
             E.probabilities,
             [DensityMatrix(U @ s.matrix @ U.conj().T) for s in E.states],
         )
-        H2 = HamiltonianSet(
-            [Hamiltonian(U @ h.matrix @ U.conj().T) for h in H.hams]
-        )
+        H2 = tuple(Hamiltonian(U @ h.matrix @ U.conj().T) for h in H)
         assert rates.mixing_rate(E2, H2) == pytest.approx(
             rates.mixing_rate(E, H), abs=1e-8
         )
@@ -168,7 +160,7 @@ class TestFiniteDifferenceOracle:
     def test_identity_hamiltonians_zero(self):
         g = rng(308)
         E = random_ensemble(3, 2, g)
-        H = HamiltonianSet([Hamiltonian(np.eye(3))] * 2)
+        H = (Hamiltonian(np.eye(3)),) * 2
         assert reference.fd_mixing_rate(E, H, 1e-4) == pytest.approx(0.0, abs=1e-8)
 
     def test_agrees_with_analytic_rate(self):
@@ -197,7 +189,7 @@ class TestFiniteDifferenceOracle:
 class TestOptimalHamiltonians:
     def test_commuting_ensemble_gives_identity(self):
         E = commuting_ensemble()
-        for h in rates.optimal_hamiltonians(E).hams:
+        for h in rates.optimal_hamiltonians(E):
             assert np.allclose(h.matrix, np.eye(3), atol=1e-9)
 
     def test_achieves_the_maximum(self):
@@ -213,7 +205,7 @@ class TestOptimalHamiltonians:
     def test_involution_and_norm(self):
         g = rng(313)
         E = random_ensemble(4, 3, g)
-        for h in rates.optimal_hamiltonians(E).hams:
+        for h in rates.optimal_hamiltonians(E):
             assert hm.frobenius(h.matrix @ h.matrix - np.eye(4)) <= 1e-9
             assert np.max(np.abs(np.linalg.eigvalsh(h.matrix))) <= 1.0 + 1e-12
 
@@ -223,7 +215,7 @@ class TestOptimalHamiltonians:
         for dim, n in ((2, 2), (3, 3), (5, 2)):
             E = random_ensemble(dim, n, g)
             ln_rho = reference.matrix_fn(reference.expected_state(E), np.log)
-            for s, h in zip(E.states, rates.optimal_hamiltonians(E).hams):
+            for s, h in zip(E.states, rates.optimal_hamiltonians(E)):
                 C = 1j * (s.matrix @ ln_rho - ln_rho @ s.matrix)
                 P_neg = reference.spectral_sign_projectors(C)[1]
                 assert np.abs(h.matrix - (np.eye(dim) - 2 * P_neg)).max() <= 1e-9
@@ -300,7 +292,7 @@ class TestQubitClosedForms:
         for k in range(240):
             n = 2 + k % 3
             E = qubit_ensemble(n, g)
-            H = HamiltonianSet([random_unit_hamiltonian(2, g) for _ in range(n)])
+            H = tuple(random_unit_hamiltonian(2, g) for _ in range(n))
             max_rate, binary, rate = reference.qubit_rates(E, H)
             assert rates.max_mixing_rate(E) == pytest.approx(max_rate, rel=1e-12, abs=0.0)
             if n == 2:
@@ -313,7 +305,7 @@ class TestQubitClosedForms:
         g = rng(325)
         for k in range(240):
             E = qubit_ensemble(2 + k % 3, g)
-            got = rates.optimal_hamiltonians(E).hams
+            got = rates.optimal_hamiltonians(E)
             for h, want in zip(got, reference.qubit_maximizers(E), strict=True):
                 assert np.abs(h.matrix - want).max() <= 1e-12
 
@@ -321,7 +313,7 @@ class TestQubitClosedForms:
         # Diagonal members commute with rho: every r_x is parallel to r.
         states = [DensityMatrix(np.diag(w)) for w in ([0.9, 0.1], [0.2, 0.8])]
         E = Ensemble([0.3, 0.7], states)
-        got = rates.optimal_hamiltonians(E).hams
+        got = rates.optimal_hamiltonians(E)
         for h, want in zip(got, reference.qubit_maximizers(E), strict=True):
             assert np.array_equal(want, np.eye(2))
             assert np.abs(h.matrix - want).max() <= 1e-12
@@ -332,7 +324,7 @@ class TestQubitClosedForms:
         for k in range(200):
             n = 2 + k % 3
             E = qubit_ensemble(n, g)
-            H = HamiltonianSet([random_unit_hamiltonian(2, g) for _ in range(n)])
+            H = tuple(random_unit_hamiltonian(2, g) for _ in range(n))
             (S,) = TestTrajectory.trajectory([E], [H], times)
             for t, s in zip(times, S):
                 assert abs(s - reference.qubit_entropy_at(E, H, t)) <= 1e-12
@@ -412,7 +404,7 @@ class TestTrajectory:
     def test_rejects_a_member_that_is_no_state(self, w):
         bad = reference.state_with_spectrum(np.array(w), np.eye(2, dtype=complex))
         E = Ensemble([1.0], [bad])
-        H = HamiltonianSet([random_unit_hamiltonian(2, rng(333))])
+        H = (random_unit_hamiltonian(2, rng(333)),)
         with pytest.raises(InvariantViolation):
             self.trajectory([E], [H], self.TIMES)
 
@@ -420,7 +412,7 @@ class TestTrajectory:
 class TestStmCheck:
     def test_singleton_at_t_zero(self):
         E = Ensemble([1.0], [DensityMatrix(np.diag([0.7, 0.3]))])
-        H = HamiltonianSet([Hamiltonian(np.zeros((2, 2)))])
+        H = (Hamiltonian(np.zeros((2, 2))),)
         (pt,) = reference.stm_check(E, H, [0.0])
         assert pt.ok
         assert pt.entropy == pytest.approx(pt.lower, abs=1e-12)
@@ -430,7 +422,7 @@ class TestStmCheck:
         g = rng(320)
         E = random_ensemble(3, 2, g)
         h = random_unit_hamiltonian(3, g)
-        H = HamiltonianSet([h, h])
+        H = (h, h)
         pts = reference.stm_check(E, H, [0.0, 0.7, 2.1])
         assert all(p.ok for p in pts)
         assert pts[1].entropy == pytest.approx(pts[0].entropy, abs=1e-9)

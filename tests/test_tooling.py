@@ -8,10 +8,15 @@ types LAPACK errors and the one point that counts them: numpy's `eigh` and
 function, method or constructor takes a parameter named with a leading
 underscore: a private back door on the public API. Every public top-level
 name of a module is reached: referenced by the package itself, by an
-acceptance criterion or by the benchmark, not only exported.
+acceptance criterion or by the benchmark, not only exported. The package
+root exports nothing but `__version__`: each name has one import path, its
+module. Every backticked `module.name` in README.md resolves.
 """
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import mixrate
@@ -187,3 +192,29 @@ def test_reach_scan_finds_what_it_forbids(tmp_path):
     reader.write_text("import mod\nfrom mod import Kept as K\nmod.used()\n")
     found = [v.split(": ", 1)[1] for v in _unreached([mod], [mod, reader])]
     assert found == ["TABLE", "unused", "Orphan"]
+
+
+def test_package_root_binds_only_the_version():
+    # Submodules appear as attributes once imported; anything else is a re-export.
+    bound = [n for n, v in vars(mixrate).items() if not inspect.ismodule(v)]
+    assert [n for n in bound if not n.startswith("_")] == []
+    assert mixrate.__version__
+
+
+README_NAME = re.compile(
+    r"`(?:mixrate\.)?(cli|harness|rates|ensembles|entangling|hermitian|errors)"
+    r"((?:\.[A-Za-z_]\w*)+)"
+)
+
+
+def test_readme_names_resolve():
+    found = README_NAME.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert found
+    missing = []
+    for module, path in found:
+        obj = importlib.import_module(f"mixrate.{module}")
+        for attr in path.split(".")[1:]:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"{module}{path}")
+    assert missing == []
