@@ -250,11 +250,10 @@ class _Batch(NamedTuple):
         return _Batch(*(a[i : i + 1] for a in self))
 
 
-def _sampled(draws) -> _Batch:
-    """The batch of sampled draws, each a pair of probabilities (n,) and raw
-    states (n, d, d), with an Ensemble's checks made once for all of them:
-    the distributions, and every state validated in one stacked call."""
-    p, raw = (np.array(a) for a in zip(*draws))
+def _sampled(p: np.ndarray, raw: np.ndarray) -> _Batch:
+    """The batch of sampled probabilities p (B, n) and raw states
+    (B, n, d, d), with an Ensemble's checks made once for all of them: the
+    distributions, and every state validated in one stacked call."""
     _require_distribution(p)
     return _Batch(p, *_frozen(*_state_spectra(raw)))
 
@@ -296,6 +295,13 @@ def matrix_to_json(M: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
 
+def _from_pairs(A: np.ndarray) -> np.ndarray:
+    """The complex numbers of the [re, im] pairs along the last axis of A,
+    reinterpreted, not computed: re + 1j * im would make an infinite part
+    a NaN, with a RuntimeWarning."""
+    return np.ascontiguousarray(A).view(complex)[..., 0]
+
+
 def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
     try:
         A = np.asarray(obj, dtype=float)
@@ -303,7 +309,7 @@ def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
         raise ParseError(f"{what}: not a numeric array") from exc
     if A.shape != (dim, dim, 2):
         raise ParseError(f"{what}: expected shape ({dim}, {dim}, 2), got {A.shape}")
-    return A[..., 0] + 1j * A[..., 1]
+    return _from_pairs(A)
 
 
 def _load_json(text) -> dict:

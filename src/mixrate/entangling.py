@@ -26,6 +26,7 @@ from .ensembles import (
     Ensemble,
     Hamiltonian,
     _entropy_from_eigenvalues,
+    _from_pairs,
     _json_dim,
     _load_json,
     matrix_from_json,
@@ -58,6 +59,9 @@ class PureState:
             raise DimMismatch(f"need four factor dimensions >= 1, got {dims}")
         if v.size != math.prod(dims):
             raise DimMismatch(f"amplitude length {v.size} != product of dims {math.prod(dims)}")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise InvariantViolation(f"amplitude {bad[0]} is not finite")
         v = _unit_rows(v[None])[0]
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
@@ -234,7 +238,7 @@ def parse_pure_state(text) -> PureState:
         raise ParseError(f"pure-state JSON missing or malformed field: {exc}") from exc
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ParseError("amplitudes must be a list of [re, im] pairs")
-    return PureState(raw[:, 0] + 1j * raw[:, 1], dims)
+    return PureState(_from_pairs(raw), dims)
 
 
 def parse_bipartite_operator(text) -> BipartiteOperator:

@@ -112,11 +112,15 @@ def _ginibre(z: np.ndarray) -> np.ndarray:
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def _raw_states(n: int, dim: int, g: np.random.Generator) -> np.ndarray:
-    """n unvalidated Hilbert-Schmidt states G G† / Tr(G G†), drawn in order."""
-    G = _ginibre(g.standard_normal((n, 2, dim, dim)))
+def _batch(draws) -> _Batch:
+    """The validated batch of trial draws, each a pair of probabilities (n,)
+    and the normals (n, 2, d, d) of n Ginibre matrices G: the Hilbert-Schmidt
+    states G G† / Tr(G G†) of all of them formed in one stacked product and
+    one trace-divide, then checked together (`_sampled`)."""
+    p, z = (np.array(a) for a in zip(*draws))
+    G = _ginibre(z)
     rho = G @ G.conj().swapaxes(-1, -2)
-    return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
+    return _sampled(p, rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None])
 
 
 def _unit_spectra(G: np.ndarray):
@@ -138,13 +142,15 @@ def _sample_probs(n: int, g: np.random.Generator) -> np.ndarray:
 
 
 def _trial_draw(cfg: ExperimentConfig, g: np.random.Generator):
-    """A trial's draw: the probabilities, then cfg.n_states raw states."""
-    return _sample_probs(cfg.n_states, g), _raw_states(cfg.n_states, cfg.dim, g)
+    """A trial's draw: the probabilities, then the normals of cfg.n_states
+    Ginibre matrices."""
+    n = cfg.n_states
+    return _sample_probs(n, g), g.standard_normal((n, 2, cfg.dim, cfg.dim))
 
 
 def sample_ensemble(cfg: ExperimentConfig, rng: RNGSpec) -> Ensemble:
     """cfg.n_states Hilbert-Schmidt states with flat-Dirichlet probabilities."""
-    return _ensemble(_sampled([_trial_draw(cfg, rng.generator())]), 0)
+    return _ensemble(_batch([_trial_draw(cfg, rng.generator())]), 0)
 
 
 def trial_chunks(ids: Sequence[int], dim: int) -> list[list[int]]:
@@ -189,19 +195,20 @@ def trial_ensemble(cfg: ExperimentConfig, trial_id: int) -> Ensemble:
 def run_trials(cfg: ExperimentConfig, trial_ids: Sequence[int]) -> list[TrialRecord]:
     """Sample the ensemble of each trial from (cfg.seed, trial id) and
     evaluate them as one chunk."""
-    b = _sampled([_trial_draw(cfg, RNGSpec(cfg.seed, i).generator()) for i in trial_ids])
+    b = _batch([_trial_draw(cfg, RNGSpec(cfg.seed, i).generator()) for i in trial_ids])
     return evaluate_batch(b, cfg, trial_ids)
 
 
 def _scan_draw(cfg: ExperimentConfig, trial_id: int, p: float):
-    """A scan trial's draw: the probabilities (p, 1 - p), then two raw states."""
+    """A scan trial's draw: the probabilities (p, 1 - p), then the normals of
+    two Ginibre matrices."""
     g = RNGSpec(cfg.seed, trial_id).generator()
-    return [p, 1.0 - p], _raw_states(2, cfg.dim, g)
+    return [p, 1.0 - p], g.standard_normal((2, 2, cfg.dim, cfg.dim))
 
 
 def scan_binary_ensemble(cfg: ExperimentConfig, trial_id: int, p: float) -> Ensemble:
     """The binary ensemble {(p, rho_1), (1 - p, rho_2)} of one scan trial."""
-    return _ensemble(_sampled([_scan_draw(cfg, trial_id, p)]), 0)
+    return _ensemble(_batch([_scan_draw(cfg, trial_id, p)]), 0)
 
 
 def scan_binary(
@@ -219,7 +226,7 @@ def scan_binary(
     binary = replace(cfg, binary=True)  # a scan is binary, whatever cfg says
     records = []
     for chunk in trial_chunks(list(p_of), cfg.dim):
-        b = _sampled([_scan_draw(cfg, i, p_of[i]) for i in chunk])
+        b = _batch([_scan_draw(cfg, i, p_of[i]) for i in chunk])
         records.extend(evaluate_batch(b, binary, chunk))
     return records
 
@@ -302,7 +309,7 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
     iters, error = 0, None
     try:
         while iters < cfg.search_max_iters:
-            cur = _sampled([_trial_draw(cfg, g)])
+            cur = _batch([_trial_draw(cfg, g)])
             cur_obj = _objectives(_Spectra(cur), cfg.binary)[0]
             eps, rejects, retry = SEARCH_STEP, 0, False
             while iters < cfg.search_max_iters and eps >= 1e-6:

@@ -13,6 +13,11 @@ term independently over -I <= H_x <= I gives the exact closed form
 achieved by H_x = I - 2 P_neg where P_neg projects onto the negative
 eigenspace of i[rho_x, ln rho]. A Richardson-extrapolated central difference
 of the entropy cross-checks the analytic derivative on every evaluation.
+
+The maximizers square to I, so e^{-iH_x t} = cos t I - i sin t H_x, and the
+expected state they evolve is one combination of three matrices at every t
+(`_involution_trajectory`). Only a given Hamiltonian set is diagonalized,
+for the spectral `_trajectory`.
 """
 
 from __future__ import annotations
@@ -166,13 +171,11 @@ def _trajectory(
 ) -> np.ndarray:
     """S(rho(t)) (B, T) for each ensemble of a batch and each t of ts,
     rho(t) = sum_x p_x e^{-iH_x t} rho_x e^{iH_x t}, from p (B, n), the members
-    rho_x (B, n, d, d) and the spectra H = (w (B, n, d), V (B, n, d, d)) of the
-    Hamiltonians.
+    rho_x (B, n, d, d) and the spectra H = (w (B, n, d), V (B, n, d, d)) of
+    arbitrary Hermitian Hamiltonians.
 
     Each member is rotated once into the eigenbasis of its H_x, where the
-    evolution to every t is an outer product of phases e^{-i t w}. Every
-    rho(t) then gets the checks a DensityMatrix gets (finite, Hermitian, PSD,
-    unit trace), and all B T of them one stacked eigvalsh.
+    evolution to every t is an outer product of phases e^{-i t w}.
     """
     ts = np.asarray(ts, dtype=float)
     w, V = H
@@ -187,8 +190,49 @@ def _trajectory(
         rho_t += p[:, x, None, None, None] * (
             Vx @ (phase[..., :, None] * R * phase.conj()[..., None, :]) @ Vxh
         )
+    return _entropies(rho_t)
+
+
+def _involution_terms(p: np.ndarray, rhos: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """rho, sum_x p_x H_x rho_x H_x and i sum_x p_x [rho_x, H_x] (B, 3, d, d)
+    of a batch, from two products per member: H_x rho_x, whose adjoint is
+    rho_x H_x, and (H_x rho_x) H_x. A function of its own so that its
+    temporaries are freed before the stacked eigvalsh."""
+    A = M @ rhos
+    S = _mixture(p, A)
+    return np.stack(
+        [_mixture(p, rhos), _mixture(p, A @ M), 1j * (S.conj().swapaxes(-1, -2) - S)], axis=1
+    )
+
+
+def _involution_trajectory(
+    p: np.ndarray, rhos: np.ndarray, M: np.ndarray, ts: Sequence[float]
+) -> np.ndarray:
+    """S(rho(t)) (B, T) as `_trajectory` gives it, for Hamiltonians that
+    square to I (the maximizers), given by their matrices M (B, n, d, d).
+    H_x^2 = I makes e^{-iH_x t} = cos t I - i sin t H_x, so
+
+        rho(t) = cos^2 t rho + sin^2 t sum_x p_x H_x rho_x H_x
+                 + sin t cos t i sum_x p_x [rho_x, H_x],
+
+    and all T times are one (T, 3) x (3, d^2) product per ensemble.
+    """
+    ts = np.asarray(ts, dtype=float)
+    c, s = np.cos(ts), np.sin(ts)
+    # Complex, not a real product on a float view: the real BLAS kernel
+    # raised the peak RSS of verify --dim 4 by 0.3 MB.
+    coef = np.stack([c * c, s * s, s * c], axis=-1).astype(complex)  # (T, 3)
+    terms = _involution_terms(p, rhos, M)
+    B, _, d, _ = terms.shape
+    return _entropies((coef @ terms.reshape(B, 3, d * d)).reshape(B, ts.size, d, d))
+
+
+def _entropies(rho_t: np.ndarray) -> np.ndarray:
+    """S of each evolved state of a stack (B, T, d, d). Every rho(t) gets the
+    checks a DensityMatrix gets (finite, Hermitian, PSD, unit trace), and all
+    B T of them one stacked eigvalsh."""
     w_t = _state_eigenvalues(hm.eigvals_hermitian(rho_t))
-    return _entropy_from_eigenvalues(w_t, d)
+    return _entropy_from_eigenvalues(w_t, rho_t.shape[-1])
 
 
 def optimal_hamiltonians(E: Ensemble) -> tuple[Hamiltonian, ...]:
@@ -295,7 +339,9 @@ def _evaluate(
     whether STM holds for each at STM_TIMES ("compute" checks no times).
 
     M, the matrices (B, n, d, d) of one Hamiltonian set per ensemble (as
-    `_matrices` gives them), defaults to the maximizers. If the FD
+    `_matrices` gives them), defaults to the maximizers. The FD and STM times
+    evolve under the maximizers in closed form (`_involution_trajectory`);
+    only a given M is diagonalized, for the spectral `_trajectory`. If the FD
     oracle refuses an ensemble, "compute" reports its fd_residual None and the
     other policies raise. Ratios are max_rate over the general bound and over S(p),
     except at n = 2:
@@ -305,11 +351,9 @@ def _evaluate(
     """
     sp = _Spectra(b)
     p, B = b.p, len(b.p)
-    if M is None:
-        H = sp.maximizers()
-        M = hm.hermitian_part(hm.reconstruct(*H))
-    else:
-        H = hm.eig_hermitian(M)
+    involutions = M is None
+    if involutions:
+        M = hm.hermitian_part(hm.reconstruct(*sp.maximizers()))
     rate = _rate(p, M, sp.C)
     mx = sp.max_rate
     shannon = _shannon(p)
@@ -331,7 +375,11 @@ def _evaluate(
     if not _fd_probe(sp.rho.eigenvalues, strict=policy != "compute").any():
         fd_times = _fd_times(DEFAULT_FD_STEP)
         stm_times = () if policy == "compute" else STM_TIMES
-        S = _trajectory(p, b.rhos, H, fd_times + stm_times)
+        ts = fd_times + stm_times
+        if involutions:
+            S = _involution_trajectory(p, b.rhos, M, ts)
+        else:
+            S = _trajectory(p, b.rhos, hm.eig_hermitian(M), ts)
         fd_residual = np.abs(rate - _richardson(S.T, DEFAULT_FD_STEP)).tolist()
         stm_ok = _stm_sandwich(p, b.w, S[:, len(fd_times):]).all(axis=-1).tolist()
     binaries = [None] * B if binary is None else binary.tolist()

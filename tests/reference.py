@@ -446,7 +446,7 @@ def search_ratio(cfg):
     iters = 0
     try:
         while iters < cfg.search_max_iters:
-            cur = hz._ensemble(hz._sampled([hz._trial_draw(cfg, g)]), 0)
+            cur = hz._ensemble(hz._batch([hz._trial_draw(cfg, g)]), 0)
             cur_obj = _objective(cur, cfg.binary)
             eps, rejects = hz.SEARCH_STEP, 0
             while iters < cfg.search_max_iters and eps >= 1e-6:

@@ -14,7 +14,7 @@ import pytest
 from mixrate import cli
 from mixrate import hermitian as hm
 from mixrate.cli import EXIT_CONJECTURE, guard_status, main
-from mixrate.ensembles import Ensemble, _sampled, binary_entropy, shannon_entropy
+from mixrate.ensembles import Ensemble, binary_entropy, shannon_entropy
 from mixrate.entangling import (
     BipartiteOperator,
     PureState,
@@ -28,7 +28,7 @@ from mixrate.harness import (
     ExperimentConfig,
     RNGSpec,
     TrialRecord,
-    _raw_states,
+    _batch,
     scan_binary,
     search_ratio,
 )
@@ -177,10 +177,10 @@ def test_criterion_03_binary_bound():
             g = RNGSpec(SEED + 3, pi * 100 + j).generator()
             dim = int(g.integers(2, 9))
             draws, bounds = by_dim.setdefault(dim, ([], []))
-            draws.append(([p, 1.0 - p], _raw_states(2, dim, g)))
+            draws.append(([p, 1.0 - p], g.standard_normal((2, 2, dim, dim))))
             bounds.append(bound)
     worst = max(
-        float(np.max(_Spectra(_sampled(draws)).binary_rate - np.array(bounds)))
+        float(np.max(_Spectra(_batch(draws)).binary_rate - np.array(bounds)))
         for draws, bounds in by_dim.values()
     )
     elapsed = time.perf_counter() - t0

@@ -29,7 +29,7 @@ from mixrate.ensembles import (
 )
 from mixrate.errors import NoConvergence
 from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
-from mixrate.rates import rate_report
+from mixrate.rates import optimal_hamiltonians, rate_report
 
 from conftest import random_ensemble, random_hamiltonian_set, rng
 from golden.make_golden import _parse_csv
@@ -145,6 +145,23 @@ class TestCompute:
         kept = report([0.5, 0.5], [0, 2], "kept")
         assert listed[0] == kept[0] == EXIT_OK
         assert listed[1].out == kept[1].out
+
+    @pytest.mark.parametrize("dim, n", [(2, 2), (3, 3), (4, 2)])
+    def test_the_two_evolution_routes_agree_at_the_maximizers(self, dim, n, tmp_path, capsys):
+        # Plain compute evolves under the maximizers in closed form; given as
+        # a file, the same matrices take the spectral route.
+        E = random_ensemble(dim, n, rng(730 + dim + n))
+        ep, hp = tmp_path / "e.json", tmp_path / "h.json"
+        ep.write_bytes(serialize_ensemble(E))
+        hams = [matrix_to_json(h.matrix) for h in optimal_hamiltonians(E)]
+        hp.write_text(json.dumps({"dim": dim, "hamiltonians": hams}))
+        assert main(["compute", "--ensemble", str(ep)]) == EXIT_OK
+        closed = json.loads(capsys.readouterr().out)
+        assert main(["compute", "--ensemble", str(ep), "--hamiltonians", str(hp)]) == EXIT_OK
+        spectral = json.loads(capsys.readouterr().out)
+        rate = spectral["mixing_rate_at_H"]
+        assert abs(rate - spectral["max_rate"]) <= REL * spectral["max_rate"]
+        assert abs(spectral["fd_residual"] - closed["fd_residual"]) <= 1e-9
 
     @pytest.mark.parametrize("n_hams", [2, 4])
     def test_hamiltonian_count_must_match_the_listed_states(self, n_hams, tmp_path, capsys):
@@ -609,7 +626,7 @@ class TestSie:
         obj["amplitudes"][0][0] = math.nan
         sp.write_text(json.dumps(obj))
         assert main(["sie", "--state", str(sp), "--ham", str(hp)]) == EXIT_USAGE
-        assert "state norm nan differs from 1" in capsys.readouterr().err
+        assert "amplitude 0 is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "which, i, dim",
@@ -632,6 +649,50 @@ class TestSie:
         _, hp = self._bell_files(tmp_path)
         code = main(["sie", "--state", str(tmp_path / "nope.json"), "--ham", str(hp)])
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "which, message",
+    [
+        ("ensemble", "non-finite entries (member 1)"),
+        ("hamiltonians", "non-finite entries (member 1)"),
+        ("state", "amplitude 3 is not finite"),
+        ("operator", "matrix has non-finite entries"),
+    ],
+)
+def test_infinite_imaginary_part_is_refused_without_warnings(which, message, tmp_path):
+    # An entry [0, Infinity] in one input file, run as a user runs it: numpy
+    # must not warn on the way to the refusal.
+    import mixrate
+
+    E, H = random_ensemble(2, 2, rng(740)), random_hamiltonian_set(2, 2, rng(741))
+    ens = json.loads(serialize_ensemble(E))
+    hams = {"dim": 2, "hamiltonians": [matrix_to_json(h.matrix) for h in H]}
+    sp, op = TestSie._bell_files(tmp_path)
+    state, operator = json.loads(sp.read_text()), json.loads(op.read_text())
+    row, k = {
+        "ensemble": (ens["states"][1][0], 0),
+        "hamiltonians": (hams["hamiltonians"][1][0], 0),
+        "state": (state["amplitudes"], 3),
+        "operator": (operator["hamiltonian"][1], 0),
+    }[which]
+    row[k] = [0.0, math.inf]
+    ep, hp = tmp_path / "e.json", tmp_path / "h.json"
+    for path, obj in ((ep, ens), (hp, hams), (sp, state), (op, operator)):
+        path.write_text(json.dumps(obj))
+    compute = ["compute", "--ensemble", str(ep)]
+    argv = {
+        "ensemble": compute,
+        "hamiltonians": compute + ["--hamiltonians", str(hp)],
+    }.get(which, ["sie", "--state", str(sp), "--ham", str(op)])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixrate.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "mixrate.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == EXIT_USAGE
+    assert message in run.stderr
+    assert "Warning" not in run.stderr, run.stderr
 
 
 class TestEigenBudget:

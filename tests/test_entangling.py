@@ -56,8 +56,14 @@ class TestPureState:
 
     @pytest.mark.filterwarnings("error")
     def test_nan_amplitude_rejected(self):
-        with pytest.raises(InvariantViolation, match="state norm nan differs from 1"):
+        with pytest.raises(InvariantViolation, match="amplitude 0 is not finite"):
             en.PureState(np.array([math.nan, 1.0]), (1, 2, 1, 1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [complex(0.0, math.inf), complex(-math.inf, 0.0)])
+    def test_infinite_amplitude_rejected(self, z):
+        with pytest.raises(InvariantViolation, match="amplitude 1 is not finite"):
+            en.PureState(np.array([0.6, z, 0.8, 0.0]), (1, 2, 2, 1))
 
 
 class TestBipartiteOperator:

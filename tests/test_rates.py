@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from golden.make_golden import write_inputs
+from mixrate import harness as hz
 from mixrate import hermitian as hm
 from mixrate import rates
 from mixrate.ensembles import (
@@ -407,6 +408,101 @@ class TestTrajectory:
         H = (random_unit_hamiltonian(2, rng(333)),)
         with pytest.raises(InvariantViolation):
             self.trajectory([E], [H], self.TIMES)
+
+
+class TestInvolutionTrajectory:
+    """The closed form under Hamiltonians that square to I, which every
+    verify, scan and search record evolves its maximizers with."""
+
+    TIMES = rates._fd_times(rates.DEFAULT_FD_STEP) + rates.STM_TIMES
+
+    @staticmethod
+    def maximizers(Es):
+        """The batch of Es, its maximizers' spectra and their matrices."""
+        b = _stack(Es)
+        H = rates._Spectra(b).maximizers()
+        return b, H, hm.hermitian_part(hm.reconstruct(*H))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_spectral_route(self, dim, n):
+        g = rng(340 + 10 * dim + n)
+        b, H, M = self.maximizers([random_ensemble(dim, n, g) for _ in range(3)])
+        closed = rates._involution_trajectory(b.p, b.rhos, M, self.TIMES)
+        spectral = rates._trajectory(b.p, b.rhos, H, self.TIMES)
+        assert closed.shape == (3, len(self.TIMES))
+        assert np.abs(closed - spectral).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_qubits_match_the_bloch_oracle(self, n):
+        E = random_ensemble(2, n, rng(345 + n))
+        b, _, M = self.maximizers([E])
+        H = rates.optimal_hamiltonians(E)
+        S = rates._involution_trajectory(b.p, b.rhos, M, self.TIMES)[0]
+        for t, s in zip(self.TIMES, S):
+            assert abs(s - reference.qubit_entropy_at(E, H, t)) <= 1e-12
+
+    @pytest.mark.parametrize("w", [(-0.5, 1.5), (0.5, 1.0)])  # not PSD; trace 1.5
+    def test_rejects_a_member_that_is_no_state(self, w):
+        bad = reference.state_with_spectrum(np.array(w), np.eye(2, dtype=complex))
+        b = _stack([Ensemble([1.0], [bad])])
+        X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # X^2 = I
+        with pytest.raises(InvariantViolation):
+            rates._involution_trajectory(b.p, b.rhos, X[None, None], self.TIMES)
+
+
+class TestLapackDispatches:
+    """Every eigendecomposition goes through `hermitian._lapack`; these count
+    its calls and record what each one diagonalized."""
+
+    @staticmethod
+    def record(monkeypatch) -> list:
+        seen = []
+        lapack = hm._lapack
+
+        def recorded(f, A):
+            seen.append(A)
+            return lapack(f, A)
+
+        monkeypatch.setattr(hm, "_lapack", recorded)
+        return seen
+
+    def test_a_run_trials_chunk_makes_four(self, monkeypatch):
+        cfg = hz.ExperimentConfig(dim=4, n_states=3, seed=1)
+        (ids,) = hz.trial_chunks(range(32), cfg.dim)
+        seen = self.record(monkeypatch)
+        records = hz.run_trials(cfg, ids)
+        assert all(r.error is None for r in records)
+        # The member states, the expected states, the commutators, and the
+        # evolved states at the 4 FD and 3 STM times.
+        assert [a.shape for a in seen] == [(32, 3, 4, 4), (32, 4, 4), (32, 3, 4, 4), (32, 7, 4, 4)]
+
+    @pytest.mark.parametrize("dim, n", [(2, 2), (3, 3), (4, 2)])
+    def test_the_maximizers_are_never_diagonalized(self, dim, n, monkeypatch):
+        E = random_ensemble(dim, n, rng(350 + dim + n))
+        H = rates.optimal_hamiltonians(E)
+        M = np.array([h.matrix for h in H])[None]
+
+        def diagonalized(seen):
+            return any(a.shape == M.shape and np.allclose(a, M, atol=1e-12) for a in seen)
+
+        seen = self.record(monkeypatch)
+        rates.rate_report(E)
+        assert seen and not diagonalized(seen)
+        seen.clear()
+        rates.rate_report(E, H)  # the same matrices, given: now diagonalized
+        assert diagonalized(seen)
+
+    def test_a_given_hamiltonian_set_costs_one_more(self, monkeypatch):
+        g = rng(355)
+        E, H = random_ensemble(3, 3, g), random_hamiltonian_set(3, 3, g)
+        seen = self.record(monkeypatch)
+        rates.rate_report(E)
+        at_maximizers = len(seen)
+        seen.clear()
+        rates.rate_report(E, H)
+        assert at_maximizers == 3  # rho, the commutators, rho(t) at the FD times
+        assert len(seen) == at_maximizers + 1
 
 
 class TestStmCheck:
