@@ -171,7 +171,10 @@ def _parse_grid(spec: str) -> list[float]:
         raise MixRateError(f"bad p-grid {spec!r}, expected lo:hi:step") from exc
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or lo > hi:
         raise MixRateError(f"bad p-grid {spec!r}")
-    n = math.floor((hi - lo) / step + 1e-9)  # the last point may fall short of hi, never past it
+    span = (hi - lo) / step + 1e-9  # the last point may fall short of hi, never past it
+    if not span < hz.MAX_TRIALS:  # also an infinite span, which floor refuses
+        raise MixRateError(f"bad p-grid {spec!r}: more than {hz.MAX_TRIALS} points")
+    n = math.floor(span)
     # Filter the rounded points: those are the values the scan runs.
     grid = [p for p in (round(lo + k * step, 12) for k in range(n + 1)) if 0.0 < p < 1.0]
     if not grid:

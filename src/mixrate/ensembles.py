@@ -15,6 +15,7 @@ All values are immutable after construction; every function here is pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,18 +38,12 @@ TRACE_TOL = 1e-10
 PROB_TOL = 1e-10
 
 
-def _frozen(w: np.ndarray, V: np.ndarray):
-    """(V diag(w) V†, w, V) for a spectrum or a stack of them (..., d),
-    (..., d, d), all three read-only."""
-    matrix = hm.hermitian_part(hm.reconstruct(w, V))
-    for a in (matrix, w, V):
+def _assign(obj, matrix: np.ndarray, w: np.ndarray):
+    """obj holding the state `matrix` and its eigenvalues w, both made read-only."""
+    for a in (matrix, w):
         a.setflags(write=False)
-    return matrix, w, V
-
-
-def _assign(obj, matrix: np.ndarray, w: np.ndarray, V: np.ndarray):
     object.__setattr__(obj, "matrix", matrix)
-    object.__setattr__(obj, "spectrum", hm.EigenDecomposition(w, V))
+    object.__setattr__(obj, "eigenvalues", w)
     return obj
 
 
@@ -82,18 +77,21 @@ class DensityMatrix:
 
     Validation symmetrizes the input, floors eigenvalues in [-1e-10, 0) at
     zero and renormalizes the trace when within tolerance; anything further
-    off is rejected. The eigendecomposition (w, V) that validation computed
-    is kept as `spectrum`, and `matrix` is V diag(w) V†.
+    off is rejected. The eigenvalues w that validation computed are kept as
+    `eigenvalues`, and `matrix` is V diag(w) V† on the eigenvectors V it
+    found. A sampled state (`_ensemble`) holds its batch's arrays instead:
+    the sampled matrix, symmetrized, and its eigenvalues.
     """
 
     matrix: np.ndarray
-    spectrum: hm.EigenDecomposition = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=complex)
         if A.ndim != 2:
             raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
-        _assign(self, *(a[0] for a in _frozen(*_state_spectra(A[None]))))
+        w, V = _state_spectra(A[None])
+        _assign(self, hm.hermitian_part(hm.reconstruct(w, V))[0], w[0])
 
     @property
     def dim(self) -> int:
@@ -236,14 +234,12 @@ def _average_entropies(p: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 class _Batch(NamedTuple):
     """B ensembles that share (n, d), as arrays: probabilities p (B, n), the
-    members rho_x (B, n, d, d) and their kept spectra w (B, n, d) and
-    V (B, n, d, d), the last three read-only. What an Ensemble holds,
-    without the objects."""
+    members rho_x (B, n, d, d) and their eigenvalues w (B, n, d). What an
+    Ensemble holds, without the objects."""
 
     p: np.ndarray
     rhos: np.ndarray
     w: np.ndarray
-    V: np.ndarray
 
     def one(self, i: int) -> "_Batch":
         """Ensemble i as a batch of one, of views into this batch."""
@@ -253,9 +249,12 @@ class _Batch(NamedTuple):
 def _sampled(p: np.ndarray, raw: np.ndarray) -> _Batch:
     """The batch of sampled probabilities p (B, n) and raw states
     (B, n, d, d), with an Ensemble's checks made once for all of them: the
-    distributions, and every state validated in one stacked call."""
+    distributions, and every state given `_state_spectra`'s checks from one
+    stacked eigvalsh. The members are the raw states, symmetrized: nothing
+    reads their eigenvectors."""
     _require_distribution(p)
-    return _Batch(p, *_frozen(*_state_spectra(raw)))
+    rhos, w = hm.symmetrized_eigvals(raw)
+    return _Batch(p, rhos, _state_eigenvalues(w))
 
 
 def _stack(Es: Sequence[Ensemble]) -> _Batch:
@@ -269,8 +268,7 @@ def _stack(Es: Sequence[Ensemble]) -> _Batch:
     return _Batch(
         np.array([E.probabilities for E in Es]),
         np.array([s.matrix for s in states]).reshape(shape + (d,)),
-        np.array([s.spectrum.eigenvalues for s in states]).reshape(shape),
-        np.array([s.spectrum.eigenvectors for s in states]).reshape(shape + (d,)),
+        np.array([s.eigenvalues for s in states]).reshape(shape),
     )
 
 
@@ -278,7 +276,7 @@ def _ensemble(b: _Batch, i: int) -> Ensemble:
     """Ensemble i of a batch, its states holding the batch's own arrays: the
     states are not validated again."""
     states = [
-        _assign(object.__new__(DensityMatrix), *a) for a in zip(b.rhos[i], b.w[i], b.V[i])
+        _assign(object.__new__(DensityMatrix), *a) for a in zip(b.rhos[i], b.w[i])
     ]
     return Ensemble(b.p[i], states)
 
@@ -288,7 +286,8 @@ def _ensemble(b: _Batch, i: int) -> Ensemble:
 # Ensemble:        {"dim": d, "probabilities": [p1, ...], "states": [M1, ...]}
 # Hamiltonian set: {"dim": d, "hamiltonians": [H1, ...]}
 # where each matrix is a d x d row-major array of [re, im] pairs and each
-# probability a JSON number. Hamiltonian x pairs with listed state x.
+# probability, real part and imaginary part a JSON number. Hamiltonian x
+# pairs with listed state x.
 
 
 def matrix_to_json(M: np.ndarray) -> list:
@@ -302,11 +301,24 @@ def _from_pairs(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(A).view(complex)[..., 0]
 
 
-def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
+def _json_numbers(obj, what: str) -> np.ndarray:
+    """obj, nested JSON arrays of numbers, as a float array; an entry that is
+    a bool, a string or null is refused, as is a ragged array or an integer
+    too large for a float."""
     try:
         A = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: not a numeric array") from exc
+    entries = [obj]
+    for _ in range(A.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if not set(map(type, entries)) <= {int, float}:
+        raise ParseError(f"{what}: entries must be JSON numbers")
+    return A
+
+
+def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
+    A = _json_numbers(obj, what)
     if A.shape != (dim, dim, 2):
         raise ParseError(f"{what}: expected shape ({dim}, {dim}, 2), got {A.shape}")
     return _from_pairs(A)
@@ -319,6 +331,8 @@ def _load_json(text) -> dict:
         obj = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     return obj

@@ -28,6 +28,7 @@ from .ensembles import (
     _entropy_from_eigenvalues,
     _from_pairs,
     _json_dim,
+    _json_numbers,
     _load_json,
     matrix_from_json,
 )
@@ -233,9 +234,10 @@ def parse_pure_state(text) -> PureState:
     obj = _load_json(text)
     try:
         dims = [_json_dim(d) for d in obj["dims"]]
-        raw = np.asarray(obj["amplitudes"], dtype=float)
+        raw = obj["amplitudes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"pure-state JSON missing or malformed field: {exc}") from exc
+    raw = _json_numbers(raw, "amplitudes")
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ParseError("amplitudes must be a list of [re, im] pairs")
     return PureState(_from_pairs(raw), dims)

@@ -20,7 +20,6 @@ from .ensembles import (
     Ensemble,
     _Batch,
     _ensemble,
-    _frozen,
     _require_distribution,
     _sampled,
     binary_entropy,
@@ -34,6 +33,9 @@ PROB_FLOOR = 1e-6
 # passes with probability (1 - n PROB_FLOOR)^(n - 1), about exp(-n^2 1e-6):
 # 0.37 at n = 1000, but exp(-25) at n = 5000, where sampling never ends.
 MAX_STATES = 1000
+# The most trials one command runs, and the most points of a scan's p grid;
+# checked before anything is allocated for them.
+MAX_TRIALS = 10**6
 CONJECTURE_SLACK = 1e-6
 THEOREM_SLACK = 1e-8
 SEARCH_STEP = 0.1  # the search's first perturbation size after each restart
@@ -79,6 +81,8 @@ class ExperimentConfig:
             raise DomainError(f"seed {self.seed} must be >= 0")
         if self.n_states > MAX_STATES:
             raise DomainError(f"n_states {self.n_states} above the limit of {MAX_STATES}")
+        if self.n_trials > MAX_TRIALS:
+            raise DomainError(f"n_trials {self.n_trials} above the limit of {MAX_TRIALS}")
         if self.search_max_iters < 1:
             raise DomainError(f"search_max_iters {self.search_max_iters} must be >= 1")
         if self.mode not in {"verify", "scan", "search", "sie"}:
@@ -216,6 +220,10 @@ def scan_binary(
 ) -> list[TrialRecord]:
     """Binary ensembles at each fixed p; records the binary bound and ratios.
     Trials are evaluated in trial_chunks across the grid."""
+    if len(p_grid) * cfg.n_trials > MAX_TRIALS:
+        raise DomainError(
+            f"{len(p_grid)} grid points x {cfg.n_trials} trials above the limit of {MAX_TRIALS}"
+        )
     p_of = {}
     for pi, p in enumerate(p_grid):
         p = float(p)
@@ -244,13 +252,17 @@ def _climb_draws(k: int, n: int, dim: int, g: np.random.Generator):
     return w, V, z[:, m:]
 
 
-def _climb_block(cur: _Batch, eps: float, k: int, g: np.random.Generator, binary: bool):
-    """k candidates perturbed from the climb point `cur`, a batch of one, at
-    step eps, and their one stacked spectral pass: each member conjugated by
-    exp(i eps H) for a fresh unit-norm H (its eigenvalues kept), the
-    log-probabilities nudged by eps times a normal. Returns the candidates
-    as a batch of k, and their max rates, general bounds and objectives (k,)."""
-    p, w, V = cur.p[0], cur.w[0], cur.V[0]
+def _climb_block(
+    cur: _Batch, V: np.ndarray, eps: float, k: int, g: np.random.Generator, binary: bool
+):
+    """k candidates perturbed from the climb point `cur`, a batch of one
+    whose members have the eigenvectors V (n, d, d), at step eps, and their
+    one stacked spectral pass: each member conjugated by exp(i eps H) for a
+    fresh unit-norm H (its eigenvalues kept), the log-probabilities nudged by
+    eps times a normal. Returns the candidates as a batch of k, their
+    members' eigenvectors (k, n, d, d), and their max rates, general bounds
+    and objectives (k,)."""
+    p, w = cur.p[0], cur.w[0]
     n, dim = w.shape
     hw, hV, noise = _climb_draws(k, n, dim, g)
     # exp(-i H t) at t = -eps, in the operation order of the serial
@@ -263,11 +275,12 @@ def _climb_block(cur: _Batch, eps: float, k: int, g: np.random.Generator, binary
     q = np.clip(q, PROB_FLOOR, None)
     q /= q.sum(axis=-1, keepdims=True)
     _require_distribution(q)
-    cand = _Batch(q, *_frozen(np.broadcast_to(w, Vc.shape[:-1]), Vc))
+    wc = np.broadcast_to(w, Vc.shape[:-1])
+    cand = _Batch(q, hm.hermitian_part(hm.reconstruct(wc, Vc)), wc)
     sp = _Spectra(cand)
     # broadcast_to: a bound given as one number holds for every candidate.
     bound = np.broadcast_to(bound_theorem_general(q), (k,))
-    return cand, sp.max_rate, bound, _objectives(sp, binary)
+    return cand, Vc, sp.max_rate, bound, _objectives(sp, binary)
 
 
 def _objectives(sp: _Spectra, binary: bool) -> np.ndarray:
@@ -310,13 +323,14 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
     try:
         while iters < cfg.search_max_iters:
             cur = _batch([_trial_draw(cfg, g)])
+            V = hm.eig_hermitian(cur.rhos[0]).eigenvectors  # the bases the climb turns
             cur_obj = _objectives(_Spectra(cur), cfg.binary)[0]
             eps, rejects, retry = SEARCH_STEP, 0, False
             while iters < cfg.search_max_iters and eps >= 1e-6:
                 k = 1 if retry else min(SEARCH_BLOCK, 20 - rejects, cfg.search_max_iters - iters)
                 saved = g.bit_generator.state
                 try:
-                    cand, mx, bound, obj = _climb_block(cur, eps, k, g, cfg.binary)
+                    cand, Vc, mx, bound, obj = _climb_block(cur, V, eps, k, g, cfg.binary)
                 except MixRateError:
                     if k == 1:
                         raise
@@ -335,7 +349,7 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
                     )
                 iters += j + 1
                 if better[j]:
-                    cur, cur_obj, rejects = cand.one(j), obj[j], 0
+                    cur, V, cur_obj, rejects = cand.one(j), Vc[j], obj[j], 0
                     if j < k - 1:  # redraw what candidates 0..j drew
                         g.bit_generator.state = saved
                         g.standard_normal((j + 1) * draws)

@@ -87,7 +87,13 @@ def eig_hermitian(M) -> EigenDecomposition:
 
 def eigvals_hermitian(M) -> np.ndarray:
     """The eigenvalues (..., d), ascending, of eig_hermitian(M)."""
-    return _lapack(np.linalg.eigvalsh, require_hermitian(M))
+    return symmetrized_eigvals(M)[1]
+
+
+def symmetrized_eigvals(M) -> tuple[np.ndarray, np.ndarray]:
+    """(require_hermitian(M), eigvals_hermitian(M)) from one validation of M."""
+    A = require_hermitian(M)
+    return A, _lapack(np.linalg.eigvalsh, A)
 
 
 def reconstruct(w: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -62,10 +62,12 @@ CHECK_SLACK = 1e-9  # slack of the STM and STE bound checks
 
 
 def _support_logs(p: np.ndarray, rhos: np.ndarray):
-    """(ln rho (B, d, d) on the support, spectrum of rho) of the expected state
-    rho = sum_x p_x rho_x of each ensemble of a batch, all validated in one
-    stacked call; raises if a member leaks off the support of its rho."""
-    w, V = _state_spectra(_mixture(p, rhos))
+    """(rho, ln rho on the support, both (B, d, d), and the spectrum of rho)
+    of the expected state rho = sum_x p_x rho_x of each ensemble of a batch,
+    all validated in one stacked call; raises if a member leaks off the
+    support of its rho."""
+    rho = _mixture(p, rhos)
+    w, V = _state_spectra(rho)
     ln_rho, supp = hm.log_on_support(hm.EigenDecomposition(w, V))
     if not supp.all():
         Vk = V * ~supp[:, None, :]  # the kernel's eigenvectors; support columns zeroed
@@ -75,7 +77,7 @@ def _support_logs(p: np.ndarray, rhos: np.ndarray):
             raise DegenerateState(
                 f"member {x} leaks {leak[b, x]:.3e} outside the support of rho"
             )
-    return ln_rho, hm.EigenDecomposition(w, V)
+    return rho, ln_rho, hm.EigenDecomposition(w, V)
 
 
 def _commutators(rhos: np.ndarray, ln_rho: np.ndarray) -> np.ndarray:
@@ -97,23 +99,46 @@ def _rate(p: np.ndarray, H: np.ndarray, C: np.ndarray) -> np.ndarray:
 class _Spectra:
     """The one spectral pass over a batch of ensembles (a `_Batch`: sampled
     trials, Ensembles, or the search's candidates) that every maximal-rate
-    quantity reads: ln rho, C_x = i[rho_x, ln rho] and their
-    eigendecompositions (one stacked LAPACK dispatch for all B n), and the
-    rates (B,) sum_x p_x ||C_x||_1 and p_0 ||C_0||_1."""
+    quantity reads: rho and ln rho, the commutators C_x = i[rho_x, ln rho]
+    and their eigenvalues (one stacked LAPACK dispatch for all of them), and
+    the rates (B,) sum_x p_x ||C_x||_1 and p_0 ||C_0||_1. Their eigenvectors
+    are taken only if `vectors`, for `maximizers`.
 
-    def __init__(self, b: _Batch):
+    At n = 2, sum_x p_x C_x = i[rho, ln rho] = 0 makes C_1 = -(p_0/p_1) C_0,
+    so only C_0 is formed and decomposed: ||C_1||_1 = (p_0/p_1) ||C_0||_1,
+    and the maximum rate is twice the binary one.
+    """
+
+    def __init__(self, b: _Batch, vectors: bool = False):
         self.p = b.p
-        self.ln_rho, self.rho = _support_logs(b.p, b.rhos)
-        self.C = _commutators(b.rhos, self.ln_rho)
-        self.eigs = hm.eig_hermitian(self.C)
-        norms = np.sum(np.abs(self.eigs.eigenvalues), axis=-1)
-        self.max_rate = np.sum(self.p * norms, axis=-1)
+        self.binary = b.p.shape[1] == 2
+        self.mix, self.ln_rho, self.rho = _support_logs(b.p, b.rhos)
+        self.C = _commutators(b.rhos[:, :1] if self.binary else b.rhos, self.ln_rho)
+        if vectors:
+            self.eigs = hm.eig_hermitian(self.C)
+            w = self.eigs.eigenvalues
+        else:
+            w = hm.eigvals_hermitian(self.C)
+        norms = np.sum(np.abs(w), axis=-1)
         self.binary_rate = self.p[:, 0] * norms[:, 0]
+        self.max_rate = 2.0 * self.binary_rate if self.binary else np.sum(self.p * norms, axis=-1)
+
+    def rate(self, M: np.ndarray) -> np.ndarray:
+        """sum_x p_x Tr(M_x C_x) (B,) for one Hamiltonian set M (B, n, d, d)
+        per ensemble; at n = 2, p_0 Tr((M_0 - M_1) C_0)."""
+        if self.binary:
+            return _rate(self.p[:, :1], M[:, :1] - M[:, 1:], self.C)
+        return _rate(self.p, M, self.C)
 
     def maximizers(self) -> hm.EigenDecomposition:
-        """The spectra of the maximizers I - 2 P_neg of C_x: signs (B, n, d),
-        ascending like C_x's eigenvalues, on C_x's eigenvectors."""
+        """The spectra of the maximizers I - 2 P_neg of C_x: signs (B, n, d)
+        on C_x's eigenvectors, in the order of C_x's eigenvalues. At n = 2,
+        C_1's eigenvalues are -(p_0/p_1) times C_0's, on C_0's eigenvectors:
+        H_1 = -H_0 off the kernel of C_0."""
         w, V = self.eigs
+        if self.binary:
+            w = np.concatenate([w, -(self.p[:, :1] / self.p[:, 1:])[..., None] * w], axis=1)
+            V = np.broadcast_to(V, w.shape + w.shape[-1:])
         tol = RANK_TOL * np.maximum(1.0, np.linalg.norm(w, axis=-1, keepdims=True))
         return hm.EigenDecomposition(np.where(w < -tol, -1.0, 1.0), V)  # tol: ||C_x||_F scale
 
@@ -132,7 +157,7 @@ def mixing_rate(E: Ensemble, H: Sequence[Hamiltonian]) -> float:
     """Analytic entropy derivative i * sum_x p(x) Tr(H_x [rho_x, ln rho])."""
     M = _matrices(E, H)
     b = _stack([E])
-    return float(_rate(b.p, M, _commutators(b.rhos, _support_logs(b.p, b.rhos)[0]))[0])
+    return float(_rate(b.p, M, _commutators(b.rhos, _support_logs(b.p, b.rhos)[1]))[0])
 
 
 def _fd_probe(rho_w: np.ndarray, strict: bool) -> np.ndarray:
@@ -193,23 +218,24 @@ def _trajectory(
     return _entropies(rho_t)
 
 
-def _involution_terms(p: np.ndarray, rhos: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _involution_terms(
+    p: np.ndarray, rhos: np.ndarray, rho: np.ndarray, M: np.ndarray
+) -> np.ndarray:
     """rho, sum_x p_x H_x rho_x H_x and i sum_x p_x [rho_x, H_x] (B, 3, d, d)
-    of a batch, from two products per member: H_x rho_x, whose adjoint is
-    rho_x H_x, and (H_x rho_x) H_x. A function of its own so that its
-    temporaries are freed before the stacked eigvalsh."""
+    of a batch with expected states rho, from two products per member:
+    H_x rho_x, whose adjoint is rho_x H_x, and (H_x rho_x) H_x. A function of
+    its own so that its temporaries are freed before the stacked eigvalsh."""
     A = M @ rhos
     S = _mixture(p, A)
-    return np.stack(
-        [_mixture(p, rhos), _mixture(p, A @ M), 1j * (S.conj().swapaxes(-1, -2) - S)], axis=1
-    )
+    return np.stack([rho, _mixture(p, A @ M), 1j * (S.conj().swapaxes(-1, -2) - S)], axis=1)
 
 
 def _involution_trajectory(
-    p: np.ndarray, rhos: np.ndarray, M: np.ndarray, ts: Sequence[float]
+    p: np.ndarray, rhos: np.ndarray, rho: np.ndarray, M: np.ndarray, ts: Sequence[float]
 ) -> np.ndarray:
     """S(rho(t)) (B, T) as `_trajectory` gives it, for Hamiltonians that
-    square to I (the maximizers), given by their matrices M (B, n, d, d).
+    square to I (the maximizers), given by their matrices M (B, n, d, d), and
+    the expected states rho (B, d, d) at t = 0.
     H_x^2 = I makes e^{-iH_x t} = cos t I - i sin t H_x, so
 
         rho(t) = cos^2 t rho + sin^2 t sum_x p_x H_x rho_x H_x
@@ -222,7 +248,7 @@ def _involution_trajectory(
     # Complex, not a real product on a float view: the real BLAS kernel
     # raised the peak RSS of verify --dim 4 by 0.3 MB.
     coef = np.stack([c * c, s * s, s * c], axis=-1).astype(complex)  # (T, 3)
-    terms = _involution_terms(p, rhos, M)
+    terms = _involution_terms(p, rhos, rho, M)
     B, _, d, _ = terms.shape
     return _entropies((coef @ terms.reshape(B, 3, d * d)).reshape(B, ts.size, d, d))
 
@@ -242,7 +268,7 @@ def optimal_hamiltonians(E: Ensemble) -> tuple[Hamiltonian, ...]:
     the kernel of the commutator), so H_x^2 = I and ||H_x|| = 1, and
     mixing_rate(E, result) = +max_mixing_rate(E).
     """
-    M = hm.hermitian_part(hm.reconstruct(*_Spectra(_stack([E])).maximizers()))[0]
+    M = hm.hermitian_part(hm.reconstruct(*_Spectra(_stack([E]), vectors=True).maximizers()))[0]
     return tuple(Hamiltonian(H) for H in M)
 
 
@@ -349,12 +375,12 @@ def _evaluate(
       "verify":  max_rate / general bound (twice "compute") and binary / S(p);
       "binary":  bound_thm 4 sqrt(p(1-p)), binary / bound_thm and binary / h(p).
     """
-    sp = _Spectra(b)
-    p, B = b.p, len(b.p)
     involutions = M is None
+    sp = _Spectra(b, vectors=involutions)
+    p, B = b.p, len(b.p)
     if involutions:
         M = hm.hermitian_part(hm.reconstruct(*sp.maximizers()))
-    rate = _rate(p, M, sp.C)
+    rate = sp.rate(M)
     mx = sp.max_rate
     shannon = _shannon(p)
     bound = bound_theorem_general(p)
@@ -377,7 +403,7 @@ def _evaluate(
         stm_times = () if policy == "compute" else STM_TIMES
         ts = fd_times + stm_times
         if involutions:
-            S = _involution_trajectory(p, b.rhos, M, ts)
+            S = _involution_trajectory(p, b.rhos, sp.mix, M, ts)
         else:
             S = _trajectory(p, b.rhos, hm.eig_hermitian(M), ts)
         fd_residual = np.abs(rate - _richardson(S.T, DEFAULT_FD_STEP)).tolist()

@@ -21,9 +21,11 @@ in blocks: one candidate per iteration, each built as `Ensemble` and
 `DensityMatrix` objects and evaluated through the public rate functions.
 `mixrate.harness.search_ratio` must return the same record, field for field,
 for every configuration, including the errors; so it draws each candidate
-through the program's `_climb_draws` as a block of one, and its unitaries
-(`unitary_at`) and conjugations (`conjugated`) keep the program's kernels and
-operation order.
+through the program's `_climb_draws` as a block of one, its unitaries
+(`unitary_at`) and conjugations (`_perturb`) keep the program's kernels and
+operation order, and each restart takes the eigenvectors the climb turns
+from one stacked eigh of the members, as the program does
+(`restart_vectors`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from mixrate.ensembles import (
     DensityMatrix,
     Ensemble,
     _assign,
-    _frozen,
     _stack,
     binary_entropy,
     shannon_entropy,
@@ -400,22 +401,25 @@ def unitary_at(w, V, t):
 
 
 def state_with_spectrum(w, V) -> DensityMatrix:
-    """V diag(w) V† as a DensityMatrix that holds (w, V), not validated."""
-    return _assign(object.__new__(DensityMatrix), *_frozen(w, V))
+    """V diag(w) V† as a DensityMatrix that holds w, not validated."""
+    return _assign(object.__new__(DensityMatrix), hm.hermitian_part(hm.reconstruct(w, V)), w)
 
 
-def conjugated(rho: DensityMatrix, U: np.ndarray) -> DensityMatrix:
-    """U rho U† with spectrum (w, U V), not validated again."""
-    w, V = rho.spectrum
-    return state_with_spectrum(w, U @ V)
+def restart_vectors(E):
+    """The eigenvectors of E's members from one stacked eigh, which the climb
+    turns from each restart on."""
+    return list(hm.eig_hermitian(np.array([s.matrix for s in E.states])).eigenvectors)
 
 
-def _perturb(E, eps, g):
-    """The members conjugated by exp(i eps H) for fresh unit-norm H, and the
-    n probability noises, drawn as a block of one candidate draws them."""
-    w, V, noise = hz._climb_draws(1, len(E), E.dim, g)
-    U = [unitary_at(wx, Vx, -eps) for wx, Vx in zip(w[0], V[0])]
-    return [conjugated(s, Ux) for s, Ux in zip(E.states, U)], noise[0]
+def _perturb(E, V, eps, g):
+    """The members conjugated by exp(i eps H) for fresh unit-norm H, drawn as
+    a block of one candidate draws them: U rho_x U† with eigenvalues w_x on
+    the eigenvectors U V_x, not validated again. Returns those states, their
+    eigenvectors and the n probability noises."""
+    w, hV, noise = hz._climb_draws(1, len(E), E.dim, g)
+    UV = [unitary_at(wx, hVx, -eps) @ Vx for wx, hVx, Vx in zip(w[0], hV[0], V)]
+    states = [state_with_spectrum(s.eigenvalues, X) for s, X in zip(E.states, UV)]
+    return states, UV, noise[0]
 
 
 def _perturb_probs(p, eps, noise):
@@ -447,11 +451,12 @@ def search_ratio(cfg):
     try:
         while iters < cfg.search_max_iters:
             cur = hz._ensemble(hz._batch([hz._trial_draw(cfg, g)]), 0)
+            V = restart_vectors(cur)
             cur_obj = _objective(cur, cfg.binary)
             eps, rejects = hz.SEARCH_STEP, 0
             while iters < cfg.search_max_iters and eps >= 1e-6:
                 iters += 1
-                states, noise = _perturb(cur, eps, g)
+                states, UV, noise = _perturb(cur, V, eps, g)
                 cand = Ensemble(_perturb_probs(cur.probabilities, eps, noise), states)
                 bound = hz.bound_theorem_general(cand.probabilities)
                 mx = max_mixing_rate(cand)
@@ -459,7 +464,7 @@ def search_ratio(cfg):
                     raise BoundViolation(f"max rate {mx!r} exceeds the general bound {bound!r}")
                 obj = _objective(cand, cfg.binary)
                 if obj > cur_obj:
-                    cur, cur_obj, rejects = cand, obj, 0
+                    cur, V, cur_obj, rejects = cand, UV, obj, 0
                 else:
                     rejects += 1
                     if rejects >= 20:

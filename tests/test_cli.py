@@ -651,6 +651,32 @@ class TestSie:
         assert code == EXIT_USAGE
 
 
+def _one_bad_pair(tmp_path, which: str, pair) -> list:
+    """The argv that reads an ensemble, Hamiltonian-set, pure-state or
+    operator file (`which`) whose one [re, im] pair is `pair`, the other
+    three files being valid."""
+    E, H = random_ensemble(2, 2, rng(740)), random_hamiltonian_set(2, 2, rng(741))
+    ens = json.loads(serialize_ensemble(E))
+    hams = {"dim": 2, "hamiltonians": [matrix_to_json(h.matrix) for h in H]}
+    sp, op = TestSie._bell_files(tmp_path)
+    state, operator = json.loads(sp.read_text()), json.loads(op.read_text())
+    row, k = {
+        "ensemble": (ens["states"][1][0], 0),
+        "hamiltonians": (hams["hamiltonians"][1][0], 0),
+        "state": (state["amplitudes"], 3),
+        "operator": (operator["hamiltonian"][1], 0),
+    }[which]
+    row[k] = pair
+    ep, hp = tmp_path / "e.json", tmp_path / "h.json"
+    for path, obj in ((ep, ens), (hp, hams), (sp, state), (op, operator)):
+        path.write_text(json.dumps(obj))
+    compute = ["compute", "--ensemble", str(ep)]
+    return {
+        "ensemble": compute,
+        "hamiltonians": compute + ["--hamiltonians", str(hp)],
+    }.get(which, ["sie", "--state", str(sp), "--ham", str(op)])
+
+
 @pytest.mark.parametrize(
     "which, message",
     [
@@ -665,26 +691,7 @@ def test_infinite_imaginary_part_is_refused_without_warnings(which, message, tmp
     # must not warn on the way to the refusal.
     import mixrate
 
-    E, H = random_ensemble(2, 2, rng(740)), random_hamiltonian_set(2, 2, rng(741))
-    ens = json.loads(serialize_ensemble(E))
-    hams = {"dim": 2, "hamiltonians": [matrix_to_json(h.matrix) for h in H]}
-    sp, op = TestSie._bell_files(tmp_path)
-    state, operator = json.loads(sp.read_text()), json.loads(op.read_text())
-    row, k = {
-        "ensemble": (ens["states"][1][0], 0),
-        "hamiltonians": (hams["hamiltonians"][1][0], 0),
-        "state": (state["amplitudes"], 3),
-        "operator": (operator["hamiltonian"][1], 0),
-    }[which]
-    row[k] = [0.0, math.inf]
-    ep, hp = tmp_path / "e.json", tmp_path / "h.json"
-    for path, obj in ((ep, ens), (hp, hams), (sp, state), (op, operator)):
-        path.write_text(json.dumps(obj))
-    compute = ["compute", "--ensemble", str(ep)]
-    argv = {
-        "ensemble": compute,
-        "hamiltonians": compute + ["--hamiltonians", str(hp)],
-    }.get(which, ["sie", "--state", str(sp), "--ham", str(op)])
+    argv = _one_bad_pair(tmp_path, which, [0.0, math.inf])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixrate.__file__)))
     run = subprocess.run(
         [sys.executable, "-m", "mixrate.cli", *argv],
@@ -693,6 +700,96 @@ def test_infinite_imaginary_part_is_refused_without_warnings(which, message, tmp
     assert run.returncode == EXIT_USAGE
     assert message in run.stderr
     assert "Warning" not in run.stderr, run.stderr
+
+
+def _refused(argv, message: str, capsys) -> None:
+    """argv exits 1 with exactly one stderr line, the error, naming `message`."""
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mixrate: error: "), err
+    assert message in err[0]
+
+
+@pytest.mark.parametrize("which", ["ensemble", "hamiltonians", "state", "operator"])
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (["1", 0.0], "entries must be JSON numbers"),
+        ([0.0, "0"], "entries must be JSON numbers"),
+        ([False, 0.0], "entries must be JSON numbers"),
+        ([0.0, True], "entries must be JSON numbers"),
+        ([None, 0.0], "entries must be JSON numbers"),
+        ([10**400, 0.0], "not a numeric array"),  # beyond a float: once an OverflowError
+    ],
+)
+def test_matrix_entries_must_be_json_numbers(which, pair, message, tmp_path, capsys):
+    # np.asarray(..., dtype=float) alone reads "1" as 1.0, false as 0.0 and null as NaN.
+    _refused(_one_bad_pair(tmp_path, which, pair), message, capsys)
+
+
+class TestBoundary:
+    """Inputs that once ended in a traceback or grew without bound. Each is
+    refused before any trial or grid point is allocated; an oversized
+    request is only ever tested by its refusal."""
+
+    @staticmethod
+    def forbid(monkeypatch, module, *names):
+        """Make each named function of module fail the test if it is called."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated before the refusal")
+
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+
+    @pytest.mark.parametrize("which", ["ensemble", "hamiltonians", "state", "operator"])
+    def test_deep_nesting_is_a_parse_error(self, which, ensemble_file, tmp_path, capsys):
+        # 5000 open brackets made json.loads raise an uncaught RecursionError.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000)
+        sp, hp = TestSie._bell_files(tmp_path)
+        compute = ["compute", "--ensemble"]
+        argv = {
+            "ensemble": compute + [str(deep)],
+            "hamiltonians": compute + [str(ensemble_file), "--hamiltonians", str(deep)],
+            "state": ["sie", "--state", str(deep), "--ham", str(hp)],
+            "operator": ["sie", "--state", str(sp), "--ham", str(deep)],
+        }[which]
+        _refused(argv, "malformed JSON: nested too deeply", capsys)
+
+    @pytest.mark.parametrize("trials", ["99999999999999999999", str(hz.MAX_TRIALS + 1)])
+    def test_verify_trials_above_the_ceiling(self, trials, monkeypatch, capsys):
+        # 10**20 trials made trial_chunks raise an uncaught OverflowError.
+        self.forbid(monkeypatch, hz, "trial_chunks", "run_trials")
+        argv = ["verify", "--dim", "2", "--states", "2", "--trials", trials, "--seed", "1"]
+        _refused(argv, f"n_trials {trials} above the limit of {hz.MAX_TRIALS}", capsys)
+
+    def test_the_ceiling_admits_itself(self):
+        assert ExperimentConfig(n_trials=hz.MAX_TRIALS).n_trials == hz.MAX_TRIALS
+
+    @pytest.mark.parametrize("spec", ["0.1:0.9:1e-300", "0.1:0.9:1e-320", "0:1:1e-6"])
+    def test_grid_above_the_ceiling(self, spec, monkeypatch, capsys):
+        # A step of 1e-300 once built the grid until memory ran out; 1e-320
+        # makes the point count infinite. The builtin range the grid is built
+        # from is forbidden, so no grid is built whatever _parse_grid does.
+        self.forbid(monkeypatch, cli, "range")
+        argv = ["scan", "--p-grid", spec, "--dim", "2", "--trials", "1", "--seed", "1"]
+        _refused(argv, f"more than {hz.MAX_TRIALS} points", capsys)
+
+    def test_ceiling_edges(self, monkeypatch, tmp_path, capsys):
+        # At a ceiling of 10: 10 grid points and 5 x 2 scan trials run, one
+        # more of either is refused, and so is an 11-trial verify.
+        monkeypatch.setattr(hz, "MAX_TRIALS", 10)
+        assert len(cli._parse_grid("0.1:1:0.1")) == 9  # 10 points, 1.0 dropped
+        with pytest.raises(cli.MixRateError, match="more than 10 points"):
+            cli._parse_grid("0.1:1.1:0.1")
+        scan = ["scan", "--p-grid", "0.1:0.5:0.1", "--dim", "2", "--seed", "1"]
+        out = str(tmp_path / "s.csv")
+        assert main(scan + ["--trials", "2", "--out", out]) in (EXIT_OK, EXIT_CONJECTURE)
+        capsys.readouterr()
+        _refused(scan + ["--trials", "3"], "5 grid points x 3 trials above the limit of 10", capsys)
+        _refused(["verify", "--dim", "2", "--states", "2", "--trials", "11", "--seed", "1"],
+                 "n_trials 11 above the limit of 10", capsys)
 
 
 class TestEigenBudget:

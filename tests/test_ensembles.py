@@ -32,8 +32,8 @@ from conftest import random_density, random_ensemble, random_hamiltonian_set, rn
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) from the spectrum validation kept, through the entropy kernel."""
-    return ens._entropy_from_eigenvalues(rho.spectrum.eigenvalues, rho.dim)
+    """S(rho) from the eigenvalues validation kept, through the entropy kernel."""
+    return ens._entropy_from_eigenvalues(rho.eigenvalues, rho.dim)
 
 
 def average_entropy(E: Ensemble) -> float:

@@ -12,6 +12,7 @@ from mixrate.ensembles import (
     DensityMatrix,
     Ensemble,
     Hamiltonian,
+    _mixture,
     _stack,
     binary_entropy,
     parse_ensemble,
@@ -27,6 +28,7 @@ from mixrate.errors import (
     NotBinary,
     RankDeficient,
 )
+from mixrate.hermitian import RANK_TOL
 
 from conftest import (
     random_ensemble,
@@ -420,7 +422,7 @@ class TestInvolutionTrajectory:
     def maximizers(Es):
         """The batch of Es, its maximizers' spectra and their matrices."""
         b = _stack(Es)
-        H = rates._Spectra(b).maximizers()
+        H = rates._Spectra(b, vectors=True).maximizers()
         return b, H, hm.hermitian_part(hm.reconstruct(*H))
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
@@ -428,7 +430,7 @@ class TestInvolutionTrajectory:
     def test_matches_the_spectral_route(self, dim, n):
         g = rng(340 + 10 * dim + n)
         b, H, M = self.maximizers([random_ensemble(dim, n, g) for _ in range(3)])
-        closed = rates._involution_trajectory(b.p, b.rhos, M, self.TIMES)
+        closed = rates._involution_trajectory(b.p, b.rhos, _mixture(b.p, b.rhos), M, self.TIMES)
         spectral = rates._trajectory(b.p, b.rhos, H, self.TIMES)
         assert closed.shape == (3, len(self.TIMES))
         assert np.abs(closed - spectral).max() <= 1e-12
@@ -438,7 +440,7 @@ class TestInvolutionTrajectory:
         E = random_ensemble(2, n, rng(345 + n))
         b, _, M = self.maximizers([E])
         H = rates.optimal_hamiltonians(E)
-        S = rates._involution_trajectory(b.p, b.rhos, M, self.TIMES)[0]
+        S = rates._involution_trajectory(b.p, b.rhos, _mixture(b.p, b.rhos), M, self.TIMES)[0]
         for t, s in zip(self.TIMES, S):
             assert abs(s - reference.qubit_entropy_at(E, H, t)) <= 1e-12
 
@@ -448,12 +450,12 @@ class TestInvolutionTrajectory:
         b = _stack([Ensemble([1.0], [bad])])
         X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # X^2 = I
         with pytest.raises(InvariantViolation):
-            rates._involution_trajectory(b.p, b.rhos, X[None, None], self.TIMES)
+            rates._involution_trajectory(b.p, b.rhos, b.rhos[:, 0], X[None, None], self.TIMES)
 
 
 class TestLapackDispatches:
-    """Every eigendecomposition goes through `hermitian._lapack`; these count
-    its calls and record what each one diagonalized."""
+    """Every eigendecomposition goes through `hermitian._lapack`; these record
+    each call's routine and what it decomposed."""
 
     @staticmethod
     def record(monkeypatch) -> list:
@@ -461,21 +463,60 @@ class TestLapackDispatches:
         lapack = hm._lapack
 
         def recorded(f, A):
-            seen.append(A)
+            seen.append((f.__name__, A))
             return lapack(f, A)
 
         monkeypatch.setattr(hm, "_lapack", recorded)
         return seen
 
-    def test_a_run_trials_chunk_makes_four(self, monkeypatch):
-        cfg = hz.ExperimentConfig(dim=4, n_states=3, seed=1)
+    @staticmethod
+    def calls(seen) -> list:
+        return [(f, a.shape) for f, a in seen]
+
+    def chunk(self, n: int, monkeypatch) -> list:
+        """The dispatches of a 32-trial run_trials chunk at d = 4."""
+        cfg = hz.ExperimentConfig(dim=4, n_states=n, seed=1)
         (ids,) = hz.trial_chunks(range(32), cfg.dim)
         seen = self.record(monkeypatch)
         records = hz.run_trials(cfg, ids)
         assert all(r.error is None for r in records)
-        # The member states, the expected states, the commutators, and the
-        # evolved states at the 4 FD and 3 STM times.
-        assert [a.shape for a in seen] == [(32, 3, 4, 4), (32, 4, 4), (32, 3, 4, 4), (32, 7, 4, 4)]
+        return self.calls(seen)
+
+    def test_a_run_trials_chunk_makes_four(self, monkeypatch):
+        # The member states' eigenvalues; the expected states' spectra, for
+        # ln rho; the commutators' spectra, for the maximizers; and the
+        # evolved states' eigenvalues at the 4 FD and 3 STM times.
+        assert self.chunk(3, monkeypatch) == [
+            ("eigvalsh", (32, 3, 4, 4)),
+            ("eigh", (32, 4, 4)),
+            ("eigh", (32, 3, 4, 4)),
+            ("eigvalsh", (32, 7, 4, 4)),
+        ]
+
+    def test_a_binary_chunk_decomposes_one_commutator_per_trial(self, monkeypatch):
+        # The same four, with C_0 alone decomposed: C_1 = -(p_0/p_1) C_0.
+        assert self.chunk(2, monkeypatch) == [
+            ("eigvalsh", (32, 2, 4, 4)),
+            ("eigh", (32, 4, 4)),
+            ("eigh", (32, 1, 4, 4)),
+            ("eigvalsh", (32, 7, 4, 4)),
+        ]
+
+    @pytest.mark.parametrize("n, binary", [(2, True), (2, False), (3, False)])
+    def test_a_search_block_decomposes_no_commutator(self, n, binary, monkeypatch):
+        cfg = hz.ExperimentConfig(dim=3, n_states=n, seed=5)
+        g = hz.RNGSpec(5, 0).generator()
+        cur = hz._batch([hz._trial_draw(cfg, g)])
+        V = hm.eig_hermitian(cur.rhos[0]).eigenvectors
+        seen = self.record(monkeypatch)
+        hz._climb_block(cur, V, 0.1, 6, g, binary)
+        # The candidates' Hamiltonians, for their unitaries; the expected
+        # states' spectra, for ln rho; and the commutators' eigenvalues only.
+        assert self.calls(seen) == [
+            ("eigh", (6, n, 3, 3)),
+            ("eigh", (6, 3, 3)),
+            ("eigvalsh", (6, 1 if n == 2 else n, 3, 3)),
+        ]
 
     @pytest.mark.parametrize("dim, n", [(2, 2), (3, 3), (4, 2)])
     def test_the_maximizers_are_never_diagonalized(self, dim, n, monkeypatch):
@@ -484,7 +525,7 @@ class TestLapackDispatches:
         M = np.array([h.matrix for h in H])[None]
 
         def diagonalized(seen):
-            return any(a.shape == M.shape and np.allclose(a, M, atol=1e-12) for a in seen)
+            return any(a.shape == M.shape and np.allclose(a, M, atol=1e-12) for _, a in seen)
 
         seen = self.record(monkeypatch)
         rates.rate_report(E)
@@ -503,6 +544,35 @@ class TestLapackDispatches:
         rates.rate_report(E, H)
         assert at_maximizers == 3  # rho, the commutators, rho(t) at the FD times
         assert len(seen) == at_maximizers + 1
+        # Given Hamiltonians need no maximizer: the commutators' eigenvalues
+        # suffice, and the Hamiltonians' spectra evolve rho(t).
+        assert [f for f, _ in seen] == ["eigh", "eigvalsh", "eigh", "eigvalsh"]
+
+
+class TestBinaryCommutator:
+    """At n = 2, `_Spectra` forms and decomposes C_0 = i[rho_0, ln rho] alone
+    and reads C_1 = -(p_0/p_1) C_0 from sum_x p_x C_x = i[rho, ln rho] = 0.
+    Here C_1 = i[rho_1, ln rho] is formed and decomposed as at n >= 3."""
+
+    REL = 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_matches_the_second_commutator(self, dim):
+        g = rng(360 + dim)
+        b = _stack([random_ensemble(dim, 2, g) for _ in range(3)])
+        sp = rates._Spectra(b, vectors=True)
+        C = rates._commutators(b.rhos, sp.ln_rho)  # (3, 2, d, d): both members
+        w, V = hm.eig_hermitian(C)
+        norms = np.abs(w).sum(axis=-1)
+        direct = (b.p * norms).sum(axis=-1)
+        assert np.abs(sp.max_rate - direct).max() <= self.REL * direct.max()
+        assert np.abs(sp.binary_rate - b.p[:, 0] * norms[:, 0]).max() <= self.REL * direct.max()
+        # The maximizers, each of operator norm 1, and the rate at them.
+        tol = RANK_TOL * np.maximum(1.0, np.linalg.norm(w, axis=-1, keepdims=True))
+        H = hm.reconstruct(np.where(w < -tol, -1.0, 1.0), V)
+        M = hm.reconstruct(*sp.maximizers())
+        assert np.abs(M - H).max() <= self.REL
+        assert np.abs(sp.rate(M) - rates._rate(b.p, H, C)).max() <= self.REL * direct.max()
 
 
 class TestStmCheck:

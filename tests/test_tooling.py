@@ -4,7 +4,10 @@ Runtime invariants raise typed MixRateErrors, so `src/mixrate` holds no
 `assert` statement (asserts vanish under `python -O`). Every
 eigendecomposition goes through `hermitian._lapack`, the one place that
 types LAPACK errors and the one point that counts them: numpy's `eigh` and
-`eigvalsh` appear only as the routine handed to `_lapack`. No public
+`eigvalsh` appear only as the routine handed to `_lapack`. A full
+`hermitian.eig_hermitian` is taken only at the call sites of EIGH_SITES,
+each of which reads the eigenvectors; everywhere else the eigenvalues
+suffice, and `eigvals_hermitian` takes them. No public
 function, method or constructor takes a parameter named with a leading
 underscore: a private back door on the public API. Every public top-level
 name of a module is reached: referenced by the package itself, by an
@@ -79,6 +82,63 @@ def test_scan_finds_what_it_forbids(tmp_path):
         "eigh outside hermitian._lapack",
         "calls _lapack outside hermitian",
     ]
+
+
+# Where eig_hermitian is called, as module.function, and what reads the
+# eigenvectors there.
+EIGH_SITES = {
+    "hermitian.support_log": "ln M, rebuilt on M's eigenvectors",
+    "ensembles._state_spectra": "a parsed state's rebuild, and ln rho, on the eigenvectors",
+    "rates._Spectra.__init__": "the maximizers I - 2 P_neg of the commutators",
+    "rates._evaluate": "the spectral trajectory, in a given Hamiltonian's eigenbasis",
+    "rates.ak_gap": "ln(A + B), rebuilt on its eigenvectors",
+    "harness._unit_spectra": "the search's unitaries exp(i eps H)",
+    "harness._search": "the restart's eigenbases, which the climb turns",
+    "entangling._entanglement_trajectory": "Psi(t), evolved in H's eigenbasis",
+}
+
+
+def _eigh_sites(path: Path) -> set[str]:
+    """module.function (module.Class.method) of every reference to
+    eig_hermitian in one module, outside its own definition."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sites = set()
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, *FUNCS)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "eig_hermitian") or (
+                isinstance(child, ast.Name) and child.id == "eig_hermitian"
+            ):
+                sites.add(where)
+            visit(child, where)
+
+    visit(tree, path.stem)
+    return sites
+
+
+def test_eigh_only_where_eigenvectors_are_read():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert set().union(*map(_eigh_sites, files)) == set(EIGH_SITES)
+
+
+def test_eigh_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "mod.py"
+    bad.write_text(
+        "from . import hermitian as hm\n"
+        "from .hermitian import eig_hermitian\n"
+        "def spectrum(A):\n"
+        "    return hm.eig_hermitian(A).eigenvalues\n"
+        "class Pass:\n"
+        "    def run(self, A):\n"
+        "        f = eig_hermitian\n"
+        "        return hm.eigvals_hermitian(A), f(A)\n"
+        "def eig_hermitian(M): pass\n"
+    )
+    assert _eigh_sites(bad) == {"mod.spectrum", "mod.Pass.run"}
 
 
 def _private_parameters(path: Path) -> list[str]:
