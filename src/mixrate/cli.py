@@ -191,12 +191,12 @@ def cmd_scan(args) -> int:
     for pi, p in enumerate(grid):
         batch = records[pi * cfg.n_trials : (pi + 1) * cfg.n_trials]
         worst = max((r.ratio_conj or 0.0) for r in batch)
-        print(f"p={p:.4f} max ratio_conj={worst!r}", file=sys.stderr)
+        print(f"p={p!r} max ratio_conj={worst!r}", file=sys.stderr)
     status = guard_status(records)
     if status == EXIT_CONJECTURE:
         _flag_conjecture_offenders(
             records,
-            lambda r: hz.scan_binary_ensemble(cfg, r.trial_id, r.probabilities[0]),
+            lambda r: hz.trial_ensemble(cfg, r.trial_id, r.probabilities[0]),
             lambda r: f"conjecture_offender_scan_trial{r.trial_id}.json",
         )
     return status

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,7 +62,11 @@ class RNGSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for sampling and search."""
+    """Knobs for sampling and search.
+
+    Nothing reads `mode`; it is validated and kept only because callers
+    outside the package still pass it (the benchmark's search workload
+    passes mode="search")."""
 
     dim: int = 2
     n_states: int = 2
@@ -145,16 +149,17 @@ def _sample_probs(n: int, g: np.random.Generator) -> np.ndarray:
             return p
 
 
-def _trial_draw(cfg: ExperimentConfig, g: np.random.Generator):
-    """A trial's draw: the probabilities, then the normals of cfg.n_states
-    Ginibre matrices."""
-    n = cfg.n_states
-    return _sample_probs(n, g), g.standard_normal((n, 2, cfg.dim, cfg.dim))
+def _trial_draw(cfg: ExperimentConfig, g: np.random.Generator, p: Optional[float] = None):
+    """A trial's draw: cfg.n_states probabilities, drawn unless a scan fixes
+    them at (p, 1 - p), then the normals of one Ginibre matrix per member."""
+    probs = _sample_probs(cfg.n_states, g) if p is None else [p, 1.0 - p]
+    return probs, g.standard_normal((len(probs), 2, cfg.dim, cfg.dim))
 
 
-def sample_ensemble(cfg: ExperimentConfig, rng: RNGSpec) -> Ensemble:
-    """cfg.n_states Hilbert-Schmidt states with flat-Dirichlet probabilities."""
-    return _ensemble(_batch([_trial_draw(cfg, rng.generator())]), 0)
+def sample_ensemble(cfg: ExperimentConfig, rng: RNGSpec, p: Optional[float] = None) -> Ensemble:
+    """cfg.n_states Hilbert-Schmidt states with flat-Dirichlet probabilities,
+    or two with the probabilities (p, 1 - p)."""
+    return _ensemble(_batch([_trial_draw(cfg, rng.generator(), p)]), 0)
 
 
 def trial_chunks(ids: Sequence[int], dim: int) -> list[list[int]]:
@@ -172,47 +177,33 @@ def evaluate_batch(
     cfg.binary, else "verify". If the chunk raises, each ensemble is
     evaluated again alone, so an error lands on its own record."""
     n, dim = b.w.shape[-2:]
-    records = [
-        TrialRecord(trial_id=i, seed=cfg.seed, dim=dim, n_states=n, probabilities=tuple(p))
-        for p, i in zip(b.p.tolist(), trial_ids)
-    ]
+    heads = [(i, cfg.seed, dim, n, tuple(p)) for i, p in zip(trial_ids, b.p.tolist())]
     try:
-        reports, stm_ok = _evaluate(b, None, "binary" if cfg.binary else "verify")
+        _, *columns = _evaluate(b, None, "binary" if cfg.binary else "verify")
     except MixRateError as exc:
         if len(trial_ids) > 1:
             return [evaluate_batch(b.one(k), cfg, [i])[0] for k, i in enumerate(trial_ids)]
-        records[0].error = f"{type(exc).__name__}: {exc}"
-    else:
-        for rec, r, ok in zip(records, reports, stm_ok):
-            rec.max_rate, rec.binary_max_rate = r.max_rate, r.binary_max_rate
-            rec.bound_thm, rec.shannon = r.bound_thm, r.bound_conjecture
-            rec.fd_residual, rec.stm_ok = r.fd_residual, ok
-            rec.ratio_thm, rec.ratio_conj = r.ratio_thm, r.ratio_conjecture
-    return records
+        return [TrialRecord(*heads[0], error=f"{type(exc).__name__}: {exc}")]
+    return [TrialRecord(*head, *row) for head, row in zip(heads, zip(*columns))]
 
 
-def trial_ensemble(cfg: ExperimentConfig, trial_id: int) -> Ensemble:
-    """Regenerate the exact ensemble a trial saw (for offender serialization)."""
-    return sample_ensemble(cfg, RNGSpec(cfg.seed, trial_id))
+def trial_ensemble(cfg: ExperimentConfig, trial_id: int, p: Optional[float] = None) -> Ensemble:
+    """Regenerate the exact ensemble a trial saw (for offender serialization);
+    a scan trial at p gives its p."""
+    return sample_ensemble(cfg, RNGSpec(cfg.seed, trial_id), p)
 
 
-def run_trials(cfg: ExperimentConfig, trial_ids: Sequence[int]) -> list[TrialRecord]:
-    """Sample the ensemble of each trial from (cfg.seed, trial id) and
+def run_trials(
+    cfg: ExperimentConfig, trial_ids: Sequence[int], ps: Optional[Sequence[float]] = None
+) -> list[TrialRecord]:
+    """Sample the ensemble of each trial from (cfg.seed, trial id), with its
+    probabilities fixed at (p, 1 - p) for the matching p of a scan's ps, and
     evaluate them as one chunk."""
-    b = _batch([_trial_draw(cfg, RNGSpec(cfg.seed, i).generator()) for i in trial_ids])
+    ps = [None] * len(trial_ids) if ps is None else ps
+    gens = (RNGSpec(cfg.seed, i).generator() for i in trial_ids)
+    # The draws stay unnamed, so that their normals are freed before the evaluation.
+    b = _batch([_trial_draw(cfg, g, p) for g, p in zip(gens, ps)])
     return evaluate_batch(b, cfg, trial_ids)
-
-
-def _scan_draw(cfg: ExperimentConfig, trial_id: int, p: float):
-    """A scan trial's draw: the probabilities (p, 1 - p), then the normals of
-    two Ginibre matrices."""
-    g = RNGSpec(cfg.seed, trial_id).generator()
-    return [p, 1.0 - p], g.standard_normal((2, 2, cfg.dim, cfg.dim))
-
-
-def scan_binary_ensemble(cfg: ExperimentConfig, trial_id: int, p: float) -> Ensemble:
-    """The binary ensemble {(p, rho_1), (1 - p, rho_2)} of one scan trial."""
-    return _ensemble(_batch([_scan_draw(cfg, trial_id, p)]), 0)
 
 
 def scan_binary(
@@ -224,18 +215,14 @@ def scan_binary(
         raise DomainError(
             f"{len(p_grid)} grid points x {cfg.n_trials} trials above the limit of {MAX_TRIALS}"
         )
-    p_of = {}
-    for pi, p in enumerate(p_grid):
-        p = float(p)
+    ps = [float(p) for p in p_grid for _ in range(cfg.n_trials)]
+    for p in ps:
         if not 0.0 < p < 1.0:
             raise DomainError(f"p-grid values must lie in (0, 1), got {p!r}")
-        for j in range(cfg.n_trials):
-            p_of[pi * cfg.n_trials + j] = p
     binary = replace(cfg, binary=True)  # a scan is binary, whatever cfg says
     records = []
-    for chunk in trial_chunks(list(p_of), cfg.dim):
-        b = _batch([_scan_draw(cfg, i, p_of[i]) for i in chunk])
-        records.extend(evaluate_batch(b, binary, chunk))
+    for chunk in trial_chunks(range(len(ps)), cfg.dim):
+        records.extend(run_trials(binary, chunk, [ps[i] for i in chunk]))
     return records
 
 
@@ -376,26 +363,22 @@ CSV_HEADER = (
 
 
 def _csv_cell(v) -> str:
+    # str of a float is its repr: the shortest string that reads back exactly.
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     if isinstance(v, tuple):
-        return ";".join(repr(float(p)) for p in v)
+        return ";".join(map(str, v))
     return str(v)
 
 
-def record_to_csv_row(rec: TrialRecord) -> str:
-    """One CSV line, a cell per CSV_HEADER column ("probs" is `probabilities`)."""
-    names = ("probabilities" if c == "probs" else c for c in CSV_HEADER.split(","))
-    return ",".join(_csv_cell(getattr(rec, n)) for n in names)
-
-
 def records_to_csv(records: Sequence[TrialRecord]) -> str:
+    """CSV_HEADER, then one line per record: a cell for each of its leading
+    fields, in order, one per CSV_HEADER column."""
+    names = [f.name for f in fields(TrialRecord)][: CSV_HEADER.count(",") + 1]
     lines = [CSV_HEADER]
-    lines.extend(record_to_csv_row(r) for r in records)
+    lines.extend(",".join(_csv_cell(getattr(r, k)) for k in names) for r in records)
     return "\n".join(lines) + "\n"
 
 

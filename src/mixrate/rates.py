@@ -358,11 +358,11 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> list[Optional[float]]:
     return [a / b if b > 0 else None for a, b in zip(num.tolist(), den.tolist())]
 
 
-def _evaluate(
-    b: _Batch, M: Optional[np.ndarray], policy: str
-) -> tuple[list[RateReport], list[bool]]:
-    """The reports of a batch of ensembles from one spectral pass, and
-    whether STM holds for each at STM_TIMES ("compute" checks no times).
+def _evaluate(b: _Batch, M: Optional[np.ndarray], policy: str) -> tuple[list, ...]:
+    """The columns of a batch of ensembles from one spectral pass, a list
+    (B,) each: the rate at M, then max_rate, binary_max_rate, bound_thm,
+    shannon, ratio_thm, ratio_conj, fd_residual and whether STM holds at
+    STM_TIMES ("compute" checks no times), as `harness.TrialRecord` orders them.
 
     M, the matrices (B, n, d, d) of one Hamiltonian set per ensemble (as
     `_matrices` gives them), defaults to the maximizers. The FD and STM times
@@ -409,17 +409,15 @@ def _evaluate(
         fd_residual = np.abs(rate - _richardson(S.T, DEFAULT_FD_STEP)).tolist()
         stm_ok = _stm_sandwich(p, b.w, S[:, len(fd_times):]).all(axis=-1).tolist()
     binaries = [None] * B if binary is None else binary.tolist()
-    reports = [
-        RateReport(*row)
-        for row in zip(
-            rate.tolist(), mx.tolist(), binaries, bound.tolist(), shannon.tolist(),
-            fd_residual, ratio_thm, ratio_conj,
-        )
-    ]
-    return reports, stm_ok
+    return (
+        rate.tolist(), mx.tolist(), binaries, bound.tolist(), shannon.tolist(),
+        ratio_thm, ratio_conj, fd_residual, stm_ok,
+    )
 
 
 def rate_report(E: Ensemble, H: Optional[Sequence[Hamiltonian]] = None) -> RateReport:
     """Evaluate all rates and bounds for E; H defaults to the maximizers."""
     M = None if H is None else _matrices(E, H)
-    return _evaluate(_stack([E]), M, "compute")[0][0]
+    columns = _evaluate(_stack([E]), M, "compute")
+    rate, mx, binary, bound, shannon, ratio_thm, ratio_conj, fd, _ = (c[0] for c in columns)
+    return RateReport(rate, mx, binary, bound, shannon, fd, ratio_thm, ratio_conj)

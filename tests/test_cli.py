@@ -1,14 +1,19 @@
+import contextlib
 import ctypes
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixrate import cli
 from mixrate import ensembles as ens
@@ -366,7 +371,12 @@ class TestVerify:
         assert capsys.readouterr().err.splitlines() == [
             f"trial {i}: NoConvergence: eigh did not converge" for i in range(6)
         ]
-        assert len(out.read_text().splitlines()) == 7  # the CSV is unchanged
+        lines = out.read_text().splitlines()
+        assert len(lines) == 7  # the CSV is unchanged
+        cfg = ExperimentConfig(dim=3, n_states=3, seed=42)
+        for i, line in enumerate(lines[1:]):
+            probs = ";".join(map(repr, hz.trial_ensemble(cfg, i).probabilities.tolist()))
+            assert line == f"{i},42,3,3,{probs},0.0,,0.0,0.0,,,0.0,true"
 
     def test_one_state_runs(self, tmp_path):
         # Unlike search, verify accepts a single state (S(X) = 0, no ratios),
@@ -374,8 +384,21 @@ class TestVerify:
         out = tmp_path / "v.csv"
         argv = ["verify", "--dim", "3", "--states", "1", "--trials", "3", "--seed", "1"]
         assert main(argv + ["--out", str(out)]) == EXIT_OK
-        col = CSV_HEADER.split(",").index("shannon")
-        assert [row.split(",")[col] for row in out.read_text().splitlines()[1:]] == ["0.0"] * 3
+        header = CSV_HEADER.split(",")
+        for row in out.read_text().splitlines()[1:]:
+            cells = dict(zip(header, row.split(",")))
+            assert cells["probs"] == "1.0"
+            assert cells["shannon"] == "0.0"
+            # No binary rate, and no ratio over a zero bound or entropy.
+            assert cells["binary_max_rate"] == cells["ratio_thm"] == cells["ratio_conj"] == ""
+
+    def test_conjecture_event_writes_each_trial_ensemble(self, tmp_path, monkeypatch, capsys):
+        # Trial 57 of this run exceeds the conjectured bound: its offender
+        # file holds the ensemble its row reports on.
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--dim", "4", "--states", "3", "--trials", "300", "--seed", "1"]
+        assert main(argv + ["--out", "v.csv"]) == EXIT_CONJECTURE
+        _assert_offenders_reproduce_rows(tmp_path, "trial", capsys)
 
     def test_qubit_rates_match_the_bloch_oracle(self, tmp_path):
         # Every float of each row: rates, bounds, S(p) and ratios.
@@ -444,7 +467,27 @@ class TestScan:
         row = lines[3].split(",")
         assert float(row[header.index("bound_thm")]) == pytest.approx(2.0)
         err = capsys.readouterr().err
-        assert "p=0.5000" in err
+        assert "p=0.5 " in err
+
+    def test_summary_names_each_p_as_its_rows_do(self, tmp_path, capsys):
+        # Points below 5e-5 are distinct p, not one rounded value.
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--p-grid", "0.00001:0.00003:0.00001", "--dim", "2", "--trials", "1"]
+        assert main(argv + ["--seed", "0", "--out", str(out)]) == EXIT_OK
+        ps = [line.split()[0] for line in capsys.readouterr().err.splitlines()]
+        assert ps == ["p=1e-05", "p=2e-05", "p=3e-05"]
+        rows = _parse_csv(out.read_text())
+        assert [f"p={row['probs'][0]!r}" for row in rows] == ps
+
+    def test_conjecture_event_writes_each_trial_ensemble(self, tmp_path, monkeypatch, capsys):
+        # No binary ratio is known to exceed 1, so a negative slack makes
+        # every row an event.
+        monkeypatch.setattr(hz, "CONJECTURE_SLACK", -1.0)
+        monkeypatch.chdir(tmp_path)
+        argv = ["scan", "--p-grid", "0.2:0.6:0.4", "--dim", "3", "--trials", "2", "--seed", "7"]
+        assert main(argv + ["--out", "v.csv"]) == EXIT_CONJECTURE
+        rows = _assert_offenders_reproduce_rows(tmp_path, "scan_trial", capsys)
+        assert [row["probs"][0] for row in rows] == [0.2, 0.2, 0.6, 0.6]
 
     def test_deterministic_output(self, tmp_path):
         argv = ["scan", "--p-grid", "0.1:0.9:0.2", "--dim", "3", "--trials", "4", "--seed", "7"]
@@ -486,7 +529,7 @@ class TestScan:
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         cfg = ExperimentConfig(dim=2, n_states=2, n_trials=4, seed=11)
         for row in _parse_csv(out.read_text()):
-            E = hz.scan_binary_ensemble(cfg, row["trial_id"], row["probs"][0])
+            E = hz.trial_ensemble(cfg, row["trial_id"], row["probs"][0])
             assert mismatches(row, qubit_record(E, "binary"), REL) == []
 
     @pytest.mark.parametrize("spec", ["0.1:0.9:nan", "nan:0.9:0.2", "0.1:inf:0.2"])
@@ -494,6 +537,26 @@ class TestScan:
         argv = ["scan", "--p-grid", spec, "--dim", "2", "--trials", "1", "--seed", "0"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"mixrate: error: bad p-grid {spec!r}\n"
+
+
+def _assert_offenders_reproduce_rows(tmp_path, stem: str, capsys) -> list:
+    """The rows of tmp_path/v.csv that stderr names as conjecture events,
+    after checking that each one's conjecture_offender_<stem><id>.json holds
+    its probabilities and that compute on it gives its max_rate."""
+    rows = {row["trial_id"]: row for row in _parse_csv((tmp_path / "v.csv").read_text())}
+    events = [line for line in capsys.readouterr().err.splitlines() if "ensemble written" in line]
+    assert events
+    offenders = []
+    for line in events:
+        row = rows[int(line.split(" at trial ")[1].split(";")[0])]
+        path = tmp_path / f"conjecture_offender_{stem}{row['trial_id']}.json"
+        assert line.endswith(f"written to {path.name}")
+        assert tuple(parse_ensemble(path.read_bytes()).probabilities) == tuple(row["probs"])
+        assert main(["compute", "--ensemble", str(path), "--out", "c.json"]) == EXIT_OK
+        got = json.loads((tmp_path / "c.json").read_text())["max_rate"]
+        assert abs(got - row["max_rate"]) <= 1e-12 * max(1.0, row["max_rate"])
+        offenders.append(row)
+    return offenders
 
 
 class TestSearch:
@@ -930,3 +993,56 @@ class TestGuardStatus:
         payload = json.loads(offender.read_text())
         assert payload["dim"] == 2
         assert len(payload["probabilities"]) == 2
+
+
+# A small argv grammar for verify, scan and search. Every argv parses, so
+# exit 1 can only come from a refused value; --workers stays <= 1, so no
+# pool starts, and the grid tokens keep every grid under a dozen points.
+def _int_flag(name: str, lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda v: [f"--{name}", str(v)])
+
+
+_NUMBER = st.sampled_from(["0", "1", "-0.5", "0.25", "0.5", "2", "nan", "inf", "-inf"])
+_P_GRID = st.one_of(
+    # lo:hi:step, well formed more often than not.
+    st.tuples(
+        st.sampled_from(["0", "0.25", "-0.5", "nan"]),
+        st.sampled_from(["1", "0.75", "2", "-inf"]),
+        st.sampled_from(["0.25", "0.5", "0", "inf"]),
+    ).map(":".join),
+    st.lists(_NUMBER | st.sampled_from(["", ":", "::", ",", ";", " "]), max_size=7).map("".join),
+)
+_DIM, _STATES = _int_flag("dim", 1, 5), _int_flag("states", 0, 4)
+_TRIALS, _SEED = _int_flag("trials", -1, 3), _int_flag("seed", -1, 5)
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["verify"]), _DIM, _STATES, _TRIALS, _SEED,
+        st.sampled_from([[], ["--workers", "-1"], ["--workers", "0"], ["--workers", "1"]]),
+    ),
+    st.tuples(st.just(["scan"]), _P_GRID.map(lambda g: [f"--p-grid={g}"]), _DIM, _TRIALS, _SEED),
+    st.tuples(
+        st.just(["search"]), _DIM, st.one_of(st.just([]), _STATES),
+        _int_flag("iters", -1, 20), _SEED, st.sampled_from([[], ["--binary"]]),
+    ),
+).map(lambda parts: [a for part in parts for a in part])
+
+
+# One bug per report: shrinking every distinct failure took minutes.
+@settings(max_examples=400, deadline=None, report_multiple_bugs=False)
+@given(argv=_ARGV)
+def test_every_argv_exits_with_a_documented_code(argv):
+    # An uncaught exception would fail the test with its traceback.
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:  # offender files land in the cwd
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_CONJECTURE)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("mixrate: error:")]
+    assert len(errors) == (code == EXIT_USAGE)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from mixrate.errors import DomainError
 from mixrate.harness import (
     ExperimentConfig,
     RNGSpec,
+    TrialRecord,
     evaluate_batch,
     records_to_csv,
     records_to_json,
@@ -208,7 +210,7 @@ class TestRunTrials:
         grid = [0.25, 0.5]
         scan_binary(grid, scan_cfg)
         rebuilt = [hz.trial_ensemble(cfg, i) for i in range(4)]
-        rebuilt += [hz.scan_binary_ensemble(scan_cfg, i, grid[i // 2]) for i in range(4)]
+        rebuilt += [hz.trial_ensemble(scan_cfg, i, grid[i // 2]) for i in range(4)]
         assert len(seen) == len(rebuilt) == 8
         for b, F in zip(seen, rebuilt):
             for got, want in zip(b, _stack([F])):
@@ -377,6 +379,12 @@ class TestNoObjectsOnTheHotPath:
 class TestReports:
     def test_empty_records_header_only(self):
         assert records_to_csv([]) == hz.CSV_HEADER + "\n"
+
+    def test_header_names_the_leading_fields(self):
+        # records_to_csv writes a record's leading fields by position.
+        names = [f.name for f in dataclasses.fields(TrialRecord)]
+        header = hz.CSV_HEADER.split(",")
+        assert header == ["probs" if k == "probabilities" else k for k in names[: len(header)]]
 
     def test_single_record_round_trip(self):
         cfg = ExperimentConfig(dim=2, n_states=2, seed=41)
