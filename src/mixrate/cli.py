@@ -18,11 +18,13 @@ serialized into the working directory, conjecture_offender_*.json). On exit
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import math
 import os
 import sys
+from collections import deque
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -68,6 +70,10 @@ def _guard_trip(r: hz.TrialRecord) -> Optional[str]:
     return None if r.stm_ok else "entropy outside the STM bounds"
 
 
+def _conjecture_event(r: hz.TrialRecord) -> bool:
+    return r.ratio_conj is not None and r.ratio_conj > 1.0 + hz.CONJECTURE_SLACK
+
+
 def guard_status(records: Sequence[hz.TrialRecord]) -> int:
     """Map a record batch to an exit code, saying on stderr why each failed
     record fails: theorem guards beat everything; a conjecture ratio above 1
@@ -78,7 +84,7 @@ def guard_status(records: Sequence[hz.TrialRecord]) -> int:
         if trip is not None:
             print(f"trial {r.trial_id}: {trip}", file=sys.stderr)
             status = EXIT_INVARIANT
-        elif r.ratio_conj is not None and r.ratio_conj > 1.0 + hz.CONJECTURE_SLACK:
+        elif _conjecture_event(r):
             status = status or EXIT_CONJECTURE
     return status
 
@@ -87,7 +93,7 @@ def _flag_conjecture_offenders(records, ensemble_of, path_of) -> None:
     """Serialize ensemble_of(r) to the file path_of(r) for every record r
     whose conjecture ratio exceeds 1 + CONJECTURE_SLACK."""
     for r in records:
-        if r.ratio_conj is not None and r.ratio_conj > 1.0 + hz.CONJECTURE_SLACK:
+        if _conjecture_event(r):
             path = path_of(r)
             with open(path, "wb") as fh:
                 fh.write(ens.serialize_ensemble(ensemble_of(r)))
@@ -137,6 +143,42 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _chunk_records(jobs, n_workers: int):
+    """The records of hz.run_trials(*job) for each job, in job order: run in
+    this process, or in a pool of n_workers processes that holds at most two
+    chunks per worker in flight (Executor.map would submit every chunk at once)."""
+    if n_workers == 1:
+        for job in jobs:
+            yield hz.run_trials(*job)
+        return
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
+        pending = deque()
+        for job in jobs:
+            pending.append(pool.submit(hz.run_trials, *job))
+            if len(pending) == 2 * n_workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _report(jobs, n_workers: int, out: Optional[str], each=None) -> list[hz.TrialRecord]:
+    """Write the CSV of the trials of jobs (see _chunk_records) to the file
+    out, created before the first trial runs, or to stdout: each chunk's rows
+    as the chunk completes, in trial order, after which each(records) sees
+    them. Returns only the records that guard_status and the offender files
+    act on: the failed ones and the conjecture events."""
+    kept = []
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(hz.CSV_HEADER + "\n")
+        for records in _chunk_records(jobs, n_workers):
+            fh.write(hz.records_to_csv(records, header=False))
+            fh.flush()
+            if each is not None:
+                each(records)
+            kept += [r for r in records if _guard_trip(r) is not None or _conjecture_event(r)]
+    return kept
+
+
 def cmd_verify(args) -> int:
     cfg = hz.ExperimentConfig(
         dim=args.dim, n_states=args.states, n_trials=args.trials, seed=args.seed
@@ -145,15 +187,10 @@ def cmd_verify(args) -> int:
         raise MixRateError(f"workers must be >= 1, got {args.workers}")
     # Chunks depend on (n_trials, dim) only, not on the worker count. The pool
     # forks all its workers up front, so it gets no more than chunks or CPUs.
+    n_chunks = len(range(0, cfg.n_trials, hz.chunk_size(cfg.dim)))
+    n_workers = min(args.workers, n_chunks, _cpus())
     chunks = hz.trial_chunks(range(cfg.n_trials), cfg.dim)
-    n_workers = min(args.workers, len(chunks), _cpus())
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
-            parts = list(pool.map(hz.run_trials, [cfg] * len(chunks), chunks))
-    else:
-        parts = [hz.run_trials(cfg, c) for c in chunks]
-    records = [r for part in parts for r in part]
-    _emit(hz.records_to_csv(records), args.out)
+    records = _report(((cfg, c) for c in chunks), n_workers, args.out)
     status = guard_status(records)
     if status == EXIT_CONJECTURE:
         _flag_conjecture_offenders(
@@ -185,13 +222,18 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_scan(args) -> int:
     cfg = hz.ExperimentConfig(dim=args.dim, n_states=2, n_trials=args.trials, seed=args.seed)
     grid = _parse_grid(args.p_grid)
-    records = hz.scan_binary(grid, cfg)
-    _emit(hz.records_to_csv(records), args.out)
+    jobs = hz.scan_jobs(grid, cfg)
+    worst = {}  # grid index -> the max ratio_conj so far
+
+    def monitor(records):
+        for r in records:
+            pi, v = r.trial_id // cfg.n_trials, r.ratio_conj or 0.0
+            worst[pi] = max(worst.get(pi, v), v)
+
+    records = _report(jobs, 1, args.out, monitor)
     # Per-p maxima of the monitored ratios.
-    for pi, p in enumerate(grid):
-        batch = records[pi * cfg.n_trials : (pi + 1) * cfg.n_trials]
-        worst = max((r.ratio_conj or 0.0) for r in batch)
-        print(f"p={p!r} max ratio_conj={worst!r}", file=sys.stderr)
+    for p, w in zip(grid, worst.values()):
+        print(f"p={p!r} max ratio_conj={w!r}", file=sys.stderr)
     status = guard_status(records)
     if status == EXIT_CONJECTURE:
         _flag_conjecture_offenders(

@@ -36,6 +36,10 @@ from .errors import (
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 PROB_TOL = 1e-10
+# The largest finite matrix entry or amplitude part a JSON file may hold: the
+# squares of 10^8 of them still sum to a finite float, so no norm, sum or
+# difference of entries overflows.
+MAX_ENTRY = 1e150
 
 
 def _assign(obj, matrix: np.ndarray, w: np.ndarray):
@@ -303,8 +307,8 @@ def _from_pairs(A: np.ndarray) -> np.ndarray:
 
 def _json_numbers(obj, what: str) -> np.ndarray:
     """obj, nested JSON arrays of numbers, as a float array; an entry that is
-    a bool, a string or null is refused, as is a ragged array or an integer
-    too large for a float."""
+    a bool, a string or null is refused, as is a ragged array, an integer
+    too large for a float or a finite entry above MAX_ENTRY in magnitude."""
     try:
         A = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -314,6 +318,9 @@ def _json_numbers(obj, what: str) -> np.ndarray:
         entries = itertools.chain.from_iterable(entries)
     if not set(map(type, entries)) <= {int, float}:
         raise ParseError(f"{what}: entries must be JSON numbers")
+    # Only a finite largest entry is refused here; inf and NaN are refused by name later.
+    if MAX_ENTRY < np.abs(A).max(initial=0.0) < math.inf:
+        raise ParseError(f"{what}: an entry above {MAX_ENTRY:g} in magnitude")
     return A
 
 
@@ -346,10 +353,14 @@ def _json_dim(v) -> int:
 
 
 def _json_probability(v) -> float:
-    """A probability read from JSON: a JSON number; a bool, string or null is refused."""
+    """A probability read from JSON: a JSON number; a bool, string or null is
+    refused, and so is a number above 1, before a sum of such can overflow."""
     if type(v) not in (int, float):
         raise ParseError(f"probability {v!r} is not a number")
-    return float(v)
+    p = float(v)
+    if p > 1.0:
+        raise ParseError(f"probability {v!r} above 1")
+    return p
 
 
 def _parse_members(raw, dim: int, what: str, build) -> list:

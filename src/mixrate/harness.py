@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,9 +44,13 @@ SEARCH_SHRINK = 0.5  # step factor after 20 rejected candidates in a row
 # iteration by block size: 1: 0.59, 2: 0.34, 4: 0.23, 6: 0.23, 8: 0.19,
 # 12: 0.22, 16: 0.23 (20 - rejections caps a block anyway).
 SEARCH_BLOCK = 8
-# A chunk of trials holds max(1, CHUNK_ENTRIES // d^2) of them: 32 at d = 4,
-# 1 at d = 64. Larger chunks gained little speed and raised the peak memory.
-CHUNK_ENTRIES = 512
+# A chunk of trials holds max(1, CHUNK_ENTRIES // d^2) of them: 128 at d = 4,
+# 1 at d = 64. A chunk's stacked evaluation has a fixed cost whatever its
+# size (d = 4, n = 3, x86-64, one BLAS thread: 383 us for 1 trial, 1662 us
+# for 32, 5852 us for 128), so verify at d = 4 ran 17% more trials per second
+# than with 32-trial chunks. No chunk holds more matrix entries than one
+# d = 64 trial (tracemalloc peak at n = 3: 1.41 MB at d = 4, 2.37 MB at d = 64).
+CHUNK_ENTRIES = 2048
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,16 @@ def sample_ensemble(cfg: ExperimentConfig, rng: RNGSpec, p: Optional[float] = No
     return _ensemble(_batch([_trial_draw(cfg, rng.generator(), p)]), 0)
 
 
-def trial_chunks(ids: Sequence[int], dim: int) -> list[list[int]]:
-    """ids split into consecutive chunks of max(1, CHUNK_ENTRIES // dim^2)
-    trials, the unit of stacked evaluation and of pool dispatch."""
-    size = max(1, CHUNK_ENTRIES // dim**2)
-    return [list(ids[k : k + size]) for k in range(0, len(ids), size)]
+def chunk_size(dim: int) -> int:
+    """The trials of one chunk at dimension dim: max(1, CHUNK_ENTRIES // dim^2)."""
+    return max(1, CHUNK_ENTRIES // dim**2)
+
+
+def trial_chunks(ids: Sequence[int], dim: int) -> Iterator[Sequence[int]]:
+    """ids split lazily into consecutive slices of chunk_size(dim) trials,
+    the unit of stacked evaluation and of pool dispatch."""
+    size = chunk_size(dim)
+    return (ids[k : k + size] for k in range(0, len(ids), size))
 
 
 def evaluate_batch(
@@ -206,24 +215,27 @@ def run_trials(
     return evaluate_batch(b, cfg, trial_ids)
 
 
-def scan_binary(
-    p_grid: Sequence[float], cfg: ExperimentConfig
-) -> list[TrialRecord]:
-    """Binary ensembles at each fixed p; records the binary bound and ratios.
-    Trials are evaluated in trial_chunks across the grid."""
+def scan_jobs(p_grid: Sequence[float], cfg: ExperimentConfig) -> Iterator[tuple]:
+    """A scan's run_trials arguments, chunk by chunk, made lazily once the
+    grid is checked: cfg.n_trials trials at each p of p_grid in turn, trial
+    i at p_grid[i // cfg.n_trials], under a binary copy of cfg."""
     if len(p_grid) * cfg.n_trials > MAX_TRIALS:
         raise DomainError(
             f"{len(p_grid)} grid points x {cfg.n_trials} trials above the limit of {MAX_TRIALS}"
         )
-    ps = [float(p) for p in p_grid for _ in range(cfg.n_trials)]
-    for p in ps:
+    grid = [float(p) for p in p_grid]
+    for p in grid:
         if not 0.0 < p < 1.0:
             raise DomainError(f"p-grid values must lie in (0, 1), got {p!r}")
     binary = replace(cfg, binary=True)  # a scan is binary, whatever cfg says
-    records = []
-    for chunk in trial_chunks(range(len(ps)), cfg.dim):
-        records.extend(run_trials(binary, chunk, [ps[i] for i in chunk]))
-    return records
+    chunks = trial_chunks(range(len(grid) * cfg.n_trials), cfg.dim)
+    return ((binary, c, [grid[i // cfg.n_trials] for i in c]) for c in chunks)
+
+
+def scan_binary(p_grid: Sequence[float], cfg: ExperimentConfig) -> list[TrialRecord]:
+    """Binary ensembles at each fixed p; records the binary bound and ratios.
+    Trials are evaluated in trial_chunks across the grid."""
+    return [r for job in scan_jobs(p_grid, cfg) for r in run_trials(*job)]
 
 
 def _climb_draws(k: int, n: int, dim: int, g: np.random.Generator):
@@ -373,13 +385,13 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def records_to_csv(records: Sequence[TrialRecord]) -> str:
-    """CSV_HEADER, then one line per record: a cell for each of its leading
-    fields, in order, one per CSV_HEADER column."""
+def records_to_csv(records: Sequence[TrialRecord], header: bool = True) -> str:
+    """CSV_HEADER unless header is false, then one line per record: a cell
+    for each of its leading fields, in order, one per CSV_HEADER column."""
     names = [f.name for f in fields(TrialRecord)][: CSV_HEADER.count(",") + 1]
-    lines = [CSV_HEADER]
+    lines = [CSV_HEADER] if header else []
     lines.extend(",".join(_csv_cell(getattr(r, k)) for k in names) for r in records)
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def records_to_json(records: Sequence[TrialRecord]) -> str:

@@ -344,7 +344,7 @@ def test_criterion_10_conjecture_monitoring(tmp_path, monkeypatch):
 def test_criterion_11_determinism(tmp_path, monkeypatch):
     args = ["verify", "--dim", "4", "--states", "3", "--trials", "12", "--seed", "42"]
     # 12 trials at d = 4 are one chunk, which runs without a pool whatever
-    # --workers says; 4 trials at d = 32 are 4 chunks, which a pool of 2 runs
+    # --workers says; 4 trials at d = 32 are 2 chunks, which a pool of 2 runs
     # once 2 CPUs are usable (forced here).
     multi = ["verify", "--dim", "32", "--states", "2", "--trials", "4", "--seed", "42"]
     monkeypatch.setattr(cli, "_cpus", lambda: 2)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import ctypes
 import dataclasses
 import io
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -188,6 +190,8 @@ class TestCompute:
             (["0.5", 0.5], "probability '0.5' is not a number"),
             ([None, 1.0], "probability None is not a number"),
             ([10**400, 0], "int too large to convert to float"),
+            # The sum of two of 1e308 overflowed, with a RuntimeWarning.
+            ([1e308, 1e308], "probability 1e+308 above 1"),
         ],
     )
     def test_probabilities_must_be_json_numbers(self, probs, why, tmp_path, capsys):
@@ -306,7 +310,7 @@ class TestVerify:
 
     def test_workers_agree(self, tmp_path, monkeypatch):
         # ARGS make one chunk, which runs without a pool whatever --workers
-        # says; 4 trials at d = 32 are 4 chunks, and with 2 CPUs (forced
+        # says; 4 trials at d = 32 are 2 chunks, and with 2 CPUs (forced
         # here) a pool of 2 runs them.
         multi = ["verify", "--dim", "32", "--states", "2", "--trials", "4", "--seed", "42"]
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
@@ -316,21 +320,22 @@ class TestVerify:
             assert main(args + ["--workers", workers, "--out", str(parallel)]) == EXIT_OK
             assert serial.read_bytes() == parallel.read_bytes()
 
-    @pytest.mark.parametrize(
-        "dim,trials,workers,cpus,started",
-        [
-            (4, 12, 6, 8, None),  # one chunk: no pool at all
-            (32, 4, 100000, 8, 4),  # no more workers than chunks
-            (32, 4, 100000, 3, 3),  # nor than usable CPUs
-            (32, 4, 2, 8, 2),
-        ],
-    )
-    def test_workers_are_capped(self, dim, trials, workers, cpus, started, tmp_path, monkeypatch):
-        sizes = []
+    @staticmethod
+    def fake_pool(monkeypatch, cpus: int):
+        """Replace the process pool by one that runs each submitted chunk in
+        this process when its result is asked for. Returns the max_workers of
+        each pool started, and the most chunks ever in flight at once."""
+        sizes, in_flight = [], [0, 0]  # [now, most]
+
+        class Pending:
+            def __init__(self, fn, args):
+                self.fn, self.args = fn, args
+
+            def result(self):
+                in_flight[0] -= 1
+                return self.fn(*self.args)
 
         class FakePool:
-            """Records max_workers and runs the work in this process."""
-
             def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
 
@@ -340,16 +345,42 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+                return Pending(fn, args)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        return sizes, in_flight
+
+    @pytest.mark.parametrize(
+        "dim,trials,workers,cpus,started",
+        [
+            (4, 12, 6, 8, None),  # one chunk: no pool at all
+            (64, 4, 100000, 8, 4),  # no more workers than chunks
+            (64, 4, 100000, 3, 3),  # nor than usable CPUs
+            (64, 4, 2, 8, 2),
+        ],
+    )
+    def test_workers_are_capped(self, dim, trials, workers, cpus, started, tmp_path, monkeypatch):
+        sizes, _ = self.fake_pool(monkeypatch, cpus)
         argv = ["verify", "--dim", str(dim), "--states", "2", "--trials", str(trials)]
         argv += ["--seed", "1", "--workers", str(workers), "--out", str(tmp_path / "v.csv")]
         assert main(argv) == EXIT_OK
         assert sizes == ([] if started is None else [started])
         assert len((tmp_path / "v.csv").read_text().splitlines()) == trials + 1
+
+    def test_pool_holds_two_chunks_per_worker(self, tmp_path, monkeypatch):
+        # 9 one-trial chunks on 2 workers: chunks are submitted as earlier
+        # ones finish, never all at once, and the CSV is the serial one.
+        _, in_flight = self.fake_pool(monkeypatch, 2)
+        argv = ["verify", "--dim", "64", "--states", "2", "--trials", "9", "--seed", "3"]
+        serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert main(argv + ["--workers", "2", "--out", str(pooled)]) == EXIT_OK
+        assert in_flight == [0, 4]
+        assert main(argv + ["--out", str(serial)]) == EXIT_OK
+        assert serial.read_bytes() == pooled.read_bytes()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_is_a_usage_error(self, workers, tmp_path, capsys):
@@ -358,6 +389,29 @@ class TestVerify:
         assert main(argv) == EXIT_USAGE
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--dim", "16", "--states", "2", "--trials", "15", "--seed", "1"],
+            ["scan", "--p-grid", "0.2:0.6:0.2", "--dim", "16", "--trials", "5", "--seed", "1"],
+        ],
+    )
+    def test_rows_are_written_as_each_chunk_completes(self, argv, tmp_path, monkeypatch):
+        # 15 trials at d = 16 are chunks of 8 and 7: --out exists before the
+        # first chunk runs, and holds the first chunk's rows before the second.
+        out = tmp_path / "v.csv"
+        seen, run = [], hz.run_trials
+
+        def spy(*args):
+            seen.append(out.read_text().splitlines() if out.exists() else None)
+            return run(*args)
+
+        monkeypatch.setattr(hz, "run_trials", spy)
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()
+        assert len(seen) == 2 and len(rows) == 16
+        assert seen[0] is not None and seen[1] == rows[:9]
 
     def test_failed_trials_are_named_on_stderr(self, tmp_path, monkeypatch, capsys):
         # A trial whose evaluation raised writes a row of zeros: the exit
@@ -783,6 +837,9 @@ def _refused(argv, message: str, capsys) -> None:
         ([0.0, True], "entries must be JSON numbers"),
         ([None, 0.0], "entries must be JSON numbers"),
         ([10**400, 0.0], "not a numeric array"),  # beyond a float: once an OverflowError
+        # 1e308 overflowed M + M† and the amplitudes' norm, with a RuntimeWarning.
+        ([1e308, 0.0], "an entry above 1e+150 in magnitude"),
+        ([0.0, -1.5e150], "an entry above 1e+150 in magnitude"),
     ],
 )
 def test_matrix_entries_must_be_json_numbers(which, pair, message, tmp_path, capsys):
@@ -838,6 +895,22 @@ class TestBoundary:
         self.forbid(monkeypatch, cli, "range")
         argv = ["scan", "--p-grid", spec, "--dim", "2", "--trials", "1", "--seed", "1"]
         _refused(argv, f"more than {hz.MAX_TRIALS} points", capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--dim", "4", "--states", "3", "--trials", "3000", "--seed", "1"],
+            ["scan", "--p-grid", "0.01:0.99:0.07", "--dim", "4", "--trials", "200", "--seed", "3"],
+        ],
+    )
+    def test_unwritable_out_fails_before_any_trial(self, argv, monkeypatch, tmp_path, capsys):
+        # verify once ran all 3000 trials, then failed to open --out and
+        # wrote none of its offender files.
+        self.forbid(monkeypatch, hz, "run_trials")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "missing" / "x.csv"
+        _refused(argv + ["--out", str(out)], "No such file or directory", capsys)
+        assert list(tmp_path.iterdir()) == []
 
     def test_ceiling_edges(self, monkeypatch, tmp_path, capsys):
         # At a ceiling of 10: 10 grid points and 5 x 2 scan trials run, one
@@ -1044,5 +1117,166 @@ def test_every_argv_exits_with_a_documented_code(argv):
     err = stderr.getvalue()
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_CONJECTURE)
     assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("mixrate: error:")]
+    assert len(errors) == (code == EXIT_USAGE)
+
+
+# A grammar over the four JSON input formats. A case is a valid document of
+# each file a command reads (a small ensemble, perhaps with its Hamiltonian
+# set, or a pure state and an operator), then up to three tree mutations of
+# each (a wrong type, a non-finite or odd number, a changed shape), then
+# perhaps a node buried deep in brackets and bytes that are not UTF-8.
+_ODD = [
+    None, True, False, "1", "x", {}, [], [[]], 0, -1, 2, 1.5, 10**400, 1e308, 1e150,
+    -1e150, -0.0, 5e-324, math.nan, math.inf, -math.inf,
+]
+_TREE_MUTATION = st.one_of(
+    st.sampled_from(_ODD).map(lambda v: ("replace", v)),
+    st.sampled_from([1e308, 1e150, -1e151, 5e-324, 0]).map(lambda v: ("fill", v)),
+    st.sampled_from(["drop", "duplicate", "wrap", "unwrap"]).map(lambda op: (op,)),
+)
+_NEST_MARK = "\x00nest\x00"
+# Bytes spliced into a file, mostly none; b"" truncates it instead.
+_JUNK = [None] * 10 + [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b""]
+# The flag of each file a command reads, in the order of _json_documents.
+_FLAGS = {
+    "compute": ["--ensemble"],
+    "compute --hamiltonians": ["--ensemble", "--hamiltonians"],
+    "sie": ["--state", "--ham"],
+}
+
+
+def _json_documents(command: str, seed: int, dims: tuple) -> list:
+    """Valid documents of the files command reads, drawn from seed."""
+    g = rng(seed)
+    if command == "sie":
+        v = g.standard_normal(math.prod(dims)) + 1j * g.standard_normal(math.prod(dims))
+        v /= np.linalg.norm(v)
+        H = random_hamiltonian_set(dims[1] * dims[2], 1, g)[0]
+        return [
+            {"dims": list(dims), "amplitudes": [[z.real, z.imag] for z in v.tolist()]},
+            {"dims": list(dims[1:3]), "hamiltonian": matrix_to_json(H.matrix)},
+        ]
+    d, n = dims
+    docs = [json.loads(serialize_ensemble(random_ensemble(d, n, g)))]
+    if command == "compute --hamiltonians":
+        H = random_hamiltonian_set(d, n, g)
+        docs.append({"dim": d, "hamiltonians": [matrix_to_json(h.matrix) for h in H]})
+    return docs
+
+
+def _paths(obj, path=()):
+    """The path of every node of a JSON tree, the root's first."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(value, path + (key,))
+
+
+def _at(doc, pick: int):
+    """The parent, key and value of node pick (mod the node count) of doc;
+    the root has parent None."""
+    paths = list(_paths(doc))
+    path = paths[pick % len(paths)]
+    parent, node = None, doc
+    for key in path:
+        parent, node = node, node[key]
+    return parent, path[-1] if path else None, node
+
+
+def _filled(node, v):
+    """node with every number in it replaced by v."""
+    if isinstance(node, list):
+        return [_filled(x, v) for x in node]
+    if isinstance(node, dict):
+        return {k: _filled(x, v) for k, x in node.items()}
+    return v if type(node) in (int, float) else node
+
+
+def _mutated(doc, pick: int, mutation):
+    """doc with one node changed: replaced, its numbers all set to one value,
+    dropped from its parent, duplicated next to itself, wrapped in a list, or
+    replaced by its first item."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = _at(doc, pick)
+    op = mutation[0]
+    if op == "replace":
+        new = mutation[1]
+    elif op == "fill":
+        new = _filled(node, mutation[1])
+    elif op == "wrap":
+        new = [node]
+    elif op == "unwrap" and isinstance(node, (list, dict)) and node:
+        new = next(iter(node.values())) if isinstance(node, dict) else node[0]
+    elif op in ("drop", "duplicate") and parent is not None:
+        if op == "drop":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+        return doc
+    else:
+        return doc
+    if parent is None:
+        return new
+    parent[key] = new
+    return doc
+
+
+@st.composite
+def _json_case(draw):
+    """A command, and the bytes of each file it reads."""
+    command = draw(st.sampled_from(list(_FLAGS)))
+    if command == "sie":
+        # (a, A, B, b): the reduction needs 2 <= dim(B) <= dim(A).
+        dims = draw(st.tuples(st.integers(1, 2), st.integers(2, 3), st.just(2), st.integers(1, 2)))
+    else:
+        dims = (draw(st.integers(2, 3)), draw(st.integers(1, 3)))
+    files = []
+    for doc in _json_documents(command, draw(st.integers(0, 99)), dims):
+        for _ in range(draw(st.integers(0, 3))):
+            doc = _mutated(doc, draw(st.integers(0, 10**4)), draw(_TREE_MUTATION))
+        depth = draw(st.sampled_from([0, 0, 0, 0, 2, 100, 5000]))
+        buried = None
+        if depth:
+            doc = copy.deepcopy(doc)
+            parent, key, buried = _at(doc, draw(st.integers(0, 10**4)))
+            if parent is None:
+                doc = _NEST_MARK
+            else:
+                parent[key] = _NEST_MARK
+        text = json.dumps(doc)
+        if depth:
+            deep = "[" * depth + json.dumps(buried) + "]" * depth
+            text = text.replace(json.dumps(_NEST_MARK), deep)
+        raw = text.encode("utf-8")
+        junk = draw(st.sampled_from(_JUNK))
+        if junk is not None:
+            at = draw(st.integers(0, len(raw)))
+            raw = raw[:at] + junk + (raw[at:] if junk else b"")
+        files.append(raw)
+    return command, files
+
+
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@given(case=_json_case())
+def test_every_input_file_exits_with_a_documented_code(case):
+    command, files = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"in{k}.json") for k in range(len(files))]
+        for path, raw in zip(paths, files):
+            with open(path, "wb") as fh:
+                fh.write(raw)
+        argv = command.split()[:1]
+        for flag, path in zip(_FLAGS[command], paths):
+            argv += [flag, path]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_CONJECTURE)
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
     errors = [line for line in err.splitlines() if line.startswith("mixrate: error:")]
     assert len(errors) == (code == EXIT_USAGE)

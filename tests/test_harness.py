@@ -195,6 +195,23 @@ class TestRunTrials:
             assert got.error is None
             assert_records_match(got, want)
 
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    @pytest.mark.parametrize("n, p", [(2, None), (3, None), (2, 0.3)])  # p: a scan's
+    def test_records_do_not_depend_on_chunk_boundaries(self, dim, n, p):
+        # Bit for bit: where the chunks are cut never shows in the output.
+        cfg = ExperimentConfig(dim=dim, n_states=n, seed=18, binary=p is not None)
+        ids = list(range(20))
+        ps = None if p is None else [p] * len(ids)
+
+        def cut(size):
+            chunks = [slice(k, k + size) for k in range(0, len(ids), size)]
+            return [r for c in chunks for r in run_trials(cfg, ids[c], ps and ps[c])]
+
+        whole = run_trials(cfg, ids, ps)
+        assert all(r.error is None for r in whole)
+        assert cut(1) == whole
+        assert cut(7) == whole
+
     def test_trial_ensemble_is_what_the_chunk_evaluated(self, monkeypatch):
         cfg = ExperimentConfig(dim=4, n_states=3, seed=16)
         scan_cfg = ExperimentConfig(dim=4, n_states=2, n_trials=2, seed=16, mode="scan")
