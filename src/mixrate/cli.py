@@ -5,8 +5,13 @@ Subcommands:
   verify   seeded random trials with theorem guards, in at most
            min(--workers, chunks of trials, usable CPUs) processes
   scan     binary-ensemble sweep over a p grid with a point in (0, 1)
-  search   hill-climb the rate/entropy ratio
+  search   hill-climb the rate/entropy ratio (--states >= 2; 2 with --binary)
   sie      entangling-to-mixing reduction for a pure state + Hamiltonian
+
+All but sie write a report to --out or stdout. verify, scan and search
+create --out after their argument checks, before any trial: a run those
+checks refuse (exit 1) leaves no --out file. compute creates it once its
+report is made, so --out may name an input, left as it was on a refusal.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 invariant/theorem-test
 failure, 3 conjecture-ratio-exceeded event (the offending ensemble is
@@ -46,17 +51,9 @@ EXIT_INVARIANT = 2
 EXIT_CONJECTURE = 3
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: Optional[str]):
+    """The file out, created now, or stdout, as a context manager."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _guard_trip(r: hz.TrialRecord) -> Optional[str]:
@@ -104,15 +101,24 @@ def _flag_conjecture_offenders(records, ensemble_of, path_of) -> None:
             )
 
 
+def _conclude(records, ensemble_of, path_of) -> int:
+    """guard_status(records), after _flag_conjecture_offenders on exit 3."""
+    status = guard_status(records)
+    if status == EXIT_CONJECTURE:
+        _flag_conjecture_offenders(records, ensemble_of, path_of)
+    return status
+
+
 def cmd_compute(args) -> int:
-    text = _read(args.ensemble)
+    # The report is made before --out is created, so an ensemble that parses
+    # but that the report refuses leaves --out, which may name an input, as it was.
+    E, listed = ens._parse_ensemble(Path(args.ensemble).read_bytes())
+    H = None
     if args.hamiltonians:
-        E, listed = ens._parse_ensemble(text)
-        H = ens._paired(ens.parse_hamiltonian_set(_read(args.hamiltonians)), listed)
-    else:
-        E, H = ens.parse_ensemble(text), None
-    report = rate_report(E, H)
-    _emit(report.to_json().decode("utf-8") + "\n", args.out)
+        H = ens._paired(ens.parse_hamiltonian_set(Path(args.hamiltonians).read_bytes()), listed)
+    text = rate_report(E, H).to_json().decode("utf-8") + "\n"
+    with _output(args.out) as fh:
+        fh.write(text)
     return EXIT_OK
 
 
@@ -161,22 +167,20 @@ def _chunk_records(jobs, n_workers: int):
             yield pending.popleft().result()
 
 
-def _report(jobs, n_workers: int, out: Optional[str], each=None) -> list[hz.TrialRecord]:
-    """Write the CSV of the trials of jobs (see _chunk_records) to the file
-    out, created before the first trial runs, or to stdout: each chunk's rows
-    as the chunk completes, in trial order, after which each(records) sees
-    them. Returns only the records that guard_status and the offender files
-    act on: the failed ones and the conjecture events."""
-    kept = []
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(hz.CSV_HEADER + "\n")
-        for records in _chunk_records(jobs, n_workers):
-            fh.write(hz.records_to_csv(records, header=False))
-            fh.flush()
-            if each is not None:
-                each(records)
-            kept += [r for r in records if _guard_trip(r) is not None or _conjecture_event(r)]
-    return kept
+def _report(jobs, n_workers: int, fh):
+    """Write the CSV of the trials of jobs (see _chunk_records) to fh: each
+    chunk's rows as the chunk completes, in trial order, after which the
+    chunk's records are yielded."""
+    fh.write(hz.CSV_HEADER + "\n")
+    for records in _chunk_records(jobs, n_workers):
+        fh.write(hz.records_to_csv(records, header=False))
+        fh.flush()
+        yield records
+
+
+def _kept(records) -> list[hz.TrialRecord]:
+    """The records _conclude acts on: the failed ones and the conjecture events."""
+    return [r for r in records if _guard_trip(r) is not None or _conjecture_event(r)]
 
 
 def cmd_verify(args) -> int:
@@ -189,16 +193,14 @@ def cmd_verify(args) -> int:
     # forks all its workers up front, so it gets no more than chunks or CPUs.
     n_chunks = len(range(0, cfg.n_trials, hz.chunk_size(cfg.dim)))
     n_workers = min(args.workers, n_chunks, _cpus())
-    chunks = hz.trial_chunks(range(cfg.n_trials), cfg.dim)
-    records = _report(((cfg, c) for c in chunks), n_workers, args.out)
-    status = guard_status(records)
-    if status == EXIT_CONJECTURE:
-        _flag_conjecture_offenders(
-            records,
-            lambda r: hz.trial_ensemble(cfg, r.trial_id),
-            lambda r: f"conjecture_offender_trial{r.trial_id}.json",
-        )
-    return status
+    jobs = ((cfg, c) for c in hz.trial_chunks(range(cfg.n_trials), cfg.dim))
+    with _output(args.out) as fh:
+        kept = [r for records in _report(jobs, n_workers, fh) for r in _kept(records)]
+    return _conclude(
+        kept,
+        lambda r: hz.trial_ensemble(cfg, r.trial_id),
+        lambda r: f"conjecture_offender_trial{r.trial_id}.json",
+    )
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -224,24 +226,21 @@ def cmd_scan(args) -> int:
     grid = _parse_grid(args.p_grid)
     jobs = hz.scan_jobs(grid, cfg)
     worst = {}  # grid index -> the max ratio_conj so far
-
-    def monitor(records):
-        for r in records:
-            pi, v = r.trial_id // cfg.n_trials, r.ratio_conj or 0.0
-            worst[pi] = max(worst.get(pi, v), v)
-
-    records = _report(jobs, 1, args.out, monitor)
+    kept = []
+    with _output(args.out) as fh:
+        for records in _report(jobs, 1, fh):
+            for r in records:
+                pi, v = r.trial_id // cfg.n_trials, r.ratio_conj or 0.0
+                worst[pi] = max(worst.get(pi, v), v)
+            kept += _kept(records)
     # Per-p maxima of the monitored ratios.
     for p, w in zip(grid, worst.values()):
         print(f"p={p!r} max ratio_conj={w!r}", file=sys.stderr)
-    status = guard_status(records)
-    if status == EXIT_CONJECTURE:
-        _flag_conjecture_offenders(
-            records,
-            lambda r: hz.trial_ensemble(cfg, r.trial_id, r.probabilities[0]),
-            lambda r: f"conjecture_offender_scan_trial{r.trial_id}.json",
-        )
-    return status
+    return _conclude(
+        kept,
+        lambda r: hz.trial_ensemble(cfg, r.trial_id, r.probabilities[0]),
+        lambda r: f"conjecture_offender_scan_trial{r.trial_id}.json",
+    )
 
 
 def cmd_search(args) -> int:
@@ -252,21 +251,18 @@ def cmd_search(args) -> int:
         search_max_iters=args.iters,
         binary=args.binary,
     )
-    rec, reported = hz._search(cfg)
-    _emit(hz.records_to_json([rec]) + "\n", args.out)
-    status = guard_status([rec])
-    if status == EXIT_CONJECTURE:
-        _flag_conjecture_offenders(
-            [rec],
-            lambda r: ens._ensemble(reported, 0),
-            lambda r: "conjecture_offender_search.json",
-        )
-    return status
+    hz._check_search(cfg)  # before --out is created, as _search does not check cfg
+    with _output(args.out) as fh:
+        rec, reported = hz._search(cfg)
+        fh.write(hz.records_to_json([rec]) + "\n")
+    return _conclude(
+        [rec], lambda r: ens._ensemble(reported, 0), lambda r: "conjecture_offender_search.json"
+    )
 
 
 def cmd_sie(args) -> int:
-    psi = ent.parse_pure_state(_read(args.state))
-    H = ent.parse_bipartite_operator(_read(args.ham))
+    psi = ent.parse_pure_state(Path(args.state).read_bytes())
+    H = ent.parse_bipartite_operator(Path(args.ham).read_bytes())
     _, _, residual, gamma = ent.sie_to_sim(psi, H)
     d_B = psi.dims[2]
     points = ent.ste_check(psi, H, [0.5 * k for k in range(11)])
@@ -290,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compute", help="rates and bounds for an ensemble file")
     c.add_argument("--ensemble", required=True)
     c.add_argument("--hamiltonians")
-    c.add_argument("--out")
     c.set_defaults(fn=cmd_compute)
 
     v = sub.add_parser("verify", help="seeded random trials with theorem guards")
@@ -299,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, required=True)
     v.add_argument("--seed", type=int, required=True)
     v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("scan", help="binary sweep over a p grid")
@@ -307,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dim", type=int, required=True)
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--out")
     s.set_defaults(fn=cmd_scan)
 
     r = sub.add_parser("search", help="hill-climb the rate/entropy ratio")
@@ -316,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--iters", type=int, required=True)
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--binary", action="store_true")
-    r.add_argument("--out")
     r.set_defaults(fn=cmd_search)
+    for writer in (c, v, s, r):  # the commands that write a report (_output)
+        writer.add_argument("--out")
 
     e = sub.add_parser("sie", help="entangling-to-mixing reduction check")
     e.add_argument("--state", required=True)

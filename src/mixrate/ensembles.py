@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -345,10 +347,17 @@ def _load_json(text) -> dict:
     return obj
 
 
+def _echo(v) -> str:
+    """v for a message: an array or object as [...] or {...}, a long string or int cut short."""
+    return {list: "[...]", dict: "{...}"}.get(type(v)) or reprlib.repr(v)
+
+
 def _json_dim(v) -> int:
-    """A dimension read from JSON: a JSON integer; a float, bool or string is refused."""
+    """A dimension read from JSON: a JSON integer, |v| <= sys.maxsize; not a float, bool or str."""
     if type(v) is not int:
-        raise ParseError(f"dimension {v!r} is not an integer")
+        raise ParseError(f"dimension {_echo(v)} is not an integer")
+    if abs(v) > sys.maxsize:
+        raise ParseError(f"dimension {_echo(v)} out of range")
     return v
 
 
@@ -356,10 +365,10 @@ def _json_probability(v) -> float:
     """A probability read from JSON: a JSON number; a bool, string or null is
     refused, and so is a number above 1, before a sum of such can overflow."""
     if type(v) not in (int, float):
-        raise ParseError(f"probability {v!r} is not a number")
+        raise ParseError(f"probability {_echo(v)} is not a number")
     p = float(v)
     if p > 1.0:
-        raise ParseError(f"probability {v!r} above 1")
+        raise ParseError(f"probability {_echo(v)} above 1")
     return p
 
 

@@ -305,16 +305,22 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     and a violation ends the search with that candidate's record, its error
     set. The conjectured bound itself is only recorded, never checked.
     """
+    _check_search(cfg)
     return _search(cfg)[0]
 
 
-def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
-    """search_ratio's record, and the ensemble it reports on as a batch of
-    one: the best climb point, or the candidate that violated the bound."""
+def _check_search(cfg: ExperimentConfig) -> None:
+    """Refuse a config the search cannot run, before any draw."""
     if cfg.n_states < 2:
         raise DomainError(f"search needs n_states >= 2, got {cfg.n_states}")
     if cfg.binary and cfg.n_states != 2:
         raise DomainError("binary search requires n_states = 2")
+
+
+def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
+    """search_ratio's record, and the ensemble it reports on as a batch of
+    one: the best climb point, or the candidate that violated the bound.
+    cfg must pass _check_search."""
     g = RNGSpec(cfg.seed, 0).generator()
     draws = cfg.n_states * (2 * cfg.dim**2 + 1)  # normals per candidate
     best, best_obj = None, -math.inf

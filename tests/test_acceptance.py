@@ -14,7 +14,7 @@ import pytest
 from mixrate import cli
 from mixrate import hermitian as hm
 from mixrate.cli import EXIT_CONJECTURE, guard_status, main
-from mixrate.ensembles import Ensemble, binary_entropy, shannon_entropy
+from mixrate.ensembles import Ensemble, binary_entropy, parse_ensemble, shannon_entropy
 from mixrate.entangling import (
     BipartiteOperator,
     PureState,
@@ -329,7 +329,13 @@ def test_criterion_10_conjecture_monitoring(tmp_path, monkeypatch):
         lambda r: trial_ensemble(vcfg, r.trial_id),
         lambda r: f"conjecture_offender_trial{r.trial_id}.json",
     )
-    serialized = (tmp_path / "conjecture_offender_trial0.json").exists()
+    # The file holds the trial's ensemble, as compute would read it.
+    path, want = tmp_path / "conjecture_offender_trial0.json", trial_ensemble(vcfg, 0)
+    got = parse_ensemble(path.read_bytes()) if path.exists() else None
+    serialized = got is not None and np.array_equal(got.probabilities, want.probabilities)
+    serialized = serialized and all(
+        np.allclose(a.matrix, b.matrix, rtol=0, atol=1e-12) for a, b in zip(got.states, want.states)
+    )
 
     ok = ratios_recorded and exits_three and serialized
     _verdict(

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import subprocess
 import sys
 import tempfile
@@ -81,6 +82,19 @@ class TestCompute:
             assert key in report
         assert report["max_rate"] <= report["bound_thm"] + 1e-8
         assert report["fd_residual"] <= 1e-6
+        # The report is made before --out is created, so --out may name the
+        # input, and an input that parses but that the report refuses (a
+        # 1e-20 member, below the rank cut) leaves that file as it was.
+        argv = ["compute", "--ensemble", str(ensemble_file), "--out", str(ensemble_file)]
+        assert main(argv) == EXIT_OK
+        assert ensemble_file.read_text() == out.read_text()
+        states = [matrix_to_json(np.diag(v)) for v in ([1.0, 0.0], [0.0, 1.0])]
+        doc = {"dim": 2, "probabilities": [1.0, 1e-20], "states": states}
+        ensemble_file.write_text(json.dumps(doc))
+        before = ensemble_file.read_bytes()
+        assert main(argv) == EXIT_USAGE
+        assert "outside the support of rho" in capsys.readouterr().err
+        assert ensemble_file.read_bytes() == before
 
     def test_with_hamiltonians_stdout(self, ensemble_file, hamiltonian_file, capsys):
         code = main(
@@ -180,8 +194,21 @@ class TestCompute:
         ep.write_text(json.dumps(obj))
         hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(3, n_hams, rng(707))]
         hp.write_text(json.dumps({"dim": 3, "hamiltonians": hams}))
-        assert main(["compute", "--ensemble", str(ep), "--hamiltonians", str(hp)]) == EXIT_USAGE
+        out = tmp_path / "r.json"
+        argv = ["compute", "--ensemble", str(ep), "--hamiltonians", str(hp), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
         assert "need one Hamiltonian per listed ensemble member" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hamiltonian_dim_must_match_the_ensemble(self, ensemble_file, tmp_path, capsys):
+        # Refused as the report is made, before --out is created.
+        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(2, 3, rng(707))]
+        hp, out = tmp_path / "h.json", tmp_path / "r.json"
+        hp.write_text(json.dumps({"dim": 2, "hamiltonians": hams}))
+        argv = ["compute", "--ensemble", str(ensemble_file), "--hamiltonians", str(hp)]
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert "Hamiltonian dimension differs from ensemble dimension" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "probs, why",
@@ -203,15 +230,24 @@ class TestCompute:
         assert main(["compute", "--ensemble", str(path)]) == EXIT_USAGE
         assert why in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dim, d", [(2.9, 2), (True, 1), ("2", 2)])
+    @pytest.mark.parametrize(
+        "dim, d",
+        [
+            (2.9, 2), (True, 1), ("2", 2),
+            pytest.param(10**400, 2, id="1e400"), pytest.param(-(10**400), 2, id="-1e400"),
+        ],
+    )
     def test_dim_must_be_a_json_integer(self, dim, d, tmp_path, capsys):
-        # int() would run 2.9 as d = 2, true as d = 1 and "2" as d = 2.
+        # int() would run 2.9 as d = 2, true as d = 1 and "2" as d = 2; an
+        # integer beyond sys.maxsize either way was once echoed in 400 digits.
         obj = json.loads(serialize_ensemble(random_ensemble(d, 2, rng(703))))
         obj["dim"] = dim
         path = tmp_path / "dim.json"
         path.write_text(json.dumps(obj))
         assert main(["compute", "--ensemble", str(path)]) == EXIT_USAGE
-        assert f"dimension {dim!r} is not an integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        why = "out of range" if type(dim) is int else "is not an integer"
+        assert f"dimension {reprlib.repr(dim)} {why}" in err and len(err) <= 160
 
     def test_hamiltonian_dim_must_be_a_json_integer(self, tmp_path, capsys):
         E = random_ensemble(2, 2, rng(704))
@@ -901,16 +937,25 @@ class TestBoundary:
         [
             ["verify", "--dim", "4", "--states", "3", "--trials", "3000", "--seed", "1"],
             ["scan", "--p-grid", "0.01:0.99:0.07", "--dim", "4", "--trials", "200", "--seed", "3"],
+            ["compute", "--ensemble", "ENSEMBLE", "--hamiltonians", "HAMILTONIANS"],
+            ["search", "--dim", "8", "--states", "3", "--iters", "3000", "--seed", "1"],
         ],
     )
-    def test_unwritable_out_fails_before_any_trial(self, argv, monkeypatch, tmp_path, capsys):
+    def test_unwritable_out_fails_before_any_trial(
+        self, argv, ensemble_file, hamiltonian_file, monkeypatch, tmp_path, capsys
+    ):
         # verify once ran all 3000 trials, then failed to open --out and
-        # wrote none of its offender files.
-        self.forbid(monkeypatch, hz, "run_trials")
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "missing" / "x.csv"
-        _refused(argv + ["--out", str(out)], "No such file or directory", capsys)
-        assert list(tmp_path.iterdir()) == []
+        # wrote none of its offender files; search climbed for 1.8 s. compute
+        # makes its report, a few milliseconds, before it creates --out.
+        self.forbid(monkeypatch, hz, "run_trials", "_search")
+        files = {"ENSEMBLE": str(ensemble_file), "HAMILTONIANS": str(hamiltonian_file)}
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = cwd / "missing" / "x.csv"
+        argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
+        _refused(argv, "No such file or directory", capsys)
+        assert list(cwd.iterdir()) == []
 
     def test_ceiling_edges(self, monkeypatch, tmp_path, capsys):
         # At a ceiling of 10: 10 grid points and 5 x 2 scan trials run, one
@@ -1071,6 +1116,8 @@ class TestGuardStatus:
 # A small argv grammar for verify, scan and search. Every argv parses, so
 # exit 1 can only come from a refused value; --workers stays <= 1, so no
 # pool starts, and the grid tokens keep every grid under a dozen points.
+# --out is absent, a fresh file or a file in a missing directory, both
+# relative to the temporary working directory.
 def _int_flag(name: str, lo: int, hi: int):
     return st.integers(lo, hi).map(lambda v: [f"--{name}", str(v)])
 
@@ -1087,7 +1134,7 @@ _P_GRID = st.one_of(
 )
 _DIM, _STATES = _int_flag("dim", 1, 5), _int_flag("states", 0, 4)
 _TRIALS, _SEED = _int_flag("trials", -1, 3), _int_flag("seed", -1, 5)
-_ARGV = st.one_of(
+_COMMAND = st.one_of(
     st.tuples(
         st.just(["verify"]), _DIM, _STATES, _TRIALS, _SEED,
         st.sampled_from([[], ["--workers", "-1"], ["--workers", "0"], ["--workers", "1"]]),
@@ -1098,6 +1145,8 @@ _ARGV = st.one_of(
         _int_flag("iters", -1, 20), _SEED, st.sampled_from([[], ["--binary"]]),
     ),
 ).map(lambda parts: [a for part in parts for a in part])
+_OUT = st.sampled_from([[], ["--out", "out"], ["--out", os.path.join("missing", "out")]])
+_ARGV = st.tuples(_COMMAND, _OUT).map(lambda c: c[0] + c[1])
 
 
 # One bug per report: shrinking every distinct failure took minutes.
@@ -1112,6 +1161,7 @@ def test_every_argv_exits_with_a_documented_code(argv):
         try:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(argv)
+            wrote = os.path.exists(argv[-1])
         finally:
             os.chdir(cwd)
     err = stderr.getvalue()
@@ -1119,6 +1169,9 @@ def test_every_argv_exits_with_a_documented_code(argv):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("mixrate: error:")]
     assert len(errors) == (code == EXIT_USAGE)
+    # --out is created after the checks, before the work: a refused run leaves none.
+    if "--out" in argv:
+        assert wrote == (code != EXIT_USAGE)
 
 
 # A grammar over the four JSON input formats. A case is a valid document of
@@ -1127,7 +1180,7 @@ def test_every_argv_exits_with_a_documented_code(argv):
 # each (a wrong type, a non-finite or odd number, a changed shape), then
 # perhaps a node buried deep in brackets and bytes that are not UTF-8.
 _ODD = [
-    None, True, False, "1", "x", {}, [], [[]], 0, -1, 2, 1.5, 10**400, 1e308, 1e150,
+    None, True, False, "1", "x", {}, [], [[]], 0, -1, 2, 1.5, 10**400, -(10**400), 1e308, 1e150,
     -1e150, -0.0, 5e-324, math.nan, math.inf, -math.inf,
 ]
 _TREE_MUTATION = st.one_of(
@@ -1280,3 +1333,6 @@ def test_every_input_file_exits_with_a_documented_code(case):
     assert [str(w.message) for w in caught] == []
     errors = [line for line in err.splitlines() if line.startswith("mixrate: error:")]
     assert len(errors) == (code == EXIT_USAGE)
+    # The longest message of a valid refusal is about 110 bytes (malformed
+    # JSON, with its position); a dim nested 900 deep was once echoed in 1.8 KB.
+    assert all(len(line) <= 160 for line in errors)
