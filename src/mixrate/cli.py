@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later one in the process: callers must not mutate it. Each subcommand's
     `fn` default is bound to its `cmd_*` function at that first build."""
-    ap = argparse.ArgumentParser(prog="mixrate", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="mixrate", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="rates and bounds for an ensemble file")

@@ -191,10 +191,10 @@ def _shannon(p: np.ndarray) -> np.ndarray:
     return 0.0 - np.sum(_xlnx(p), axis=-1)
 
 
-def _entropy_from_eigenvalues(w: np.ndarray, dim: int):
-    """-sum w ln w of a state's eigenvalues, clamped to [0, ln dim]; for a
+def _entropy_from_eigenvalues(w: np.ndarray):
+    """-sum w ln w of a state's eigenvalues (d,), clamped to [0, ln d]; for a
     stack (..., d) of spectra, the array of their entropies."""
-    s = np.clip(_shannon(np.clip(np.real(w), 0.0, 1.0)), 0.0, math.log(dim))
+    s = np.clip(_shannon(np.clip(np.real(w), 0.0, 1.0)), 0.0, math.log(w.shape[-1]))
     return float(s) if s.ndim == 0 else s
 
 
@@ -232,7 +232,7 @@ def binary_entropy(p):
 def _average_entropies(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_x p_x S(rho_x) of each ensemble of a batch, from the probabilities
     p (B, n) and the members' eigenvalues w (B, n, d)."""
-    return np.sum(p * _entropy_from_eigenvalues(w, w.shape[-1]), axis=-1)
+    return np.sum(p * _entropy_from_eigenvalues(w), axis=-1)
 
 
 # --- Batches of ensembles ---------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -380,24 +380,24 @@ CSV_HEADER = (
 )
 
 
-def _csv_cell(v) -> str:
-    # str of a float is its repr: the shortest string that reads back exactly.
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, tuple):
-        return ";".join(map(str, v))
-    return str(v)
+def _cell(v) -> str:
+    """A CSV cell: "" for None, else str (a float's repr, which reads back exactly)."""
+    return "" if v is None else str(v)
+
+
+def _csv_row(r: TrialRecord) -> str:
+    """A record's CSV line, one cell per CSV_HEADER column."""
+    return (
+        f"{r.trial_id},{r.seed},{r.dim},{r.n_states},{';'.join(map(str, r.probabilities))},"
+        f"{r.max_rate},{_cell(r.binary_max_rate)},{r.bound_thm},{r.shannon},"
+        f"{_cell(r.ratio_thm)},{_cell(r.ratio_conj)},{_cell(r.fd_residual)},"
+        f"{'true' if r.stm_ok else 'false'}\n"
+    )
 
 
 def records_to_csv(records: Sequence[TrialRecord], header: bool = True) -> str:
-    """CSV_HEADER unless header is false, then one line per record: a cell
-    for each of its leading fields, in order, one per CSV_HEADER column."""
-    names = [f.name for f in fields(TrialRecord)][: CSV_HEADER.count(",") + 1]
-    lines = [CSV_HEADER] if header else []
-    lines.extend(",".join(_csv_cell(getattr(r, k)) for k in names) for r in records)
-    return "".join(line + "\n" for line in lines)
+    """CSV_HEADER unless header is false, then one line per record."""
+    return (CSV_HEADER + "\n" if header else "") + "".join(map(_csv_row, records))
 
 
 def records_to_json(records: Sequence[TrialRecord]) -> str:

@@ -43,6 +43,7 @@ from .ensembles import (
     _state_spectra,
     _unit_interval,
     _xlnx,
+    binary_entropy,
 )
 from .errors import (
     DegenerateState,
@@ -55,6 +56,8 @@ from .errors import (
 from .hermitian import RANK_TOL
 
 DEFAULT_FD_STEP = 1e-4
+# The times at which the Richardson oracle reads S(rho(t)).
+FD_TIMES = (DEFAULT_FD_STEP, -DEFAULT_FD_STEP, DEFAULT_FD_STEP / 2.0, -DEFAULT_FD_STEP / 2.0)
 IMAG_TOL = 1e-9
 SUPPORT_LEAK_TOL = 1e-8
 STM_TIMES = (0.5, 1.0, 2.0)  # the times at which a trial checks the STM sandwich
@@ -160,35 +163,11 @@ def mixing_rate(E: Ensemble, H: Sequence[Hamiltonian]) -> float:
     return float(_rate(b.p, M, _commutators(b.rhos, _support_logs(b.p, b.rhos)[1]))[0])
 
 
-def _fd_probe(rho_w: np.ndarray, strict: bool) -> np.ndarray:
-    """Which expected states, given by their ascending eigenvalues (B, d),
-    refuse a finite difference: those whose smallest eigenvalue is below
-    1e3 RANK_TOL. If strict, a refusal raises RankDeficient."""
-    refused = rho_w[:, 0] < 1e3 * RANK_TOL
-    if strict and refused.any():
-        raise RankDeficient(
-            f"expected state eigenvalue {float(rho_w[refused][0, 0]):.3e} "
-            "too small for finite differences"
-        )
-    return refused
-
-
-def _fd_times(h: float) -> tuple[float, ...]:
-    """The times at which the Richardson oracle of step h reads S(rho(t))."""
-    return (h, -h, h / 2.0, -h / 2.0)
-
-
-def _central(S, h: float):
-    """[S(h) - S(-h)] / 2h from the entropies S at (h, -h), or from the rows
-    S[0], S[1] of a batch."""
-    return (S[0] - S[1]) / (2.0 * h)
-
-
 def _richardson(S, h: float):
-    """Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the central
-    differences D from the entropies S at _fd_times(h): error O(h^4) where
-    D's is O(h^2)."""
-    return (4.0 * _central(S[2:], h / 2.0) - _central(S, h)) / 3.0
+    """Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the central differences
+    D(k) = [S(k) - S(-k)] / 2k, from the entropies S at FD_TIMES (or a batch's
+    rows S[0..3] of them): error O(h^4) where D's is O(h^2)."""
+    return (4.0 * ((S[2] - S[3]) / (2.0 * (h / 2.0))) - (S[0] - S[1]) / (2.0 * h)) / 3.0
 
 
 def _trajectory(
@@ -258,7 +237,7 @@ def _entropies(rho_t: np.ndarray) -> np.ndarray:
     checks a DensityMatrix gets (finite, Hermitian, PSD, unit trace), and all
     B T of them one stacked eigvalsh."""
     w_t = _state_eigenvalues(hm.eigvals_hermitian(rho_t))
-    return _entropy_from_eigenvalues(w_t, rho_t.shape[-1])
+    return _entropy_from_eigenvalues(w_t)
 
 
 def optimal_hamiltonians(E: Ensemble) -> tuple[Hamiltonian, ...]:
@@ -307,12 +286,11 @@ def bound_theorem_general(probs):
     return float(total) if total.ndim == 0 else total
 
 
-def _stm_sandwich(p: np.ndarray, w: np.ndarray, S: np.ndarray) -> np.ndarray:
+def _stm_sandwich(b: _Batch, shannon: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Whether each entropy S (B, T) of rho(t) lies in the STM sandwich
-    [avg, avg + S(p)] of its ensemble, given by probabilities p (B, n) and
-    the members' eigenvalues w (B, n, d)."""
-    lower = _average_entropies(p, w)
-    upper = lower + _shannon(p)
+    [avg, avg + S(p)] of its ensemble in the batch b, whose S(p) (B,) is shannon."""
+    lower = _average_entropies(b.p, b.w)
+    upper = lower + shannon
     return (lower[:, None] - CHECK_SLACK <= S) & (S <= upper[:, None] + CHECK_SLACK)
 
 
@@ -394,20 +372,23 @@ def _evaluate(b: _Batch, M: Optional[np.ndarray], policy: str) -> tuple[list, ..
         elif policy == "binary":
             bound = bound_theorem_binary(p0)
             ratio_thm = _ratios(binary, bound)
-            ratio_conj = _ratios(binary, _shannon(np.stack([p0, 1.0 - p0], axis=-1)))
-    # Only "compute" survives a refusal, and it evaluates a batch of one: so
-    # the finite difference runs on the whole batch or on none of it.
+            ratio_conj = _ratios(binary, binary_entropy(p0))
+    # The FD oracle refuses a rho with an eigenvalue below 1e3 RANK_TOL. Only
+    # "compute", on a batch of one, survives that: the FD runs on all B or none.
+    rho_min = float(sp.rho.eigenvalues[:, 0].min())
+    if rho_min < 1e3 * RANK_TOL and policy != "compute":
+        raise RankDeficient(
+            f"expected state eigenvalue {rho_min:.3e} too small for finite differences"
+        )
     fd_residual, stm_ok = [None] * B, [True] * B
-    if not _fd_probe(sp.rho.eigenvalues, strict=policy != "compute").any():
-        fd_times = _fd_times(DEFAULT_FD_STEP)
-        stm_times = () if policy == "compute" else STM_TIMES
-        ts = fd_times + stm_times
+    if rho_min >= 1e3 * RANK_TOL:
+        ts = FD_TIMES + (() if policy == "compute" else STM_TIMES)
         if involutions:
             S = _involution_trajectory(p, b.rhos, sp.mix, M, ts)
         else:
             S = _trajectory(p, b.rhos, hm.eig_hermitian(M), ts)
         fd_residual = np.abs(rate - _richardson(S.T, DEFAULT_FD_STEP)).tolist()
-        stm_ok = _stm_sandwich(p, b.w, S[:, len(fd_times):]).all(axis=-1).tolist()
+        stm_ok = _stm_sandwich(b, shannon, S[:, len(FD_TIMES):]).all(axis=-1).tolist()
     binaries = [None] * B if binary is None else binary.tolist()
     return (
         rate.tolist(), mx.tolist(), binaries, bound.tolist(), shannon.tolist(),

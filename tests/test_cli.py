@@ -286,6 +286,9 @@ class TestCompute:
 
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK
+        # The module docstring's subcommand table keeps one command per line.
+        table = "  compute  rates/bounds for an ensemble file (optionally with Hamiltonians)"
+        assert table in capsys.readouterr().out.splitlines()
 
 
 class TestSharedParser:
@@ -881,6 +884,34 @@ def _refused(argv, message: str, capsys) -> None:
 def test_matrix_entries_must_be_json_numbers(which, pair, message, tmp_path, capsys):
     # np.asarray(..., dtype=float) alone reads "1" as 1.0, false as 0.0 and null as NaN.
     _refused(_one_bad_pair(tmp_path, which, pair), message, capsys)
+
+
+@pytest.mark.parametrize(
+    "which, edit, message",
+    [
+        ("ensemble", lambda o: o.update(states=o["states"][:1]),
+         "probabilities and states have different lengths"),
+        ("state", lambda o: o.update(amplitudes=[a + [0.0] for a in o["amplitudes"]]),
+         "amplitudes must be a list of [re, im] pairs"),
+        ("operator", lambda o: o.pop("dims"), "operator JSON missing or malformed field: 'dims'"),
+        ("state", lambda o: o.update(dims=[0, 2, 2, 1]), "need four factor dimensions >= 1"),
+        ("state", lambda o: o.update(dims=[1, -2, 2, 1]), "need four factor dimensions >= 1"),
+    ],
+)
+def test_inconsistent_files_are_refused(which, edit, message, tmp_path, capsys):
+    # Well-formed JSON whose fields disagree with each other: 2 probabilities
+    # and 1 state, [re, im, ?] amplitudes, an operator without dims, a zero
+    # or negative factor dimension.
+    ep = tmp_path / "e.json"
+    ep.write_bytes(serialize_ensemble(random_ensemble(2, 2, rng(742))))
+    sp, op = TestSie._bell_files(tmp_path)
+    path = {"ensemble": ep, "state": sp, "operator": op}[which]
+    sie = ["sie", "--state", str(sp), "--ham", str(op)]
+    argv = ["compute", "--ensemble", str(ep)] if which == "ensemble" else sie
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    _refused(argv, message, capsys)
 
 
 class TestBoundary:

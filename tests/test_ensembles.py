@@ -33,7 +33,7 @@ from conftest import random_density, random_ensemble, random_hamiltonian_set, rn
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) from the eigenvalues validation kept, through the entropy kernel."""
-    return ens._entropy_from_eigenvalues(rho.eigenvalues, rho.dim)
+    return ens._entropy_from_eigenvalues(rho.eigenvalues)
 
 
 def average_entropy(E: Ensemble) -> float:
@@ -86,6 +86,10 @@ class TestEnsemble:
         for p in ([0.5, 0.4], [0.5, math.nan, 0.5], [0.5, math.inf, 0.5], [1.0, -math.inf]):
             with pytest.raises(BadDistribution):
                 Ensemble(p, [DensityMatrix(np.eye(2) / 2)] * len(p))
+
+    def test_rejects_unpaired_probabilities(self):
+        with pytest.raises(DimMismatch, match="probabilities and states must have equal length"):
+            Ensemble([0.5, 0.5], [DensityMatrix(np.eye(2) / 2)])
 
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimMismatch):

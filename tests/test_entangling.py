@@ -28,7 +28,7 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
 
 def _entropy(M):
-    return _entropy_from_eigenvalues(np.linalg.eigvalsh(M), M.shape[0])
+    return _entropy_from_eigenvalues(np.linalg.eigvalsh(M))
 
 
 def random_pure(dims, g):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -397,11 +396,28 @@ class TestReports:
     def test_empty_records_header_only(self):
         assert records_to_csv([]) == hz.CSV_HEADER + "\n"
 
-    def test_header_names_the_leading_fields(self):
-        # records_to_csv writes a record's leading fields by position.
-        names = [f.name for f in dataclasses.fields(TrialRecord)]
+    def test_each_cell_holds_the_field_its_column_names(self):
+        # An n = 3 row, whose binary cell is empty, and an error row, which
+        # keeps the dataclass defaults. probs is the probabilities field.
+        def cell(v):
+            if v is None:
+                return ""
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+        records = [
+            run_trial(ExperimentConfig(dim=3, n_states=3, seed=44), 0),
+            TrialRecord(5, 44, 3, 3, (0.5, 0.25, 0.25), error="RankDeficient: x"),
+        ]
         header = hz.CSV_HEADER.split(",")
-        assert header == ["probs" if k == "probabilities" else k for k in names[: len(header)]]
+        rows = [line.split(",") for line in records_to_csv(records, header=False).splitlines()]
+        for rec, row in zip(records, rows, strict=True):
+            cells = dict(zip(header, row, strict=True))
+            for name, text in cells.items():
+                assert text == cell(getattr(rec, "probabilities" if name == "probs" else name))
+            assert cells["binary_max_rate"] == ""
+        assert rows[1][header.index("max_rate")] == "0.0" and rows[1][-1] == "true"
 
     def test_single_record_round_trip(self):
         cfg = ExperimentConfig(dim=2, n_states=2, seed=41)

@@ -94,6 +94,12 @@ class TestMixingRate:
         with pytest.raises(DimMismatch):
             rates.mixing_rate(E, random_hamiltonian_set(2, 2, rng(302)))
 
+    @pytest.mark.parametrize("call", [rates.mixing_rate, rates.rate_report])
+    def test_one_hamiltonian_per_member(self, call):
+        H = random_hamiltonian_set(3, 1, rng(303))
+        with pytest.raises(DimMismatch, match="need one Hamiltonian per ensemble member"):
+            call(commuting_ensemble(), H)
+
     def test_imaginary_residue_is_a_typed_error(self):
         # i*L for Hermitian L not commuting with the states makes the rate
         # complex; the check raises an error that survives python -O.
@@ -323,7 +329,7 @@ class TestQubitClosedForms:
 
     def test_entropy_trajectory_against_bloch_oracle(self):
         g = rng(326)
-        times = rates._fd_times(rates.DEFAULT_FD_STEP) + rates.STM_TIMES
+        times = rates.FD_TIMES + rates.STM_TIMES
         for k in range(200):
             n = 2 + k % 3
             E = qubit_ensemble(n, g)
@@ -416,7 +422,7 @@ class TestInvolutionTrajectory:
     """The closed form under Hamiltonians that square to I, which every
     verify, scan and search record evolves its maximizers with."""
 
-    TIMES = rates._fd_times(rates.DEFAULT_FD_STEP) + rates.STM_TIMES
+    TIMES = rates.FD_TIMES + rates.STM_TIMES
 
     @staticmethod
     def maximizers(Es):
@@ -618,6 +624,10 @@ class TestAkGap:
         lhs, rhs = rates.ak_gap(0.5 * E.states[0].matrix, 0.5 * E.states[1].matrix)
         assert lhs == pytest.approx(rates.binary_max_rate(E), abs=1e-9)
         assert rhs == pytest.approx(binary_entropy(0.5), abs=1e-9)
+
+    def test_unequal_dimensions_rejected(self):
+        with pytest.raises(DimMismatch, match="A and B must have equal dimensions"):
+            rates.ak_gap(np.eye(2) / 2, np.eye(3) / 3)
 
     def test_rank_deficient_rejected(self):
         A = np.diag([1.0, 0.0])
