@@ -3,7 +3,10 @@
 Every random draw flows through an (seed, stream) pair: the stream index is
 the trial id, so trials are reproducible in isolation and embarrassingly
 parallel without any RNG coordination. Identical (seed, stream) pairs give
-identical samples on any run of one build.
+identical samples on any run of one build. A chunk of trials draws its
+samples straight into arrays of the whole chunk, from streams that
+`sampling` seeds in one pass once the chunk holds sampling.SEEDED_CHUNK
+trials.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from .ensembles import (
     _Batch,
     _ensemble,
     _require_distribution,
-    _sampled,
     binary_entropy,
     shannon_entropy,
 )
 from .errors import BoundViolation, DomainError, MixRateError
 from .rates import _evaluate, _Spectra, bound_theorem_general
+from .sampling import _ginibre, _states, streams
 
 PROB_FLOOR = 1e-6
 # _sample_probs redraws until every p_x > PROB_FLOOR. A flat Dirichlet draw
@@ -45,11 +48,12 @@ SEARCH_SHRINK = 0.5  # step factor after 20 rejected candidates in a row
 # 12: 0.22, 16: 0.23 (20 - rejections caps a block anyway).
 SEARCH_BLOCK = 8
 # A chunk of trials holds max(1, CHUNK_ENTRIES // d^2) of them: 128 at d = 4,
-# 1 at d = 64. A chunk's stacked evaluation has a fixed cost whatever its
-# size (d = 4, n = 3, x86-64, one BLAS thread: 383 us for 1 trial, 1662 us
-# for 32, 5852 us for 128), so verify at d = 4 ran 17% more trials per second
-# than with 32-trial chunks. No chunk holds more matrix entries than one
-# d = 64 trial (tracemalloc peak at n = 3: 1.41 MB at d = 4, 2.37 MB at d = 64).
+# 1 at d = 64. A chunk's sampling and stacked evaluation have a fixed cost
+# whatever its size (run_trials at d = 4, n = 3, shared 2-core x86-64, one
+# BLAS thread, best of 100: 528 us for 1 trial, 2420 us for 32, 8248 us for
+# 128), so a trial costs 17% less in a chunk of 128 than in one of 32. No
+# chunk holds more matrix entries than one d = 64 trial (tracemalloc peak at
+# n = 3: 1.39 MB at d = 4, 2.37 MB at d = 64).
 CHUNK_ENTRIES = 2048
 
 
@@ -118,21 +122,10 @@ class TrialRecord:
     iterations: Optional[int] = None
 
 
-def _ginibre(z: np.ndarray) -> np.ndarray:
-    """Ginibre matrices (..., d, d) from standard normals z (..., 2, d, d) in
-    the order they are drawn: each matrix's real part, then its imaginary part."""
-    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
-
-
 def _batch(draws) -> _Batch:
     """The validated batch of trial draws, each a pair of probabilities (n,)
-    and the normals (n, 2, d, d) of n Ginibre matrices G: the Hilbert-Schmidt
-    states G G† / Tr(G G†) of all of them formed in one stacked product and
-    one trace-divide, then checked together (`_sampled`)."""
-    p, z = (np.array(a) for a in zip(*draws))
-    G = _ginibre(z)
-    rho = G @ G.conj().swapaxes(-1, -2)
-    return _sampled(p, rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None])
+    and the normals (n, 2, d, d) of n Ginibre matrices (see sampling._states)."""
+    return _states(*(np.array(a) for a in zip(*draws)))
 
 
 def _unit_spectra(G: np.ndarray):
@@ -164,6 +157,29 @@ def sample_ensemble(cfg: ExperimentConfig, rng: RNGSpec, p: Optional[float] = No
     """cfg.n_states Hilbert-Schmidt states with flat-Dirichlet probabilities,
     or two with the probabilities (p, 1 - p)."""
     return _ensemble(_batch([_trial_draw(cfg, rng.generator(), p)]), 0)
+
+
+def _chunk_states(
+    cfg: ExperimentConfig, trial_ids: Sequence[int], ps: Optional[Sequence[float]]
+) -> _Batch:
+    """The batch of a chunk's trials, each drawn from its (cfg.seed, trial id)
+    stream as _trial_draw draws it alone, into arrays of the whole chunk: its
+    exponentials, unless a scan fixes its probabilities at (p, 1 - p), then
+    its normals. A trial whose probabilities fail the floor is drawn again
+    through _trial_draw from a fresh generator of its stream. The normals
+    and Ginibre matrices are freed on return, before the chunk is evaluated."""
+    n = cfg.n_states if ps is None else 2
+    p = np.empty((len(trial_ids), n)) if ps is None else np.array([[q, 1.0 - q] for q in ps])
+    z = np.empty((len(trial_ids), n, 2, cfg.dim, cfg.dim))
+    for k, g in enumerate(streams(cfg.seed, trial_ids)):
+        if ps is None:
+            g.standard_exponential(out=p[k])
+        g.standard_normal(out=z[k])
+    if ps is None:
+        p /= p.sum(axis=1, keepdims=True)
+        for k in np.flatnonzero(~np.all(p > PROB_FLOOR, axis=1)):
+            p[k], z[k] = _trial_draw(cfg, RNGSpec(cfg.seed, trial_ids[k]).generator())
+    return _states(p, z)
 
 
 def chunk_size(dim: int) -> int:
@@ -208,11 +224,7 @@ def run_trials(
     """Sample the ensemble of each trial from (cfg.seed, trial id), with its
     probabilities fixed at (p, 1 - p) for the matching p of a scan's ps, and
     evaluate them as one chunk."""
-    ps = [None] * len(trial_ids) if ps is None else ps
-    gens = (RNGSpec(cfg.seed, i).generator() for i in trial_ids)
-    # The draws stay unnamed, so that their normals are freed before the evaluation.
-    b = _batch([_trial_draw(cfg, g, p) for g, p in zip(gens, ps)])
-    return evaluate_batch(b, cfg, trial_ids)
+    return evaluate_batch(_chunk_states(cfg, trial_ids, ps), cfg, trial_ids)
 
 
 def scan_jobs(p_grid: Sequence[float], cfg: ExperimentConfig) -> Iterator[tuple]:

@@ -4,7 +4,8 @@ import pytest
 
 from mixrate import hermitian as hm
 from mixrate.ensembles import DensityMatrix, Ensemble, Hamiltonian
-from mixrate.harness import RNGSpec, _ginibre, _unit_spectra
+from mixrate.harness import RNGSpec, _unit_spectra
+from mixrate.sampling import _ginibre
 
 
 def rng(seed, stream=0):

@@ -26,7 +26,8 @@ from pathlib import Path
 from make_golden import CASES, write_inputs
 
 # Runs long enough to cross chunk and pool boundaries: the first exits 3 and
-# leaves 10 offender files.
+# leaves 10 offender files. At 1000 states 22 of the 40 trials redraw their
+# probabilities below the floor; the last run's seed spans three 32-bit words.
 LONG = [
     "verify --dim 4 --states 3 --trials 2000 --seed 1",
     "verify --dim 4 --states 3 --trials 500 --seed 9 --workers 2",
@@ -35,6 +36,8 @@ LONG = [
     "scan --p-grid 0.01:0.99:0.07 --dim 4 --trials 20 --seed 3",
     "search --dim 4 --states 2 --binary --iters 1000 --seed 7",
     "search --dim 2 --states 3 --iters 500 --seed 2",
+    "verify --dim 2 --states 1000 --trials 40 --seed 5",
+    "verify --dim 4 --states 3 --trials 300 --seed 18446744073709551619",
 ]
 
 

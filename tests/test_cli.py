@@ -324,6 +324,19 @@ class TestSharedParser:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "0"
 
+    def test_numpy_random_not_imported(self):
+        # numpy.random takes 11-15 ms to import; only a command that
+        # samples needs it, and it loads on the first draw.
+        import mixrate
+
+        code = "import sys, mixrate.cli; print('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixrate.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
+
 
 def _blas_threads() -> int:
     get = cli._openblas().scipy_openblas_get_num_threads64_

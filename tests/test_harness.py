@@ -11,6 +11,7 @@ from mixrate import cli
 from mixrate import ensembles as ens
 from mixrate import harness as hz
 from mixrate import hermitian as hm
+from mixrate import sampling
 from mixrate.ensembles import DensityMatrix, Ensemble, _stack
 from mixrate.errors import DomainError
 from mixrate.harness import (
@@ -251,6 +252,64 @@ class TestRunTrials:
         for rec, E, i in ((records[0], good[0], 0), (records[2], good[1], 2)):
             assert rec.error is None
             assert_records_match(rec, evaluate_batch(_stack([E]), cfg, [i])[0])
+
+
+class TestChunkSeeding:
+    """A chunk of sampling.SEEDED_CHUNK trials or more seeds every trial's
+    stream in one pass; each stream and every draw from it stays
+    default_rng's."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, np.int64(7)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_default_rng(self, seed):
+        ids = [0, 127, 128, 999_999]
+        want = [np.random.default_rng((seed, i)).bit_generator.state for i in ids]
+        got = sampling.pcg64_states(seed, ids)
+        assert got == [(s["state"]["state"], s["state"]["inc"]) for s in want]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", [sampling.SEEDED_CHUNK - 1, sampling.SEEDED_CHUNK, 128])
+    def test_streams_on_both_sides_of_the_break_even(self, seed, size):
+        ids = range(999_999 - size + 1, 1_000_000)
+        got = [g.bit_generator.state for g in sampling.streams(seed, ids)]
+        assert got == [np.random.default_rng((seed, i)).bit_generator.state for i in ids]
+
+    @pytest.mark.parametrize("size", [sampling.SEEDED_CHUNK - 1, sampling.SEEDED_CHUNK])
+    @pytest.mark.parametrize("p", [None, 0.3])  # p: a scan's
+    def test_chunk_draws_what_each_trial_draws_alone(self, size, p):
+        cfg = ExperimentConfig(dim=3, n_states=3, seed=2**64 + 3)
+        ids = list(range(120, 120 + size))
+        ps = None if p is None else [p] * size
+        want = hz._batch([hz._trial_draw(cfg, RNGSpec(cfg.seed, i).generator(), p) for i in ids])
+        for got, w in zip(hz._chunk_states(cfg, ids, ps), want):
+            assert np.array_equal(got, w)
+
+    def test_ids_beyond_one_word_keep_per_trial_generators(self):
+        ids = [2**32 - 1, 2**32, 2**40]
+        got = [g.bit_generator.state for g in sampling.streams(7, ids * sampling.SEEDED_CHUNK)]
+        want = [np.random.default_rng((7, i)).bit_generator.state for i in ids]
+        assert got == want * sampling.SEEDED_CHUNK
+
+    def test_floor_redraws(self, monkeypatch):
+        # At n = 1000 a flat Dirichlet draw often falls below PROB_FLOOR: 22
+        # of these 40 trials redraw their probabilities.
+        cfg = ExperimentConfig(dim=2, n_states=1000, seed=5)
+        ids = list(range(40))
+        redraws = []
+        trial_draw = hz._trial_draw
+
+        def spy(*args):
+            redraws.append(args)
+            return trial_draw(*args)
+
+        monkeypatch.setattr(hz, "_trial_draw", spy)
+        records = run_trials(cfg, ids)
+        assert len(redraws) == 22
+        monkeypatch.undo()
+        for got, want in zip(records, [run_trial(cfg, i) for i in ids]):
+            assert got.error is None
+            assert_records_match(got, want)
 
 
 class TestScanBinary:

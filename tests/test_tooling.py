@@ -262,7 +262,7 @@ def test_package_root_binds_only_the_version():
 
 
 README_NAME = re.compile(
-    r"`(?:mixrate\.)?(cli|harness|rates|ensembles|entangling|hermitian|errors)"
+    r"`(?:mixrate\.)?(cli|harness|sampling|rates|ensembles|entangling|hermitian|errors)"
     r"((?:\.[A-Za-z_]\w*)+)"
 )
 
