@@ -6,7 +6,10 @@ generator seeded by numpy's SeedSequence from the entropy words of the pair.
 `pcg64_states` runs SeedSequence for every id of a chunk at once, on uint32
 arrays, then PCG64's seeding on Python ints. `streams` reseeds one generator
 in place to each of those states, so every bit drawn is the one
-default_rng((seed, trial id)) gives.
+default_rng((seed, trial id)) gives. numpy's own SeedSequence per trial,
+with the same reseeding, costs more than default_rng (23 against 20 us a
+trial on a shared x86-64 Xeon): bench/run.py verify-small ran 6855 items/s
+with it against 7495 with the one pass (medians of 10 alternated pairs).
 """
 
 from __future__ import annotations
@@ -16,11 +19,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ensembles import _Batch, _sampled
+from .errors import DomainError
 
 # A chunk of at least SEEDED_CHUNK trials is seeded in one pass, a smaller one
 # by one default_rng per trial. On a shared x86-64 Xeon, default_rng took
 # 15-24 us a trial; the one pass took 86-146 us for a chunk of one and 4-7 us
-# a trial at 128, so the two meet between 8 and 10 trials.
+# a trial at 128, so the two meet between 8 and 10 trials. In pool workers a
+# chunk of one d = 64 trial ran 2% slower seeded in one pass (bench/run.py
+# verify-large, 16 of 20 alternated pairs) and peaked 0.19 MB higher (18 of
+# 20): the pass's integer xor and multiply loops page in numpy code.
 SEEDED_CHUNK = 8
 # SeedSequence (a pool of four 32-bit words): the initial constant and
 # multiplier of hashmix and of generate_state's output hash, and mix's two
@@ -59,8 +66,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def pcg64_states(seed: int, ids: Sequence[int]) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) of np.random.default_rng((seed, i)) for each
-    id i of one 32-bit word. The entropy words are seed's 32-bit words, low
-    first, then i."""
+    id i, one 32-bit word (0 <= i < 2^32; DomainError otherwise). The entropy
+    words are seed's 32-bit words, low first, then i."""
+    if min(ids) < 0 or max(ids) > _M32:
+        raise DomainError(f"trial ids {min(ids)}..{max(ids)} outside 0..{_M32}")
     words = [seed >> s & _M32 for s in range(0, max(int(seed).bit_length(), 1), 32)]
     entropy = np.zeros((max(4, len(words) + 1), len(ids)), np.uint32)
     entropy[: len(words)] = np.array(words, np.uint32)[:, None]
@@ -81,11 +90,11 @@ def pcg64_states(seed: int, ids: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def streams(seed: int, ids: Sequence[int]) -> Iterator[np.random.Generator]:
-    """The generator of each (seed, id) stream, in order. A chunk of
-    SEEDED_CHUNK ids or more, each one 32-bit word, gets one generator
-    reseeded in place to each stream's state (valid until the next is
-    yielded); a smaller chunk gets default_rng((seed, id)) for each id."""
-    if len(ids) < SEEDED_CHUNK or not all(0 <= i <= _M32 for i in ids):
+    """The generator of each (seed, id) stream, in order, for ids below
+    2^32. A chunk of SEEDED_CHUNK ids or more gets one generator reseeded in
+    place to each stream's state (valid until the next is yielded); a
+    smaller chunk gets default_rng((seed, id)) for each id."""
+    if len(ids) < SEEDED_CHUNK:
         yield from (np.random.default_rng((seed, i)) for i in ids)
         return
     g = np.random.default_rng(0)

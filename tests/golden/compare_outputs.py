@@ -27,7 +27,8 @@ from make_golden import CASES, write_inputs
 
 # Runs long enough to cross chunk and pool boundaries: the first exits 3 and
 # leaves 10 offender files. At 1000 states 22 of the 40 trials redraw their
-# probabilities below the floor; the last run's seed spans three 32-bit words.
+# probabilities below the floor; the next run's seed spans three 32-bit words;
+# the last sends chunks of one d = 64 trial through the pool.
 LONG = [
     "verify --dim 4 --states 3 --trials 2000 --seed 1",
     "verify --dim 4 --states 3 --trials 500 --seed 9 --workers 2",
@@ -38,6 +39,7 @@ LONG = [
     "search --dim 2 --states 3 --iters 500 --seed 2",
     "verify --dim 2 --states 1000 --trials 40 --seed 5",
     "verify --dim 4 --states 3 --trials 300 --seed 18446744073709551619",
+    "verify --dim 64 --states 2 --trials 6 --seed 11 --workers 2",
 ]
 
 

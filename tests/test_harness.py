@@ -285,11 +285,13 @@ class TestChunkSeeding:
         for got, w in zip(hz._chunk_states(cfg, ids, ps), want):
             assert np.array_equal(got, w)
 
-    def test_ids_beyond_one_word_keep_per_trial_generators(self):
-        ids = [2**32 - 1, 2**32, 2**40]
-        got = [g.bit_generator.state for g in sampling.streams(7, ids * sampling.SEEDED_CHUNK)]
-        want = [np.random.default_rng((7, i)).bit_generator.state for i in ids]
-        assert got == want * sampling.SEEDED_CHUNK
+    @pytest.mark.parametrize("ids", [[2**32], [0, 2**40], [-1, 3], np.array([2**32, 5])])
+    def test_ids_beyond_one_word_are_refused(self, ids):
+        with pytest.raises(DomainError, match="outside 0..4294967295"):
+            sampling.pcg64_states(7, ids)
+        # The largest id of one word is seeded as default_rng seeds it.
+        want = np.random.default_rng((7, 2**32 - 1)).bit_generator.state["state"]
+        assert sampling.pcg64_states(7, [2**32 - 1]) == [(want["state"], want["inc"])]
 
     def test_floor_redraws(self, monkeypatch):
         # At n = 1000 a flat Dirichlet draw often falls below PROB_FLOOR: 22
