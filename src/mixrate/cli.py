@@ -60,9 +60,10 @@ def _guard_trip(r: hz.TrialRecord) -> Optional[str]:
     """Why record r fails a theorem guard, or None if it passes them all."""
     if r.error is not None:
         return r.error
-    if r.ratio_thm is not None and r.ratio_thm > 1.0 + hz.THEOREM_SLACK:
+    # `not x <= bound`, so that a NaN fails the guard.
+    if r.ratio_thm is not None and not r.ratio_thm <= 1.0 + hz.THEOREM_SLACK:
         return f"ratio_thm {r.ratio_thm!r} exceeds 1"
-    if r.fd_residual > 1e-6:
+    if not r.fd_residual <= 1e-6:
         return f"fd_residual {r.fd_residual!r} exceeds 1e-6"
     return None if r.stm_ok else "entropy outside the STM bounds"
 

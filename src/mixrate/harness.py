@@ -286,11 +286,11 @@ def _climb_block(
     q = np.clip(q, PROB_FLOOR, None)
     q /= q.sum(axis=-1, keepdims=True)
     _require_distribution(q)
-    wc = np.broadcast_to(w, Vc.shape[:-1])
+    wc = np.full(Vc.shape[:-1], w)  # a copy: np.broadcast_to's view costs more
     cand = _Batch(q, hm.hermitian_part(hm.reconstruct(wc, Vc)), wc)
     sp = _Spectra(cand)
-    # broadcast_to: a bound given as one number holds for every candidate.
-    bound = np.broadcast_to(bound_theorem_general(q), (k,))
+    # np.full: a bound given as one number holds for every candidate.
+    bound = np.full(k, bound_theorem_general(q))
     return cand, Vc, sp.max_rate, bound, _objectives(sp, binary)
 
 

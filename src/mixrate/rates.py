@@ -359,6 +359,9 @@ def _evaluate(b: _Batch, M: Optional[np.ndarray], policy: str) -> tuple[list, ..
     if involutions:
         M = hm.hermitian_part(hm.reconstruct(*sp.maximizers()))
     rate = sp.rate(M)
+    # Only the maximizers and the rate read C and its eigenvectors; freed here,
+    # they no longer add to the peak that a d = 64 trial reaches in _entropies.
+    sp.C = sp.eigs = None
     mx = sp.max_rate
     shannon = _shannon(p)
     bound = bound_theorem_general(p)

@@ -26,6 +26,10 @@ through the program's `_climb_draws` as a block of one, its unitaries
 operation order, and each restart takes the eigenvectors the climb turns
 from one stacked eigh of the members, as the program does
 (`restart_vectors`).
+
+`require_hermitian` is the Hermiticity check as it ran before its residual
+pass: the program's check must take the same decisions and return the same
+bits.
 """
 
 from __future__ import annotations
@@ -47,9 +51,17 @@ from mixrate.ensembles import (
     shannon_entropy,
 )
 from mixrate.entangling import PureState
-from mixrate.errors import BoundViolation, DimMismatch, DomainError, MixRateError, RankDeficient
+from mixrate.errors import (
+    BoundViolation,
+    DimMismatch,
+    DomainError,
+    MixRateError,
+    NonHermitian,
+    RankDeficient,
+)
 from mixrate.rates import binary_max_rate, max_mixing_rate
 
+HERM_TOL = 1e-10
 RANK_TOL = 1e-12
 FD_STEP = 1e-4
 STM_SLACK = 1e-9
@@ -57,6 +69,33 @@ MP_DIGITS = 40
 
 
 # --- Linear algebra and entropies -------------------------------------------
+
+
+def require_hermitian(M) -> np.ndarray:
+    """The Hermiticity check as it ran before one residual pass settled the
+    common case: ‖M − M†‖_F ≤ HERM_TOL·max(1, ‖M‖_F) tested matrix by matrix
+    on every call. `mixrate.hermitian.require_hermitian` must accept and
+    refuse the same inputs, with the same exceptions and messages, and return
+    the same bits."""
+    A = np.asarray(M, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimMismatch(f"expected square matrices, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has non-finite entries")
+    B = A.swapaxes(-1, -2).conj()
+    B -= A
+    dev = _frobenius_stack(B)
+    if (dev > HERM_TOL).any() and (dev > HERM_TOL * np.maximum(1.0, _frobenius_stack(A))).any():
+        raise NonHermitian(f"Hermiticity residual {dev.max():.3e} exceeds tolerance")
+    np.conjugate(A.swapaxes(-1, -2), out=B)
+    B += A
+    B /= 2
+    return B
+
+
+def _frobenius_stack(A: np.ndarray) -> np.ndarray:
+    sq = np.einsum("...ij,...ij->...", A.real, A.real)
+    return np.sqrt(sq + np.einsum("...ij,...ij->...", A.imag, A.imag))
 
 
 def matrix_fn(M: np.ndarray, f) -> np.ndarray:

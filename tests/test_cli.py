@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from mixrate import cli
 from mixrate import ensembles as ens
 from mixrate import harness as hz
+from mixrate import hermitian as hm
 from mixrate.cli import (
     EXIT_CONJECTURE,
     EXIT_INVARIANT,
@@ -37,6 +38,7 @@ from mixrate.ensembles import (
 )
 from mixrate.errors import NoConvergence
 from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
+from mixrate.hermitian import HERM_TOL
 from mixrate.rates import optimal_hamiltonians, rate_report
 
 from conftest import random_ensemble, random_hamiltonian_set, rng
@@ -199,6 +201,31 @@ class TestCompute:
         assert main(argv) == EXIT_USAGE
         assert "need one Hamiltonian per listed ensemble member" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("side, code", [(0.99, EXIT_OK), (1.01, EXIT_USAGE)])
+    def test_hermiticity_tolerance_scales_with_the_norm(
+        self, side, code, ensemble_file, tmp_path, capsys
+    ):
+        # At ||H||_F = 1e4, a residual ||H - H^dag||_F a hundred times HERM_TOL
+        # is accepted up to HERM_TOL ||H||_F and refused just beyond it.
+        g = rng(709)
+        H = [h.matrix * (1e4 / hm.frobenius(h.matrix)) for h in random_hamiltonian_set(3, 3, g)]
+        Y = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
+        K = Y - Y.conj().T  # anti-Hermitian: H + c K has residual 2c ||K||_F
+        H[1] = H[1] + K * (side * HERM_TOL * 1e4 / (2 * hm.frobenius(K)))
+        residual = hm.frobenius(H[1] - H[1].conj().T)
+        assert 100 * HERM_TOL < residual
+        assert (residual <= HERM_TOL * hm.frobenius(H[1])) == (code == EXIT_OK)
+        hp = tmp_path / "h.json"
+        hp.write_text(json.dumps({"dim": 3, "hamiltonians": [matrix_to_json(h) for h in H]}))
+        argv = ["compute", "--ensemble", str(ensemble_file), "--hamiltonians", str(hp)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            why = f"Hermiticity residual {residual:.3e} exceeds tolerance (member 1)"
+            assert err == f"mixrate: error: invariant violated: {why}\n"
 
     def test_hamiltonian_dim_must_match_the_ensemble(self, ensemble_file, tmp_path, capsys):
         # Refused as the report is made, before --out is created.
@@ -1131,6 +1158,11 @@ class TestGuardStatus:
 
     def test_large_fd_residual(self):
         assert guard_status([self._record(fd_residual=1e-3)]) == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("field, bound", [("ratio_thm", "1"), ("fd_residual", "1e-6")])
+    def test_nan_fails_the_theorem_guards(self, field, bound, capsys):
+        assert guard_status([self._record(**{field: math.nan})]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == f"trial 0: {field} nan exceeds {bound}\n"
 
     def test_conjecture_event(self):
         assert guard_status([self._record(ratio_conj=1.01)]) == EXIT_CONJECTURE

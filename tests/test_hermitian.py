@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import reference
 from mixrate import hermitian as hm
 from mixrate import rates
-from mixrate.errors import DimMismatch, DomainError, NonHermitian
+from mixrate.errors import DimMismatch, DomainError, MixRateError, NonHermitian
 
 from conftest import random_hermitian, rng
 
@@ -285,3 +286,107 @@ def test_trace_norm_unitary_invariance_property(seed):
     M = random_hermitian(4, g)
     U = reference.matrix_fn(random_hermitian(4, g), lambda w: np.exp(1j * w))
     assert hm.trace_norm(U @ M @ U.conj().T) == pytest.approx(hm.trace_norm(M), abs=1e-8)
+
+
+def _check_outcome(f, M):
+    """What f(M) does: its output (shape, strides and bytes) or its exception
+    (class and message), and the warnings it raises."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            out = f(M.copy())
+            result = ("ok", out.shape, out.strides, out.tobytes())
+        except MixRateError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in seen]
+
+
+class TestRequireHermitianMatchesReference:
+    """`require_hermitian` settles most stacks from one bound on the whole
+    stack's residual; it must decide, raise and return exactly as the
+    per-matrix check of tests/reference.py, with no warning on any of these."""
+
+    # Residual norms around each threshold a decision could turn on: the
+    # residual pass's HERM_TOL/2, HERM_TOL/d (the bound d·max|D| would set),
+    # the absolute HERM_TOL and the relative HERM_TOL·‖A‖_F.
+    SIDES = [0.5, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 2.0]
+
+    @staticmethod
+    def _stack(g, shape, scale):
+        X = scale * (g.standard_normal(shape) + 1j * g.standard_normal(shape))
+        # Products of Hermitian matrices carry roundoff residuals, as the
+        # pipeline's intermediates do.
+        H = (X + X.conj().swapaxes(-1, -2)) / 2
+        return H @ H / scale if shape[-1] else H
+
+    def assert_matches(self, M):
+        want, want_warnings = _check_outcome(reference.require_hermitian, M)
+        got, got_warnings = _check_outcome(hm.require_hermitian, M)
+        assert got == want
+        assert got_warnings == want_warnings == []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 4, 8]),
+        st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
+        st.sampled_from([1e-6, 1.0, 30.0, 1e4]),
+        st.sampled_from(["HERM_TOL/2", "HERM_TOL/d", "HERM_TOL", "HERM_TOL*|A|"]),
+        st.sampled_from(SIDES),
+    )
+    def test_residual_either_side_of_each_threshold(self, seed, d, lead, scale, at, side):
+        g = np.random.default_rng(seed)
+        M = self._stack(g, lead + (d, d), scale)
+        if M.size:
+            # An anti-Hermitian K with ‖K − K†‖_F at the chosen threshold, on
+            # one matrix of the stack.
+            b = tuple(int(g.integers(n)) for n in lead)
+            Y = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+            K = Y - Y.conj().T
+            target = {
+                "HERM_TOL/2": hm.HERM_TOL / 2,
+                "HERM_TOL/d": hm.HERM_TOL / d,
+                "HERM_TOL": hm.HERM_TOL,
+                "HERM_TOL*|A|": hm.HERM_TOL * max(1.0, hm.frobenius(M[b])),
+            }[at]
+            M[b] += K * (side * target / hm.frobenius(2 * K))
+        self.assert_matches(M)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["upper", "lower", "diagonal"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_entry(self, value, where, part):
+        M = self._stack(rng(109), (3, 4, 4), 1.0)
+        i, j = {"upper": (0, 2), "lower": (3, 1), "diagonal": (2, 2)}[where]
+        getattr(M[1, i, j:j + 1], part)[:] = value
+        self.assert_matches(M)
+        with pytest.raises(DomainError, match="non-finite"):
+            hm.require_hermitian(M)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_signed_zeros(self, d):
+        # -0.0 imaginary diagonals, and a pair of entries whose real parts are
+        # both -0.0: the halving must keep the reference's signs of zero.
+        M = self._stack(rng(110), (3, d, d), 1.0)
+        for k in range(d):
+            M[..., k, k] = M[..., k, k].real + -0.0j
+        if d > 1:
+            M[1, 0, d - 1], M[1, d - 1, 0] = complex(-0.0, 0.5), complex(-0.0, -0.5)
+        self.assert_matches(M)
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 4, 4), (2, 0, 3, 3), (3, 0, 0), (0, 0), (1, 1), (5, 1, 1), (3,), (2, 3)]
+    )
+    def test_edge_shapes(self, shape):
+        M = np.full(shape, 0.25 + 0.0j)
+        self.assert_matches(M)
+        if len(shape) >= 2 and shape[-1] == 1:
+            M[..., 0, 0] += 1e-9j  # a 1 x 1 residual 2 Im(a) above HERM_TOL
+            self.assert_matches(M)
+
+    def test_real_and_list_inputs(self):
+        M = self._stack(rng(111), (4, 4), 1.0).real
+        self.assert_matches(M)
+        assert np.array_equal(hm.require_hermitian(M.tolist()), reference.require_hermitian(M))
+        M[0, 1] += 1e-9
+        self.assert_matches(M)
