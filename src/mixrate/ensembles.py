@@ -57,24 +57,17 @@ def _state_eigenvalues(w: np.ndarray) -> np.ndarray:
     """The ascending eigenvalues w (..., d) of states, each row checked
     (min >= -PSD_TOL, |sum - 1| <= TRACE_TOL), floored at 0 and renormalized."""
     # ndarray methods: this runs once per validated stack, where the module
-    # functions' dispatch cost more than the arithmetic at small d.
-    if (w[..., 0] < -PSD_TOL).any():
+    # functions' dispatch cost more than the arithmetic at small d. `not >=`
+    # and `not <=`, so that a NaN eigenvalue (eigvalsh may return one) fails.
+    if not (w[..., 0] >= -PSD_TOL).all():
         raise InvariantViolation(f"not PSD (min eigenvalue {w[..., 0].min():.3e})")
     tr = w.sum(axis=-1)
-    off = abs(tr - 1.0) > TRACE_TOL
+    off = ~(abs(tr - 1.0) <= TRACE_TOL)
     if off.any():
         raise InvariantViolation(f"trace {float(tr[off].flat[0])!r} differs from 1")
     w = w.clip(0.0, None)
     w /= w.sum(axis=-1, keepdims=True)
     return w
-
-
-def _state_spectra(raw) -> hm.EigenDecomposition:
-    """Validate every matrix of a stack (..., d, d) as a state in one LAPACK
-    dispatch: finite entries, Hermiticity residual, eigendecomposition, then
-    PSD and unit trace (_state_eigenvalues). Returns the states' spectra."""
-    w, V = hm.eig_hermitian(raw)
-    return hm.EigenDecomposition(_state_eigenvalues(w), V)
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,8 @@ class DensityMatrix:
         A = np.asarray(self.matrix, dtype=complex)
         if A.ndim != 2:
             raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
-        w, V = _state_spectra(A[None])
+        w, V = hm.eig_hermitian(A[None])
+        w = _state_eigenvalues(w)
         _assign(self, hm.hermitian_part(hm.reconstruct(w, V))[0], w[0])
 
     @property
@@ -255,7 +249,7 @@ class _Batch(NamedTuple):
 def _sampled(p: np.ndarray, raw: np.ndarray) -> _Batch:
     """The batch of sampled probabilities p (B, n) and raw states
     (B, n, d, d), with an Ensemble's checks made once for all of them: the
-    distributions, and every state given `_state_spectra`'s checks from one
+    distributions, and every state a DensityMatrix's checks from one
     stacked eigvalsh. The members are the raw states, symmetrized: nothing
     reads their eigenvectors."""
     _require_distribution(p)

@@ -114,17 +114,17 @@ def _entanglement_trajectory(
 
     Psi is rotated once into the eigenbasis of H, where the evolution to every
     t is a phase per eigenvalue. Each Psi(t) gets PureState's norm check and
-    renormalization; rho_aA(t) is `_gram` of Psi(t), and all of them share one
-    stacked eigvalsh.
+    renormalization; rho_aA(t) is `_gram` of Psi(t), and all of them,
+    symmetrized, share one stacked eigvalsh.
     """
     _check_interaction(psi, H)
     d_a, d_A, d_B, d_b = psi.dims
-    w, V = hm.eig_hermitian(H.matrix)
+    w, V = hm._eigh(H.matrix)
     ts = np.asarray(ts, dtype=float)
     X = V.conj().T @ psi.amplitudes.reshape(d_a, d_A * d_B, d_b)
     Psi = (V @ (np.exp(-1j * np.outer(ts, w))[:, None, :, None] * X)).reshape(ts.size, -1)
     rho_aA = _gram(_unit_rows(Psi), d_a * d_A)
-    return _entropy_from_eigenvalues(hm.eigvals_hermitian(rho_aA))
+    return _entropy_from_eigenvalues(hm._eigvalsh(hm._symmetrized(rho_aA)))
 
 
 def _check_interaction(psi: PureState, H: BipartiteOperator) -> None:

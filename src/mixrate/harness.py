@@ -24,11 +24,10 @@ from .ensembles import (
     _Batch,
     _ensemble,
     _require_distribution,
-    binary_entropy,
-    shannon_entropy,
+    _shannon,
 )
 from .errors import BoundViolation, DomainError, MixRateError
-from .rates import _evaluate, _Spectra, bound_theorem_general
+from .rates import _evaluate, _general_bound, _Spectra
 from .sampling import _ginibre, _states, streams
 
 PROB_FLOOR = 1e-6
@@ -132,7 +131,7 @@ def _unit_spectra(G: np.ndarray):
     """The spectra (w / ||H||, V) of H = (G + G†)/2 for a stack of Ginibre
     matrices G (..., d, d), in one stacked eigh, and the norms ||H|| (...);
     a zero norm leaves its w unscaled."""
-    w, V = hm.eig_hermitian((G + G.conj().swapaxes(-1, -2)) / 2)
+    w, V = hm._eigh((G + G.conj().swapaxes(-1, -2)) / 2)  # Hermitian bit for bit
     norms = np.max(np.abs(w), axis=-1)
     return w / np.where(norms > 0.0, norms, 1.0)[..., None], V, norms
 
@@ -290,15 +289,16 @@ def _climb_block(
     cand = _Batch(q, hm.hermitian_part(hm.reconstruct(wc, Vc)), wc)
     sp = _Spectra(cand)
     # np.full: a bound given as one number holds for every candidate.
-    bound = np.full(k, bound_theorem_general(q))
+    bound = np.full(k, _general_bound(q))
     return cand, Vc, sp.max_rate, bound, _objectives(sp, binary)
 
 
 def _objectives(sp: _Spectra, binary: bool) -> np.ndarray:
-    """The rate/entropy ratios (B,) the search climbs."""
+    """The rate/entropy ratios (B,) the search climbs, of checked probabilities."""
     if binary:
-        return sp.binary_rate / binary_entropy(sp.p[:, 0])
-    return sp.max_rate / shannon_entropy(sp.p)
+        p0 = sp.p[:, 0]
+        return sp.binary_rate / _shannon(np.stack([p0, 1.0 - p0], axis=-1))
+    return sp.max_rate / _shannon(sp.p)
 
 
 def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
@@ -340,7 +340,7 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
     try:
         while iters < cfg.search_max_iters:
             cur = _batch([_trial_draw(cfg, g)])
-            V = hm.eig_hermitian(cur.rhos[0]).eigenvectors  # the bases the climb turns
+            V = hm._eigh(cur.rhos[0]).eigenvectors  # the bases the climb turns
             cur_obj = _objectives(_Spectra(cur), cfg.binary)[0]
             eps, rejects, retry = SEARCH_STEP, 0, False
             while iters < cfg.search_max_iters and eps >= 1e-6:

@@ -5,6 +5,13 @@ trace norm, and a quadrature identity for the logarithm. The checks and
 decompositions take a matrix or a stack (..., d, d) on one path.
 Everything else in the package is built on these primitives.
 
+The checks (finite entries, Hermiticity residual) run in require_hermitian
+and the decompositions built on it: the boundary, where matrices are parsed,
+sampled or passed in by a caller. Matrices the package builds from checked
+inputs take the interior path, with no test: `_eigh` and `_eigvalsh` hand a
+matrix that its formula makes Hermitian bit for bit straight to LAPACK, and
+`_symmetrized` first absorbs the rounding of a product.
+
 Matrices are plain ``numpy.ndarray`` of complex128. All operations are pure.
 """
 
@@ -65,7 +72,15 @@ def require_hermitian(M) -> np.ndarray:
         # only needed when some residual exceeds it.
         if (dev > HERM_TOL).any() and (dev > HERM_TOL * np.maximum(1.0, _frobenius_stack(A))).any():
             raise NonHermitian(f"Hermiticity residual {dev.max():.3e} exceeds tolerance")
-    np.conjugate(A.swapaxes(-1, -2), out=B)
+    return _symmetrized(A, B)
+
+
+def _symmetrized(A: np.ndarray, out=None) -> np.ndarray:
+    """(A† + A)/2 of a matrix or stack, unchecked, in one buffer (out, or a
+    new one) laid out as A's transpose. Only LAPACK may read it, since it
+    copies its input whatever the layout: a BLAS product on it can round
+    differently than on hermitian_part(A)."""
+    B = np.conjugate(A.swapaxes(-1, -2), out=out)
     B += A
     B /= 2
     return B
@@ -92,7 +107,7 @@ def eig_hermitian(M) -> EigenDecomposition:
     Satisfies ‖M − V diag(λ) V†‖_F ≤ 1e-10·max(1, ‖M‖_F) and
     ‖V†V − I‖_F ≤ 1e-10.
     """
-    return EigenDecomposition(*_lapack(np.linalg.eigh, require_hermitian(M)))
+    return _eigh(require_hermitian(M))
 
 
 def eigvals_hermitian(M) -> np.ndarray:
@@ -103,7 +118,18 @@ def eigvals_hermitian(M) -> np.ndarray:
 def symmetrized_eigvals(M) -> tuple[np.ndarray, np.ndarray]:
     """(require_hermitian(M), eigvals_hermitian(M)) from one validation of M."""
     A = require_hermitian(M)
-    return A, _lapack(np.linalg.eigvalsh, A)
+    return A, _eigvalsh(A)
+
+
+def _eigh(A: np.ndarray) -> EigenDecomposition:
+    """eig_hermitian of a complex matrix or stack A that is Hermitian bit for
+    bit (built so from checked inputs, or `_symmetrized`), unchecked."""
+    return EigenDecomposition(*_lapack(np.linalg.eigh, A))
+
+
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    """The eigenvalues of _eigh(A)."""
+    return _lapack(np.linalg.eigvalsh, A)
 
 
 def reconstruct(w: np.ndarray, V: np.ndarray) -> np.ndarray:

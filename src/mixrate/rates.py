@@ -40,7 +40,6 @@ from .ensembles import (
     _shannon,
     _stack,
     _state_eigenvalues,
-    _state_spectra,
     _unit_interval,
     _xlnx,
     binary_entropy,
@@ -67,10 +66,13 @@ CHECK_SLACK = 1e-9  # slack of the STM and STE bound checks
 def _support_logs(p: np.ndarray, rhos: np.ndarray):
     """(rho, ln rho on the support, both (B, d, d), and the spectrum of rho)
     of the expected state rho = sum_x p_x rho_x of each ensemble of a batch,
-    all validated in one stacked call; raises if a member leaks off the
-    support of its rho."""
+    all from one stacked eigh; raises if a spectrum fails a state's PSD or
+    trace test, or if a member leaks off the support of its rho. The
+    mixture of Hermitian members is Hermitian bit for bit, so LAPACK reads
+    it unchecked."""
     rho = _mixture(p, rhos)
-    w, V = _state_spectra(rho)
+    w, V = hm._eigh(rho)
+    w = _state_eigenvalues(w)
     ln_rho, supp = hm.log_on_support(hm.EigenDecomposition(w, V))
     if not supp.all():
         Vk = V * ~supp[:, None, :]  # the kernel's eigenvectors; support columns zeroed
@@ -117,11 +119,12 @@ class _Spectra:
         self.binary = b.p.shape[1] == 2
         self.mix, self.ln_rho, self.rho = _support_logs(b.p, b.rhos)
         self.C = _commutators(b.rhos[:, :1] if self.binary else b.rhos, self.ln_rho)
+        # The products leave C Hermitian only up to rounding: symmetrized for LAPACK.
         if vectors:
-            self.eigs = hm.eig_hermitian(self.C)
+            self.eigs = hm._eigh(hm._symmetrized(self.C))
             w = self.eigs.eigenvalues
         else:
-            w = hm.eigvals_hermitian(self.C)
+            w = hm._eigvalsh(hm._symmetrized(self.C))
         norms = np.sum(np.abs(w), axis=-1)
         self.binary_rate = self.p[:, 0] * norms[:, 0]
         self.max_rate = 2.0 * self.binary_rate if self.binary else np.sum(self.p * norms, axis=-1)
@@ -233,10 +236,10 @@ def _involution_trajectory(
 
 
 def _entropies(rho_t: np.ndarray) -> np.ndarray:
-    """S of each evolved state of a stack (B, T, d, d). Every rho(t) gets the
-    checks a DensityMatrix gets (finite, Hermitian, PSD, unit trace), and all
-    B T of them one stacked eigvalsh."""
-    w_t = _state_eigenvalues(hm.eigvals_hermitian(rho_t))
+    """S of each evolved state of a stack (B, T, d, d), from one stacked
+    eigvalsh of all B T of them, symmetrized; each spectrum must pass a
+    state's PSD and trace tests."""
+    w_t = _state_eigenvalues(hm._eigvalsh(hm._symmetrized(rho_t)))
     return _entropy_from_eigenvalues(w_t)
 
 
@@ -278,12 +281,16 @@ def bound_theorem_general(probs):
     x0 is the index of the largest probability; ties break to the lowest
     index (the bound value is tie-invariant).
     """
-    p = _positive_distribution(probs)
+    total = _general_bound(_positive_distribution(probs))
+    return float(total) if total.ndim == 0 else total
+
+
+def _general_bound(p: np.ndarray) -> np.ndarray:
+    """bound_theorem_general of checked distributions p (..., n), unchecked."""
     sqrt_p = np.sqrt(p)
     terms = sqrt_p * (sqrt_p.sum(axis=-1, keepdims=True) - sqrt_p)
     x0 = np.arange(p.shape[-1]) == p.argmax(axis=-1)[..., None]
-    total = 4.0 * np.where(x0, 0.0, terms).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return 4.0 * np.where(x0, 0.0, terms).sum(axis=-1)
 
 
 def _stm_sandwich(b: _Batch, shannon: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -364,7 +371,7 @@ def _evaluate(b: _Batch, M: Optional[np.ndarray], policy: str) -> tuple[list, ..
     sp.C = sp.eigs = None
     mx = sp.max_rate
     shannon = _shannon(p)
-    bound = bound_theorem_general(p)
+    bound = _general_bound(p)
     binary = sp.binary_rate if p.shape[1] == 2 else None
     ratio_thm = _ratios(mx, bound)
     ratio_conj = _ratios(mx if binary is None else binary, shannon)
@@ -389,7 +396,7 @@ def _evaluate(b: _Batch, M: Optional[np.ndarray], policy: str) -> tuple[list, ..
         if involutions:
             S = _involution_trajectory(p, b.rhos, sp.mix, M, ts)
         else:
-            S = _trajectory(p, b.rhos, hm.eig_hermitian(M), ts)
+            S = _trajectory(p, b.rhos, hm._eigh(M), ts)  # M: Hamiltonians' matrices
         fd_residual = np.abs(rate - _richardson(S.T, DEFAULT_FD_STEP)).tolist()
         stm_ok = _stm_sandwich(b, shannon, S[:, len(FD_TIMES):]).all(axis=-1).tolist()
     binaries = [None] * B if binary is None else binary.tolist()

@@ -28,8 +28,9 @@ from make_golden import CASES, write_inputs
 # Runs long enough to cross chunk and pool boundaries: the first exits 3 and
 # leaves 10 offender files. At 1000 states 22 of the 40 trials redraw their
 # probabilities below the floor; the next run's seed spans three 32-bit words;
-# the next sends chunks of one d = 64 trial through the pool; the last is the
-# only search above d = 4.
+# the next sends chunks of one d = 64 trial through the pool; the next is the
+# only search above d = 4. The last two read files, as CASES do: the spectral
+# trajectory under given Hamiltonians at d = 16, and sie at dims (2, 4, 4, 2).
 LONG = [
     "verify --dim 4 --states 3 --trials 2000 --seed 1",
     "verify --dim 4 --states 3 --trials 500 --seed 9 --workers 2",
@@ -42,6 +43,8 @@ LONG = [
     "verify --dim 4 --states 3 --trials 300 --seed 18446744073709551619",
     "verify --dim 64 --states 2 --trials 6 --seed 11 --workers 2",
     "search --dim 8 --states 3 --iters 2000 --seed 3",
+    "compute --ensemble {ens_n3_d16} --hamiltonians {hams_n3_d16}",
+    "sie --state {state_2442} --ham {op_2442}",
 ]
 
 
@@ -76,7 +79,7 @@ def main(argv=None) -> int:
         inputs.mkdir()
         files = write_inputs(str(inputs))
         jobs = [(name, [a.format(**files) for a in case]) for name, case in CASES.items()]
-        jobs += [(cmd, cmd.split()) for cmd in LONG]
+        jobs += [(cmd, [a.format(**files) for a in cmd.split()]) for cmd in LONG]
         cwd = Path(tmp, "run")
         for label, job in jobs:
             results = []

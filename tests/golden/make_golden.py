@@ -75,7 +75,7 @@ def write_inputs(directory: str) -> dict:
         with open(files[name], "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
 
-    for n, d in ((2, 3), (3, 4)):
+    def ensemble(tag, n, d):
         p = 0.1 + g.exponential(size=n)
         p = p / np.sum(p)
         states = []
@@ -83,10 +83,12 @@ def write_inputs(directory: str) -> dict:
             G = _ginibre(g, d)
             rho = G @ G.conj().T
             states.append(rho / np.trace(rho).real)
-        put(f"ens_n{n}", {"dim": d, "probabilities": [float(x) for x in p],
-                          "states": [_matrix(s) for s in states]})
-        put(f"hams_n{n}", {"dim": d, "hamiltonians": [_matrix(_hermitian(g, d)) for _ in range(n)]})
-    for dims in ((2, 3, 2, 2), (1, 4, 2, 2)):
+        put(f"ens_{tag}", {"dim": d, "probabilities": [float(x) for x in p],
+                           "states": [_matrix(s) for s in states]})
+        hams = [_matrix(_hermitian(g, d)) for _ in range(n)]
+        put(f"hams_{tag}", {"dim": d, "hamiltonians": hams})
+
+    def pure(dims):
         tag = "".join(map(str, dims))
         v = g.standard_normal(int(np.prod(dims))) + 1j * g.standard_normal(int(np.prod(dims)))
         v = v / np.linalg.norm(v)
@@ -94,6 +96,15 @@ def write_inputs(directory: str) -> dict:
                              "amplitudes": [[float(z.real), float(z.imag)] for z in v]})
         put(f"op_{tag}", {"dims": [dims[1], dims[2]],
                           "hamiltonian": _matrix(_hermitian(g, dims[1] * dims[2]))})
+
+    ensemble("n2", 2, 3)
+    ensemble("n3", 3, 4)
+    pure((2, 3, 2, 2))
+    pure((1, 4, 2, 2))
+    # The inputs of compare_outputs' LONG runs, drawn after the golden ones,
+    # which keep their bytes.
+    ensemble("n3_d16", 3, 16)
+    pure((2, 4, 4, 2))
     return files
 
 

@@ -497,7 +497,7 @@ def search_ratio(cfg):
                 iters += 1
                 states, UV, noise = _perturb(cur, V, eps, g)
                 cand = Ensemble(_perturb_probs(cur.probabilities, eps, noise), states)
-                bound = hz.bound_theorem_general(cand.probabilities)
+                bound = float(hz._general_bound(cand.probabilities))
                 mx = max_mixing_rate(cand)
                 if mx > bound + hz.THEOREM_SLACK:
                     raise BoundViolation(f"max rate {mx!r} exceeds the general bound {bound!r}")

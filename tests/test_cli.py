@@ -22,6 +22,7 @@ from mixrate import cli
 from mixrate import ensembles as ens
 from mixrate import harness as hz
 from mixrate import hermitian as hm
+from mixrate import rates
 from mixrate.cli import (
     EXIT_CONJECTURE,
     EXIT_INVARIANT,
@@ -727,7 +728,7 @@ class TestSearch:
 
     def test_theorem_violation_exits_invariant(self, tmp_path, monkeypatch):
         # A general bound of 0 makes the first candidate violate it.
-        monkeypatch.setattr(hz, "bound_theorem_general", lambda probs: 0.0)
+        monkeypatch.setattr(hz, "_general_bound", lambda probs: 0.0)
         out = tmp_path / "search.json"
         argv = ["search", "--dim", "2", "--iters", "5", "--seed", "5", "--out", str(out)]
         assert main(argv) == EXIT_INVARIANT
@@ -1163,6 +1164,24 @@ class TestGuardStatus:
     def test_nan_fails_the_theorem_guards(self, field, bound, capsys):
         assert guard_status([self._record(**{field: math.nan})]) == EXIT_INVARIANT
         assert capsys.readouterr().err == f"trial 0: {field} nan exceeds {bound}\n"
+
+    def test_nan_in_the_evolved_states_exits_invariant(self, tmp_path, monkeypatch, capsys):
+        # rho(t) goes to LAPACK with no finiteness test: a NaN in it makes
+        # eigvalsh raise (NoConvergence) or return NaN eigenvalues, which the
+        # state's PSD and trace tests refuse. Either way every trial errs.
+        involution_terms = rates._involution_terms
+
+        def poisoned(*args):
+            terms = involution_terms(*args)
+            terms[..., 1, 0] = math.nan
+            return terms
+
+        monkeypatch.setattr(rates, "_involution_terms", poisoned)
+        argv = ["verify", "--dim", "4", "--states", "3", "--trials", "3", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "v.csv")]) == EXIT_INVARIANT
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in lines] == ["trial 0", "trial 1", "trial 2"]
+        assert all(line.split(": ")[1] in ("NoConvergence", "InvariantViolation") for line in lines)
 
     def test_conjecture_event(self):
         assert guard_status([self._record(ratio_conj=1.01)]) == EXIT_CONJECTURE

@@ -60,6 +60,17 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
         assert np.linalg.eigvalsh(rho.matrix)[0] >= 0.0
 
+    @pytest.mark.parametrize(
+        "w, which",
+        [([math.nan, math.nan, 1.0], "not PSD"), ([0.25, 0.75, math.nan], "trace nan")],
+    )
+    def test_nan_spectrum_fails(self, w, which):
+        # eigvalsh may return NaN eigenvalues without raising (a 3 x 3 with
+        # NaN off-diagonals gives [nan, nan, 1]), and the interior states
+        # reach it with no finiteness test: the PSD and trace tests refuse NaN.
+        with pytest.raises(InvariantViolation, match=which):
+            ens._state_eigenvalues(np.array([w]))
+
     def test_immutable(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):

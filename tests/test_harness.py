@@ -391,8 +391,8 @@ class TestSearchRatio:
     )
     def test_bound_violation_matches_the_serial_climb(self, dim, n, seed, binary, monkeypatch):
         # A quarter of the true bound: some candidate violates it mid-climb.
-        true_bound = hz.bound_theorem_general
-        monkeypatch.setattr(hz, "bound_theorem_general", lambda p: 0.25 * true_bound(p))
+        true_bound = hz._general_bound
+        monkeypatch.setattr(hz, "_general_bound", lambda p: 0.25 * true_bound(p))
         cfg = ExperimentConfig(
             dim=dim, n_states=n, seed=seed, search_max_iters=300, binary=binary
         )

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from mixrate import ensembles as ens
 from mixrate import hermitian as hm
 from mixrate import rates
+from mixrate.ensembles import Hamiltonian
 from mixrate.errors import DimMismatch, DomainError, MixRateError, NonHermitian
 
 from conftest import random_hermitian, rng
@@ -390,3 +392,69 @@ class TestRequireHermitianMatchesReference:
         assert np.array_equal(hm.require_hermitian(M.tolist()), reference.require_hermitian(M))
         M[0, 1] += 1e-9
         self.assert_matches(M)
+
+
+def _values(a: np.ndarray) -> bytes:
+    """The bytes of a's values in C order, whatever its memory layout."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestInteriorPath:
+    """The interior path hands matrices built from checked inputs to LAPACK
+    with no test. Those of BUILT are Hermitian bit for bit by construction:
+    require_hermitian returns each byte for byte, and `_eigh` / `_eigvalsh`
+    give eig_hermitian's bytes. The others (products) are `_symmetrized`
+    first, which is require_hermitian's own tail."""
+
+    BUILT = ["mixture", "rebuilt mixture", "ginibre", "hamiltonian"]
+
+    @staticmethod
+    def _product(g, shape):
+        X = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        H = (X + X.conj().swapaxes(-1, -2)) / 2
+        return H @ H  # Hermitian up to the rounding of the product
+
+    @classmethod
+    def _built(cls, kind, g, lead, d):
+        if kind.endswith("mixture"):  # sum_x p_x rho_x of checked states, as _support_logs has
+            raw = cls._product(g, lead + (3, d, d))
+            rhos = hm.require_hermitian(raw / np.trace(raw, axis1=-2, axis2=-1)[..., None, None])
+            if kind == "rebuilt mixture":  # members rebuilt as the search's candidates are
+                rhos = hm.hermitian_part(hm.reconstruct(*hm.eig_hermitian(rhos)))
+            p = g.dirichlet(np.ones(3), size=lead)
+            return ens._mixture(p, rhos)
+        if kind == "ginibre":  # (G + G†)/2 of normals, as harness._unit_spectra forms H
+            z = g.standard_normal(lead + (2, d, d))
+            G = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+            return (G + G.conj().swapaxes(-1, -2)) / 2
+        # A Hamiltonian's matrix, as rates._evaluate and sie diagonalize it
+        raw = cls._product(g, lead + (d, d)).reshape(-1, d, d)
+        return np.array([Hamiltonian(M).matrix for M in raw], dtype=complex).reshape(lead + (d, d))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(BUILT),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 4, 8]),
+        st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
+    )
+    def test_built_matrices_are_hermitian_bit_for_bit(self, kind, seed, d, lead):
+        A = self._built(kind, np.random.default_rng(seed), lead, d)
+        assert A.shape == lead + (d, d)
+        assert _values(hm.require_hermitian(A)) == _values(A)
+        w, V = hm._eigh(A)
+        want_w, want_V = hm.eig_hermitian(A)
+        assert _values(w) == _values(want_w)
+        assert _values(V) == _values(want_V)
+        assert _values(hm._eigvalsh(A)) == _values(hm.eigvals_hermitian(A))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 4, 8]),
+        st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
+    )
+    def test_symmetrized_is_require_hermitians_output(self, seed, d, lead):
+        C = self._product(np.random.default_rng(seed), lead + (d, d))
+        got, want = hm._symmetrized(C), hm.require_hermitian(C)
+        assert (got.shape, got.strides, got.tobytes()) == (want.shape, want.strides, want.tobytes())

@@ -5,9 +5,12 @@ Runtime invariants raise typed MixRateErrors, so `src/mixrate` holds no
 eigendecomposition goes through `hermitian._lapack`, the one place that
 types LAPACK errors and the one point that counts them: numpy's `eigh` and
 `eigvalsh` appear only as the routine handed to `_lapack`. A full
-`hermitian.eig_hermitian` is taken only at the call sites of EIGH_SITES,
-each of which reads the eigenvectors; everywhere else the eigenvalues
-suffice, and `eigvals_hermitian` takes them. No public
+eigendecomposition (`hermitian.eig_hermitian`, or `hermitian._eigh` on the
+interior path) is taken only at the call sites of EIGH_SITES, each of which
+reads the eigenvectors; everywhere else the eigenvalues suffice. The checked
+entries of `hermitian` are called only at the boundary, by the functions of
+CHECK_SITES: where matrices are parsed or sampled, and in public functions.
+No public
 function, method or constructor takes a parameter named with a leading
 underscore: a private back door on the public API. Every public top-level
 name of a module is reached: referenced by the package itself, by an
@@ -84,11 +87,14 @@ def test_scan_finds_what_it_forbids(tmp_path):
     ]
 
 
-# Where eig_hermitian is called, as module.function, and what reads the
-# eigenvectors there.
+# Where a full eigendecomposition is taken (eig_hermitian, or _eigh on the
+# interior path), as module.function, and what reads the eigenvectors there.
+EIGH = {"eig_hermitian", "_eigh"}
 EIGH_SITES = {
+    "hermitian.eig_hermitian": "the checked entry, which returns them",
     "hermitian.support_log": "ln M, rebuilt on M's eigenvectors",
-    "ensembles._state_spectra": "a parsed state's rebuild, and ln rho, on the eigenvectors",
+    "ensembles.DensityMatrix.__post_init__": "a parsed state's rebuild on its eigenvectors",
+    "rates._support_logs": "ln rho, rebuilt on rho's eigenvectors",
     "rates._Spectra.__init__": "the maximizers I - 2 P_neg of the commutators",
     "rates._evaluate": "the spectral trajectory, in a given Hamiltonian's eigenbasis",
     "rates.ak_gap": "ln(A + B), rebuilt on its eigenvectors",
@@ -97,10 +103,28 @@ EIGH_SITES = {
     "entangling._entanglement_trajectory": "Psi(t), evolved in H's eigenbasis",
 }
 
+# The checked entries of hermitian (finite entries and Hermiticity residual),
+# and the only functions that call them, with what makes each a boundary.
+# Matrices built inside from checked inputs take _eigh, _eigvalsh and
+# _symmetrized instead.
+CHECKED = {"require_hermitian", "eig_hermitian", "eigvals_hermitian", "symmetrized_eigvals"}
+CHECK_SITES = {
+    "hermitian.eig_hermitian": "public API",
+    "hermitian.eigvals_hermitian": "public API",
+    "hermitian.symmetrized_eigvals": "public API",
+    "hermitian.support_log": "public API",
+    "hermitian.trace_norm": "public API",
+    "ensembles.DensityMatrix.__post_init__": "parse: a state file's matrices, or a caller's",
+    "ensembles.Hamiltonian.__post_init__": "parse: a Hamiltonian file's matrices, or a caller's",
+    "ensembles._sampled": "sample: the Hilbert-Schmidt states of Ginibre draws",
+    "rates.ak_gap": "public API",
+}
 
-def _eigh_sites(path: Path) -> set[str]:
-    """module.function (module.Class.method) of every reference to
-    eig_hermitian in one module, outside its own definition."""
+
+def _sites(path: Path, names: set[str]) -> set[str]:
+    """module.function (module.Class.method) of every reference to one of
+    names in one module, outside their own definitions; an import of one
+    counts as a reference (`from .hermitian import eig_hermitian as f`)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     sites = set()
 
@@ -109,8 +133,10 @@ def _eigh_sites(path: Path) -> set[str]:
             if isinstance(child, (ast.ClassDef, *FUNCS)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "eig_hermitian") or (
-                isinstance(child, ast.Name) and child.id == "eig_hermitian"
+            if (
+                (isinstance(child, ast.Attribute) and child.attr in names)
+                or (isinstance(child, ast.Name) and child.id in names)
+                or (isinstance(child, ast.alias) and child.name in names)
             ):
                 sites.add(where)
             visit(child, where)
@@ -122,7 +148,13 @@ def _eigh_sites(path: Path) -> set[str]:
 def test_eigh_only_where_eigenvectors_are_read():
     files = sorted(SRC.glob("*.py"))
     assert files
-    assert set().union(*map(_eigh_sites, files)) == set(EIGH_SITES)
+    assert set().union(*(_sites(f, EIGH) for f in files)) == set(EIGH_SITES)
+
+
+def test_checks_only_at_the_boundary():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert set().union(*(_sites(f, CHECKED) for f in files)) == set(CHECK_SITES)
 
 
 def test_eigh_scan_finds_what_it_forbids(tmp_path):
@@ -136,9 +168,29 @@ def test_eigh_scan_finds_what_it_forbids(tmp_path):
         "    def run(self, A):\n"
         "        f = eig_hermitian\n"
         "        return hm.eigvals_hermitian(A), f(A)\n"
+        "def interior(A):\n"
+        "    return hm._eigh(A), hm._eigvalsh(A)\n"
         "def eig_hermitian(M): pass\n"
     )
-    assert _eigh_sites(bad) == {"mod.spectrum", "mod.Pass.run"}
+    assert _sites(bad, EIGH) == {"mod", "mod.spectrum", "mod.Pass.run", "mod.interior"}
+
+
+def test_check_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "mod.py"
+    bad.write_text(
+        "from . import hermitian as hm\n"
+        "from .hermitian import require_hermitian as rh\n"
+        "def rebuild(A):\n"
+        "    return hm.symmetrized_eigvals(A)\n"
+        "class Pass:\n"
+        "    def run(self, A):\n"
+        "        return hm.eigvals_hermitian(A), hm._eigvalsh(hm._symmetrized(A))\n"
+        "def interior(A):\n"
+        "    return hm._eigh(A)\n"
+        "def norm(A):\n"
+        "    return rh(A)\n"
+    )
+    assert _sites(bad, CHECKED) == {"mod", "mod.rebuild", "mod.Pass.run"}
 
 
 def _private_parameters(path: Path) -> list[str]:
