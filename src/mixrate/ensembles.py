@@ -253,8 +253,8 @@ def _sampled(p: np.ndarray, raw: np.ndarray) -> _Batch:
     stacked eigvalsh. The members are the raw states, symmetrized: nothing
     reads their eigenvectors."""
     _require_distribution(p)
-    rhos, w = hm.symmetrized_eigvals(raw)
-    return _Batch(p, rhos, _state_eigenvalues(w))
+    rhos = hm.require_hermitian(raw)
+    return _Batch(p, rhos, _state_eigenvalues(hm._eigvalsh(rhos)))
 
 
 def _stack(Es: Sequence[Ensemble]) -> _Batch:

@@ -124,7 +124,7 @@ def _entanglement_trajectory(
     X = V.conj().T @ psi.amplitudes.reshape(d_a, d_A * d_B, d_b)
     Psi = (V @ (np.exp(-1j * np.outer(ts, w))[:, None, :, None] * X)).reshape(ts.size, -1)
     rho_aA = _gram(_unit_rows(Psi), d_a * d_A)
-    return _entropy_from_eigenvalues(hm._eigvalsh(hm._symmetrized(rho_aA)))
+    return _entropy_from_eigenvalues(hm._eigvalsh(hm.hermitian_part(rho_aA)))
 
 
 def _check_interaction(psi: PureState, H: BipartiteOperator) -> None:

@@ -131,7 +131,7 @@ def _unit_spectra(G: np.ndarray):
     """The spectra (w / ||H||, V) of H = (G + G†)/2 for a stack of Ginibre
     matrices G (..., d, d), in one stacked eigh, and the norms ||H|| (...);
     a zero norm leaves its w unscaled."""
-    w, V = hm._eigh((G + G.conj().swapaxes(-1, -2)) / 2)  # Hermitian bit for bit
+    w, V = hm._eigh(hm.hermitian_part(G))  # Hermitian bit for bit
     norms = np.max(np.abs(w), axis=-1)
     return w / np.where(norms > 0.0, norms, 1.0)[..., None], V, norms
 

@@ -10,7 +10,7 @@ and the decompositions built on it: the boundary, where matrices are parsed,
 sampled or passed in by a caller. Matrices the package builds from checked
 inputs take the interior path, with no test: `_eigh` and `_eigvalsh` hand a
 matrix that its formula makes Hermitian bit for bit straight to LAPACK, and
-`_symmetrized` first absorbs the rounding of a product.
+`hermitian_part` first absorbs the rounding of a product.
 
 Matrices are plain ``numpy.ndarray`` of complex128. All operations are pure.
 """
@@ -38,10 +38,18 @@ def frobenius(M) -> float:
     return float(np.linalg.norm(np.asarray(M)))
 
 
-def hermitian_part(M: np.ndarray) -> np.ndarray:
+def hermitian_part(M: np.ndarray, out=None) -> np.ndarray:
     """(M + M†)/2 of a matrix or of each matrix of a stack (..., d, d) —
-    absorbs roundoff from arithmetic on Hermitian data."""
-    return (M + M.conj().swapaxes(-1, -2)) / 2
+    absorbs roundoff from arithmetic on Hermitian data. One buffer: out, or
+    a new C-ordered array of M's float or complex type."""
+    if out is None:  # C-ordered; ufunc order="C" would write a given out strided
+        out = np.empty(M.shape, np.result_type(M, 2.0))
+    B = np.conjugate(M.swapaxes(-1, -2), out=out)
+    # M first, as in M + M†, so that a sum of two NaNs keeps the same one; an
+    # input that is the output would keep the other at a single element.
+    np.add(M, B if B.size > 1 else B.copy(), out=B)
+    B /= 2
+    return B
 
 
 def require_hermitian(M) -> np.ndarray:
@@ -59,9 +67,9 @@ def require_hermitian(M) -> np.ndarray:
     # Before any arithmetic, which would warn on an infinite entry.
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
-    # One buffer B, first A − A† and then (A† + A)/2, and norms through einsum:
-    # numpy.linalg.norm and hermitian_part would hold up to three more arrays
-    # of A's size (0.46 MB for 7 matrices at d = 64) at once.
+    # One buffer B, first A − A† and then hermitian_part(A) in place, and
+    # norms through einsum: numpy.linalg.norm would hold more arrays of A's
+    # size (0.46 MB for 7 matrices at d = 64) at once.
     B = A.swapaxes(-1, -2).conj()
     np.subtract(A, B, out=B)
     D = B.ravel("K")  # a view: B is dense in its own axis order
@@ -72,18 +80,7 @@ def require_hermitian(M) -> np.ndarray:
         # only needed when some residual exceeds it.
         if (dev > HERM_TOL).any() and (dev > HERM_TOL * np.maximum(1.0, _frobenius_stack(A))).any():
             raise NonHermitian(f"Hermiticity residual {dev.max():.3e} exceeds tolerance")
-    return _symmetrized(A, B)
-
-
-def _symmetrized(A: np.ndarray, out=None) -> np.ndarray:
-    """(A† + A)/2 of a matrix or stack, unchecked, in one buffer (out, or a
-    new one) laid out as A's transpose. Only LAPACK may read it, since it
-    copies its input whatever the layout: a BLAS product on it can round
-    differently than on hermitian_part(A)."""
-    B = np.conjugate(A.swapaxes(-1, -2), out=out)
-    B += A
-    B /= 2
-    return B
+    return hermitian_part(A, out=B)
 
 
 def _frobenius_stack(A: np.ndarray) -> np.ndarray:
@@ -112,18 +109,12 @@ def eig_hermitian(M) -> EigenDecomposition:
 
 def eigvals_hermitian(M) -> np.ndarray:
     """The eigenvalues (..., d), ascending, of eig_hermitian(M)."""
-    return symmetrized_eigvals(M)[1]
-
-
-def symmetrized_eigvals(M) -> tuple[np.ndarray, np.ndarray]:
-    """(require_hermitian(M), eigvals_hermitian(M)) from one validation of M."""
-    A = require_hermitian(M)
-    return A, _eigvalsh(A)
+    return _eigvalsh(require_hermitian(M))
 
 
 def _eigh(A: np.ndarray) -> EigenDecomposition:
     """eig_hermitian of a complex matrix or stack A that is Hermitian bit for
-    bit (built so from checked inputs, or `_symmetrized`), unchecked."""
+    bit (built so from checked inputs, or by hermitian_part), unchecked."""
     return EigenDecomposition(*_lapack(np.linalg.eigh, A))
 
 

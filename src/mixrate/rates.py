@@ -121,10 +121,10 @@ class _Spectra:
         self.C = _commutators(b.rhos[:, :1] if self.binary else b.rhos, self.ln_rho)
         # The products leave C Hermitian only up to rounding: symmetrized for LAPACK.
         if vectors:
-            self.eigs = hm._eigh(hm._symmetrized(self.C))
+            self.eigs = hm._eigh(hm.hermitian_part(self.C))
             w = self.eigs.eigenvalues
         else:
-            w = hm._eigvalsh(hm._symmetrized(self.C))
+            w = hm._eigvalsh(hm.hermitian_part(self.C))
         norms = np.sum(np.abs(w), axis=-1)
         self.binary_rate = self.p[:, 0] * norms[:, 0]
         self.max_rate = 2.0 * self.binary_rate if self.binary else np.sum(self.p * norms, axis=-1)
@@ -239,7 +239,7 @@ def _entropies(rho_t: np.ndarray) -> np.ndarray:
     """S of each evolved state of a stack (B, T, d, d), from one stacked
     eigvalsh of all B T of them, symmetrized; each spectrum must pass a
     state's PSD and trace tests."""
-    w_t = _state_eigenvalues(hm._eigvalsh(hm._symmetrized(rho_t)))
+    w_t = _state_eigenvalues(hm._eigvalsh(hm.hermitian_part(rho_t)))
     return _entropy_from_eigenvalues(w_t)
 
 

@@ -28,8 +28,8 @@ from one stacked eigh of the members, as the program does
 (`restart_vectors`).
 
 `require_hermitian` is the Hermiticity check as it ran before its residual
-pass: the program's check must take the same decisions and return the same
-bits.
+pass, and `hermitian_part` the symmetrizer as it ran before it took one
+buffer: the program's must take the same decisions and return the same bits.
 """
 
 from __future__ import annotations
@@ -91,6 +91,13 @@ def require_hermitian(M) -> np.ndarray:
     B += A
     B /= 2
     return B
+
+
+def hermitian_part(M: np.ndarray) -> np.ndarray:
+    """(M + M†)/2 with a new array for each step, the conjugate, the sum and
+    the quotient: `mixrate.hermitian.hermitian_part` must give the same
+    dtype, shape, strides and bytes."""
+    return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 def _frobenius_stack(A: np.ndarray) -> np.ndarray:

@@ -512,6 +512,24 @@ class TestVerify:
             probs = ";".join(map(repr, hz.trial_ensemble(cfg, i).probabilities.tolist()))
             assert line == f"{i},42,3,3,{probs},0.0,,0.0,0.0,,,0.0,true"
 
+    def test_imaginary_rate_exits_invariant(self, tmp_path, monkeypatch, capsys):
+        # An anti-Hermitian part in every commutator leaves their spectra
+        # (of hermitian_part) as they were, but gives the rate at the
+        # maximizers an imaginary part: each trial stops at _rate's check.
+        commutators = rates._commutators
+
+        def skewed(*args):
+            C = commutators(*args)
+            C[..., 0, 0] += 1e-6j
+            return C
+
+        monkeypatch.setattr(rates, "_commutators", skewed)
+        assert main(self.ARGS + ["--out", str(tmp_path / "v.csv")]) == EXIT_INVARIANT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 6
+        for i, line in enumerate(lines):
+            assert line.startswith(f"trial {i}: ") and ": rate has imaginary residue" in line
+
     def test_one_state_runs(self, tmp_path):
         # Unlike search, verify accepts a single state (S(X) = 0, no ratios),
         # and writes that entropy as 0.0, not -0.0.

@@ -19,6 +19,7 @@ from mixrate.errors import (
     DimOrder,
     DomainError,
     InvariantViolation,
+    MixRateError,
     ParseError,
 )
 
@@ -240,6 +241,14 @@ class TestBravyiMu:
             psi = random_pure((2, d_A, d_B, 2), g)
             mu = en.bravyi_mu(psi)  # DensityMatrix validation is the assertion
             assert mu.dim == 2 * d_A * d_B
+
+    def test_mismatched_reduced_states_are_not_a_state(self):
+        # rho_aA is |0><0| on A, but rho_aAB lives on A's |1>: no pure state
+        # has these reduced states, and their mu has the eigenvalue -1/3.
+        rho_aA = np.diag([1.0, 0.0]).astype(complex)
+        rho_aAB = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+        with pytest.raises(MixRateError, match=r"^mu is not a state: not PSD \(min eigenvalue -3\.333e-01\)$"):
+            en._mu(rho_aAB, rho_aA, (1, 2, 2, 1))
 
     def test_dimension_order_enforced(self):
         g = rng(412)

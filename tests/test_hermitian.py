@@ -394,6 +394,48 @@ class TestRequireHermitianMatchesReference:
         self.assert_matches(M)
 
 
+class TestHermitianPartMatchesReference:
+    """hermitian_part forms (M + M†)/2 in one buffer; it must give the dtype,
+    shape, strides and bytes of the three-array form of tests/reference.py,
+    with NaN, ±inf and -0.0 entries too (which of two NaNs a sum keeps
+    depends on the order of its operands, and on numpy's loop)."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 4, 8]),
+        st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
+        st.sampled_from(["complex128", "float64", "int64"]),
+        st.integers(0, 6),
+    )
+    def test_matches_reference(self, seed, d, lead, dtype, n_special):
+        g = np.random.default_rng(seed)
+        shape = lead + (d, d)
+        if dtype == "int64":
+            # Below 2**52 in size, so that int64 and float64 sums are both exact.
+            M = g.integers(-(2**40), 2**40, shape)
+        else:
+            M = g.standard_normal(shape).astype(dtype)
+            if dtype == "complex128":
+                M.imag = g.standard_normal(shape)
+            for _ in range(n_special if M.size else 0):
+                b = tuple(int(g.integers(n)) for n in lead)
+                i, j = (int(k) for k in g.integers(d, size=2))
+                part = "imag" if dtype == "complex128" and g.integers(2) else "real"
+                value = self.SPECIAL[g.integers(len(self.SPECIAL))]
+                # On one entry, or on a mirrored pair: NaN + NaN and -0.0 + -0.0.
+                for k, l in {(i, j), (j, i)} if g.integers(2) else {(i, j)}:
+                    getattr(M[b + (slice(k, k + 1), l)], part)[:] = value
+        with np.errstate(invalid="ignore"):
+            want = reference.hermitian_part(M)
+            got = hm.hermitian_part(M.copy())
+        assert (got.dtype, got.shape, got.strides, got.tobytes()) == (
+            want.dtype, want.shape, want.strides, want.tobytes()
+        )
+
+
 def _values(a: np.ndarray) -> bytes:
     """The bytes of a's values in C order, whatever its memory layout."""
     return np.ascontiguousarray(a).tobytes()
@@ -403,8 +445,8 @@ class TestInteriorPath:
     """The interior path hands matrices built from checked inputs to LAPACK
     with no test. Those of BUILT are Hermitian bit for bit by construction:
     require_hermitian returns each byte for byte, and `_eigh` / `_eigvalsh`
-    give eig_hermitian's bytes. The others (products) are `_symmetrized`
-    first, which is require_hermitian's own tail."""
+    give eig_hermitian's bytes. The others (products) go through
+    hermitian_part first, which is require_hermitian's own tail."""
 
     BUILT = ["mixture", "rebuilt mixture", "ginibre", "hamiltonian"]
 
@@ -454,7 +496,36 @@ class TestInteriorPath:
         st.sampled_from([1, 2, 3, 4, 8]),
         st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
     )
-    def test_symmetrized_is_require_hermitians_output(self, seed, d, lead):
+    def test_hermitian_part_is_require_hermitians_output(self, seed, d, lead):
         C = self._product(np.random.default_rng(seed), lead + (d, d))
-        got, want = hm._symmetrized(C), hm.require_hermitian(C)
-        assert (got.shape, got.strides, got.tobytes()) == (want.shape, want.strides, want.tobytes())
+        got, want = hm.hermitian_part(C), hm.require_hermitian(C)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 4, 8]),
+        st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
+    )
+    def test_hermitian_part_is_c_ordered(self, seed, d, lead):
+        # BLAS products read it, and may round differently on another layout.
+        C = self._product(np.random.default_rng(seed), lead + (d, d))
+        for M in (C, C.swapaxes(-1, -2)):
+            assert hm.hermitian_part(M).flags.c_contiguous
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 4, 8]),
+        st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
+    )
+    def test_lapack_reads_values_not_layout(self, seed, d, lead):
+        # numpy copies a matrix into LAPACK by logical index: a C-ordered
+        # stack and a transposed-layout copy of it give the same bytes, so
+        # the interior callers may hand either.
+        A = hm.hermitian_part(self._product(np.random.default_rng(seed), lead + (d, d)))
+        T = np.ascontiguousarray(A.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert np.array_equal(A, T) and (d == 1 or A.size == 0 or A.strides != T.strides)
+        for got, want in zip(hm._eigh(T), hm._eigh(A)):
+            assert got.tobytes() == want.tobytes()
+        assert hm._eigvalsh(T).tobytes() == hm._eigvalsh(A).tobytes()

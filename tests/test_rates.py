@@ -386,6 +386,27 @@ class TestBounds:
             assert rates.max_mixing_rate(E) <= bound + 1e-8
 
 
+class TestRuntimeInvariants:
+    """The raise sites of invariants that no valid input reaches, matched by
+    message, not by class."""
+
+    def test_member_leaks_off_the_support_of_rho(self):
+        # A zero-weight member |1><1| outside the support |0><0| of rho.
+        p = np.array([[1.0, 0.0]])
+        rhos = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)
+        with pytest.raises(MixRateError, match=r"^member 1 leaks 1\.000e\+00 outside the support of rho$"):
+            rates._support_logs(p, rhos)
+
+    def test_imaginary_rate_breaks_the_identity(self):
+        # A non-Hermitian C whose trace Tr(I C) has the imaginary part 1e-6.
+        p, H = np.ones((1, 1)), np.eye(2, dtype=complex)[None, None]
+        C = np.diag([1.0 + 1e-6j, -1.0])[None, None]
+        with pytest.raises(MixRateError, match=r"^rate has imaginary residue 1\.000e-06$"):
+            rates._rate(p, H, C)
+        C[..., 0, 0] = 1.0 + 1e-10j  # within IMAG_TOL
+        assert rates._rate(p, H, C).tolist() == [0.0]
+
+
 class TestTrajectory:
     TIMES = (0.0, 1e-4, -1e-4, 5e-5, -5e-5, 0.5, 1.0, 2.0)  # t = 0, the FD and STM times
 

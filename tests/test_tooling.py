@@ -10,7 +10,7 @@ interior path) is taken only at the call sites of EIGH_SITES, each of which
 reads the eigenvectors; everywhere else the eigenvalues suffice. The checked
 entries of `hermitian` are called only at the boundary, by the functions of
 CHECK_SITES: where matrices are parsed or sampled, and in public functions.
-No public
+One function forms (M + M†)/2: `hermitian.hermitian_part`. No public
 function, method or constructor takes a parameter named with a leading
 underscore: a private back door on the public API. Every public top-level
 name of a module is reached: referenced by the package itself, by an
@@ -106,12 +106,11 @@ EIGH_SITES = {
 # The checked entries of hermitian (finite entries and Hermiticity residual),
 # and the only functions that call them, with what makes each a boundary.
 # Matrices built inside from checked inputs take _eigh, _eigvalsh and
-# _symmetrized instead.
-CHECKED = {"require_hermitian", "eig_hermitian", "eigvals_hermitian", "symmetrized_eigvals"}
+# hermitian_part instead.
+CHECKED = {"require_hermitian", "eig_hermitian", "eigvals_hermitian"}
 CHECK_SITES = {
     "hermitian.eig_hermitian": "public API",
     "hermitian.eigvals_hermitian": "public API",
-    "hermitian.symmetrized_eigvals": "public API",
     "hermitian.support_log": "public API",
     "hermitian.trace_norm": "public API",
     "ensembles.DensityMatrix.__post_init__": "parse: a state file's matrices, or a caller's",
@@ -121,10 +120,39 @@ CHECK_SITES = {
 }
 
 
-def _sites(path: Path, names: set[str]) -> set[str]:
-    """module.function (module.Class.method) of every reference to one of
-    names in one module, outside their own definitions; an import of one
-    counts as a reference (`from .hermitian import eig_hermitian as f`)."""
+def _named(names: set[str]):
+    """Whether a node references one of names; an import of one counts as a
+    reference (`from .hermitian import eig_hermitian as f`)."""
+    return lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    )
+
+
+def _symmetrizer(node) -> bool:
+    """Whether a node is (X + X†)/2, in either order of the sum, with X†
+    spelled as X.conj().swapaxes(-1, -2) or one of its equivalents."""
+    if not (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Add)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+    ):
+        return False
+    a, b = ast.unparse(node.left.left), ast.unparse(node.left.right)
+    adjoints = (
+        "{}.conj().swapaxes(-1, -2)", "{}.swapaxes(-1, -2).conj()",
+        "np.conjugate({}.swapaxes(-1, -2))", "{}.conj().T", "{}.T.conj()",
+    )
+    return any(b == f.format(a) or a == f.format(b) for f in adjoints)
+
+
+def _sites(path: Path, hit) -> set[str]:
+    """module.function (module.Class.method) of every node of one module for
+    which hit(node) holds; a def is not a reference to its own name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     sites = set()
 
@@ -133,11 +161,7 @@ def _sites(path: Path, names: set[str]) -> set[str]:
             if isinstance(child, (ast.ClassDef, *FUNCS)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if (
-                (isinstance(child, ast.Attribute) and child.attr in names)
-                or (isinstance(child, ast.Name) and child.id in names)
-                or (isinstance(child, ast.alias) and child.name in names)
-            ):
+            if hit(child):
                 sites.add(where)
             visit(child, where)
 
@@ -148,13 +172,19 @@ def _sites(path: Path, names: set[str]) -> set[str]:
 def test_eigh_only_where_eigenvectors_are_read():
     files = sorted(SRC.glob("*.py"))
     assert files
-    assert set().union(*(_sites(f, EIGH) for f in files)) == set(EIGH_SITES)
+    assert set().union(*(_sites(f, _named(EIGH)) for f in files)) == set(EIGH_SITES)
 
 
 def test_checks_only_at_the_boundary():
     files = sorted(SRC.glob("*.py"))
     assert files
-    assert set().union(*(_sites(f, CHECKED) for f in files)) == set(CHECK_SITES)
+    assert set().union(*(_sites(f, _named(CHECKED)) for f in files)) == set(CHECK_SITES)
+
+
+def test_one_symmetrizer():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert set().union(*(_sites(f, _symmetrizer) for f in files)) <= {"hermitian.hermitian_part"}
 
 
 def test_eigh_scan_finds_what_it_forbids(tmp_path):
@@ -172,7 +202,7 @@ def test_eigh_scan_finds_what_it_forbids(tmp_path):
         "    return hm._eigh(A), hm._eigvalsh(A)\n"
         "def eig_hermitian(M): pass\n"
     )
-    assert _sites(bad, EIGH) == {"mod", "mod.spectrum", "mod.Pass.run", "mod.interior"}
+    assert _sites(bad, _named(EIGH)) == {"mod", "mod.spectrum", "mod.Pass.run", "mod.interior"}
 
 
 def test_check_scan_finds_what_it_forbids(tmp_path):
@@ -181,16 +211,34 @@ def test_check_scan_finds_what_it_forbids(tmp_path):
         "from . import hermitian as hm\n"
         "from .hermitian import require_hermitian as rh\n"
         "def rebuild(A):\n"
-        "    return hm.symmetrized_eigvals(A)\n"
+        "    return hm.require_hermitian(A)\n"
         "class Pass:\n"
         "    def run(self, A):\n"
-        "        return hm.eigvals_hermitian(A), hm._eigvalsh(hm._symmetrized(A))\n"
+        "        return hm.eigvals_hermitian(A), hm._eigvalsh(hm.hermitian_part(A))\n"
         "def interior(A):\n"
         "    return hm._eigh(A)\n"
         "def norm(A):\n"
         "    return rh(A)\n"
     )
-    assert _sites(bad, CHECKED) == {"mod", "mod.rebuild", "mod.Pass.run"}
+    assert _sites(bad, _named(CHECKED)) == {"mod", "mod.rebuild", "mod.Pass.run"}
+
+
+def test_symmetrizer_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "mod.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "H = (X + X.swapaxes(-1, -2).conj()) / 2\n"
+        "def hermitian_part(M):\n"
+        "    return (M + M.conj().swapaxes(-1, -2)) / 2\n"
+        "def spectra(G):\n"
+        "    return (G.conj().swapaxes(-1, -2) + G) / 2\n"
+        "class Pass:\n"
+        "    def run(self, A):\n"
+        "        return (A + np.conjugate(A.swapaxes(-1, -2))) / 2.0\n"
+        "def other(A, B):\n"
+        "    return (A + B.conj().swapaxes(-1, -2)) / 2, (A + A.conj().T) / 3, A.T.conj() - A\n"
+    )
+    assert _sites(bad, _symmetrizer) == {"mod", "mod.hermitian_part", "mod.spectra", "mod.Pass.run"}
 
 
 def _private_parameters(path: Path) -> list[str]:
