@@ -11,13 +11,17 @@ Subcommands:
 All but sie write a report to --out or stdout. verify, scan and search
 create --out after their argument checks, before any trial: a run those
 checks refuse (exit 1) leaves no --out file. compute creates it once its
-report is made, so --out may name an input, left as it was on a refusal.
+report is made, so --out may name an input, left as it was on an error.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 invariant/theorem-test
-failure, 3 conjecture-ratio-exceeded event (the offending ensemble is
-serialized into the working directory, conjecture_offender_*.json). On exit
-2, verify, scan and search print one stderr line per failed record:
-"trial <id>: " and the error, or the ratio_thm, fd_residual or STM failure.
+Exit codes, the same in every command: 0 success; 1 input refused (a usage
+error, a malformed or invalid input file, an I/O error); 2 fault (a
+computed value failed a check, LAPACK failed, or a theorem bound broke);
+3 conjecture-ratio-exceeded event (the offending ensemble is serialized
+into the working directory, conjecture_offender_*.json). Exits 1 and 2
+print one stderr line "mixrate: error: " and the error, except where
+verify, scan and search exit 2 on their records: one line per failed
+record, "trial <id>: " and the error, or the ratio_thm, fd_residual or STM
+failure.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from . import ensembles as ens
 from . import entangling as ent
 from . import harness as hz
-from .errors import MixRateError
+from .errors import Fault, InputError
 from .rates import rate_report
 
 # After the package on purpose: loading multiprocessing before numpy and the
@@ -112,7 +116,7 @@ def _conclude(records, ensemble_of, path_of) -> int:
 
 def cmd_compute(args) -> int:
     # The report is made before --out is created, so an ensemble that parses
-    # but that the report refuses leaves --out, which may name an input, as it was.
+    # but whose report fails leaves --out, which may name an input, as it was.
     E, listed = ens._parse_ensemble(Path(args.ensemble).read_bytes())
     H = None
     if args.hamiltonians:
@@ -189,7 +193,7 @@ def cmd_verify(args) -> int:
         dim=args.dim, n_states=args.states, n_trials=args.trials, seed=args.seed
     )
     if args.workers < 1:
-        raise MixRateError(f"workers must be >= 1, got {args.workers}")
+        raise InputError(f"workers must be >= 1, got {args.workers}")
     # Chunks depend on (n_trials, dim) only, not on the worker count. The pool
     # forks all its workers up front, so it gets no more than chunks or CPUs.
     n_chunks = len(range(0, cfg.n_trials, hz.chunk_size(cfg.dim)))
@@ -208,17 +212,17 @@ def _parse_grid(spec: str) -> list[float]:
     try:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
-        raise MixRateError(f"bad p-grid {spec!r}, expected lo:hi:step") from exc
+        raise InputError(f"bad p-grid {spec!r}, expected lo:hi:step") from exc
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or lo > hi:
-        raise MixRateError(f"bad p-grid {spec!r}")
+        raise InputError(f"bad p-grid {spec!r}")
     span = (hi - lo) / step + 1e-9  # the last point may fall short of hi, never past it
     if not span < hz.MAX_TRIALS:  # also an infinite span, which floor refuses
-        raise MixRateError(f"bad p-grid {spec!r}: more than {hz.MAX_TRIALS} points")
+        raise InputError(f"bad p-grid {spec!r}: more than {hz.MAX_TRIALS} points")
     n = math.floor(span)
     # Filter the rounded points: those are the values the scan runs.
     grid = [p for p in (round(lo + k * step, 12) for k in range(n + 1)) if 0.0 < p < 1.0]
     if not grid:
-        raise MixRateError(f"bad p-grid {spec!r}: no point in (0, 1)")
+        raise InputError(f"bad p-grid {spec!r}: no point in (0, 1)")
     return grid
 
 
@@ -272,8 +276,14 @@ def cmd_sie(args) -> int:
     print(f"reduction_residual={residual!r}")
     for pt in points:
         print(f"t={pt.t:.2f} entanglement={pt.entanglement!r} bound={pt.bound!r} ok={pt.ok}")
-    ok = residual <= 1e-8 and all(pt.ok for pt in points)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    # `not <=`, so that a NaN residual fails.
+    trips = [f"reduction_residual {residual!r} exceeds 1e-8"] if not residual <= 1e-8 else []
+    over = [pt.t for pt in points if not pt.ok]
+    if over:
+        trips.append(f"entanglement above the STE bound at t={over[0]:.2f} ({len(over)} times)")
+    if trips:
+        raise Fault("; ".join(trips))  # after the report, which stays on stdout
+    return EXIT_OK
 
 
 @functools.cache
@@ -331,9 +341,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (MixRateError, OSError, ValueError) as exc:
+    except (InputError, Fault, OSError, ValueError) as exc:
         print(f"mixrate: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INVARIANT if isinstance(exc, Fault) else EXIT_USAGE
 
 
 if __name__ == "__main__":

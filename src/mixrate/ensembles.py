@@ -26,14 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import hermitian as hm
-from .errors import (
-    BadDistribution,
-    DimMismatch,
-    DomainError,
-    InvariantViolation,
-    NonHermitian,
-    ParseError,
-)
+from .errors import Fault, InputError
 
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -53,18 +46,19 @@ def _assign(obj, matrix: np.ndarray, w: np.ndarray):
     return obj
 
 
-def _state_eigenvalues(w: np.ndarray) -> np.ndarray:
+def _state_eigenvalues(w: np.ndarray, kind=Fault) -> np.ndarray:
     """The ascending eigenvalues w (..., d) of states, each row checked
-    (min >= -PSD_TOL, |sum - 1| <= TRACE_TOL), floored at 0 and renormalized."""
+    (min >= -PSD_TOL, |sum - 1| <= TRACE_TOL), floored at 0 and renormalized;
+    a failed check raises kind: InputError for states given from outside."""
     # ndarray methods: this runs once per validated stack, where the module
     # functions' dispatch cost more than the arithmetic at small d. `not >=`
     # and `not <=`, so that a NaN eigenvalue (eigvalsh may return one) fails.
     if not (w[..., 0] >= -PSD_TOL).all():
-        raise InvariantViolation(f"not PSD (min eigenvalue {w[..., 0].min():.3e})")
+        raise kind(f"not PSD (min eigenvalue {w[..., 0].min():.3e})")
     tr = w.sum(axis=-1)
     off = ~(abs(tr - 1.0) <= TRACE_TOL)
     if off.any():
-        raise InvariantViolation(f"trace {float(tr[off].flat[0])!r} differs from 1")
+        raise kind(f"trace {float(tr[off].flat[0])!r} differs from 1")
     w = w.clip(0.0, None)
     w /= w.sum(axis=-1, keepdims=True)
     return w
@@ -88,9 +82,9 @@ class DensityMatrix:
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=complex)
         if A.ndim != 2:
-            raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
+            raise InputError(f"expected a square matrix, got shape {A.shape}")
         w, V = hm.eig_hermitian(A[None])
-        w = _state_eigenvalues(w)
+        w = _state_eigenvalues(w, InputError)
         _assign(self, hm.hermitian_part(hm.reconstruct(w, V))[0], w[0])
 
     @property
@@ -106,7 +100,7 @@ class Hamiltonian:
 
     def __post_init__(self):
         if np.ndim(self.matrix) != 2:
-            raise DimMismatch(f"expected a square matrix, got shape {np.shape(self.matrix)}")
+            raise InputError(f"expected a square matrix, got shape {np.shape(self.matrix)}")
         A = hm.require_hermitian(self.matrix)
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
@@ -116,15 +110,17 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
-def _require_distribution(p: np.ndarray) -> None:
+def _require_distribution(p: np.ndarray, kind=Fault) -> None:
     """An Ensemble's checks on probabilities p (..., n): none negative or NaN
-    (p >= 0 holds, which NaN fails), and every row summing to 1 within PROB_TOL."""
+    (p >= 0 holds, which NaN fails), and every row summing to 1 within
+    PROB_TOL; a failed check raises kind: InputError for probabilities given
+    from outside."""
     if not (p >= 0).all():
-        raise BadDistribution("negative or NaN probability")
+        raise kind("invariant violated: negative or NaN probability")
     total = p.sum(axis=-1, keepdims=True)
     off = abs(total - 1.0) > PROB_TOL
     if off.any():
-        raise BadDistribution(f"probabilities sum to {float(total[off][0])!r}")
+        raise kind(f"invariant violated: probabilities sum to {float(total[off][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -142,15 +138,15 @@ class Ensemble:
         p = np.asarray(probabilities, dtype=float)
         states = tuple(states)
         if p.ndim != 1 or p.size != len(states):
-            raise DimMismatch("probabilities and states must have equal length")
-        _require_distribution(p)
+            raise InputError("probabilities and states must have equal length")
+        _require_distribution(p, InputError)
         keep = p > 0
         p, states = p[keep], tuple(s for s, k in zip(states, keep) if k)
         if not states:
-            raise BadDistribution("ensemble has no members with positive probability")
+            raise InputError("ensemble has no members with positive probability")
         dim = states[0].dim
         if any(s.dim != dim for s in states):
-            raise DimMismatch("all ensemble states must share one dimension")
+            raise InputError("all ensemble states must share one dimension")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "states", states)
@@ -196,7 +192,7 @@ def _positive_distribution(probs) -> np.ndarray:
     """probs as floats (..., n), every row positive (not NaN) and summing to 1 within PROB_TOL."""
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or not ((p > 0).all() and (abs(p.sum(axis=-1) - 1.0) <= PROB_TOL).all()):
-        raise BadDistribution("probabilities must be positive and sum to 1")
+        raise InputError("probabilities must be positive and sum to 1")
     return p
 
 
@@ -204,7 +200,7 @@ def _unit_interval(p) -> np.ndarray:
     """p, a probability or an array of them, as floats in [0, 1]; NaN is not."""
     q = np.asarray(p, dtype=float)
     if not ((0.0 <= q) & (q <= 1.0)).all():
-        raise DomainError(f"probability {p!r} outside [0, 1]")
+        raise InputError(f"probability {p!r} outside [0, 1]")
     return q
 
 
@@ -261,7 +257,7 @@ def _stack(Es: Sequence[Ensemble]) -> _Batch:
     """The batch of Ensembles that share (n, d), from their kept arrays."""
     n, d = len(Es[0]), Es[0].dim
     if any(len(E) != n or E.dim != d for E in Es):
-        raise DimMismatch("ensembles of one batch must share (n, d)")
+        raise InputError("ensembles of one batch must share (n, d)")
     states = [s for E in Es for s in E.states]
     shape = (len(Es), n, d)
     # np.array, not np.stack: several times faster on a few small arrays.
@@ -308,22 +304,22 @@ def _json_numbers(obj, what: str) -> np.ndarray:
     try:
         A = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{what}: not a numeric array") from exc
+        raise InputError(f"{what}: not a numeric array") from exc
     entries = [obj]
     for _ in range(A.ndim):
         entries = itertools.chain.from_iterable(entries)
     if not set(map(type, entries)) <= {int, float}:
-        raise ParseError(f"{what}: entries must be JSON numbers")
+        raise InputError(f"{what}: entries must be JSON numbers")
     # Only a finite largest entry is refused here; inf and NaN are refused by name later.
     if MAX_ENTRY < np.abs(A).max(initial=0.0) < math.inf:
-        raise ParseError(f"{what}: an entry above {MAX_ENTRY:g} in magnitude")
+        raise InputError(f"{what}: an entry above {MAX_ENTRY:g} in magnitude")
     return A
 
 
 def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
     A = _json_numbers(obj, what)
     if A.shape != (dim, dim, 2):
-        raise ParseError(f"{what}: expected shape ({dim}, {dim}, 2), got {A.shape}")
+        raise InputError(f"{what}: expected shape ({dim}, {dim}, 2), got {A.shape}")
     return _from_pairs(A)
 
 
@@ -333,11 +329,11 @@ def _load_json(text) -> dict:
     try:
         obj = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+        raise InputError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ParseError("malformed JSON: nested too deeply") from exc
+        raise InputError("malformed JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
-        raise ParseError("top-level JSON value must be an object")
+        raise InputError("top-level JSON value must be an object")
     return obj
 
 
@@ -349,9 +345,9 @@ def _echo(v) -> str:
 def _json_dim(v) -> int:
     """A dimension read from JSON: a JSON integer, |v| <= sys.maxsize; not a float, bool or str."""
     if type(v) is not int:
-        raise ParseError(f"dimension {_echo(v)} is not an integer")
+        raise InputError(f"dimension {_echo(v)} is not an integer")
     if abs(v) > sys.maxsize:
-        raise ParseError(f"dimension {_echo(v)} out of range")
+        raise InputError(f"dimension {_echo(v)} out of range")
     return v
 
 
@@ -359,21 +355,22 @@ def _json_probability(v) -> float:
     """A probability read from JSON: a JSON number; a bool, string or null is
     refused, and so is a number above 1, before a sum of such can overflow."""
     if type(v) not in (int, float):
-        raise ParseError(f"probability {_echo(v)} is not a number")
+        raise InputError(f"probability {_echo(v)} is not a number")
     p = float(v)
     if p > 1.0:
-        raise ParseError(f"probability {_echo(v)} above 1")
+        raise InputError(f"probability {_echo(v)} above 1")
     return p
 
 
 def _parse_members(raw, dim: int, what: str, build) -> list:
-    """build(M) for each raw matrix M; a failed validation names the member."""
+    """build(M) for each raw matrix M; a refused validation names the member."""
     out = []
     for i, entry in enumerate(raw):
+        M = matrix_from_json(entry, dim, f"{what} {i}")
         try:
-            out.append(build(matrix_from_json(entry, dim, f"{what} {i}")))
-        except (InvariantViolation, NonHermitian, DomainError) as exc:
-            raise InvariantViolation(getattr(exc, "which", str(exc)), index=i) from exc
+            out.append(build(M))
+        except InputError as exc:
+            raise InputError(f"invariant violated: {exc} (member {i})") from exc
     return out
 
 
@@ -385,14 +382,11 @@ def _parse_ensemble(text) -> tuple[Ensemble, list[float]]:
         probs = [_json_probability(p) for p in obj["probabilities"]]
         raw_states = list(obj["states"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"ensemble JSON missing or malformed field: {exc}") from exc
+        raise InputError(f"ensemble JSON missing or malformed field: {exc}") from exc
     if len(probs) != len(raw_states):
-        raise ParseError("probabilities and states have different lengths")
+        raise InputError("probabilities and states have different lengths")
     states = _parse_members(raw_states, dim, "state", DensityMatrix)
-    try:
-        return Ensemble(probs, states), probs
-    except (BadDistribution, DimMismatch) as exc:
-        raise InvariantViolation(str(exc)) from exc
+    return Ensemble(probs, states), probs
 
 
 def parse_ensemble(text) -> Ensemble:
@@ -416,7 +410,7 @@ def parse_hamiltonian_set(text) -> tuple[Hamiltonian, ...]:
         dim = _json_dim(obj["dim"])
         raw = list(obj["hamiltonians"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"hamiltonian JSON missing or malformed field: {exc}") from exc
+        raise InputError(f"hamiltonian JSON missing or malformed field: {exc}") from exc
     return tuple(_parse_members(raw, dim, "hamiltonian", Hamiltonian))
 
 
@@ -424,5 +418,5 @@ def _paired(H: Sequence[Hamiltonian], listed: Sequence[float]) -> tuple[Hamilton
     """The Hamiltonians of the members an Ensemble keeps, H paired by position
     with the listed probabilities: each zero-probability member's goes with it."""
     if len(H) != len(listed):
-        raise DimMismatch("need one Hamiltonian per listed ensemble member")
+        raise InputError("need one Hamiltonian per listed ensemble member")
     return tuple(h for h, p in zip(H, listed) if p > 0)

@@ -32,15 +32,7 @@ from .ensembles import (
     _load_json,
     matrix_from_json,
 )
-from .errors import (
-    Degenerate,
-    DimMismatch,
-    DimOrder,
-    IdentityViolation,
-    InvariantViolation,
-    ParseError,
-    PositivityViolation,
-)
+from .errors import Fault, InputError
 from .rates import CHECK_SLACK, _commutators, _rate, mixing_rate
 
 NORM_TOL = 1e-10
@@ -57,25 +49,26 @@ class PureState:
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         dims = tuple(int(d) for d in dims)
         if len(dims) != 4 or any(d < 1 for d in dims):
-            raise DimMismatch(f"need four factor dimensions >= 1, got {dims}")
+            raise InputError(f"need four factor dimensions >= 1, got {dims}")
         if v.size != math.prod(dims):
-            raise DimMismatch(f"amplitude length {v.size} != product of dims {math.prod(dims)}")
+            raise InputError(f"amplitude length {v.size} != product of dims {math.prod(dims)}")
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
-            raise InvariantViolation(f"amplitude {bad[0]} is not finite")
-        v = _unit_rows(v[None])[0]
+            raise InputError(f"invariant violated: amplitude {bad[0]} is not finite")
+        v = _unit_rows(v[None], InputError)[0]
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
         object.__setattr__(self, "dims", dims)
 
 
-def _unit_rows(psi: np.ndarray) -> np.ndarray:
+def _unit_rows(psi: np.ndarray, kind=Fault) -> np.ndarray:
     """The rows of psi (..., N) renormalized; a row whose norm is not within
-    NORM_TOL of 1 raises, and so does a NaN norm (it fails the <= test)."""
+    NORM_TOL of 1 raises kind (InputError for a state given from outside),
+    and so does a NaN norm (it fails the <= test)."""
     norms = np.linalg.norm(psi, axis=-1)
     off = ~(np.abs(norms - 1.0) <= NORM_TOL)
     if np.any(off):
-        raise InvariantViolation(f"state norm {float(norms[off][0])!r} differs from 1")
+        raise kind(f"invariant violated: state norm {float(norms[off][0])!r} differs from 1")
     return psi / norms[..., None]
 
 
@@ -89,9 +82,9 @@ class BipartiteOperator(Hamiltonian):
         super().__init__(matrix)
         dims = tuple(int(d) for d in dims)
         if len(dims) != 2 or any(d < 1 for d in dims):
-            raise DimMismatch(f"need two factor dimensions >= 1, got {dims}")
+            raise InputError(f"need two factor dimensions >= 1, got {dims}")
         if self.dim != dims[0] * dims[1]:
-            raise DimMismatch(f"matrix of dim {self.dim} does not factor as {dims}")
+            raise InputError(f"matrix of dim {self.dim} does not factor as {dims}")
         object.__setattr__(self, "dims", dims)
 
 
@@ -129,7 +122,7 @@ def _entanglement_trajectory(
 
 def _check_interaction(psi: PureState, H: BipartiteOperator) -> None:
     if H.dims != psi.dims[1:3]:
-        raise DimMismatch(f"Hamiltonian factors {H.dims} != state factors {psi.dims[1:3]}")
+        raise InputError(f"Hamiltonian factors {H.dims} != state factors {psi.dims[1:3]}")
 
 
 def lift_to_aAB(H: BipartiteOperator, d_a: int) -> np.ndarray:
@@ -166,20 +159,20 @@ def _mu(rho_aAB, rho_aA, dims) -> DensityMatrix:
     """bravyi_mu from the reduced states of a state with factor dims."""
     d_a, d_A, d_B, _ = dims
     if d_B == 1:
-        raise Degenerate("reduction degenerates at dim(B) = 1")
+        raise InputError("reduction degenerates at dim(B) = 1")
     if d_B > d_A:
-        raise DimOrder(f"requires dim(B) <= dim(A), got B={d_B}, A={d_A}")
+        raise InputError(f"requires dim(B) <= dim(A), got B={d_B}, A={d_A}")
     weight = 1.0 - d_B ** -2
     target = np.kron(rho_aA, np.eye(d_B) / d_B)
     mu = (target - d_B ** -2 * rho_aAB) / weight
     recon = weight * mu + d_B ** -2 * rho_aAB
     residual = hm.frobenius(recon - target)
     if residual > 1e-10:
-        raise IdentityViolation(f"reconstruction identity failed by {residual:.3e}")
+        raise Fault(f"reconstruction identity failed by {residual:.3e}")
     try:
         return DensityMatrix(mu)
-    except InvariantViolation as exc:
-        raise PositivityViolation(f"mu is not a state: {exc.which}") from exc
+    except InputError as exc:
+        raise Fault(f"mu is not a state: {exc}") from exc
 
 
 def sie_to_sim(
@@ -236,10 +229,10 @@ def parse_pure_state(text) -> PureState:
         dims = [_json_dim(d) for d in obj["dims"]]
         raw = obj["amplitudes"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"pure-state JSON missing or malformed field: {exc}") from exc
+        raise InputError(f"pure-state JSON missing or malformed field: {exc}") from exc
     raw = _json_numbers(raw, "amplitudes")
     if raw.ndim != 2 or raw.shape[1] != 2:
-        raise ParseError("amplitudes must be a list of [re, im] pairs")
+        raise InputError("amplitudes must be a list of [re, im] pairs")
     return PureState(_from_pairs(raw), dims)
 
 
@@ -249,6 +242,6 @@ def parse_bipartite_operator(text) -> BipartiteOperator:
         dA, dB = (_json_dim(d) for d in obj["dims"])
         raw = obj["hamiltonian"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"operator JSON missing or malformed field: {exc}") from exc
+        raise InputError(f"operator JSON missing or malformed field: {exc}") from exc
     M = matrix_from_json(raw, dA * dB, "hamiltonian")
     return BipartiteOperator(M, (dA, dB))

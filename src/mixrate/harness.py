@@ -26,7 +26,7 @@ from .ensembles import (
     _require_distribution,
     _shannon,
 )
-from .errors import BoundViolation, DomainError, MixRateError
+from .errors import BoundViolation, Fault, InputError, MixRateError
 from .rates import _evaluate, _general_bound, _Spectra
 from .sampling import _ginibre, _states, streams
 
@@ -85,19 +85,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 2 <= self.dim <= 64:
-            raise DomainError(f"dim {self.dim} outside supported range [2, 64]")
+            raise InputError(f"dim {self.dim} outside supported range [2, 64]")
         if self.n_states < 1 or self.n_trials < 1:
-            raise DomainError("n_states and n_trials must be >= 1")
+            raise InputError("n_states and n_trials must be >= 1")
         if self.seed < 0:
-            raise DomainError(f"seed {self.seed} must be >= 0")
+            raise InputError(f"seed {self.seed} must be >= 0")
         if self.n_states > MAX_STATES:
-            raise DomainError(f"n_states {self.n_states} above the limit of {MAX_STATES}")
+            raise InputError(f"n_states {self.n_states} above the limit of {MAX_STATES}")
         if self.n_trials > MAX_TRIALS:
-            raise DomainError(f"n_trials {self.n_trials} above the limit of {MAX_TRIALS}")
+            raise InputError(f"n_trials {self.n_trials} above the limit of {MAX_TRIALS}")
         if self.search_max_iters < 1:
-            raise DomainError(f"search_max_iters {self.search_max_iters} must be >= 1")
+            raise InputError(f"search_max_iters {self.search_max_iters} must be >= 1")
         if self.mode not in {"verify", "scan", "search", "sie"}:
-            raise DomainError(f"unknown mode {self.mode!r}")
+            raise InputError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -231,13 +231,13 @@ def scan_jobs(p_grid: Sequence[float], cfg: ExperimentConfig) -> Iterator[tuple]
     grid is checked: cfg.n_trials trials at each p of p_grid in turn, trial
     i at p_grid[i // cfg.n_trials], under a binary copy of cfg."""
     if len(p_grid) * cfg.n_trials > MAX_TRIALS:
-        raise DomainError(
+        raise InputError(
             f"{len(p_grid)} grid points x {cfg.n_trials} trials above the limit of {MAX_TRIALS}"
         )
     grid = [float(p) for p in p_grid]
     for p in grid:
         if not 0.0 < p < 1.0:
-            raise DomainError(f"p-grid values must lie in (0, 1), got {p!r}")
+            raise InputError(f"p-grid values must lie in (0, 1), got {p!r}")
     binary = replace(cfg, binary=True)  # a scan is binary, whatever cfg says
     chunks = trial_chunks(range(len(grid) * cfg.n_trials), cfg.dim)
     return ((binary, c, [grid[i // cfg.n_trials] for i in c]) for c in chunks)
@@ -258,7 +258,7 @@ def _climb_draws(k: int, n: int, dim: int, g: np.random.Generator):
     z = g.standard_normal(k * (m + n)).reshape(k, m + n)
     w, V, norms = _unit_spectra(_ginibre(z[:, :m].reshape(k, n, 2, dim, dim)))
     if not norms.all():
-        raise DomainError("a zero-norm Hamiltonian in a block of candidates")
+        raise Fault("a zero-norm Hamiltonian in a block of candidates")
     return w, V, z[:, m:]
 
 
@@ -324,9 +324,9 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
 def _check_search(cfg: ExperimentConfig) -> None:
     """Refuse a config the search cannot run, before any draw."""
     if cfg.n_states < 2:
-        raise DomainError(f"search needs n_states >= 2, got {cfg.n_states}")
+        raise InputError(f"search needs n_states >= 2, got {cfg.n_states}")
     if cfg.binary and cfg.n_states != 2:
-        raise DomainError("binary search requires n_states = 2")
+        raise InputError("binary search requires n_states = 2")
 
 
 def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:

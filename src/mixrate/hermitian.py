@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, NoConvergence, NonHermitian
+from .errors import Fault, InputError
 
 HERM_TOL = 1e-10
 RANK_TOL = 1e-12  # eigenvalues λ ≤ RANK_TOL·λ_max are the kernel
@@ -63,10 +63,10 @@ def require_hermitian(M) -> np.ndarray:
     """
     A = np.asarray(M, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimMismatch(f"expected square matrices, got shape {A.shape}")
+        raise InputError(f"expected square matrices, got shape {A.shape}")
     # Before any arithmetic, which would warn on an infinite entry.
     if not np.isfinite(A).all():
-        raise DomainError("matrix has non-finite entries")
+        raise InputError("matrix has non-finite entries")
     # One buffer B, first A − A† and then hermitian_part(A) in place, and
     # norms through einsum: numpy.linalg.norm would hold more arrays of A's
     # size (0.46 MB for 7 matrices at d = 64) at once.
@@ -79,7 +79,7 @@ def require_hermitian(M) -> np.ndarray:
         # dev <= HERM_TOL passes whatever ||A||_F is, so the norms of A are
         # only needed when some residual exceeds it.
         if (dev > HERM_TOL).any() and (dev > HERM_TOL * np.maximum(1.0, _frobenius_stack(A))).any():
-            raise NonHermitian(f"Hermiticity residual {dev.max():.3e} exceeds tolerance")
+            raise InputError(f"Hermiticity residual {dev.max():.3e} exceeds tolerance")
     return hermitian_part(A, out=B)
 
 
@@ -94,7 +94,7 @@ def _lapack(f, A: np.ndarray):
     try:
         return f(A)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise Fault(str(exc)) from exc
 
 
 def eig_hermitian(M) -> EigenDecomposition:
@@ -139,7 +139,7 @@ def support_log(M) -> np.ndarray:
     ln_M = log_on_support(eig)[0]
     w = eig.eigenvalues
     if (w < -RANK_TOL * w[..., -1:]).any():
-        raise DomainError(f"matrix has a negative eigenvalue {w.min():.3e}")
+        raise InputError(f"matrix has a negative eigenvalue {w.min():.3e}")
     return ln_M
 
 
@@ -171,9 +171,9 @@ def log_integral_check(x: float, upper_cutoff: float, n_points: int) -> float:
     `n_points`.
     """
     if x <= 0:
-        raise DomainError("log integral requires x > 0")
+        raise InputError("log integral requires x > 0")
     if upper_cutoff <= 0 or n_points < 1:
-        raise DomainError("cutoff and n_points must be positive")
+        raise InputError("cutoff and n_points must be positive")
     u_max = upper_cutoff / (1.0 + upper_cutoff)
     h = u_max / n_points
     u = (np.arange(n_points) + 0.5) * h

@@ -44,14 +44,7 @@ from .ensembles import (
     _xlnx,
     binary_entropy,
 )
-from .errors import (
-    DegenerateState,
-    DimMismatch,
-    DomainError,
-    IdentityViolation,
-    NotBinary,
-    RankDeficient,
-)
+from .errors import Fault, InputError
 from .hermitian import RANK_TOL
 
 DEFAULT_FD_STEP = 1e-4
@@ -79,9 +72,7 @@ def _support_logs(p: np.ndarray, rhos: np.ndarray):
         leak = np.einsum("bik,bxij,bjk->bx", Vk.conj(), rhos, Vk).real
         if (leak > SUPPORT_LEAK_TOL).any():
             b, x = np.argwhere(leak > SUPPORT_LEAK_TOL)[0]
-            raise DegenerateState(
-                f"member {x} leaks {leak[b, x]:.3e} outside the support of rho"
-            )
+            raise InputError(f"member {x} leaks {leak[b, x]:.3e} outside the support of rho")
     return rho, ln_rho, hm.EigenDecomposition(w, V)
 
 
@@ -97,7 +88,7 @@ def _rate(p: np.ndarray, H: np.ndarray, C: np.ndarray) -> np.ndarray:
     val = np.einsum("bx,bxij,bxji->b", p, H, C)
     bad = np.abs(val.imag) > IMAG_TOL
     if bad.any():
-        raise IdentityViolation(f"rate has imaginary residue {val.imag[bad][0]:.3e}")
+        raise Fault(f"rate has imaginary residue {val.imag[bad][0]:.3e}")
     return val.real
 
 
@@ -151,11 +142,11 @@ class _Spectra:
 
 def _matrices(E: Ensemble, H: Sequence[Hamiltonian]) -> np.ndarray:
     """The matrices (1, n, d, d) of a Hamiltonian set for E, as a batch of one:
-    one Hamiltonian per member, each of E's dimension, or DimMismatch."""
+    one Hamiltonian per member, each of E's dimension, or InputError."""
     if len(H) != len(E):
-        raise DimMismatch("need one Hamiltonian per ensemble member")
+        raise InputError("need one Hamiltonian per ensemble member")
     if any(h.dim != E.dim for h in H):
-        raise DimMismatch("Hamiltonian dimension differs from ensemble dimension")
+        raise InputError("Hamiltonian dimension differs from ensemble dimension")
     return np.array([h.matrix for h in H])[None]
 
 
@@ -262,7 +253,7 @@ def max_mixing_rate(E: Ensemble) -> float:
 def binary_max_rate(E: Ensemble) -> float:
     """Two-member closed form p * ||[rho_1, ln rho]||_1 (only rho_2 evolves)."""
     if len(E) != 2:
-        raise NotBinary(f"binary rate needs exactly 2 members, got {len(E)}")
+        raise InputError(f"binary rate needs exactly 2 members, got {len(E)}")
     return float(_Spectra(_stack([E])).binary_rate[0])
 
 
@@ -311,10 +302,10 @@ def ak_gap(A, B) -> tuple[float, float]:
     A = hm.require_hermitian(A)
     B = hm.require_hermitian(B)
     if A.shape != B.shape:
-        raise DimMismatch("A and B must have equal dimensions")
+        raise InputError("A and B must have equal dimensions")
     ln_C, supp = hm.log_on_support(hm.eig_hermitian(A + B))
     if not supp.all():
-        raise DomainError("A + B is rank-deficient beyond tolerance")
+        raise InputError("A + B is rank-deficient beyond tolerance")
     lhs = hm.trace_norm(hm.hermitian_part(_commutators(B[None, None], ln_C[None])[0, 0]))
     alpha = float(np.real(np.trace(A)))
     beta = float(np.real(np.trace(B)))
@@ -387,9 +378,7 @@ def _evaluate(b: _Batch, M: Optional[np.ndarray], policy: str) -> tuple[list, ..
     # "compute", on a batch of one, survives that: the FD runs on all B or none.
     rho_min = float(sp.rho.eigenvalues[:, 0].min())
     if rho_min < 1e3 * RANK_TOL and policy != "compute":
-        raise RankDeficient(
-            f"expected state eigenvalue {rho_min:.3e} too small for finite differences"
-        )
+        raise Fault(f"expected state eigenvalue {rho_min:.3e} too small for finite differences")
     fd_residual, stm_ok = [None] * B, [True] * B
     if rho_min >= 1e3 * RANK_TOL:
         ts = FD_TIMES + (() if policy == "compute" else STM_TIMES)

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ensembles import _Batch, _sampled
-from .errors import DomainError
+from .errors import InputError
 
 # A chunk of at least SEEDED_CHUNK trials is seeded in one pass, a smaller one
 # by one default_rng per trial. On a shared x86-64 Xeon, default_rng took
@@ -66,10 +66,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def pcg64_states(seed: int, ids: Sequence[int]) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) of np.random.default_rng((seed, i)) for each
-    id i, one 32-bit word (0 <= i < 2^32; DomainError otherwise). The entropy
+    id i, one 32-bit word (0 <= i < 2^32; InputError otherwise). The entropy
     words are seed's 32-bit words, low first, then i."""
     if min(ids) < 0 or max(ids) > _M32:
-        raise DomainError(f"trial ids {min(ids)}..{max(ids)} outside 0..{_M32}")
+        raise InputError(f"trial ids {min(ids)}..{max(ids)} outside 0..{_M32}")
     words = [seed >> s & _M32 for s in range(0, max(int(seed).bit_length(), 1), 32)]
     entropy = np.zeros((max(4, len(words) + 1), len(ids)), np.uint32)
     entropy[: len(words)] = np.array(words, np.uint32)[:, None]

@@ -13,7 +13,7 @@ only for its data:
     Tr_K M       = the partial trace over the factors K of a tensor product
 
 with ln taken on the support of rho. The finite differences of S(rho(t))
-and E(Psi(t)) refuse, with a typed MixRateError, what a finite difference
+and E(Psi(t)) refuse, with a typed Fault, what a finite difference
 cannot resolve.
 
 `search_ratio` is the hill-climb as it ran before candidates were evaluated
@@ -51,14 +51,7 @@ from mixrate.ensembles import (
     shannon_entropy,
 )
 from mixrate.entangling import PureState
-from mixrate.errors import (
-    BoundViolation,
-    DimMismatch,
-    DomainError,
-    MixRateError,
-    NonHermitian,
-    RankDeficient,
-)
+from mixrate.errors import BoundViolation, Fault, InputError
 from mixrate.rates import binary_max_rate, max_mixing_rate
 
 HERM_TOL = 1e-10
@@ -79,14 +72,14 @@ def require_hermitian(M) -> np.ndarray:
     the same bits."""
     A = np.asarray(M, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimMismatch(f"expected square matrices, got shape {A.shape}")
+        raise InputError(f"expected square matrices, got shape {A.shape}")
     if not np.isfinite(A).all():
-        raise DomainError("matrix has non-finite entries")
+        raise InputError("matrix has non-finite entries")
     B = A.swapaxes(-1, -2).conj()
     B -= A
     dev = _frobenius_stack(B)
     if (dev > HERM_TOL).any() and (dev > HERM_TOL * np.maximum(1.0, _frobenius_stack(A))).any():
-        raise NonHermitian(f"Hermiticity residual {dev.max():.3e} exceeds tolerance")
+        raise InputError(f"Hermiticity residual {dev.max():.3e} exceeds tolerance")
     np.conjugate(A.swapaxes(-1, -2), out=B)
     B += A
     B /= 2
@@ -112,7 +105,7 @@ def matrix_fn(M: np.ndarray, f) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         fw = np.asarray(f(w))
     if not np.all(np.isfinite(fw)):
-        raise DomainError("f undefined (non-finite) at some eigenvalue")
+        raise InputError("f undefined (non-finite) at some eigenvalue")
     return (V * fw) @ V.conj().T
 
 
@@ -165,7 +158,7 @@ def evolve(E: Ensemble, H, t: float) -> list[np.ndarray]:
     """The members U_x rho_x U_x†, U_x = e^{-i H_x t}, of E evolved under the
     set H."""
     if len(H) != len(E.states):
-        raise DimMismatch("need one Hamiltonian per ensemble member")
+        raise InputError("need one Hamiltonian per ensemble member")
     out = []
     for s, h in zip(E.states, H):
         U = unitary(h.matrix, t)
@@ -180,12 +173,12 @@ def entropy_at(E: Ensemble, H, t: float) -> float:
 
 def fd_mixing_rate(E: Ensemble, H, h: float = FD_STEP, rank_tol: float = RANK_TOL) -> float:
     """[S(rho(h)) - S(rho(-h))] / 2h. Refuses an expected state whose
-    smallest eigenvalue is below 1e3 rank_tol (RankDeficient)."""
+    smallest eigenvalue is below 1e3 rank_tol (a Fault)."""
     if h <= 0:
-        raise DomainError("finite-difference step must be positive")
+        raise InputError("finite-difference step must be positive")
     w0 = float(np.linalg.eigvalsh(expected_state(E))[0])
     if w0 < 1e3 * rank_tol:
-        raise RankDeficient(f"expected state eigenvalue {w0:.3e} too small for finite differences")
+        raise Fault(f"expected state eigenvalue {w0:.3e} too small for finite differences")
     return (entropy_at(E, H, h) - entropy_at(E, H, -h)) / (2.0 * h)
 
 
@@ -215,7 +208,7 @@ def stm_check(E: Ensemble, H, ts) -> list[StmPoint]:
 # --- Pure states on a ⊗ A ⊗ B ⊗ b --------------------------------------------
 
 
-class IllConditioned(MixRateError):
+class IllConditioned(Fault):
     """Reduced state has a nonzero eigenvalue too small for a stable derivative."""
 
 
@@ -233,7 +226,7 @@ def entanglement_entropy(psi: PureState) -> float:
 
 def _check_interaction(psi: PureState, H) -> None:
     if tuple(H.dims) != (psi.dims[1], psi.dims[2]):
-        raise DimMismatch(f"Hamiltonian factors {H.dims} do not match state {psi.dims}")
+        raise InputError(f"Hamiltonian factors {H.dims} do not match state {psi.dims}")
 
 
 def evolve_pure(psi: PureState, H, t: float) -> PureState:
@@ -248,7 +241,7 @@ def _fd_entangling_probe(psi: PureState, H, h: float, rank_tol: float) -> None:
     """Refuse a step h <= 0, an operator on other factors, and a reduced
     state whose smallest nonzero eigenvalue is below 1e3 rank_tol."""
     if h <= 0:
-        raise DomainError("finite-difference step must be positive")
+        raise InputError("finite-difference step must be positive")
     _check_interaction(psi, H)
     w = np.linalg.eigvalsh(reduced_aA(psi))
     nonzero = w[w > rank_tol * max(float(w[-1]), 0.0)]
@@ -488,9 +481,9 @@ def search_ratio(cfg):
     improves the objective, shrink the step after 20 rejections in a row, and
     restart from a fresh sample when the step falls below 1e-6."""
     if cfg.n_states < 2:
-        raise DomainError(f"search needs n_states >= 2, got {cfg.n_states}")
+        raise InputError(f"search needs n_states >= 2, got {cfg.n_states}")
     if cfg.binary and cfg.n_states != 2:
-        raise DomainError("binary search requires n_states = 2")
+        raise InputError("binary search requires n_states = 2")
     g = hz.RNGSpec(cfg.seed, 0).generator()
     best_E, best_obj = None, -math.inf
     iters = 0

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import reprlib
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from mixrate import cli
 from mixrate import ensembles as ens
+from mixrate import entangling as ent
 from mixrate import harness as hz
 from mixrate import hermitian as hm
 from mixrate import rates
@@ -37,7 +39,7 @@ from mixrate.ensembles import (
     parse_hamiltonian_set,
     serialize_ensemble,
 )
-from mixrate.errors import NoConvergence
+from mixrate.errors import Fault
 from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
 from mixrate.hermitian import HERM_TOL
 from mixrate.rates import optimal_hamiltonians, rate_report
@@ -497,13 +499,13 @@ class TestVerify:
         # A trial whose evaluation raised writes a row of zeros: the exit
         # code says 2, and stderr says which trial and why.
         def no_convergence(*args):
-            raise NoConvergence("eigh did not converge")
+            raise Fault("eigh did not converge")
 
         monkeypatch.setattr(hz, "_evaluate", no_convergence)
         out = tmp_path / "v.csv"
         assert main(self.ARGS + ["--out", str(out)]) == EXIT_INVARIANT
         assert capsys.readouterr().err.splitlines() == [
-            f"trial {i}: NoConvergence: eigh did not converge" for i in range(6)
+            f"trial {i}: Fault: eigh did not converge" for i in range(6)
         ]
         lines = out.read_text().splitlines()
         assert len(lines) == 7  # the CSV is unchanged
@@ -511,24 +513,6 @@ class TestVerify:
         for i, line in enumerate(lines[1:]):
             probs = ";".join(map(repr, hz.trial_ensemble(cfg, i).probabilities.tolist()))
             assert line == f"{i},42,3,3,{probs},0.0,,0.0,0.0,,,0.0,true"
-
-    def test_imaginary_rate_exits_invariant(self, tmp_path, monkeypatch, capsys):
-        # An anti-Hermitian part in every commutator leaves their spectra
-        # (of hermitian_part) as they were, but gives the rate at the
-        # maximizers an imaginary part: each trial stops at _rate's check.
-        commutators = rates._commutators
-
-        def skewed(*args):
-            C = commutators(*args)
-            C[..., 0, 0] += 1e-6j
-            return C
-
-        monkeypatch.setattr(rates, "_commutators", skewed)
-        assert main(self.ARGS + ["--out", str(tmp_path / "v.csv")]) == EXIT_INVARIANT
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 6
-        for i, line in enumerate(lines):
-            assert line.startswith(f"trial {i}: ") and ": rate has imaginary residue" in line
 
     def test_one_state_runs(self, tmp_path):
         # Unlike search, verify accepts a single state (S(X) = 0, no ratios),
@@ -744,16 +728,6 @@ class TestSearch:
         assert main(argv + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_theorem_violation_exits_invariant(self, tmp_path, monkeypatch):
-        # A general bound of 0 makes the first candidate violate it.
-        monkeypatch.setattr(hz, "_general_bound", lambda probs: 0.0)
-        out = tmp_path / "search.json"
-        argv = ["search", "--dim", "2", "--iters", "5", "--seed", "5", "--out", str(out)]
-        assert main(argv) == EXIT_INVARIANT
-        rec = json.loads(out.read_text())[0]
-        assert rec["error"].startswith("BoundViolation: max rate")
-        assert rec["iterations"] == 1
-
 
     def test_conjecture_event_writes_the_reported_ensemble(self, tmp_path, monkeypatch):
         # The golden search_n3 case exits 3; its offender file holds the
@@ -864,6 +838,113 @@ class TestSie:
         _, hp = self._bell_files(tmp_path)
         code = main(["sie", "--state", str(tmp_path / "nope.json"), "--ham", str(hp)])
         assert code == EXIT_USAGE
+
+
+def _skewed_commutators(monkeypatch):
+    """An anti-Hermitian part in every commutator leaves their spectra (of
+    hermitian_part) as they were, but gives the rate at the maximizers an
+    imaginary part: each evaluation stops at _rate's check."""
+    commutators = rates._commutators
+
+    def skewed(*args):
+        C = commutators(*args)
+        C[..., 0, 0] += 1e-6j
+        return C
+
+    monkeypatch.setattr(rates, "_commutators", skewed)
+
+
+def _lapack_fails(monkeypatch):
+    """Every eigendecomposition fails in LAPACK, through hermitian._lapack."""
+    lapack = hm._lapack
+
+    def diverge(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(hm, "_lapack", lambda f, A: lapack(diverge, A))
+
+
+_PLANTS = {
+    None: lambda monkeypatch: None,
+    "imaginary rate": _skewed_commutators,
+    "lapack fails": _lapack_fails,
+    # A general bound of 0 makes the search's first candidate violate it.
+    "no general bound": lambda monkeypatch: monkeypatch.setattr(hz, "_general_bound", lambda p: 0.0),
+    "ste bound below": lambda monkeypatch: monkeypatch.setattr(ent, "CHECK_SLACK", -10.0),
+    "every ratio an event": lambda monkeypatch: monkeypatch.setattr(hz, "CONJECTURE_SLACK", -1.0),
+}
+_VERIFY = "verify --dim 3 --states 3 --trials 6 --seed 42 --out OUT"
+_SCAN = "scan --p-grid 0.2:0.8:0.3 --dim 2 --trials 2 --seed 1 --out OUT"
+_SEARCH = "search --dim 3 --iters 60 --seed 5 --out OUT"
+_SIE = "sie --state STATE --ham HAM"
+_ERROR = "mixrate: error: "
+_IMAGINARY = "rate has imaginary residue"
+_NO_CONVERGENCE = _ERROR + "Eigenvalues did not converge"
+
+
+# Every exit code of every command: its argv (placeholders for the files),
+# what is planted, the code, and the stderr lines that say why, as regexes
+# (scan's per-p summary and the conjecture lines are left out). compute
+# never exits 3: it reports ratios without guarding them, and sie has no
+# conjectured bound.
+@pytest.mark.parametrize(
+    "argv, plant, code, why",
+    [
+        pytest.param("compute --ensemble ENSEMBLE", None, EXIT_OK, [], id="compute-0"),
+        pytest.param("compute --ensemble MISSING", None, EXIT_USAGE,
+                     [_ERROR + ".*No such file"], id="compute-1"),
+        pytest.param("compute --ensemble ENSEMBLE", "imaginary rate", EXIT_INVARIANT,
+                     [_ERROR + _IMAGINARY], id="compute-2-imaginary-rate"),
+        pytest.param("compute --ensemble ENSEMBLE", "lapack fails", EXIT_INVARIANT,
+                     [_NO_CONVERGENCE], id="compute-2-lapack"),
+        pytest.param(_VERIFY, None, EXIT_OK, [], id="verify-0"),
+        pytest.param(_VERIFY.replace("--dim 3", "--dim 1"), None, EXIT_USAGE,
+                     [_ERROR + r"dim 1 outside supported range \[2, 64\]"], id="verify-1"),
+        pytest.param(_VERIFY, "imaginary rate", EXIT_INVARIANT,
+                     [f"trial {i}: Fault: {_IMAGINARY}" for i in range(6)],
+                     id="verify-2-imaginary-rate"),
+        pytest.param(_VERIFY, "lapack fails", EXIT_INVARIANT, [_NO_CONVERGENCE],
+                     id="verify-2-lapack"),
+        pytest.param(_VERIFY, "every ratio an event", EXIT_CONJECTURE, [], id="verify-3"),
+        pytest.param(_SCAN, None, EXIT_OK, [], id="scan-0"),
+        pytest.param(_SCAN.replace("0.2:0.8:0.3", "2:3:1"), None, EXIT_USAGE,
+                     [_ERROR + "bad p-grid '2:3:1': no point in"], id="scan-1"),
+        pytest.param(_SCAN, "imaginary rate", EXIT_INVARIANT,
+                     [f"trial {i}: Fault: {_IMAGINARY}" for i in range(6)],
+                     id="scan-2-imaginary-rate"),
+        pytest.param(_SCAN, "every ratio an event", EXIT_CONJECTURE, [], id="scan-3"),
+        pytest.param(_SEARCH, None, EXIT_OK, [], id="search-0"),
+        pytest.param(_SEARCH + " --states 1", None, EXIT_USAGE,
+                     [_ERROR + "search needs n_states >= 2, got 1"], id="search-1"),
+        pytest.param(_SEARCH, "no general bound", EXIT_INVARIANT,
+                     ["trial 0: BoundViolation: max rate .* exceeds the general bound"],
+                     id="search-2-theorem-violation"),
+        pytest.param(_SEARCH, "lapack fails", EXIT_INVARIANT, [_NO_CONVERGENCE],
+                     id="search-2-lapack"),
+        pytest.param(_SEARCH, "every ratio an event", EXIT_CONJECTURE, [], id="search-3"),
+        pytest.param(_SIE, None, EXIT_OK, [], id="sie-0"),
+        pytest.param(_SIE.replace("STATE", "MISSING"), None, EXIT_USAGE,
+                     [_ERROR + ".*No such file"], id="sie-1"),
+        pytest.param(_SIE, "lapack fails", EXIT_INVARIANT, [_NO_CONVERGENCE], id="sie-2-lapack"),
+        pytest.param(_SIE, "ste bound below", EXIT_INVARIANT,
+                     [_ERROR + r"entanglement above the STE bound at t=0\.00 \(11 times\)$"],
+                     id="sie-2-ste"),
+    ],
+)
+def test_exit_codes(argv, plant, code, why, ensemble_file, tmp_path, monkeypatch, capsys):
+    state, ham = TestSie._bell_files(tmp_path)
+    monkeypatch.chdir(tmp_path)  # offender files land in the cwd
+    files = {
+        "ENSEMBLE": ensemble_file, "STATE": state, "HAM": ham,
+        "MISSING": tmp_path / "missing.json", "OUT": tmp_path / "out",
+    }
+    _PLANTS[plant](monkeypatch)
+    assert main([str(files.get(a, a)) for a in argv.split()]) == code
+    err = capsys.readouterr().err.splitlines()
+    lines = [line for line in err if line.startswith((_ERROR, "trial "))]
+    assert len(lines) == len(why) and all(map(re.match, why, lines)), err
+    if plant == "no general bound":  # the record reports the first candidate
+        assert json.loads(files["OUT"].read_text())[0]["iterations"] == 1
 
 
 def _one_bad_pair(tmp_path, which: str, pair) -> list:
@@ -1052,7 +1133,7 @@ class TestBoundary:
         # more of either is refused, and so is an 11-trial verify.
         monkeypatch.setattr(hz, "MAX_TRIALS", 10)
         assert len(cli._parse_grid("0.1:1:0.1")) == 9  # 10 points, 1.0 dropped
-        with pytest.raises(cli.MixRateError, match="more than 10 points"):
+        with pytest.raises(cli.InputError, match="more than 10 points"):
             cli._parse_grid("0.1:1.1:0.1")
         scan = ["scan", "--p-grid", "0.1:0.5:0.1", "--dim", "2", "--seed", "1"]
         out = str(tmp_path / "s.csv")
@@ -1146,7 +1227,7 @@ class TestGuardStatus:
 
     def test_each_failed_record_gets_a_stderr_line(self, capsys):
         records = [
-            self._record(trial_id=0, error="DomainError: x"),
+            self._record(trial_id=0, error="Fault: x"),
             self._record(trial_id=1),
             self._record(trial_id=2, ratio_thm=1.5),
             self._record(trial_id=3, fd_residual=1e-3),
@@ -1155,7 +1236,7 @@ class TestGuardStatus:
         ]
         assert guard_status(records) == EXIT_INVARIANT
         assert capsys.readouterr().err.splitlines() == [
-            "trial 0: DomainError: x",
+            "trial 0: Fault: x",
             "trial 2: ratio_thm 1.5 exceeds 1",
             "trial 3: fd_residual 0.001 exceeds 1e-6",
             "trial 4: entropy outside the STM bounds",
@@ -1166,7 +1247,7 @@ class TestGuardStatus:
         assert guard_status(records) == EXIT_INVARIANT
 
     def test_error_wins(self):
-        records = [self._record(error="DomainError: x"), self._record(ratio_conj=2.0)]
+        records = [self._record(error="Fault: x"), self._record(ratio_conj=2.0)]
         assert guard_status(records) == EXIT_INVARIANT
 
     def test_theorem_violation(self):
@@ -1185,8 +1266,8 @@ class TestGuardStatus:
 
     def test_nan_in_the_evolved_states_exits_invariant(self, tmp_path, monkeypatch, capsys):
         # rho(t) goes to LAPACK with no finiteness test: a NaN in it makes
-        # eigvalsh raise (NoConvergence) or return NaN eigenvalues, which the
-        # state's PSD and trace tests refuse. Either way every trial errs.
+        # eigvalsh raise or return NaN eigenvalues, which the state's PSD and
+        # trace tests refuse. Either way every trial errs with a Fault.
         involution_terms = rates._involution_terms
 
         def poisoned(*args):
@@ -1199,7 +1280,7 @@ class TestGuardStatus:
         assert main(argv + ["--out", str(tmp_path / "v.csv")]) == EXIT_INVARIANT
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(": ")[0] for line in lines] == ["trial 0", "trial 1", "trial 2"]
-        assert all(line.split(": ")[1] in ("NoConvergence", "InvariantViolation") for line in lines)
+        assert all(line.split(": ")[1] == "Fault" for line in lines)
 
     def test_conjecture_event(self):
         assert guard_status([self._record(ratio_conj=1.01)]) == EXIT_CONJECTURE
@@ -1224,6 +1305,19 @@ class TestGuardStatus:
         payload = json.loads(offender.read_text())
         assert payload["dim"] == 2
         assert len(payload["probabilities"]) == 2
+
+
+def _says_why(code: int, err: str) -> list:
+    """The `mixrate: error:` lines of stderr err, checked against the exit
+    code: exit 1 prints exactly one; exit 2 one (a fault outside trials) or
+    none but `trial <id>:` lines; other codes none."""
+    errors = [line for line in err.splitlines() if line.startswith("mixrate: error:")]
+    trials = [line for line in err.splitlines() if line.startswith("trial ")]
+    if code == EXIT_INVARIANT:
+        assert (len(errors), bool(trials)) in ((1, False), (0, True)), err
+    else:
+        assert (len(errors), trials) == (int(code == EXIT_USAGE), []), err
+    return errors
 
 
 # A small argv grammar for verify, scan and search. Every argv parses, so
@@ -1280,8 +1374,7 @@ def test_every_argv_exits_with_a_documented_code(argv):
     err = stderr.getvalue()
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_CONJECTURE)
     assert "Traceback" not in err
-    errors = [line for line in err.splitlines() if line.startswith("mixrate: error:")]
-    assert len(errors) == (code == EXIT_USAGE)
+    _says_why(code, err)
     # --out is created after the checks, before the work: a refused run leaves none.
     if "--out" in argv:
         assert wrote == (code != EXIT_USAGE)
@@ -1444,8 +1537,7 @@ def test_every_input_file_exits_with_a_documented_code(case):
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_CONJECTURE)
     assert "Traceback" not in err
     assert [str(w.message) for w in caught] == []
-    errors = [line for line in err.splitlines() if line.startswith("mixrate: error:")]
-    assert len(errors) == (code == EXIT_USAGE)
+    errors = _says_why(code, err)
     # The longest message of a valid refusal is about 110 bytes (malformed
     # JSON, with its position); a dim nested 900 deep was once echoed in 1.8 KB.
     assert all(len(line) <= 160 for line in errors)

@@ -20,13 +20,7 @@ from mixrate.ensembles import (
     serialize_ensemble,
     shannon_entropy,
 )
-from mixrate.errors import (
-    BadDistribution,
-    DimMismatch,
-    DomainError,
-    InvariantViolation,
-    ParseError,
-)
+from mixrate.errors import Fault, InputError
 
 from conftest import random_density, random_ensemble, random_hamiltonian_set, rng
 
@@ -49,11 +43,11 @@ class TestDensityMatrix:
         assert np.trace(rho.matrix) == pytest.approx(1.0)
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InputError):
             DensityMatrix(np.diag([1.01, -0.01]))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InputError):
             DensityMatrix(np.diag([0.5, 0.4]))
 
     def test_floors_roundoff_negatives(self):
@@ -68,7 +62,7 @@ class TestDensityMatrix:
         # eigvalsh may return NaN eigenvalues without raising (a 3 x 3 with
         # NaN off-diagonals gives [nan, nan, 1]), and the interior states
         # reach it with no finiteness test: the PSD and trace tests refuse NaN.
-        with pytest.raises(InvariantViolation, match=which):
+        with pytest.raises(Fault, match=which):
             ens._state_eigenvalues(np.array([w]))
 
     def test_immutable(self):
@@ -95,15 +89,15 @@ class TestEnsemble:
         # Every comparison with NaN is False: a NaN member must fail, not be
         # stripped as if its probability were 0.
         for p in ([0.5, 0.4], [0.5, math.nan, 0.5], [0.5, math.inf, 0.5], [1.0, -math.inf]):
-            with pytest.raises(BadDistribution):
+            with pytest.raises(InputError):
                 Ensemble(p, [DensityMatrix(np.eye(2) / 2)] * len(p))
 
     def test_rejects_unpaired_probabilities(self):
-        with pytest.raises(DimMismatch, match="probabilities and states must have equal length"):
+        with pytest.raises(InputError, match="probabilities and states must have equal length"):
             Ensemble([0.5, 0.5], [DensityMatrix(np.eye(2) / 2)])
 
     def test_rejects_mixed_dims(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(InputError):
             Ensemble(
                 [0.5, 0.5],
                 [DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3)],
@@ -156,7 +150,7 @@ class TestEntropies:
 
     def test_shannon_rejects_bad_distribution(self):
         for p in ([0.5, 0.2], [math.nan, 0.5, 0.5], [math.inf, 0.5], [[0.5, 0.5], [math.nan, 1.0]]):
-            with pytest.raises(BadDistribution):
+            with pytest.raises(InputError):
                 shannon_entropy(p)
 
     def test_binary_entropy_values(self):
@@ -168,7 +162,7 @@ class TestEntropies:
 
     def test_binary_entropy_domain(self):
         for p in (1.5, -0.1, math.nan, math.inf, [0.5, math.nan]):
-            with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            with pytest.raises(InputError, match=r"outside \[0, 1\]"):
                 binary_entropy(p)
 
     def test_average_entropy(self):
@@ -229,7 +223,7 @@ class TestEvolve:
             assert np.allclose(a, b, atol=1e-9)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(InputError):
             reference.evolve(self.E, self.H[:2], 1.0)
 
     def test_expected_state_commutes_only_for_shared_hamiltonian(self):
@@ -296,7 +290,7 @@ class TestJsonRoundTrip:
 
         raw = json.loads(serialize_ensemble(random_ensemble(2, 2, rng(205))))
         raw["probabilities"] = [0.45, 0.45]
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InputError):
             parse_ensemble(json.dumps(raw))
 
     def test_non_psd_state_reported_with_index(self):
@@ -304,9 +298,8 @@ class TestJsonRoundTrip:
 
         raw = json.loads(serialize_ensemble(random_ensemble(2, 2, rng(206))))
         raw["states"][1] = [[[1.01, 0], [0, 0]], [[0, 0], [-0.01, 0]]]
-        with pytest.raises(InvariantViolation) as exc:
+        with pytest.raises(InputError, match=r"^invariant violated: not PSD .* \(member 1\)$"):
             parse_ensemble(json.dumps(raw))
-        assert exc.value.index == 1
 
     def test_non_finite_entry_reported_with_index(self):
         raw = json.loads(serialize_ensemble(random_ensemble(2, 2, rng(207))))
@@ -317,15 +310,14 @@ class TestJsonRoundTrip:
             (parse_ensemble, json.dumps(raw)),
             (parse_hamiltonian_set, json.dumps({"dim": 2, "hamiltonians": hams})),
         ):
-            with pytest.raises(InvariantViolation) as exc:
+            with pytest.raises(InputError) as exc:
                 parse(text)
-            assert exc.value.index == 1
             assert str(exc.value).endswith("non-finite entries (member 1)")
 
     def test_malformed_json(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_ensemble(b"{not json")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_ensemble(b'{"dim": 2}')
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_ensemble(b'{"dim": 2, "probabilities": [1.0], "states": [[[1.0]]]}')

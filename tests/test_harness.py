@@ -13,7 +13,7 @@ from mixrate import harness as hz
 from mixrate import hermitian as hm
 from mixrate import sampling
 from mixrate.ensembles import DensityMatrix, Ensemble, _stack
-from mixrate.errors import DomainError
+from mixrate.errors import Fault, InputError
 from mixrate.harness import (
     ExperimentConfig,
     RNGSpec,
@@ -114,7 +114,7 @@ class TestSampling:
 
         monkeypatch.setattr(hz, "_unit_spectra", zero_norms)
         for k in (1, 3):
-            with pytest.raises(DomainError, match="zero-norm"):
+            with pytest.raises(Fault, match="zero-norm"):
                 hz._climb_draws(k, 2, 3, RNGSpec(3, 9).generator())
 
     def test_hamiltonian_dim_one(self):
@@ -142,18 +142,18 @@ class TestSampling:
             assert np.array_equal(x.matrix, y.matrix)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             ExperimentConfig(dim=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             ExperimentConfig(dim=65)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             ExperimentConfig(mode="explode")
 
     def test_states_limit(self):
         # Above hz.MAX_STATES the floor-clearing redraw of the probabilities
         # would run for ever; the limit itself is accepted.
         ExperimentConfig(n_states=hz.MAX_STATES)
-        with pytest.raises(DomainError, match="n_states"):
+        with pytest.raises(InputError, match="n_states"):
             ExperimentConfig(n_states=hz.MAX_STATES + 1)
 
 
@@ -247,7 +247,7 @@ class TestRunTrials:
         bad = Ensemble([0.4, 0.6], pure)
         records = evaluate_batch(_stack([good[0], bad, good[1]]), cfg, [0, 1, 2])
         assert [r.trial_id for r in records] == [0, 1, 2]
-        assert records[1].error.startswith("RankDeficient:")
+        assert records[1].error.startswith("Fault: expected state eigenvalue")
         assert records[1].error == evaluate_batch(_stack([bad]), cfg, [1])[0].error
         for rec, E, i in ((records[0], good[0], 0), (records[2], good[1], 2)):
             assert rec.error is None
@@ -287,7 +287,7 @@ class TestChunkSeeding:
 
     @pytest.mark.parametrize("ids", [[2**32], [0, 2**40], [-1, 3], np.array([2**32, 5])])
     def test_ids_beyond_one_word_are_refused(self, ids):
-        with pytest.raises(DomainError, match="outside 0..4294967295"):
+        with pytest.raises(InputError, match="outside 0..4294967295"):
             sampling.pcg64_states(7, ids)
         # The largest id of one word is seeded as default_rng seeds it.
         want = np.random.default_rng((7, 2**32 - 1)).bit_generator.state["state"]
@@ -335,7 +335,7 @@ class TestScanBinary:
 
     def test_rejects_endpoint_p(self):
         cfg = ExperimentConfig(dim=2, n_states=2, seed=23, mode="scan")
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             scan_binary([0.0, 0.5], cfg)
 
 
@@ -363,7 +363,7 @@ class TestSearchRatio:
         assert a == b
 
     def test_binary_requires_two_states(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             search_ratio(
                 ExperimentConfig(
                     dim=2, n_states=3, seed=33, mode="search", binary=True
@@ -469,7 +469,7 @@ class TestReports:
 
         records = [
             run_trial(ExperimentConfig(dim=3, n_states=3, seed=44), 0),
-            TrialRecord(5, 44, 3, 3, (0.5, 0.25, 0.25), error="RankDeficient: x"),
+            TrialRecord(5, 44, 3, 3, (0.5, 0.25, 0.25), error="Fault: x"),
         ]
         header = hz.CSV_HEADER.split(",")
         rows = [line.split(",") for line in records_to_csv(records, header=False).splitlines()]

@@ -11,7 +11,7 @@ from mixrate import ensembles as ens
 from mixrate import hermitian as hm
 from mixrate import rates
 from mixrate.ensembles import Hamiltonian
-from mixrate.errors import DimMismatch, DomainError, MixRateError, NonHermitian
+from mixrate.errors import InputError, MixRateError
 
 from conftest import random_hermitian, rng
 
@@ -50,11 +50,11 @@ class TestEigHermitian:
             assert np.all(np.diff(w) >= 0)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitian):
+        with pytest.raises(InputError):
             hm.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(InputError):
             hm.eig_hermitian(np.zeros((2, 3)))
 
 
@@ -74,13 +74,13 @@ class TestEigHermitianStack:
     def test_rejects_one_bad_matrix(self):
         Ms = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
         for f in (hm.eig_hermitian, hm.eigvals_hermitian):
-            with pytest.raises(NonHermitian):
+            with pytest.raises(InputError):
                 f(Ms)
-            with pytest.raises(DomainError):
+            with pytest.raises(InputError):
                 f(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
-            with pytest.raises(DimMismatch):
+            with pytest.raises(InputError):
                 f(np.zeros((2, 2, 3)))
-            with pytest.raises(DimMismatch):
+            with pytest.raises(InputError):
                 f(np.zeros(3))
 
     def test_one_matrix_is_a_stack_of_one(self):
@@ -105,7 +105,7 @@ class TestMatrixFn:
         assert np.allclose(reference.matrix_fn(M, lambda w: w), M, atol=1e-12)
 
     def test_log_of_singular_matrix_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             reference.matrix_fn(np.diag([0.0, 1.0]), np.log)
 
     def test_exp_log_round_trip(self):
@@ -134,7 +134,7 @@ class TestSupportLog:
         assert np.allclose(out, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             hm.support_log(np.diag([1.0, -0.5]))
 
     def test_bad_rank_tol(self):
@@ -157,7 +157,7 @@ class TestSupportLog:
         Ms = np.stack([np.diag([0.5, 0.5]), np.diag([math.e, 0.0])])
         want = np.stack([np.diag([-math.log(2)] * 2), np.diag([1.0, 0.0])])
         assert np.allclose(hm.support_log(Ms), want, atol=1e-12)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             hm.support_log(np.stack([np.eye(2), np.diag([1.0, -0.5])]))
 
 
@@ -188,7 +188,7 @@ class TestTraceNorm:
             assert hm.trace_norm(rotated) == pytest.approx(hm.trace_norm(M), abs=1e-8)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitian):
+        with pytest.raises(InputError):
             hm.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_stack(self):
@@ -273,11 +273,11 @@ class TestLogIntegral:
         assert np.all(diffs > 0) if x > 1 else np.all(diffs < 0)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             hm.log_integral_check(0.0, 1e6, 100)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             hm.log_integral_check(-2.0, 1e6, 100)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             hm.log_integral_check(2.0, -1.0, 100)
 
 
@@ -362,7 +362,7 @@ class TestRequireHermitianMatchesReference:
         i, j = {"upper": (0, 2), "lower": (3, 1), "diagonal": (2, 2)}[where]
         getattr(M[1, i, j:j + 1], part)[:] = value
         self.assert_matches(M)
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(InputError, match="non-finite"):
             hm.require_hermitian(M)
 
     @pytest.mark.parametrize("d", [1, 2, 4])

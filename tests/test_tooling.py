@@ -1,7 +1,10 @@
 """Static checks of the package source.
 
-Runtime invariants raise typed MixRateErrors, so `src/mixrate` holds no
-`assert` statement (asserts vanish under `python -O`). Every
+Runtime invariants raise typed errors, so `src/mixrate` holds no `assert`
+statement (asserts vanish under `python -O`). Every raise names one of the
+two kinds of `errors.py`, `InputError` or `Fault`, or a subclass of one, or
+a parameter that defaults to one of them: the kind is what the command line
+maps to an exit code. Every
 eigendecomposition goes through `hermitian._lapack`, the one place that
 types LAPACK errors and the one point that counts them: numpy's `eigh` and
 `eigvalsh` appear only as the routine handed to `_lapack`. A full
@@ -85,6 +88,77 @@ def test_scan_finds_what_it_forbids(tmp_path):
         "eigh outside hermitian._lapack",
         "calls _lapack outside hermitian",
     ]
+
+
+def _kinds() -> set[str]:
+    """InputError, Fault and the classes of errors.py below them."""
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    kinds = {"InputError", "Fault"}
+    for node in tree.body:  # a base class is defined before its subclasses
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in kinds for b in node.bases):
+            kinds.add(node.name)
+    return kinds
+
+
+def _unkinded_raises(path: Path, kinds: set[str]) -> list[str]:
+    """The raises of one module whose exception is neither a class of kinds
+    nor a parameter of an enclosing function that defaults to one; a bare
+    re-raise passes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+
+    def name(e) -> str:
+        return getattr(e, "id", None) or getattr(e, "attr", None)
+
+    def visit(node, allowed: set[str]) -> None:
+        if isinstance(node, FUNCS):
+            a = node.args
+            pos = a.posonlyargs + a.args
+            pairs = [*zip(pos[len(pos) - len(a.defaults):], a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
+            allowed = allowed | {p.arg for p, d in pairs if d is not None and name(d) in kinds}
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if name(exc) not in allowed:
+                out.append(f"{path.name}:{node.lineno}: raise {ast.unparse(exc)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(tree, kinds)
+    return out
+
+
+def test_every_raise_names_a_kind():
+    files = sorted(SRC.glob("*.py"))
+    assert files and _kinds() >= {"InputError", "Fault", "BoundViolation"}
+    assert [v for f in files for v in _unkinded_raises(f, _kinds())] == []
+
+
+def test_raise_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import errors\n"
+        "from .errors import BoundViolation, Fault, InputError, MixRateError\n"
+        "def check(x, kind=Fault, *, other=ValueError):\n"
+        "    if x:\n"
+        "        raise kind('x')\n"
+        "    if not x:\n"
+        "        raise other('x')\n"
+        "    raise errors.InputError('x')\n"
+        "def parse(x):\n"
+        "    try:\n"
+        "        return int(x)\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    raise MixRateError(f'bad {x}')\n"
+        "def climb(kind=errors.InputError):\n"
+        "    def step():\n"
+        "        raise kind\n"
+        "    raise RuntimeError\n"
+        "raise BoundViolation('x')\n"
+        "raise kind('x')\n"
+    )
+    found = [v.split(": ", 1)[1] for v in _unkinded_raises(bad, _kinds())]
+    assert found == ["raise other", "raise MixRateError", "raise RuntimeError", "raise kind"]
 
 
 # Where a full eigendecomposition is taken (eig_hermitian, or _eigh on the
