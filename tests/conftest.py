@@ -45,6 +45,16 @@ def random_ensemble(dim, n, g):
     return Ensemble(p, [random_density(dim, g) for _ in range(n)])
 
 
+def rank_two_ensemble():
+    """Two pure states at d = 4 with p = (0.3, 0.7): their expected state has
+    rank 2, so the finite-difference oracle declines it (an eigenvalue 0)."""
+    pure = []
+    for v in ([1, 0, 0, 0], [1, 1j, 1, 0]):
+        v = np.array(v, dtype=complex) / np.linalg.norm(v)
+        pure.append(DensityMatrix(np.outer(v, v.conj())))
+    return Ensemble([0.3, 0.7], pure)
+
+
 def random_hamiltonian_set(dim, n, g):
     return tuple(random_unit_hamiltonian(dim, g) for _ in range(n))
 

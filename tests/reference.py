@@ -16,17 +16,6 @@ with ln taken on the support of rho. The finite differences of S(rho(t))
 and E(Psi(t)) refuse, with a typed Fault, what a finite difference
 cannot resolve.
 
-`search_ratio` is the hill-climb as it ran before candidates were evaluated
-in blocks: one candidate per iteration, each built as `Ensemble` and
-`DensityMatrix` objects and evaluated through the public rate functions.
-`mixrate.harness.search_ratio` must return the same record, field for field,
-for every configuration, including the errors; so it draws each candidate
-through the program's `_climb_draws` as a block of one, its unitaries
-(`unitary_at`) and conjugations (`_perturb`) keep the program's kernels and
-operation order, and each restart takes the eigenvectors the climb turns
-from one stacked eigh of the members, as the program does
-(`restart_vectors`).
-
 `require_hermitian` is the Hermiticity check as it ran before its residual
 pass, and `hermitian_part` the symmetrizer as it ran before it took one
 buffer: the program's must take the same decisions and return the same bits.
@@ -42,17 +31,9 @@ import numpy as np
 
 from mixrate import harness as hz
 from mixrate import hermitian as hm
-from mixrate.ensembles import (
-    DensityMatrix,
-    Ensemble,
-    _assign,
-    _stack,
-    binary_entropy,
-    shannon_entropy,
-)
+from mixrate.ensembles import DensityMatrix, Ensemble, _assign
 from mixrate.entangling import PureState
-from mixrate.errors import BoundViolation, Fault, InputError
-from mixrate.rates import binary_max_rate, max_mixing_rate
+from mixrate.errors import Fault, InputError
 
 HERM_TOL = 1e-10
 RANK_TOL = 1e-12
@@ -431,90 +412,9 @@ def run_trial(cfg, trial_id: int):
     return hz.run_trials(cfg, [trial_id])[0]
 
 
-# --- The serial hill-climb ----------------------------------------------------
-
-
-def unitary_at(w, V, t):
-    """exp(-i H t) of H = V diag(w) V†, as the block climb builds it."""
-    return hm.reconstruct(np.exp(-1j * t * w), V)
+# --- States built from a spectrum ---------------------------------------------
 
 
 def state_with_spectrum(w, V) -> DensityMatrix:
     """V diag(w) V† as a DensityMatrix that holds w, not validated."""
     return _assign(object.__new__(DensityMatrix), hm.hermitian_part(hm.reconstruct(w, V)), w)
-
-
-def restart_vectors(E):
-    """The eigenvectors of E's members from one stacked eigh, which the climb
-    turns from each restart on."""
-    return list(hm.eig_hermitian(np.array([s.matrix for s in E.states])).eigenvectors)
-
-
-def _perturb(E, V, eps, g):
-    """The members conjugated by exp(i eps H) for fresh unit-norm H, drawn as
-    a block of one candidate draws them: U rho_x U† with eigenvalues w_x on
-    the eigenvectors U V_x, not validated again. Returns those states, their
-    eigenvectors and the n probability noises."""
-    w, hV, noise = hz._climb_draws(1, len(E), E.dim, g)
-    UV = [unitary_at(wx, hVx, -eps) @ Vx for wx, hVx, Vx in zip(w[0], hV[0], V)]
-    states = [state_with_spectrum(s.eigenvalues, X) for s, X in zip(E.states, UV)]
-    return states, UV, noise[0]
-
-
-def _perturb_probs(p, eps, noise):
-    q = np.log(p) + eps * noise
-    q = np.exp(q - np.max(q))
-    q /= np.sum(q)
-    q = np.clip(q, hz.PROB_FLOOR, None)
-    return q / np.sum(q)
-
-
-def _objective(E, binary):
-    if binary:
-        return binary_max_rate(E) / binary_entropy(float(E.probabilities[0]))
-    return max_mixing_rate(E) / shannon_entropy(E.probabilities)
-
-
-def search_ratio(cfg):
-    """The serial hill-climb: draw one candidate (n Hamiltonians, then n
-    probability noises), check the general bound on it, keep it if it
-    improves the objective, shrink the step after 20 rejections in a row, and
-    restart from a fresh sample when the step falls below 1e-6."""
-    if cfg.n_states < 2:
-        raise InputError(f"search needs n_states >= 2, got {cfg.n_states}")
-    if cfg.binary and cfg.n_states != 2:
-        raise InputError("binary search requires n_states = 2")
-    g = hz.RNGSpec(cfg.seed, 0).generator()
-    best_E, best_obj = None, -math.inf
-    iters = 0
-    try:
-        while iters < cfg.search_max_iters:
-            cur = hz._ensemble(hz._batch([hz._trial_draw(cfg, g)]), 0)
-            V = restart_vectors(cur)
-            cur_obj = _objective(cur, cfg.binary)
-            eps, rejects = hz.SEARCH_STEP, 0
-            while iters < cfg.search_max_iters and eps >= 1e-6:
-                iters += 1
-                states, UV, noise = _perturb(cur, V, eps, g)
-                cand = Ensemble(_perturb_probs(cur.probabilities, eps, noise), states)
-                bound = float(hz._general_bound(cand.probabilities))
-                mx = max_mixing_rate(cand)
-                if mx > bound + hz.THEOREM_SLACK:
-                    raise BoundViolation(f"max rate {mx!r} exceeds the general bound {bound!r}")
-                obj = _objective(cand, cfg.binary)
-                if obj > cur_obj:
-                    cur, V, cur_obj, rejects = cand, UV, obj, 0
-                else:
-                    rejects += 1
-                    if rejects >= 20:
-                        eps *= hz.SEARCH_SHRINK
-                        rejects = 0
-            if cur_obj > best_obj:
-                best_E, best_obj = cur, cur_obj
-    except BoundViolation as exc:
-        (rec,) = hz.evaluate_batch(_stack([cand]), cfg, [0])
-        rec.error = f"{type(exc).__name__}: {exc}"
-    else:
-        (rec,) = hz.evaluate_batch(_stack([best_E]), cfg, [0])
-    rec.iterations = iters
-    return rec

@@ -44,7 +44,7 @@ from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
 from mixrate.hermitian import HERM_TOL
 from mixrate.rates import optimal_hamiltonians, rate_report
 
-from conftest import random_ensemble, random_hamiltonian_set, rng
+from conftest import random_ensemble, random_hamiltonian_set, rank_two_ensemble, rng
 from golden.make_golden import _parse_csv
 from reference import mismatches, qubit_rates, qubit_record, run_trial
 
@@ -69,6 +69,16 @@ def hamiltonian_file(tmp_path):
 
 
 class TestCompute:
+    def test_a_rank_deficient_ensemble_has_no_fd_residual(self, tmp_path):
+        # The FD oracle declines a rho of rank 2 at d = 4: compute still
+        # reports every rate, bound and ratio, with fd_residual null.
+        ensemble, out = tmp_path / "e.json", tmp_path / "r.json"
+        ensemble.write_bytes(serialize_ensemble(rank_two_ensemble()))
+        assert main(["compute", "--ensemble", str(ensemble), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report.pop("fd_residual") is None
+        assert all(math.isfinite(v) for v in report.values()), report
+
     def test_report_fields(self, ensemble_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["compute", "--ensemble", str(ensemble_file), "--out", str(out)])
@@ -730,10 +740,10 @@ class TestSearch:
 
 
     def test_conjecture_event_writes_the_reported_ensemble(self, tmp_path, monkeypatch):
-        # The golden search_n3 case exits 3; its offender file holds the
+        # The golden search_n3_long case exits 3; its offender file holds the
         # ensemble the record reports on.
         monkeypatch.chdir(tmp_path)
-        argv = ["search", "--dim", "3", "--states", "3", "--iters", "200", "--seed", "105"]
+        argv = ["search", "--dim", "3", "--states", "3", "--iters", "1000", "--seed", "7"]
         assert main(argv + ["--out", "s.json"]) == EXIT_CONJECTURE
         rec = json.loads((tmp_path / "s.json").read_text())[0]
         offender = tmp_path / "conjecture_offender_search.json"
@@ -869,7 +879,9 @@ _PLANTS = {
     "imaginary rate": _skewed_commutators,
     "lapack fails": _lapack_fails,
     # A general bound of 0 makes the search's first candidate violate it.
-    "no general bound": lambda monkeypatch: monkeypatch.setattr(hz, "_general_bound", lambda p: 0.0),
+    "no general bound": lambda monkeypatch: monkeypatch.setattr(
+        hz, "_general_bound", lambda p: np.zeros(np.shape(p)[:-1])
+    ),
     "ste bound below": lambda monkeypatch: monkeypatch.setattr(ent, "CHECK_SLACK", -10.0),
     "every ratio an event": lambda monkeypatch: monkeypatch.setattr(hz, "CONJECTURE_SLACK", -1.0),
 }
@@ -1191,10 +1203,10 @@ class TestEigenBudget:
         assert calls[0] == 4
 
     def test_search_blocks(self, tmp_path, monkeypatch):
-        # A block of up to 8 candidates costs 3 stacked calls (their
-        # Hamiltonians, their expected states, their commutators), and the
-        # climb takes about 4 candidates per block: well under one call per
-        # iteration, where one candidate at a time made 3.
+        # A block of 8 candidates costs 3 stacked calls (their Hamiltonians,
+        # their expected states, their commutators), and every candidate of a
+        # block is an iteration: well under one call per iteration, where one
+        # candidate at a time made 3.
         calls = self._count(monkeypatch)
         argv = ["search", "--dim", "4", "--binary", "--iters", "400", "--seed", "1"]
         assert main(argv + ["--out", str(tmp_path / "s.json")]) == EXIT_OK
@@ -1284,6 +1296,8 @@ class TestGuardStatus:
 
     def test_conjecture_event(self):
         assert guard_status([self._record(ratio_conj=1.01)]) == EXIT_CONJECTURE
+        # Just past CONJECTURE_SLACK.
+        assert guard_status([self._record(ratio_conj=1.0 + 2e-6)]) == EXIT_CONJECTURE
 
     def test_conjecture_within_slack_ok(self):
         assert guard_status([self._record(ratio_conj=1.0 + 1e-7)]) == EXIT_OK

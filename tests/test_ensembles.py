@@ -41,14 +41,19 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.diag([0.25, 0.75]))
         assert rho.dim == 2
         assert np.trace(rho.matrix) == pytest.approx(1.0)
+        DensityMatrix(np.diag([0.5 + 2.5e-11, 0.5 + 2.5e-11]))  # trace within TRACE_TOL
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(InputError):
-            DensityMatrix(np.diag([1.01, -0.01]))
+        # The second just past PSD_TOL.
+        for w in ([1.01, -0.01], [1.0 + 2e-10, -2e-10]):
+            with pytest.raises(InputError, match="not PSD"):
+                DensityMatrix(np.diag(w))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(InputError):
-            DensityMatrix(np.diag([0.5, 0.4]))
+        # The last two just past TRACE_TOL, on either side of 1.
+        for w in ([0.5, 0.4], [0.5 + 1e-10, 0.5 + 1e-10], [0.5 - 1e-10, 0.5 - 1e-10]):
+            with pytest.raises(InputError, match="differs from 1"):
+                DensityMatrix(np.diag(w))
 
     def test_floors_roundoff_negatives(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))

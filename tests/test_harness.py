@@ -1,18 +1,19 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference
 from mixrate import cli
 from mixrate import ensembles as ens
 from mixrate import harness as hz
 from mixrate import hermitian as hm
 from mixrate import sampling
-from mixrate.ensembles import DensityMatrix, Ensemble, _stack
+from mixrate.ensembles import _stack
 from mixrate.errors import Fault, InputError
 from mixrate.harness import (
     ExperimentConfig,
@@ -26,6 +27,7 @@ from mixrate.harness import (
     scan_binary,
     search_ratio,
 )
+from conftest import rank_two_ensemble
 from reference import run_trial, sample_density
 
 # The golden corpus tolerances: rates, bounds, ratios and entropies relative,
@@ -238,16 +240,12 @@ class TestRunTrials:
         # rank probe refuses; the chunk is retried one ensemble at a time.
         cfg = ExperimentConfig(dim=4, n_states=2, seed=17)
         good = [hz.trial_ensemble(cfg, i) for i in (0, 2)]
-        g = RNGSpec(17, 99).generator()
-        pure = []
-        for _ in range(2):
-            v = g.standard_normal(4) + 1j * g.standard_normal(4)
-            v /= np.linalg.norm(v)
-            pure.append(DensityMatrix(np.outer(v, v.conj())))
-        bad = Ensemble([0.4, 0.6], pure)
+        bad = rank_two_ensemble()
         records = evaluate_batch(_stack([good[0], bad, good[1]]), cfg, [0, 1, 2])
         assert [r.trial_id for r in records] == [0, 1, 2]
-        assert records[1].error.startswith("Fault: expected state eigenvalue")
+        assert records[1].error == (
+            "Fault: expected state eigenvalue 0.000e+00 too small for finite differences"
+        )
         assert records[1].error == evaluate_batch(_stack([bad]), cfg, [1])[0].error
         for rec, E, i in ((records[0], good[0], 0), (records[2], good[1], 2)):
             assert rec.error is None
@@ -376,50 +374,78 @@ class TestSearchRatio:
         dim=st.sampled_from([2, 3, 4]),
         n=st.sampled_from([2, 3]),
         binary=st.booleans(),
-        iters=st.sampled_from([1, 7, 19, 20, 21, 333]),
+        iters=st.sampled_from([1, 7, 8, 9, 333]),
     )
-    def test_blocks_match_the_serial_climb(self, seed, dim, n, binary, iters):
+    def test_the_climb_counts_keeps_and_repeats(self, seed, dim, n, binary, iters):
+        # Iterations 1, 7, 8 and 9 end inside, at and just past the first
+        # block. The climb only moves up, so its record is at least as high as
+        # the seeded start: trial 0 of the seed, the climb's first draw.
         cfg = ExperimentConfig(
             dim=dim, n_states=n, seed=seed, search_max_iters=iters, binary=binary and n == 2
         )
-        got, want = search_ratio(cfg), reference.search_ratio(cfg)
-        assert got == want
+        rec = search_ratio(cfg)
+        assert rec.error is None and rec.iterations == iters
+        assert rec.ratio_conj >= run_trial(cfg, 0).ratio_conj
+        assert rec.ratio_thm <= 1.0 + 1e-8
+        assert search_ratio(cfg) == rec
 
     @pytest.mark.parametrize(
         "dim,n,seed,binary",
         [(3, 3, 2, False), (3, 3, 3, False), (2, 3, 1, False), (2, 3, 3, False), (4, 2, 4, True)],
     )
-    def test_bound_violation_matches_the_serial_climb(self, dim, n, seed, binary, monkeypatch):
-        # A quarter of the true bound: some candidate violates it mid-climb.
+    def test_a_planted_violation_ends_the_search(self, dim, n, seed, binary, monkeypatch):
+        # A quarter of the true bound: some candidate violates it mid-climb,
+        # and the record is that candidate's, evaluated against the true bound.
         true_bound = hz._general_bound
         monkeypatch.setattr(hz, "_general_bound", lambda p: 0.25 * true_bound(p))
         cfg = ExperimentConfig(
             dim=dim, n_states=n, seed=seed, search_max_iters=300, binary=binary
         )
-        got, want = search_ratio(cfg), reference.search_ratio(cfg)
-        assert want.error is not None and want.error.startswith("BoundViolation: max rate")
-        assert (got.error, got.iterations, got.probabilities) == (
-            want.error, want.iterations, want.probabilities
-        )
-        assert got == want
+        rec = search_ratio(cfg)
+        assert rec.iterations < 300
+        pattern = r"BoundViolation: max rate (\S+) exceeds the general bound (\S+)"
+        mx, bound = map(float, re.fullmatch(pattern, rec.error).groups())
+        assert mx == pytest.approx(rec.max_rate, rel=1e-12)
+        assert bound == pytest.approx(0.25 * true_bound(np.array(rec.probabilities)), rel=1e-12)
+        assert mx > bound + hz.THEOREM_SLACK
+        assert search_ratio(cfg) == rec
 
-    def test_failed_blocks_rerun_one_candidate_at_a_time(self, monkeypatch):
-        # Every block of more than one candidate meets a zero-norm H, so the
-        # climb rewinds and runs each block again at one candidate.
-        unit_spectra, blocks = hz._unit_spectra, []
+    @pytest.mark.parametrize("dim,n,binary", [(3, 3, False), (4, 2, True)])
+    def test_a_violation_by_the_last_candidate_of_a_block(self, dim, n, binary, monkeypatch):
+        # Only the last candidate of each block breaks the planted bound, so
+        # the first block ends the search with its last candidate's record.
+        cfg = ExperimentConfig(dim=dim, n_states=n, seed=6, search_max_iters=300, binary=binary)
+        g = RNGSpec(cfg.seed, 0).generator()
+        cur = hz._batch([hz._trial_draw(cfg, g)])
+        V = hm._eigh(cur.rhos[0]).eigenvectors
+        cand = hz._climb_block(cur, V, hz.SEARCH_STEP, hz.SEARCH_BLOCK, g, binary)[0]
+        true_bound = hz._general_bound
 
-        def zero_norm_in_blocks(G):
+        def last_broken(p):
+            bound = true_bound(p)
+            bound[-1] = 0.0
+            return bound
+
+        monkeypatch.setattr(hz, "_general_bound", last_broken)
+        rec, best = hz._search(cfg)
+        (want,) = evaluate_batch(cand.one(hz.SEARCH_BLOCK - 1), cfg, [0])
+        assert rec.error.startswith("BoundViolation: max rate") and rec.error.endswith(" 0.0")
+        assert rec.iterations == hz.SEARCH_BLOCK
+        assert dataclasses.replace(rec, error=None, iterations=None) == want
+        assert np.array_equal(best.rhos, cand.one(hz.SEARCH_BLOCK - 1).rhos)
+
+    def test_a_fault_in_a_block_ends_the_search(self, monkeypatch):
+        # Every block meets a zero-norm H; the Fault leaves the search (exit 2).
+        unit_spectra = hz._unit_spectra
+
+        def zero_norms(G):
             w, V, norms = unit_spectra(G)
-            if G.shape[0] > 1:
-                blocks.append(G.shape[0])
-                norms = np.zeros_like(norms)
-            return w, V, norms
+            return w, V, np.zeros_like(norms)
 
-        monkeypatch.setattr(hz, "_unit_spectra", zero_norm_in_blocks)
+        monkeypatch.setattr(hz, "_unit_spectra", zero_norms)
         cfg = ExperimentConfig(dim=3, n_states=2, seed=9, search_max_iters=120, binary=True)
-        got, want = search_ratio(cfg), reference.search_ratio(cfg)
-        assert blocks and max(blocks) == hz.SEARCH_BLOCK
-        assert got == want
+        with pytest.raises(Fault, match="zero-norm Hamiltonian in a block"):
+            search_ratio(cfg)
 
 
 class TestNoObjectsOnTheHotPath:

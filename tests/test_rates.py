@@ -383,11 +383,15 @@ class TestRuntimeInvariants:
     message, not by class."""
 
     def test_member_leaks_off_the_support_of_rho(self):
-        # A zero-weight member |1><1| outside the support |0><0| of rho.
+        # A zero-weight member diag(1 - eps, eps) outside the support |0><0|
+        # of rho by eps: refused at eps = 1 and just past SUPPORT_LEAK_TOL.
         p = np.array([[1.0, 0.0]])
-        rhos = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)
-        with pytest.raises(InputError, match=r"^member 1 leaks 1\.000e\+00 outside the support of rho$"):
-            rates._support_logs(p, rhos)
+        for eps, leak in ((1.0, r"1\.000e\+00"), (2e-8, r"2\.000e-08")):
+            rhos = np.array([[np.diag([1.0, 0.0]), np.diag([1.0 - eps, eps])]], dtype=complex)
+            with pytest.raises(InputError, match=rf"^member 1 leaks {leak} outside the support of rho$"):
+                rates._support_logs(p, rhos)
+        rhos[0, 1] = np.diag([1.0 - 5e-9, 5e-9])  # within SUPPORT_LEAK_TOL
+        rates._support_logs(p, rhos)
 
     def test_imaginary_rate_breaks_the_identity(self):
         # A non-Hermitian C whose trace Tr(I C) has the imaginary part 1e-6.

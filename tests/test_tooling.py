@@ -19,7 +19,9 @@ underscore: a private back door on the public API. Every public top-level
 name of a module is reached: referenced by the package itself, by an
 acceptance criterion or by the benchmark, not only exported. The package
 root exports nothing but `__version__`: each name has one import path, its
-module. Every backticked `module.name` in README.md resolves.
+module. Every backticked `module.name` in README.md resolves. Only
+`sampling.streams` sets a generator's state (`bit_generator.state`): every
+other draw reads its stream forward, never rewound.
 """
 
 import ast
@@ -313,6 +315,40 @@ def test_symmetrizer_scan_finds_what_it_forbids(tmp_path):
         "    return (A + B.conj().swapaxes(-1, -2)) / 2, (A + A.conj().T) / 3, A.T.conj() - A\n"
     )
     assert _sites(bad, _symmetrizer) == {"mod", "mod.hermitian_part", "mod.spectra", "mod.Pass.run"}
+
+
+def _sets_state(node) -> bool:
+    """Whether a node writes a generator's state: `X.bit_generator.state` as
+    an assignment target (a tuple's element included) or deleted."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "state"
+        and not isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "bit_generator"
+    )
+
+
+def test_only_streams_sets_a_generator_state():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert set().union(*(_sites(f, _sets_state) for f in files)) == {"sampling.streams"}
+
+
+def test_state_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "mod.py"
+    bad.write_text(
+        "def climb(g):\n"
+        "    saved = g.bit_generator.state\n"
+        "    g.bit_generator.state, retry = saved, True\n"
+        "class Search:\n"
+        "    def step(self, g, s):\n"
+        "        g.bit_generator.state = s\n"
+        "def read(g, s):\n"
+        "    g.state = s\n"
+        "    return g.bit_generator.state\n"
+    )
+    assert _sites(bad, _sets_state) == {"mod.climb", "mod.Search.step"}
 
 
 def _private_parameters(path: Path) -> list[str]:
