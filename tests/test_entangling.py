@@ -336,6 +336,18 @@ class TestSteCheck:
                 assert abs(pt.entanglement - e_t) <= 1e-12
                 assert abs(pt.bound - bound) <= 1e-12
 
+    def test_slack_at_the_bound(self, monkeypatch):
+        # No state breaks the bound (a theorem), so the trajectory is planted.
+        # The slack is rates.CHECK_SLACK, written out so that a wider one fails.
+        psi = en.PureState(BELL, (1, 2, 2, 1))
+        H = en.BipartiteOperator(np.eye(4), (2, 2))
+        bound = 0.25 + 2.0 * math.log(2)
+        planted = np.array([0.25, bound + 0.5e-9, bound + 2e-9])
+        monkeypatch.setattr(en, "_entanglement_trajectory", lambda psi, H, ts: planted)
+        pts = en.ste_check(psi, H, [1.0, 2.0])
+        assert [pt.bound for pt in pts] == [bound, bound]
+        assert [pt.ok for pt in pts] == [True, False]
+
 
 class TestFdGuards:
     def test_ill_conditioned_reduced_state_rejected(self):

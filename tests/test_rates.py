@@ -12,6 +12,7 @@ from mixrate.ensembles import (
     DensityMatrix,
     Ensemble,
     Hamiltonian,
+    _average_entropies,
     _mixture,
     _stack,
     binary_entropy,
@@ -623,6 +624,24 @@ class TestStmCheck:
         H = random_hamiltonian_set(2, 2, g)
         ts = [0.1 * k for k in range(1, 31)]
         assert all(p.ok for p in reference.stm_check(E, H, ts))
+
+    def test_sandwich_edges(self):
+        # No state leaves the sandwich (a theorem), so the entropies are
+        # planted. The slack is rates.CHECK_SLACK, written out so that a
+        # wider one fails: 0.5 of it past an edge is accepted, 2 of it refused.
+        E = commuting_ensemble()
+        b = _stack([E])
+        shannon = np.array([shannon_entropy(E.probabilities)])
+        lower = _average_entropies(b.p, b.w)[0]
+        upper = lower + shannon[0]
+        slack = 1e-9
+        S = [
+            lower - 2 * slack, lower - 0.5 * slack, lower + 0.5 * slack,
+            upper - 0.5 * slack, upper + 0.5 * slack, upper + 2 * slack,
+            lower + 1.5 * shannon[0],  # inside an upper bound of avg + 2 S(p)
+        ]
+        want = [False, True, True, True, True, False, False]
+        assert rates._stm_sandwich(b, shannon, np.array([S]))[0].tolist() == want
 
 
 class TestAkGap:
