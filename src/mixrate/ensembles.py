@@ -287,7 +287,10 @@ def _ensemble(b: _Batch, i: int) -> Ensemble:
 
 
 def matrix_to_json(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    """M as rows of [re, im] pairs: its complex entries' two floats each,
+    reinterpreted as `_from_pairs` reads them back, in one conversion."""
+    A = np.ascontiguousarray(M, dtype=complex)
+    return A.view(float).reshape(A.shape + (2,)).tolist()
 
 
 def _from_pairs(A: np.ndarray) -> np.ndarray:

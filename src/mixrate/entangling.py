@@ -25,7 +25,6 @@ from .ensembles import (
     DensityMatrix,
     Ensemble,
     Hamiltonian,
-    _entropy_from_eigenvalues,
     _from_pairs,
     _json_dim,
     _json_numbers,
@@ -33,7 +32,7 @@ from .ensembles import (
     matrix_from_json,
 )
 from .errors import Fault, InputError
-from .rates import CHECK_SLACK, _commutators, _rate, mixing_rate
+from .rates import CHECK_SLACK, _commutators, _entropies, _rate, _support_logs, mixing_rate
 
 NORM_TOL = 1e-10
 
@@ -107,8 +106,9 @@ def _entanglement_trajectory(
 
     Psi is rotated once into the eigenbasis of H, where the evolution to every
     t is a phase per eigenvalue. Each Psi(t) gets PureState's norm check and
-    renormalization; rho_aA(t) is `_gram` of Psi(t), and all of them,
-    symmetrized, share one stacked eigvalsh.
+    renormalization; rho_aA(t) is `_gram` of Psi(t), and all of them take the
+    rates' state-entropy route, `_entropies`: one stacked eigvalsh, and each
+    spectrum a state's PSD and trace checks.
     """
     _check_interaction(psi, H)
     d_a, d_A, d_B, d_b = psi.dims
@@ -116,8 +116,7 @@ def _entanglement_trajectory(
     ts = np.asarray(ts, dtype=float)
     X = V.conj().T @ psi.amplitudes.reshape(d_a, d_A * d_B, d_b)
     Psi = (V @ (np.exp(-1j * np.outer(ts, w))[:, None, :, None] * X)).reshape(ts.size, -1)
-    rho_aA = _gram(_unit_rows(Psi), d_a * d_A)
-    return _entropy_from_eigenvalues(hm._eigvalsh(hm.hermitian_part(rho_aA)))
+    return _entropies(_gram(_unit_rows(Psi), d_a * d_A))
 
 
 def _check_interaction(psi: PureState, H: BipartiteOperator) -> None:
@@ -139,8 +138,11 @@ def entangling_rate(psi: PureState, H: BipartiteOperator) -> float:
 
 def _entangling_rate(rho_aAB, rho_aA, H_lift: np.ndarray, d_B: int) -> float:
     """entangling_rate from the reduced states and H_lift = I_a ⊗ H_AB: the rate
-    of the one-member ensemble rho_aAB with ln(rho_aA) ⊗ I_B for ln rho."""
-    L = np.kron(hm.support_log(rho_aA), np.eye(d_B))
+    of the one-member ensemble rho_aAB with ln(rho_aA) ⊗ I_B for ln rho. ln(rho_aA)
+    comes from `_support_logs`, with rho_aA a one-member batch: a spectrum that
+    fails a state's PSD or trace check raises a Fault."""
+    ln_rho = _support_logs(np.ones((1, 1)), hm.hermitian_part(rho_aA)[None, None])[1]
+    L = np.kron(ln_rho[0], np.eye(d_B))
     C = _commutators(rho_aAB[None, None], L[None])
     return float(_rate(np.ones((1, 1)), H_lift[None, None], C)[0])
 

@@ -1,8 +1,8 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition, the logarithm on the support through the spectrum, the
-trace norm, and a quadrature identity for the logarithm. The checks and
-decompositions take a matrix or a stack (..., d, d) on one path.
+Eigendecomposition, the logarithm on the support through the spectrum and
+the trace norm. The checks and decompositions take a matrix or a stack
+(..., d, d) on one path.
 Everything else in the package is built on these primitives.
 
 The checks (finite entries, Hermiticity residual) run in require_hermitian
@@ -160,23 +160,3 @@ def trace_norm(M):
     """‖M‖₁ = Σ|λ_i| for Hermitian M; for a stack, the array of them."""
     n = np.abs(eigvals_hermitian(M)).sum(axis=-1)
     return float(n) if n.ndim == 0 else n
-
-
-def log_integral_check(x: float, upper_cutoff: float, n_points: int) -> float:
-    """Quadrature estimate of ∫₀^cutoff (1/(1+t) − 1/(x+t)) dt.
-
-    The integral converges to ln x as cutoff → ∞. The half-line is mapped to
-    (0, 1) via t = u/(1−u) and integrated by the composite midpoint rule, so
-    the truncation at `upper_cutoff` is the only systematic error for large
-    `n_points`.
-    """
-    if x <= 0:
-        raise InputError("log integral requires x > 0")
-    if upper_cutoff <= 0 or n_points < 1:
-        raise InputError("cutoff and n_points must be positive")
-    u_max = upper_cutoff / (1.0 + upper_cutoff)
-    h = u_max / n_points
-    u = (np.arange(n_points) + 0.5) * h
-    t = u / (1.0 - u)
-    g = (1.0 / (1.0 + t) - 1.0 / (x + t)) / (1.0 - u) ** 2
-    return float(np.sum(g) * h)

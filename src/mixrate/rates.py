@@ -41,7 +41,6 @@ from .ensembles import (
     _stack,
     _state_eigenvalues,
     _unit_interval,
-    _xlnx,
     binary_entropy,
 )
 from .errors import Fault, InputError
@@ -227,8 +226,9 @@ def _involution_trajectory(
 
 
 def _entropies(rho_t: np.ndarray) -> np.ndarray:
-    """S of each evolved state of a stack (B, T, d, d), from one stacked
-    eigvalsh of all B T of them, symmetrized; each spectrum must pass a
+    """S of each state of a stack (..., d, d) (the evolved states (B, T, d, d)
+    of a batch, or the reduced states of a pure-state trajectory), from one
+    stacked eigvalsh of all of them, symmetrized; each spectrum must pass a
     state's PSD and trace tests."""
     w_t = _state_eigenvalues(hm._eigvalsh(hm.hermitian_part(rho_t)))
     return _entropy_from_eigenvalues(w_t)
@@ -290,27 +290,6 @@ def _stm_sandwich(b: _Batch, shannon: np.ndarray, S: np.ndarray) -> np.ndarray:
     lower = _average_entropies(b.p, b.w)
     upper = lower + shannon
     return (lower[:, None] - CHECK_SLACK <= S) & (S <= upper[:, None] + CHECK_SLACK)
-
-
-def ak_gap(A, B) -> tuple[float, float]:
-    """The two sides of the commutator/entropy functional for f = ln.
-
-    Returns (||[B, ln(A+B)]||_1, F(a+b) - F(a) - F(b)) for PSD A, B with
-    a = Tr A, b = Tr B and F(x) = x ln x - x; the difference of F values
-    reduces to (a+b) ln(a+b) - a ln a - b ln b (0 ln 0 := 0).
-    """
-    A = hm.require_hermitian(A)
-    B = hm.require_hermitian(B)
-    if A.shape != B.shape:
-        raise InputError("A and B must have equal dimensions")
-    ln_C, supp = hm.log_on_support(hm.eig_hermitian(A + B))
-    if not supp.all():
-        raise InputError("A + B is rank-deficient beyond tolerance")
-    lhs = hm.trace_norm(hm.hermitian_part(_commutators(B[None, None], ln_C[None])[0, 0]))
-    alpha = float(np.real(np.trace(A)))
-    beta = float(np.real(np.trace(B)))
-    t = _xlnx([alpha + beta, alpha, beta])
-    return lhs, float(t[0] - t[1] - t[2])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Mutation sweep: does the test suite catch each planted one-line fault?
 
 Each mutant replaces one exact text, found once, in one file of the package:
-most widen a tolerance or a slack, two break a formula. For each mutant the
-checkout is copied to a temporary directory, the mutant is applied to the
-copy (the working tree is never written), and `pytest -x -q` runs there. An
+most widen a tolerance or a slack, two break a formula and two drop a state
+check. For each mutant the checkout is copied to a temporary directory, the
+mutant is applied to the copy (the working tree is never written), and
+`pytest -x -q` runs there. An
 unmutated copy runs first, since a suite that already fails would "kill"
 every mutant. One line per mutant says killed, with the first failing test,
 or survived. The exit status is 1 if any mutant survived.
@@ -90,6 +91,16 @@ MUTANTS = [
         "return (4.0 * ((S[2] - S[3]) / (2.0 * (h / 2.0))) - (S[0] - S[1]) / (2.0 * h)) / 3.0",
         "return (S[0] - S[1]) / (2.0 * h)",
         "FD oracle: one central difference in place of Richardson extrapolation",
+    ),
+    Mutant(
+        "src/mixrate/rates.py", "w = _state_eigenvalues(w)", "w = w",
+        "support logarithms (ln rho, and sie's ln rho_aA) skip the state check of their spectrum",
+    ),
+    Mutant(
+        "src/mixrate/rates.py",
+        "w_t = _state_eigenvalues(hm._eigvalsh(hm.hermitian_part(rho_t)))",
+        "w_t = hm._eigvalsh(hm.hermitian_part(rho_t))",
+        "state entropies (rho(t), and sie's rho_aA(t) envelope) skip the state check",
     ),
 ]
 

@@ -16,9 +16,15 @@ with ln taken on the support of rho. The finite differences of S(rho(t))
 and E(Psi(t)) refuse, with a typed Fault, what a finite difference
 cannot resolve.
 
+Two oracles check the paper's proof rather than the lab: `ak_gap`, the
+commutator/entropy functional for f = ln, and `log_integral_check`, the
+integral representation of ln x that the proof differentiates.
+
 `require_hermitian` is the Hermiticity check as it ran before its residual
-pass, and `hermitian_part` the symmetrizer as it ran before it took one
-buffer: the program's must take the same decisions and return the same bits.
+pass, `hermitian_part` the symmetrizer as it ran before it took one buffer,
+and `matrix_to_json` the wire form as it was built before one array
+conversion: the program's must take the same decisions and return the same
+bits.
 """
 
 from __future__ import annotations
@@ -107,6 +113,12 @@ def entropy(M: np.ndarray) -> float:
 
 def shannon(p) -> float:
     return float(-sum(x * math.log(x) for x in p if x > 0))
+
+
+def matrix_to_json(M) -> list:
+    """M as rows of [re, im] pairs, one entry at a time: the floats, signs of
+    zero included, that `mixrate.ensembles.matrix_to_json` must give."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
 
 def partial_trace(M: np.ndarray, dims, keep) -> np.ndarray:
@@ -418,3 +430,45 @@ def run_trial(cfg, trial_id: int):
 def state_with_spectrum(w, V) -> DensityMatrix:
     """V diag(w) V† as a DensityMatrix that holds w, not validated."""
     return _assign(object.__new__(DensityMatrix), hm.hermitian_part(hm.reconstruct(w, V)), w)
+
+
+# --- The proof's identities -----------------------------------------------------
+
+
+def ak_gap(A, B) -> tuple[np.ndarray, float]:
+    """The two sides of the commutator/entropy functional for f = ln, for PSD
+    A, B with A + B of full rank: the commutator i[B, ln(A+B)], symmetrized,
+    whose trace norm is the left side, and F(a+b) - F(a) - F(b) for a = Tr A,
+    b = Tr B and F(x) = x ln x - x, which reduces to
+    (a+b) ln(a+b) - a ln a - b ln b (0 ln 0 := 0)."""
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    if A.shape != B.shape:
+        raise InputError("A and B must have equal dimensions")
+    w, V = np.linalg.eigh(A + B)
+    if w[0] <= RANK_TOL * w[-1]:
+        raise InputError("A + B is rank-deficient beyond tolerance")
+    L = (V * np.log(w)) @ V.conj().T
+    C = 1j * (B @ L - L @ B)
+    a, b = float(np.trace(A).real), float(np.trace(B).real)
+    xlnx = [v * math.log(v) if v > 0 else 0.0 for v in (a + b, a, b)]
+    return hermitian_part(C), xlnx[0] - xlnx[1] - xlnx[2]
+
+
+def log_integral_check(x: float, upper_cutoff: float, n_points: int) -> float:
+    """Quadrature estimate of ∫₀^cutoff (1/(1+t) − 1/(x+t)) dt.
+
+    The integral converges to ln x as cutoff → ∞. The half-line is mapped to
+    (0, 1) via t = u/(1−u) and integrated by the composite midpoint rule, so
+    the truncation at `upper_cutoff` is the only systematic error for large
+    `n_points`.
+    """
+    if x <= 0:
+        raise InputError("log integral requires x > 0")
+    if upper_cutoff <= 0 or n_points < 1:
+        raise InputError("cutoff and n_points must be positive")
+    u_max = upper_cutoff / (1.0 + upper_cutoff)
+    h = u_max / n_points
+    u = (np.arange(n_points) + 0.5) * h
+    t = u / (1.0 - u)
+    g = (1.0 / (1.0 + t) - 1.0 / (x + t)) / (1.0 - u) ** 2
+    return float(np.sum(g) * h)

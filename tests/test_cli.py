@@ -885,6 +885,31 @@ def _lapack_fails(monkeypatch):
     monkeypatch.setattr(hm, "_lapack", lambda f, A: lapack(diverge, A))
 
 
+def _negative_reduced_state(monkeypatch):
+    """rho_aA reaches sie's entangling rate with an eigenvalue of -1e-6, below
+    -PSD_TOL: the Bell state's kernel (rows 2 and 3 of rho_aA) is split into
+    +-1e-6, so the trace stays 1."""
+    rate = ent._entangling_rate
+
+    def planted(rho_aAB, rho_aA, H_lift, d_B):
+        return rate(rho_aAB, rho_aA + np.diag([0.0, 0.0, 1e-6, -1e-6]), H_lift, d_B)
+
+    monkeypatch.setattr(ent, "_entangling_rate", planted)
+
+
+def _nan_in_envelope(monkeypatch):
+    """The largest eigenvalue of rho_aA(t) at the last time of sie's STE
+    envelope is NaN: that envelope is the only eigvalsh that sie takes."""
+    eigvalsh = hm._eigvalsh
+
+    def planted(A):
+        w = eigvalsh(A)
+        w[..., -1, -1] = np.nan
+        return w
+
+    monkeypatch.setattr(hm, "_eigvalsh", planted)
+
+
 _PLANTS = {
     None: lambda monkeypatch: None,
     "imaginary rate": _skewed_commutators,
@@ -894,6 +919,8 @@ _PLANTS = {
         hz, "_general_bound", lambda p: np.zeros(np.shape(p)[:-1])
     ),
     "ste bound below": lambda monkeypatch: monkeypatch.setattr(ent, "CHECK_SLACK", -10.0),
+    "negative reduced state": _negative_reduced_state,
+    "nan in envelope": _nan_in_envelope,
     "every ratio an event": lambda monkeypatch: monkeypatch.setattr(hz, "CONJECTURE_SLACK", -1.0),
 }
 _VERIFY = "verify --dim 3 --states 3 --trials 6 --seed 42 --out OUT"
@@ -952,6 +979,11 @@ _NO_CONVERGENCE = _ERROR + "Eigenvalues did not converge"
         pytest.param(_SIE, "ste bound below", EXIT_INVARIANT,
                      [_ERROR + r"entanglement above the STE bound at t=0\.00 \(11 times\)$"],
                      id="sie-2-ste"),
+        pytest.param(_SIE, "negative reduced state", EXIT_INVARIANT,
+                     [_ERROR + r"not PSD \(min eigenvalue -1\.000e-06\)$"],
+                     id="sie-2-reduced-state"),
+        pytest.param(_SIE, "nan in envelope", EXIT_INVARIANT,
+                     [_ERROR + "trace nan differs from 1$"], id="sie-2-envelope-state"),
     ],
 )
 def test_exit_codes(argv, plant, code, why, ensemble_file, tmp_path, monkeypatch, capsys):

@@ -281,6 +281,33 @@ class TestJsonRoundTrip:
         for a, b in zip(back, H):
             assert np.abs(a.matrix - b.matrix).max() <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e150, -1e150]),
+                ),
+                min_size=2 * d * d,
+                max_size=2 * d * d,
+            )
+        ),
+        st.booleans(),
+    )
+    @example([-0.0, 5e-324, 1e150, -0.0, -2.5e-310, 0.0, -1e150, 1e-300], False)
+    @example([-0.0, 5e-324, 1e150, -2.5e-310, 0.0, 0.0, 0.0, 0.0], True)
+    def test_matrix_to_json_writes_the_entrywise_floats(self, parts, real):
+        # Offender files are hashed: every entry, -0.0, subnormals and 1e150
+        # included, must be written as the entry-by-entry comprehension wrote it.
+        d = math.isqrt(len(parts) // 2)
+        re, im = np.array(parts).reshape(2, d, d)
+        M = re
+        if not real:  # set part by part: re + 1j * im can turn a -0.0 into +0.0
+            M = np.empty((d, d), dtype=complex)
+            M.real, M.imag = re, im
+        assert json.dumps(matrix_to_json(M)) == json.dumps(reference.matrix_to_json(M))
+
     def test_accepts_exponent_notation(self):
         text = (
             '{"dim": 2, "probabilities": [5e-1, 0.5], "states": ['

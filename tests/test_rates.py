@@ -645,31 +645,35 @@ class TestStmCheck:
 
 
 class TestAkGap:
+    """The test-side oracle of the commutator/entropy functional, which
+    acceptance criterion 08 reads."""
+
     def test_scalars_commute(self):
-        lhs, rhs = rates.ak_gap(np.array([[2.0]]), np.array([[3.0]]))
-        assert lhs == pytest.approx(0.0, abs=1e-12)
+        C, rhs = reference.ak_gap(np.array([[2.0]]), np.array([[3.0]]))
+        assert hm.trace_norm(C) == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(5 * math.log(5) - 2 * math.log(2) - 3 * math.log(3))
         assert rhs >= 0
 
     def test_commuting_matrices(self):
-        lhs, _ = rates.ak_gap(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert lhs == pytest.approx(0.0, abs=1e-12)
+        C, _ = reference.ak_gap(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+        assert hm.trace_norm(C) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_binary_rate_and_entropy(self, qubit_pair_ensemble):
         E = qubit_pair_ensemble
-        lhs, rhs = rates.ak_gap(0.5 * E.states[0].matrix, 0.5 * E.states[1].matrix)
-        assert lhs == pytest.approx(rates.binary_max_rate(E), abs=1e-9)
+        C, rhs = reference.ak_gap(0.5 * E.states[0].matrix, 0.5 * E.states[1].matrix)
+        assert hm.trace_norm(C) == pytest.approx(rates.binary_max_rate(E), abs=1e-9)
         assert rhs == pytest.approx(binary_entropy(0.5), abs=1e-9)
 
     def test_unequal_dimensions_rejected(self):
         with pytest.raises(InputError, match="A and B must have equal dimensions"):
-            rates.ak_gap(np.eye(2) / 2, np.eye(3) / 3)
+            reference.ak_gap(np.eye(2) / 2, np.eye(3) / 3)
 
     def test_rank_deficient_rejected(self):
         A = np.diag([1.0, 0.0])
         B = np.diag([1.0, 0.0])
         with pytest.raises(InputError):
-            rates.ak_gap(A, B)
+            reference.ak_gap(A, B)
+
 
 class TestRateReport:
     def test_report_fields_and_serialization(self, qubit_pair_ensemble):

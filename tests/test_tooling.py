@@ -13,15 +13,19 @@ interior path) is taken only at the call sites of EIGH_SITES, each of which
 reads the eigenvectors; everywhere else the eigenvalues suffice. The checked
 entries of `hermitian` are called only at the boundary, by the functions of
 CHECK_SITES: where matrices are parsed or sampled, and in public functions.
-One function forms (M + M†)/2: `hermitian.hermitian_part`. No public
-function, method or constructor takes a parameter named with a leading
-underscore: a private back door on the public API. Every public top-level
-name of a module is reached: referenced by the package itself, by an
-acceptance criterion or by the benchmark, not only exported. The package
-root exports nothing but `__version__`: each name has one import path, its
-module. Every backticked `module.name` in README.md resolves. Only
-`sampling.streams` sets a generator's state (`bit_generator.state`): every
-other draw reads its stream forward, never rewound.
+One function forms (M + M†)/2: `hermitian.hermitian_part`. Each spectral
+job has one route (ROUTES): only `hermitian.support_log` and
+`rates._support_logs` take a support logarithm from a spectrum, and only
+`rates._entropies` and `ensembles._average_entropies` turn spectra into
+entropies. No public function, method or constructor takes a parameter
+named with a leading underscore: a private back door on the public API.
+Every public top-level name of a module is reached: referenced by the
+package itself, by an acceptance criterion or by the benchmark, not only
+exported. The package root exports nothing but `__version__`: each name
+has one import path, its module. Every backticked `module.name` in
+README.md resolves. Only `sampling.streams` sets a generator's state
+(`bit_generator.state`): every other draw reads its stream forward, never
+rewound.
 """
 
 import ast
@@ -173,7 +177,6 @@ EIGH_SITES = {
     "rates._support_logs": "ln rho, rebuilt on rho's eigenvectors",
     "rates._Spectra.__init__": "the maximizers I - 2 P_neg of the commutators",
     "rates._evaluate": "the spectral trajectory, in a given Hamiltonian's eigenbasis",
-    "rates.ak_gap": "ln(A + B), rebuilt on its eigenvectors",
     "harness._unit_spectra": "the search's unitaries exp(i eps H)",
     "harness._search": "the restart's eigenbases, which the climb turns",
     "entangling._entanglement_trajectory": "Psi(t), evolved in H's eigenbasis",
@@ -192,7 +195,6 @@ CHECK_SITES = {
     "ensembles.DensityMatrix.__post_init__": "parse: a state file's matrices, or a caller's",
     "ensembles.Hamiltonian.__post_init__": "parse: a Hamiltonian file's matrices, or a caller's",
     "ensembles._sampled": "sample: the Hilbert-Schmidt states of Ginibre draws",
-    "rates.ak_gap": "public API",
 }
 
 
@@ -261,6 +263,59 @@ def test_one_symmetrizer():
     files = sorted(SRC.glob("*.py"))
     assert files
     assert set().union(*(_sites(f, _symmetrizer) for f in files)) <= {"hermitian.hermitian_part"}
+
+
+# One route per spectral job: each kernel, and the only functions that call
+# it. A module that holds one of them may also import the kernel at its top.
+ROUTES = {
+    "log_on_support": {"hermitian.support_log", "rates._support_logs"},
+    "_entropy_from_eigenvalues": {"rates._entropies", "ensembles._average_entropies"},
+}
+
+
+def _off_route(files: list[Path]) -> list[str]:
+    """The sites of files that reference a kernel of ROUTES outside its route."""
+    out = []
+    for kernel, callers in ROUTES.items():
+        allowed = callers | {c.split(".")[0] for c in callers}
+        sites = set().union(*(_sites(f, _named({kernel})) for f in files))
+        out += [f"{site}: {kernel}" for site in sorted(sites - allowed)]
+    return out
+
+
+def test_one_route_per_spectral_job():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert _off_route(files) == []
+
+
+def test_route_scan_finds_what_it_forbids(tmp_path):
+    rates_twin, entangling_twin = tmp_path / "rates.py", tmp_path / "entangling.py"
+    rates_twin.write_text(
+        "from . import hermitian as hm\n"
+        "from .ensembles import _entropy_from_eigenvalues\n"
+        "def _support_logs(p, rhos):\n"
+        "    return hm.log_on_support(hm._eigh(rhos))\n"
+        "def _entropies(rho_t):\n"
+        "    return _entropy_from_eigenvalues(hm._eigvalsh(rho_t))\n"
+        "def ak_gap(A, B):\n"
+        "    return hm.log_on_support(hm.eig_hermitian(A + B))\n"
+    )
+    entangling_twin.write_text(
+        "from . import hermitian as hm\n"
+        "from .ensembles import _entropy_from_eigenvalues\n"
+        "def _entanglement_trajectory(rho_aA):\n"
+        "    return _entropy_from_eigenvalues(hm._eigvalsh(rho_aA))\n"
+        "class Rate:\n"
+        "    def log(self, rho):\n"
+        "        return hm.log_on_support(hm._eigh(rho))[0]\n"
+    )
+    assert _off_route([rates_twin, entangling_twin]) == [
+        "entangling.Rate.log: log_on_support",
+        "rates.ak_gap: log_on_support",
+        "entangling: _entropy_from_eigenvalues",
+        "entangling._entanglement_trajectory: _entropy_from_eigenvalues",
+    ]
 
 
 def test_eigh_scan_finds_what_it_forbids(tmp_path):
