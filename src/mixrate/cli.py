@@ -277,7 +277,7 @@ def cmd_sie(args) -> int:
 
     psi = ent.parse_pure_state(Path(args.state).read_bytes())
     H = ent.parse_bipartite_operator(Path(args.ham).read_bytes())
-    _, _, residual, gamma = ent.sie_to_sim(psi, H)
+    residual, gamma = ent.sie_to_sim(psi, H)
     d_B = psi.dims[2]
     points = ent.ste_check(psi, H, [0.5 * k for k in range(11)])
     print(f"entangling_rate={gamma!r}")

@@ -23,16 +23,18 @@ import numpy as np
 from . import hermitian as hm
 from .ensembles import (
     DensityMatrix,
-    Ensemble,
     Hamiltonian,
+    _Batch,
+    _ensemble,
     _from_pairs,
     _json_dim,
     _json_numbers,
     _load_json,
+    _state_eigenvalues,
     matrix_from_json,
 )
 from .errors import Fault, InputError
-from .rates import CHECK_SLACK, _commutators, _entropies, _rate, _support_logs, mixing_rate
+from .rates import CHECK_SLACK, _commutators, _entropies, _rate, _support_logs
 
 NORM_TOL = 1e-10
 
@@ -152,13 +154,14 @@ def bravyi_mu(psi: PureState) -> DensityMatrix:
     rho_aA ⊗ I_B/d_B = (1 - d_B^{-2}) mu + d_B^{-2} rho_aAB.
 
     Requires 2 <= d_B <= d_A. mu is guaranteed to exist as a state, so a
-    failed state validation signals numerical corruption.
+    failed state check signals numerical corruption (a Fault).
     """
-    return _mu(*_reduced(psi), psi.dims)
+    return _ensemble(_mu(*_reduced(psi), psi.dims), 0).states[0]
 
 
-def _mu(rho_aAB, rho_aA, dims) -> DensityMatrix:
-    """bravyi_mu from the reduced states of a state with factor dims."""
+def _mu(rho_aAB, rho_aA, dims) -> _Batch:
+    """The reduction's ensemble {(1 - d_B^{-2}, mu), (d_B^{-2}, rho_aAB)}, a batch of one,
+    from the reduced states of a state with factor dims; a failed state check is a Fault."""
     d_a, d_A, d_B, _ = dims
     if d_B == 1:
         raise InputError("reduction degenerates at dim(B) = 1")
@@ -167,34 +170,33 @@ def _mu(rho_aAB, rho_aA, dims) -> DensityMatrix:
     weight = 1.0 - d_B ** -2
     target = np.kron(rho_aA, np.eye(d_B) / d_B)
     mu = (target - d_B ** -2 * rho_aAB) / weight
-    recon = weight * mu + d_B ** -2 * rho_aAB
-    residual = hm.frobenius(recon - target)
+    residual = hm.frobenius(weight * mu + d_B ** -2 * rho_aAB - target)
     if residual > 1e-10:
         raise Fault(f"reconstruction identity failed by {residual:.3e}")
-    try:
-        return DensityMatrix(mu)
-    except InputError as exc:
-        raise Fault(f"mu is not a state: {exc}") from exc
+    rhos = hm.hermitian_part(np.stack([mu, rho_aAB]))
+    w = hm._eigvalsh(rhos)  # outside the try: a LAPACK failure keeps its own message
+    for name, row in zip(("mu", "rho_aAB"), w):
+        try:
+            row[:] = _state_eigenvalues(row)
+        except Fault as exc:
+            raise Fault(f"{name} is not a state: {exc}") from exc
+    return _Batch(np.array([[weight, d_B ** -2]]), rhos[None], w[None])
 
 
-def sie_to_sim(
-    psi: PureState, H: BipartiteOperator
-) -> tuple[Ensemble, Hamiltonian, float, float]:
-    """Entangling-to-mixing reduction: the ensemble
-    {(1 - d_B^{-2}, mu), (d_B^{-2}, rho_aAB)},
-    the lifted Hamiltonian I_a ⊗ H_AB, the residual
-    |binary mixing rate - d_B^{-2} * entangling rate|, and the entangling rate.
+def sie_to_sim(psi: PureState, H: BipartiteOperator) -> tuple[float, float]:
+    """Entangling-to-mixing reduction: the residual |binary mixing rate -
+    d_B^{-2} * entangling rate| of `_mu`'s ensemble under the Hamiltonians
+    (0, I_a ⊗ H_AB), whose rate is rho_aAB's term alone, and the entangling rate.
     """
     _check_interaction(psi, H)
     d_a, _, d_B, _ = psi.dims
     rho_aAB, rho_aA = _reduced(psi)
-    mu = _mu(rho_aAB, rho_aA, psi.dims)
-    E2 = Ensemble([1.0 - d_B ** -2, d_B ** -2], [mu, DensityMatrix(rho_aAB)])
-    H_lift = Hamiltonian(lift_to_aAB(H, d_a))
-    zero = Hamiltonian(np.zeros_like(H_lift.matrix))
-    lam = mixing_rate(E2, (zero, H_lift))
-    gam = _entangling_rate(rho_aAB, rho_aA, H_lift.matrix, d_B)
-    return E2, H_lift, abs(lam - d_B ** -2 * gam), gam
+    b = _mu(rho_aAB, rho_aA, psi.dims)
+    H_lift = lift_to_aAB(H, d_a)
+    C = _commutators(b.rhos[:, 1:], _support_logs(b.p, b.rhos)[1])
+    lam = float(_rate(b.p[:, 1:], H_lift[None, None], C)[0])
+    gam = _entangling_rate(rho_aAB, rho_aA, H_lift, d_B)
+    return abs(lam - d_B ** -2 * gam), gam
 
 
 @dataclass(frozen=True)

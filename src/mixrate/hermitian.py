@@ -132,15 +132,15 @@ def reconstruct(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 def support_log(M) -> np.ndarray:
     """ln of a PSD matrix, or of each of a stack, on its support; zero on the kernel.
 
-    Eigenvalues λ ≤ RANK_TOL·λ_max are treated as kernel. An eigenvalue below
-    −RANK_TOL·λ_max means the input was not PSD.
+    Eigenvalues λ ≤ RANK_TOL·λ_max are kernel, and one below −RANK_TOL·λ_max is
+    refused: M may be any PSD matrix, not only a state, so this is stricter than a
+    state check's −PSD_TOL (the floored matrix of a `DensityMatrix` passes).
     """
     eig = eig_hermitian(M)
-    ln_M = log_on_support(eig)[0]
     w = eig.eigenvalues
     if (w < -RANK_TOL * w[..., -1:]).any():
         raise InputError(f"matrix has a negative eigenvalue {w.min():.3e}")
-    return ln_M
+    return log_on_support(eig)[0]
 
 
 def log_on_support(eig: EigenDecomposition):

@@ -1,8 +1,8 @@
 """Mutation sweep: does the test suite catch each planted one-line fault?
 
 Each mutant replaces one exact text, found once, in one file of the package:
-most widen a tolerance or a slack, two break a formula and two drop a state
-check. For each mutant the checkout is copied to a temporary directory, the
+most widen a tolerance or a slack, two break a formula and three drop a
+state check. For each mutant the checkout is copied to a temporary directory, the
 mutant is applied to the copy (the working tree is never written), and
 `pytest -x -q` runs there. An
 unmutated copy runs first, since a suite that already fails would "kill"
@@ -101,6 +101,10 @@ MUTANTS = [
         "w_t = _state_eigenvalues(hm._eigvalsh(hm.hermitian_part(rho_t)))",
         "w_t = hm._eigvalsh(hm.hermitian_part(rho_t))",
         "state entropies (rho(t), and sie's rho_aA(t) envelope) skip the state check",
+    ),
+    Mutant(
+        "src/mixrate/entangling.py", "row[:] = _state_eigenvalues(row)", "pass",
+        "the reduction's computed states mu and rho_aAB skip the state check",
     ),
 ]
 

@@ -232,8 +232,8 @@ def test_criterion_05_small_total_mixing(trials):
 def test_criterion_06_sie_to_sim_reduction(sie_samples):
     worst = 0.0
     for psi, H in sie_samples:
-        bravyi_mu(psi)  # DensityMatrix validation happens in the constructor
-        _, _, residual, _ = sie_to_sim(psi, H)
+        bravyi_mu(psi)  # the reduction checks that mu is a state
+        residual, _ = sie_to_sim(psi, H)
         worst = max(worst, residual)
     ok = worst <= 1e-8
     _verdict(

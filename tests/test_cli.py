@@ -897,17 +897,37 @@ def _negative_reduced_state(monkeypatch):
     monkeypatch.setattr(ent, "_entangling_rate", planted)
 
 
+def _negative_reduced_aAB_state(monkeypatch):
+    """rho_aAB reaches sie's reduction with an eigenvalue of -1e-6, below
+    -PSD_TOL: +-1e-6 on the diagonal at |a A B> = |010> and |001>, both
+    orthogonal to the Bell state's vector, so the trace stays 1 and mu stays
+    a state."""
+    reduced = ent._reduced
+
+    def planted(psi):
+        rho_aAB, rho_aA = reduced(psi)
+        return rho_aAB + np.diag([0.0, -1e-6, 1e-6, 0.0, 0.0, 0.0, 0.0, 0.0]), rho_aA
+
+    monkeypatch.setattr(ent, "_reduced", planted)
+
+
 def _nan_in_envelope(monkeypatch):
     """The largest eigenvalue of rho_aA(t) at the last time of sie's STE
-    envelope is NaN: that envelope is the only eigvalsh that sie takes."""
-    eigvalsh = hm._eigvalsh
+    envelope is NaN: only the eigvalsh of the envelope's stack is planted,
+    not the reduction's."""
+    entropies, eigvalsh = ent._entropies, hm._eigvalsh
 
-    def planted(A):
+    def nan_last(A):
         w = eigvalsh(A)
         w[..., -1, -1] = np.nan
         return w
 
-    monkeypatch.setattr(hm, "_eigvalsh", planted)
+    def planted(rho_t):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hm, "_eigvalsh", nan_last)
+            return entropies(rho_t)
+
+    monkeypatch.setattr(ent, "_entropies", planted)
 
 
 _PLANTS = {
@@ -920,6 +940,7 @@ _PLANTS = {
     ),
     "ste bound below": lambda monkeypatch: monkeypatch.setattr(ent, "CHECK_SLACK", -10.0),
     "negative reduced state": _negative_reduced_state,
+    "negative reduced aAB state": _negative_reduced_aAB_state,
     "nan in envelope": _nan_in_envelope,
     "every ratio an event": lambda monkeypatch: monkeypatch.setattr(hz, "CONJECTURE_SLACK", -1.0),
 }
@@ -982,6 +1003,9 @@ _NO_CONVERGENCE = _ERROR + "Eigenvalues did not converge"
         pytest.param(_SIE, "negative reduced state", EXIT_INVARIANT,
                      [_ERROR + r"not PSD \(min eigenvalue -1\.000e-06\)$"],
                      id="sie-2-reduced-state"),
+        pytest.param(_SIE, "negative reduced aAB state", EXIT_INVARIANT,
+                     [_ERROR + r"rho_aAB is not a state: not PSD \(min eigenvalue -1\.000e-06\)$"],
+                     id="sie-2-reduced-aAB-state"),
         pytest.param(_SIE, "nan in envelope", EXIT_INVARIANT,
                      [_ERROR + "trace nan differs from 1$"], id="sie-2-envelope-state"),
     ],
@@ -1205,12 +1229,14 @@ class TestEigenBudget:
 
     @staticmethod
     def _count(monkeypatch) -> list:
-        calls = [0]
+        """[all calls, full eigh calls], counted from here on."""
+        calls = [0, 0]
         for name in ("eigh", "eigvalsh"):
             f = getattr(np.linalg, name)
 
-            def counted(*args, _f=f, **kwargs):
+            def counted(*args, _f=f, _full=name == "eigh", **kwargs):
                 calls[0] += 1
+                calls[1] += _full
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -1229,11 +1255,13 @@ class TestEigenBudget:
         rate_report(E, H)
         # The same three, and one stacked call for the three Hamiltonians.
         assert calls[0] == 4
-        calls[0] = 0
+        calls[:] = [0, 0]
         assert main(["sie", "--state", str(sp), "--ham", str(hp)]) == EXIT_OK
-        # mu, rho_aAB, rho, rho_aA once for the rate, then the STE check:
-        # H once and one stacked E(t) for t = 0 and the 11 times.
-        assert calls[0] == 6
+        # One stacked eigvalsh of mu and rho_aAB, the eigh of their expected
+        # state rho = rho_aA ⊗ I/d_B for the binary rate, the eigh of rho_aA
+        # for the entangling rate, then the STE check: the eigh of H and one
+        # stacked eigvalsh of E(t) for t = 0 and the 11 times.
+        assert calls == [5, 3]
 
     def test_verify_chunk(self, tmp_path, monkeypatch):
         # 32 trials at d = 4 are one chunk: the 96 sampled states, the 32

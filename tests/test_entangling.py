@@ -7,12 +7,7 @@ import pytest
 import reference
 from mixrate import entangling as en
 from mixrate import hermitian as hm
-from mixrate import rates
-from mixrate.ensembles import (
-    Hamiltonian,
-    _entropy_from_eigenvalues,
-    matrix_to_json,
-)
+from mixrate.ensembles import _entropy_from_eigenvalues, matrix_to_json
 from mixrate.errors import Fault, InputError
 
 from conftest import rng
@@ -231,7 +226,7 @@ class TestBravyiMu:
             d_B = int(g.integers(2, 4))
             d_A = int(g.integers(d_B, 5))
             psi = random_pure((2, d_A, d_B, 2), g)
-            mu = en.bravyi_mu(psi)  # DensityMatrix validation is the assertion
+            mu = en.bravyi_mu(psi)  # the reduction's state check is the assertion
             assert mu.dim == 2 * d_A * d_B
 
     def test_mismatched_reduced_states_are_not_a_state(self):
@@ -254,18 +249,18 @@ class TestSieToSim:
     def test_identity_hamiltonian(self):
         psi = random_pure((2, 2, 2, 2), rng(413))
         H = en.BipartiteOperator(np.eye(4), (2, 2))
-        E2, H_lift, residual, _ = en.sie_to_sim(psi, H)
+        residual, gamma = en.sie_to_sim(psi, H)
+        # I commutes with everything: Gamma = 0, so the rate under (0, H_lift),
+        # within residual of d_B^-2 Gamma, is 0 too.
+        assert gamma == pytest.approx(0.0, abs=1e-10)
         assert residual <= 1e-10
-        assert rates.mixing_rate(
-            E2, (Hamiltonian(np.zeros_like(H_lift.matrix)), H_lift)
-        ) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_swap_case(self):
         psi = en.PureState(BELL, (1, 2, 2, 1))
         Hs = np.zeros((4, 4))
         Hs[1, 2] = Hs[2, 1] = 1.0
         H = en.BipartiteOperator(Hs, (2, 2))
-        _, _, residual, _ = en.sie_to_sim(psi, H)
+        residual, _ = en.sie_to_sim(psi, H)
         assert residual <= 1e-8
 
     def test_identity_residual_over_random_samples(self):
@@ -275,9 +270,9 @@ class TestSieToSim:
             d_A = int(g.integers(d_B, 5))
             psi = random_pure((2, d_A, d_B, 2), g)
             H = random_interaction(d_A, d_B, g)
-            E2, _, residual, _ = en.sie_to_sim(psi, H)
+            residual, _ = en.sie_to_sim(psi, H)
             assert residual <= 1e-8
-            assert list(E2.probabilities) == pytest.approx(
+            assert list(en._mu(*en._reduced(psi), psi.dims).p[0]) == pytest.approx(
                 [1 - d_B ** -2, d_B ** -2]
             )
 
@@ -292,7 +287,7 @@ class TestSieToSim:
 
         monkeypatch.setattr(en, "_reduced", counted)
         psi = random_pure((2, 4, 2, 2), rng(415))
-        _, _, residual, gamma = en.sie_to_sim(psi, random_interaction(4, 2, rng(416)))
+        residual, gamma = en.sie_to_sim(psi, random_interaction(4, 2, rng(416)))
         assert calls[0] == 1
         assert residual <= 1e-8 and math.isfinite(gamma)
 

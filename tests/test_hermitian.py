@@ -137,6 +137,24 @@ class TestSupportLog:
         with pytest.raises(InputError):
             hm.support_log(np.diag([1.0, -0.5]))
 
+    def test_psd_policy_stricter_than_a_state(self, monkeypatch):
+        # -5e-11 is above a state's -PSD_TOL but below -RANK_TOL·λ_max: the raw
+        # matrix is refused before any rebuild on its eigenvectors, and the
+        # DensityMatrix of it, rebuilt with eigenvalues floored to [0, 1], passes.
+        M = np.diag([1 + 5e-11, -5e-11])
+        rebuilds = []
+
+        def counted(eig, _f=hm.log_on_support):
+            rebuilds.append(eig)
+            return _f(eig)
+
+        monkeypatch.setattr(hm, "log_on_support", counted)
+        with pytest.raises(InputError, match=r"^matrix has a negative eigenvalue -5\.000e-11$"):
+            hm.support_log(M)
+        assert rebuilds == []
+        assert np.allclose(hm.support_log(ens.DensityMatrix(M).matrix), 0.0, atol=1e-12)
+        assert len(rebuilds) == 1
+
     def test_bad_rank_tol(self):
         with pytest.raises(TypeError):
             hm.support_log(np.eye(2), rank_tol=0.0)

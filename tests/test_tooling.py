@@ -13,6 +13,10 @@ interior path) is taken only at the call sites of EIGH_SITES, each of which
 reads the eigenvectors; everywhere else the eigenvalues suffice. The checked
 entries of `hermitian` are called only at the boundary, by the functions of
 CHECK_SITES: where matrices are parsed or sampled, and in public functions.
+The validating constructors (`DensityMatrix`, `Hamiltonian`, `Ensemble`,
+`PureState`, `BipartiteOperator`) are called, or passed to a call, only by
+the functions of CONSTRUCT_SITES: parsing, the way back from a batch to an
+`Ensemble`, and one public function; matrices built inside stay arrays.
 One function forms (M + M†)/2: `hermitian.hermitian_part`. Each spectral
 job has one route (ROUTES): only `hermitian.support_log` and
 `rates._support_logs` take a support logarithm from a spectrum, and only
@@ -198,6 +202,20 @@ CHECK_SITES = {
 }
 
 
+# The validating constructors, and the only functions that call one or pass
+# one to a call, with what makes each a boundary. An annotation or a base
+# class names the type without building one, and does not count.
+CONSTRUCTORS = {"DensityMatrix", "Hamiltonian", "Ensemble", "PureState", "BipartiteOperator"}
+CONSTRUCT_SITES = {
+    "ensembles._parse_ensemble": "parse: an ensemble file's states and probabilities",
+    "ensembles.parse_hamiltonian_set": "parse: a Hamiltonian file's matrices",
+    "ensembles._ensemble": "out: a batch entry as an Ensemble, its arrays not checked again",
+    "entangling.parse_pure_state": "parse: a pure-state file",
+    "entangling.parse_bipartite_operator": "parse: an interaction-operator file",
+    "rates.optimal_hamiltonians": "public API: the maximizers, returned as Hamiltonians",
+}
+
+
 def _named(names: set[str]):
     """Whether a node references one of names; an import of one counts as a
     reference (`from .hermitian import eig_hermitian as f`)."""
@@ -247,6 +265,15 @@ def _sites(path: Path, hit) -> set[str]:
     return sites
 
 
+def _constructs(node) -> bool:
+    """Whether a node is a call of a validating constructor, or a call that
+    passes one as an argument (`_parse_members(raw, d, "state", DensityMatrix)`)."""
+    named = _named(CONSTRUCTORS)
+    return isinstance(node, ast.Call) and any(
+        named(n) for n in (node.func, *node.args, *(k.value for k in node.keywords))
+    )
+
+
 def test_eigh_only_where_eigenvectors_are_read():
     files = sorted(SRC.glob("*.py"))
     assert files
@@ -257,6 +284,12 @@ def test_checks_only_at_the_boundary():
     files = sorted(SRC.glob("*.py"))
     assert files
     assert set().union(*(_sites(f, _named(CHECKED)) for f in files)) == set(CHECK_SITES)
+
+
+def test_constructors_only_at_the_boundary():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert set().union(*(_sites(f, _constructs) for f in files)) == set(CONSTRUCT_SITES)
 
 
 def test_one_symmetrizer():
@@ -352,6 +385,34 @@ def test_check_scan_finds_what_it_forbids(tmp_path):
         "    return rh(A)\n"
     )
     assert _sites(bad, _named(CHECKED)) == {"mod", "mod.rebuild", "mod.Pass.run"}
+
+
+def test_construct_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "mod.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "from . import ensembles as ens\n"
+        "from .ensembles import DensityMatrix, Ensemble\n"
+        "ZERO = ens.Hamiltonian(np.zeros((2, 2)))\n"
+        "class Lifted(ens.Hamiltonian):\n"
+        "    dims: tuple = (1, 1)\n"
+        "def annotated(E: Ensemble) -> DensityMatrix:\n"
+        "    return E.states[0]\n"
+        "def build(A):\n"
+        "    return DensityMatrix(A)\n"
+        "def builders(raw):\n"
+        "    return list(map(ens.Hamiltonian, raw))\n"
+        "class Pass:\n"
+        "    def run(self, p, states):\n"
+        "        return Ensemble(probabilities=p, states=states)\n"
+        "def keyword(raw, parse):\n"
+        "    return parse(raw, build=PureState)\n"
+        "def interior(A):\n"
+        "    return np.linalg.eigvalsh(A), Lifted\n"
+    )
+    assert _sites(bad, _constructs) == {
+        "mod", "mod.build", "mod.builders", "mod.Pass.run", "mod.keyword"
+    }
 
 
 def test_symmetrizer_scan_finds_what_it_forbids(tmp_path):
