@@ -117,11 +117,12 @@ def _conclude(records, ensemble_of, path_of) -> int:
 def cmd_compute(args) -> int:
     # The report is made before --out is created, so an ensemble that parses
     # but whose report fails leaves --out, which may name an input, as it was.
-    E, listed = ens._parse_ensemble(Path(args.ensemble).read_bytes())
-    H = None
+    b, listed = ens._parse_ensemble(Path(args.ensemble).read_bytes())
+    M = None
     if args.hamiltonians:
-        H = ens._paired(ens.parse_hamiltonian_set(Path(args.hamiltonians).read_bytes()), listed)
-    text = rate_report(E, H).to_json().decode("utf-8") + "\n"
+        H = ens.parse_hamiltonian_set(Path(args.hamiltonians).read_bytes())
+        M = ens._paired(H, listed, b.rhos.shape[-1])
+    text = rate_report(b, M).to_json().decode("utf-8") + "\n"
     with _output(args.out) as fh:
         fh.write(text)
     return EXIT_OK

@@ -1,16 +1,15 @@
-"""Validated quantum states, Hamiltonians, ensembles and entropies.
+"""Ensembles of quantum states, their entropies, and the checked inputs.
 
 An ensemble pairs probabilities p(x) with density matrices rho_x of one
 shared dimension. The expected state is the convex combination
 rho = sum_x p(x) rho_x.
 
-The objects are the boundary: parsing, serialization and the public
-functions take and return them. Inside, sampling, evaluation and search
-pass B ensembles that share (n, d) as one `_Batch` of arrays, built from
-validated draws (`_sampled`) or from objects (`_stack`), and turned back
-into an object only where one leaves the program (`_ensemble`).
+Everything inside passes B ensembles that share (n, d) as one `_Batch` of
+arrays. The boundary builds and checks it: a parsed file (`_parsed`) or
+sampled draws (`_sampled`). `Ensemble` and `DensityMatrix` are plain
+records, made only where an ensemble leaves the program (`_ensemble`).
 
-All values are immutable after construction; every function here is pure.
+Every function here is pure.
 """
 
 from __future__ import annotations
@@ -37,15 +36,6 @@ PROB_TOL = 1e-10
 MAX_ENTRY = 1e150
 
 
-def _assign(obj, matrix: np.ndarray, w: np.ndarray):
-    """obj holding the state `matrix` and its eigenvalues w, both made read-only."""
-    for a in (matrix, w):
-        a.setflags(write=False)
-    object.__setattr__(obj, "matrix", matrix)
-    object.__setattr__(obj, "eigenvalues", w)
-    return obj
-
-
 def _state_eigenvalues(w: np.ndarray, kind=Fault) -> np.ndarray:
     """The ascending eigenvalues w (..., d) of states, each row checked
     (min >= -PSD_TOL, |sum - 1| <= TRACE_TOL), floored at 0 and renormalized;
@@ -66,52 +56,15 @@ def _state_eigenvalues(w: np.ndarray, kind=Fault) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A quantum state: Hermitian, positive semi-definite, unit trace.
-
-    Validation symmetrizes the input, floors eigenvalues in [-1e-10, 0) at
-    zero and renormalizes the trace when within tolerance; anything further
-    off is rejected. The eigenvalues w that validation computed are kept as
-    `eigenvalues`, and `matrix` is V diag(w) V† on the eigenvectors V it
-    found. A sampled state (`_ensemble`) holds its batch's arrays instead:
-    the sampled matrix, symmetrized, and its eigenvalues.
-    """
+    """A state as the program gives it out (`_ensemble`): its matrix and the
+    eigenvalues its check kept. A record; it checks nothing."""
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        A = np.asarray(self.matrix, dtype=complex)
-        if A.ndim != 2:
-            raise InputError(f"expected a square matrix, got shape {A.shape}")
-        w, V = hm.eig_hermitian(A[None])
-        w = _state_eigenvalues(w, InputError)
-        _assign(self, hm.hermitian_part(hm.reconstruct(w, V))[0], w[0])
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """A Hermitian observable, of any operator norm: its validated matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if np.ndim(self.matrix) != 2:
-            raise InputError(f"expected a square matrix, got shape {np.shape(self.matrix)}")
-        A = hm.require_hermitian(self.matrix)
-        A.setflags(write=False)
-        object.__setattr__(self, "matrix", A)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
 
 
 def _require_distribution(p: np.ndarray, kind=Fault) -> None:
-    """An Ensemble's checks on probabilities p (..., n): none negative or NaN
+    """The checks on probabilities p (..., n): none negative or NaN
     (p >= 0 holds, which NaN fails), and every row summing to 1 within
     PROB_TOL; a failed check raises kind: InputError for probabilities given
     from outside."""
@@ -125,38 +78,18 @@ def _require_distribution(p: np.ndarray, kind=Fault) -> None:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Probabilities p(x) paired with states rho_x on one Hilbert space.
-
-    Zero-probability members are stripped at construction; the remaining
-    probabilities must be positive and sum to 1 within 1e-10.
-    """
+    """Probabilities p(x) and states rho_x, as the program gives an ensemble
+    out (`_ensemble`). A record; it checks nothing."""
 
     probabilities: np.ndarray
     states: tuple[DensityMatrix, ...]
-
-    def __init__(self, probabilities, states):
-        p = np.asarray(probabilities, dtype=float)
-        states = tuple(states)
-        if p.ndim != 1 or p.size != len(states):
-            raise InputError("probabilities and states must have equal length")
-        _require_distribution(p, InputError)
-        keep = p > 0
-        p, states = p[keep], tuple(s for s, k in zip(states, keep) if k)
-        if not states:
-            raise InputError("ensemble has no members with positive probability")
-        dim = states[0].dim
-        if any(s.dim != dim for s in states):
-            raise InputError("all ensemble states must share one dimension")
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return len(self.states)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states[0].matrix.shape[0]
 
 
 def _mixture(p: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -244,37 +177,58 @@ class _Batch(NamedTuple):
 
 def _sampled(p: np.ndarray, raw: np.ndarray) -> _Batch:
     """The batch of sampled probabilities p (B, n) and raw states
-    (B, n, d, d), with an Ensemble's checks made once for all of them: the
-    distributions, and every state a DensityMatrix's checks from one
-    stacked eigvalsh. The members are the raw states, symmetrized: nothing
-    reads their eigenvectors."""
+    (B, n, d, d), checked once for all of them: the distributions, and
+    every state Hermitian with a state's spectrum, from one stacked
+    eigvalsh. The members are the raw states, symmetrized: nothing reads
+    their eigenvectors."""
     _require_distribution(p)
     rhos = hm.require_hermitian(raw)
     return _Batch(p, rhos, _state_eigenvalues(hm._eigvalsh(rhos)))
 
 
-def _stack(Es: Sequence[Ensemble]) -> _Batch:
-    """The batch of Ensembles that share (n, d), from their kept arrays."""
-    n, d = len(Es[0]), Es[0].dim
-    if any(len(E) != n or E.dim != d for E in Es):
-        raise InputError("ensembles of one batch must share (n, d)")
-    states = [s for E in Es for s in E.states]
-    shape = (len(Es), n, d)
-    # np.array, not np.stack: several times faster on a few small arrays.
-    return _Batch(
-        np.array([E.probabilities for E in Es]),
-        np.array([s.matrix for s in states]).reshape(shape + (d,)),
-        np.array([s.eigenvalues for s in states]).reshape(shape),
-    )
+def _state_spectra(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States A (n, d, d) given from outside, checked: Hermitian, and each
+    spectrum a state's (InputError). Returns each state rebuilt as
+    V diag(w) V† on the eigenvectors V of its check, and its eigenvalues w,
+    floored."""
+    w, V = hm.eig_hermitian(A)
+    w = _state_eigenvalues(w, InputError)
+    return hm.hermitian_part(hm.reconstruct(w, V)), w
+
+
+def _members(check, A: np.ndarray):
+    """check(A) of the members A (n, d, d) of an input file, in one pass; if
+    it refuses them, the refusal of the first member it refuses alone, named."""
+    try:
+        return check(A)
+    except InputError:
+        for i in range(len(A)):
+            try:
+                check(A[i : i + 1])
+            except InputError as exc:
+                raise InputError(f"invariant violated: {exc} (member {i})") from exc
+        raise
+
+
+def _parsed(probs, states) -> _Batch:
+    """The batch of one ensemble given from outside, from its listed
+    probabilities (n,) and states (n, d, d), with every check made once:
+    the distribution, then each state Hermitian with a state's spectrum (a
+    refused state named by its member). Members of probability 0 are
+    dropped, and each kept state is V diag(w) V† from its floored w."""
+    p = np.array(probs, dtype=float)
+    _require_distribution(p, InputError)
+    rhos, w = _members(_state_spectra, np.asarray(states, dtype=complex))
+    keep = p > 0
+    return _Batch(p[None, keep], rhos[None, keep], w[None, keep])
 
 
 def _ensemble(b: _Batch, i: int) -> Ensemble:
-    """Ensemble i of a batch, its states holding the batch's own arrays: the
-    states are not validated again."""
-    states = [
-        _assign(object.__new__(DensityMatrix), *a) for a in zip(b.rhos[i], b.w[i])
-    ]
-    return Ensemble(b.p[i], states)
+    """Ensemble i of a batch, as read-only views of the batch's own arrays."""
+    p, rhos, w = (a[i] for a in b)
+    for a in (p, rhos, w):
+        a.setflags(write=False)
+    return Ensemble(p, tuple(map(DensityMatrix, rhos, w)))
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -365,20 +319,9 @@ def _json_probability(v) -> float:
     return p
 
 
-def _parse_members(raw, dim: int, what: str, build) -> list:
-    """build(M) for each raw matrix M; a refused validation names the member."""
-    out = []
-    for i, entry in enumerate(raw):
-        M = matrix_from_json(entry, dim, f"{what} {i}")
-        try:
-            out.append(build(M))
-        except InputError as exc:
-            raise InputError(f"invariant violated: {exc} (member {i})") from exc
-    return out
-
-
-def _parse_ensemble(text) -> tuple[Ensemble, list[float]]:
-    """parse_ensemble's Ensemble, and the listed probabilities, zeros included."""
+def _parse_ensemble(text) -> tuple[_Batch, list[float]]:
+    """The ensemble JSON schema's ensemble as a checked batch of one
+    (`_parsed`), and its listed probabilities, zeros included."""
     obj = _load_json(text)
     try:
         dim = _json_dim(obj["dim"])
@@ -388,13 +331,8 @@ def _parse_ensemble(text) -> tuple[Ensemble, list[float]]:
         raise InputError(f"ensemble JSON missing or malformed field: {exc}") from exc
     if len(probs) != len(raw_states):
         raise InputError("probabilities and states have different lengths")
-    states = _parse_members(raw_states, dim, "state", DensityMatrix)
-    return Ensemble(probs, states), probs
-
-
-def parse_ensemble(text) -> Ensemble:
-    """Parse the ensemble JSON schema; reports the offending member on failure."""
-    return _parse_ensemble(text)[0]
+    states = [matrix_from_json(M, dim, f"state {i}") for i, M in enumerate(raw_states)]
+    return _parsed(probs, states), probs
 
 
 def serialize_ensemble(E: Ensemble) -> bytes:
@@ -406,20 +344,26 @@ def serialize_ensemble(E: Ensemble) -> bytes:
     return json.dumps(obj).encode("utf-8")
 
 
-def parse_hamiltonian_set(text) -> tuple[Hamiltonian, ...]:
-    """Parse the Hamiltonian-set JSON schema (no operator-norm requirement)."""
+def parse_hamiltonian_set(text) -> np.ndarray:
+    """Parse the Hamiltonian-set JSON schema into its matrices (n, d, d),
+    each checked Hermitian (no operator-norm requirement)."""
     obj = _load_json(text)
     try:
         dim = _json_dim(obj["dim"])
         raw = list(obj["hamiltonians"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"hamiltonian JSON missing or malformed field: {exc}") from exc
-    return tuple(_parse_members(raw, dim, "hamiltonian", Hamiltonian))
+    H = [matrix_from_json(M, dim, f"hamiltonian {i}") for i, M in enumerate(raw)]
+    return _members(hm.require_hermitian, np.array(H, dtype=complex)) if H else np.zeros((0, 0, 0))
 
 
-def _paired(H: Sequence[Hamiltonian], listed: Sequence[float]) -> tuple[Hamiltonian, ...]:
-    """The Hamiltonians of the members an Ensemble keeps, H paired by position
-    with the listed probabilities: each zero-probability member's goes with it."""
+def _paired(H: np.ndarray, listed: Sequence[float], dim: int) -> np.ndarray:
+    """The Hamiltonians H (m, d, d) of the members an ensemble of dimension
+    dim keeps: one of dimension dim per listed member, paired by position
+    with its listed probability, so that each zero-probability member's goes
+    with it."""
     if len(H) != len(listed):
         raise InputError("need one Hamiltonian per listed ensemble member")
-    return tuple(h for h, p in zip(H, listed) if p > 0)
+    if H.shape[-1] != dim:
+        raise InputError("Hamiltonian dimension differs from ensemble dimension")
+    return H[np.array(listed) > 0]

@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import hermitian as hm
 from .ensembles import (
-    DensityMatrix,
-    Hamiltonian,
     _Batch,
-    _ensemble,
     _from_pairs,
     _json_dim,
     _json_numbers,
@@ -39,27 +36,12 @@ from .rates import CHECK_SLACK, _commutators, _entropies, _rate, _support_logs
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PureState:
-    """A unit vector on a ⊗ A ⊗ B ⊗ b with recorded factor dimensions."""
+class PureState(NamedTuple):
+    """A unit vector on a ⊗ A ⊗ B ⊗ b with its factor dimensions, as
+    `parse_pure_state` checks it. A record; it checks nothing."""
 
     amplitudes: np.ndarray
     dims: tuple[int, int, int, int]
-
-    def __init__(self, amplitudes, dims):
-        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != 4 or any(d < 1 for d in dims):
-            raise InputError(f"need four factor dimensions >= 1, got {dims}")
-        if v.size != math.prod(dims):
-            raise InputError(f"amplitude length {v.size} != product of dims {math.prod(dims)}")
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise InputError(f"invariant violated: amplitude {bad[0]} is not finite")
-        v = _unit_rows(v[None], InputError)[0]
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
-        object.__setattr__(self, "dims", dims)
 
 
 def _unit_rows(psi: np.ndarray, kind=Fault) -> np.ndarray:
@@ -73,20 +55,12 @@ def _unit_rows(psi: np.ndarray, kind=Fault) -> np.ndarray:
     return psi / norms[..., None]
 
 
-@dataclass(frozen=True, init=False)
-class BipartiteOperator(Hamiltonian):
-    """Hermitian operator on A ⊗ B."""
+class BipartiteOperator(NamedTuple):
+    """A Hermitian operator on A ⊗ B with its factor dimensions, as
+    `parse_bipartite_operator` checks it. A record; it checks nothing."""
 
-    dims: tuple[int, int] = (1, 1)
-
-    def __init__(self, matrix, dims):
-        super().__init__(matrix)
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != 2 or any(d < 1 for d in dims):
-            raise InputError(f"need two factor dimensions >= 1, got {dims}")
-        if self.dim != dims[0] * dims[1]:
-            raise InputError(f"matrix of dim {self.dim} does not factor as {dims}")
-        object.__setattr__(self, "dims", dims)
+    matrix: np.ndarray
+    dims: tuple[int, int]
 
 
 def _gram(psi: np.ndarray, rows: int) -> np.ndarray:
@@ -107,10 +81,10 @@ def _entanglement_trajectory(
     """E(Psi(t)) = S(rho_aA(t)) at each t of ts, Psi(t) = (I_a ⊗ e^{-iHt} ⊗ I_b) Psi.
 
     Psi is rotated once into the eigenbasis of H, where the evolution to every
-    t is a phase per eigenvalue. Each Psi(t) gets PureState's norm check and
-    renormalization; rho_aA(t) is `_gram` of Psi(t), and all of them take the
-    rates' state-entropy route, `_entropies`: one stacked eigvalsh, and each
-    spectrum a state's PSD and trace checks.
+    t is a phase per eigenvalue. Each Psi(t) gets the norm check and the
+    renormalization of `parse_pure_state`; rho_aA(t) is `_gram` of Psi(t),
+    and all of them take the rates' state-entropy route, `_entropies`: one
+    stacked eigvalsh, and each spectrum a state's PSD and trace checks.
     """
     _check_interaction(psi, H)
     d_a, d_A, d_B, d_b = psi.dims
@@ -131,16 +105,10 @@ def lift_to_aAB(H: BipartiteOperator, d_a: int) -> np.ndarray:
     return np.kron(np.eye(d_a), H.matrix)
 
 
-def entangling_rate(psi: PureState, H: BipartiteOperator) -> float:
-    """Analytic derivative i Tr(H_lift [rho_aAB, ln(rho_aA) ⊗ I_B])."""
-    _check_interaction(psi, H)
-    d_a, _, d_B, _ = psi.dims
-    return _entangling_rate(*_reduced(psi), lift_to_aAB(H, d_a), d_B)
-
-
 def _entangling_rate(rho_aAB, rho_aA, H_lift: np.ndarray, d_B: int) -> float:
-    """entangling_rate from the reduced states and H_lift = I_a ⊗ H_AB: the rate
-    of the one-member ensemble rho_aAB with ln(rho_aA) ⊗ I_B for ln rho. ln(rho_aA)
+    """The entangling rate i Tr(H_lift [rho_aAB, ln(rho_aA) ⊗ I_B]) from the
+    reduced states and H_lift = I_a ⊗ H_AB: the rate of the one-member
+    ensemble rho_aAB with ln(rho_aA) ⊗ I_B for ln rho. ln(rho_aA)
     comes from `_support_logs`, with rho_aA a one-member batch: a spectrum that
     fails a state's PSD or trace check raises a Fault."""
     ln_rho = _support_logs(np.ones((1, 1)), hm.hermitian_part(rho_aA)[None, None])[1]
@@ -149,19 +117,11 @@ def _entangling_rate(rho_aAB, rho_aA, H_lift: np.ndarray, d_B: int) -> float:
     return float(_rate(np.ones((1, 1)), H_lift[None, None], C)[0])
 
 
-def bravyi_mu(psi: PureState) -> DensityMatrix:
-    """The complementary state mu with
-    rho_aA ⊗ I_B/d_B = (1 - d_B^{-2}) mu + d_B^{-2} rho_aAB.
-
-    Requires 2 <= d_B <= d_A. mu is guaranteed to exist as a state, so a
-    failed state check signals numerical corruption (a Fault).
-    """
-    return _ensemble(_mu(*_reduced(psi), psi.dims), 0).states[0]
-
-
 def _mu(rho_aAB, rho_aA, dims) -> _Batch:
     """The reduction's ensemble {(1 - d_B^{-2}, mu), (d_B^{-2}, rho_aAB)}, a batch of one,
-    from the reduced states of a state with factor dims; a failed state check is a Fault."""
+    from the reduced states of a state with factor dims, for the complementary state
+    mu with rho_aA ⊗ I_B/d_B = (1 - d_B^{-2}) mu + d_B^{-2} rho_aAB. Requires
+    2 <= d_B <= d_A. mu exists as a state, so a failed state check is a Fault."""
     d_a, d_A, d_B, _ = dims
     if d_B == 1:
         raise InputError("reduction degenerates at dim(B) = 1")
@@ -210,13 +170,15 @@ class StePoint:
 
 
 def ste_check(psi: PureState, H: BipartiteOperator, ts: Sequence[float]) -> list[StePoint]:
-    """Check E(Psi(t)) <= E(Psi(0)) + 2 ln min(d_A, d_B) at each t."""
+    """Check E(Psi(t)) <= E(Psi(0)) + 2 ln min(d_A, d_B) at each t; E(0) is
+    the t = 0 slice of one trajectory, which holds t = 0 once."""
     ts = [float(t) for t in ts]
-    e = _entanglement_trajectory(psi, H, [0.0] + ts)  # E(0) from the t = 0 slice
-    bound = float(e[0]) + 2.0 * math.log(min(psi.dims[1], psi.dims[2]))
+    grid = ts if 0.0 in ts else [0.0] + ts
+    e = _entanglement_trajectory(psi, H, grid)
+    bound = float(e[grid.index(0.0)]) + 2.0 * math.log(min(psi.dims[1], psi.dims[2]))
     return [
         StePoint(t, float(e_t), bound, bool(e_t <= bound + CHECK_SLACK))
-        for t, e_t in zip(ts, e[1:])
+        for t, e_t in zip(ts, e[len(grid) - len(ts) :])
     ]
 
 
@@ -228,6 +190,9 @@ def ste_check(psi: PureState, H: BipartiteOperator, ts: Sequence[float]) -> list
 
 
 def parse_pure_state(text) -> PureState:
+    """The pure state of the schema, checked: four factor dimensions >= 1
+    whose product is the amplitude count, finite amplitudes, and a norm
+    within NORM_TOL of 1, to which it is renormalized."""
     obj = _load_json(text)
     try:
         dims = [_json_dim(d) for d in obj["dims"]]
@@ -237,15 +202,27 @@ def parse_pure_state(text) -> PureState:
     raw = _json_numbers(raw, "amplitudes")
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise InputError("amplitudes must be a list of [re, im] pairs")
-    return PureState(_from_pairs(raw), dims)
+    v, dims = _from_pairs(raw), tuple(dims)
+    if len(dims) != 4 or any(d < 1 for d in dims):
+        raise InputError(f"need four factor dimensions >= 1, got {dims}")
+    if v.size != math.prod(dims):
+        raise InputError(f"amplitude length {v.size} != product of dims {math.prod(dims)}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise InputError(f"invariant violated: amplitude {bad[0]} is not finite")
+    return PureState(_unit_rows(v[None], InputError)[0], dims)
 
 
 def parse_bipartite_operator(text) -> BipartiteOperator:
+    """The operator of the schema, checked Hermitian, on two factors of
+    dimension >= 1 (no operator-norm requirement)."""
     obj = _load_json(text)
     try:
         dA, dB = (_json_dim(d) for d in obj["dims"])
         raw = obj["hamiltonian"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"operator JSON missing or malformed field: {exc}") from exc
-    M = matrix_from_json(raw, dA * dB, "hamiltonian")
+    M = hm.require_hermitian(matrix_from_json(raw, dA * dB, "hamiltonian"))
+    if dA < 1 or dB < 1:
+        raise InputError(f"need two factor dimensions >= 1, got {(dA, dB)}")
     return BipartiteOperator(M, (dA, dB))

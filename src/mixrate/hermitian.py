@@ -134,7 +134,7 @@ def support_log(M) -> np.ndarray:
 
     Eigenvalues λ ≤ RANK_TOL·λ_max are kernel, and one below −RANK_TOL·λ_max is
     refused: M may be any PSD matrix, not only a state, so this is stricter than a
-    state check's −PSD_TOL (the floored matrix of a `DensityMatrix` passes).
+    state check's −PSD_TOL (a parsed state's floored matrix passes).
     """
     eig = eig_hermitian(M)
     w = eig.eigenvalues

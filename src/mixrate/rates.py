@@ -30,15 +30,12 @@ import numpy as np
 
 from . import hermitian as hm
 from .ensembles import (
-    Ensemble,
-    Hamiltonian,
     _average_entropies,
     _Batch,
     _entropy_from_eigenvalues,
     _mixture,
     _positive_distribution,
     _shannon,
-    _stack,
     _state_eigenvalues,
     _unit_interval,
     binary_entropy,
@@ -93,7 +90,7 @@ def _rate(p: np.ndarray, H: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 class _Spectra:
     """The one spectral pass over a batch of ensembles (a `_Batch`: sampled
-    trials, Ensembles, or the search's candidates) that every maximal-rate
+    trials, a parsed file, or the search's candidates) that every maximal-rate
     quantity reads: rho and ln rho, the commutators C_x = i[rho_x, ln rho]
     and their eigenvalues (one stacked LAPACK dispatch for all of them), and
     the rates (B,) sum_x p_x ||C_x||_1 and p_0 ||C_0||_1. Their eigenvectors
@@ -137,23 +134,6 @@ class _Spectra:
             V = np.broadcast_to(V, w.shape + w.shape[-1:])
         tol = RANK_TOL * np.maximum(1.0, np.linalg.norm(w, axis=-1, keepdims=True))
         return hm.EigenDecomposition(np.where(w < -tol, -1.0, 1.0), V)  # tol: ||C_x||_F scale
-
-
-def _matrices(E: Ensemble, H: Sequence[Hamiltonian]) -> np.ndarray:
-    """The matrices (1, n, d, d) of a Hamiltonian set for E, as a batch of one:
-    one Hamiltonian per member, each of E's dimension, or InputError."""
-    if len(H) != len(E):
-        raise InputError("need one Hamiltonian per ensemble member")
-    if any(h.dim != E.dim for h in H):
-        raise InputError("Hamiltonian dimension differs from ensemble dimension")
-    return np.array([h.matrix for h in H])[None]
-
-
-def mixing_rate(E: Ensemble, H: Sequence[Hamiltonian]) -> float:
-    """Analytic entropy derivative i * sum_x p(x) Tr(H_x [rho_x, ln rho])."""
-    M = _matrices(E, H)
-    b = _stack([E])
-    return float(_rate(b.p, M, _commutators(b.rhos, _support_logs(b.p, b.rhos)[1]))[0])
 
 
 def _richardson(S, h: float):
@@ -234,29 +214,6 @@ def _entropies(rho_t: np.ndarray) -> np.ndarray:
     return _entropy_from_eigenvalues(w_t)
 
 
-def optimal_hamiltonians(E: Ensemble) -> tuple[Hamiltonian, ...]:
-    """The maximizing Hamiltonians H_x = I - 2 P_neg(i[rho_x, ln rho]).
-
-    Each H_x is a difference of complementary projectors (plus identity on
-    the kernel of the commutator), so H_x^2 = I and ||H_x|| = 1, and
-    mixing_rate(E, result) = +max_mixing_rate(E).
-    """
-    M = hm.hermitian_part(hm.reconstruct(*_Spectra(_stack([E]), vectors=True).maximizers()))[0]
-    return tuple(Hamiltonian(H) for H in M)
-
-
-def max_mixing_rate(E: Ensemble) -> float:
-    """Closed-form maximum sum_x p(x) ||[rho_x, ln rho]||_1 over -I <= H_x <= I."""
-    return float(_Spectra(_stack([E])).max_rate[0])
-
-
-def binary_max_rate(E: Ensemble) -> float:
-    """Two-member closed form p * ||[rho_1, ln rho]||_1 (only rho_2 evolves)."""
-    if len(E) != 2:
-        raise InputError(f"binary rate needs exactly 2 members, got {len(E)}")
-    return float(_Spectra(_stack([E])).binary_rate[0])
-
-
 def bound_theorem_binary(p):
     """Dimension-independent binary bound 4 sqrt(p (1-p)); for an array of p,
     the array of bounds."""
@@ -319,13 +276,13 @@ def _evaluate(b: _Batch, M: Optional[np.ndarray], policy: str) -> tuple[list, ..
     shannon, ratio_thm, ratio_conj, fd_residual and whether STM holds at
     STM_TIMES ("compute" checks no times), as `harness.TrialRecord` orders them.
 
-    M, the matrices (B, n, d, d) of one Hamiltonian set per ensemble (as
-    `_matrices` gives them), defaults to the maximizers. The FD and STM times
-    evolve under the maximizers in closed form (`_involution_trajectory`);
-    only a given M is diagonalized, for the spectral `_trajectory`. If the FD
-    oracle refuses an ensemble, "compute" reports its fd_residual None and the
-    other policies raise. Ratios are max_rate over the general bound and over S(p),
-    except at n = 2:
+    M, the matrices (B, n, d, d) of one Hamiltonian set per ensemble,
+    defaults to the maximizers. The FD and STM times evolve under the
+    maximizers in closed form (`_involution_trajectory`); only a given M is
+    diagonalized, for the spectral `_trajectory`. If the FD oracle refuses an
+    ensemble, "compute" reports its fd_residual None and the other policies
+    raise. Ratios are max_rate over the general bound and over S(p), except
+    at n = 2:
       "compute": binary / 4 sqrt(p(1-p)) and binary / S(p);
       "verify":  max_rate / general bound (twice "compute") and binary / S(p);
       "binary":  bound_thm 4 sqrt(p(1-p)), binary / bound_thm and binary / h(p).
@@ -374,9 +331,9 @@ def _evaluate(b: _Batch, M: Optional[np.ndarray], policy: str) -> tuple[list, ..
     )
 
 
-def rate_report(E: Ensemble, H: Optional[Sequence[Hamiltonian]] = None) -> RateReport:
-    """Evaluate all rates and bounds for E; H defaults to the maximizers."""
-    M = None if H is None else _matrices(E, H)
-    columns = _evaluate(_stack([E]), M, "compute")
+def rate_report(b: _Batch, M: Optional[np.ndarray] = None) -> RateReport:
+    """Evaluate all rates and bounds for the checked batch of one ensemble b;
+    M, one Hamiltonian matrix per member (n, d, d), defaults to the maximizers."""
+    columns = _evaluate(b, None if M is None else M[None], "compute")
     rate, mx, binary, bound, shannon, ratio_thm, ratio_conj, fd, _ = (c[0] for c in columns)
     return RateReport(rate, mx, binary, bound, shannon, fd, ratio_thm, ratio_conj)

@@ -1,15 +1,61 @@
-
 import numpy as np
 import pytest
 
+from mixrate import ensembles as ens
 from mixrate import hermitian as hm
-from mixrate.ensembles import DensityMatrix, Ensemble, Hamiltonian
+from mixrate import rates
 from mixrate.harness import RNGSpec, _unit_spectra
 from mixrate.sampling import _ginibre
 
 
 def rng(seed, stream=0):
     return RNGSpec(seed, stream).generator()
+
+
+def checked(p, states) -> ens._Batch:
+    """The batch of one ensemble of listed probabilities p and states
+    (matrices), made and checked by the parse builder as a file's are."""
+    return ens._parsed(p, states)
+
+
+def ensemble(p, states) -> ens.Ensemble:
+    """checked(p, states) as the record the program gives out."""
+    return ens._ensemble(checked(p, states), 0)
+
+
+def batch(*Es: ens.Ensemble) -> ens._Batch:
+    """The arrays of Ensemble records that share (n, d) as one batch, not
+    checked again."""
+    return ens._Batch(
+        np.array([E.probabilities for E in Es]),
+        np.array([[s.matrix for s in E.states] for E in Es]),
+        np.array([[s.eigenvalues for s in E.states] for E in Es]),
+    )
+
+
+# The rates of an Ensemble record, read from the kernels: H is a Hamiltonian
+# set, one matrix per member (n, d, d).
+
+
+def mixing_rate(E, H) -> float:
+    """i sum_x p_x Tr(H_x [rho_x, ln rho]), from every member's commutator."""
+    b = batch(E)
+    C = rates._commutators(b.rhos, rates._support_logs(b.p, b.rhos)[1])
+    return float(rates._rate(b.p, np.asarray(H)[None], C)[0])
+
+
+def max_mixing_rate(E) -> float:
+    return float(rates._Spectra(batch(E)).max_rate[0])
+
+
+def binary_max_rate(E) -> float:
+    return float(rates._Spectra(batch(E)).binary_rate[0])
+
+
+def optimal_hamiltonians(E) -> np.ndarray:
+    """The maximizers H_x = I - 2 P_neg(i[rho_x, ln rho]) (n, d, d)."""
+    sp = rates._Spectra(batch(E), vectors=True)
+    return hm.hermitian_part(hm.reconstruct(*sp.maximizers()))[0]
 
 
 def random_hermitian(dim, g):
@@ -20,12 +66,12 @@ def random_hermitian(dim, g):
 def random_density(dim, g):
     G = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
     rho = G @ G.conj().T
-    return DensityMatrix(rho / np.real(np.trace(rho)))
+    return rho / np.real(np.trace(rho))
 
 
 def random_unit_hamiltonian(dim, g):
     H = random_hermitian(dim, g)
-    return Hamiltonian(H / np.max(np.abs(np.linalg.eigvalsh(H))))
+    return H / np.max(np.abs(np.linalg.eigvalsh(H)))
 
 
 def unit_hamiltonians(k, dim, g):
@@ -42,7 +88,7 @@ def random_ensemble(dim, n, g):
     while np.any(p <= 1e-6):
         p = g.exponential(size=n)
         p /= p.sum()
-    return Ensemble(p, [random_density(dim, g) for _ in range(n)])
+    return ensemble(p, [random_density(dim, g) for _ in range(n)])
 
 
 def rank_two_ensemble():
@@ -51,12 +97,12 @@ def rank_two_ensemble():
     pure = []
     for v in ([1, 0, 0, 0], [1, 1j, 1, 0]):
         v = np.array(v, dtype=complex) / np.linalg.norm(v)
-        pure.append(DensityMatrix(np.outer(v, v.conj())))
-    return Ensemble([0.3, 0.7], pure)
+        pure.append(np.outer(v, v.conj()))
+    return ensemble([0.3, 0.7], pure)
 
 
 def random_hamiltonian_set(dim, n, g):
-    return tuple(random_unit_hamiltonian(dim, g) for _ in range(n))
+    return np.array([random_unit_hamiltonian(dim, g) for _ in range(n)])
 
 
 @pytest.fixture
@@ -64,4 +110,9 @@ def qubit_pair_ensemble():
     """The worked binary qubit example: pure |0><0| paired with |+><+|."""
     r1 = np.diag([1.0, 0.0]).astype(complex)
     r2 = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    return Ensemble([0.5, 0.5], [DensityMatrix(r1), DensityMatrix(r2)])
+    return ensemble([0.5, 0.5], [r1, r2])
+
+
+def parse_ensemble(text) -> ens.Ensemble:
+    """The ensemble of an ensemble file, as a record."""
+    return ens._ensemble(ens._parse_ensemble(text)[0], 0)

@@ -1,7 +1,7 @@
 """Mutation sweep: does the test suite catch each planted one-line fault?
 
 Each mutant replaces one exact text, found once, in one file of the package:
-most widen a tolerance or a slack, two break a formula and three drop a
+most widen a tolerance or a slack, two break a formula and five drop a
 state check. For each mutant the checkout is copied to a temporary directory, the
 mutant is applied to the copy (the working tree is never written), and
 `pytest -x -q` runs there. An
@@ -105,6 +105,16 @@ MUTANTS = [
     Mutant(
         "src/mixrate/entangling.py", "row[:] = _state_eigenvalues(row)", "pass",
         "the reduction's computed states mu and rho_aAB skip the state check",
+    ),
+    Mutant(
+        "src/mixrate/ensembles.py", "w = _state_eigenvalues(w, InputError)", "w = w",
+        "a parsed ensemble's states skip the state check of their spectra",
+    ),
+    Mutant(
+        "src/mixrate/entangling.py",
+        "return PureState(_unit_rows(v[None], InputError)[0], dims)",
+        "return PureState(v, dims)",
+        "a parsed pure state skips the norm check and the renormalization",
     ),
 ]
 

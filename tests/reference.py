@@ -3,8 +3,8 @@
 The oracles restate the paper's formulas and the evolution they
 differentiate in plain numpy (or, for the `mp_` functions, in 40-digit
 mpmath), one matrix at a time, and share no kernel with mixrate; they read
-an Ensemble, a Hamiltonian set (a tuple of Hamiltonians) or a PureState
-only for its data:
+an Ensemble record, a Hamiltonian set (one matrix per member) or a
+PureState record only for its data:
 
     rho(t)       = sum_x p_x e^{-i H_x t} rho_x e^{i H_x t}
     max_rate(E)  = sum_x p_x ||[rho_x, ln rho]||_1
@@ -37,7 +37,7 @@ import numpy as np
 
 from mixrate import harness as hz
 from mixrate import hermitian as hm
-from mixrate.ensembles import DensityMatrix, Ensemble, _assign
+from mixrate.ensembles import DensityMatrix, Ensemble
 from mixrate.entangling import PureState
 from mixrate.errors import Fault, InputError
 
@@ -154,7 +154,7 @@ def evolve(E: Ensemble, H, t: float) -> list[np.ndarray]:
         raise InputError("need one Hamiltonian per ensemble member")
     out = []
     for s, h in zip(E.states, H):
-        U = unitary(h.matrix, t)
+        U = unitary(h, t)
         out.append(U @ s.matrix @ U.conj().T)
     return out
 
@@ -294,10 +294,32 @@ def mp_rates(E: Ensemble, H=None) -> tuple[float, float, float | None]:
         if H is not None:
             rate = 0
             for px, h, Cx in zip(p, H, C):
-                T = _mp_matrix(h.matrix) * Cx
+                T = _mp_matrix(h) * Cx
                 rate += px * mpmath.re(sum(T[k, k] for k in range(d)))
             rate = float(rate)
         return float(max_rate), float(p[0] * norms[0]), rate
+
+
+def mp_entropies(E: Ensemble, H, ts) -> list[float]:
+    """S(rho(t)) at each t of ts, rho(t) = sum_x p_x e^{-i H_x t} rho_x e^{i H_x t},
+    from E's float data and the float matrices H (one per member) computed in
+    MP_DIGITS digits: e^{-i H_x t} from the 40-digit spectrum of H_x, 0 ln 0 := 0.
+    Costs one eighe per member and one per t."""
+    with mpmath.workdps(MP_DIGITS):
+        p = [mpmath.mpf(float(x)) for x in E.probabilities]
+        R = [_mp_matrix(s.matrix) for s in E.states]
+        spectra = [mpmath.eighe(_mp_matrix(h)) for h in H]
+        d = R[0].rows
+        out = []
+        for t in ts:
+            t = mpmath.mpf(float(t))
+            rho = mpmath.zeros(d, d)
+            for px, Rx, (w, Q) in zip(p, R, spectra):
+                U = Q * mpmath.diag([mpmath.expj(-t * v) for v in w]) * Q.transpose_conj()
+                rho += (U * Rx * U.transpose_conj()) * px
+            w = mpmath.eighe(rho, eigvals_only=True)
+            out.append(float(-sum(v * mpmath.log(v) for v in w if v > 0)))
+        return out
 
 
 # --- Qubit closed forms -------------------------------------------------------
@@ -330,7 +352,7 @@ def qubit_rates(E: Ensemble, H=None) -> tuple[float, float, float | None]:
     terms = 2.0 * a * p * np.linalg.norm(c, axis=1)
     rate = None
     if H is not None:
-        h_x = np.array([bloch(h.matrix) / 2.0 for h in H])
+        h_x = np.array([bloch(h) / 2.0 for h in H])
         rate = float(-2.0 * a * np.sum(p * np.sum(h_x * c, axis=1)))
     return float(np.sum(terms)), float(terms[0]), rate
 
@@ -399,7 +421,7 @@ def qubit_entropy_at(E: Ensemble, H, t: float) -> float:
     S(rho(t)) = h2((1 + |r(t)|)/2) for r(t) = sum_x p_x r_x(t)."""
     r = np.zeros(3)
     for p, s, h in zip(E.probabilities, E.states, H):
-        h_x = bloch(h.matrix) / 2.0
+        h_x = bloch(h) / 2.0
         norm = float(np.linalg.norm(h_x))
         r_x = bloch(s.matrix)
         r += p * (rotate(r_x, h_x / norm, 2.0 * norm * t) if norm > 0 else r_x)
@@ -410,13 +432,13 @@ def qubit_entropy_at(E: Ensemble, H, t: float) -> float:
 # --- Sampling and trials ------------------------------------------------------
 
 
-def sample_density(dim: int, rng) -> DensityMatrix:
+def sample_density(dim: int, rng) -> np.ndarray:
     """A Hilbert-Schmidt-random state G G† / Tr(G G†), G Ginibre (real part,
     then imaginary part): the draws the program's samplers make."""
     g = rng.generator() if isinstance(rng, hz.RNGSpec) else rng
     G = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
     rho = G @ G.conj().T
-    return DensityMatrix(rho / np.real(np.trace(rho)))
+    return rho / np.real(np.trace(rho))
 
 
 def run_trial(cfg, trial_id: int):
@@ -428,8 +450,8 @@ def run_trial(cfg, trial_id: int):
 
 
 def state_with_spectrum(w, V) -> DensityMatrix:
-    """V diag(w) V† as a DensityMatrix that holds w, not validated."""
-    return _assign(object.__new__(DensityMatrix), hm.hermitian_part(hm.reconstruct(w, V)), w)
+    """V diag(w) V† as a DensityMatrix record that holds w, not checked."""
+    return DensityMatrix(hm.hermitian_part(hm.reconstruct(w, V)), w)
 
 
 # --- The proof's identities -----------------------------------------------------

@@ -14,12 +14,12 @@ import pytest
 from mixrate import cli
 from mixrate import hermitian as hm
 from mixrate.cli import EXIT_CONJECTURE, guard_status, main
-from mixrate.ensembles import Ensemble, binary_entropy, parse_ensemble, shannon_entropy
+from mixrate.ensembles import binary_entropy, shannon_entropy
 from mixrate.entangling import (
     BipartiteOperator,
     PureState,
-    bravyi_mu,
-    entangling_rate,
+    _mu,
+    _reduced,
     sie_to_sim,
     ste_check,
 )
@@ -32,15 +32,7 @@ from mixrate.harness import (
     scan_binary,
     search_ratio,
 )
-from mixrate.rates import (
-    _Spectra,
-    binary_max_rate,
-    bound_theorem_binary,
-    bound_theorem_general,
-    max_mixing_rate,
-    mixing_rate,
-    optimal_hamiltonians,
-)
+from mixrate.rates import _Spectra, bound_theorem_binary, bound_theorem_general
 from reference import (
     ak_gap,
     expected_state,
@@ -50,7 +42,15 @@ from reference import (
     stm_check,
 )
 
-from conftest import unit_hamiltonians
+from conftest import (
+    binary_max_rate,
+    ensemble,
+    max_mixing_rate,
+    mixing_rate,
+    optimal_hamiltonians,
+    parse_ensemble,
+    unit_hamiltonians,
+)
 
 SEED = 20260823
 N_TRIALS = 1000
@@ -87,7 +87,7 @@ def _sample_trial(trial_id: int):
         if np.all(p > 1e-6):
             break
     states = [sample_density(dim, g) for _ in range(n)]
-    return Ensemble(p, states)
+    return ensemble(p, states)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +232,7 @@ def test_criterion_05_small_total_mixing(trials):
 def test_criterion_06_sie_to_sim_reduction(sie_samples):
     worst = 0.0
     for psi, H in sie_samples:
-        bravyi_mu(psi)  # the reduction checks that mu is a state
+        _mu(*_reduced(psi), psi.dims)  # the reduction checks that mu is a state
         residual, _ = sie_to_sim(psi, H)
         worst = max(worst, residual)
     ok = worst <= 1e-8
@@ -269,9 +269,9 @@ def test_criterion_08_functional_consistency():
         rho1, rho2 = sample_density(dim, g), sample_density(dim, g)
         # The functional's two sides from the test-side oracle; the left one
         # is the trace norm of its commutator i[B, ln(A+B)].
-        C, rhs = ak_gap(p * rho1.matrix, (1.0 - p) * rho2.matrix)
+        C, rhs = ak_gap(p * rho1, (1.0 - p) * rho2)
         lhs = hm.trace_norm(C)
-        E = Ensemble([p, 1.0 - p], [rho1, rho2])
+        E = ensemble([p, 1.0 - p], [rho1, rho2])
         worst_rate = max(worst_rate, abs(lhs - binary_max_rate(E)))
         worst_ent = max(worst_ent, abs(rhs - binary_entropy(p)))
     ok = worst_rate <= 1e-9 and worst_ent <= 1e-9

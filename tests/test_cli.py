@@ -32,18 +32,21 @@ from mixrate.cli import (
     guard_status,
     main,
 )
-from mixrate.ensembles import (
-    matrix_to_json,
-    parse_ensemble,
-    parse_hamiltonian_set,
-    serialize_ensemble,
-)
+from mixrate.ensembles import matrix_to_json, parse_hamiltonian_set, serialize_ensemble
 from mixrate.errors import Fault
 from mixrate.harness import CSV_HEADER, ExperimentConfig, TrialRecord
 from mixrate.hermitian import HERM_TOL
-from mixrate.rates import optimal_hamiltonians, rate_report
+from mixrate.rates import rate_report
 
-from conftest import random_ensemble, random_hamiltonian_set, rank_two_ensemble, rng
+from conftest import (
+    batch,
+    optimal_hamiltonians,
+    parse_ensemble,
+    random_ensemble,
+    random_hamiltonian_set,
+    rank_two_ensemble,
+    rng,
+)
 from golden.make_golden import _parse_csv
 from reference import mismatches, qubit_rates, qubit_record, run_trial
 
@@ -62,7 +65,7 @@ def ensemble_file(tmp_path):
 def hamiltonian_file(tmp_path):
     H = random_hamiltonian_set(3, 3, rng(701))
     path = tmp_path / "hams.json"
-    obj = {"dim": 3, "hamiltonians": [matrix_to_json(h.matrix) for h in H]}
+    obj = {"dim": 3, "hamiltonians": [matrix_to_json(h) for h in H]}
     path.write_text(json.dumps(obj))
     return path
 
@@ -146,7 +149,7 @@ class TestCompute:
     def test_qubit_reports_match_the_bloch_oracle(self, n, with_h, tmp_path, capsys):
         ep, hp = tmp_path / "e.json", tmp_path / "h.json"
         ep.write_bytes(serialize_ensemble(random_ensemble(2, n, rng(710 + n))))
-        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(2, n, rng(720 + n))]
+        hams = [matrix_to_json(h) for h in random_hamiltonian_set(2, n, rng(720 + n))]
         hp.write_text(json.dumps({"dim": 2, "hamiltonians": hams}))
         argv = ["compute", "--ensemble", str(ep)] + (["--hamiltonians", str(hp)] if with_h else [])
         assert main(argv) == EXIT_OK
@@ -165,7 +168,7 @@ class TestCompute:
         # Hamiltonian goes with it. The report is that of the file without both.
         E, H = random_ensemble(3, 3, rng(706)), random_hamiltonian_set(3, 3, rng(707))
         states = [matrix_to_json(s.matrix) for s in E.states]
-        hams = [matrix_to_json(h.matrix) for h in H]
+        hams = [matrix_to_json(h) for h in H]
 
         def report(probs, keep, name):
             ep, hp = tmp_path / f"{name}_e.json", tmp_path / f"{name}_h.json"
@@ -188,7 +191,7 @@ class TestCompute:
         E = random_ensemble(dim, n, rng(730 + dim + n))
         ep, hp = tmp_path / "e.json", tmp_path / "h.json"
         ep.write_bytes(serialize_ensemble(E))
-        hams = [matrix_to_json(h.matrix) for h in optimal_hamiltonians(E)]
+        hams = [matrix_to_json(h) for h in optimal_hamiltonians(E)]
         hp.write_text(json.dumps({"dim": dim, "hamiltonians": hams}))
         assert main(["compute", "--ensemble", str(ep)]) == EXIT_OK
         closed = json.loads(capsys.readouterr().out)
@@ -206,7 +209,7 @@ class TestCompute:
         obj["probabilities"] = [0.5, 0.0, 0.5]
         ep, hp = tmp_path / "e.json", tmp_path / "h.json"
         ep.write_text(json.dumps(obj))
-        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(3, n_hams, rng(707))]
+        hams = [matrix_to_json(h) for h in random_hamiltonian_set(3, n_hams, rng(707))]
         hp.write_text(json.dumps({"dim": 3, "hamiltonians": hams}))
         out = tmp_path / "r.json"
         argv = ["compute", "--ensemble", str(ep), "--hamiltonians", str(hp), "--out", str(out)]
@@ -221,7 +224,7 @@ class TestCompute:
         # At ||H||_F = 1e4, a residual ||H - H^dag||_F a hundred times HERM_TOL
         # is accepted up to HERM_TOL ||H||_F and refused just beyond it.
         g = rng(709)
-        H = [h.matrix * (1e4 / hm.frobenius(h.matrix)) for h in random_hamiltonian_set(3, 3, g)]
+        H = [h * (1e4 / hm.frobenius(h)) for h in random_hamiltonian_set(3, 3, g)]
         Y = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
         K = Y - Y.conj().T  # anti-Hermitian: H + c K has residual 2c ||K||_F
         H[1] = H[1] + K * (side * HERM_TOL * 1e4 / (2 * hm.frobenius(K)))
@@ -241,7 +244,7 @@ class TestCompute:
 
     def test_hamiltonian_dim_must_match_the_ensemble(self, ensemble_file, tmp_path, capsys):
         # Refused as the report is made, before --out is created.
-        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(2, 3, rng(707))]
+        hams = [matrix_to_json(h) for h in random_hamiltonian_set(2, 3, rng(707))]
         hp, out = tmp_path / "h.json", tmp_path / "r.json"
         hp.write_text(json.dumps({"dim": 2, "hamiltonians": hams}))
         argv = ["compute", "--ensemble", str(ensemble_file), "--hamiltonians", str(hp)]
@@ -292,7 +295,7 @@ class TestCompute:
         E = random_ensemble(2, 2, rng(704))
         ep, hp = tmp_path / "e.json", tmp_path / "h.json"
         ep.write_bytes(serialize_ensemble(E))
-        hams = [matrix_to_json(h.matrix) for h in random_hamiltonian_set(2, 2, rng(705))]
+        hams = [matrix_to_json(h) for h in random_hamiltonian_set(2, 2, rng(705))]
         hp.write_text(json.dumps({"dim": 2.9, "hamiltonians": hams}))
         assert main(["compute", "--ensemble", str(ep), "--hamiltonians", str(hp)]) == EXIT_USAGE
         assert "dimension 2.9 is not an integer" in capsys.readouterr().err
@@ -829,6 +832,20 @@ class TestSie:
         assert residual <= 1e-8
         assert out.count("ok=True") == 11
 
+    def test_the_envelope_decomposes_each_time_once(self, tmp_path, monkeypatch):
+        # t = 0 is one of the 11 times, and E(0) is read from its slice: the
+        # envelope's one stacked eigvalsh holds 11 reduced states, not 12.
+        sp, hp = self._bell_files(tmp_path)
+        stacks = []
+
+        def recorded(rho_t, _f=ent._entropies):
+            stacks.append(rho_t.shape)
+            return _f(rho_t)
+
+        monkeypatch.setattr(ent, "_entropies", recorded)
+        assert main(["sie", "--state", str(sp), "--ham", str(hp)]) == EXIT_OK
+        assert stacks == [(11, 4, 4)]
+
     @pytest.mark.filterwarnings("error")
     def test_nan_amplitude_is_a_usage_error(self, tmp_path, capsys):
         sp, hp = self._bell_files(tmp_path)
@@ -1032,7 +1049,7 @@ def _one_bad_pair(tmp_path, which: str, pair) -> list:
     three files being valid."""
     E, H = random_ensemble(2, 2, rng(740)), random_hamiltonian_set(2, 2, rng(741))
     ens = json.loads(serialize_ensemble(E))
-    hams = {"dim": 2, "hamiltonians": [matrix_to_json(h.matrix) for h in H]}
+    hams = {"dim": 2, "hamiltonians": [matrix_to_json(h) for h in H]}
     sp, op = TestSie._bell_files(tmp_path)
     state, operator = json.loads(sp.read_text()), json.loads(op.read_text())
     row, k = {
@@ -1247,12 +1264,12 @@ class TestEigenBudget:
         H = parse_hamiltonian_set(hamiltonian_file.read_bytes())
         sp, hp = TestSie._bell_files(tmp_path)
         calls = self._count(monkeypatch)
-        rate_report(E)
+        rate_report(batch(E))
         # rho, the stacked commutators, and one stacked trajectory for the
         # 4 FD times; the rank probe reads rho.
         assert calls[0] == 3
         calls[0] = 0
-        rate_report(E, H)
+        rate_report(batch(E), H)
         # The same three, and one stacked call for the three Hamiltonians.
         assert calls[0] == 4
         calls[:] = [0, 0]
@@ -1260,7 +1277,7 @@ class TestEigenBudget:
         # One stacked eigvalsh of mu and rho_aAB, the eigh of their expected
         # state rho = rho_aA ⊗ I/d_B for the binary rate, the eigh of rho_aA
         # for the entangling rate, then the STE check: the eigh of H and one
-        # stacked eigvalsh of E(t) for t = 0 and the 11 times.
+        # stacked eigvalsh of E(t) for the 11 times, t = 0 among them.
         assert calls == [5, 3]
 
     def test_verify_chunk(self, tmp_path, monkeypatch):
@@ -1499,13 +1516,13 @@ def _json_documents(command: str, seed: int, dims: tuple) -> list:
         H = random_hamiltonian_set(dims[1] * dims[2], 1, g)[0]
         return [
             {"dims": list(dims), "amplitudes": [[z.real, z.imag] for z in v.tolist()]},
-            {"dims": list(dims[1:3]), "hamiltonian": matrix_to_json(H.matrix)},
+            {"dims": list(dims[1:3]), "hamiltonian": matrix_to_json(H)},
         ]
     d, n = dims
     docs = [json.loads(serialize_ensemble(random_ensemble(d, n, g)))]
     if command == "compute --hamiltonians":
         H = random_hamiltonian_set(d, n, g)
-        docs.append({"dim": d, "hamiltonians": [matrix_to_json(h.matrix) for h in H]})
+        docs.append({"dim": d, "hamiltonians": [matrix_to_json(h) for h in H]})
     return docs
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,22 @@ def random_pure(dims, g):
     return en.PureState(v / np.linalg.norm(v), dims)
 
 
+def entangling_rate(psi, H):
+    """The entangling rate of psi under H, from the kernel sie reads."""
+    d_a, _, d_B, _ = psi.dims
+    return en._entangling_rate(*en._reduced(psi), en.lift_to_aAB(H, d_a), d_B)
+
+
+def mu_state(psi):
+    """The complementary state mu of the reduction's batch for psi."""
+    return en._mu(*en._reduced(psi), psi.dims).rhos[0, 0]
+
+
+def pure_state_file(v, dims) -> str:
+    amplitudes = [[z.real, z.imag] for z in np.asarray(v, dtype=complex).tolist()]
+    return json.dumps({"dims": list(dims), "amplitudes": amplitudes})
+
+
 def random_interaction(dA, dB, g):
     d = dA * dB
     G = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
@@ -34,33 +51,41 @@ def random_interaction(dA, dB, g):
 
 
 class TestPureState:
+    """The checks of parse_pure_state."""
+
     def test_norm_enforced(self):
-        with pytest.raises(InputError):
-            en.PureState(np.array([1.0, 1.0]), (1, 2, 1, 1))
+        with pytest.raises(InputError, match=r"^invariant violated: state norm 1\.414"):
+            en.parse_pure_state(pure_state_file([1.0, 1.0], (1, 2, 1, 1)))
+
+    def test_norm_tolerance(self):
+        # NORM_TOL: a norm 0.5 of it past 1 is accepted and renormalized, 2 of it refused.
+        psi = en.parse_pure_state(pure_state_file([1.0 + 0.5e-10, 0.0], (1, 2, 1, 1)))
+        assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(InputError, match="differs from 1"):
+            en.parse_pure_state(pure_state_file([1.0 + 2e-10, 0.0], (1, 2, 1, 1)))
 
     def test_length_must_match_dims(self):
-        with pytest.raises(InputError):
-            en.PureState(np.array([1.0, 0, 0]), (1, 2, 2, 1))
+        with pytest.raises(InputError, match="amplitude length 3 != product of dims 4"):
+            en.parse_pure_state(pure_state_file([1.0, 0, 0], (1, 2, 2, 1)))
 
     @pytest.mark.filterwarnings("error")
     def test_nan_amplitude_rejected(self):
         with pytest.raises(InputError, match="amplitude 0 is not finite"):
-            en.PureState(np.array([math.nan, 1.0]), (1, 2, 1, 1))
+            en.parse_pure_state(pure_state_file([math.nan, 1.0], (1, 2, 1, 1)))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z", [complex(0.0, math.inf), complex(-math.inf, 0.0)])
     def test_infinite_amplitude_rejected(self, z):
         with pytest.raises(InputError, match="amplitude 1 is not finite"):
-            en.PureState(np.array([0.6, z, 0.8, 0.0]), (1, 2, 2, 1))
+            en.parse_pure_state(pure_state_file([0.6, z, 0.8, 0.0], (1, 2, 2, 1)))
 
 
 class TestBipartiteOperator:
     @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (-4, -1)])  # products of 4
     def test_factor_dims_below_one_rejected(self, dims):
-        with pytest.raises(InputError, match="factor dimensions >= 1"):
-            en.BipartiteOperator(np.eye(4), dims)
         text = json.dumps({"dims": list(dims), "hamiltonian": matrix_to_json(np.eye(4))})
-        with pytest.raises(InputError):
+        why = f"^need two factor dimensions >= 1, got {re.escape(str(dims))}$"
+        with pytest.raises(InputError, match=why):
             en.parse_bipartite_operator(text)
 
 
@@ -133,14 +158,14 @@ class TestEntanglingRate:
         g = rng(403)
         psi = random_pure((2, 2, 2, 2), g)
         H = en.BipartiteOperator(np.eye(4), (2, 2))
-        assert en.entangling_rate(psi, H) == pytest.approx(0.0, abs=1e-12)
+        assert entangling_rate(psi, H) == pytest.approx(0.0, abs=1e-12)
 
     def test_product_state_gives_zero(self):
         v = np.zeros(4, dtype=complex)
         v[0] = 1.0
         psi = en.PureState(v, (1, 2, 2, 1))
         H = random_interaction(2, 2, rng(404))
-        assert en.entangling_rate(psi, H) == pytest.approx(0.0, abs=1e-12)
+        assert entangling_rate(psi, H) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_swap_oracle(self):
         # Frozen via the fd oracle: the Bell state sits at an entropy
@@ -149,7 +174,7 @@ class TestEntanglingRate:
         Hs = np.zeros((4, 4))
         Hs[1, 2] = Hs[2, 1] = 1.0
         H = en.BipartiteOperator(Hs, (2, 2))
-        rate = en.entangling_rate(psi, H)
+        rate = entangling_rate(psi, H)
         assert rate == pytest.approx(0.0, abs=1e-9)
         assert rate == pytest.approx(
             reference.fd_entangling_rate_richardson(psi, H, 1e-5), abs=1e-8
@@ -161,14 +186,14 @@ class TestEntanglingRate:
             for _ in range(5):
                 psi = random_pure(dims, g)
                 H = random_interaction(dims[1], dims[2], g)
-                analytic = en.entangling_rate(psi, H)
+                analytic = entangling_rate(psi, H)
                 assert abs(analytic - reference.fd_entangling_rate(psi, H, 1e-4)) <= 1e-6
 
     def test_fd_second_order_convergence(self):
         g = rng(406)
         psi = random_pure((2, 2, 2, 2), g)
         H = random_interaction(2, 2, g)
-        exact = en.entangling_rate(psi, H)
+        exact = entangling_rate(psi, H)
         e1 = abs(reference.fd_entangling_rate(psi, H, 1e-2) - exact)
         e2 = abs(reference.fd_entangling_rate(psi, H, 5e-3) - exact)
         assert e2 <= e1 / 3.0  # ~1/4 for an O(h^2) scheme
@@ -184,40 +209,42 @@ class TestEntanglingRate:
         L = hm.support_log(np.kron(rho_aA, np.eye(d_B) / d_B))
         H_lift = np.kron(np.eye(d_a), H.matrix)
         alt = 1j * np.trace(H_lift @ (rho_aAB @ L - L @ rho_aAB))
-        assert en.entangling_rate(psi, H) == pytest.approx(float(alt.real), abs=1e-9)
+        assert entangling_rate(psi, H) == pytest.approx(float(alt.real), abs=1e-9)
 
     def test_dim_mismatch(self):
         psi = random_pure((2, 2, 2, 2), rng(408))
-        with pytest.raises(InputError):
-            en.entangling_rate(psi, random_interaction(2, 3, rng(409)))
+        wrong = random_interaction(2, 3, rng(409))
+        for call in (en.sie_to_sim, lambda psi, H: en.ste_check(psi, H, [1.0])):
+            with pytest.raises(InputError, match=r"^Hamiltonian factors \(2, 3\) != state factors"):
+                call(psi, wrong)
 
 
 class TestBravyiMu:
     def test_bell_state_closed_form(self):
         psi = en.PureState(BELL, (1, 2, 2, 1))
-        mu = en.bravyi_mu(psi)
+        mu = mu_state(psi)
         expect = (np.eye(4) - np.outer(BELL, BELL.conj())) / 3.0
-        assert np.abs(mu.matrix - expect).max() <= 1e-12
+        assert np.abs(mu - expect).max() <= 1e-12
 
     def test_product_state_formula(self):
         v = np.zeros(4, dtype=complex)
         v[0] = 1.0
         psi = en.PureState(v, (1, 2, 2, 1))
-        mu = en.bravyi_mu(psi)
+        mu = mu_state(psi)
         rho_aA = np.diag([1.0, 0.0])
         rho_aAB = np.outer(v, v.conj())
         expect = (np.kron(rho_aA, np.eye(2) / 2) - 0.25 * rho_aAB) / 0.75
-        assert np.abs(mu.matrix - expect).max() <= 1e-12
-        assert np.linalg.eigvalsh(mu.matrix)[0] >= -1e-12
+        assert np.abs(mu - expect).max() <= 1e-12
+        assert np.linalg.eigvalsh(mu)[0] >= -1e-12
 
     def test_reconstruction_identity(self):
         g = rng(410)
         psi = random_pure((2, 3, 2, 2), g)
-        mu = en.bravyi_mu(psi)
+        mu = mu_state(psi)
         rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
         rho_aAB = reference.partial_trace(rho, psi.dims, (0, 1, 2))
         rho_aA = reference.partial_trace(rho, psi.dims, (0, 1))
-        recon = (1 - 0.25) * mu.matrix + 0.25 * rho_aAB
+        recon = (1 - 0.25) * mu + 0.25 * rho_aAB
         assert hm.frobenius(recon - np.kron(rho_aA, np.eye(2) / 2)) <= 1e-10
 
     def test_validates_on_many_random_states(self):
@@ -226,8 +253,8 @@ class TestBravyiMu:
             d_B = int(g.integers(2, 4))
             d_A = int(g.integers(d_B, 5))
             psi = random_pure((2, d_A, d_B, 2), g)
-            mu = en.bravyi_mu(psi)  # the reduction's state check is the assertion
-            assert mu.dim == 2 * d_A * d_B
+            mu = mu_state(psi)  # the reduction's state check is the assertion
+            assert mu.shape == (2 * d_A * d_B,) * 2
 
     def test_mismatched_reduced_states_are_not_a_state(self):
         # rho_aA is |0><0| on A, but rho_aAB lives on A's |1>: no pure state
@@ -240,9 +267,9 @@ class TestBravyiMu:
     def test_dimension_order_enforced(self):
         g = rng(412)
         with pytest.raises(InputError):
-            en.bravyi_mu(random_pure((1, 2, 3, 1), g))
+            mu_state(random_pure((1, 2, 3, 1), g))
         with pytest.raises(InputError):
-            en.bravyi_mu(random_pure((1, 2, 1, 2), g))
+            mu_state(random_pure((1, 2, 1, 2), g))
 
 
 class TestSieToSim:

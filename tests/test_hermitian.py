@@ -10,10 +10,9 @@ import reference
 from mixrate import ensembles as ens
 from mixrate import hermitian as hm
 from mixrate import rates
-from mixrate.ensembles import Hamiltonian
 from mixrate.errors import InputError, MixRateError
 
-from conftest import random_hermitian, rng
+from conftest import checked, random_hermitian, rng
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -140,7 +139,7 @@ class TestSupportLog:
     def test_psd_policy_stricter_than_a_state(self, monkeypatch):
         # -5e-11 is above a state's -PSD_TOL but below -RANK_TOL·λ_max: the raw
         # matrix is refused before any rebuild on its eigenvectors, and the
-        # DensityMatrix of it, rebuilt with eigenvalues floored to [0, 1], passes.
+        # parsed state of it, rebuilt with eigenvalues floored to [0, 1], passes.
         M = np.diag([1 + 5e-11, -5e-11])
         rebuilds = []
 
@@ -152,7 +151,7 @@ class TestSupportLog:
         with pytest.raises(InputError, match=r"^matrix has a negative eigenvalue -5\.000e-11$"):
             hm.support_log(M)
         assert rebuilds == []
-        assert np.allclose(hm.support_log(ens.DensityMatrix(M).matrix), 0.0, atol=1e-12)
+        assert np.allclose(hm.support_log(checked([1.0], [M]).rhos[0, 0]), 0.0, atol=1e-12)
         assert len(rebuilds) == 1
 
     def test_bad_rank_tol(self):
@@ -489,9 +488,9 @@ class TestInteriorPath:
             z = g.standard_normal(lead + (2, d, d))
             G = z[..., 0, :, :] + 1j * z[..., 1, :, :]
             return (G + G.conj().swapaxes(-1, -2)) / 2
-        # A Hamiltonian's matrix, as rates._evaluate and sie diagonalize it
+        # A parsed Hamiltonian's matrix, as rates._evaluate and sie diagonalize it
         raw = cls._product(g, lead + (d, d)).reshape(-1, d, d)
-        return np.array([Hamiltonian(M).matrix for M in raw], dtype=complex).reshape(lead + (d, d))
+        return ens._members(hm.require_hermitian, raw).reshape(lead + (d, d))
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -17,16 +17,21 @@ from hypothesis import strategies as st
 
 from golden.make_golden import write_inputs
 from mixrate import rates
-from mixrate.ensembles import (
-    DensityMatrix,
-    Ensemble,
-    Hamiltonian,
-    parse_ensemble,
-    parse_hamiltonian_set,
-)
+from mixrate.ensembles import Ensemble, parse_hamiltonian_set
 from mixrate.harness import ExperimentConfig, RNGSpec, sample_ensemble
 
-from conftest import random_hermitian, rng, unit_hamiltonians
+from conftest import (
+    batch,
+    binary_max_rate,
+    ensemble,
+    max_mixing_rate,
+    mixing_rate,
+    optimal_hamiltonians,
+    parse_ensemble,
+    random_hermitian,
+    rng,
+    unit_hamiltonians,
+)
 
 # Every value of a RateReport but fd_residual, which is rounding-level noise.
 FIELDS = (
@@ -54,7 +59,7 @@ def _sampled(case):
     for the transformation's own draws."""
     seed, d, n = case
     E = sample_ensemble(ExperimentConfig(dim=d, n_states=n, seed=seed), RNGSpec(seed, 0))
-    H = tuple(Hamiltonian(M) for M in unit_hamiltonians(n, d, rng(seed, 1)))
+    H = unit_hamiltonians(n, d, rng(seed, 1))
     return E, H, rng(seed, 2)
 
 
@@ -81,10 +86,6 @@ def _assert_same_report(got, want):
             assert _close(a, b, REPORT_TOL), (f, a, b)
 
 
-def _ensemble(p, states):
-    return Ensemble(p, [DensityMatrix(s) for s in states])
-
-
 # --- the properties ---------------------------------------------------------
 
 
@@ -93,17 +94,17 @@ def common_unitary(E, H, g):
     ratios are unchanged (and the rate at the maximizers with them)."""
     d = E.dim
     U, _ = np.linalg.qr(g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)))
-    EU = _ensemble(E.probabilities, [U @ s.matrix @ U.conj().T for s in E.states])
-    _assert_same_report(rates.rate_report(EU), rates.rate_report(E))
+    EU = ensemble(E.probabilities, [U @ s.matrix @ U.conj().T for s in E.states])
+    _assert_same_report(rates.rate_report(batch(EU)), rates.rate_report(batch(E)))
 
 
 def common_shift(E, H, g):
     """H_x -> H_x + K for one Hermitian K: the rate is unchanged, since
     sum_x p_x [rho_x, ln rho] = [rho, ln rho] = 0."""
     K = random_hermitian(E.dim, g)
-    HK = tuple(Hamiltonian(h.matrix + K) for h in H)
-    want = rates.mixing_rate(E, H)
-    got = rates.mixing_rate(E, HK)
+    HK = H + K
+    want = mixing_rate(E, H)
+    got = mixing_rate(E, HK)
     assert abs(got - want) <= RATE_TOL * max(1.0, abs(want)) * (1.0 + np.abs(K).max())
 
 
@@ -111,10 +112,10 @@ def permutation(E, H, g):
     """Permuting the members (with their Hamiltonians) changes no reported
     value; at n = 2 the binary rate is the same from either member."""
     perm = g.permutation(len(E))
-    EP = Ensemble(E.probabilities[perm], [E.states[i] for i in perm])
-    HP = tuple(H[i] for i in perm)
-    _assert_same_report(rates.rate_report(EP), rates.rate_report(E))
-    _assert_same_report(rates.rate_report(EP, HP), rates.rate_report(E, H))
+    EP = Ensemble(E.probabilities[perm], tuple(E.states[i] for i in perm))
+    HP = H[perm]
+    _assert_same_report(rates.rate_report(batch(EP)), rates.rate_report(batch(E)))
+    _assert_same_report(rates.rate_report(batch(EP), HP), rates.rate_report(batch(E), H))
 
 
 def split_member(E, H, g):
@@ -122,8 +123,8 @@ def split_member(E, H, g):
     x = int(g.integers(len(E)))
     p = list(E.probabilities)
     p[x] /= 2
-    ES = Ensemble(p + [p[x]], list(E.states) + [E.states[x]])
-    assert _close(rates.max_mixing_rate(ES), rates.max_mixing_rate(E), RATE_TOL)
+    ES = Ensemble(np.array(p + [p[x]]), (*E.states, E.states[x]))
+    assert _close(max_mixing_rate(ES), max_mixing_rate(E), RATE_TOL)
 
 
 def twice_binary(E, H, g):
@@ -131,13 +132,13 @@ def twice_binary(E, H, g):
     their first two members, renormalized."""
     p = E.probabilities[:2]
     E2 = Ensemble(p / p.sum(), E.states[:2])
-    assert _close(rates.max_mixing_rate(E2), 2.0 * rates.binary_max_rate(E2), RATE_TOL)
+    assert _close(max_mixing_rate(E2), 2.0 * binary_max_rate(E2), RATE_TOL)
 
 
 def maximizers_square_to_one(E, H, g):
     """The maximizers H_x = I - 2 P_neg satisfy H_x^2 = I."""
-    for h in rates.optimal_hamiltonians(E):
-        assert np.abs(h.matrix @ h.matrix - np.eye(E.dim)).max() <= SQUARE_TOL
+    for h in optimal_hamiltonians(E):
+        assert np.abs(h @ h - np.eye(E.dim)).max() <= SQUARE_TOL
 
 
 PROPERTIES = [

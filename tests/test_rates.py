@@ -8,15 +8,11 @@ from golden.make_golden import write_inputs
 from mixrate import harness as hz
 from mixrate import hermitian as hm
 from mixrate import rates
+from mixrate import ensembles as ens
 from mixrate.ensembles import (
-    DensityMatrix,
-    Ensemble,
-    Hamiltonian,
     _average_entropies,
     _mixture,
-    _stack,
     binary_entropy,
-    parse_ensemble,
     parse_hamiltonian_set,
     shannon_entropy,
 )
@@ -24,6 +20,13 @@ from mixrate.errors import Fault, InputError
 from mixrate.hermitian import RANK_TOL
 
 from conftest import (
+    batch,
+    binary_max_rate,
+    ensemble,
+    max_mixing_rate,
+    mixing_rate,
+    optimal_hamiltonians,
+    parse_ensemble,
     random_ensemble,
     random_hamiltonian_set,
     random_hermitian,
@@ -41,30 +44,24 @@ QUBIT_PAIR_MAX = 1.246450480280461
 
 
 def commuting_ensemble(dim=3):
-    return Ensemble(
-        [0.5, 0.5],
-        [
-            DensityMatrix(np.diag([0.5, 0.3, 0.2])),
-            DensityMatrix(np.diag([0.2, 0.3, 0.5])),
-        ],
-    )
+    return ensemble([0.5, 0.5], [np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5])])
 
 
 class TestMixingRate:
     def test_equal_states_give_zero(self):
-        rho = DensityMatrix(np.diag([0.6, 0.4]))
-        E = Ensemble([0.3, 0.7], [rho, rho])
+        rho = np.diag([0.6, 0.4])
+        E = ensemble([0.3, 0.7], [rho, rho])
         H = random_hamiltonian_set(2, 2, rng(300))
-        assert rates.mixing_rate(E, H) == pytest.approx(0.0, abs=1e-12)
+        assert mixing_rate(E, H) == pytest.approx(0.0, abs=1e-12)
 
     def test_commuting_diagonal_states_give_zero(self):
         E = commuting_ensemble()
         H = random_hamiltonian_set(3, 2, rng(301))
-        assert rates.mixing_rate(E, H) == pytest.approx(0.0, abs=1e-12)
+        assert mixing_rate(E, H) == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_pair_oracle_value(self, qubit_pair_ensemble):
-        H = (Hamiltonian(np.zeros((2, 2))), Hamiltonian(PAULI_Y))
-        rate = rates.mixing_rate(qubit_pair_ensemble, H)
+        H = np.array([np.zeros((2, 2)), PAULI_Y])
+        rate = mixing_rate(qubit_pair_ensemble, H)
         assert rate == pytest.approx(QUBIT_PAIR_MIX_Y, abs=1e-9)
         # independent oracle: Richardson fd of the entropy curve, no package code
         r1 = qubit_pair_ensemble.states[0].matrix
@@ -83,15 +80,31 @@ class TestMixingRate:
         assert rate == pytest.approx(oracle, abs=1e-8)
 
     def test_dim_mismatch(self):
-        E = commuting_ensemble()
-        with pytest.raises(InputError):
-            rates.mixing_rate(E, random_hamiltonian_set(2, 2, rng(302)))
+        # compute pairs a Hamiltonian set with the ensemble before any rate.
+        H = random_hamiltonian_set(2, 2, rng(302))
+        why = "^Hamiltonian dimension differs from ensemble dimension$"
+        with pytest.raises(InputError, match=why):
+            ens._paired(H, [0.5, 0.5], commuting_ensemble().dim)
 
-    @pytest.mark.parametrize("call", [rates.mixing_rate, rates.rate_report])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(mixing_rate, id="mixing_rate"),
+            pytest.param(
+                lambda E, H: rates.rate_report(batch(E), H).mixing_rate_at_H, id="rate_report"
+            ),
+        ],
+    )
     def test_one_hamiltonian_per_member(self, call):
-        H = random_hamiltonian_set(3, 1, rng(303))
-        with pytest.raises(InputError, match="need one Hamiltonian per ensemble member"):
-            call(commuting_ensemble(), H)
+        # The pairing refuses a set of another count before any rate, and
+        # gives the rate one Hamiltonian per kept member.
+        E, g = commuting_ensemble(), rng(303)
+        with pytest.raises(InputError, match="^need one Hamiltonian per listed ensemble member$"):
+            ens._paired(random_hamiltonian_set(3, 1, g), [0.5, 0.5], E.dim)
+        H = random_hamiltonian_set(3, 3, g)
+        kept = ens._paired(H, [0.5, 0.0, 0.5], E.dim)
+        assert np.array_equal(kept, H[[0, 2]])
+        assert call(E, kept) == pytest.approx(0.0, abs=1e-12)  # commuting members
 
     def test_imaginary_residue_is_a_typed_error(self):
         # i*L for Hermitian L not commuting with the states makes the rate
@@ -100,29 +113,25 @@ class TestMixingRate:
         E = random_ensemble(3, 2, g)
         H = random_hamiltonian_set(3, 2, g)
         L = random_hermitian(3, g)
-        p = E.probabilities[None]
-        rhos = np.array([s.matrix for s in E.states])[None]
-        M = np.array([h.matrix for h in H])[None]
+        b = batch(E)
         with pytest.raises(Fault, match="imaginary residue"):
-            rates._rate(p, M, rates._commutators(rhos, 1j * L[None]))
+            rates._rate(b.p, H[None], rates._commutators(b.rhos, 1j * L[None]))
 
     def test_gauge_invariance_under_identity_shifts(self):
         g = rng(303)
         E = random_ensemble(4, 3, g)
         H = random_hamiltonian_set(4, 3, g)
-        base = rates.mixing_rate(E, H)
-        shifted = tuple(
-            Hamiltonian(h.matrix + float(g.uniform(-2, 2)) * np.eye(4)) for h in H
-        )
-        assert rates.mixing_rate(E, shifted) == pytest.approx(base, abs=1e-9)
+        base = mixing_rate(E, H)
+        shifted = np.array([h + float(g.uniform(-2, 2)) * np.eye(4) for h in H])
+        assert mixing_rate(E, shifted) == pytest.approx(base, abs=1e-9)
 
     def test_linearity_in_hamiltonians(self):
         g = rng(304)
         E = random_ensemble(3, 2, g)
         H = random_hamiltonian_set(3, 2, g)
-        scaled = tuple(Hamiltonian(2.5 * h.matrix) for h in H)
-        assert rates.mixing_rate(E, scaled) == pytest.approx(
-            2.5 * rates.mixing_rate(E, H), abs=1e-9
+        scaled = 2.5 * H
+        assert mixing_rate(E, scaled) == pytest.approx(
+            2.5 * mixing_rate(E, H), abs=1e-9
         )
 
     def test_zero_sum_identity(self):
@@ -139,30 +148,27 @@ class TestMixingRate:
         E = random_ensemble(3, 3, g)
         H = random_hamiltonian_set(3, 3, g)
         U = reference.matrix_fn(random_hermitian(3, g), lambda w: np.exp(1j * w))
-        E2 = Ensemble(
-            E.probabilities,
-            [DensityMatrix(U @ s.matrix @ U.conj().T) for s in E.states],
+        E2 = ensemble(E.probabilities, [U @ s.matrix @ U.conj().T for s in E.states])
+        H2 = U @ H @ U.conj().T
+        assert mixing_rate(E2, H2) == pytest.approx(
+            mixing_rate(E, H), abs=1e-8
         )
-        H2 = tuple(Hamiltonian(U @ h.matrix @ U.conj().T) for h in H)
-        assert rates.mixing_rate(E2, H2) == pytest.approx(
-            rates.mixing_rate(E, H), abs=1e-8
-        )
-        assert rates.max_mixing_rate(E2) == pytest.approx(
-            rates.max_mixing_rate(E), abs=1e-8
+        assert max_mixing_rate(E2) == pytest.approx(
+            max_mixing_rate(E), abs=1e-8
         )
 
 
 class TestFiniteDifferenceOracle:
     def test_equal_states_zero(self):
-        rho = DensityMatrix(np.diag([0.6, 0.4]))
-        E = Ensemble([0.5, 0.5], [rho, rho])
+        rho = np.diag([0.6, 0.4])
+        E = ensemble([0.5, 0.5], [rho, rho])
         H = random_hamiltonian_set(2, 2, rng(307))
         assert reference.fd_mixing_rate(E, H, 1e-4) == pytest.approx(0.0, abs=1e-8)
 
     def test_identity_hamiltonians_zero(self):
         g = rng(308)
         E = random_ensemble(3, 2, g)
-        H = (Hamiltonian(np.eye(3)),) * 2
+        H = np.array([np.eye(3)] * 2)
         assert reference.fd_mixing_rate(E, H, 1e-4) == pytest.approx(0.0, abs=1e-8)
 
     def test_agrees_with_analytic_rate(self):
@@ -172,7 +178,7 @@ class TestFiniteDifferenceOracle:
                 E = random_ensemble(dim, int(g.integers(2, 5)), g)
                 H = random_hamiltonian_set(dim, len(E), g)
                 fd = reference.fd_mixing_rate(E, H, 1e-4)
-                assert abs(fd - rates.mixing_rate(E, H)) <= 1e-6
+                assert abs(fd - mixing_rate(E, H)) <= 1e-6
 
     def test_rejects_bad_step(self):
         E = commuting_ensemble()
@@ -181,8 +187,8 @@ class TestFiniteDifferenceOracle:
             reference.fd_mixing_rate(E, H, -1e-4)
 
     def test_rank_deficient_guard(self):
-        pure = DensityMatrix(np.diag([1.0, 0.0]))
-        E = Ensemble([0.5, 0.5], [pure, pure])
+        pure = np.diag([1.0, 0.0])
+        E = ensemble([0.5, 0.5], [pure, pure])
         H = random_hamiltonian_set(2, 2, rng(311))
         with pytest.raises(Fault):
             reference.fd_mixing_rate(E, H, 1e-4)
@@ -191,25 +197,25 @@ class TestFiniteDifferenceOracle:
 class TestOptimalHamiltonians:
     def test_commuting_ensemble_gives_identity(self):
         E = commuting_ensemble()
-        for h in rates.optimal_hamiltonians(E):
-            assert np.allclose(h.matrix, np.eye(3), atol=1e-9)
+        for h in optimal_hamiltonians(E):
+            assert np.allclose(h, np.eye(3), atol=1e-9)
 
     def test_achieves_the_maximum(self):
         g = rng(312)
         for _ in range(20):
             E = random_ensemble(int(g.integers(2, 6)), int(g.integers(2, 5)), g)
-            H = rates.optimal_hamiltonians(E)
-            achieved = rates.mixing_rate(E, H)
-            assert abs(achieved) - rates.max_mixing_rate(E) == pytest.approx(
+            H = optimal_hamiltonians(E)
+            achieved = mixing_rate(E, H)
+            assert abs(achieved) - max_mixing_rate(E) == pytest.approx(
                 0.0, abs=1e-8
             )
 
     def test_involution_and_norm(self):
         g = rng(313)
         E = random_ensemble(4, 3, g)
-        for h in rates.optimal_hamiltonians(E):
-            assert hm.frobenius(h.matrix @ h.matrix - np.eye(4)) <= 1e-9
-            assert np.max(np.abs(np.linalg.eigvalsh(h.matrix))) <= 1.0 + 1e-12
+        for h in optimal_hamiltonians(E):
+            assert hm.frobenius(h @ h - np.eye(4)) <= 1e-9
+            assert np.max(np.abs(np.linalg.eigvalsh(h))) <= 1.0 + 1e-12
 
     def test_matches_the_sign_projector_oracle(self):
         # H_x = I - 2 P_neg(i[rho_x, ln rho]), the projector from its own eigh.
@@ -217,41 +223,41 @@ class TestOptimalHamiltonians:
         for dim, n in ((2, 2), (3, 3), (5, 2)):
             E = random_ensemble(dim, n, g)
             ln_rho = reference.matrix_fn(reference.expected_state(E), np.log)
-            for s, h in zip(E.states, rates.optimal_hamiltonians(E)):
+            for s, h in zip(E.states, optimal_hamiltonians(E)):
                 C = 1j * (s.matrix @ ln_rho - ln_rho @ s.matrix)
                 P_neg = reference.spectral_sign_projectors(C)[1]
-                assert np.abs(h.matrix - (np.eye(dim) - 2 * P_neg)).max() <= 1e-9
+                assert np.abs(h - (np.eye(dim) - 2 * P_neg)).max() <= 1e-9
 
     def test_no_random_set_beats_it(self):
         g = rng(314)
         E = random_ensemble(3, 3, g)
-        mx = rates.max_mixing_rate(E)
+        mx = max_mixing_rate(E)
         for _ in range(100):
             H = random_hamiltonian_set(3, 3, g)
-            assert abs(rates.mixing_rate(E, H)) <= mx + 1e-8
+            assert abs(mixing_rate(E, H)) <= mx + 1e-8
 
     def test_binary_closed_form_consistency(self, qubit_pair_ensemble):
-        H = rates.optimal_hamiltonians(qubit_pair_ensemble)
-        achieved = rates.mixing_rate(qubit_pair_ensemble, H)
+        H = optimal_hamiltonians(qubit_pair_ensemble)
+        achieved = mixing_rate(qubit_pair_ensemble, H)
         assert achieved == pytest.approx(QUBIT_PAIR_MAX, abs=1e-9)
 
 
 class TestClosedFormMaxima:
     def test_commuting_and_singleton_vanish(self):
-        assert rates.max_mixing_rate(commuting_ensemble()) == pytest.approx(
+        assert max_mixing_rate(commuting_ensemble()) == pytest.approx(
             0.0, abs=1e-12
         )
-        E = Ensemble([1.0], [DensityMatrix(np.diag([0.7, 0.3]))])
-        assert rates.max_mixing_rate(E) == pytest.approx(0.0, abs=1e-12)
+        E = ensemble([1.0], [np.diag([0.7, 0.3])])
+        assert max_mixing_rate(E) == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_pair_values(self, qubit_pair_ensemble):
-        assert rates.max_mixing_rate(qubit_pair_ensemble) == pytest.approx(
+        assert max_mixing_rate(qubit_pair_ensemble) == pytest.approx(
             QUBIT_PAIR_MAX, abs=1e-9
         )
-        assert rates.binary_max_rate(qubit_pair_ensemble) == pytest.approx(
+        assert binary_max_rate(qubit_pair_ensemble) == pytest.approx(
             QUBIT_PAIR_BINARY_MAX, abs=1e-9
         )
-        assert rates.binary_max_rate(qubit_pair_ensemble) <= 2.0  # binary bound at p=1/2
+        assert binary_max_rate(qubit_pair_ensemble) <= 2.0  # binary bound at p=1/2
 
     def test_binary_both_members_agree(self):
         g = rng(315)
@@ -263,29 +269,31 @@ class TestClosedFormMaxima:
             a = p * hm.trace_norm(hm.hermitian_part(1j * (r0 @ ln_rho - ln_rho @ r0)))
             b = (1 - p) * hm.trace_norm(hm.hermitian_part(1j * (r1 @ ln_rho - ln_rho @ r1)))
             assert a == pytest.approx(b, abs=1e-9)
-            assert rates.binary_max_rate(E) == pytest.approx(a, abs=1e-12)
+            assert binary_max_rate(E) == pytest.approx(a, abs=1e-12)
 
     def test_general_is_twice_binary(self):
         # Exact in theory at n = 2, since sum_x p_x [rho_x, ln rho] = 0.
         g = rng(316)
         for _ in range(10):
             E = random_ensemble(4, 2, g)
-            assert rates.max_mixing_rate(E) == pytest.approx(
-                2.0 * rates.binary_max_rate(E), rel=1e-12, abs=0.0
+            assert max_mixing_rate(E) == pytest.approx(
+                2.0 * binary_max_rate(E), rel=1e-12, abs=0.0
             )
 
     def test_binary_rejects_other_sizes(self):
-        with pytest.raises(InputError):
-            rates.binary_max_rate(random_ensemble(2, 3, rng(317)))
+        # The binary rate is reported at n = 2 only.
+        g = rng(317)
+        assert rates.rate_report(batch(random_ensemble(2, 3, g))).binary_max_rate is None
+        assert rates.rate_report(batch(random_ensemble(2, 2, g))).binary_max_rate is not None
 
 
-def qubit_ensemble(n, g) -> Ensemble:
+def qubit_ensemble(n, g) -> ens.Ensemble:
     """n qubit states (I + r_x·σ)/2, each r_x of uniform direction and of
     length in [0.05, 0.95], with Dirichlet probabilities."""
     u = g.standard_normal((n, 3))
     r = u / np.linalg.norm(u, axis=1)[:, None] * g.uniform(0.05, 0.95, size=(n, 1))
     states = [(np.eye(2) + np.einsum("k,kij->ij", rx, reference.PAULI)) / 2 for rx in r]
-    return Ensemble(g.dirichlet(np.ones(n)), [DensityMatrix(s) for s in states])
+    return ensemble(g.dirichlet(np.ones(n)), states)
 
 
 class TestQubitClosedForms:
@@ -294,31 +302,30 @@ class TestQubitClosedForms:
         for k in range(240):
             n = 2 + k % 3
             E = qubit_ensemble(n, g)
-            H = tuple(random_unit_hamiltonian(2, g) for _ in range(n))
+            H = np.array([random_unit_hamiltonian(2, g) for _ in range(n)])
             max_rate, binary, rate = reference.qubit_rates(E, H)
-            assert rates.max_mixing_rate(E) == pytest.approx(max_rate, rel=1e-12, abs=0.0)
+            assert max_mixing_rate(E) == pytest.approx(max_rate, rel=1e-12, abs=0.0)
             if n == 2:
-                assert rates.binary_max_rate(E) == pytest.approx(binary, rel=1e-12, abs=0.0)
+                assert binary_max_rate(E) == pytest.approx(binary, rel=1e-12, abs=0.0)
             # |rate| <= max_rate at unit ||H_x||, and cancellation can bring the
             # rate itself near 0, so the error is taken relative to max_rate.
-            assert abs(rates.mixing_rate(E, H) - rate) <= 1e-12 * max_rate
+            assert abs(mixing_rate(E, H) - rate) <= 1e-12 * max_rate
 
     def test_maximizers_against_bloch_oracle(self):
         g = rng(325)
         for k in range(240):
             E = qubit_ensemble(2 + k % 3, g)
-            got = rates.optimal_hamiltonians(E)
+            got = optimal_hamiltonians(E)
             for h, want in zip(got, reference.qubit_maximizers(E), strict=True):
-                assert np.abs(h.matrix - want).max() <= 1e-12
+                assert np.abs(h - want).max() <= 1e-12
 
     def test_maximizer_is_identity_where_the_commutator_vanishes(self):
         # Diagonal members commute with rho: every r_x is parallel to r.
-        states = [DensityMatrix(np.diag(w)) for w in ([0.9, 0.1], [0.2, 0.8])]
-        E = Ensemble([0.3, 0.7], states)
-        got = rates.optimal_hamiltonians(E)
+        E = ensemble([0.3, 0.7], [np.diag(w) for w in ([0.9, 0.1], [0.2, 0.8])])
+        got = optimal_hamiltonians(E)
         for h, want in zip(got, reference.qubit_maximizers(E), strict=True):
             assert np.array_equal(want, np.eye(2))
-            assert np.abs(h.matrix - want).max() <= 1e-12
+            assert np.abs(h - want).max() <= 1e-12
 
     def test_entropy_trajectory_against_bloch_oracle(self):
         g = rng(326)
@@ -326,7 +333,7 @@ class TestQubitClosedForms:
         for k in range(200):
             n = 2 + k % 3
             E = qubit_ensemble(n, g)
-            H = tuple(random_unit_hamiltonian(2, g) for _ in range(n))
+            H = np.array([random_unit_hamiltonian(2, g) for _ in range(n)])
             (S,) = TestTrajectory.trajectory([E], [H], times)
             for t, s in zip(times, S):
                 assert abs(s - reference.qubit_entropy_at(E, H, t)) <= 1e-12
@@ -365,18 +372,16 @@ class TestBounds:
         for _ in range(50):
             dim = int(g.integers(2, 9))
             p = float(g.uniform(0.02, 0.98))
-            E = Ensemble(
-                [p, 1 - p],
-                [random_ensemble(dim, 1, g).states[0] for _ in range(2)],
-            )
-            assert rates.binary_max_rate(E) <= rates.bound_theorem_binary(p) + 1e-8
+            states = [random_ensemble(dim, 1, g).states[0].matrix for _ in range(2)]
+            E = ensemble([p, 1 - p], states)
+            assert binary_max_rate(E) <= rates.bound_theorem_binary(p) + 1e-8
 
     def test_theorem_2_on_random_ensembles(self):
         g = rng(319)
         for _ in range(50):
             E = random_ensemble(int(g.integers(2, 7)), int(g.integers(2, 6)), g)
             bound = rates.bound_theorem_general(E.probabilities)
-            assert rates.max_mixing_rate(E) <= bound + 1e-8
+            assert max_mixing_rate(E) <= bound + 1e-8
 
 
 class TestRuntimeInvariants:
@@ -410,10 +415,8 @@ class TestTrajectory:
     @staticmethod
     def trajectory(Es, Hs, ts):
         """rates._trajectory of a batch of ensembles, one Hamiltonian set each."""
-        b = _stack(Es)
-        spectra = [hm.eig_hermitian(rates._matrices(E, H)) for E, H in zip(Es, Hs)]
-        H = hm.EigenDecomposition(*(np.concatenate(a) for a in zip(*spectra)))
-        return rates._trajectory(b.p, b.rhos, H, ts)
+        b = batch(*Es)
+        return rates._trajectory(b.p, b.rhos, hm.eig_hermitian(np.array(Hs)), ts)
 
     @pytest.mark.parametrize("dim", [2, 4, 16])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -430,8 +433,8 @@ class TestTrajectory:
     @pytest.mark.parametrize("w", [(-0.5, 1.5), (0.5, 1.0)])  # not PSD; trace 1.5
     def test_rejects_a_member_that_is_no_state(self, w):
         bad = reference.state_with_spectrum(np.array(w), np.eye(2, dtype=complex))
-        E = Ensemble([1.0], [bad])
-        H = (random_unit_hamiltonian(2, rng(333)),)
+        E = ens.Ensemble(np.array([1.0]), (bad,))
+        H = random_unit_hamiltonian(2, rng(333))[None]
         with pytest.raises(Fault):
             self.trajectory([E], [H], self.TIMES)
 
@@ -445,7 +448,7 @@ class TestInvolutionTrajectory:
     @staticmethod
     def maximizers(Es):
         """The batch of Es, its maximizers' spectra and their matrices."""
-        b = _stack(Es)
+        b = batch(*Es)
         H = rates._Spectra(b, vectors=True).maximizers()
         return b, H, hm.hermitian_part(hm.reconstruct(*H))
 
@@ -463,7 +466,7 @@ class TestInvolutionTrajectory:
     def test_qubits_match_the_bloch_oracle(self, n):
         E = random_ensemble(2, n, rng(345 + n))
         b, _, M = self.maximizers([E])
-        H = rates.optimal_hamiltonians(E)
+        H = optimal_hamiltonians(E)
         S = rates._involution_trajectory(b.p, b.rhos, _mixture(b.p, b.rhos), M, self.TIMES)[0]
         for t, s in zip(self.TIMES, S):
             assert abs(s - reference.qubit_entropy_at(E, H, t)) <= 1e-12
@@ -471,7 +474,7 @@ class TestInvolutionTrajectory:
     @pytest.mark.parametrize("w", [(-0.5, 1.5), (0.5, 1.0)])  # not PSD; trace 1.5
     def test_rejects_a_member_that_is_no_state(self, w):
         bad = reference.state_with_spectrum(np.array(w), np.eye(2, dtype=complex))
-        b = _stack([Ensemble([1.0], [bad])])
+        b = batch(ens.Ensemble(np.array([1.0]), (bad,)))
         X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # X^2 = I
         with pytest.raises(Fault):
             rates._involution_trajectory(b.p, b.rhos, b.rhos[:, 0], X[None, None], self.TIMES)
@@ -545,27 +548,27 @@ class TestLapackDispatches:
     @pytest.mark.parametrize("dim, n", [(2, 2), (3, 3), (4, 2)])
     def test_the_maximizers_are_never_diagonalized(self, dim, n, monkeypatch):
         E = random_ensemble(dim, n, rng(350 + dim + n))
-        H = rates.optimal_hamiltonians(E)
-        M = np.array([h.matrix for h in H])[None]
+        H = optimal_hamiltonians(E)
+        M = H[None]
 
         def diagonalized(seen):
             return any(a.shape == M.shape and np.allclose(a, M, atol=1e-12) for _, a in seen)
 
         seen = self.record(monkeypatch)
-        rates.rate_report(E)
+        rates.rate_report(batch(E))
         assert seen and not diagonalized(seen)
         seen.clear()
-        rates.rate_report(E, H)  # the same matrices, given: now diagonalized
+        rates.rate_report(batch(E), H)  # the same matrices, given: now diagonalized
         assert diagonalized(seen)
 
     def test_a_given_hamiltonian_set_costs_one_more(self, monkeypatch):
         g = rng(355)
         E, H = random_ensemble(3, 3, g), random_hamiltonian_set(3, 3, g)
         seen = self.record(monkeypatch)
-        rates.rate_report(E)
+        rates.rate_report(batch(E))
         at_maximizers = len(seen)
         seen.clear()
-        rates.rate_report(E, H)
+        rates.rate_report(batch(E), H)
         assert at_maximizers == 3  # rho, the commutators, rho(t) at the FD times
         assert len(seen) == at_maximizers + 1
         # Given Hamiltonians need no maximizer: the commutators' eigenvalues
@@ -583,7 +586,7 @@ class TestBinaryCommutator:
     @pytest.mark.parametrize("dim", [2, 4, 16, 64])
     def test_matches_the_second_commutator(self, dim):
         g = rng(360 + dim)
-        b = _stack([random_ensemble(dim, 2, g) for _ in range(3)])
+        b = batch(*[random_ensemble(dim, 2, g) for _ in range(3)])
         sp = rates._Spectra(b, vectors=True)
         C = rates._commutators(b.rhos, sp.ln_rho)  # (3, 2, d, d): both members
         w, V = hm.eig_hermitian(C)
@@ -601,8 +604,8 @@ class TestBinaryCommutator:
 
 class TestStmCheck:
     def test_singleton_at_t_zero(self):
-        E = Ensemble([1.0], [DensityMatrix(np.diag([0.7, 0.3]))])
-        H = (Hamiltonian(np.zeros((2, 2))),)
+        E = ensemble([1.0], [np.diag([0.7, 0.3])])
+        H = np.zeros((1, 2, 2))
         (pt,) = reference.stm_check(E, H, [0.0])
         assert pt.ok
         assert pt.entropy == pytest.approx(pt.lower, abs=1e-12)
@@ -612,7 +615,7 @@ class TestStmCheck:
         g = rng(320)
         E = random_ensemble(3, 2, g)
         h = random_unit_hamiltonian(3, g)
-        H = (h, h)
+        H = np.array([h, h])
         pts = reference.stm_check(E, H, [0.0, 0.7, 2.1])
         assert all(p.ok for p in pts)
         assert pts[1].entropy == pytest.approx(pts[0].entropy, abs=1e-9)
@@ -630,7 +633,7 @@ class TestStmCheck:
         # planted. The slack is rates.CHECK_SLACK, written out so that a
         # wider one fails: 0.5 of it past an edge is accepted, 2 of it refused.
         E = commuting_ensemble()
-        b = _stack([E])
+        b = batch(E)
         shannon = np.array([shannon_entropy(E.probabilities)])
         lower = _average_entropies(b.p, b.w)[0]
         upper = lower + shannon[0]
@@ -661,7 +664,7 @@ class TestAkGap:
     def test_matches_binary_rate_and_entropy(self, qubit_pair_ensemble):
         E = qubit_pair_ensemble
         C, rhs = reference.ak_gap(0.5 * E.states[0].matrix, 0.5 * E.states[1].matrix)
-        assert hm.trace_norm(C) == pytest.approx(rates.binary_max_rate(E), abs=1e-9)
+        assert hm.trace_norm(C) == pytest.approx(binary_max_rate(E), abs=1e-9)
         assert rhs == pytest.approx(binary_entropy(0.5), abs=1e-9)
 
     def test_unequal_dimensions_rejected(self):
@@ -677,7 +680,7 @@ class TestAkGap:
 
 class TestRateReport:
     def test_report_fields_and_serialization(self, qubit_pair_ensemble):
-        rep = rates.rate_report(qubit_pair_ensemble)
+        rep = rates.rate_report(batch(qubit_pair_ensemble))
         assert rep.max_rate == pytest.approx(QUBIT_PAIR_MAX, abs=1e-9)
         assert rep.binary_max_rate == pytest.approx(QUBIT_PAIR_BINARY_MAX, abs=1e-9)
         assert rep.bound_thm == pytest.approx(2.0)
@@ -701,7 +704,7 @@ class TestRateReport:
     def test_conjecture_ratio_recorded_not_asserted(self):
         g = rng(322)
         E = random_ensemble(3, 3, g)
-        rep = rates.rate_report(E)
+        rep = rates.rate_report(batch(E))
         assert rep.ratio_conjecture is not None
         assert math.isfinite(rep.ratio_conjecture)
 
@@ -715,10 +718,10 @@ class TestExtendedPrecision:
 
     def check(self, E, H):
         max_rate, binary, rate = reference.mp_rates(E, H)
-        assert rates.max_mixing_rate(E) == pytest.approx(max_rate, rel=self.REL, abs=0.0)
-        assert rates.mixing_rate(E, H) == pytest.approx(rate, rel=self.REL, abs=0.0)
+        assert max_mixing_rate(E) == pytest.approx(max_rate, rel=self.REL, abs=0.0)
+        assert mixing_rate(E, H) == pytest.approx(rate, rel=self.REL, abs=0.0)
         if len(E) == 2:
-            assert rates.binary_max_rate(E) == pytest.approx(binary, rel=self.REL, abs=0.0)
+            assert binary_max_rate(E) == pytest.approx(binary, rel=self.REL, abs=0.0)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3])
@@ -726,6 +729,23 @@ class TestExtendedPrecision:
         g = rng(340 + 10 * dim + n)
         for _ in range(2):
             self.check(random_ensemble(dim, n, g), random_hamiltonian_set(dim, n, g))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_trajectories(self, dim):
+        # S(rho(t)) at the FD and STM times under the maximizers (the closed
+        # form of _involution_trajectory) and under given Hamiltonians (the
+        # spectral _trajectory), each against the 40-digit evolution of the
+        # same float matrices: 4 ensembles, 76 eighe calls in all.
+        g = rng(370 + dim)
+        times = rates.FD_TIMES + rates.STM_TIMES
+        for n in (2, 3):
+            E, H = random_ensemble(dim, n, g), random_hamiltonian_set(dim, n, g)
+            b, M = batch(E), optimal_hamiltonians(E)
+            closed = rates._involution_trajectory(b.p, b.rhos, _mixture(b.p, b.rhos), M[None], times)
+            spectral = rates._trajectory(b.p, b.rhos, hm.eig_hermitian(H[None]), times)
+            for got, at in ((closed[0], M), (spectral[0], H)):
+                want = reference.mp_entropies(E, at, times)
+                assert got == pytest.approx(want, rel=self.REL, abs=0.0)
 
     def test_golden_compute_inputs(self, tmp_path):
         files = write_inputs(str(tmp_path))

@@ -13,11 +13,10 @@ interior path) is taken only at the call sites of EIGH_SITES, each of which
 reads the eigenvectors; everywhere else the eigenvalues suffice. The checked
 entries of `hermitian` are called only at the boundary, by the functions of
 CHECK_SITES: where matrices are parsed or sampled, and in public functions.
-The validating constructors (`DensityMatrix`, `Hamiltonian`, `Ensemble`,
-`PureState`, `BipartiteOperator`) are called, or passed to a call, only by
-the functions of CONSTRUCT_SITES: parsing, the way back from a batch to an
-`Ensemble`, and one public function; matrices built inside stay arrays.
-One function forms (M + M†)/2: `hermitian.hermitian_part`. Each spectral
+No class validates what it is given: the parse and sample builders make
+every check, and the classes are records, batches and passes. Only the
+class member that RAISING_CLASSES names holds a raise. One function forms (M + M†)/2:
+`hermitian.hermitian_part`. Each spectral
 job has one route (ROUTES): only `hermitian.support_log` and
 `rates._support_logs` take a support logarithm from a spectrum, and only
 `rates._entropies` and `ensembles._average_entropies` turn spectra into
@@ -177,7 +176,7 @@ EIGH = {"eig_hermitian", "_eigh"}
 EIGH_SITES = {
     "hermitian.eig_hermitian": "the checked entry, which returns them",
     "hermitian.support_log": "ln M, rebuilt on M's eigenvectors",
-    "ensembles.DensityMatrix.__post_init__": "a parsed state's rebuild on its eigenvectors",
+    "ensembles._state_spectra": "a parsed state's rebuild on its eigenvectors",
     "rates._support_logs": "ln rho, rebuilt on rho's eigenvectors",
     "rates._Spectra.__init__": "the maximizers I - 2 P_neg of the commutators",
     "rates._evaluate": "the spectral trajectory, in a given Hamiltonian's eigenbasis",
@@ -196,23 +195,17 @@ CHECK_SITES = {
     "hermitian.eigvals_hermitian": "public API",
     "hermitian.support_log": "public API",
     "hermitian.trace_norm": "public API",
-    "ensembles.DensityMatrix.__post_init__": "parse: a state file's matrices, or a caller's",
-    "ensembles.Hamiltonian.__post_init__": "parse: a Hamiltonian file's matrices, or a caller's",
+    "ensembles._state_spectra": "parse: an ensemble file's states",
+    "ensembles.parse_hamiltonian_set": "parse: a Hamiltonian file's matrices",
+    "entangling.parse_bipartite_operator": "parse: an interaction-operator file",
     "ensembles._sampled": "sample: the Hilbert-Schmidt states of Ginibre draws",
 }
 
 
-# The validating constructors, and the only functions that call one or pass
-# one to a call, with what makes each a boundary. An annotation or a base
-# class names the type without building one, and does not count.
-CONSTRUCTORS = {"DensityMatrix", "Hamiltonian", "Ensemble", "PureState", "BipartiteOperator"}
-CONSTRUCT_SITES = {
-    "ensembles._parse_ensemble": "parse: an ensemble file's states and probabilities",
-    "ensembles.parse_hamiltonian_set": "parse: a Hamiltonian file's matrices",
-    "ensembles._ensemble": "out: a batch entry as an Ensemble, its arrays not checked again",
-    "entangling.parse_pure_state": "parse: a pure-state file",
-    "entangling.parse_bipartite_operator": "parse: an interaction-operator file",
-    "rates.optimal_hamiltonians": "public API: the maximizers, returned as Hamiltonians",
+# The one class member that may raise, and why: every other class holds or
+# passes what the parse and sample builders have checked.
+RAISING_CLASSES = {
+    "harness.ExperimentConfig.__post_init__": "checks the command-line arguments",
 }
 
 
@@ -265,13 +258,17 @@ def _sites(path: Path, hit) -> set[str]:
     return sites
 
 
-def _constructs(node) -> bool:
-    """Whether a node is a call of a validating constructor, or a call that
-    passes one as an argument (`_parse_members(raw, d, "state", DensityMatrix)`)."""
-    named = _named(CONSTRUCTORS)
-    return isinstance(node, ast.Call) and any(
-        named(n) for n in (node.func, *node.args, *(k.value for k in node.keywords))
-    )
+def _raising_classes(path: Path) -> set[str]:
+    """module.Class.member of every class member of one module that holds a
+    raise (a statement of the class body itself counts as member <body>)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {
+        f"{path.stem}.{cls.name}.{getattr(member, 'name', '<body>')}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if any(isinstance(n, ast.Raise) for n in ast.walk(member))
+    }
 
 
 def test_eigh_only_where_eigenvectors_are_read():
@@ -286,10 +283,10 @@ def test_checks_only_at_the_boundary():
     assert set().union(*(_sites(f, _named(CHECKED)) for f in files)) == set(CHECK_SITES)
 
 
-def test_constructors_only_at_the_boundary():
+def test_no_validating_class():
     files = sorted(SRC.glob("*.py"))
     assert files
-    assert set().union(*(_sites(f, _constructs) for f in files)) == set(CONSTRUCT_SITES)
+    assert set().union(*map(_raising_classes, files)) == set(RAISING_CLASSES)
 
 
 def test_one_symmetrizer():
@@ -387,31 +384,34 @@ def test_check_scan_finds_what_it_forbids(tmp_path):
     assert _sites(bad, _named(CHECKED)) == {"mod", "mod.rebuild", "mod.Pass.run"}
 
 
-def test_construct_scan_finds_what_it_forbids(tmp_path):
+def test_class_scan_finds_what_it_forbids(tmp_path):
     bad = tmp_path / "mod.py"
     bad.write_text(
-        "import numpy as np\n"
-        "from . import ensembles as ens\n"
-        "from .ensembles import DensityMatrix, Ensemble\n"
-        "ZERO = ens.Hamiltonian(np.zeros((2, 2)))\n"
-        "class Lifted(ens.Hamiltonian):\n"
-        "    dims: tuple = (1, 1)\n"
-        "def annotated(E: Ensemble) -> DensityMatrix:\n"
-        "    return E.states[0]\n"
-        "def build(A):\n"
-        "    return DensityMatrix(A)\n"
-        "def builders(raw):\n"
-        "    return list(map(ens.Hamiltonian, raw))\n"
-        "class Pass:\n"
-        "    def run(self, p, states):\n"
-        "        return Ensemble(probabilities=p, states=states)\n"
-        "def keyword(raw, parse):\n"
-        "    return parse(raw, build=PureState)\n"
-        "def interior(A):\n"
-        "    return np.linalg.eigvalsh(A), Lifted\n"
+        "from dataclasses import dataclass\n"
+        "from .errors import Fault, InputError\n"
+        "@dataclass(frozen=True)\n"
+        "class State:\n"
+        "    matrix: object\n"
+        "    def __post_init__(self):\n"
+        "        if self.matrix is None:\n"
+        "            raise InputError('no matrix')\n"
+        "    @property\n"
+        "    def dim(self):\n"
+        "        return len(self.matrix)\n"
+        "class Pair:\n"
+        "    def __init__(self, a, b):\n"
+        "        def check(x):\n"
+        "            raise Fault(x)\n"
+        "        check(a)\n"
+        "    if __debug__:\n"
+        "        raise Fault('at class creation')\n"
+        "class Record:\n"
+        "    x: int = 0\n"
+        "def parse(text):\n"
+        "    raise InputError(text)\n"
     )
-    assert _sites(bad, _constructs) == {
-        "mod", "mod.build", "mod.builders", "mod.Pass.run", "mod.keyword"
+    assert _raising_classes(bad) == {
+        "mod.State.__post_init__", "mod.Pair.__init__", "mod.Pair.<body>"
     }
 
 
