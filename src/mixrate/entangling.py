@@ -110,8 +110,9 @@ def _entangling_rate(rho_aAB, rho_aA, H_lift: np.ndarray, d_B: int) -> float:
     reduced states and H_lift = I_a ⊗ H_AB: the rate of the one-member
     ensemble rho_aAB with ln(rho_aA) ⊗ I_B for ln rho. ln(rho_aA)
     comes from `_support_logs`, with rho_aA a one-member batch: a spectrum that
-    fails a state's PSD or trace check raises a Fault."""
-    ln_rho = _support_logs(np.ones((1, 1)), hm.hermitian_part(rho_aA)[None, None])[1]
+    fails a state's PSD or trace check, or a leak off its support, raises a
+    Fault."""
+    ln_rho = _support_logs(np.ones((1, 1)), hm.hermitian_part(rho_aA)[None, None], Fault)[1]
     L = np.kron(ln_rho[0], np.eye(d_B))
     C = _commutators(rho_aAB[None, None], L[None])
     return float(_rate(np.ones((1, 1)), H_lift[None, None], C)[0])
@@ -153,7 +154,7 @@ def sie_to_sim(psi: PureState, H: BipartiteOperator) -> tuple[float, float]:
     rho_aAB, rho_aA = _reduced(psi)
     b = _mu(rho_aAB, rho_aA, psi.dims)
     H_lift = lift_to_aAB(H, d_a)
-    C = _commutators(b.rhos[:, 1:], _support_logs(b.p, b.rhos)[1])
+    C = _commutators(b.rhos[:, 1:], _support_logs(b.p, b.rhos, Fault)[1])
     lam = float(_rate(b.p[:, 1:], H_lift[None, None], C)[0])
     gam = _entangling_rate(rho_aAB, rho_aA, H_lift, d_B)
     return abs(lam - d_B ** -2 * gam), gam

@@ -19,16 +19,10 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import hermitian as hm
-from .ensembles import (
-    Ensemble,
-    _Batch,
-    _ensemble,
-    _require_distribution,
-    _shannon,
-)
+from .ensembles import Ensemble, _Batch, _ensemble, _require_distribution, _shannon, _xlnx
 from .errors import BoundViolation, Fault, InputError, MixRateError
 from .rates import _evaluate, _general_bound, _Spectra
-from .sampling import _ginibre, _states, streams
+from .sampling import _climb_window, _states, streams
 
 PROB_FLOOR = 1e-6
 # _sample_probs redraws until every p_x > PROB_FLOOR. A flat Dirichlet draw
@@ -128,15 +122,6 @@ def _batch(draws) -> _Batch:
     """The validated batch of trial draws, each a pair of probabilities (n,)
     and the normals (n, 2, d, d) of n Ginibre matrices (see sampling._states)."""
     return _states(*(np.array(a) for a in zip(*draws)))
-
-
-def _unit_spectra(G: np.ndarray):
-    """The spectra (w / ||H||, V) of H = (G + G†)/2 for a stack of Ginibre
-    matrices G (..., d, d), in one stacked eigh, and the norms ||H|| (...);
-    a zero norm leaves its w unscaled."""
-    w, V = hm._eigh(hm.hermitian_part(G))  # Hermitian bit for bit
-    norms = np.max(np.abs(w), axis=-1)
-    return w / np.where(norms > 0.0, norms, 1.0)[..., None], V, norms
 
 
 def _sample_probs(n: int, g: np.random.Generator) -> np.ndarray:
@@ -252,40 +237,26 @@ def scan_binary(p_grid: Sequence[float], cfg: ExperimentConfig) -> list[TrialRec
     return [r for job in scan_jobs(p_grid, cfg) for r in run_trials(*job)]
 
 
-def _climb_draws(k: int, n: int, dim: int, g: np.random.Generator):
-    """The draws of k candidates, in one flat call (per candidate: n Ginibre
-    matrices, real part then imaginary part, then n probability noises): the
-    spectra (k, n, d), (k, n, d, d) of their unit-norm Hamiltonians and the
-    noises (k, n). A zero-norm H raises."""
-    m = 2 * n * dim * dim
-    z = g.standard_normal(k * (m + n)).reshape(k, m + n)
-    w, V, norms = _unit_spectra(_ginibre(z[:, :m].reshape(k, n, 2, dim, dim)))
-    if not norms.all():
-        raise Fault("a zero-norm Hamiltonian in a block of candidates")
-    return w, V, z[:, m:]
-
-
 def _climb_block(
-    cur: _Batch, V: np.ndarray, eps: float, k: int, g: np.random.Generator, binary: bool
+    cur: _Batch, logp: np.ndarray, V: np.ndarray, eps: float, draws, binary: bool
 ):
-    """k candidates perturbed from the climb point `cur`, a batch of one
-    whose members have the eigenvectors V (n, d, d), at step eps, and their
-    one stacked spectral pass: each member conjugated by exp(i eps H) for a
-    fresh unit-norm H (its eigenvalues kept), the log-probabilities nudged by
-    eps times a normal. Returns the candidates as a batch of k, their
-    members' eigenvectors (k, n, d, d), and their max rates, general bounds
-    and objectives (k,)."""
-    p, w = cur.p[0], cur.w[0]
-    n, dim = w.shape
-    hw, hV, noise = _climb_draws(k, n, dim, g)
+    """The candidates of one block of draws (`sampling._climb_window`),
+    perturbed from the climb point `cur`, a batch of one whose members have
+    the eigenvectors V (n, d, d) and whose probabilities have the logarithms
+    logp (n,), at step eps, and their one stacked spectral pass: each member
+    conjugated by exp(i eps H) for its candidate's unit-norm H (its
+    eigenvalues kept), the log-probabilities nudged by eps times a normal.
+    Returns the candidates as a batch of k, their members' eigenvectors
+    (k, n, d, d), and their max rates, general bounds and objectives (k,)."""
+    hw, hV, noise = draws
     Vc = hm.reconstruct(np.exp(1j * eps * hw), hV) @ V  # exp(i eps H) V
-    q = np.log(p) + eps * noise
+    q = logp + eps * noise
     q = np.exp(q - q.max(axis=-1, keepdims=True))
     q /= q.sum(axis=-1, keepdims=True)
-    q = np.clip(q, PROB_FLOOR, None)
+    q = np.maximum(q, PROB_FLOOR)
     q /= q.sum(axis=-1, keepdims=True)
     _require_distribution(q)
-    wc = np.full(Vc.shape[:-1], w)  # a copy: np.broadcast_to's view costs more
+    wc = np.full(Vc.shape[:-1], cur.w[0])  # a copy: np.broadcast_to's view costs more
     cand = _Batch(q, hm.hermitian_part(hm.reconstruct(wc, Vc)), wc)
     sp = _Spectra(cand)
     return cand, Vc, sp.max_rate, _general_bound(q), _objectives(sp, binary)
@@ -295,21 +266,36 @@ def _objectives(sp: _Spectra, binary: bool) -> np.ndarray:
     """The rate/entropy ratios (B,) the search climbs, of checked probabilities."""
     if binary:
         p0 = sp.p[:, 0]
-        return sp.binary_rate / _shannon(np.stack([p0, 1.0 - p0], axis=-1))
+        return sp.binary_rate / (0.0 - (_xlnx(p0) + _xlnx(1.0 - p0)))  # h(p0), as _shannon
     return sp.max_rate / _shannon(sp.p)
+
+
+def _blocks_to_end(eps: float, rejects: int) -> int:
+    """The fewest blocks a climb at step eps, with rejects candidates in a
+    row rejected, runs before its step falls below 1e-6: every block
+    rejected, each shrink after ceil((20 - rejects) / SEARCH_BLOCK) of
+    them, and rejects 0 after it. An accepted move only delays the end."""
+    blocks = 0
+    while eps >= 1e-6:
+        blocks += -(-(20 - rejects) // SEARCH_BLOCK)
+        eps, rejects = eps * SEARCH_SHRINK, 0
+    return blocks
 
 
 def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     """Hill-climb the rate/entropy ratio by conjugating states and nudging
     probabilities; restarts from a fresh sample when the step collapses.
 
-    The climb moves a block at a time: each step draws SEARCH_BLOCK
+    The climb moves a block at a time: each step takes SEARCH_BLOCK
     candidates (fewer only when cfg.search_max_iters runs out), all
     perturbed from the current point at one step, evaluates them in one
     stacked pass, and moves to the best of them if it beats the current
     point; otherwise the block's candidates count as rejections, and the
     step shrinks once 20 or more in a row are rejected. Every evaluated
     candidate counts as an iteration. A fault in a block ends the search.
+    The blocks' draws are made a window at a time, bit for bit as block by
+    block: as many whole blocks as the climb surely runs (_blocks_to_end),
+    --iters leaves, and CHUNK_ENTRIES matrix entries hold.
 
     The general rate bound is checked on every evaluated candidate, and a
     violation ends the search with the record of the block's first
@@ -333,17 +319,26 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
     one: the best climb point, or the candidate that violated the bound.
     cfg must pass _check_search."""
     g = RNGSpec(cfg.seed, 0).generator()
+    n, dim, iters_max = cfg.n_states, cfg.dim, cfg.search_max_iters
+    cap = max(1, CHUNK_ENTRIES // (SEARCH_BLOCK * n * dim * dim))  # a window's blocks
     best, best_obj = None, -math.inf
     iters, error = 0, None
     try:
-        while iters < cfg.search_max_iters:
+        while iters < iters_max:
             cur = _batch([_trial_draw(cfg, g)])
             V = hm._eigh(cur.rhos[0]).eigenvectors  # the bases the climb turns
-            cur_obj = _objectives(_Spectra(cur), cfg.binary)[0]
-            eps, rejects = SEARCH_STEP, 0
-            while iters < cfg.search_max_iters and eps >= 1e-6:
-                k = min(SEARCH_BLOCK, cfg.search_max_iters - iters)
-                cand, Vc, mx, bound, obj = _climb_block(cur, V, eps, k, g, cfg.binary)
+            logp, cur_obj = np.log(cur.p[0]), _objectives(_Spectra(cur), cfg.binary)[0]
+            eps, rejects, window = SEARCH_STEP, 0, iter(())
+            while iters < iters_max and eps >= 1e-6:
+                draws = next(window, None)
+                if draws is None:  # a window ends before the climb can: no restart inside
+                    left = iters_max - iters
+                    blocks = min(_blocks_to_end(eps, rejects), -(-left // SEARCH_BLOCK), cap)
+                    size = min(blocks * SEARCH_BLOCK, left)
+                    window = _climb_window(size, SEARCH_BLOCK, n, dim, g)
+                    draws = next(window)
+                k = len(draws[2])
+                cand, Vc, mx, bound, obj = _climb_block(cur, logp, V, eps, draws, cfg.binary)
                 over = mx > bound + THEOREM_SLACK
                 if over.any():
                     i = int(over.argmax())
@@ -356,6 +351,7 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
                 j = int(obj.argmax())
                 if obj[j] > cur_obj:
                     cur, V, cur_obj, rejects = cand.one(j), Vc[j], obj[j], 0
+                    logp = np.log(cur.p[0])
                 else:
                     rejects += k
                     if rejects >= 20:

@@ -52,13 +52,14 @@ STM_TIMES = (0.5, 1.0, 2.0)  # the times at which a trial checks the STM sandwic
 CHECK_SLACK = 1e-9  # slack of the STM and STE bound checks
 
 
-def _support_logs(p: np.ndarray, rhos: np.ndarray):
+def _support_logs(p: np.ndarray, rhos: np.ndarray, kind=InputError):
     """(rho, ln rho on the support, both (B, d, d), and the spectrum of rho)
     of the expected state rho = sum_x p_x rho_x of each ensemble of a batch,
-    all from one stacked eigh; raises if a spectrum fails a state's PSD or
-    trace test, or if a member leaks off the support of its rho. The
-    mixture of Hermitian members is Hermitian bit for bit, so LAPACK reads
-    it unchecked."""
+    all from one stacked eigh; raises a Fault if a spectrum fails a state's
+    PSD or trace test, and kind if a member leaks off the support of its
+    rho: a Fault where the program computed the members. The mixture of
+    Hermitian members is Hermitian bit for bit, so LAPACK reads it
+    unchecked."""
     rho = _mixture(p, rhos)
     w, V = hm._eigh(rho)
     w = _state_eigenvalues(w)
@@ -68,7 +69,7 @@ def _support_logs(p: np.ndarray, rhos: np.ndarray):
         leak = np.einsum("bik,bxij,bjk->bx", Vk.conj(), rhos, Vk).real
         if (leak > SUPPORT_LEAK_TOL).any():
             b, x = np.argwhere(leak > SUPPORT_LEAK_TOL)[0]
-            raise InputError(f"member {x} leaks {leak[b, x]:.3e} outside the support of rho")
+            raise kind(f"member {x} leaks {leak[b, x]:.3e} outside the support of rho")
     return rho, ln_rho, hm.EigenDecomposition(w, V)
 
 

@@ -4,8 +4,8 @@ import pytest
 from mixrate import ensembles as ens
 from mixrate import hermitian as hm
 from mixrate import rates
-from mixrate.harness import RNGSpec, _unit_spectra
-from mixrate.sampling import _ginibre
+from mixrate.harness import RNGSpec
+from mixrate.sampling import _ginibre, _unit_spectra
 
 
 def rng(seed, stream=0):

@@ -1,8 +1,8 @@
 """Mutation sweep: does the test suite catch each planted one-line fault?
 
 Each mutant replaces one exact text, found once, in one file of the package:
-most widen a tolerance or a slack, two break a formula and five drop a
-state check. For each mutant the checkout is copied to a temporary directory, the
+most widen a tolerance or a slack, two break a formula, five drop a state
+check and two break the search's windowed draws. For each mutant the checkout is copied to a temporary directory, the
 mutant is applied to the copy (the working tree is never written), and
 `pytest -x -q` runs there. An
 unmutated copy runs first, since a suite that already fails would "kill"
@@ -115,6 +115,18 @@ MUTANTS = [
         "return PureState(_unit_rows(v[None], InputError)[0], dims)",
         "return PureState(v, dims)",
         "a parsed pure state skips the norm check and the renormalization",
+    ),
+    Mutant(
+        "src/mixrate/harness.py",
+        "min(_blocks_to_end(eps, rejects), ",
+        "min(_blocks_to_end(eps, rejects) + 1, ",
+        "a search window holds one block more than the climb surely runs, so it can span a restart",
+    ),
+    Mutant(
+        "src/mixrate/sampling.py",
+        "if not norms[s : s + block].all():",
+        "if not norms.all():",
+        "a zero-norm H anywhere in a search window raises as the window is drawn, at its first block",
     ),
 ]
 

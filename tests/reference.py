@@ -22,9 +22,10 @@ integral representation of ln x that the proof differentiates.
 
 `require_hermitian` is the Hermiticity check as it ran before its residual
 pass, `hermitian_part` the symmetrizer as it ran before it took one buffer,
-and `matrix_to_json` the wire form as it was built before one array
-conversion: the program's must take the same decisions and return the same
-bits.
+`matrix_to_json` the wire form as it was built before one array
+conversion, and `search` the ratio search as it ran before its draws were
+made a window of blocks at a time: the program's must take the same
+decisions and return the same bits.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ import numpy as np
 
 from mixrate import harness as hz
 from mixrate import hermitian as hm
-from mixrate.ensembles import DensityMatrix, Ensemble
+from mixrate import sampling
+from mixrate.ensembles import DensityMatrix, Ensemble, _Batch, _require_distribution, _shannon
 from mixrate.entangling import PureState
-from mixrate.errors import Fault, InputError
+from mixrate.errors import BoundViolation, Fault, InputError
+from mixrate.rates import _Spectra
 
 HERM_TOL = 1e-10
 RANK_TOL = 1e-12
@@ -444,6 +447,91 @@ def sample_density(dim: int, rng) -> np.ndarray:
 def run_trial(cfg, trial_id: int):
     """The record of one trial, evaluated as a chunk of one."""
     return hz.run_trials(cfg, [trial_id])[0]
+
+
+# --- The ratio search, a block at a time ---------------------------------------
+
+
+def climb_draws(k: int, n: int, dim: int, g):
+    """The draws of one block of k candidates, in one flat call (per
+    candidate: n Ginibre matrices, real part then imaginary part, then n
+    probability noises): the spectra of their unit-norm Hamiltonians and the
+    noises (k, n). A zero-norm H raises when the block is drawn."""
+    m = 2 * n * dim * dim
+    z = g.standard_normal(k * (m + n)).reshape(k, m + n)
+    w, V, norms = sampling._unit_spectra(sampling._ginibre(z[:, :m].reshape(k, n, 2, dim, dim)))
+    if not norms.all():
+        raise Fault("a zero-norm Hamiltonian in a block of candidates")
+    return w, V, z[:, m:]
+
+
+def climb_objectives(sp: _Spectra, binary: bool) -> np.ndarray:
+    if binary:
+        p0 = sp.p[:, 0]
+        return sp.binary_rate / _shannon(np.stack([p0, 1.0 - p0], axis=-1))
+    return sp.max_rate / _shannon(sp.p)
+
+
+def climb_block(cur: _Batch, V: np.ndarray, eps: float, k: int, g, binary: bool):
+    """k candidates drawn from g and perturbed from the climb point cur
+    (members' eigenvectors V) at step eps: the batch, their eigenvectors,
+    max rates, general bounds and objectives."""
+    p, w = cur.p[0], cur.w[0]
+    hw, hV, noise = climb_draws(k, *w.shape, g)
+    Vc = hm.reconstruct(np.exp(1j * eps * hw), hV) @ V
+    q = np.log(p) + eps * noise
+    q = np.exp(q - q.max(axis=-1, keepdims=True))
+    q /= q.sum(axis=-1, keepdims=True)
+    q = np.clip(q, hz.PROB_FLOOR, None)
+    q /= q.sum(axis=-1, keepdims=True)
+    _require_distribution(q)
+    wc = np.full(Vc.shape[:-1], w)
+    cand = _Batch(q, hm.hermitian_part(hm.reconstruct(wc, Vc)), wc)
+    sp = _Spectra(cand)
+    return cand, Vc, sp.max_rate, hz._general_bound(q), climb_objectives(sp, binary)
+
+
+def search(cfg):
+    """harness._search's record and reported batch, each block's draws made
+    when the block runs."""
+    g = hz.RNGSpec(cfg.seed, 0).generator()
+    best, best_obj = None, -math.inf
+    iters, error = 0, None
+    try:
+        while iters < cfg.search_max_iters:
+            cur = hz._batch([hz._trial_draw(cfg, g)])
+            V = hm._eigh(cur.rhos[0]).eigenvectors
+            cur_obj = climb_objectives(_Spectra(cur), cfg.binary)[0]
+            eps, rejects = hz.SEARCH_STEP, 0
+            while iters < cfg.search_max_iters and eps >= 1e-6:
+                k = min(hz.SEARCH_BLOCK, cfg.search_max_iters - iters)
+                cand, Vc, mx, bound, obj = climb_block(cur, V, eps, k, g, cfg.binary)
+                over = mx > bound + hz.THEOREM_SLACK
+                if over.any():
+                    i = int(over.argmax())
+                    iters += i + 1
+                    best = cand.one(i)
+                    raise BoundViolation(
+                        f"max rate {float(mx[i])!r} exceeds the general bound {float(bound[i])!r}"
+                    )
+                iters += k
+                j = int(obj.argmax())
+                if obj[j] > cur_obj:
+                    cur, V, cur_obj, rejects = cand.one(j), Vc[j], obj[j], 0
+                else:
+                    rejects += k
+                    if rejects >= 20:
+                        eps *= hz.SEARCH_SHRINK
+                        rejects = 0
+            if cur_obj > best_obj:
+                best, best_obj = cur, cur_obj
+    except BoundViolation as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    (rec,) = hz.evaluate_batch(best, cfg, [0])
+    if error is not None:
+        rec.error = error
+    rec.iterations = iters
+    return rec, best
 
 
 # --- States built from a spectrum ---------------------------------------------

@@ -960,6 +960,8 @@ _PLANTS = {
     "negative reduced aAB state": _negative_reduced_aAB_state,
     "nan in envelope": _nan_in_envelope,
     "every ratio an event": lambda monkeypatch: monkeypatch.setattr(hz, "CONJECTURE_SLACK", -1.0),
+    # Every kernel vector of a rank-deficient expected state counts as a leak.
+    "support leak": lambda monkeypatch: monkeypatch.setattr(rates, "SUPPORT_LEAK_TOL", -1.0),
 }
 _VERIFY = "verify --dim 3 --states 3 --trials 6 --seed 42 --out OUT"
 _SCAN = "scan --p-grid 0.2:0.8:0.3 --dim 2 --trials 2 --seed 1 --out OUT"
@@ -1025,6 +1027,11 @@ _NO_CONVERGENCE = _ERROR + "Eigenvalues did not converge"
                      id="sie-2-reduced-aAB-state"),
         pytest.param(_SIE, "nan in envelope", EXIT_INVARIANT,
                      [_ERROR + "trace nan differs from 1$"], id="sie-2-envelope-state"),
+        # The Bell files' rho_aA has rank 2 of 4: a leak off the support of
+        # the reduction's computed states is a fault, not a refused input.
+        pytest.param(_SIE, "support leak", EXIT_INVARIANT,
+                     [_ERROR + r"member 0 leaks .* outside the support of rho$"],
+                     id="sie-2-support-leak"),
     ],
 )
 def test_exit_codes(argv, plant, code, why, ensemble_file, tmp_path, monkeypatch, capsys):
@@ -1291,14 +1298,16 @@ class TestEigenBudget:
         assert calls[0] == 4
 
     def test_search_blocks(self, tmp_path, monkeypatch):
-        # A block of 8 candidates costs 3 stacked calls (their Hamiltonians,
-        # their expected states, their commutators), and every candidate of a
-        # block is an iteration: well under one call per iteration, where one
-        # candidate at a time made 3.
+        # 400 iterations are one climb (a climb runs at least 51 blocks): 4
+        # stacked calls at its restart, 2 for each of its 50 blocks of 8
+        # candidates (their expected states, their commutators), 1 for each
+        # of its 7 windows of up to 8 blocks (their Hamiltonians), and 3 for
+        # the record. Drawing each block's Hamiltonians on their own made
+        # 4 + 3 * 50 + 3.
         calls = self._count(monkeypatch)
         argv = ["search", "--dim", "4", "--binary", "--iters", "400", "--seed", "1"]
         assert main(argv + ["--out", str(tmp_path / "s.json")]) == EXIT_OK
-        assert calls[0] <= 400
+        assert calls[0] == 4 + 2 * 50 + 7 + 3
 
 
 class TestGuardStatus:

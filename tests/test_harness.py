@@ -27,6 +27,7 @@ from mixrate.harness import (
     search_ratio,
 )
 from conftest import batch, rank_two_ensemble
+import reference
 from reference import run_trial, sample_density
 
 # The golden corpus tolerances: rates, bounds, ratios and entropies relative,
@@ -67,9 +68,15 @@ class TestSampling:
             acc += sample_density(2, g)
         assert np.abs(acc / n - np.eye(2) / 2).max() <= 0.02
 
+    @staticmethod
+    def _window(k, block, n, dim, g):
+        """The blocks of a window of k candidates, concatenated."""
+        blocks = list(sampling._climb_window(k, block, n, dim, g))
+        return [np.concatenate(a) for a in zip(*blocks)]
+
     def test_hamiltonian_norm_exactly_one(self):
         for stream in range(5):
-            w, V, _ = hz._climb_draws(1, 2, 5, RNGSpec(3, stream).generator())
+            w, V, _ = self._window(1, 1, 2, 5, RNGSpec(3, stream).generator())
             for H in hm.hermitian_part(hm.reconstruct(w, V))[0]:
                 norm = np.max(np.abs(np.linalg.eigvalsh(H)))
                 assert norm == pytest.approx(1.0, abs=1e-12)
@@ -78,10 +85,11 @@ class TestSampling:
     def test_hamiltonian_set_is_one_stacked_draw(self, monkeypatch):
         # Reference: per candidate, each member drawn in order (real part,
         # then imaginary part) and diagonalized on its own, then the
-        # candidate's probability noises.
+        # candidate's probability noises. A window of 5 candidates in blocks
+        # of 2 is one draw and one eigh, made before any block is read.
         serial = RNGSpec(3, 9).generator()
         want, noises = [], []
-        for _ in range(2):
+        for _ in range(5):
             for _ in range(3):
                 G = serial.standard_normal((4, 4)) + 1j * serial.standard_normal((4, 4))
                 w, V = np.linalg.eigh((G + G.conj().T) / 2)
@@ -97,29 +105,43 @@ class TestSampling:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         g = RNGSpec(3, 9).generator()
-        w, V, noise = hz._climb_draws(2, 3, 4, g)
+        window = sampling._climb_window(5, 2, 3, 4, g)
         assert calls[0] == 1
-        got = hm.reconstruct(w, V).reshape(6, 4, 4)
+        # The flat call leaves the generator where the serial draws leave it.
+        assert g.bit_generator.state == serial.bit_generator.state
+        blocks = list(window)
+        assert [len(noise) for _, _, noise in blocks] == [2, 2, 1] and calls[0] == 1
+        w, V, noise = (np.concatenate(a) for a in zip(*blocks))
+        got = hm.reconstruct(w, V).reshape(15, 4, 4)
         for M, H in zip(got, want):
             assert np.allclose(M, H, atol=1e-15, rtol=0)
         assert np.array_equal(noise, noises)
-        # The flat call leaves the generator where the serial draws leave it.
-        assert g.bit_generator.state == serial.bit_generator.state
+        # Each block holds the bits a draw of it alone gives, from where it starts.
+        g = RNGSpec(3, 9).generator()
+        for bw, bV, bnoise in blocks:
+            alone = reference.climb_draws(len(bnoise), 3, 4, g)
+            assert all(np.array_equal(a, b) for a, b in zip(alone, (bw, bV, bnoise)))
 
     def test_zero_norm_draw_raises_at_every_block_size(self, monkeypatch):
-        unit_spectra = hz._unit_spectra
+        # Candidate 4 of a window of 6 has a zero-norm H: the window is drawn,
+        # the blocks before candidate 4's are read, and its block raises.
+        unit_spectra = sampling._unit_spectra
 
-        def zero_norms(G):
+        def zero_norm(G):
             w, V, norms = unit_spectra(G)
-            return w, V, np.zeros_like(norms)
+            norms[4, 1] = 0.0
+            return w, V, norms
 
-        monkeypatch.setattr(hz, "_unit_spectra", zero_norms)
-        for k in (1, 3):
+        monkeypatch.setattr(sampling, "_unit_spectra", zero_norm)
+        for block in (1, 3, 6):
+            window = sampling._climb_window(6, block, 2, 3, RNGSpec(3, 9).generator())
+            for _ in range(4 // block):
+                next(window)
             with pytest.raises(Fault, match="zero-norm"):
-                hz._climb_draws(k, 2, 3, RNGSpec(3, 9).generator())
+                next(window)
 
     def test_hamiltonian_dim_one(self):
-        w, V, _ = hz._climb_draws(1, 1, 1, RNGSpec(3, 7).generator())
+        w, V, _ = self._window(1, 1, 1, 1, RNGSpec(3, 7).generator())
         H = hm.reconstruct(w, V)[0, 0]
         assert abs(abs(H[0, 0]) - 1.0) <= 1e-12
 
@@ -417,7 +439,8 @@ class TestSearchRatio:
         g = RNGSpec(cfg.seed, 0).generator()
         cur = hz._batch([hz._trial_draw(cfg, g)])
         V = hm._eigh(cur.rhos[0]).eigenvectors
-        cand = hz._climb_block(cur, V, hz.SEARCH_STEP, hz.SEARCH_BLOCK, g, binary)[0]
+        draws = next(sampling._climb_window(hz.SEARCH_BLOCK, hz.SEARCH_BLOCK, n, dim, g))
+        cand = hz._climb_block(cur, np.log(cur.p[0]), V, hz.SEARCH_STEP, draws, binary)[0]
         true_bound = hz._general_bound
 
         def last_broken(p):
@@ -435,16 +458,81 @@ class TestSearchRatio:
 
     def test_a_fault_in_a_block_ends_the_search(self, monkeypatch):
         # Every block meets a zero-norm H; the Fault leaves the search (exit 2).
-        unit_spectra = hz._unit_spectra
+        unit_spectra = sampling._unit_spectra
 
         def zero_norms(G):
             w, V, norms = unit_spectra(G)
             return w, V, np.zeros_like(norms)
 
-        monkeypatch.setattr(hz, "_unit_spectra", zero_norms)
+        monkeypatch.setattr(sampling, "_unit_spectra", zero_norms)
         cfg = ExperimentConfig(dim=3, n_states=2, seed=9, search_max_iters=120, binary=True)
         with pytest.raises(Fault, match="zero-norm Hamiltonian in a block"):
             search_ratio(cfg)
+
+
+def assert_same_search(cfg):
+    """harness._search and the block-at-a-time oracle give equal records and
+    reported batches of equal bytes."""
+    rec, best = hz._search(cfg)
+    want, want_best = reference.search(cfg)
+    assert rec == want
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(best, want_best, strict=True))
+
+
+class TestSearchWindows:
+    """The search draws each window of blocks in one pass, and gives what
+    drawing each block as it runs gives (`reference.search`)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        n=st.sampled_from([2, 3]),
+        binary=st.booleans(),
+        iters=st.sampled_from([1, 7, 8, 9, 65, 333]),
+    )
+    def test_windows_draw_what_blocks_draw(self, seed, dim, n, binary, iters):
+        cfg = ExperimentConfig(
+            dim=dim, n_states=n, seed=seed, search_max_iters=iters, binary=binary and n == 2
+        )
+        assert_same_search(cfg)
+
+    @pytest.mark.parametrize("seed, iters", [(1, 4000), (2, 4000), (6, 5000)])
+    def test_windows_end_at_restarts(self, seed, iters):
+        # 6 or 7 climbs at d = 2: each climb's last window ends with it, and
+        # the next restart draws where the oracle's does.
+        assert_same_search(
+            ExperimentConfig(dim=2, n_states=2, seed=seed, search_max_iters=iters, binary=True)
+        )
+
+    def test_a_violation_comes_before_a_later_blocks_fault(self, monkeypatch):
+        # Block 2 of the first window breaks the planted bound, and block 3
+        # holds a zero-norm H: the search ends with the violation, at
+        # iteration 9, and block 3's fault is never raised.
+        unit_spectra, true_bound = sampling._unit_spectra, hz._general_bound
+        drawn, bounds = [0], [0]
+
+        def zero_in_block_3(G):
+            w, V, norms = unit_spectra(G)
+            ids = drawn[0] + np.arange(len(G))
+            norms[(16 <= ids) & (ids < 24), 0] = 0.0
+            drawn[0] += len(G)
+            return w, V, norms
+
+        def block_2_broken(p):
+            bounds[0] += 1
+            return true_bound(p) * (bounds[0] != 2)
+
+        monkeypatch.setattr(sampling, "_unit_spectra", zero_in_block_3)
+        monkeypatch.setattr(hz, "_general_bound", block_2_broken)
+        cfg = ExperimentConfig(dim=2, n_states=2, seed=3, search_max_iters=300, binary=True)
+        rec, best = hz._search(cfg)
+        assert drawn[0] >= 24  # one window held blocks 1 to 3
+        assert rec.error.startswith("BoundViolation: ") and rec.iterations == 9
+        drawn[0] = bounds[0] = 0
+        want, want_best = reference.search(cfg)
+        assert rec == want
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(best, want_best, strict=True))
 
 
 class TestNoObjectsOnTheHotPath:

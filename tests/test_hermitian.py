@@ -484,7 +484,7 @@ class TestInteriorPath:
                 rhos = hm.hermitian_part(hm.reconstruct(*hm.eig_hermitian(rhos)))
             p = g.dirichlet(np.ones(3), size=lead)
             return ens._mixture(p, rhos)
-        if kind == "ginibre":  # (G + G†)/2 of normals, as harness._unit_spectra forms H
+        if kind == "ginibre":  # (G + G†)/2 of normals, as sampling._unit_spectra forms H
             z = g.standard_normal(lead + (2, d, d))
             G = z[..., 0, :, :] + 1j * z[..., 1, :, :]
             return (G + G.conj().swapaxes(-1, -2)) / 2

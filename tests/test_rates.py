@@ -8,6 +8,7 @@ from golden.make_golden import write_inputs
 from mixrate import harness as hz
 from mixrate import hermitian as hm
 from mixrate import rates
+from mixrate import sampling
 from mixrate import ensembles as ens
 from mixrate.ensembles import (
     _average_entropies,
@@ -536,14 +537,19 @@ class TestLapackDispatches:
         cur = hz._batch([hz._trial_draw(cfg, g)])
         V = hm.eig_hermitian(cur.rhos[0]).eigenvectors
         seen = self.record(monkeypatch)
-        hz._climb_block(cur, V, 0.1, 6, g, binary)
-        # The candidates' Hamiltonians, for their unitaries; the expected
-        # states' spectra, for ln rho; and the commutators' eigenvalues only.
-        assert self.calls(seen) == [
-            ("eigh", (6, n, 3, 3)),
-            ("eigh", (6, 3, 3)),
-            ("eigvalsh", (6, 1 if n == 2 else n, 3, 3)),
-        ]
+        # A window of 3 blocks of 6: its candidates' Hamiltonians, for their
+        # unitaries, in one eigh when it is drawn.
+        window = sampling._climb_window(18, 6, n, 3, g)
+        assert self.calls(seen) == [("eigh", (18, n, 3, 3))]
+        for draws in window:
+            seen.clear()
+            hz._climb_block(cur, np.log(cur.p[0]), V, 0.1, draws, binary)
+            # Then each block: the expected states' spectra, for ln rho, and
+            # the commutators' eigenvalues only.
+            assert self.calls(seen) == [
+                ("eigh", (6, 3, 3)),
+                ("eigvalsh", (6, 1 if n == 2 else n, 3, 3)),
+            ]
 
     @pytest.mark.parametrize("dim, n", [(2, 2), (3, 3), (4, 2)])
     def test_the_maximizers_are_never_diagonalized(self, dim, n, monkeypatch):

@@ -28,7 +28,7 @@ exported. The package root exports nothing but `__version__`: each name
 has one import path, its module. Every backticked `module.name` in
 README.md resolves. Only `sampling.streams` sets a generator's state
 (`bit_generator.state`): every other draw reads its stream forward, never
-rewound.
+rewound. Only the functions of DRAW_SITES read a generator.
 """
 
 import ast
@@ -36,6 +36,8 @@ import importlib
 import inspect
 import re
 from pathlib import Path
+
+import numpy as np
 
 import mixrate
 
@@ -180,7 +182,7 @@ EIGH_SITES = {
     "rates._support_logs": "ln rho, rebuilt on rho's eigenvectors",
     "rates._Spectra.__init__": "the maximizers I - 2 P_neg of the commutators",
     "rates._evaluate": "the spectral trajectory, in a given Hamiltonian's eigenbasis",
-    "harness._unit_spectra": "the search's unitaries exp(i eps H)",
+    "sampling._unit_spectra": "the search's unitaries exp(i eps H)",
     "harness._search": "the restart's eigenbases, which the climb turns",
     "entangling._entanglement_trajectory": "Psi(t), evolved in H's eigenbasis",
 }
@@ -465,6 +467,53 @@ def test_state_scan_finds_what_it_forbids(tmp_path):
         "    return g.bit_generator.state\n"
     )
     assert _sites(bad, _sets_state) == {"mod.climb", "mod.Search.step"}
+
+
+# Every call that reads a generator's stream (a method of np.random.Generator,
+# or the bit generator's random_raw), as module.function, and what it draws.
+# A search window holds the bits its blocks would draw one at a time only
+# while nothing else reads the search's generator inside a climb: a new draw
+# there shows up here first.
+DRAWS = {m for m in dir(np.random.Generator) if not m.startswith("_")} | {"random_raw"}
+DRAW_SITES = {
+    "harness._sample_probs": "a trial's or a restart's probabilities, until clear of the floor",
+    "harness._trial_draw": "a trial's or a restart's Ginibre normals",
+    "harness._chunk_states": "a chunk's exponentials and normals, into arrays of the chunk",
+    "sampling._climb_window": "a window of search candidates' normals and noises",
+}
+
+
+def _draws(node) -> bool:
+    """Whether a node calls a method of DRAWS on some object."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in DRAWS
+    )
+
+
+def test_draws_only_where_listed():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert set().union(*(_sites(f, _draws) for f in files)) == set(DRAW_SITES)
+
+
+def test_draw_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "harness.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "def _search(cfg, g):\n"
+        "    while True:\n"
+        "        noise = g.standard_normal(3)\n"
+        "class Climb:\n"
+        "    def restart(self):\n"
+        "        return self.g.exponential(size=2), self.g.bit_generator.random_raw()\n"
+        "def seeded(seed):\n"
+        "    g = np.random.default_rng(seed)\n"
+        "    return g.bit_generator.state, g.standard_normal\n"
+        "jitter = np.random.random(4)\n"
+    )
+    assert _sites(bad, _draws) == {"harness", "harness._search", "harness.Climb.restart"}
 
 
 def _private_parameters(path: Path) -> list[str]:
