@@ -15,11 +15,9 @@ Every function here is pure.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,13 +52,12 @@ def _state_eigenvalues(w: np.ndarray, kind=Fault) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(NamedTuple):
     """A state as the program gives it out (`_ensemble`): its matrix and the
     eigenvalues its check kept. A record; it checks nothing."""
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(repr=False, compare=False)
+    eigenvalues: np.ndarray
 
 
 def _require_distribution(p: np.ndarray, kind=Fault) -> None:
@@ -76,10 +73,9 @@ def _require_distribution(p: np.ndarray, kind=Fault) -> None:
         raise kind(f"invariant violated: probabilities sum to {float(total[off][0])!r}")
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Probabilities p(x) and states rho_x, as the program gives an ensemble
-    out (`_ensemble`). A record; it checks nothing."""
+class Ensemble(NamedTuple):
+    """Probabilities p(x) and states rho_x, as `_ensemble` gives an ensemble
+    out: a record (it checks nothing) whose len counts states, not fields."""
 
     probabilities: np.ndarray
     states: tuple[DensityMatrix, ...]
@@ -281,6 +277,8 @@ def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
 
 
 def _load_json(text) -> dict:
+    import json
+
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
@@ -336,6 +334,8 @@ def _parse_ensemble(text) -> tuple[_Batch, list[float]]:
 
 
 def serialize_ensemble(E: Ensemble) -> bytes:
+    import json
+
     obj = {
         "dim": E.dim,
         "probabilities": [float(p) for p in E.probabilities],

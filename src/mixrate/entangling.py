@@ -15,7 +15,6 @@ entangling rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -160,8 +159,7 @@ def sie_to_sim(psi: PureState, H: BipartiteOperator) -> tuple[float, float]:
     return abs(lam - d_B ** -2 * gam), gam
 
 
-@dataclass(frozen=True)
-class StePoint:
+class StePoint(NamedTuple):
     """One time slice of the small-total-entangling check."""
 
     t: float

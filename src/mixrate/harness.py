@@ -11,10 +11,9 @@ trials.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Iterator, Optional, Sequence
+from collections import namedtuple
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +52,7 @@ SEARCH_BLOCK = 8
 CHUNK_ENTRIES = 2048
 
 
-@dataclass(frozen=True)
-class RNGSpec:
+class RNGSpec(NamedTuple):
     """Seed plus per-trial stream index; fully determines a random stream."""
 
     seed: int
@@ -64,23 +62,24 @@ class RNGSpec:
         return np.random.default_rng((self.seed, self.stream))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Knobs for sampling and search.
+class ExperimentConfig(
+    namedtuple(
+        "ExperimentConfig",
+        "dim n_states n_trials seed mode search_max_iters binary",
+        defaults=(2, 2, 1, 0, "verify", 1000, False),
+    )
+):
+    """Knobs for sampling and search, checked on construction (an unpickled
+    config too); `_replace` and `_make` skip the checks.
 
     Nothing reads `mode`; it is validated and kept only because callers
     outside the package still pass it (the benchmark's search workload
     passes mode="search")."""
 
-    dim: int = 2
-    n_states: int = 2
-    n_trials: int = 1
-    seed: int = 0
-    mode: str = "verify"
-    search_max_iters: int = 1000
-    binary: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 2 <= self.dim <= 64:
             raise InputError(f"dim {self.dim} outside supported range [2, 64]")
         if self.n_states < 1 or self.n_trials < 1:
@@ -95,10 +94,10 @@ class ExperimentConfig:
             raise InputError(f"search_max_iters {self.search_max_iters} must be >= 1")
         if self.mode not in {"verify", "scan", "search", "sie"}:
             raise InputError(f"unknown mode {self.mode!r}")
+        return self
 
 
-@dataclass
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """Outcome of one sampled trial."""
 
     trial_id: int
@@ -226,7 +225,7 @@ def scan_jobs(p_grid: Sequence[float], cfg: ExperimentConfig) -> Iterator[tuple]
     for p in grid:
         if not 0.0 < p < 1.0:
             raise InputError(f"p-grid values must lie in (0, 1), got {p!r}")
-    binary = replace(cfg, binary=True)  # a scan is binary, whatever cfg says
+    binary = cfg._replace(binary=True)  # a scan is binary, whatever cfg says
     chunks = trial_chunks(range(len(grid) * cfg.n_trials), cfg.dim)
     return ((binary, c, [grid[i // cfg.n_trials] for i in c]) for c in chunks)
 
@@ -362,10 +361,7 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
     except BoundViolation as exc:
         error = f"{type(exc).__name__}: {exc}"
     (rec,) = evaluate_batch(best, cfg, [0])
-    if error is not None:
-        rec.error = error
-    rec.iterations = iters
-    return rec, best
+    return rec._replace(error=error or rec.error, iterations=iters), best
 
 
 CSV_HEADER = (
@@ -395,5 +391,7 @@ def records_to_csv(records: Sequence[TrialRecord], header: bool = True) -> str:
 
 
 def records_to_json(records: Sequence[TrialRecord]) -> str:
-    return json.dumps([asdict(r) for r in records], indent=2)
+    import json
+
+    return json.dumps([r._asdict() for r in records], indent=2)
 

@@ -2,7 +2,8 @@
 
 Each mutant replaces one exact text, found once, in one file of the package:
 most widen a tolerance or a slack, two break a formula, five drop a state
-check and two break the search's windowed draws. For each mutant the checkout is copied to a temporary directory, the
+check, two break the search's windowed draws and one widens an argument
+check of the config. For each mutant the checkout is copied to a temporary directory, the
 mutant is applied to the copy (the working tree is never written), and
 `pytest -x -q` runs there. An
 unmutated copy runs first, since a suite that already fails would "kill"
@@ -127,6 +128,10 @@ MUTANTS = [
         "if not norms[s : s + block].all():",
         "if not norms.all():",
         "a zero-norm H anywhere in a search window raises as the window is drawn, at its first block",
+    ),
+    Mutant(
+        "src/mixrate/harness.py", "if not 2 <= self.dim <= 64:", "if not 1 <= self.dim <= 64:",
+        "ExperimentConfig accepts dim 1",
     ),
 ]
 

@@ -325,6 +325,39 @@ def mp_entropies(E: Ensemble, H, ts) -> list[float]:
         return out
 
 
+def mp_entangling_rate(psi: PureState, H) -> float:
+    """Gamma = i Tr(H_lift [rho_aAB, ln rho_aA ⊗ I_B]), H_lift = I_a ⊗ H_AB,
+    from psi's float amplitudes and the float matrix of the operator H
+    computed in MP_DIGITS digits: rho_aAB and rho_aA the Gram matrices of
+    psi's reshapes, ln on the support of rho_aA (eigenvalues above RANK_TOL
+    times the largest). Costs one eighe."""
+    d_a, d_A, d_B, _ = psi.dims
+    amplitudes = np.asarray(psi.amplitudes)
+    with mpmath.workdps(MP_DIGITS):
+
+        def gram(rows: int):
+            M = _mp_matrix(amplitudes.reshape(rows, -1))
+            return M * M.transpose_conj()
+
+        rho_aAB, rho_aA = gram(d_a * d_A * d_B), gram(d_a * d_A)
+        w, Q = mpmath.eighe(rho_aA)
+        top = max(w)
+        D = mpmath.diag([mpmath.log(v) if v > RANK_TOL * top else 0 for v in w])
+        L = Q * D * Q.transpose_conj()
+        N, h = rho_aAB.rows, d_A * d_B
+        # ln rho_aA ⊗ I_B and I_a ⊗ H_AB, entry by entry.
+        L_B, H_lift = mpmath.zeros(N, N), mpmath.zeros(N, N)
+        for i in range(N):
+            for j in range(N):
+                if i % d_B == j % d_B:
+                    L_B[i, j] = L[i // d_B, j // d_B]
+                if i // h == j // h:
+                    H_lift[i, j] = mpmath.mpc(complex(H.matrix[i % h, j % h]))
+        C = (rho_aAB * L_B - L_B * rho_aAB) * mpmath.mpc(0, 1)
+        T = H_lift * C
+        return float(mpmath.re(sum(T[k, k] for k in range(N))))
+
+
 # --- Qubit closed forms -------------------------------------------------------
 #
 # At d = 2, rho_x = (I + r_x·σ)/2 and H_x = a_x I + h_x·σ. For r = sum_x p_x r_x
@@ -529,9 +562,8 @@ def search(cfg):
         error = f"{type(exc).__name__}: {exc}"
     (rec,) = hz.evaluate_batch(best, cfg, [0])
     if error is not None:
-        rec.error = error
-    rec.iterations = iters
-    return rec, best
+        rec = rec._replace(error=error)
+    return rec._replace(iterations=iters), best
 
 
 # --- States built from a spectrum ---------------------------------------------

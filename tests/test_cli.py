@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import ctypes
-import dataclasses
 import io
 import json
 import math
@@ -362,12 +361,22 @@ class TestSharedParser:
     # Each takes milliseconds to import that a command which does not use it
     # would wait for: numpy.random loads on the first draw, the process pool
     # (concurrent.futures, which pulls in multiprocessing) with the first
-    # pooled verify, and entangling with the first sie.
+    # pooled verify, entangling with the first sie, and json with the first
+    # JSON read or write. The records are NamedTuples: no module, sie's
+    # entangling included, loads dataclasses.
     @pytest.mark.parametrize(
-        "module", ["numpy.random", "concurrent.futures", "multiprocessing", "mixrate.entangling"]
+        "module, imports",
+        [
+            pytest.param(m, "mixrate.cli", id=m)
+            for m in (
+                "numpy.random", "concurrent.futures", "multiprocessing", "mixrate.entangling",
+                "dataclasses", "json",
+            )
+        ]
+        + [pytest.param("dataclasses", "mixrate.cli, mixrate.entangling", id="dataclasses-sie")],
     )
-    def test_not_loaded_at_import(self, module):
-        assert not _loaded("mixrate.cli", module)
+    def test_not_loaded_at_import(self, module, imports):
+        assert not _loaded(imports, module)
 
     def test_load_probe_finds_a_planted_import(self):
         assert _loaded("mixrate.cli, mixrate.entangling", "mixrate.entangling")
@@ -775,7 +784,7 @@ class TestSearch:
         E = ens._ensemble(best, 0)
         assert tuple(E.probabilities) == rec.probabilities
         want = qubit_record(E, "binary" if binary else "verify")
-        assert mismatches(dataclasses.asdict(rec), want, REL) == []
+        assert mismatches(rec._asdict(), want, REL) == []
 
     @pytest.mark.parametrize("iters", [0, -5])
     def test_iters_below_one_is_a_usage_error(self, iters, capsys):
@@ -1402,8 +1411,7 @@ class TestGuardStatus:
     def test_offender_serialization(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = ExperimentConfig(dim=2, n_states=2, seed=11)
-        rec = run_trial(cfg, 0)
-        rec.ratio_conj = 1.5  # synthetic event to exercise the reporting path
+        rec = run_trial(cfg, 0)._replace(ratio_conj=1.5)  # a synthetic event for the reporting path
         from mixrate.harness import trial_ensemble
 
         cli._flag_conjecture_offenders(

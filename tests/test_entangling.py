@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference
+from golden.make_golden import write_inputs
 from mixrate import entangling as en
 from mixrate import hermitian as hm
 from mixrate.ensembles import _entropy_from_eigenvalues, matrix_to_json
@@ -317,6 +318,33 @@ class TestSieToSim:
         residual, gamma = en.sie_to_sim(psi, random_interaction(4, 2, rng(416)))
         assert calls[0] == 1
         assert residual <= 1e-8 and math.isfinite(gamma)
+
+
+class TestExtendedPrecision:
+    """sie's entangling rate at the golden corpus' inputs against a 40-digit
+    mpmath evaluation of the same formula on the same float data
+    (reference.mp_entangling_rate), to 1e-12 relative, and its reduction
+    residual against its exact value, 0."""
+
+    REL = 1e-12
+    # ln(rho_aA ⊗ I/d_B) = ln rho_aA ⊗ I - ln d_B I, and the identity term
+    # commutes with rho_aAB, so lambda = d_B^-2 Gamma exactly: the residual is
+    # the rounding of two float rates of size below 1, measured at 5.0e-16
+    # (1422) and 1.7e-16 (2322). The bound leaves 20x room; sie's own check
+    # is 1e-8.
+    RESIDUAL = 1e-14
+
+    @pytest.mark.parametrize("tag", ["1422", "2322"])
+    def test_golden_sie_inputs(self, tmp_path, tag):
+        files = write_inputs(str(tmp_path))
+        with open(files[f"state_{tag}"], "rb") as fh:
+            psi = en.parse_pure_state(fh.read())
+        with open(files[f"op_{tag}"], "rb") as fh:
+            H = en.parse_bipartite_operator(fh.read())
+        residual, gamma = en.sie_to_sim(psi, H)
+        want = reference.mp_entangling_rate(psi, H)
+        assert gamma == pytest.approx(want, rel=self.REL, abs=0.0)
+        assert residual <= self.RESIDUAL
 
 
 class TestSteCheck:

@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -37,7 +37,7 @@ RESIDUAL_TOL = 1e-9
 
 
 def assert_records_match(got, want):
-    a, b = vars(got), vars(want)
+    a, b = got._asdict(), want._asdict()
     assert a.keys() == b.keys()
     for key, w in b.items():
         g = a[key]
@@ -172,6 +172,14 @@ class TestSampling:
         with pytest.raises(InputError):
             ExperimentConfig(mode="explode")
 
+    def test_an_unpickled_config_is_checked_again(self):
+        # _replace skips the checks of __new__; unpickling, as a pool worker
+        # receives its config, makes them again.
+        cfg = ExperimentConfig(dim=3, seed=7)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        with pytest.raises(InputError, match=r"^dim 1 outside supported range \[2, 64\]$"):
+            pickle.loads(pickle.dumps(cfg._replace(dim=1)))
+
     def test_states_limit(self):
         # Above hz.MAX_STATES the floor-clearing redraw of the probabilities
         # would run for ever; the limit itself is accepted.
@@ -279,6 +287,12 @@ class TestChunkSeeding:
     default_rng's."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, np.int64(7)]
+    # Chunk sizes just below and at the break-even, named so that retuning
+    # SEEDED_CHUNK renames no test.
+    BREAK_EVEN = [
+        pytest.param(sampling.SEEDED_CHUNK - 1, id="below"),
+        pytest.param(sampling.SEEDED_CHUNK, id="at"),
+    ]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_states_equal_default_rng(self, seed):
@@ -288,13 +302,13 @@ class TestChunkSeeding:
         assert got == [(s["state"]["state"], s["state"]["inc"]) for s in want]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("size", [sampling.SEEDED_CHUNK - 1, sampling.SEEDED_CHUNK, 128])
+    @pytest.mark.parametrize("size", BREAK_EVEN + [128])
     def test_streams_on_both_sides_of_the_break_even(self, seed, size):
         ids = range(999_999 - size + 1, 1_000_000)
         got = [g.bit_generator.state for g in sampling.streams(seed, ids)]
         assert got == [np.random.default_rng((seed, i)).bit_generator.state for i in ids]
 
-    @pytest.mark.parametrize("size", [sampling.SEEDED_CHUNK - 1, sampling.SEEDED_CHUNK])
+    @pytest.mark.parametrize("size", BREAK_EVEN)
     @pytest.mark.parametrize("p", [None, 0.3])  # p: a scan's
     def test_chunk_draws_what_each_trial_draws_alone(self, size, p):
         cfg = ExperimentConfig(dim=3, n_states=3, seed=2**64 + 3)
@@ -453,7 +467,7 @@ class TestSearchRatio:
         (want,) = evaluate_batch(cand.one(hz.SEARCH_BLOCK - 1), cfg, [0])
         assert rec.error.startswith("BoundViolation: max rate") and rec.error.endswith(" 0.0")
         assert rec.iterations == hz.SEARCH_BLOCK
-        assert dataclasses.replace(rec, error=None, iterations=None) == want
+        assert rec._replace(error=None, iterations=None) == want
         assert np.array_equal(best.rhos, cand.one(hz.SEARCH_BLOCK - 1).rhos)
 
     def test_a_fault_in_a_block_ends_the_search(self, monkeypatch):
@@ -537,20 +551,26 @@ class TestSearchWindows:
 
 class TestNoObjectsOnTheHotPath:
     """Sampled trials and search restarts stay arrays: an Ensemble or a
-    DensityMatrix record is built only where one leaves the program."""
+    DensityMatrix record is built only where one leaves the program. The
+    records are tuples, built by __new__ alone (they define no __init__)."""
 
     @staticmethod
     def _count(monkeypatch) -> dict:
         counts = {"Ensemble": 0, "DensityMatrix": 0}
         for cls in (ens.Ensemble, ens.DensityMatrix):
-            meth, original = "__init__", cls.__init__
 
-            def counted(self, *args, _f=original, _name=cls.__name__, **kwargs):
+            def counted(cls_, *args, _f=cls.__new__, _name=cls.__name__, **kwargs):
                 counts[_name] += 1
-                return _f(self, *args, **kwargs)
+                return _f(cls_, *args, **kwargs)
 
-            monkeypatch.setattr(cls, meth, counted)
+            monkeypatch.setattr(cls, "__new__", counted)
         return counts
+
+    def test_the_count_sees_a_planted_construction(self, monkeypatch):
+        b = batch(rank_two_ensemble())
+        counts = self._count(monkeypatch)
+        E = ens._ensemble(b, 0)
+        assert counts == {"Ensemble": 1, "DensityMatrix": len(E)} and len(E) == 2
 
     def test_verify(self, tmp_path, monkeypatch):
         counts = self._count(monkeypatch)
@@ -572,7 +592,7 @@ class TestReports:
 
     def test_each_cell_holds_the_field_its_column_names(self):
         # An n = 3 row, whose binary cell is empty, and an error row, which
-        # keeps the dataclass defaults. probs is the probabilities field.
+        # keeps the record's defaults. probs is the probabilities field.
         def cell(v):
             if v is None:
                 return ""

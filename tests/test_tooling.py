@@ -207,7 +207,7 @@ CHECK_SITES = {
 # The one class member that may raise, and why: every other class holds or
 # passes what the parse and sample builders have checked.
 RAISING_CLASSES = {
-    "harness.ExperimentConfig.__post_init__": "checks the command-line arguments",
+    "harness.ExperimentConfig.__new__": "checks the command-line arguments",
 }
 
 
