@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import hermitian as hm
-from .ensembles import Ensemble, _Batch, _ensemble, _require_distribution, _shannon, _xlnx
+from .ensembles import Ensemble, _Batch, _ensemble, _require_distribution, _shannon
 from .errors import BoundViolation, Fault, InputError, MixRateError
 from .rates import _evaluate, _general_bound, _Spectra
 from .sampling import _climb_window, _states, streams
@@ -236,9 +236,7 @@ def scan_binary(p_grid: Sequence[float], cfg: ExperimentConfig) -> list[TrialRec
     return [r for job in scan_jobs(p_grid, cfg) for r in run_trials(*job)]
 
 
-def _climb_block(
-    cur: _Batch, logp: np.ndarray, V: np.ndarray, eps: float, draws, binary: bool
-):
+def _climb_block(cur: _Batch, logp: np.ndarray, V: np.ndarray, eps: float, draws):
     """The candidates of one block of draws (`sampling._climb_window`),
     perturbed from the climb point `cur`, a batch of one whose members have
     the eigenvectors V (n, d, d) and whose probabilities have the logarithms
@@ -246,7 +244,7 @@ def _climb_block(
     conjugated by exp(i eps H) for its candidate's unit-norm H (its
     eigenvalues kept), the log-probabilities nudged by eps times a normal.
     Returns the candidates as a batch of k, their members' eigenvectors
-    (k, n, d, d), and their max rates, general bounds and objectives (k,)."""
+    (k, n, d, d), and their max rates, general bounds and max_rate / S(q) (k,)."""
     hw, hV, noise = draws
     Vc = hm.reconstruct(np.exp(1j * eps * hw), hV) @ V  # exp(i eps H) V
     q = logp + eps * noise
@@ -257,33 +255,15 @@ def _climb_block(
     _require_distribution(q)
     wc = np.full(Vc.shape[:-1], cur.w[0])  # a copy: np.broadcast_to's view costs more
     cand = _Batch(q, hm.hermitian_part(hm.reconstruct(wc, Vc)), wc)
-    sp = _Spectra(cand)
-    return cand, Vc, sp.max_rate, _general_bound(q), _objectives(sp, binary)
-
-
-def _objectives(sp: _Spectra, binary: bool) -> np.ndarray:
-    """The rate/entropy ratios (B,) the search climbs, of checked probabilities."""
-    if binary:
-        p0 = sp.p[:, 0]
-        return sp.binary_rate / (0.0 - (_xlnx(p0) + _xlnx(1.0 - p0)))  # h(p0), as _shannon
-    return sp.max_rate / _shannon(sp.p)
-
-
-def _blocks_to_end(eps: float, rejects: int) -> int:
-    """The fewest blocks a climb at step eps, with rejects candidates in a
-    row rejected, runs before its step falls below 1e-6: every block
-    rejected, each shrink after ceil((20 - rejects) / SEARCH_BLOCK) of
-    them, and rejects 0 after it. An accepted move only delays the end."""
-    blocks = 0
-    while eps >= 1e-6:
-        blocks += -(-(20 - rejects) // SEARCH_BLOCK)
-        eps, rejects = eps * SEARCH_SHRINK, 0
-    return blocks
+    mx = _Spectra(cand).max_rate
+    return cand, Vc, mx, _general_bound(q), mx / _shannon(q)
 
 
 def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
-    """Hill-climb the rate/entropy ratio by conjugating states and nudging
-    probabilities; restarts from a fresh sample when the step collapses.
+    """Hill-climb max_rate / S(p) (at n = 2 twice the binary rate over h(p),
+    so --binary climbs it too) by conjugating states and nudging
+    probabilities; once the step collapses, restart k starts from trial k's
+    ensemble (trial_ensemble(cfg, k)).
 
     The climb moves a block at a time: each step takes SEARCH_BLOCK
     candidates (fewer only when cfg.search_max_iters runs out), all
@@ -292,9 +272,9 @@ def search_ratio(cfg: ExperimentConfig) -> TrialRecord:
     point; otherwise the block's candidates count as rejections, and the
     step shrinks once 20 or more in a row are rejected. Every evaluated
     candidate counts as an iteration. A fault in a block ends the search.
-    The blocks' draws are made a window at a time, bit for bit as block by
-    block: as many whole blocks as the climb surely runs (_blocks_to_end),
-    --iters leaves, and CHUNK_ENTRIES matrix entries hold.
+    The blocks' draws read stream 0 after restart 0's draw, a window at a
+    time, bit for bit as block by block: as many blocks as --iters leaves
+    and CHUNK_ENTRIES matrix entries hold, the rest carried across restarts.
 
     The general rate bound is checked on every evaluated candidate, and a
     violation ends the search with the record of the block's first
@@ -320,24 +300,24 @@ def _search(cfg: ExperimentConfig) -> tuple[TrialRecord, _Batch]:
     g = RNGSpec(cfg.seed, 0).generator()
     n, dim, iters_max = cfg.n_states, cfg.dim, cfg.search_max_iters
     cap = max(1, CHUNK_ENTRIES // (SEARCH_BLOCK * n * dim * dim))  # a window's blocks
+    # Restart k draws from stream k (a climb takes >= 1 iteration: iters_max suffice).
+    starts = (g if k == 0 else RNGSpec(cfg.seed, k).generator() for k in range(iters_max))
     best, best_obj = None, -math.inf
-    iters, error = 0, None
+    iters, error, window = 0, None, iter(())
     try:
         while iters < iters_max:
-            cur = _batch([_trial_draw(cfg, g)])
+            cur = _batch([_trial_draw(cfg, next(starts))])
             V = hm._eigh(cur.rhos[0]).eigenvectors  # the bases the climb turns
-            logp, cur_obj = np.log(cur.p[0]), _objectives(_Spectra(cur), cfg.binary)[0]
-            eps, rejects, window = SEARCH_STEP, 0, iter(())
+            logp, cur_obj = np.log(cur.p[0]), (_Spectra(cur).max_rate / _shannon(cur.p))[0]
+            eps, rejects = SEARCH_STEP, 0
             while iters < iters_max and eps >= 1e-6:
                 draws = next(window, None)
-                if draws is None:  # a window ends before the climb can: no restart inside
-                    left = iters_max - iters
-                    blocks = min(_blocks_to_end(eps, rejects), -(-left // SEARCH_BLOCK), cap)
-                    size = min(blocks * SEARCH_BLOCK, left)
+                if draws is None:
+                    size = min(cap * SEARCH_BLOCK, iters_max - iters)
                     window = _climb_window(size, SEARCH_BLOCK, n, dim, g)
                     draws = next(window)
                 k = len(draws[2])
-                cand, Vc, mx, bound, obj = _climb_block(cur, logp, V, eps, draws, cfg.binary)
+                cand, Vc, mx, bound, obj = _climb_block(cur, logp, V, eps, draws)
                 over = mx > bound + THEOREM_SLACK
                 if over.any():
                     i = int(over.argmax())

@@ -32,10 +32,10 @@ from .errors import Fault, InputError
 # against constant columns), so the two now meet between 5 and 6 trials
 # (between 8 and 10 before). SEEDED_CHUNK stays 8: only d = 17 and 18 make
 # chunks of 6 or 7 trials, where a trial takes milliseconds and the pass
-# would save about 10 us a chunk. In pool workers a chunk of one d = 64 trial
-# ran 2% slower seeded in one pass (bench/run.py verify-large, 16 of 20
-# alternated pairs) and peaked 0.19 MB higher (18 of 20): the pass's integer
-# xor and multiply loops page in numpy code.
+# would save about 10 us a chunk. Pool workers running chunks of one d = 64
+# trial seeded in one pass ran no slower (bench/run.py verify-large, 8 alternated
+# 20 s pairs: median 160.0 vs 159.5 items/s, IQR 3.5 vs 1.5, won 4) but peaked
+# 0.11 MB higher (77.10 vs 76.99 MB, IQR 0.13 vs 0.10, in all 8): it pages in numpy.
 SEEDED_CHUNK = 8
 # SeedSequence (a pool of four 32-bit words): the initial constant and
 # multiplier of hashmix and of generate_state's output hash, and mix's two

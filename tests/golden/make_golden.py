@@ -35,8 +35,8 @@ CASES = {
         "search", "--dim", "3", "--states", "2", "--iters", "200", "--seed", "104", "--binary",
     ],
     "search_n3": ["search", "--dim", "3", "--states", "3", "--iters", "200", "--seed", "105"],
-    # Long climbs: the first restarts 5 times (6 samples), the second runs
-    # 1000 iterations at n = 3.
+    # Long climbs: the first restarts 5 times (it starts from trials 0 to 5),
+    # the second runs 1000 iterations at n = 3.
     "search_binary_restarts": [
         "search", "--dim", "2", "--states", "2", "--iters", "4000", "--seed", "1", "--binary",
     ],

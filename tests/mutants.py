@@ -2,10 +2,10 @@
 
 Each mutant replaces one exact text, found once, in one file of the package:
 most widen a tolerance or a slack, two break a formula, five drop a state
-check, two break the search's windowed draws and one widens an argument
-check of the config. For each mutant the checkout is copied to a temporary directory, the
-mutant is applied to the copy (the working tree is never written), and
-`pytest -x -q` runs there. An
+check, one breaks the search's windowed draws, one its restart draws, and
+one widens an argument check of the config. For each mutant the checkout is
+copied to a temporary directory, the mutant is applied to the copy (the
+working tree is never written), and `pytest -x -q` runs there. An
 unmutated copy runs first, since a suite that already fails would "kill"
 every mutant. One line per mutant says killed, with the first failing test,
 or survived. The exit status is 1 if any mutant survived.
@@ -119,9 +119,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/mixrate/harness.py",
-        "min(_blocks_to_end(eps, rejects), ",
-        "min(_blocks_to_end(eps, rejects) + 1, ",
-        "a search window holds one block more than the climb surely runs, so it can span a restart",
+        "g if k == 0 else RNGSpec(cfg.seed, k).generator() for k in",
+        "g for k in",
+        "every search restart draws its start from the climb's generator, not from trial k's stream",
     ),
     Mutant(
         "src/mixrate/sampling.py",

@@ -24,8 +24,9 @@ integral representation of ln x that the proof differentiates.
 pass, `hermitian_part` the symmetrizer as it ran before it took one buffer,
 `matrix_to_json` the wire form as it was built before one array
 conversion, and `search` the ratio search as it ran before its draws were
-made a window of blocks at a time: the program's must take the same
-decisions and return the same bits.
+made a window of blocks at a time and before `--binary` climbed the general
+objective (it still climbs binary rate / h(p) there): the program's must
+take the same decisions and return the same bits.
 """
 
 from __future__ import annotations
@@ -499,6 +500,8 @@ def climb_draws(k: int, n: int, dim: int, g):
 
 
 def climb_objectives(sp: _Spectra, binary: bool) -> np.ndarray:
+    """The ratios a climb compares: binary rate / h(p_0) if binary, else
+    max_rate / S(p)."""
     if binary:
         p0 = sp.p[:, 0]
         return sp.binary_rate / _shannon(np.stack([p0, 1.0 - p0], axis=-1))
@@ -526,13 +529,16 @@ def climb_block(cur: _Batch, V: np.ndarray, eps: float, k: int, g, binary: bool)
 
 def search(cfg):
     """harness._search's record and reported batch, each block's draws made
-    when the block runs."""
+    from stream 0 when the block runs, and restart k's start ensemble from
+    stream k (restart 0's from stream 0, before any block's draws)."""
     g = hz.RNGSpec(cfg.seed, 0).generator()
     best, best_obj = None, -math.inf
-    iters, error = 0, None
+    iters, error, restart = 0, None, 0
     try:
         while iters < cfg.search_max_iters:
-            cur = hz._batch([hz._trial_draw(cfg, g)])
+            start = g if restart == 0 else hz.RNGSpec(cfg.seed, restart).generator()
+            cur = hz._batch([hz._trial_draw(cfg, start)])
+            restart += 1
             V = hm._eigh(cur.rhos[0]).eigenvectors
             cur_obj = climb_objectives(_Spectra(cur), cfg.binary)[0]
             eps, rejects = hz.SEARCH_STEP, 0

@@ -454,7 +454,7 @@ class TestSearchRatio:
         cur = hz._batch([hz._trial_draw(cfg, g)])
         V = hm._eigh(cur.rhos[0]).eigenvectors
         draws = next(sampling._climb_window(hz.SEARCH_BLOCK, hz.SEARCH_BLOCK, n, dim, g))
-        cand = hz._climb_block(cur, np.log(cur.p[0]), V, hz.SEARCH_STEP, draws, binary)[0]
+        cand = hz._climb_block(cur, np.log(cur.p[0]), V, hz.SEARCH_STEP, draws)[0]
         true_bound = hz._general_bound
 
         def last_broken(p):
@@ -495,7 +495,9 @@ def assert_same_search(cfg):
 
 class TestSearchWindows:
     """The search draws each window of blocks in one pass, and gives what
-    drawing each block as it runs gives (`reference.search`)."""
+    drawing each block as it runs gives (`reference.search`, which climbs
+    the binary objective in binary mode: the one objective max_rate / S(p)
+    takes its decisions)."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -512,12 +514,37 @@ class TestSearchWindows:
         assert_same_search(cfg)
 
     @pytest.mark.parametrize("seed, iters", [(1, 4000), (2, 4000), (6, 5000)])
-    def test_windows_end_at_restarts(self, seed, iters):
-        # 6 or 7 climbs at d = 2: each climb's last window ends with it, and
-        # the next restart draws where the oracle's does.
+    def test_windows_span_restarts(self, seed, iters):
+        # 6 or 7 climbs at d = 2: a window's blocks left when a climb ends
+        # carry into the next climb, as the oracle's next blocks would draw.
         assert_same_search(
             ExperimentConfig(dim=2, n_states=2, seed=seed, search_max_iters=iters, binary=True)
         )
+
+    @pytest.mark.parametrize("seed, iters", [(1, 4000), (2, 4000), (6, 5000)])
+    def test_restart_k_starts_from_trial_k(self, seed, iters, monkeypatch):
+        # Every restart's start ensemble (a _batch in _search) is trial k's,
+        # bit for bit: restart 0 reads the fresh stream 0 that the climb then
+        # reads on, and restart k >= 1 a fresh stream k.
+        cfg = ExperimentConfig(dim=2, n_states=2, seed=seed, search_max_iters=iters, binary=True)
+        starts, batch = [], hz._batch
+
+        def recorded(draws):
+            starts.append(batch(draws))
+            return starts[-1]
+
+        monkeypatch.setattr(hz, "_batch", recorded)
+        hz._search(cfg)
+        monkeypatch.undo()
+        assert len(starts) >= 6
+        for k, b in enumerate(starts):
+            E = hz.trial_ensemble(cfg, k)
+            want = (
+                E.probabilities,
+                np.stack([s.matrix for s in E.states]),
+                np.stack([s.eigenvalues for s in E.states]),
+            )
+            assert [a[0].tobytes() for a in b] == [a.tobytes() for a in want], k
 
     def test_a_violation_comes_before_a_later_blocks_fault(self, monkeypatch):
         # Block 2 of the first window breaks the planted bound, and block 3

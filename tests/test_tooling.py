@@ -28,7 +28,10 @@ exported. The package root exports nothing but `__version__`: each name
 has one import path, its module. Every backticked `module.name` in
 README.md resolves. Only `sampling.streams` sets a generator's state
 (`bit_generator.state`): every other draw reads its stream forward, never
-rewound. Only the functions of DRAW_SITES read a generator.
+rewound. Only the functions of DRAW_SITES read a generator. Only
+`harness._search` reads the climb's step schedule (`SEARCH_STEP`,
+`SEARCH_SHRINK`): a second reader would be a copy of the schedule that can
+drift from the climb's.
 """
 
 import ast
@@ -472,8 +475,8 @@ def test_state_scan_finds_what_it_forbids(tmp_path):
 # Every call that reads a generator's stream (a method of np.random.Generator,
 # or the bit generator's random_raw), as module.function, and what it draws.
 # A search window holds the bits its blocks would draw one at a time only
-# while nothing else reads the search's generator inside a climb: a new draw
-# there shows up here first.
+# while nothing but restart 0's draw, made before any window, reads the
+# search's generator: a new draw there shows up here first.
 DRAWS = {m for m in dir(np.random.Generator) if not m.startswith("_")} | {"random_raw"}
 DRAW_SITES = {
     "harness._sample_probs": "a trial's or a restart's probabilities, until clear of the floor",
@@ -514,6 +517,52 @@ def test_draw_scan_finds_what_it_forbids(tmp_path):
         "jitter = np.random.random(4)\n"
     )
     assert _sites(bad, _draws) == {"harness", "harness._search", "harness.Climb.restart"}
+
+
+SCHEDULE = {"SEARCH_STEP", "SEARCH_SHRINK"}
+
+
+def _schedule_readers(files: list[Path]) -> set[str]:
+    """The sites of files that read a name of SCHEDULE; its definition is
+    no read."""
+    named = _named(SCHEDULE)
+
+    def reads(node) -> bool:
+        return named(node) and not isinstance(getattr(node, "ctx", None), ast.Store)
+
+    return set().union(*(_sites(f, reads) for f in files))
+
+
+def test_the_climb_schedule_has_one_reader():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert _schedule_readers(files) == {"harness._search"}
+
+
+def test_schedule_scan_finds_what_it_forbids(tmp_path):
+    harness_twin, sampling_twin = tmp_path / "harness.py", tmp_path / "sampling.py"
+    harness_twin.write_text(
+        "SEARCH_STEP = 0.1\n"
+        "SEARCH_SHRINK = 0.5\n"
+        "def _blocks_to_end(eps, rejects):\n"
+        "    blocks = 0\n"
+        "    while eps >= 1e-6:\n"
+        "        blocks += -(-(20 - rejects) // 8)\n"
+        "        eps, rejects = eps * SEARCH_SHRINK, 0\n"
+        "    return blocks\n"
+        "def _search(cfg):\n"
+        "    return _blocks_to_end(SEARCH_STEP, 0)\n"
+    )
+    sampling_twin.write_text(
+        "from . import harness as hz\n"
+        "from .harness import SEARCH_STEP\n"
+        "class Window:\n"
+        "    def size(self, eps):\n"
+        "        return eps / hz.SEARCH_SHRINK\n"
+    )
+    assert _schedule_readers([harness_twin, sampling_twin]) == {
+        "harness._blocks_to_end", "harness._search", "sampling", "sampling.Window.size",
+    }
 
 
 def _private_parameters(path: Path) -> list[str]:
