@@ -5,8 +5,7 @@ the trial id, so trials are reproducible in isolation and embarrassingly
 parallel without any RNG coordination. Identical (seed, stream) pairs give
 identical samples on any run of one build. A chunk of trials draws its
 samples straight into arrays of the whole chunk, from streams that
-`sampling` seeds in one pass once the chunk holds sampling.SEEDED_CHUNK
-trials.
+`sampling` seeds in one pass.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ A trial's stream is np.random.default_rng((seed, trial id)): a PCG64 bit
 generator seeded by numpy's SeedSequence from the entropy words of the pair.
 `pcg64_states` runs SeedSequence for every id of a chunk at once, on uint32
 arrays, then PCG64's seeding on Python ints. `streams` reseeds one generator
-in place to each of those states, so every bit drawn is the one
-default_rng((seed, trial id)) gives. numpy's own SeedSequence per trial,
-with the same reseeding, costs more than default_rng (23 against 20 us a
-trial on a shared x86-64 Xeon): bench/run.py verify-small ran 6855 items/s
-with it against 7495 with the one pass (medians of 10 alternated pairs).
+in place to each of those states, in a chunk of any size, so every bit
+drawn is the one default_rng((seed, trial id)) gives. numpy's own
+SeedSequence per trial, with the same reseeding, costs more than
+default_rng (23 against 20 us a trial on a shared x86-64 Xeon):
+bench/run.py verify-small ran 6855 items/s with it against 7495 with the
+one pass (medians of 10 alternated pairs).
 """
 
 from __future__ import annotations
@@ -24,19 +25,6 @@ from . import hermitian as hm
 from .ensembles import _Batch, _sampled
 from .errors import Fault, InputError
 
-# A chunk of at least SEEDED_CHUNK trials is seeded in one pass, a smaller one
-# by one default_rng per trial. On a shared 2-core x86-64 Xeon (numpy 2.4,
-# best of 9 x 300 calls of `streams`), default_rng costs 10-11 us a trial; the
-# one pass costs 40-49 us for a chunk of one, 57-61 us for 5 to 8 trials and
-# 81 us for 16 (73-102 us for 1 to 8 before its hash steps were broadcast
-# against constant columns), so the two now meet between 5 and 6 trials
-# (between 8 and 10 before). SEEDED_CHUNK stays 8: only d = 17 and 18 make
-# chunks of 6 or 7 trials, where a trial takes milliseconds and the pass
-# would save about 10 us a chunk. Pool workers running chunks of one d = 64
-# trial seeded in one pass ran no slower (bench/run.py verify-large, 8 alternated
-# 20 s pairs: median 160.0 vs 159.5 items/s, IQR 3.5 vs 1.5, won 4) but peaked
-# 0.11 MB higher (77.10 vs 76.99 MB, IQR 0.13 vs 0.10, in all 8): it pages in numpy.
-SEEDED_CHUNK = 8
 # SeedSequence (a pool of four 32-bit words): the initial constant and
 # multiplier of hashmix and of generate_state's output hash, and mix's two
 # multipliers; then PCG64's multiplier.
@@ -100,10 +88,11 @@ _OUT_X, _OUT_Y = (_steps(*_OUTPUT_HASH, 8)[k : k + 8].reshape(2, 4, 1) for k in 
 
 def pcg64_states(seed: int, ids: Sequence[int]) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) of np.random.default_rng((seed, i)) for each
-    id i, one 32-bit word (0 <= i < 2^32; InputError otherwise). The entropy
-    words are seed's 32-bit words, low first, then i. Each hash step is one
-    broadcast of the ids' words against constant columns."""
-    if min(ids) < 0 or max(ids) > _M32:
+    id i, one 32-bit word (0 <= i < 2^32; InputError otherwise), and none
+    for no ids. The entropy words are seed's 32-bit words, low first, then
+    i. Each hash step is one broadcast of the ids' words against constant
+    columns."""
+    if len(ids) and (min(ids) < 0 or max(ids) > _M32):
         raise InputError(f"trial ids {min(ids)}..{max(ids)} outside 0..{_M32}")
     words = [seed >> s & _M32 for s in range(0, max(int(seed).bit_length(), 1), 32)]
     entropy = np.zeros((max(4, len(words) + 1), len(ids)), np.uint32)
@@ -127,12 +116,8 @@ def pcg64_states(seed: int, ids: Sequence[int]) -> list[tuple[int, int]]:
 
 def streams(seed: int, ids: Sequence[int]) -> Iterator[np.random.Generator]:
     """The generator of each (seed, id) stream, in order, for ids below
-    2^32. A chunk of SEEDED_CHUNK ids or more gets one generator reseeded in
-    place to each stream's state (valid until the next is yielded); a
-    smaller chunk gets default_rng((seed, id)) for each id."""
-    if len(ids) < SEEDED_CHUNK:
-        yield from (np.random.default_rng((seed, i)) for i in ids)
-        return
+    2^32: one generator reseeded in place to each stream's state (valid
+    until the next is yielded)."""
     g = np.random.default_rng(0)
     for state, inc in pcg64_states(seed, ids):
         g.bit_generator.state = {

@@ -282,17 +282,13 @@ class TestRunTrials:
 
 
 class TestChunkSeeding:
-    """A chunk of sampling.SEEDED_CHUNK trials or more seeds every trial's
-    stream in one pass; each stream and every draw from it stays
-    default_rng's."""
+    """Every chunk, of one trial too, seeds its trials' streams in one pass;
+    each stream and every draw from it stays default_rng's."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, np.int64(7)]
-    # Chunk sizes just below and at the break-even, named so that retuning
-    # SEEDED_CHUNK renames no test.
-    BREAK_EVEN = [
-        pytest.param(sampling.SEEDED_CHUNK - 1, id="below"),
-        pytest.param(sampling.SEEDED_CHUNK, id="at"),
-    ]
+    # Chunk sizes the program makes, named by a dimension that makes them:
+    # 1 trial (every d >= 33), 7 (d = 17), 8 (d = 16) and 128 (d = 4).
+    CHUNKS = [pytest.param(hz.chunk_size(d), id=f"d{d}") for d in (64, 17, 16, 4)]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_states_equal_default_rng(self, seed):
@@ -302,13 +298,18 @@ class TestChunkSeeding:
         assert got == [(s["state"]["state"], s["state"]["inc"]) for s in want]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("size", BREAK_EVEN + [128])
-    def test_streams_on_both_sides_of_the_break_even(self, seed, size):
+    @pytest.mark.parametrize("size", CHUNKS)
+    def test_streams_of_every_chunk_size(self, seed, size):
         ids = range(999_999 - size + 1, 1_000_000)
         got = [g.bit_generator.state for g in sampling.streams(seed, ids)]
         assert got == [np.random.default_rng((seed, i)).bit_generator.state for i in ids]
 
-    @pytest.mark.parametrize("size", BREAK_EVEN)
+    @pytest.mark.parametrize("ids", [[], np.array([], np.int64)], ids=["list", "int64"])
+    def test_no_ids_give_no_streams(self, ids):
+        assert sampling.pcg64_states(2**96 + 5, ids) == []
+        assert list(sampling.streams(2**96 + 5, ids)) == []
+
+    @pytest.mark.parametrize("size", CHUNKS[:3])
     @pytest.mark.parametrize("p", [None, 0.3])  # p: a scan's
     def test_chunk_draws_what_each_trial_draws_alone(self, size, p):
         cfg = ExperimentConfig(dim=3, n_states=3, seed=2**64 + 3)

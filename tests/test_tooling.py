@@ -28,10 +28,13 @@ exported. The package root exports nothing but `__version__`: each name
 has one import path, its module. Every backticked `module.name` in
 README.md resolves. Only `sampling.streams` sets a generator's state
 (`bit_generator.state`): every other draw reads its stream forward, never
-rewound. Only the functions of DRAW_SITES read a generator. Only
-`harness._search` reads the climb's step schedule (`SEARCH_STEP`,
-`SEARCH_SHRINK`): a second reader would be a copy of the schedule that can
-drift from the climb's.
+rewound. Only `harness.RNGSpec.generator` seeds a generator from a
+stream's seed (SEEDERS); `sampling.streams` makes one blank
+`default_rng(0)` and reseeds it, so no per-trial seeding path grows back
+beside the one-pass seeder. Only the functions of DRAW_SITES read a
+generator. Only `harness._search` reads the climb's step schedule
+(`SEARCH_STEP`, `SEARCH_SHRINK`): a second reader would be a copy of the
+schedule that can drift from the climb's.
 """
 
 import ast
@@ -470,6 +473,70 @@ def test_state_scan_finds_what_it_forbids(tmp_path):
         "    return g.bit_generator.state\n"
     )
     assert _sites(bad, _sets_state) == {"mod.climb", "mod.Search.step"}
+
+
+# numpy's constructors of a seeded generator or bit generator.
+SEEDERS = {"default_rng", "Generator", "PCG64", "SeedSequence", "RandomState"}
+
+
+_seeder = _named(SEEDERS)
+
+
+def _seeds(node) -> bool:
+    """Whether a node calls a constructor of SEEDERS, or imports one by name
+    (`from numpy.random import default_rng as rng`)."""
+    return (isinstance(node, ast.Call) and _seeder(node.func)) or (
+        isinstance(node, ast.alias) and _seeder(node)
+    )
+
+
+def _seeds_a_stream(node) -> bool:
+    """Whether a node seeds a generator from anything but the constant 0: a
+    stream of its own, not a blank generator that is reseeded in place."""
+    blank = (
+        isinstance(node, ast.Call)
+        and not node.keywords
+        and [ast.unparse(a) for a in node.args] == ["0"]
+    )
+    return _seeds(node) and not blank
+
+
+def test_streams_are_seeded_in_one_place():
+    # A trial's stream comes from RNGSpec.generator (the search, a redraw,
+    # a trial alone) or from the one-pass seeder, which reseeds one blank
+    # default_rng(0); a per-trial default_rng((seed, id)) in streams fails.
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert set().union(*(_sites(f, _seeds) for f in files)) == {
+        "harness.RNGSpec.generator", "sampling.streams"
+    }
+    assert set().union(*(_sites(f, _seeds_a_stream) for f in files)) == {
+        "harness.RNGSpec.generator"
+    }
+
+
+def test_seeding_scan_finds_what_it_forbids(tmp_path):
+    bad = tmp_path / "sampling.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "from numpy.random import default_rng as rng\n"
+        "def streams(seed, ids):\n"
+        "    if len(ids) < 8:\n"
+        "        yield from (np.random.default_rng((seed, i)) for i in ids)\n"
+        "    g = np.random.default_rng(0)\n"
+        "def blank():\n"
+        "    return np.random.default_rng(0)\n"
+        "def keyword(seed):\n"
+        "    return np.random.default_rng(seed=seed), np.random.SeedSequence(seed)\n"
+        "class Chunk:\n"
+        "    def generators(self, seed):\n"
+        "        return [np.random.Generator(np.random.PCG64((seed, i))) for i in self.ids]\n"
+        "def annotated(g: np.random.Generator) -> np.random.Generator:\n"
+        "    return g\n"
+    )
+    seeding = {"sampling", "sampling.streams", "sampling.keyword", "sampling.Chunk.generators"}
+    assert _sites(bad, _seeds) == seeding | {"sampling.blank"}
+    assert _sites(bad, _seeds_a_stream) == seeding
 
 
 # Every call that reads a generator's stream (a method of np.random.Generator,
